@@ -23,13 +23,17 @@ case of the full pipeline.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .data import Dataset, RolePartition
 from .pcm import (
+    AdaptiveWeights,
     MediatorCoefs,
     PcmParams,
     PilotEstimates,
+    YModelCoefs,
     adaptive_weights,
     debias_ridges,
     pcm_correct,
@@ -44,6 +48,7 @@ __all__ = [
     "back_door_estimate",
     "front_door_like_estimate",
     "baseline_penalized",
+    "penalized_coefficients",
     "pal1ma_estimate",
 ]
 
@@ -51,8 +56,7 @@ __all__ = [
 def back_door_estimate(data: Dataset, x: str, y: str, z=()) -> float:
     """Treatment coefficient of the outcome regressed on treatment plus ``z``."""
     cols = [x] + list(z)
-    a = data.values[:, data.index_of(cols)]
-    beta = ols_solve(a.T @ a, a.T @ data.column(y))
+    beta = ols_solve(data.cross(cols, cols), data.cross(cols, [y])[:, 0])
     return float(beta[0])
 
 
@@ -75,14 +79,13 @@ def front_door_like_estimate(
     s = list(s)
     if not s:
         raise ValueError("front-door-like estimation needs at least one mediator")
-    first_design = data.values[:, data.index_of([x] + list(z1))]
-    med = data.values[:, data.index_of(s)]
-    first = ols_solve(first_design.T @ first_design, first_design.T @ med)
+    first_cols = [x] + list(z1)
+    first = ols_solve(data.cross(first_cols, first_cols), data.cross(first_cols, s))
     x_on_med = first[0, :]
 
     second_cols = s + ([x] if include_x_in_second_stage else []) + list(z2)
-    second_design = data.values[:, data.index_of(second_cols)]
-    second = ols_solve(second_design.T @ second_design, second_design.T @ data.column(y))
+    second = ols_solve(data.cross(second_cols, second_cols),
+                       data.cross(second_cols, [y])[:, 0])
     med_on_y = second[: len(s)]
     return float(x_on_med @ med_on_y)
 
@@ -106,19 +109,45 @@ def baseline_penalized(
     ``method`` is one of ``lasso``, ``adaptive_lasso``, ``elastic_net``,
     ``pal1ma``.  ``eta`` is the adaptive-weight exponent, ``phi`` the L1
     share of the elastic-net penalty, ``pilot_lam`` the ridge-pilot penalty
-    for the adaptive variants.
+    for the adaptive variants; ``lam2`` and ``xi2`` are pal1ma's debiasing
+    ridge penalties.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
     if method == "pal1ma":
         return pal1ma_estimate(
             data, roles, lam, eta=eta, pilot_lam=pilot_lam,
             lam2=lam2, xi2=xi2, tol=tol, max_sweeps=max_sweeps,
         )
+    beta = penalized_coefficients(
+        data, roles, method, lam, eta=eta, phi=phi, pilot_lam=pilot_lam,
+        tol=tol, max_sweeps=max_sweeps,
+    )
+    return float(beta[0])
+
+
+def penalized_coefficients(
+    data: Dataset,
+    roles: RolePartition,
+    method: str,
+    lam: float,
+    *,
+    eta: float = 1.0,
+    phi: float = 0.5,
+    pilot_lam: float = 1.0,
+    tol: float = DEFAULT_TOL,
+    max_sweeps: int = DEFAULT_MAX_SWEEPS,
+) -> np.ndarray:
+    """Penalized fit of the outcome on ``[x] + roles.covariates``.
+
+    Arguments as in :func:`baseline_penalized`.  For ``pal1ma`` this is the
+    stage-1 fit of :func:`pal1ma_estimate`, before its bias correction.
+    """
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    if method == "pal1ma":
+        return _pal1ma_stage1(data, roles, lam, eta, pilot_lam, tol, max_sweeps)[0].stacked()
     cols = [roles.x] + list(roles.covariates)
-    a = data.values[:, data.index_of(cols)]
-    n, p = a.shape
-    gram, cross = a.T @ a, a.T @ data.column(roles.y)
+    gram, cross = data.cross(cols, cols), data.cross(cols, [roles.y])[:, 0]
+    n, p = data.n, len(cols)
     if method == "lasso":
         l1, l2 = np.full(p, lam), None
     elif method == "elastic_net":
@@ -131,8 +160,25 @@ def baseline_penalized(
         l1, l2 = lam * w, None
     else:
         raise ValueError(f"unknown penalized baseline {method!r}")
-    beta = coordinate_descent(gram, cross, n, l1, l2, tol=tol, max_sweeps=max_sweeps)
-    return float(beta[0])
+    return coordinate_descent(gram, cross, n, l1, l2, tol=tol, max_sweeps=max_sweeps)
+
+
+def _pal1ma_stage1(data, roles, lam, eta, pilot_lam, tol,
+                   max_sweeps) -> tuple[YModelCoefs, AdaptiveWeights]:
+    """Stage-1 fit and weights of pal1ma, on ``roles`` without its mediators."""
+    base = replace(roles, s=(), sbar=())
+    pilots = PilotEstimates(
+        y=ridge_pilot_y(data, base, pilot_lam),
+        m=ridge_pilot_m(data, base, pilot_lam),
+        lam=pilot_lam,
+        rho=pilot_lam,
+    )
+    weights = adaptive_weights(pilots)
+    if eta != 1.0:
+        w_zbar, floored = reciprocal_power_weights(pilots.y.coef_zbar, eta=eta)
+        weights = replace(weights, zbar=w_zbar, floored=floored)
+    s1 = pcm_stage1_y(data, base, weights, lam, 0.0, 0.0, tol=tol, max_sweeps=max_sweeps)
+    return s1, weights
 
 
 def pal1ma_estimate(
@@ -157,20 +203,8 @@ def pal1ma_estimate(
     With ``eta == 1`` this equals the full pipeline run with an empty
     mediator partition and zero treatment/mediator penalty shares.
     """
-    base = RolePartition(x=roles.x, y=roles.y, z=roles.z, zbar=roles.zbar)
-    pilots = PilotEstimates(
-        y=ridge_pilot_y(data, base, pilot_lam),
-        m=ridge_pilot_m(data, base, pilot_lam),
-        lam=pilot_lam,
-        rho=pilot_lam,
-    )
-    weights = adaptive_weights(pilots)
-    if eta != 1.0:
-        w_zbar, floored = reciprocal_power_weights(pilots.y.coef_zbar, eta=eta)
-        weights = type(weights)(
-            sbar=weights.sbar, zbar=w_zbar, med=weights.med, floored=floored
-        )
-    s1 = pcm_stage1_y(data, base, weights, lam, 0.0, 0.0, tol=tol, max_sweeps=max_sweeps)
+    s1, weights = _pal1ma_stage1(data, roles, lam, eta, pilot_lam, tol, max_sweeps)
+    base = replace(roles, s=(), sbar=())
     active_x = s1.beta_x != 0.0
     active_zbar = np.nonzero(s1.coef_zbar)[0]
     no_sbar = np.zeros(0, dtype=int)

@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import io as pio
-from .baselines import back_door_estimate, baseline_penalized, front_door_like_estimate
 from .data import Dataset, RolePartition
 from .errors import (
     ConfigInvalid,
@@ -35,7 +34,7 @@ from .errors import (
     PcmSelectError,
     UnknownVertex,
 )
-from .experiment import ExperimentConfig, run_monte_carlo
+from .experiment import METHODS, ExperimentConfig, check_params, run_monte_carlo
 from .graphs import minimal_mediator_sets
 from .pcm import PcmParams, pcm_total_effect
 from .scm import build_experiment_scm
@@ -119,54 +118,34 @@ def _pcm_params_from(payload: dict) -> PcmParams:
         raise ConfigInvalid(f"bad pcm parameters: {exc}") from exc
 
 
+def _load_grid(path: str | None) -> ParamGrid:
+    return ParamGrid.from_dict(pio.load_json(path)) if path else ParamGrid()
+
+
 def _cmd_estimate(args) -> int:
     ds = pio.read_dataset_csv(args.data).standardized()
     roles = _load_roles(args.roles)
     params = pio.load_json(args.params) if args.params else {}
-    method = args.method
+    method = METHODS[args.method]
     if args.cv:
-        grid = ParamGrid.from_dict(pio.load_json(args.grid)) if args.grid else ParamGrid()
-        cv_method = method.replace("-", "_")
-        result = cross_validate(ds, roles, cv_method, grid)
-        chosen = dict(result.chosen)
-        print(f"cross-validation selected: {json.dumps(chosen, sort_keys=True)}")
-        if method == "pcm":
-            params = chosen
-        else:
-            params = {k: v for k, v in chosen.items() if k in ("lam", "eta", "phi", "pilot_lam")}
-    if method == "pcm":
-        if not params:
-            raise ConfigInvalid("pcm needs --params or --cv")
-        fit = pcm_total_effect(ds, roles, _pcm_params_from(params))
-        print(f"total effect estimate: {fit.total_effect!r}")
-        print(json.dumps(fit.to_dict(), indent=2, sort_keys=True))
-    elif method in ("lasso", "adaptive-lasso", "elastic-net", "pal1ma"):
-        if "lam" not in params:
-            raise ConfigInvalid(f"{method} needs a 'lam' parameter (or --cv)")
-        value = baseline_penalized(ds, roles, method.replace("-", "_"), **params)
-        print(f"total effect estimate: {value!r}")
-    elif method == "backdoor":
-        value = back_door_estimate(ds, roles.x, roles.y, params.get("z", roles.covariates))
-        print(f"total effect estimate: {value!r}")
-    elif method in ("frontdoor-including-x", "frontdoor-not-including-x"):
-        value = front_door_like_estimate(
-            ds, roles.x, roles.y,
-            params.get("mediators", roles.mediators or roles.s),
-            params.get("z1", roles.covariates),
-            params.get("z2", roles.covariates),
-            include_x_in_second_stage=(method == "frontdoor-including-x"),
-        )
-        print(f"total effect estimate: {value!r}")
-    else:
-        raise ConfigInvalid(f"unknown method {args.method!r}")
+        if method.cv is None:
+            raise ConfigInvalid(f"{args.method} has no parameters to cross-validate")
+        params = dict(cross_validate(ds, roles, method.cv, _load_grid(args.grid)).chosen)
+        print(f"cross-validation selected: {json.dumps(params, sort_keys=True)}")
+    check_params(args.method, params)
+    if args.method != "pcm":
+        print(f"total effect estimate: {method.estimate(ds, roles, params)!r}")
+        return 0
+    fit = pcm_total_effect(ds, roles, _pcm_params_from(params))
+    print(f"total effect estimate: {fit.total_effect!r}")
+    print(json.dumps(fit.to_dict(), indent=2, sort_keys=True))
     return 0
 
 
 def _cmd_tune(args) -> int:
     ds = pio.read_dataset_csv(args.data).standardized()
     roles = _load_roles(args.roles)
-    grid = ParamGrid.from_dict(pio.load_json(args.grid)) if args.grid else ParamGrid()
-    result = cross_validate(ds, roles, args.method.replace("-", "_"), grid)
+    result = cross_validate(ds, roles, METHODS[args.method].cv, _load_grid(args.grid))
     print(f"chosen parameters: {json.dumps(result.chosen, sort_keys=True)}")
     print(f"cv score: {result.score!r}")
     table = cv_table_csv(result)
@@ -229,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate a total effect from CSV data")
     p.add_argument("--data", required=True)
     p.add_argument("--roles", required=True, help="roles JSON file")
-    p.add_argument("--method", required=True)
+    p.add_argument("--method", required=True, choices=list(METHODS))
     p.add_argument("--params", help="parameter JSON file")
     p.add_argument("--cv", action="store_true", help="select parameters by CV")
     p.add_argument("--grid", help="grid JSON file (with --cv)")
@@ -238,7 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", help="cross-validate parameters")
     p.add_argument("--data", required=True)
     p.add_argument("--roles", required=True)
-    p.add_argument("--method", required=True)
+    p.add_argument("--method", required=True,
+                   choices=[name for name, m in METHODS.items() if m.cv])
     p.add_argument("--grid", help="grid JSON file")
     p.add_argument("--out", help="write the score table CSV here")
     p.set_defaults(func=_cmd_tune)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,16 @@ class RolePartition:
     def mediators(self) -> tuple[str, ...]:
         return self.s + self.sbar
 
+    @property
+    def y_regressors(self) -> tuple[str, ...]:
+        """Outcome-model regressors, in the block order [x, s, z, sbar, zbar]."""
+        return (self.x,) + self.s + self.z + self.sbar + self.zbar
+
+    @property
+    def m_regressors(self) -> tuple[str, ...]:
+        """Mediator-model regressors, in the block order [x, z, zbar]."""
+        return (self.x,) + self.z + self.zbar
+
     def required_columns(self) -> tuple[str, ...]:
         return (self.x, self.y) + self.covariates + self.mediators
 
@@ -84,7 +95,9 @@ class Dataset:
     """A named-column observation matrix, usually standardized.
 
     ``record`` carries the standardization applied to the raw data (None for
-    data constructed directly on the standardized scale).
+    data constructed directly on the standardized scale).  Every estimator
+    reads the data through :meth:`cross`, blocks of the one cross-product
+    matrix :attr:`gram`.
     """
 
     values: np.ndarray
@@ -106,12 +119,24 @@ class Dataset:
     def n(self) -> int:
         return self.values.shape[0]
 
+    @cached_property
+    def _lookup(self) -> dict[str, int]:
+        return {c: i for i, c in enumerate(self.columns)}
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Cross-product matrix ``V.T @ V`` of all columns, computed on first use."""
+        return self.values.T @ self.values
+
     def index_of(self, names) -> np.ndarray:
-        lookup = {c: i for i, c in enumerate(self.columns)}
         try:
-            return np.array([lookup[n] for n in names], dtype=int)
+            return np.array([self._lookup[n] for n in names], dtype=int)
         except KeyError as exc:
             raise ConfigInvalid(f"column {exc} not present in dataset") from exc
+
+    def cross(self, rows, cols) -> np.ndarray:
+        """Block of :attr:`gram` between two sequences of column names."""
+        return self.gram[np.ix_(self.index_of(rows), self.index_of(cols))]
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.index_of([name])[0]]

@@ -15,8 +15,9 @@ output is byte-identical regardless of the worker count.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +29,9 @@ from .pcm import PcmParams, pcm_total_effect
 from .scm import CovarianceSpec, LinearScm, build_experiment_scm, coupling_dag
 
 __all__ = [
+    "Method",
+    "METHODS",
+    "check_params",
     "MethodSpec",
     "ExperimentConfig",
     "SummaryRow",
@@ -56,8 +60,6 @@ SETTING_METHODS = {
     "B": ("pcm", "frontdoor-minimal", "frontdoor-whole"),
 }
 
-ALL_METHODS = tuple(dict.fromkeys(SETTING_METHODS["A"] + SETTING_METHODS["B"]))
-
 # Published benchmark parameter values (selected by cross-validation there);
 # the debiasing-ridge settings are this package's defaults.
 PRESETS: dict[tuple[str, str], dict] = {
@@ -79,6 +81,93 @@ PRESETS: dict[tuple[str, str], dict] = {
     ("B", "frontdoor-minimal"): {},
     ("B", "frontdoor-whole"): {},
 }
+
+
+@dataclass(frozen=True)
+class Method:
+    """One estimator that the CLI, the Monte Carlo run and CV dispatch to.
+
+    ``estimate(data, roles, params)`` returns the total-effect estimate on
+    standardized data and holds the defaults of the keys left out;
+    ``allowed`` and ``required`` are its parameter keys; ``cv`` is its
+    :func:`~pcmselect.tuning.cross_validate` name (None: nothing to tune).
+    """
+
+    estimate: Callable[[Dataset, RolePartition, dict], float]
+    allowed: frozenset[str]
+    required: frozenset[str] = frozenset()
+    cv: str | None = None
+
+
+def _pcm(ds: Dataset, roles: RolePartition, params: dict) -> float:
+    return pcm_total_effect(ds, roles, PcmParams(**params)).total_effect
+
+
+def _penalized(kind: str, *keys: str) -> Method:
+    def estimate(ds, roles, params):
+        return baseline_penalized(ds, roles, kind, **params)
+
+    return Method(estimate, frozenset({"lam", "tol", "max_sweeps", *keys}),
+                  frozenset({"lam"}), cv=kind)
+
+
+def _backdoor(ds: Dataset, roles: RolePartition, params: dict) -> float:
+    return back_door_estimate(ds, roles.x, roles.y, params.get("z", roles.covariates))
+
+
+def _frontdoor(include_x: bool, adjusted: bool, required=frozenset()) -> Method:
+    """Front-door-like product, by default through the fixed mediators with
+    the covariates as both conditioning sets (``adjusted``), or through all
+    mediators with none."""
+
+    def estimate(ds, roles, params):
+        if adjusted:
+            defaults = {"mediators": roles.s, "z1": roles.covariates, "z2": roles.covariates}
+        else:
+            defaults = {"mediators": roles.mediators, "z1": (), "z2": ()}
+        p = {**defaults, **params}
+        return front_door_like_estimate(ds, roles.x, roles.y, p["mediators"], p["z1"],
+                                        p["z2"], include_x_in_second_stage=include_x)
+
+    return Method(estimate, frozenset({"mediators", "z1", "z2"}), frozenset(required))
+
+
+METHODS: dict[str, Method] = {
+    "lasso": _penalized("lasso"),
+    "adaptive-lasso": _penalized("adaptive_lasso", "eta", "pilot_lam"),
+    "elastic-net": _penalized("elastic_net", "phi"),
+    "pal1ma": _penalized("pal1ma", "eta", "pilot_lam", "lam2", "xi2"),
+    "pcm": Method(_pcm, frozenset(f.name for f in fields(PcmParams)),
+                  frozenset(f.name for f in fields(PcmParams) if f.default is MISSING),
+                  cv="pcm"),
+    "frontdoor-including-x": _frontdoor(True, adjusted=True),
+    "frontdoor-not-including-x": _frontdoor(False, adjusted=True),
+    "backdoor": Method(_backdoor, frozenset({"z"})),
+    # run_monte_carlo fills frontdoor-minimal's mediators from the graph
+    "frontdoor-minimal": _frontdoor(True, adjusted=False, required={"mediators"}),
+    "frontdoor-whole": _frontdoor(True, adjusted=False),
+}
+
+ALL_METHODS = tuple(METHODS)
+
+
+def check_params(name: str, params: dict) -> None:
+    """Raise :class:`ConfigInvalid` for an unknown method or parameter key, or
+    a missing required key."""
+    if name not in METHODS:
+        raise ConfigInvalid(f"unknown method {name!r}")
+    if not isinstance(params, dict):
+        raise ConfigInvalid(f"parameters of {name} must be a JSON object")
+    method = METHODS[name]
+    unknown = sorted(set(params) - method.allowed)
+    if unknown:
+        raise ConfigInvalid(
+            f"unknown parameter(s) {', '.join(unknown)} for {name}; "
+            f"allowed: {', '.join(sorted(method.allowed))}"
+        )
+    missing = sorted(method.required - set(params))
+    if missing:
+        raise ConfigInvalid(f"{name} needs parameter(s) {', '.join(missing)}")
 
 
 def experiment_roles(setting: str) -> RolePartition:
@@ -137,7 +226,7 @@ class ExperimentConfig:
         if len(set(labels)) != len(labels):
             raise ConfigInvalid("method labels must be unique")
         for m in self.methods:
-            if m.name not in ALL_METHODS:
+            if m.name not in METHODS:
                 raise ConfigInvalid(f"unknown method {m.name!r}")
         if setting in ("A", "B"):
             allowed = SETTING_METHODS[setting]
@@ -152,6 +241,17 @@ class ExperimentConfig:
                 raise ConfigInvalid("custom setting needs an scm payload and roles")
         else:
             raise ConfigInvalid(f"unknown setting {self.setting!r}")
+        for m in self.methods:
+            params = self.params_of(m)
+            if m.name == "frontdoor-minimal" and isinstance(params, dict):
+                params = {"mediators": (), **params}  # filled from the graph
+            check_params(m.name, params)
+
+    def params_of(self, method: MethodSpec) -> dict:
+        """A method's explicit parameters, or its preset for this setting."""
+        if method.params is not None:
+            return method.params
+        return PRESETS.get((self.setting, method.name), {})
 
     @staticmethod
     def from_dict(payload: dict) -> "ExperimentConfig":
@@ -222,22 +322,9 @@ def summarize(estimates, true_tau: float) -> tuple[float, float, float, float]:
 def _resolve_methods(config: ExperimentConfig, scm: LinearScm,
                      roles: RolePartition) -> list[tuple[str, str, dict]]:
     """Materialize (label, name, params) triples, resolving presets/minimal sets."""
-    parameter_free = {name for name in ALL_METHODS if name.startswith(("backdoor", "frontdoor"))}
     resolved = []
     for m in config.methods:
-        params = m.params
-        if params is None:
-            key = (config.setting, m.name)
-            if key in PRESETS:
-                params = PRESETS[key]
-            elif m.name in parameter_free:
-                params = {}
-            else:
-                raise ConfigInvalid(
-                    f"no preset parameters for method {m.name!r} in setting "
-                    f"{config.setting!r}; supply params explicitly"
-                )
-        params = dict(params)
+        params = dict(config.params_of(m))
         if m.name == "frontdoor-minimal" and "mediators" not in params:
             sets = minimal_mediator_sets(
                 coupling_dag(scm), roles.x, roles.y, roles.covariates
@@ -249,35 +336,6 @@ def _resolve_methods(config: ExperimentConfig, scm: LinearScm,
             params["mediators"] = sorted(sets[0])
         resolved.append((m.display, m.name, params))
     return resolved
-
-
-def _estimate_one(ds: Dataset, roles: RolePartition, name: str, params: dict) -> float:
-    if name == "pcm":
-        return pcm_total_effect(ds, roles, PcmParams(**params)).total_effect
-    if name in ("lasso", "adaptive-lasso", "elastic-net", "pal1ma"):
-        return baseline_penalized(ds, roles, name.replace("-", "_"), **params)
-    if name == "backdoor":
-        z = params.get("z", roles.covariates)
-        return back_door_estimate(ds, roles.x, roles.y, z)
-    if name.startswith("frontdoor"):
-        if name == "frontdoor-whole":
-            mediators = params.get("mediators", roles.mediators)
-            z1 = params.get("z1", ())
-            z2 = params.get("z2", ())
-        elif name == "frontdoor-minimal":
-            mediators = params["mediators"]
-            z1 = params.get("z1", ())
-            z2 = params.get("z2", ())
-        else:
-            mediators = params.get("mediators", roles.s)
-            z1 = params.get("z1", roles.covariates)
-            z2 = params.get("z2", roles.covariates)
-        include_x = name != "frontdoor-not-including-x"
-        return front_door_like_estimate(
-            ds, roles.x, roles.y, mediators, z1, z2,
-            include_x_in_second_stage=include_x,
-        )
-    raise ConfigInvalid(f"unknown method {name!r}")
 
 
 def _replication_worker(payload) -> tuple[int, list[tuple[str, float | None]]]:
@@ -293,7 +351,7 @@ def _replication_worker(payload) -> tuple[int, list[tuple[str, float | None]]]:
         return rep, [(label, None) for label, _, _ in methods]
     for label, name, params in methods:
         try:
-            results.append((label, _estimate_one(ds, roles, name, params)))
+            results.append((label, METHODS[name].estimate(ds, roles, params)))
         except PcmSelectError:
             results.append((label, None))
     return rep, results

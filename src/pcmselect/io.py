@@ -9,6 +9,7 @@ Floats are written with ``repr`` so files round-trip bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -52,11 +53,14 @@ def read_dataset_csv(path) -> Dataset:
         parsed = []
         for j, cell in enumerate(cells, start=1):
             try:
-                parsed.append(float(cell))
+                value = float(cell)
             except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
                 raise DataFormatError(
-                    f"{path}: not a number: {cell.strip()!r}", row=i, column=j
-                ) from None
+                    f"{path}: not a finite number: {cell.strip()!r}", row=i, column=j
+                )
+            parsed.append(value)
         rows.append(parsed)
     if not rows:
         raise DataFormatError(f"{path}: no data rows")

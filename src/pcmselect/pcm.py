@@ -181,32 +181,25 @@ class AdaptiveWeights:
 class DebiasBlocks:
     """Active-set ridge refits used by the bias correction.
 
-    ``x_model``: treatment on [fixed covariates, active candidates, fixed and
-    active mediators] (absent when the treatment is inactive).
-    ``sbar_model`` / ``zbar_model``: active candidate mediators / covariates
-    on the remaining regressors.  ``zbar_on_xz``: unpenalized refit of the
-    active candidate covariates on treatment and fixed covariates, used by
-    the mediator-equation correction.  Residual gram matrices accompany each
-    block.
+    Each refit's regressors follow the order [x, s, active sbar, z, active
+    zbar] with its own response block left out, and x left out when the
+    treatment is inactive (``include_x`` False).  ``x_coef``: treatment on
+    [s, active sbar, z, active zbar] (absent when the treatment is inactive).
+    ``sb_coef`` / ``zb_coef``: active candidate mediators / covariates, one
+    column each, on [x, s, z, active zbar] / [x, s, active sbar, z].
+    ``zb_on_xz_coef``: unpenalized refit of the active candidate covariates
+    on [x, z], used by the mediator-equation correction.  Residual gram
+    matrices accompany each refit; a refit with no response is None.
     """
 
     include_x: bool
-    x_coef_z: np.ndarray | None
-    x_coef_zbar: np.ndarray | None
-    x_coef_s: np.ndarray | None
-    x_coef_sbar: np.ndarray | None
+    x_coef: np.ndarray | None
     x_resid_ss: float | None
-    sb_coef_x: np.ndarray | None
-    sb_coef_s: np.ndarray | None
-    sb_coef_z: np.ndarray | None
-    sb_coef_zbar: np.ndarray | None
+    sb_coef: np.ndarray | None
     sb_resid_gram: np.ndarray | None
-    zb_coef_x: np.ndarray | None
-    zb_coef_z: np.ndarray | None
-    zb_coef_s: np.ndarray | None
-    zb_coef_sbar: np.ndarray | None
+    zb_coef: np.ndarray | None
     zb_resid_gram: np.ndarray | None
-    zb_on_xz_coef_x: np.ndarray | None
+    zb_on_xz_coef: np.ndarray | None
     zb_on_xz_resid_gram: np.ndarray | None
 
 
@@ -276,60 +269,8 @@ class PcmFit:
         }
 
 
-# ---------------------------------------------------------------------------
-# design assembly
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Design:
-    """Column blocks for one role partition, all 2-D of shape (n, q)."""
-
-    y: np.ndarray
-    x: np.ndarray
-    s: np.ndarray
-    z: np.ndarray
-    sbar: np.ndarray
-    zbar: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    def y_design(self) -> np.ndarray:
-        """Outcome-model design, blocks ordered [x, s, z, sbar, zbar]."""
-        return np.hstack([self.x, self.s, self.z, self.sbar, self.zbar])
-
-    def m_design(self, zbar_idx=None) -> np.ndarray:
-        zb = self.zbar if zbar_idx is None else self.zbar[:, zbar_idx]
-        return np.hstack([self.x, self.z, zb])
-
-    def mediators(self, sbar_idx=None) -> np.ndarray:
-        sb = self.sbar if sbar_idx is None else self.sbar[:, sbar_idx]
-        return np.hstack([self.s, sb])
-
-
-def _design(data: Dataset, roles: RolePartition) -> _Design:
-    data.check_roles(roles)
-    v = data.values
-
-    def block(names) -> np.ndarray:
-        if not names:
-            return np.zeros((data.n, 0))
-        return v[:, data.index_of(names)]
-
-    return _Design(
-        y=block([roles.y]),
-        x=block([roles.x]),
-        s=block(roles.s),
-        z=block(roles.z),
-        sbar=block(roles.sbar),
-        zbar=block(roles.zbar),
-    )
-
-
-def _split_y_coefs(beta: np.ndarray, q_s: int, q_z: int, q_sb: int, q_zb: int) -> YModelCoefs:
-    parts = np.split(beta, np.cumsum([1, q_s, q_z, q_sb]))
+def _split_y_coefs(beta: np.ndarray, roles: RolePartition) -> YModelCoefs:
+    parts = np.split(beta, np.cumsum([1, len(roles.s), len(roles.z), len(roles.sbar)]))
     return YModelCoefs(
         beta_x=float(parts[0][0]),
         coef_s=parts[1],
@@ -337,6 +278,12 @@ def _split_y_coefs(beta: np.ndarray, q_s: int, q_z: int, q_sb: int, q_zb: int) -
         coef_sbar=parts[3],
         coef_zbar=parts[4],
     )
+
+
+def _y_moments(data: Dataset, roles: RolePartition) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix of the outcome-model regressors and their cross products with y."""
+    cols = roles.y_regressors
+    return data.cross(cols, cols), data.cross(cols, [roles.y])[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +300,7 @@ def ols_joint(data: Dataset, roles: RolePartition) -> YModelCoefs:
         When the design gram matrix is numerically singular; that is the
         regime where only the penalized estimators apply.
     """
-    d = _design(data, roles)
-    a = d.y_design()
-    beta = ols_solve(a.T @ a, a.T @ d.y[:, 0])
-    return _split_y_coefs(beta, d.s.shape[1], d.z.shape[1], d.sbar.shape[1], d.zbar.shape[1])
+    return _split_y_coefs(ols_solve(*_y_moments(data, roles)), roles)
 
 
 def ridge_pilot_y(data: Dataset, roles: RolePartition, lam: float) -> YModelCoefs:
@@ -368,39 +312,34 @@ def ridge_pilot_y(data: Dataset, roles: RolePartition, lam: float) -> YModelCoef
     """
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    d = _design(data, roles)
-    a = d.y_design()
-    q_s, q_z = d.s.shape[1], d.z.shape[1]
-    q_sb, q_zb = d.sbar.shape[1], d.zbar.shape[1]
-    diag = np.concatenate(
-        [[lam], np.zeros(q_s + q_z), np.full(q_sb, lam), np.full(q_zb, lam)]
-    )
-    gram, cross = a.T @ a, a.T @ d.y[:, 0]
+    diag = np.concatenate([
+        [lam], np.zeros(len(roles.s) + len(roles.z)),
+        np.full(len(roles.sbar) + len(roles.zbar), lam),
+    ])
+    gram, cross = _y_moments(data, roles)
     if lam == 0:
         beta = ols_solve(gram, cross)
     else:
-        beta = ridge_solve(gram, cross, d.n, diag)
-    return _split_y_coefs(beta, q_s, q_z, q_sb, q_zb)
+        beta = ridge_solve(gram, cross, data.n, diag)
+    return _split_y_coefs(beta, roles)
 
 
 def ridge_pilot_m(data: Dataset, roles: RolePartition, rho: float) -> MediatorCoefs:
     """Mediator-model pilot: each mediator on [x, z, zbar], ``n*rho`` on zbar."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    d = _design(data, roles)
-    m = d.mediators()
-    a = d.m_design()
-    q_z, q_zb = d.z.shape[1], d.zbar.shape[1]
-    if m.shape[1] == 0:
+    q_z, q_zb = len(roles.z), len(roles.zbar)
+    if not roles.mediators:
         return MediatorCoefs(
             x_row=np.zeros(0), z_rows=np.zeros((q_z, 0)), zbar_rows=np.zeros((q_zb, 0))
         )
     diag = np.concatenate([[0.0], np.zeros(q_z), np.full(q_zb, rho)])
-    gram, cross = a.T @ a, a.T @ m
+    regs = roles.m_regressors
+    gram, cross = data.cross(regs, regs), data.cross(regs, roles.mediators)
     if rho == 0 or q_zb == 0:
         coefs = ols_solve(gram, cross)
     else:
-        coefs = ridge_solve(gram, cross, d.n, diag)
+        coefs = ridge_solve(gram, cross, data.n, diag)
     return MediatorCoefs(
         x_row=coefs[0, :], z_rows=coefs[1 : 1 + q_z, :], zbar_rows=coefs[1 + q_z :, :]
     )
@@ -462,12 +401,12 @@ def adaptive_weights(pilots: PilotEstimates, *, floor: float = WEIGHT_FLOOR) -> 
 # ---------------------------------------------------------------------------
 
 
-def _y_l1_weights(q_s, q_z, q_sb, q_zb, w: AdaptiveWeights,
+def _y_l1_weights(roles: RolePartition, w: AdaptiveWeights,
                   lam1: float, zeta1: float, xi1: float) -> np.ndarray:
     return np.concatenate(
         [
             [lam1 * zeta1],
-            np.zeros(q_s + q_z),
+            np.zeros(len(roles.s) + len(roles.z)),
             lam1 * xi1 * w.sbar,
             lam1 * (1.0 - zeta1 - xi1) * w.zbar,
         ]
@@ -488,15 +427,10 @@ def pcm_stage1_y(
     """Weighted-L1 outcome fit; fixed covariates/mediators stay unpenalized."""
     if min(lam1, zeta1, xi1) < 0 or zeta1 + xi1 > 1 + 1e-12:
         raise ValueError("need lam1, zeta1, xi1 >= 0 and zeta1 + xi1 <= 1")
-    d = _design(data, roles)
-    a = d.y_design()
-    q_s, q_z = d.s.shape[1], d.z.shape[1]
-    q_sb, q_zb = d.sbar.shape[1], d.zbar.shape[1]
-    l1 = _y_l1_weights(q_s, q_z, q_sb, q_zb, weights, lam1, zeta1, xi1)
-    beta = coordinate_descent(
-        a.T @ a, a.T @ d.y[:, 0], d.n, l1, tol=tol, max_sweeps=max_sweeps
-    )
-    return _split_y_coefs(beta, q_s, q_z, q_sb, q_zb)
+    l1 = _y_l1_weights(roles, weights, lam1, zeta1, xi1)
+    gram, cross = _y_moments(data, roles)
+    beta = coordinate_descent(gram, cross, data.n, l1, tol=tol, max_sweeps=max_sweeps)
+    return _split_y_coefs(beta, roles)
 
 
 def pcm_stage1_m(
@@ -520,24 +454,22 @@ def pcm_stage1_m(
     """
     if rho1 < 0:
         raise ValueError("rho1 must be nonnegative")
-    d = _design(data, roles)
-    q_s = d.s.shape[1]
-    sb_cols = np.arange(d.sbar.shape[1]) if sbar_idx is None else np.asarray(sbar_idx, int)
-    zb_cols = np.arange(d.zbar.shape[1]) if zbar_idx is None else np.asarray(zbar_idx, int)
-    responses = d.mediators(sb_cols)
-    a = d.m_design(zb_cols)
-    q_z, q_zb = d.z.shape[1], zb_cols.size
-    q_m = responses.shape[1]
+    q_s, q_z = len(roles.s), len(roles.z)
+    sb_cols = np.arange(len(roles.sbar)) if sbar_idx is None else np.asarray(sbar_idx, int)
+    zb_cols = np.arange(len(roles.zbar)) if zbar_idx is None else np.asarray(zbar_idx, int)
+    responses = list(roles.s) + [roles.sbar[i] for i in sb_cols]
+    regs = [roles.x, *roles.z] + [roles.zbar[i] for i in zb_cols]
+    q_zb, q_m = zb_cols.size, len(responses)
     if q_m == 0:
         return MediatorCoefs(np.zeros(0), np.zeros((q_z, 0)), np.zeros((q_zb, 0)))
     med_cols = np.concatenate([np.arange(q_s), q_s + sb_cols]).astype(int)
-    gram = a.T @ a
+    gram, cross = data.cross(regs, regs), data.cross(regs, responses)
     coefs = np.zeros((1 + q_z + q_zb, q_m))
     for j in range(q_m):
         w_j = weights.med[np.ix_(zb_cols, med_cols[j : j + 1])][:, 0] if q_zb else np.zeros(0)
         l1 = np.concatenate([[0.0], np.zeros(q_z), rho1 * w_j])
         coefs[:, j] = coordinate_descent(
-            gram, a.T @ responses[:, j], d.n, l1, tol=tol, max_sweeps=max_sweeps
+            gram, cross[:, j], data.n, l1, tol=tol, max_sweeps=max_sweeps
         )
     return MediatorCoefs(
         x_row=coefs[0, :], z_rows=coefs[1 : 1 + q_z, :], zbar_rows=coefs[1 + q_z :, :]
@@ -547,6 +479,22 @@ def pcm_stage1_m(
 # ---------------------------------------------------------------------------
 # debiasing ridges
 # ---------------------------------------------------------------------------
+
+
+def _refit(data: Dataset, responses, regressors, diag=None) -> tuple[np.ndarray, np.ndarray]:
+    """Ridge (least squares when ``diag`` is None) refit from the cross products.
+
+    Returns the coefficients, one column per response, and the residual gram
+    ``S_rr - C.T S_ar - S_ra C + C.T S_aa C``.
+    """
+    s_aa = data.cross(regressors, regressors)
+    s_ar = data.cross(regressors, responses)
+    if diag is None:
+        coef = ols_solve(s_aa, s_ar)
+    else:
+        coef = ridge_solve(s_aa, s_ar, data.n, diag)
+    fitted = coef.T @ s_ar
+    return coef, data.cross(responses, responses) - fitted - fitted.T + coef.T @ s_aa @ coef
 
 
 def debias_ridges(
@@ -575,79 +523,37 @@ def debias_ridges(
     ``include_x=False`` (treatment inactive in stage 1) skips the treatment
     refit and drops the treatment column from the other designs.
     """
-    d = _design(data, roles)
-    act_sb = np.asarray(active_sbar, dtype=int)
-    act_zb = np.asarray(active_zbar, dtype=int)
-    n = d.n
-    q_s, q_z = d.s.shape[1], d.z.shape[1]
-    q_sa, q_za = act_sb.size, act_zb.size
-    sba = d.sbar[:, act_sb]
-    zba = d.zbar[:, act_zb]
+    sba = [roles.sbar[i] for i in np.asarray(active_sbar, dtype=int)]
+    zba = [roles.zbar[i] for i in np.asarray(active_zbar, dtype=int)]
+    x = [roles.x] if include_x else []
+    s, z = list(roles.s), list(roles.z)
+    q_s, q_z, q_sa, q_za = len(s), len(z), len(sba), len(zba)
 
-    x_coef_z = x_coef_zbar = x_coef_s = x_coef_sbar = None
-    x_resid_ss = None
+    x_coef = x_resid_ss = None
     if include_x:
-        a = np.hstack([d.z, zba, d.s, sba])
-        diag = np.concatenate(
-            [np.zeros(q_z), np.full(q_za, lam2 * (1 - xi2)),
-             np.zeros(q_s), np.full(q_sa, lam2 * xi2)]
-        )
-        coef = ridge_solve(a.T @ a, a.T @ d.x[:, 0], n, diag)
-        parts = np.split(coef, np.cumsum([q_z, q_za, q_s]))
-        x_coef_z, x_coef_zbar, x_coef_s, x_coef_sbar = parts
-        resid = d.x[:, 0] - a @ coef
-        x_resid_ss = float(resid @ resid)
+        diag = np.concatenate([np.zeros(q_s), np.full(q_sa, lam2 * xi2),
+                               np.zeros(q_z), np.full(q_za, lam2 * (1 - xi2))])
+        coef, resid = _refit(data, x, s + sba + z + zba, diag)
+        x_coef, x_resid_ss = coef[:, 0], float(resid[0, 0])
 
-    sb_coef_x = sb_coef_s = sb_coef_z = sb_coef_zbar = sb_resid_gram = None
+    sb_coef = sb_resid_gram = None
     if q_sa:
-        blocks = ([d.x] if include_x else []) + [d.s, d.z, zba]
-        a = np.hstack(blocks)
-        qx = 1 if include_x else 0
-        diag = np.concatenate([np.zeros(qx + q_s + q_z), np.full(q_za, rho2)])
-        coef = ridge_solve(a.T @ a, a.T @ sba, n, diag)
-        off = 0
-        if include_x:
-            sb_coef_x = coef[0, :]
-            off = 1
-        sb_coef_s = coef[off : off + q_s, :]
-        sb_coef_z = coef[off + q_s : off + q_s + q_z, :]
-        sb_coef_zbar = coef[off + q_s + q_z :, :]
-        resid = sba - a @ coef
-        sb_resid_gram = resid.T @ resid
+        diag = np.concatenate([np.zeros(len(x) + q_s + q_z), np.full(q_za, rho2)])
+        sb_coef, sb_resid_gram = _refit(data, sba, x + s + z + zba, diag)
 
-    zb_coef_x = zb_coef_z = zb_coef_s = zb_coef_sbar = zb_resid_gram = None
-    zb_on_xz_coef_x = zb_on_xz_resid_gram = None
+    zb_coef = zb_resid_gram = zb_on_xz_coef = zb_on_xz_resid_gram = None
     if q_za:
-        blocks = ([d.x] if include_x else []) + [d.z, d.s, sba]
-        a = np.hstack(blocks)
-        qx = 1 if include_x else 0
-        diag = np.concatenate([np.zeros(qx + q_z + q_s), np.full(q_sa, rho2_prime)])
-        coef = ridge_solve(a.T @ a, a.T @ zba, n, diag)
-        off = 0
-        if include_x:
-            zb_coef_x = coef[0, :]
-            off = 1
-        zb_coef_z = coef[off : off + q_z, :]
-        zb_coef_s = coef[off + q_z : off + q_z + q_s, :]
-        zb_coef_sbar = coef[off + q_z + q_s :, :]
-        resid = zba - a @ coef
-        zb_resid_gram = resid.T @ resid
-
-        a_xz = np.hstack([d.x, d.z])
-        coef_xz = ols_solve(a_xz.T @ a_xz, a_xz.T @ zba)
-        zb_on_xz_coef_x = coef_xz[0, :]
-        resid_xz = zba - a_xz @ coef_xz
-        zb_on_xz_resid_gram = resid_xz.T @ resid_xz
+        diag = np.concatenate([np.zeros(len(x) + q_s), np.full(q_sa, rho2_prime),
+                               np.zeros(q_z)])
+        zb_coef, zb_resid_gram = _refit(data, zba, x + s + sba + z, diag)
+        zb_on_xz_coef, zb_on_xz_resid_gram = _refit(data, zba, [roles.x] + z)
 
     return DebiasBlocks(
         include_x=include_x,
-        x_coef_z=x_coef_z, x_coef_zbar=x_coef_zbar,
-        x_coef_s=x_coef_s, x_coef_sbar=x_coef_sbar, x_resid_ss=x_resid_ss,
-        sb_coef_x=sb_coef_x, sb_coef_s=sb_coef_s, sb_coef_z=sb_coef_z,
-        sb_coef_zbar=sb_coef_zbar, sb_resid_gram=sb_resid_gram,
-        zb_coef_x=zb_coef_x, zb_coef_z=zb_coef_z, zb_coef_s=zb_coef_s,
-        zb_coef_sbar=zb_coef_sbar, zb_resid_gram=zb_resid_gram,
-        zb_on_xz_coef_x=zb_on_xz_coef_x, zb_on_xz_resid_gram=zb_on_xz_resid_gram,
+        x_coef=x_coef, x_resid_ss=x_resid_ss,
+        sb_coef=sb_coef, sb_resid_gram=sb_resid_gram,
+        zb_coef=zb_coef, zb_resid_gram=zb_resid_gram,
+        zb_on_xz_coef=zb_on_xz_coef, zb_on_xz_resid_gram=zb_on_xz_resid_gram,
     )
 
 
@@ -656,9 +562,17 @@ def debias_ridges(
 # ---------------------------------------------------------------------------
 
 
-def _correction_matrix(debias: DebiasBlocks, q_s: int, q_sa: int, q_za: int,
-                       include_x: bool) -> np.ndarray:
-    """Partial-regression matrix that maps penalty subgradients to coefficients."""
+def _correction_matrix(include_x: bool, q_s: int, q_sa: int, q_za: int, *,
+                       x_coef_s=None, x_coef_sbar=None, sb_coef_x=None, sb_coef_s=None,
+                       zb_coef_x=None, zb_coef_s=None, zb_coef_sbar=None) -> np.ndarray:
+    """Partial-regression matrix that maps penalty subgradients to coefficients.
+
+    Rows are [x, s, active sbar] and columns [x, active sbar, active zbar],
+    without x when ``include_x`` is False.  ``x_coef_s`` is the coefficient
+    of s in the treatment refit, ``sb_coef_x`` the coefficient of x in the
+    candidate-mediator refit, and so on; a block is read only when both its
+    row and its column set are nonempty.
+    """
     rows = (1 if include_x else 0) + q_s + q_sa
     cols = (1 if include_x else 0) + q_sa + q_za
     m = np.zeros((rows, cols))
@@ -666,23 +580,23 @@ def _correction_matrix(debias: DebiasBlocks, q_s: int, q_sa: int, q_za: int,
     if include_x:
         m[0, 0] = -1.0
         if q_sa:
-            m[0, 1 : 1 + q_sa] = debias.sb_coef_x
+            m[0, 1 : 1 + q_sa] = sb_coef_x
         if q_za:
-            m[0, 1 + q_sa :] = debias.zb_coef_x
+            m[0, 1 + q_sa :] = zb_coef_x
         if q_s:
-            m[1 : 1 + q_s, 0] = debias.x_coef_s
+            m[1 : 1 + q_s, 0] = x_coef_s
         if q_sa:
-            m[1 + q_s :, 0] = debias.x_coef_sbar
+            m[1 + q_s :, 0] = x_coef_sbar
         r = c = 1
     if q_s:
         if q_sa:
-            m[r : r + q_s, c : c + q_sa] = debias.sb_coef_s
+            m[r : r + q_s, c : c + q_sa] = sb_coef_s
         if q_za:
-            m[r : r + q_s, c + q_sa :] = debias.zb_coef_s
+            m[r : r + q_s, c + q_sa :] = zb_coef_s
     if q_sa:
         m[r + q_s :, c : c + q_sa] = -np.eye(q_sa)
         if q_za:
-            m[r + q_s :, c + q_sa :] = debias.zb_coef_sbar
+            m[r + q_s :, c + q_sa :] = zb_coef_sbar
     return m
 
 
@@ -722,7 +636,7 @@ def pcm_correct(
 
     sb_signs = np.sign(stage1_y.coef_sbar[act_sb])
     zb_signs = np.sign(stage1_y.coef_zbar[act_zb])
-    u_parts = []
+    u_parts = [np.zeros(0)]
     if active_x:
         u_parts.append(
             [zeta1 * _inv_or_zero(debias.x_resid_ss) * np.sign(stage1_y.beta_x)]
@@ -732,28 +646,32 @@ def pcm_correct(
             xi1 * pseudo_inverse(debias.sb_resid_gram, CORRECTION_PINV_TOL)
             @ (weights.sbar[act_sb] * sb_signs)
         )
-    else:
-        u_parts.append(np.zeros(0))
     if q_za:
         u_parts.append(
             (1.0 - zeta1 - xi1)
             * pseudo_inverse(debias.zb_resid_gram, CORRECTION_PINV_TOL)
             @ (weights.zbar[act_zb] * zb_signs)
         )
-    else:
-        u_parts.append(np.zeros(0))
     u = np.concatenate([np.atleast_1d(p) for p in u_parts])
 
-    m = _correction_matrix(debias, q_s, q_sa, q_za, include_x=active_x)
+    qx = 1 if active_x else 0
+    blocks = {}
+    if active_x:
+        blocks.update(x_coef_s=debias.x_coef[:q_s], x_coef_sbar=debias.x_coef[q_s : q_s + q_sa])
+    if q_sa:
+        blocks.update(sb_coef_x=debias.sb_coef[:qx], sb_coef_s=debias.sb_coef[qx : qx + q_s])
+    if q_za:
+        blocks.update(zb_coef_x=debias.zb_coef[:qx], zb_coef_s=debias.zb_coef[qx : qx + q_s],
+                      zb_coef_sbar=debias.zb_coef[qx + q_s : qx + q_s + q_sa])
+    m = _correction_matrix(active_x, q_s, q_sa, q_za, **blocks)
     target_parts = ([stage1_y.beta_x] if active_x else [])
     target = np.concatenate(
         [np.atleast_1d(target_parts), stage1_y.coef_s, stage1_y.coef_sbar[act_sb]]
     )
     corrected = target - n * lam1 * (m @ u)
-    off = 1 if active_x else 0
     beta_x = float(corrected[0]) if active_x else 0.0
-    coef_s = corrected[off : off + q_s]
-    coef_sbar_active = corrected[off + q_s :]
+    coef_s = corrected[qx : qx + q_s]
+    coef_sbar_active = corrected[qx + q_s :]
 
     med_x = stage1_m_restricted.x_row.copy()
     if q_za and rho1:
@@ -763,7 +681,7 @@ def pcm_correct(
             gamma = weights.med[act_zb[own], col]
             signs = np.sign(stage1_m_restricted.zbar_rows[own, j])
             med_x[j] -= n * rho1 * (
-                debias.zb_on_xz_coef_x[own]
+                debias.zb_on_xz_coef[0, own]
                 @ pseudo_inverse(debias.zb_on_xz_resid_gram[np.ix_(own, own)],
                                  CORRECTION_PINV_TOL)
                 @ (gamma * signs)
@@ -787,7 +705,6 @@ def pcm_total_effect(data: Dataset, roles: RolePartition, params: PcmParams) -> 
     the corrected treatment-on-mediator and mediator-on-outcome blocks over
     the fixed and active candidate mediators.
     """
-    d = _design(data, roles)
     pilots = PilotEstimates(
         y=ridge_pilot_y(data, roles, params.pilot_lambda),
         m=ridge_pilot_m(data, roles, params.pilot_rho),
@@ -816,8 +733,8 @@ def pcm_total_effect(data: Dataset, roles: RolePartition, params: PcmParams) -> 
         include_x=active_x,
     )
     corrected = pcm_correct(
-        s1y, s1m_restricted, debias, weights, params, d.n,
-        active_x, active_sbar, active_zbar, d.s.shape[1],
+        s1y, s1m_restricted, debias, weights, params, data.n,
+        active_x, active_sbar, active_zbar, len(roles.s),
     )
     tau = corrected.beta_x + float(corrected.med_x @ corrected.y_on_mediators)
     return PcmFit(
@@ -865,13 +782,12 @@ def verify_active_set_relation(fit: PcmFit, data: Dataset, roles: RolePartition)
     SingularDesign
         If a restricted design needed by the relation is singular.
     """
-    d = _design(data, roles)
     v = data.values
-    n = d.n
+    n = data.n
     params = fit.params
     act_sb = np.asarray(fit.active_sbar, dtype=int)
     act_zb = np.asarray(fit.active_zbar, dtype=int)
-    q_s, q_z = d.s.shape[1], d.z.shape[1]
+    q_s, q_z = len(roles.s), len(roles.z)
     q_sa, q_za = act_sb.size, act_zb.size
 
     ix = data.index_of([roles.x]).tolist()
@@ -895,26 +811,26 @@ def verify_active_set_relation(fit: PcmFit, data: Dataset, roles: RolePartition)
     ols_s = beta_ols[off : off + q_s]
     ols_sb = beta_ols[off + q_s + q_z : off + q_s + q_z + q_sa]
 
-    spine = _CorrectionSpine(include_x=include_x, q_s=q_s, q_sa=q_sa, q_za=q_za)
+    blocks = {}
     if include_x:
         if q_sa:
-            spine.sb_coef_x = B(isb, ix, is_ + iz + izb)[0]
-            spine.x_coef_sbar = B(ix, isb, iz + izb + is_)[:, 0]
+            blocks["sb_coef_x"] = B(isb, ix, is_ + iz + izb)[0]
+            blocks["x_coef_sbar"] = B(ix, isb, iz + izb + is_)[:, 0]
         if q_za:
-            spine.zb_coef_x = B(izb, ix, iz + is_ + isb)[0]
+            blocks["zb_coef_x"] = B(izb, ix, iz + is_ + isb)[0]
         if q_s:
-            spine.x_coef_s = B(ix, is_, iz + izb + isb)[:, 0]
+            blocks["x_coef_s"] = B(ix, is_, iz + izb + isb)[:, 0]
         sxx_cm = float(ccp(v, ix, ix, iz + izb + is_ + isb)[0, 0])
     if q_s:
         base = (ix if include_x else [])
         if q_sa:
-            spine.sb_coef_s = B(isb, is_, base + iz + izb)
+            blocks["sb_coef_s"] = B(isb, is_, base + iz + izb)
         if q_za:
-            spine.zb_coef_s = B(izb, is_, base + iz + isb)
+            blocks["zb_coef_s"] = B(izb, is_, base + iz + isb)
     if q_sa and q_za:
-        spine.zb_coef_sbar = B(izb, isb, (ix if include_x else []) + is_ + iz)
+        blocks["zb_coef_sbar"] = B(izb, isb, (ix if include_x else []) + is_ + iz)
 
-    u_parts = []
+    u_parts = [np.zeros(0)]
     if include_x:
         u_parts.append([params.zeta1 / sxx_cm * np.sign(fit.stage1_y.beta_x)])
     if q_sa:
@@ -923,18 +839,14 @@ def verify_active_set_relation(fit: PcmFit, data: Dataset, roles: RolePartition)
             params.xi1
             * _solve(s_gram, fit.weights.sbar[act_sb] * np.sign(fit.stage1_y.coef_sbar[act_sb]))
         )
-    else:
-        u_parts.append(np.zeros(0))
     if q_za:
         z_gram = ccp(v, izb, izb, (ix if include_x else []) + is_ + isb + iz)
         u_parts.append(
             (1.0 - params.zeta1 - params.xi1)
             * _solve(z_gram, fit.weights.zbar[act_zb] * np.sign(fit.stage1_y.coef_zbar[act_zb]))
         )
-    else:
-        u_parts.append(np.zeros(0))
     u = np.concatenate([np.atleast_1d(p) for p in u_parts])
-    m = spine.matrix()
+    m = _correction_matrix(include_x, q_s, q_sa, q_za, **blocks)
     rhs = (
         np.concatenate([np.atleast_1d([ols_x] if include_x else []), ols_s, ols_sb])
         + n * params.lambda1 * (m @ u)
@@ -967,30 +879,3 @@ def verify_active_set_relation(fit: PcmFit, data: Dataset, roles: RolePartition)
         worst = max(worst, abs(med.x_row[j] - (beta[0] + correction)))
     return worst
 
-
-class _CorrectionSpine:
-    """Mutable builder for the partial-regression matrix used in verification."""
-
-    def __init__(self, include_x: bool, q_s: int, q_sa: int, q_za: int):
-        self.include_x = include_x
-        self.q_s, self.q_sa, self.q_za = q_s, q_sa, q_za
-        self.sb_coef_x = np.zeros(q_sa)
-        self.zb_coef_x = np.zeros(q_za)
-        self.x_coef_s = np.zeros(q_s)
-        self.x_coef_sbar = np.zeros(q_sa)
-        self.sb_coef_s = np.zeros((q_s, q_sa))
-        self.zb_coef_s = np.zeros((q_s, q_za))
-        self.zb_coef_sbar = np.zeros((q_sa, q_za))
-
-    def matrix(self) -> np.ndarray:
-        blocks = DebiasBlocks(
-            include_x=self.include_x,
-            x_coef_z=None, x_coef_zbar=None,
-            x_coef_s=self.x_coef_s, x_coef_sbar=self.x_coef_sbar, x_resid_ss=None,
-            sb_coef_x=self.sb_coef_x, sb_coef_s=self.sb_coef_s,
-            sb_coef_z=None, sb_coef_zbar=None, sb_resid_gram=None,
-            zb_coef_x=self.zb_coef_x, zb_coef_z=None, zb_coef_s=self.zb_coef_s,
-            zb_coef_sbar=self.zb_coef_sbar, zb_resid_gram=None,
-            zb_on_xz_coef_x=None, zb_on_xz_resid_gram=None,
-        )
-        return _correction_matrix(blocks, self.q_s, self.q_sa, self.q_za, self.include_x)

@@ -161,7 +161,17 @@ def _polish(gram, cross, n, l1, l2, beta0):
     def objective(vec):
         return 0.5 * float(vec @ (hess @ vec)) - float(lin @ vec) + float(l1 @ np.abs(vec))
 
+    def state():
+        return beta.tobytes() + active.tobytes() + theta.tobytes()
+
+    # Rounds and passes depend only on (beta, active, theta), so a repeated
+    # state means they cycle from there on; the cycles are cut short below
+    # with the result that running them out would give.
+    seen = set()
     for _ in range(max(50, 6 * p)):
+        if state() in seen:
+            return beta0
+        seen.add(state())
         grad = hess @ beta - lin
         excess = np.where(~active, np.abs(grad) - l1, -np.inf)
         j = int(np.argmax(excess)) if p else 0
@@ -174,7 +184,16 @@ def _polish(gram, cross, n, l1, l2, beta0):
             if act.size == 0 or np.max(np.abs(stat[act])) <= 1e-10:
                 break  # optimal
         # sign-restricted solves with zero-crossing line search
-        for _ in range(4 * p + 4):
+        passes = 4 * p + 4
+        trail, first_seen = [], {}
+        for i in range(passes):
+            if state() in first_seen:
+                start = first_seen[state()]
+                beta, active, theta = trail[start + (passes - start) % (i - start)]
+                active = active.copy()
+                break
+            first_seen[state()] = i
+            trail.append((beta, active.copy(), theta))
             act = np.nonzero(active)[0]
             if act.size == 0:
                 break

@@ -19,22 +19,22 @@ infinite score rather than aborting the search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .baselines import penalized_coefficients
 from .data import Dataset, RolePartition
-from .errors import EmptyGrid, FoldTooSmall, PcmSelectError
+from .errors import ConfigInvalid, EmptyGrid, FoldTooSmall, PcmSelectError
 from .pcm import (
     PilotEstimates,
     adaptive_weights,
     pcm_stage1_m,
     pcm_stage1_y,
-    reciprocal_power_weights,
     ridge_pilot_m,
     ridge_pilot_y,
 )
-from .solvers import coordinate_descent, ridge_solve
+from .solvers import ridge_solve
 
 __all__ = ["ParamGrid", "CvRow", "CvResult", "cross_validate", "default_log_grid"]
 
@@ -90,14 +90,18 @@ class ParamGrid:
 
     @staticmethod
     def from_dict(payload: dict) -> "ParamGrid":
-        kwargs = dict(payload)
-        if "zeta1" in kwargs or "xi1" in kwargs:
-            zetas = [float(v) for v in kwargs.pop("zeta1", [0.0])]
-            xis = [float(v) for v in kwargs.pop("xi1", [0.0])]
-            kwargs["zeta_xi"] = [
-                (z, x) for z, x in itertools.product(zetas, xis) if z + x <= 1.0 + 1e-9
-            ]
-        return ParamGrid(**{k: v for k, v in kwargs.items()})
+        """Grid from a JSON document; a malformed one raises :class:`ConfigInvalid`."""
+        try:
+            kwargs = dict(payload)
+            if "zeta1" in kwargs or "xi1" in kwargs:
+                zetas = [float(v) for v in kwargs.pop("zeta1", [0.0])]
+                xis = [float(v) for v in kwargs.pop("xi1", [0.0])]
+                kwargs["zeta_xi"] = [
+                    (z, x) for z, x in itertools.product(zetas, xis) if z + x <= 1.0 + 1e-9
+                ]
+            return ParamGrid(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"bad parameter grid: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -124,14 +128,6 @@ def _fold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
 
 def _subset(data: Dataset, rows: np.ndarray) -> Dataset:
     return Dataset(data.values[rows], data.columns)
-
-
-def _y_design_cols(roles: RolePartition) -> list[str]:
-    return [roles.x] + list(roles.s) + list(roles.z) + list(roles.sbar) + list(roles.zbar)
-
-
-def _m_design_cols(roles: RolePartition) -> list[str]:
-    return [roles.x] + list(roles.z) + list(roles.zbar)
 
 
 def _score_mean(data: Dataset, roles: RolePartition, folds, fit_predict) -> tuple[float, tuple[float, ...]]:
@@ -167,7 +163,7 @@ def cross_validate(data: Dataset, roles: RolePartition, method: str, grid: Param
 
 def _pilot_lambda_score(train: Dataset, test: Dataset, roles, lam: float) -> float:
     coef = ridge_pilot_y(train, roles, lam)
-    a = test.values[:, test.index_of(_y_design_cols(roles))]
+    a = test.values[:, test.index_of(roles.y_regressors)]
     resid = test.column(roles.y) - a @ coef.stacked()
     return float(resid @ resid) / test.n
 
@@ -177,7 +173,7 @@ def _pilot_rho_score(train: Dataset, test: Dataset, roles, rho: float) -> float:
     q_m = coef.x_row.shape[0]
     if q_m == 0:
         return 0.0
-    a = test.values[:, test.index_of(_m_design_cols(roles))]
+    a = test.values[:, test.index_of(roles.m_regressors)]
     stacked = np.vstack([coef.x_row[None, :], coef.z_rows, coef.zbar_rows])
     resid = test.values[:, test.index_of(roles.mediators)] - a @ stacked
     return float(np.sum(resid * resid)) / (test.n * q_m)
@@ -192,14 +188,14 @@ def _stage1_score(train: Dataset, test: Dataset, roles, pilot_lam, pilot_rho, ca
     )
     weights = adaptive_weights(pilots)
     s1y = pcm_stage1_y(train, roles, weights, cand["lambda1"], cand["zeta1"], cand["xi1"])
-    a = test.values[:, test.index_of(_y_design_cols(roles))]
+    a = test.values[:, test.index_of(roles.y_regressors)]
     resid_y = test.column(roles.y) - a @ s1y.stacked()
     score = float(resid_y @ resid_y) / test.n
     q_m = len(roles.mediators)
     if q_m:
         s1m = pcm_stage1_m(train, roles, weights, cand["rho1"])
         stacked = np.vstack([s1m.x_row[None, :], s1m.z_rows, s1m.zbar_rows])
-        am = test.values[:, test.index_of(_m_design_cols(roles))]
+        am = test.values[:, test.index_of(roles.m_regressors)]
         resid_m = test.values[:, test.index_of(roles.mediators)] - am @ stacked
         score += float(np.sum(resid_m * resid_m)) / (test.n * q_m)
     return score
@@ -256,30 +252,6 @@ def _cross_validate_pcm(data, roles, grid: ParamGrid, folds) -> CvResult:
 # -- baselines -------------------------------------------------------------------
 
 
-def _baseline_fit_coefs(train: Dataset, roles, method, lam, eta, phi, pilot_lam):
-    """Full coefficient vector of a penalized baseline on the training rows."""
-    cols = [roles.x] + list(roles.covariates)
-    a = train.values[:, train.index_of(cols)]
-    n, p = a.shape
-    gram, cross = a.T @ a, a.T @ train.column(roles.y)
-    if method == "lasso":
-        return coordinate_descent(gram, cross, n, np.full(p, lam))
-    if method == "elastic_net":
-        return coordinate_descent(gram, cross, n, np.full(p, lam * phi),
-                                  np.full(p, lam * (1.0 - phi)))
-    if method == "adaptive_lasso":
-        pilot = ridge_solve(gram, cross, n, np.full(p, pilot_lam))
-        w, _ = reciprocal_power_weights(pilot, eta=eta, normalize=False)
-        return coordinate_descent(gram, cross, n, lam * w)
-    if method == "pal1ma":
-        y_pilot = ridge_pilot_y(train, roles, pilot_lam)
-        w, _ = reciprocal_power_weights(y_pilot.coef_zbar, eta=eta)
-        q_z, q_zb = len(roles.z), len(roles.zbar)
-        l1 = np.concatenate([[0.0], np.zeros(q_z), lam * w]) if q_zb else np.zeros(p)
-        return coordinate_descent(gram, cross, n, l1)
-    raise ValueError(f"unknown baseline {method!r}")
-
-
 def _cross_validate_baseline(data, roles, method, grid: ParamGrid, folds) -> CvResult:
     if not grid.lam:
         raise EmptyGrid("baseline grid has no penalty candidates")
@@ -291,10 +263,12 @@ def _cross_validate_baseline(data, roles, method, grid: ParamGrid, folds) -> CvR
     if method in ("adaptive_lasso", "pal1ma"):
         if not grid.pilot_lambda:
             raise EmptyGrid("pilot grid is empty")
+        # pal1ma's pilot is the outcome pilot of its mediator-free roles
+        base = replace(roles, s=(), sbar=())
         pilot_rows = [
             CvRow({"pilot_lambda": lam},
                   *_score_mean(data, roles, folds,
-                               lambda tr, te, lam=lam: _pilot_lambda_score(tr, te, roles, lam)
+                               lambda tr, te, lam=lam: _pilot_lambda_score(tr, te, base, lam)
                                if method == "pal1ma"
                                else _uniform_pilot_score(tr, te, roles, lam)))
             for lam in grid.pilot_lambda
@@ -311,7 +285,8 @@ def _cross_validate_baseline(data, roles, method, grid: ParamGrid, folds) -> CvR
             cand["phi"] = phi
 
         def fit_predict(tr, te, lam=lam, eta=eta, phi=phi):
-            beta = _baseline_fit_coefs(tr, roles, method, lam, eta, phi, pilot_lam)
+            beta = penalized_coefficients(tr, roles, method, lam, eta=eta, phi=phi,
+                                          pilot_lam=pilot_lam)
             resid = te.column(roles.y) - te.values[:, te.index_of(cols)] @ beta
             return float(resid @ resid) / te.n
 
@@ -323,8 +298,8 @@ def _cross_validate_baseline(data, roles, method, grid: ParamGrid, folds) -> CvR
 
 def _uniform_pilot_score(train: Dataset, test: Dataset, roles, lam: float) -> float:
     cols = [roles.x] + list(roles.covariates)
-    a = train.values[:, train.index_of(cols)]
-    beta = ridge_solve(a.T @ a, a.T @ train.column(roles.y), train.n, np.full(a.shape[1], lam))
+    beta = ridge_solve(train.cross(cols, cols), train.cross(cols, [roles.y])[:, 0],
+                       train.n, np.full(len(cols), lam))
     resid = test.column(roles.y) - test.values[:, test.index_of(cols)] @ beta
     return float(resid @ resid) / test.n
 

@@ -6,6 +6,8 @@ from itertools import permutations
 
 import numpy as np
 
+from pcmselect import solvers
+
 
 def brute_force_cross_products(data, a, b):
     """Elementwise double-loop sum of cross products."""
@@ -138,3 +140,85 @@ def total_effect_by_path_enumeration(scm, x, y):
         for child in scm.dag.children(vertex):
             stack.append((child, prod * scm.coefficients[(vertex, child)]))
     return total
+
+
+# -- feature-sign polish without cutting repeated states short -------------------
+
+
+def polish_without_cycle_cut(gram, cross, n, l1, l2, beta0):
+    """``solvers._polish`` run out in full: every round and pass, cycles included."""
+    p = beta0.size
+    hess = gram / n + np.diag(l2)
+    lin = cross / n
+    beta = beta0.copy()
+    active = (beta != 0.0) | ((l1 == 0.0) & (np.diag(hess) > 0.0))
+    theta = np.sign(beta)
+    add_tol = 1e-11 * max(1.0, float(np.max(np.abs(lin))) if p else 1.0)
+
+    def objective(vec):
+        return 0.5 * float(vec @ (hess @ vec)) - float(lin @ vec) + float(l1 @ np.abs(vec))
+
+    for _ in range(max(50, 6 * p)):
+        grad = hess @ beta - lin
+        excess = np.where(~active, np.abs(grad) - l1, -np.inf)
+        j = int(np.argmax(excess)) if p else 0
+        if p and excess[j] > add_tol:
+            active[j] = True
+            theta[j] = -np.sign(grad[j])
+        else:
+            stat = grad + l1 * theta
+            act = np.nonzero(active)[0]
+            if act.size == 0 or np.max(np.abs(stat[act])) <= 1e-10:
+                break  # optimal
+        # sign-restricted solves with zero-crossing line search
+        for _ in range(4 * p + 4):
+            act = np.nonzero(active)[0]
+            if act.size == 0:
+                break
+            h_aa = hess[np.ix_(act, act)]
+            rhs = lin[act] - l1[act] * theta[act]
+            try:
+                solved = np.linalg.solve(h_aa, rhs)
+            except np.linalg.LinAlgError:
+                solved, *_ = np.linalg.lstsq(h_aa, rhs, rcond=None)
+            if not np.all(np.isfinite(solved)):
+                return beta0
+            current = beta[act]
+            penal = l1[act] > 0
+            consistent = (~penal) | (np.sign(solved) == theta[act]) | (solved == 0.0)
+            if np.all(consistent):
+                beta = np.zeros(p)
+                beta[act] = solved
+                exact_zero = penal & (solved == 0.0)
+                if np.any(exact_zero):
+                    active[act[exact_zero]] = False
+                theta = np.sign(beta)
+                break
+            # candidate steps: full step plus every sign crossing en route
+            delta = solved - current
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t_cross = np.where(delta != 0.0, current / (current - solved), np.inf)
+            candidates: list[tuple[float, int | None]] = [(1.0, None)]
+            for k in range(act.size):
+                if 0.0 < t_cross[k] < 1.0:
+                    candidates.append((float(t_cross[k]), k))
+            best_obj, best_vec, best_zero = np.inf, None, None
+            for t, zero_k in candidates:
+                stepped = current + t * delta
+                if zero_k is not None:
+                    stepped[zero_k] = 0.0
+                vec = np.zeros(p)
+                vec[act] = stepped
+                val = objective(vec)
+                if val < best_obj:
+                    best_obj, best_vec, best_zero = val, vec, zero_k
+            beta = best_vec
+            if best_zero is not None and penal[best_zero]:
+                active[act[best_zero]] = False
+            theta = np.sign(beta)
+    else:
+        return beta0
+    # a candidate is only kept when it certifies optimality outright
+    if solvers.kkt_residual(gram, cross, n, l1, beta, l2) <= 1e-9:
+        return beta
+    return beta0

@@ -13,6 +13,7 @@ from pcmselect.io import (
     write_dataset_csv,
 )
 from pcmselect.errors import DataFormatError
+from pcmselect.experiment import METHODS, PRESETS, SETTING_METHODS, experiment_roles
 from pcmselect.scm import experiment_criteria_dag
 
 
@@ -49,6 +50,18 @@ class TestDatasetCsv:
         with pytest.raises(DataFormatError) as err:
             read_dataset_csv(path)
         assert err.value.row == 3 and err.value.column == 2
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_is_a_data_error(self, tmp_path, roles_file, cell, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"X,Y,Z\n1.0,2.0,0.5\n2.0,1.0,{cell}\n3.0,0.0,1.5\n")
+        with pytest.raises(DataFormatError) as err:
+            read_dataset_csv(path)
+        assert err.value.row == 3 and err.value.column == 3
+        code = main(["estimate", "--data", str(path), "--roles", str(roles_file),
+                     "--method", "backdoor"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
@@ -131,7 +144,74 @@ class TestEstimateCommand:
         assert code == 1
 
 
+def exit_code(argv) -> int:
+    """``main``'s exit code, whether returned or raised by the argument parser."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture(scope="module")
+def setting_csvs(tmp_path_factory):
+    """n=60 samples of settings A and B with their role files."""
+    root = tmp_path_factory.mktemp("settings")
+    files = {}
+    for setting in ("A", "B"):
+        data, roles = root / f"{setting}.csv", root / f"{setting}.json"
+        assert main(["simulate", "--scm", setting, "--n", "60", "--seed", "11",
+                     "--out", str(data)]) == 0
+        roles.write_text(json.dumps(experiment_roles(setting).to_dict()))
+        files[setting] = (data, roles)
+    return files
+
+
+class TestCliMatchesRegistry:
+    @pytest.mark.parametrize("name", list(METHODS))
+    def test_estimate_prints_the_registry_estimate(self, name, setting_csvs, tmp_path,
+                                                   capsys):
+        setting = "A" if name in SETTING_METHODS["A"] else "B"
+        params = dict(PRESETS[(setting, name)])
+        if name == "frontdoor-minimal":
+            params["mediators"] = ["S", "Sbar1"]
+        data, roles = setting_csvs[setting]
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps(params))
+        capsys.readouterr()
+        assert main(["estimate", "--data", str(data), "--roles", str(roles),
+                     "--method", name, "--params", str(params_file)]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        printed = float(line.split(":")[1])
+        expected = METHODS[name].estimate(read_dataset_csv(data).standardized(),
+                                          experiment_roles(setting), params)
+        assert printed == expected
+
+    def test_unknown_param_key_is_usage_error(self, setting_csvs, tmp_path, capsys):
+        data, roles = setting_csvs["A"]
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps({"lam": 0.4, "lambda": 0.4}))
+        assert main(["estimate", "--data", str(data), "--roles", str(roles),
+                     "--method", "lasso", "--params", str(params_file)]) == 1
+        assert "lambda" in capsys.readouterr().err
+
+
 class TestTuneCommand:
+    @pytest.mark.parametrize("grid, method", [
+        ({"lam": [0.1], "lamda": [0.2]}, "lasso"),
+        ({"lam": [-0.1]}, "lasso"),
+        ({"lam": [0.1], "folds": 1}, "lasso"),
+        ({"lam": [0.1]}, "nope"),
+    ])
+    def test_bad_grid_or_method_is_usage_error(self, linear_csv, roles_file, tmp_path,
+                                               capsys, grid, method):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(grid))
+        code = exit_code(["tune", "--data", str(linear_csv), "--roles", str(roles_file),
+                          "--method", method, "--grid", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     def test_writes_score_table(self, linear_csv, roles_file, tmp_path, capsys):
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"lam": [0.0, 0.5], "folds": 3}))

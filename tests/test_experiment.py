@@ -79,6 +79,16 @@ class TestConfigValidation:
             ExperimentConfig(**self.base(
                 methods=(MethodSpec("backdoor"), MethodSpec("backdoor"))))
 
+    @pytest.mark.parametrize("name, params", [
+        ("lasso", {"lam": 0.4, "phi": 0.5}),
+        ("lasso", {}),
+        ("pcm", {"lambda1": 0.1, "rho1": 0.1, "zeta1": 0.2}),
+        ("frontdoor-including-x", {"z": ["Z"]}),
+    ])
+    def test_unknown_or_missing_param_key_rejected(self, name, params):
+        with pytest.raises(ConfigInvalid):
+            ExperimentConfig(**self.base(methods=(MethodSpec(name, params=params),)))
+
     def test_from_dict_round_trip(self):
         payload = {
             "setting": "A", "n": 15, "replications": 3, "seed": 9,

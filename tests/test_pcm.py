@@ -346,12 +346,9 @@ class TestDebiasRidges:
     def test_zero_penalties_reduce_to_least_squares(self):
         ds = random_instance(22)
         blocks = debias_ridges(ds, ROLES, [0, 1], [0, 1], 0.0, 0.5, 0.0, 0.0)
-        a = ds.values[:, ds.index_of(["Z1", "Zb1", "Zb2", "S1", "Sb1", "Sb2"])]
+        a = ds.values[:, ds.index_of(["S1", "Sb1", "Sb2", "Z1", "Zb1", "Zb2"])]
         oracle = np.linalg.solve(a.T @ a, a.T @ ds.column("X"))
-        np.testing.assert_allclose(blocks.x_coef_z, oracle[:1], atol=1e-9)
-        np.testing.assert_allclose(blocks.x_coef_zbar, oracle[1:3], atol=1e-9)
-        np.testing.assert_allclose(blocks.x_coef_s, oracle[3:4], atol=1e-9)
-        np.testing.assert_allclose(blocks.x_coef_sbar, oracle[4:], atol=1e-9)
+        np.testing.assert_allclose(blocks.x_coef, oracle, atol=1e-9)
         resid = ds.column("X") - a @ oracle
         assert blocks.x_resid_ss == pytest.approx(float(resid @ resid), abs=1e-8)
 
@@ -371,10 +368,9 @@ class TestDebiasRidges:
         blocks = debias_ridges(ds, ROLES, [0, 1], [0, 1], lam2, xi2, rho2, rho2b)
         rng = np.random.default_rng(25)
 
-        a = ds.values[:, ds.index_of(["Z1", "Zb1", "Zb2", "S1", "Sb1", "Sb2"])]
-        d = np.concatenate([[0.0], np.full(2, lam2 * (1 - xi2)), [0.0], np.full(2, lam2 * xi2)])
-        coef = np.concatenate([blocks.x_coef_z, blocks.x_coef_zbar,
-                               blocks.x_coef_s, blocks.x_coef_sbar])
+        a = ds.values[:, ds.index_of(["S1", "Sb1", "Sb2", "Z1", "Zb1", "Zb2"])]
+        d = np.concatenate([[0.0], np.full(2, lam2 * xi2), [0.0], np.full(2, lam2 * (1 - xi2))])
+        coef = blocks.x_coef
         base = ridge_objective(a, ds.column("X"), d, coef)
         for _ in range(1000):
             delta = rng.standard_normal(coef.size) * rng.choice([1e-3, 0.05])
@@ -383,8 +379,7 @@ class TestDebiasRidges:
         a_sb = ds.values[:, ds.index_of(["X", "S1", "Z1", "Zb1", "Zb2"])]
         target = ds.values[:, ds.index_of(["Sb1", "Sb2"])]
         d_sb = np.concatenate([np.zeros(3), np.full(2, rho2)])
-        coef_sb = np.vstack([blocks.sb_coef_x, blocks.sb_coef_s,
-                             blocks.sb_coef_z, blocks.sb_coef_zbar])
+        coef_sb = blocks.sb_coef
         base = ridge_objective(a_sb, target, d_sb, coef_sb)
         for _ in range(1000):
             delta = rng.standard_normal(coef_sb.shape) * rng.choice([1e-3, 0.05])

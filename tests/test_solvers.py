@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmselect.errors import SingularDesign
+from pcmselect import solvers
+from pcmselect.errors import MaxIterationsExceeded, SingularDesign
 from pcmselect.solvers import (
     _sweep,
     coordinate_descent,
@@ -13,6 +14,8 @@ from pcmselect.solvers import (
     ridge_solve,
     soft_threshold,
 )
+
+from oracles import polish_without_cycle_cut
 
 
 def make_problem(seed, n=60, p=6, weight_scale=0.1):
@@ -24,6 +27,28 @@ def make_problem(seed, n=60, p=6, weight_scale=0.1):
     y -= y.mean()
     l1 = weight_scale * rng.uniform(0.0, 1.0, p)
     return a, y, l1
+
+
+def test_polish_cycle_cut_matches_the_full_run(monkeypatch):
+    # p >= n with near-zero penalties: rank-deficient supports, where the
+    # polish rounds cycle; cutting the cycles must not change any result
+    cut = solvers._polish
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        n, p = 15, int(rng.integers(16, 20))
+        a = rng.standard_normal((n, p))
+        a = (a - a.mean(axis=0)) / a.std(axis=0)
+        y = a[:, :3] @ rng.standard_normal(3) + 0.5 * rng.standard_normal(n)
+        l1 = rng.uniform(0.0, 0.01, p) * (rng.random(p) < 0.8)
+        results = []
+        for polish in (cut, polish_without_cycle_cut):
+            monkeypatch.setattr(solvers, "_polish", polish)
+            try:
+                results.append(coordinate_descent(a.T @ a, a.T @ y, n, l1,
+                                                  max_sweeps=20_000).tobytes())
+            except MaxIterationsExceeded as exc:
+                results.append(exc.sweeps)
+        assert results[0] == results[1]
 
 
 class TestSoftThreshold:

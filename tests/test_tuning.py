@@ -3,7 +3,8 @@ import pytest
 
 from pcmselect.data import Dataset, RolePartition
 from pcmselect.errors import EmptyGrid, FoldTooSmall
-from pcmselect.tuning import ParamGrid, cross_validate, cv_table_csv
+from pcmselect.pcm import PilotEstimates, adaptive_weights, pcm_stage1_y, ridge_pilot_m, ridge_pilot_y
+from pcmselect.tuning import ParamGrid, _fold_indices, cross_validate, cv_table_csv
 
 from test_pcm import ROLES, random_instance
 
@@ -116,6 +117,28 @@ class TestCrossValidate:
                     "lambda2", "xi2", "rho2", "rho2_prime"):
             assert key in result.chosen
         assert np.isfinite(result.score)
+
+    def test_pal1ma_scores_its_own_stage1_fit(self):
+        # ROLES has mediators; pal1ma's pilot and stage 1 must ignore them
+        ds = random_instance(70, n=60)
+        lam, pilot = 0.05, 0.5
+        grid = small_grid(lam=(lam,), pilot_lambda=(pilot,))
+        result = cross_validate(ds, ROLES, "pal1ma", grid)
+        base = RolePartition(x="X", y="Y", z=ROLES.z, zbar=ROLES.zbar)
+        cols = ["X", *ROLES.z, *ROLES.zbar]
+        folds = _fold_indices(ds.n, grid.folds, grid.fold_seed)
+        expected = []
+        for i, test_rows in enumerate(folds):
+            train_rows = np.concatenate([f for j, f in enumerate(folds) if j != i])
+            train = Dataset(ds.values[train_rows], ds.columns)
+            weights = adaptive_weights(PilotEstimates(
+                y=ridge_pilot_y(train, base, pilot), m=ridge_pilot_m(train, base, pilot),
+                lam=pilot, rho=pilot))
+            beta = pcm_stage1_y(train, base, weights, lam, 0.0, 0.0).stacked()
+            test = ds.values[test_rows]
+            resid = test[:, ds.index_of(["Y"])[0]] - test[:, ds.index_of(cols)] @ beta
+            expected.append(float(resid @ resid) / len(test_rows))
+        np.testing.assert_allclose(result.table[0].fold_scores, expected, rtol=1e-12)
 
     def test_empty_grid_and_small_folds(self):
         ds = random_instance(67, n=30)
