@@ -42,7 +42,7 @@ from .pcm import (
     ridge_pilot_m,
     ridge_pilot_y,
 )
-from .solvers import DEFAULT_MAX_SWEEPS, DEFAULT_TOL, coordinate_descent, ols_solve, ridge_solve
+from .solvers import coordinate_descent, ols_solve, ridge_solve
 
 __all__ = [
     "back_door_estimate",
@@ -50,7 +50,22 @@ __all__ = [
     "baseline_penalized",
     "penalized_coefficients",
     "pal1ma_estimate",
+    "check_ranges",
 ]
+
+# Valid (low, high) of each penalized baseline's parameters.
+PARAM_RANGES = {
+    "lam": (0.0, np.inf), "pilot_lam": (0.0, np.inf), "lam2": (0.0, np.inf),
+    "eta": (0.0, np.inf), "phi": (0.0, 1.0), "xi2": (0.0, 1.0),
+}
+
+
+def check_ranges(**params) -> None:
+    """Raise ``ValueError`` for a penalized-baseline parameter out of range."""
+    for key, value in params.items():
+        low, high = PARAM_RANGES[key]
+        if not low <= value <= high:
+            raise ValueError(f"{key} must lie in [{low:g}, {high:g}], got {value!r}")
 
 
 def back_door_estimate(data: Dataset, x: str, y: str, z=()) -> float:
@@ -101,8 +116,6 @@ def baseline_penalized(
     pilot_lam: float = 1.0,
     lam2: float = 0.01,
     xi2: float = 0.5,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> float:
     """Treatment coefficient from a penalized regression on treatment + covariates.
 
@@ -113,14 +126,9 @@ def baseline_penalized(
     ridge penalties.
     """
     if method == "pal1ma":
-        return pal1ma_estimate(
-            data, roles, lam, eta=eta, pilot_lam=pilot_lam,
-            lam2=lam2, xi2=xi2, tol=tol, max_sweeps=max_sweeps,
-        )
-    beta = penalized_coefficients(
-        data, roles, method, lam, eta=eta, phi=phi, pilot_lam=pilot_lam,
-        tol=tol, max_sweeps=max_sweeps,
-    )
+        return pal1ma_estimate(data, roles, lam, eta=eta, pilot_lam=pilot_lam,
+                               lam2=lam2, xi2=xi2)
+    beta = penalized_coefficients(data, roles, method, lam, eta=eta, phi=phi, pilot_lam=pilot_lam)
     return float(beta[0])
 
 
@@ -133,26 +141,21 @@ def penalized_coefficients(
     eta: float = 1.0,
     phi: float = 0.5,
     pilot_lam: float = 1.0,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> np.ndarray:
     """Penalized fit of the outcome on ``[x] + roles.covariates``.
 
     Arguments as in :func:`baseline_penalized`.  For ``pal1ma`` this is the
     stage-1 fit of :func:`pal1ma_estimate`, before its bias correction.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    check_ranges(lam=lam, eta=eta, phi=phi, pilot_lam=pilot_lam)
     if method == "pal1ma":
-        return _pal1ma_stage1(data, roles, lam, eta, pilot_lam, tol, max_sweeps)[0].stacked()
+        return _pal1ma_stage1(data, roles, lam, eta, pilot_lam)[0].stacked()
     cols = [roles.x] + list(roles.covariates)
     gram, cross = data.cross(cols, cols), data.cross(cols, [roles.y])[:, 0]
     n, p = data.n, len(cols)
     if method == "lasso":
         l1, l2 = np.full(p, lam), None
     elif method == "elastic_net":
-        if not 0.0 <= phi <= 1.0:
-            raise ValueError("phi must lie in [0, 1]")
         l1, l2 = np.full(p, lam * phi), np.full(p, lam * (1.0 - phi))
     elif method == "adaptive_lasso":
         pilot = ridge_solve(gram, cross, n, np.full(p, pilot_lam))
@@ -160,11 +163,10 @@ def penalized_coefficients(
         l1, l2 = lam * w, None
     else:
         raise ValueError(f"unknown penalized baseline {method!r}")
-    return coordinate_descent(gram, cross, n, l1, l2, tol=tol, max_sweeps=max_sweeps)
+    return coordinate_descent(gram, cross, n, l1, l2)
 
 
-def _pal1ma_stage1(data, roles, lam, eta, pilot_lam, tol,
-                   max_sweeps) -> tuple[YModelCoefs, AdaptiveWeights]:
+def _pal1ma_stage1(data, roles, lam, eta, pilot_lam) -> tuple[YModelCoefs, AdaptiveWeights]:
     """Stage-1 fit and weights of pal1ma, on ``roles`` without its mediators."""
     base = replace(roles, s=(), sbar=())
     pilots = PilotEstimates(
@@ -177,7 +179,7 @@ def _pal1ma_stage1(data, roles, lam, eta, pilot_lam, tol,
     if eta != 1.0:
         w_zbar, floored = reciprocal_power_weights(pilots.y.coef_zbar, eta=eta)
         weights = replace(weights, zbar=w_zbar, floored=floored)
-    s1 = pcm_stage1_y(data, base, weights, lam, 0.0, 0.0, tol=tol, max_sweeps=max_sweeps)
+    s1 = pcm_stage1_y(data, base, weights, lam, 0.0, 0.0)
     return s1, weights
 
 
@@ -190,8 +192,6 @@ def pal1ma_estimate(
     pilot_lam: float = 1.0,
     lam2: float = 0.01,
     xi2: float = 0.5,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> float:
     """Partially adaptive L1 fit with bias correction (no mediators).
 
@@ -203,7 +203,8 @@ def pal1ma_estimate(
     With ``eta == 1`` this equals the full pipeline run with an empty
     mediator partition and zero treatment/mediator penalty shares.
     """
-    s1, weights = _pal1ma_stage1(data, roles, lam, eta, pilot_lam, tol, max_sweeps)
+    check_ranges(lam=lam, eta=eta, pilot_lam=pilot_lam, lam2=lam2, xi2=xi2)
+    s1, weights = _pal1ma_stage1(data, roles, lam, eta, pilot_lam)
     base = replace(roles, s=(), sbar=())
     active_x = s1.beta_x != 0.0
     active_zbar = np.nonzero(s1.coef_zbar)[0]
@@ -220,7 +221,6 @@ def pal1ma_estimate(
         lambda1=lam, rho1=0.0, zeta1=0.0, xi1=0.0,
         pilot_lambda=pilot_lam, pilot_rho=pilot_lam,
         lambda2=lam2, xi2=xi2, rho2=0.0, rho2_prime=0.0,
-        tol=tol, max_sweeps=max_sweeps,
     )
     corrected = pcm_correct(
         s1, empty_med, blocks, weights, params, data.n,

@@ -111,13 +111,6 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _pcm_params_from(payload: dict) -> PcmParams:
-    try:
-        return PcmParams(**payload)
-    except (TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad pcm parameters: {exc}") from exc
-
-
 def _load_grid(path: str | None) -> ParamGrid:
     return ParamGrid.from_dict(pio.load_json(path)) if path else ParamGrid()
 
@@ -132,11 +125,11 @@ def _cmd_estimate(args) -> int:
             raise ConfigInvalid(f"{args.method} has no parameters to cross-validate")
         params = dict(cross_validate(ds, roles, method.cv, _load_grid(args.grid)).chosen)
         print(f"cross-validation selected: {json.dumps(params, sort_keys=True)}")
-    check_params(args.method, params)
+    check_params(args.method, params, roles)
     if args.method != "pcm":
         print(f"total effect estimate: {method.estimate(ds, roles, params)!r}")
         return 0
-    fit = pcm_total_effect(ds, roles, _pcm_params_from(params))
+    fit = pcm_total_effect(ds, roles, PcmParams(**params))
     print(f"total effect estimate: {fit.total_effect!r}")
     print(json.dumps(fit.to_dict(), indent=2, sort_keys=True))
     return 0

@@ -33,15 +33,11 @@ class SingularSystem(PcmSelectError):
 
 
 class MaxIterationsExceeded(PcmSelectError):
-    """Coordinate descent hit the sweep cap before converging."""
+    """The L1 solution path took more events than its cap."""
 
-    def __init__(self, sweeps: int, last_change: float):
-        super().__init__(
-            f"coordinate descent did not converge within {sweeps} sweeps "
-            f"(last max coefficient change {last_change:.3e})"
-        )
-        self.sweeps = sweeps
-        self.last_change = last_change
+    def __init__(self, events: int):
+        super().__init__(f"the L1 solution path did not reach its end within {events} events")
+        self.events = events
 
 
 class ZeroPilot(PcmSelectError):

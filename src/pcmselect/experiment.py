@@ -21,7 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .baselines import back_door_estimate, baseline_penalized, front_door_like_estimate
+from .baselines import back_door_estimate, baseline_penalized, check_ranges, front_door_like_estimate
 from .data import Dataset, RolePartition
 from .errors import ConfigInvalid, EmptyInput, PcmSelectError
 from .graphs import minimal_mediator_sets
@@ -89,13 +89,15 @@ class Method:
 
     ``estimate(data, roles, params)`` returns the total-effect estimate on
     standardized data and holds the defaults of the keys left out;
-    ``allowed`` and ``required`` are its parameter keys; ``cv`` is its
+    ``allowed`` and ``required`` are its parameter keys; ``check(roles,
+    params)`` raises ``ValueError`` for a value out of range; ``cv`` is its
     :func:`~pcmselect.tuning.cross_validate` name (None: nothing to tune).
     """
 
     estimate: Callable[[Dataset, RolePartition, dict], float]
     allowed: frozenset[str]
     required: frozenset[str] = frozenset()
+    check: Callable[[RolePartition, dict], object] = lambda roles, params: None
     cv: str | None = None
 
 
@@ -107,8 +109,8 @@ def _penalized(kind: str, *keys: str) -> Method:
     def estimate(ds, roles, params):
         return baseline_penalized(ds, roles, kind, **params)
 
-    return Method(estimate, frozenset({"lam", "tol", "max_sweeps", *keys}),
-                  frozenset({"lam"}), cv=kind)
+    return Method(estimate, frozenset({"lam", *keys}), frozenset({"lam"}),
+                  check=lambda roles, params: check_ranges(**params), cv=kind)
 
 
 def _backdoor(ds: Dataset, roles: RolePartition, params: dict) -> float:
@@ -120,16 +122,23 @@ def _frontdoor(include_x: bool, adjusted: bool, required=frozenset()) -> Method:
     the covariates as both conditioning sets (``adjusted``), or through all
     mediators with none."""
 
-    def estimate(ds, roles, params):
+    def resolve(roles, params):
         if adjusted:
             defaults = {"mediators": roles.s, "z1": roles.covariates, "z2": roles.covariates}
         else:
             defaults = {"mediators": roles.mediators, "z1": (), "z2": ()}
         p = {**defaults, **params}
+        if not len(p["mediators"]):
+            raise ValueError("front-door-like estimation needs at least one mediator")
+        return p
+
+    def estimate(ds, roles, params):
+        p = resolve(roles, params)
         return front_door_like_estimate(ds, roles.x, roles.y, p["mediators"], p["z1"],
                                         p["z2"], include_x_in_second_stage=include_x)
 
-    return Method(estimate, frozenset({"mediators", "z1", "z2"}), frozenset(required))
+    return Method(estimate, frozenset({"mediators", "z1", "z2"}), frozenset(required),
+                  check=resolve)
 
 
 METHODS: dict[str, Method] = {
@@ -139,7 +148,7 @@ METHODS: dict[str, Method] = {
     "pal1ma": _penalized("pal1ma", "eta", "pilot_lam", "lam2", "xi2"),
     "pcm": Method(_pcm, frozenset(f.name for f in fields(PcmParams)),
                   frozenset(f.name for f in fields(PcmParams) if f.default is MISSING),
-                  cv="pcm"),
+                  check=lambda roles, params: PcmParams(**params), cv="pcm"),
     "frontdoor-including-x": _frontdoor(True, adjusted=True),
     "frontdoor-not-including-x": _frontdoor(False, adjusted=True),
     "backdoor": Method(_backdoor, frozenset({"z"})),
@@ -151,9 +160,14 @@ METHODS: dict[str, Method] = {
 ALL_METHODS = tuple(METHODS)
 
 
-def check_params(name: str, params: dict) -> None:
-    """Raise :class:`ConfigInvalid` for an unknown method or parameter key, or
-    a missing required key."""
+def check_params(name: str, params: dict, roles: RolePartition, *,
+                 filled: frozenset[str] = frozenset()) -> None:
+    """Raise :class:`ConfigInvalid` for an unknown method or parameter key, a
+    missing required key or a value out of range.
+
+    Keys in ``filled`` are supplied later by the caller, which checks their
+    values; while one is missing, only the keys are checked here.
+    """
     if name not in METHODS:
         raise ConfigInvalid(f"unknown method {name!r}")
     if not isinstance(params, dict):
@@ -165,9 +179,14 @@ def check_params(name: str, params: dict) -> None:
             f"unknown parameter(s) {', '.join(unknown)} for {name}; "
             f"allowed: {', '.join(sorted(method.allowed))}"
         )
-    missing = sorted(method.required - set(params))
-    if missing:
-        raise ConfigInvalid(f"{name} needs parameter(s) {', '.join(missing)}")
+    missing = method.required - set(params)
+    if missing - filled:
+        raise ConfigInvalid(f"{name} needs parameter(s) {', '.join(sorted(missing))}")
+    try:
+        if not missing:
+            method.check(roles, params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigInvalid(f"bad parameters for {name}: {exc}") from exc
 
 
 def experiment_roles(setting: str) -> RolePartition:
@@ -241,11 +260,11 @@ class ExperimentConfig:
                 raise ConfigInvalid("custom setting needs an scm payload and roles")
         else:
             raise ConfigInvalid(f"unknown setting {self.setting!r}")
+        roles = self.roles if setting == "custom" else experiment_roles(setting)
         for m in self.methods:
-            params = self.params_of(m)
-            if m.name == "frontdoor-minimal" and isinstance(params, dict):
-                params = {"mediators": (), **params}  # filled from the graph
-            check_params(m.name, params)
+            # run_monte_carlo fills frontdoor-minimal's mediators from the graph
+            filled = frozenset({"mediators"}) if m.name == "frontdoor-minimal" else frozenset()
+            check_params(m.name, self.params_of(m), roles, filled=filled)
 
     def params_of(self, method: MethodSpec) -> dict:
         """A method's explicit parameters, or its preset for this setting."""

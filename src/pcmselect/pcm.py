@@ -13,11 +13,11 @@ Pipeline (all on standardized data):
     coefficients, candidate-covariate weights from the outcome-model pilot,
     and a matrix of weights for the mediator model from its own
     candidate-covariate pilots.
-3.  Stage 1.  Weighted-L1 fits by cyclic coordinate descent.  The outcome
-    model penalizes the treatment with weight ``lam1*zeta1``, candidate
-    mediators with ``lam1*xi1*w``, candidate covariates with
-    ``lam1*(1-zeta1-xi1)*w``; fixed covariates and mediators are never
-    penalized.  The mediator model penalizes candidate covariates only.
+3.  Stage 1.  Weighted-L1 fits, solved exactly by following the penalty
+    path.  The outcome model penalizes the treatment with weight
+    ``lam1*zeta1``, candidate mediators with ``lam1*xi1*w``, candidate
+    covariates with ``lam1*(1-zeta1-xi1)*w``; fixed covariates and mediators
+    are never penalized.  The mediator model penalizes candidate covariates only.
     The supports of the treatment / candidate blocks are the active sets.
 4.  Debiasing ridges on the active sets, their residual gram matrices, and a
     sign-based correction that removes the first-order shrinkage bias from
@@ -37,13 +37,7 @@ from .data import Dataset, RolePartition
 from .errors import SingularDesign, ZeroPilot
 from .linalg import conditional_cross_products as ccp
 from .linalg import pseudo_inverse
-from .solvers import (
-    DEFAULT_MAX_SWEEPS,
-    DEFAULT_TOL,
-    coordinate_descent,
-    ols_solve,
-    ridge_solve,
-)
+from .solvers import coordinate_descent, ols_solve, ridge_solve
 
 __all__ = [
     "PcmParams",
@@ -102,8 +96,6 @@ class PcmParams:
     xi2: float = 0.5
     rho2: float = 0.01
     rho2_prime: float = 0.01
-    tol: float = DEFAULT_TOL
-    max_sweeps: int = DEFAULT_MAX_SWEEPS
 
     def __post_init__(self):
         for name in ("lambda1", "rho1", "zeta1", "xi1", "pilot_lambda",
@@ -420,16 +412,13 @@ def pcm_stage1_y(
     lam1: float,
     zeta1: float,
     xi1: float,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> YModelCoefs:
     """Weighted-L1 outcome fit; fixed covariates/mediators stay unpenalized."""
     if min(lam1, zeta1, xi1) < 0 or zeta1 + xi1 > 1 + 1e-12:
         raise ValueError("need lam1, zeta1, xi1 >= 0 and zeta1 + xi1 <= 1")
     l1 = _y_l1_weights(roles, weights, lam1, zeta1, xi1)
     gram, cross = _y_moments(data, roles)
-    beta = coordinate_descent(gram, cross, data.n, l1, tol=tol, max_sweeps=max_sweeps)
+    beta = coordinate_descent(gram, cross, data.n, l1)
     return _split_y_coefs(beta, roles)
 
 
@@ -441,8 +430,6 @@ def pcm_stage1_m(
     *,
     sbar_idx=None,
     zbar_idx=None,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
 ) -> MediatorCoefs:
     """Weighted-L1 mediator fits (one independent problem per mediator).
 
@@ -468,9 +455,7 @@ def pcm_stage1_m(
     for j in range(q_m):
         w_j = weights.med[np.ix_(zb_cols, med_cols[j : j + 1])][:, 0] if q_zb else np.zeros(0)
         l1 = np.concatenate([[0.0], np.zeros(q_z), rho1 * w_j])
-        coefs[:, j] = coordinate_descent(
-            gram, cross[:, j], data.n, l1, tol=tol, max_sweeps=max_sweeps
-        )
+        coefs[:, j] = coordinate_descent(gram, cross[:, j], data.n, l1)
     return MediatorCoefs(
         x_row=coefs[0, :], z_rows=coefs[1 : 1 + q_z, :], zbar_rows=coefs[1 + q_z :, :]
     )
@@ -712,20 +697,13 @@ def pcm_total_effect(data: Dataset, roles: RolePartition, params: PcmParams) -> 
         rho=params.pilot_rho,
     )
     weights = adaptive_weights(pilots)
-    s1y = pcm_stage1_y(
-        data, roles, weights, params.lambda1, params.zeta1, params.xi1,
-        tol=params.tol, max_sweeps=params.max_sweeps,
-    )
+    s1y = pcm_stage1_y(data, roles, weights, params.lambda1, params.zeta1, params.xi1)
     active_x = s1y.beta_x != 0.0
     active_sbar = np.nonzero(s1y.coef_sbar)[0]
     active_zbar = np.nonzero(s1y.coef_zbar)[0]
-    s1m = pcm_stage1_m(
-        data, roles, weights, params.rho1, tol=params.tol, max_sweeps=params.max_sweeps
-    )
+    s1m = pcm_stage1_m(data, roles, weights, params.rho1)
     s1m_restricted = pcm_stage1_m(
-        data, roles, weights, params.rho1,
-        sbar_idx=active_sbar, zbar_idx=active_zbar,
-        tol=params.tol, max_sweeps=params.max_sweeps,
+        data, roles, weights, params.rho1, sbar_idx=active_sbar, zbar_idx=active_zbar
     )
     debias = debias_ridges(
         data, roles, active_sbar, active_zbar,
@@ -775,7 +753,7 @@ def verify_active_set_relation(fit: PcmFit, data: Dataset, roles: RolePartition)
     treatment-dependent block).  The mediator-model fit satisfies the
     analogous relation per mediator column on that column's own active
     candidate covariates.  Returns the largest absolute violation; small
-    values certify that coordinate descent reached a stationary point.
+    values certify that the stage-1 solver reached a stationary point.
 
     Raises
     ------

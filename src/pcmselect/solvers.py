@@ -9,13 +9,11 @@ convention throughout the package is
 so an L1 weight ``w_j`` soft-thresholds at ``n w_j`` on the cross-product
 scale, and a quadratic weight ``d_j`` adds ``n d_j`` to the gram diagonal.
 
-The L1 solver is cyclic coordinate descent with exact per-coordinate
-minimization.  After the sweep criterion (max coefficient change below
-``tol``) is met, the solution is polished by solving the stationarity system
-restricted to the detected support; the polish is kept only when it
-reproduces the support and signs and satisfies the zero-coordinate bounds, so
-reductions such as "no penalty equals least squares" hold to solver
-precision rather than sweep precision.
+The L1 solver follows the solution path in the penalty scale (Osborne,
+Presnell & Turlach 2000; Efron et al. 2004): the minimizer with L1 weights
+``t w`` is piecewise linear in ``t``, so it is tracked exactly from
+``t = inf``, where every penalized coordinate is zero, down to ``t = 1``,
+one linear solve per change of the active set.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import numpy as np
 from .errors import MaxIterationsExceeded, SingularDesign
 
 __all__ = [
-    "soft_threshold",
     "coordinate_descent",
     "kkt_residual",
     "l1_objective",
@@ -34,34 +31,8 @@ __all__ = [
     "ols_solve",
 ]
 
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_SWEEPS = 100_000
-
-
-def soft_threshold(value: float, threshold: float) -> float:
-    if value > threshold:
-        return value - threshold
-    if value < -threshold:
-        return value + threshold
-    return 0.0
-
-
-def _sweep(gram, resid, beta, n, l1, l2, order) -> float:
-    """One pass of exact coordinate updates; returns max |change|."""
-    max_change = 0.0
-    for j in order:
-        gjj = gram[j, j] + n * l2[j]
-        if gjj <= 0.0:
-            continue
-        cj = resid[j] + gram[j, j] * beta[j]
-        new = soft_threshold(cj, n * l1[j]) / gjj
-        change = new - beta[j]
-        if change != 0.0:
-            resid -= gram[:, j] * change
-            beta[j] = new
-            if abs(change) > max_change:
-                max_change = abs(change)
-    return max_change
+# Largest stationarity violation accepted at the end of the path.
+KKT_LIMIT = 1e-9
 
 
 def coordinate_descent(
@@ -70,180 +41,88 @@ def coordinate_descent(
     n: int,
     l1_weights: np.ndarray,
     l2_weights: np.ndarray | None = None,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    beta0: np.ndarray | None = None,
-    polish: bool = True,
 ) -> np.ndarray:
     """Minimize the penalized least-squares loss given sufficient statistics.
+
+    The name is kept for its callers; the solver is exact path following,
+    not coordinate descent.  With ``H = G/n + diag(l2)`` and the L1 weights
+    scaled by ``t``, the active coefficients on a segment of the path are
+    ``a - t b`` with ``H_AA [a, b] = [lin_A, w_A sign_A]``.  Going down from
+    ``t = inf`` (the unpenalized coordinates active), the next event is the
+    largest ``t`` in ``(1, t_now]`` where an inactive gradient reaches its
+    bound or an active coefficient that is moving toward zero reaches it.
+    The last segment is evaluated at ``t = 1``.
 
     Parameters
     ----------
     gram, cross, n : A.T A, A.T y, and the row count of the design A.
     l1_weights : per-coordinate L1 penalty weights (>= 0).
     l2_weights : optional per-coordinate quadratic penalty weights.
-    tol : convergence is declared when no coefficient moves more than this
-        in a full sweep.
-    beta0 : warm start (defaults to zero).
 
     Raises
     ------
+    SingularDesign
+        If an active block of ``H`` is singular or the endpoint violates the
+        stationarity conditions by more than ``KKT_LIMIT``.
     MaxIterationsExceeded
-        If the sweep cap is hit first.
+        If the path takes more than ``10 p + 10`` events.
     """
     p = gram.shape[0]
     l1 = np.asarray(l1_weights, dtype=float)
     l2 = np.zeros(p) if l2_weights is None else np.asarray(l2_weights, dtype=float)
     if l1.shape != (p,) or l2.shape != (p,):
         raise ValueError("penalty weight vectors must match the design width")
-    if np.any(l1 < 0) or np.any(l2 < 0):
+    if (l1 < 0).any() or (l2 < 0).any():
         raise ValueError("penalty weights must be nonnegative")
-    beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
     if p == 0:
-        return beta
-    resid = cross - gram @ beta
-    order = np.arange(p)
-    sweeps = 0
-    change = np.inf
-    inner_budget = 100
-    while sweeps < max_sweeps:
-        change = _sweep(gram, resid, beta, n, l1, l2, order)
-        sweeps += 1
-        if change < tol:
+        return np.zeros(0)
+    hess = gram / n
+    hess.flat[:: p + 1] += l2
+    lin = np.asarray(cross, dtype=float) / n
+    rhs = np.column_stack([lin, l1])
+    usable = hess.diagonal() > 0.0
+    active, penalized = usable & (l1 == 0.0), usable & (l1 > 0.0)
+    one_segment = not penalized.any()  # least squares or ridge: no events
+    theta = np.zeros(p)
+    t = np.inf
+    cap = 10 * p + 10
+    for _ in range(cap):
+        act = np.flatnonzero(active)
+        h_act = hess[:, act]
+        r = rhs[act]
+        r[:, 1] *= theta[act]
+        try:
+            ab = np.linalg.solve(h_act[act], r)
+        except np.linalg.LinAlgError as exc:
+            raise SingularDesign(f"active block of the L1 path is singular: {exc}") from exc
+        path = np.zeros((p, 2))
+        path[act] = ab
+        beta = path[:, 0] - path[:, 1]  # this segment at t = 1
+        if one_segment:
             break
-        if polish:
-            # exact solve over the current sign pattern; kept only when it
-            # certifies full optimality, which ends the slow tail of sweeps
-            # on ill-conditioned supports
-            candidate = _polish(gram, cross, n, l1, l2, beta)
-            if candidate is not beta:
-                return candidate
-            inner_budget = min(2 * inner_budget, 5000)
-        # refine the current support cheaply before the next full sweep
-        active = np.nonzero(beta)[0]
-        if 0 < active.size < p:
-            budget = inner_budget
-            while budget and sweeps < max_sweeps:
-                inner = _sweep(gram, resid, beta, n, l1, l2, active)
-                sweeps += 1
-                budget -= 1
-                if inner < tol:
-                    break
+        pq = h_act @ ab
+        pv = pq[:, 0] - lin
+        # An active coordinate leaves where a - t b = 0, an inactive one joins
+        # where |pv - t qv| = t w, that is at t = pv / (qv + sign(pv) w).  Only
+        # a coefficient moving toward zero may leave, and only a positive
+        # join time counts; without these conditions rounding lets a
+        # coordinate that has just joined leave again at the same t.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            event = np.where(active, path[:, 0] / path[:, 1],
+                             pv / (pq[:, 1] + np.sign(pv) * l1))
+        ok = (np.where(active, theta * path[:, 1] < 0.0, penalized)
+              & (event > 1.0) & (event <= t))
+        if not ok.any():
+            break
+        e = int(np.argmax(np.where(ok, event, -np.inf)))
+        t = event[e]
+        theta[e] = 0.0 if active[e] else -np.sign(pv[e])
+        active[e] = not active[e]
     else:
-        raise MaxIterationsExceeded(sweeps, float(change))
-    if polish:
-        beta = _polish(gram, cross, n, l1, l2, beta)
+        raise MaxIterationsExceeded(cap)
+    if kkt_residual(gram, cross, n, l1, beta, l2) > KKT_LIMIT:
+        raise SingularDesign("the L1 path ended off the optimum (degenerate active set)")
     return beta
-
-
-def _polish(gram, cross, n, l1, l2, beta0):
-    """Feature-sign refinement seeded by the sweep iterate.
-
-    Alternates (i) admitting the worst zero-coordinate subgradient violation
-    with its descent sign and (ii) solving the sign-restricted stationarity
-    equalities on the active set, taking the best point along the segment to
-    the solution among all zero crossings (so the objective strictly
-    decreases and supports cannot cycle), pruning penalized coordinates that
-    land on zero.  This is exact for the L1 problem once it terminates.
-
-    Returns the input object unchanged when the refinement stalls, in which
-    case the caller keeps sweeping.
-    """
-    p = beta0.size
-    hess = gram / n + np.diag(l2)
-    lin = cross / n
-    beta = beta0.copy()
-    active = (beta != 0.0) | ((l1 == 0.0) & (np.diag(hess) > 0.0))
-    theta = np.sign(beta)
-    add_tol = 1e-11 * max(1.0, float(np.max(np.abs(lin))) if p else 1.0)
-
-    def objective(vec):
-        return 0.5 * float(vec @ (hess @ vec)) - float(lin @ vec) + float(l1 @ np.abs(vec))
-
-    def state():
-        return beta.tobytes() + active.tobytes() + theta.tobytes()
-
-    # Rounds and passes depend only on (beta, active, theta), so a repeated
-    # state means they cycle from there on; the cycles are cut short below
-    # with the result that running them out would give.
-    seen = set()
-    for _ in range(max(50, 6 * p)):
-        if state() in seen:
-            return beta0
-        seen.add(state())
-        grad = hess @ beta - lin
-        excess = np.where(~active, np.abs(grad) - l1, -np.inf)
-        j = int(np.argmax(excess)) if p else 0
-        if p and excess[j] > add_tol:
-            active[j] = True
-            theta[j] = -np.sign(grad[j])
-        else:
-            stat = grad + l1 * theta
-            act = np.nonzero(active)[0]
-            if act.size == 0 or np.max(np.abs(stat[act])) <= 1e-10:
-                break  # optimal
-        # sign-restricted solves with zero-crossing line search
-        passes = 4 * p + 4
-        trail, first_seen = [], {}
-        for i in range(passes):
-            if state() in first_seen:
-                start = first_seen[state()]
-                beta, active, theta = trail[start + (passes - start) % (i - start)]
-                active = active.copy()
-                break
-            first_seen[state()] = i
-            trail.append((beta, active.copy(), theta))
-            act = np.nonzero(active)[0]
-            if act.size == 0:
-                break
-            h_aa = hess[np.ix_(act, act)]
-            rhs = lin[act] - l1[act] * theta[act]
-            try:
-                solved = np.linalg.solve(h_aa, rhs)
-            except np.linalg.LinAlgError:
-                solved, *_ = np.linalg.lstsq(h_aa, rhs, rcond=None)
-            if not np.all(np.isfinite(solved)):
-                return beta0
-            current = beta[act]
-            penal = l1[act] > 0
-            consistent = (~penal) | (np.sign(solved) == theta[act]) | (solved == 0.0)
-            if np.all(consistent):
-                beta = np.zeros(p)
-                beta[act] = solved
-                exact_zero = penal & (solved == 0.0)
-                if np.any(exact_zero):
-                    active[act[exact_zero]] = False
-                theta = np.sign(beta)
-                break
-            # candidate steps: full step plus every sign crossing en route
-            delta = solved - current
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t_cross = np.where(delta != 0.0, current / (current - solved), np.inf)
-            candidates: list[tuple[float, int | None]] = [(1.0, None)]
-            for k in range(act.size):
-                if 0.0 < t_cross[k] < 1.0:
-                    candidates.append((float(t_cross[k]), k))
-            best_obj, best_vec, best_zero = np.inf, None, None
-            for t, zero_k in candidates:
-                stepped = current + t * delta
-                if zero_k is not None:
-                    stepped[zero_k] = 0.0
-                vec = np.zeros(p)
-                vec[act] = stepped
-                val = objective(vec)
-                if val < best_obj:
-                    best_obj, best_vec, best_zero = val, vec, zero_k
-            beta = best_vec
-            if best_zero is not None and penal[best_zero]:
-                active[act[best_zero]] = False
-            theta = np.sign(beta)
-    else:
-        return beta0
-    # a candidate is only kept when it certifies optimality outright
-    if kkt_residual(gram, cross, n, l1, beta, l2) <= 1e-9:
-        return beta
-    return beta0
 
 
 def kkt_residual(gram, cross, n, l1_weights, beta, l2_weights=None) -> float:
@@ -253,19 +132,15 @@ def kkt_residual(gram, cross, n, l1_weights, beta, l2_weights=None) -> float:
     times the sign; for zero coordinates its magnitude may not exceed the
     penalty weight.
     """
-    p = gram.shape[0]
-    if p == 0:
+    if gram.shape[0] == 0:
         return 0.0
     l1 = np.asarray(l1_weights, dtype=float)
-    l2 = np.zeros(p) if l2_weights is None else np.asarray(l2_weights, dtype=float)
-    grad = (gram @ beta - cross) / n + l2 * beta
-    worst = 0.0
-    for j in range(p):
-        if beta[j] != 0.0:
-            worst = max(worst, abs(grad[j] + l1[j] * np.sign(beta[j])))
-        else:
-            worst = max(worst, max(abs(grad[j]) - l1[j], 0.0))
-    return worst
+    grad = (gram @ beta - cross) / n
+    if l2_weights is not None:
+        grad = grad + np.asarray(l2_weights, dtype=float) * beta
+    violation = np.where(beta != 0.0, np.abs(grad + l1 * np.sign(beta)),
+                         np.maximum(np.abs(grad) - l1, 0.0))
+    return float(violation.max())
 
 
 def l1_objective(design, response, l1_weights, beta, l2_weights=None) -> float:

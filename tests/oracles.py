@@ -142,11 +142,85 @@ def total_effect_by_path_enumeration(scm, x, y):
     return total
 
 
-# -- feature-sign polish without cutting repeated states short -------------------
+# -- cyclic coordinate descent with a feature-sign polish ----------------------
 
 
-def polish_without_cycle_cut(gram, cross, n, l1, l2, beta0):
-    """``solvers._polish`` run out in full: every round and pass, cycles included."""
+class SweepCapHit(Exception):
+    """The reference descent ran out of sweeps."""
+
+
+def _soft_threshold(value, threshold):
+    if value > threshold:
+        return value - threshold
+    if value < -threshold:
+        return value + threshold
+    return 0.0
+
+
+def _sweep(gram, resid, beta, n, l1, l2, order):
+    """One pass of exact coordinate updates; returns max |change|."""
+    max_change = 0.0
+    for j in order:
+        gjj = gram[j, j] + n * l2[j]
+        if gjj <= 0.0:
+            continue
+        cj = resid[j] + gram[j, j] * beta[j]
+        new = _soft_threshold(cj, n * l1[j]) / gjj
+        change = new - beta[j]
+        if change != 0.0:
+            resid -= gram[:, j] * change
+            beta[j] = new
+            if abs(change) > max_change:
+                max_change = abs(change)
+    return max_change
+
+
+def descent_with_polish(gram, cross, n, l1, l2=None, *, tol=1e-8, max_sweeps=100_000):
+    """The weighted elastic-net fit by cyclic coordinate descent.
+
+    Sweeps until no coefficient moves more than ``tol``, refining the current
+    support between full sweeps, and after each sweep tries a feature-sign
+    polish that is kept only when it certifies optimality.  Raises
+    :class:`SweepCapHit` after ``max_sweeps`` sweeps.
+    """
+    p = gram.shape[0]
+    l1 = np.asarray(l1, dtype=float)
+    l2 = np.zeros(p) if l2 is None else np.asarray(l2, dtype=float)
+    beta = np.zeros(p)
+    if p == 0:
+        return beta
+    resid = np.array(cross, dtype=float)
+    sweeps, inner_budget = 0, 100
+    while sweeps < max_sweeps:
+        change = _sweep(gram, resid, beta, n, l1, l2, np.arange(p))
+        sweeps += 1
+        if change < tol:
+            break
+        candidate = feature_sign_polish(gram, cross, n, l1, l2, beta)
+        if candidate is not beta:
+            return candidate
+        inner_budget = min(2 * inner_budget, 5000)
+        active = np.nonzero(beta)[0]
+        if 0 < active.size < p:
+            budget = inner_budget
+            while budget and sweeps < max_sweeps:
+                inner = _sweep(gram, resid, beta, n, l1, l2, active)
+                sweeps += 1
+                budget -= 1
+                if inner < tol:
+                    break
+    else:
+        raise SweepCapHit(sweeps)
+    return feature_sign_polish(gram, cross, n, l1, l2, beta)
+
+
+def feature_sign_polish(gram, cross, n, l1, l2, beta0):
+    """Feature-sign refinement seeded by the sweep iterate (Lee et al. 2007).
+
+    Alternates admitting the worst zero-coordinate violation and solving the
+    sign-restricted stationarity equalities with a zero-crossing line search.
+    Returns ``beta0`` itself unless the result certifies optimality.
+    """
     p = beta0.size
     hess = gram / n + np.diag(l2)
     lin = cross / n

@@ -195,6 +195,29 @@ class TestCliMatchesRegistry:
         assert "lambda" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("name, params, roles", [
+        ("lasso", {"lam": -1}, None),
+        ("elastic-net", {"lam": 0.1, "phi": 2}, None),
+        ("adaptive-lasso", {"lam": 0.407, "pilot_lam": -1}, None),
+        ("pal1ma", {"lam": 0.294, "eta": -1}, None),
+        ("frontdoor-whole", {}, {"x": "X", "y": "Y", "z": ["Z"]}),
+    ])
+    def test_out_of_range_value_is_usage_error(self, name, params, roles, setting_csvs,
+                                               tmp_path, capsys):
+        data, roles_file = setting_csvs["A"]
+        if roles is not None:
+            roles_file = tmp_path / "roles.json"
+            roles_file.write_text(json.dumps(roles))
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps(params))
+        capsys.readouterr()
+        assert main(["estimate", "--data", str(data), "--roles", str(roles_file),
+                     "--method", name, "--params", str(params_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "total effect estimate" not in captured.out
+
+
 class TestTuneCommand:
     @pytest.mark.parametrize("grid, method", [
         ({"lam": [0.1], "lamda": [0.2]}, "lasso"),

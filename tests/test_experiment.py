@@ -89,6 +89,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(**self.base(methods=(MethodSpec(name, params=params),)))
 
+    @pytest.mark.parametrize("name, params", [
+        ("lasso", {"lam": -1}),
+        ("elastic-net", {"lam": 0.1, "phi": 2}),
+        ("pal1ma", {"lam": 0.294, "eta": -1}),
+        ("pcm", {"lambda1": 0.1, "rho1": 0.1, "zeta1": 0.2, "xi1": 0.2, "xi2": 2}),
+        ("frontdoor-including-x", {"mediators": []}),
+    ])
+    def test_out_of_range_param_value_rejected(self, name, params):
+        with pytest.raises(ConfigInvalid):
+            ExperimentConfig(**self.base(methods=(MethodSpec(name, params=params),)))
+
     def test_from_dict_round_trip(self):
         payload = {
             "setting": "A", "n": 15, "replications": 3, "seed": 9,

@@ -21,9 +21,10 @@ from pcmselect.pcm import (
     ridge_pilot_y,
     verify_active_set_relation,
 )
-from pcmselect.scm import LinearScm
+from pcmselect.experiment import PRESETS, experiment_roles
+from pcmselect.scm import LinearScm, build_experiment_scm
 from pcmselect.graphs import Dag
-from pcmselect.solvers import l1_objective, ols_solve, ridge_objective
+from pcmselect.solvers import kkt_residual, l1_objective, ols_solve, ridge_objective
 
 ROLES = RolePartition(
     x="X", y="Y", z=("Z1",), zbar=("Zb1", "Zb2"), s=("S1",), sbar=("Sb1", "Sb2")
@@ -479,3 +480,24 @@ class TestTotalEffect:
         fit = pcm_total_effect(ds, ROLES, default_params())
         payload = json.dumps(fit.to_dict())
         assert "total_effect" in payload
+
+    def test_setting_a_replication_11_reaches_the_optimum(self):
+        # replication 11 of the seed-0 setting-A run: a p >= n stage-1
+        # outcome fit on which cyclic descent ran out its 100,000 sweeps
+        children = np.random.SeedSequence(0).spawn(13)
+        scm, spec, _ = build_experiment_scm("A", np.random.default_rng(children[0]))
+        roles = experiment_roles("A")
+        raw = scm.sample(15, np.random.default_rng(children[12]), spec)
+        observed = roles.required_columns()
+        ds = Dataset(raw[:, [scm.dag.vertices.index(c) for c in observed]],
+                     observed).standardized()
+        params = PcmParams(**PRESETS[("A", "pcm")])
+        fit = pcm_total_effect(ds, roles, params)
+        assert np.isfinite(fit.total_effect)
+        lam, zeta, xi = params.lambda1, params.zeta1, params.xi1
+        l1 = np.concatenate([[lam * zeta], np.zeros(len(roles.s) + len(roles.z)),
+                             lam * xi * fit.weights.sbar,
+                             lam * (1.0 - zeta - xi) * fit.weights.zbar])
+        cols = roles.y_regressors
+        assert kkt_residual(ds.cross(cols, cols), ds.cross(cols, [roles.y])[:, 0], ds.n,
+                            l1, fit.stage1_y.stacked()) <= 1e-9
