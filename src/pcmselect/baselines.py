@@ -64,8 +64,8 @@ def check_ranges(**params) -> None:
     """Raise ``ValueError`` for a penalized-baseline parameter out of range."""
     for key, value in params.items():
         low, high = PARAM_RANGES[key]
-        if not low <= value <= high:
-            raise ValueError(f"{key} must lie in [{low:g}, {high:g}], got {value!r}")
+        if not (low <= value <= high and np.isfinite(value)):
+            raise ValueError(f"{key} must be finite in [{low:g}, {high:g}], got {value!r}")
 
 
 def back_door_estimate(data: Dataset, x: str, y: str, z=()) -> float:
@@ -172,8 +172,6 @@ def _pal1ma_stage1(data, roles, lam, eta, pilot_lam) -> tuple[YModelCoefs, Adapt
     pilots = PilotEstimates(
         y=ridge_pilot_y(data, base, pilot_lam),
         m=ridge_pilot_m(data, base, pilot_lam),
-        lam=pilot_lam,
-        rho=pilot_lam,
     )
     weights = adaptive_weights(pilots)
     if eta != 1.0:

@@ -157,8 +157,6 @@ METHODS: dict[str, Method] = {
     "frontdoor-whole": _frontdoor(True, adjusted=False),
 }
 
-ALL_METHODS = tuple(METHODS)
-
 
 def check_params(name: str, params: dict, roles: RolePartition, *,
                  filled: frozenset[str] = frozenset()) -> None:

@@ -29,6 +29,7 @@ Pipeline (all on standardized data):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,10 @@ __all__ = [
 
 WEIGHT_FLOOR = 1e-8
 
+# How far zeta1 + xi1 may exceed 1: decimal inputs such as 0.7 + 0.3 carry
+# rounding error in their sum.
+MIX_SLACK = 1e-12
+
 # Relative singular-value cutoff for the residual-gram pseudoinverses in the
 # bias correction.  These grams are singular to machine precision whenever the
 # active design nearly saturates the sample, and directions below sampling
@@ -82,8 +87,8 @@ class PcmParams:
     ``lambda1, zeta1, xi1`` control the outcome-model stage-1 penalties,
     ``rho1`` the mediator-model stage-1 penalty, ``pilot_lambda`` and
     ``pilot_rho`` the ridge pilots, and ``lambda2, xi2, rho2, rho2_prime``
-    the debiasing ridges.  Constraints: all nonnegative, ``zeta1 + xi1 <= 1``,
-    ``xi2`` in [0, 1].
+    the debiasing ridges.  Constraints: all finite and nonnegative,
+    ``zeta1 + xi1 <= 1``, ``xi2`` in [0, 1].
     """
 
     lambda1: float
@@ -99,10 +104,10 @@ class PcmParams:
 
     def __post_init__(self):
         for name in ("lambda1", "rho1", "zeta1", "xi1", "pilot_lambda",
-                     "pilot_rho", "lambda2", "rho2", "rho2_prime"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.zeta1 + self.xi1 > 1.0 + 1e-12:
+                     "pilot_rho", "lambda2", "xi2", "rho2", "rho2_prime"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if self.zeta1 + self.xi1 > 1.0 + MIX_SLACK:
             raise ValueError("zeta1 + xi1 must not exceed 1")
         if not 0.0 <= self.xi2 <= 1.0:
             raise ValueError("xi2 must lie in [0, 1]")
@@ -150,8 +155,6 @@ class MediatorCoefs:
 class PilotEstimates:
     y: YModelCoefs
     m: MediatorCoefs
-    lam: float
-    rho: float
 
 
 @dataclass(frozen=True)
@@ -393,6 +396,11 @@ def adaptive_weights(pilots: PilotEstimates, *, floor: float = WEIGHT_FLOOR) -> 
 # ---------------------------------------------------------------------------
 
 
+def _zbar_share(zeta1: float, xi1: float) -> float:
+    """Candidate covariates' penalty share, clipped (``1 - 0.8 - 0.2`` is -5.6e-17)."""
+    return max(0.0, 1.0 - zeta1 - xi1)
+
+
 def _y_l1_weights(roles: RolePartition, w: AdaptiveWeights,
                   lam1: float, zeta1: float, xi1: float) -> np.ndarray:
     return np.concatenate(
@@ -400,7 +408,7 @@ def _y_l1_weights(roles: RolePartition, w: AdaptiveWeights,
             [lam1 * zeta1],
             np.zeros(len(roles.s) + len(roles.z)),
             lam1 * xi1 * w.sbar,
-            lam1 * (1.0 - zeta1 - xi1) * w.zbar,
+            lam1 * _zbar_share(zeta1, xi1) * w.zbar,
         ]
     )
 
@@ -414,7 +422,7 @@ def pcm_stage1_y(
     xi1: float,
 ) -> YModelCoefs:
     """Weighted-L1 outcome fit; fixed covariates/mediators stay unpenalized."""
-    if min(lam1, zeta1, xi1) < 0 or zeta1 + xi1 > 1 + 1e-12:
+    if min(lam1, zeta1, xi1) < 0 or zeta1 + xi1 > 1.0 + MIX_SLACK:
         raise ValueError("need lam1, zeta1, xi1 >= 0 and zeta1 + xi1 <= 1")
     l1 = _y_l1_weights(roles, weights, lam1, zeta1, xi1)
     gram, cross = _y_moments(data, roles)
@@ -633,7 +641,7 @@ def pcm_correct(
         )
     if q_za:
         u_parts.append(
-            (1.0 - zeta1 - xi1)
+            _zbar_share(zeta1, xi1)
             * pseudo_inverse(debias.zb_resid_gram, CORRECTION_PINV_TOL)
             @ (weights.zbar[act_zb] * zb_signs)
         )
@@ -693,8 +701,6 @@ def pcm_total_effect(data: Dataset, roles: RolePartition, params: PcmParams) -> 
     pilots = PilotEstimates(
         y=ridge_pilot_y(data, roles, params.pilot_lambda),
         m=ridge_pilot_m(data, roles, params.pilot_rho),
-        lam=params.pilot_lambda,
-        rho=params.pilot_rho,
     )
     weights = adaptive_weights(pilots)
     s1y = pcm_stage1_y(data, roles, weights, params.lambda1, params.zeta1, params.xi1)
@@ -820,7 +826,7 @@ def verify_active_set_relation(fit: PcmFit, data: Dataset, roles: RolePartition)
     if q_za:
         z_gram = ccp(v, izb, izb, (ix if include_x else []) + is_ + isb + iz)
         u_parts.append(
-            (1.0 - params.zeta1 - params.xi1)
+            _zbar_share(params.zeta1, params.xi1)
             * _solve(z_gram, fit.weights.zbar[act_zb] * np.sign(fit.stage1_y.coef_zbar[act_zb]))
         )
     u = np.concatenate([np.atleast_1d(p) for p in u_parts])

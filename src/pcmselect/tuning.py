@@ -5,20 +5,26 @@ The protocol is two-phase and deterministic:
 1.  Pilot penalties are selected first by k-fold prediction error of the
     ridge pilots themselves (outcome pilot for ``pilot_lambda``, mediator
     pilot for ``pilot_rho``), then held fixed.
-2.  The remaining parameters are scored by held-out prediction squared error
-    of the stage-1 fits: the outcome model plus the mediator model, each
-    standardized by its response dimension.  Baseline methods score the
-    held-out error of their single regression.
+2.  The stage-1 penalties are scored by held-out mean squared error of the
+    stage-1 fits.  The score is additive: the outcome model's error, which
+    depends only on (lambda1, zeta1, xi1), plus the mediator model's error
+    per response column, which depends only on rho1.  So on each fold the
+    pilots and weights are fitted once, the outcome model once per
+    (lambda1, (zeta1, xi1)) and the mediator model once per rho1, and every
+    row of the (lambda1, rho1, (zeta1, xi1)) product sums one error of each.
+    The debiasing ridges are not scored; they keep ``PcmParams``' defaults.
+    Baseline methods score the held-out error of their single regression.
 
 Folds come from a seeded permutation, so selection is reproducible; ties are
-broken toward stronger regularization.  Candidates that fail to fit on some
-fold (for example an unpenalized pilot on a singular design) receive an
-infinite score rather than aborting the search.
+broken toward stronger regularization.  A fit that fails on some fold (for
+example an unpenalized pilot on a singular design) scores infinity there,
+for every candidate that uses it, rather than aborting the search.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,6 +33,8 @@ from .baselines import penalized_coefficients
 from .data import Dataset, RolePartition
 from .errors import ConfigInvalid, EmptyGrid, FoldTooSmall, PcmSelectError
 from .pcm import (
+    MIX_SLACK,
+    MediatorCoefs,
     PilotEstimates,
     adaptive_weights,
     pcm_stage1_m,
@@ -43,11 +51,21 @@ def default_log_grid() -> tuple[float, ...]:
     return tuple(float(v) for v in np.logspace(-3, 2, 13))
 
 
+def _candidates(name: str, values) -> tuple[float, ...]:
+    vals = tuple(float(v) for v in values)
+    if not all(0 <= v < math.inf for v in vals):
+        raise ValueError(f"{name} candidates must be finite and nonnegative")
+    return vals
+
+
+def _mix_pairs(zetas, xis) -> tuple[tuple[float, float], ...]:
+    """The (zeta1, xi1) pairs of the product with ``zeta1 + xi1 <= 1``."""
+    return tuple((z, x) for z, x in itertools.product(zetas, xis) if z + x <= 1.0 + MIX_SLACK)
+
+
 def _default_mix_pairs() -> tuple[tuple[float, float], ...]:
     levels = [round(0.1 * i, 1) for i in range(11)]
-    return tuple(
-        (z, x) for z, x in itertools.product(levels, levels) if z + x <= 1.0 + 1e-9
-    )
+    return _mix_pairs(levels, levels)
 
 
 @dataclass(frozen=True)
@@ -63,10 +81,6 @@ class ParamGrid:
     lambda1: tuple[float, ...] = field(default_factory=default_log_grid)
     rho1: tuple[float, ...] = field(default_factory=default_log_grid)
     zeta_xi: tuple[tuple[float, float], ...] = field(default_factory=_default_mix_pairs)
-    lambda2: tuple[float, ...] = (0.01,)
-    xi2: tuple[float, ...] = (0.5,)
-    rho2: tuple[float, ...] = (0.01,)
-    rho2_prime: tuple[float, ...] = (0.01,)
     lam: tuple[float, ...] = field(default_factory=default_log_grid)
     eta: tuple[float, ...] = (1.0,)
     phi: tuple[float, ...] = (0.5,)
@@ -76,15 +90,11 @@ class ParamGrid:
     def __post_init__(self):
         if self.folds < 2:
             raise ValueError("fold count must be at least 2")
-        for name in ("pilot_lambda", "pilot_rho", "lambda1", "rho1", "lambda2",
-                     "xi2", "rho2", "rho2_prime", "lam", "eta", "phi"):
-            vals = getattr(self, name)
-            object.__setattr__(self, name, tuple(float(v) for v in vals))
-            if any(v < 0 for v in getattr(self, name)):
-                raise ValueError(f"{name} candidates must be nonnegative")
+        for name in ("pilot_lambda", "pilot_rho", "lambda1", "rho1", "lam", "eta", "phi"):
+            object.__setattr__(self, name, _candidates(name, getattr(self, name)))
         pairs = tuple((float(z), float(x)) for z, x in self.zeta_xi)
         for z, x in pairs:
-            if z < 0 or x < 0 or z + x > 1.0 + 1e-9:
+            if not (0 <= z < math.inf and 0 <= x < math.inf and z + x <= 1.0 + MIX_SLACK):
                 raise ValueError(f"invalid (zeta1, xi1) pair ({z}, {x})")
         object.__setattr__(self, "zeta_xi", pairs)
 
@@ -94,11 +104,8 @@ class ParamGrid:
         try:
             kwargs = dict(payload)
             if "zeta1" in kwargs or "xi1" in kwargs:
-                zetas = [float(v) for v in kwargs.pop("zeta1", [0.0])]
-                xis = [float(v) for v in kwargs.pop("xi1", [0.0])]
-                kwargs["zeta_xi"] = [
-                    (z, x) for z, x in itertools.product(zetas, xis) if z + x <= 1.0 + 1e-9
-                ]
+                kwargs["zeta_xi"] = _mix_pairs(_candidates("zeta1", kwargs.pop("zeta1", [0.0])),
+                                               _candidates("xi1", kwargs.pop("xi1", [0.0])))
             return ParamGrid(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigInvalid(f"bad parameter grid: {exc}") from exc
@@ -126,20 +133,44 @@ def _fold_indices(n: int, k: int, seed: int) -> list[np.ndarray]:
     return [np.sort(part) for part in np.array_split(rng.permutation(n), k)]
 
 
-def _subset(data: Dataset, rows: np.ndarray) -> Dataset:
-    return Dataset(data.values[rows], data.columns)
+def _splits(data: Dataset, folds) -> list[tuple[Dataset, Dataset]]:
+    """The (train, test) datasets of each fold."""
+    return [
+        (Dataset(data.values[np.concatenate(folds[:i] + folds[i + 1:])], data.columns),
+         Dataset(data.values[test_rows], data.columns))
+        for i, test_rows in enumerate(folds)
+    ]
 
 
-def _score_mean(data: Dataset, roles: RolePartition, folds, fit_predict) -> tuple[float, tuple[float, ...]]:
+def _or_inf(score) -> float:
+    """``score()``, or infinity when one of its fits fails."""
+    try:
+        return score()
+    except PcmSelectError:
+        return math.inf
+
+
+def _score_mean(splits, fit_predict) -> tuple[float, tuple[float, ...]]:
     """Average held-out score of ``fit_predict(train, test) -> float``."""
-    scores = []
-    for i, test_rows in enumerate(folds):
-        train_rows = np.concatenate([folds[j] for j in range(len(folds)) if j != i])
-        try:
-            scores.append(fit_predict(_subset(data, train_rows), _subset(data, test_rows)))
-        except PcmSelectError:
-            scores.append(float("inf"))
-    return float(np.mean(scores)), tuple(scores)
+    scores = tuple(_or_inf(lambda: fit_predict(train, test)) for train, test in splits)
+    return float(np.mean(scores)), scores
+
+
+def _y_error(test: Dataset, roles: RolePartition, beta: np.ndarray) -> float:
+    """Held-out mean squared error of the outcome on ``roles.y_regressors``."""
+    resid = test.column(roles.y) - test.values[:, test.index_of(roles.y_regressors)] @ beta
+    return float(resid @ resid) / test.n
+
+
+def _m_error(test: Dataset, roles: RolePartition, coef: MediatorCoefs) -> float:
+    """Held-out mean squared error of the mediators, per mediator column."""
+    q_m = len(roles.mediators)
+    if q_m == 0:
+        return 0.0
+    stacked = np.vstack([coef.x_row[None, :], coef.z_rows, coef.zbar_rows])
+    a = test.values[:, test.index_of(roles.m_regressors)]
+    resid = test.values[:, test.index_of(roles.mediators)] - a @ stacked
+    return float(np.sum(resid * resid)) / (test.n * q_m)
 
 
 def cross_validate(data: Dataset, roles: RolePartition, method: str, grid: ParamGrid) -> CvResult:
@@ -150,131 +181,96 @@ def cross_validate(data: Dataset, roles: RolePartition, method: str, grid: Param
     resulting selection is invariant to the enumeration order of the grid.
     """
     data.check_roles(roles)
-    folds = _fold_indices(data.n, grid.folds, grid.fold_seed)
+    splits = _splits(data, _fold_indices(data.n, grid.folds, grid.fold_seed))
     if method == "pcm":
-        return _cross_validate_pcm(data, roles, grid, folds)
+        return _cross_validate_pcm(roles, grid, splits)
     if method in ("lasso", "adaptive_lasso", "elastic_net", "pal1ma"):
-        return _cross_validate_baseline(data, roles, method, grid, folds)
+        return _cross_validate_baseline(roles, method, grid, splits)
     raise ValueError(f"unknown method {method!r} for cross-validation")
-
-
-# -- pcm ------------------------------------------------------------------------
-
-
-def _pilot_lambda_score(train: Dataset, test: Dataset, roles, lam: float) -> float:
-    coef = ridge_pilot_y(train, roles, lam)
-    a = test.values[:, test.index_of(roles.y_regressors)]
-    resid = test.column(roles.y) - a @ coef.stacked()
-    return float(resid @ resid) / test.n
-
-
-def _pilot_rho_score(train: Dataset, test: Dataset, roles, rho: float) -> float:
-    coef = ridge_pilot_m(train, roles, rho)
-    q_m = coef.x_row.shape[0]
-    if q_m == 0:
-        return 0.0
-    a = test.values[:, test.index_of(roles.m_regressors)]
-    stacked = np.vstack([coef.x_row[None, :], coef.z_rows, coef.zbar_rows])
-    resid = test.values[:, test.index_of(roles.mediators)] - a @ stacked
-    return float(np.sum(resid * resid)) / (test.n * q_m)
-
-
-def _stage1_score(train: Dataset, test: Dataset, roles, pilot_lam, pilot_rho, cand) -> float:
-    pilots = PilotEstimates(
-        y=ridge_pilot_y(train, roles, pilot_lam),
-        m=ridge_pilot_m(train, roles, pilot_rho),
-        lam=pilot_lam,
-        rho=pilot_rho,
-    )
-    weights = adaptive_weights(pilots)
-    s1y = pcm_stage1_y(train, roles, weights, cand["lambda1"], cand["zeta1"], cand["xi1"])
-    a = test.values[:, test.index_of(roles.y_regressors)]
-    resid_y = test.column(roles.y) - a @ s1y.stacked()
-    score = float(resid_y @ resid_y) / test.n
-    q_m = len(roles.mediators)
-    if q_m:
-        s1m = pcm_stage1_m(train, roles, weights, cand["rho1"])
-        stacked = np.vstack([s1m.x_row[None, :], s1m.z_rows, s1m.zbar_rows])
-        am = test.values[:, test.index_of(roles.m_regressors)]
-        resid_m = test.values[:, test.index_of(roles.mediators)] - am @ stacked
-        score += float(np.sum(resid_m * resid_m)) / (test.n * q_m)
-    return score
 
 
 def _select(rows: list[CvRow], tie_key) -> CvRow:
     return min(rows, key=lambda r: (r.mean_score,) + tie_key(r.params))
 
 
-def _cross_validate_pcm(data, roles, grid: ParamGrid, folds) -> CvResult:
+# -- pcm ------------------------------------------------------------------------
+
+
+def _stage1_scores(train: Dataset, test: Dataset, roles, pilot_lam, pilot_rho,
+                   grid: ParamGrid) -> list[float]:
+    """One fold's score of every (lambda1, rho1, (zeta1, xi1)) row, in product order."""
+    try:
+        weights = adaptive_weights(PilotEstimates(ridge_pilot_y(train, roles, pilot_lam),
+                                                  ridge_pilot_m(train, roles, pilot_rho)))
+    except PcmSelectError:
+        return [math.inf] * (len(grid.lambda1) * len(grid.rho1) * len(grid.zeta_xi))
+    y_errs = [
+        [_or_inf(lambda: _y_error(test, roles, pcm_stage1_y(
+            train, roles, weights, lam1, zeta1, xi1).stacked()))
+         for zeta1, xi1 in grid.zeta_xi]
+        for lam1 in grid.lambda1
+    ]
+    m_errs = [_or_inf(lambda: _m_error(test, roles, pcm_stage1_m(train, roles, weights, rho1)))
+              for rho1 in grid.rho1]
+    return [y + m for y_row in y_errs for m in m_errs for y in y_row]
+
+
+def _cross_validate_pcm(roles, grid: ParamGrid, splits) -> CvResult:
     if not (grid.pilot_lambda and grid.pilot_rho and grid.lambda1 and grid.rho1
-            and grid.zeta_xi and grid.lambda2 and grid.xi2 and grid.rho2
-            and grid.rho2_prime):
+            and grid.zeta_xi):
         raise EmptyGrid("pcm grid has an empty parameter list")
     pilot_rows = [
         CvRow({"pilot_lambda": lam},
-              *_score_mean(data, roles, folds,
-                           lambda tr, te, lam=lam: _pilot_lambda_score(tr, te, roles, lam)))
+              *_score_mean(splits, lambda tr, te, lam=lam:
+                           _y_error(te, roles, ridge_pilot_y(tr, roles, lam).stacked())))
         for lam in grid.pilot_lambda
     ]
     pilot_lam = _select(pilot_rows, lambda p: (-p["pilot_lambda"],)).params["pilot_lambda"]
     rho_rows = [
         CvRow({"pilot_rho": rho},
-              *_score_mean(data, roles, folds,
-                           lambda tr, te, rho=rho: _pilot_rho_score(tr, te, roles, rho)))
+              *_score_mean(splits, lambda tr, te, rho=rho:
+                           _m_error(te, roles, ridge_pilot_m(tr, roles, rho))))
         for rho in grid.pilot_rho
     ]
     pilot_rho = _select(rho_rows, lambda p: (-p["pilot_rho"],)).params["pilot_rho"]
 
-    rows = []
-    for lam1, rho1, (zeta1, xi1), lam2, xi2, rho2, rho2b in itertools.product(
-        grid.lambda1, grid.rho1, grid.zeta_xi, grid.lambda2, grid.xi2,
-        grid.rho2, grid.rho2_prime,
-    ):
-        cand = {
-            "lambda1": lam1, "rho1": rho1, "zeta1": zeta1, "xi1": xi1,
-            "lambda2": lam2, "xi2": xi2, "rho2": rho2, "rho2_prime": rho2b,
-        }
-        mean, per_fold = _score_mean(
-            data, roles, folds,
-            lambda tr, te, c=cand: _stage1_score(tr, te, roles, pilot_lam, pilot_rho, c),
-        )
-        rows.append(CvRow(cand, mean, per_fold))
-    best = _select(
-        rows,
-        lambda p: (-p["lambda1"], -p["rho1"], -p["lambda2"], -p["rho2"],
-                   -p["rho2_prime"], -p["zeta1"], -p["xi1"], -p["xi2"]),
-    )
+    per_fold = [_stage1_scores(tr, te, roles, pilot_lam, pilot_rho, grid) for tr, te in splits]
+    rows = [
+        CvRow({"lambda1": lam1, "rho1": rho1, "zeta1": zeta1, "xi1": xi1},
+              float(np.mean(scores)), scores)
+        for (lam1, rho1, (zeta1, xi1)), scores in zip(
+            itertools.product(grid.lambda1, grid.rho1, grid.zeta_xi), zip(*per_fold))
+    ]
+    best = _select(rows, lambda p: (-p["lambda1"], -p["rho1"], -p["zeta1"], -p["xi1"]))
     chosen = {"pilot_lambda": pilot_lam, "pilot_rho": pilot_rho, **best.params}
-    table = tuple(pilot_rows + rho_rows + rows)
-    return CvResult("pcm", chosen, best.mean_score, table)
+    return CvResult("pcm", chosen, best.mean_score, tuple(pilot_rows + rho_rows + rows))
 
 
 # -- baselines -------------------------------------------------------------------
 
 
-def _cross_validate_baseline(data, roles, method, grid: ParamGrid, folds) -> CvResult:
+def _cross_validate_baseline(roles, method, grid: ParamGrid, splits) -> CvResult:
     if not grid.lam:
         raise EmptyGrid("baseline grid has no penalty candidates")
     etas = grid.eta if method in ("adaptive_lasso", "pal1ma") else (1.0,)
     phis = grid.phi if method == "elastic_net" else (0.5,)
     if not etas or not phis:
         raise EmptyGrid(f"{method} grid has an empty parameter list")
+    # every baseline regresses the outcome on [x, covariates], pal1ma's own roles
+    base = replace(roles, s=(), sbar=())
     pilot_lam = 1.0
     if method in ("adaptive_lasso", "pal1ma"):
         if not grid.pilot_lambda:
             raise EmptyGrid("pilot grid is empty")
-        # pal1ma's pilot is the outcome pilot of its mediator-free roles
-        base = replace(roles, s=(), sbar=())
         pilot_rows = [
             CvRow({"pilot_lambda": lam},
-                  *_score_mean(data, roles, folds,
-                               lambda tr, te, lam=lam: _pilot_lambda_score(tr, te, base, lam)
+                  *_score_mean(splits, lambda tr, te, lam=lam:
+                               _y_error(te, base, ridge_pilot_y(tr, base, lam).stacked())
                                if method == "pal1ma"
-                               else _uniform_pilot_score(tr, te, roles, lam)))
+                               else _uniform_pilot_score(tr, te, base, lam)))
             for lam in grid.pilot_lambda
         ]
         pilot_lam = _select(pilot_rows, lambda p: (-p["pilot_lambda"],)).params["pilot_lambda"]
-    cols = [roles.x] + list(roles.covariates)
     rows = []
     for lam, eta, phi in itertools.product(grid.lam, etas, phis):
         cand = {"lam": lam}
@@ -287,21 +283,19 @@ def _cross_validate_baseline(data, roles, method, grid: ParamGrid, folds) -> CvR
         def fit_predict(tr, te, lam=lam, eta=eta, phi=phi):
             beta = penalized_coefficients(tr, roles, method, lam, eta=eta, phi=phi,
                                           pilot_lam=pilot_lam)
-            resid = te.column(roles.y) - te.values[:, te.index_of(cols)] @ beta
-            return float(resid @ resid) / te.n
+            return _y_error(te, base, beta)
 
-        mean, per_fold = _score_mean(data, roles, folds, fit_predict)
+        mean, per_fold = _score_mean(splits, fit_predict)
         rows.append(CvRow(cand, mean, per_fold))
     best = _select(rows, lambda p: (-p["lam"], -p.get("eta", 0.0), -p.get("phi", 0.0)))
     return CvResult(method, dict(best.params), best.mean_score, tuple(rows))
 
 
 def _uniform_pilot_score(train: Dataset, test: Dataset, roles, lam: float) -> float:
-    cols = [roles.x] + list(roles.covariates)
+    cols = roles.y_regressors
     beta = ridge_solve(train.cross(cols, cols), train.cross(cols, [roles.y])[:, 0],
                        train.n, np.full(len(cols), lam))
-    resid = test.column(roles.y) - test.values[:, test.index_of(cols)] @ beta
-    return float(resid @ resid) / test.n
+    return _y_error(test, roles, beta)
 
 
 def cv_table_csv(result: CvResult) -> str:

@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
 from pcmselect import solvers
+from pcmselect.data import Dataset
+from pcmselect.errors import PcmSelectError
+from pcmselect.pcm import (
+    PilotEstimates,
+    adaptive_weights,
+    pcm_stage1_m,
+    pcm_stage1_y,
+    ridge_pilot_m,
+    ridge_pilot_y,
+)
 
 
 def brute_force_cross_products(data, a, b):
@@ -296,3 +306,80 @@ def feature_sign_polish(gram, cross, n, l1, l2, beta0):
     if solvers.kkt_residual(gram, cross, n, l1, beta, l2) <= 1e-9:
         return beta
     return beta0
+
+
+# -- pcm cross-validation, one full refit per candidate and fold -------------
+
+# The debiasing-ridge values the per-candidate search carried as one-value
+# grid axes: they entered its rows and its tie key but never its score.
+DEBIAS_AXES = {"lambda2": 0.01, "xi2": 0.5, "rho2": 0.01, "rho2_prime": 0.01}
+
+
+def brute_force_pcm_cv(data, roles, grid):
+    """pcm cross-validation that refits the pilots, the weights and both
+    stage-1 models for every candidate on every fold.
+
+    Returns ``(table, chosen, score)`` with table rows ``(params, mean,
+    fold_scores)``; the debiasing axes are dropped from the returned params.
+    """
+    rng = np.random.default_rng(grid.fold_seed)
+    folds = [np.sort(part) for part in np.array_split(rng.permutation(data.n), grid.folds)]
+
+    def score_mean(fit_predict):
+        scores = []
+        for i, test_rows in enumerate(folds):
+            train_rows = np.concatenate([folds[j] for j in range(len(folds)) if j != i])
+            try:
+                scores.append(fit_predict(Dataset(data.values[train_rows], data.columns),
+                                          Dataset(data.values[test_rows], data.columns)))
+            except PcmSelectError:
+                scores.append(float("inf"))
+        return float(np.mean(scores)), tuple(scores)
+
+    def y_error(test, coef):
+        a = test.values[:, test.index_of(roles.y_regressors)]
+        resid = test.column(roles.y) - a @ coef.stacked()
+        return float(resid @ resid) / test.n
+
+    def m_error(test, coef):
+        q_m = len(roles.mediators)
+        if q_m == 0:
+            return 0.0
+        stacked = np.vstack([coef.x_row[None, :], coef.z_rows, coef.zbar_rows])
+        a = test.values[:, test.index_of(roles.m_regressors)]
+        resid = test.values[:, test.index_of(roles.mediators)] - a @ stacked
+        return float(np.sum(resid * resid)) / (test.n * q_m)
+
+    def stage1_score(train, test, cand):
+        weights = adaptive_weights(PilotEstimates(ridge_pilot_y(train, roles, pilot_lam),
+                                                  ridge_pilot_m(train, roles, pilot_rho)))
+        score = y_error(test, pcm_stage1_y(train, roles, weights, cand["lambda1"],
+                                           cand["zeta1"], cand["xi1"]))
+        if roles.mediators:
+            score += m_error(test, pcm_stage1_m(train, roles, weights, cand["rho1"]))
+        return score
+
+    def select(rows, tie_key):
+        return min(rows, key=lambda r: (r[1],) + tie_key(r[0]))
+
+    lam_rows = [({"pilot_lambda": lam},
+                 *score_mean(lambda tr, te, lam=lam: y_error(te, ridge_pilot_y(tr, roles, lam))))
+                for lam in grid.pilot_lambda]
+    pilot_lam = select(lam_rows, lambda p: (-p["pilot_lambda"],))[0]["pilot_lambda"]
+    rho_rows = [({"pilot_rho": rho},
+                 *score_mean(lambda tr, te, rho=rho: m_error(te, ridge_pilot_m(tr, roles, rho))))
+                for rho in grid.pilot_rho]
+    pilot_rho = select(rho_rows, lambda p: (-p["pilot_rho"],))[0]["pilot_rho"]
+    rows = []
+    for lam1, rho1, (zeta1, xi1) in product(grid.lambda1, grid.rho1, grid.zeta_xi):
+        cand = {"lambda1": lam1, "rho1": rho1, "zeta1": zeta1, "xi1": xi1, **DEBIAS_AXES}
+        rows.append((cand, *score_mean(lambda tr, te, c=cand: stage1_score(tr, te, c))))
+    best = select(rows, lambda p: (-p["lambda1"], -p["rho1"], -p["lambda2"], -p["rho2"],
+                                   -p["rho2_prime"], -p["zeta1"], -p["xi1"], -p["xi2"]))
+
+    def scored(params):
+        return {k: v for k, v in params.items() if k not in DEBIAS_AXES}
+
+    table = lam_rows + rho_rows + [(scored(p), mean, fs) for p, mean, fs in rows]
+    chosen = {"pilot_lambda": pilot_lam, "pilot_rho": pilot_rho, **scored(best[0])}
+    return table, chosen, best[1]

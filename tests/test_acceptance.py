@@ -85,8 +85,7 @@ def test_criterion_1_reduction_identities():
         ols = ols_joint(ds, ROLES)
 
         pilots = PilotEstimates(
-            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5),
-            lam=0.5, rho=0.5)
+            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5))
         weights = adaptive_weights(pilots)
         s1 = pcm_stage1_y(ds, ROLES, weights, 0.0, 0.0, 0.0)
         worst_stage1 = max(worst_stage1,

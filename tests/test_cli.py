@@ -110,6 +110,18 @@ class TestEstimateCommand:
         expected = np.linalg.solve(a.T @ a, a.T @ ds.column("Y"))[0]
         assert value == pytest.approx(expected, abs=1e-10)
 
+    def test_mix_summing_to_one_fits(self, setting_csvs, tmp_path, capsys):
+        # 1 - 0.8 - 0.2 is -5.6e-17: the candidate-covariate share must clip to 0
+        data, roles = setting_csvs["A"]
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps({"lambda1": 0.1, "rho1": 0.1, "zeta1": 0.8,
+                                           "xi1": 0.2}))
+        capsys.readouterr()
+        assert main(["estimate", "--data", str(data), "--roles", str(roles),
+                     "--method", "pcm", "--params", str(params_file)]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert np.isfinite(float(line.split(":")[1]))
+
     def test_pcm_prints_structured_fit(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         z = rng.standard_normal(80)
@@ -201,6 +213,10 @@ class TestCliMatchesRegistry:
         ("adaptive-lasso", {"lam": 0.407, "pilot_lam": -1}, None),
         ("pal1ma", {"lam": 0.294, "eta": -1}, None),
         ("frontdoor-whole", {}, {"x": "X", "y": "Y", "z": ["Z"]}),
+        ("lasso", {"lam": float("inf")}, None),
+        ("pcm", {"lambda1": float("nan"), "rho1": 0.1, "zeta1": 0.2, "xi1": 0.2}, None),
+        ("pcm", {"lambda1": float("inf"), "rho1": 0.1, "zeta1": 0.2, "xi1": 0.2}, None),
+        ("pcm", {"lambda1": 0.1, "rho1": 0.1, "zeta1": float("nan"), "xi1": 0.2}, None),
     ])
     def test_out_of_range_value_is_usage_error(self, name, params, roles, setting_csvs,
                                                tmp_path, capsys):
@@ -224,6 +240,11 @@ class TestTuneCommand:
         ({"lam": [-0.1]}, "lasso"),
         ({"lam": [0.1], "folds": 1}, "lasso"),
         ({"lam": [0.1]}, "nope"),
+        ({"lam": [float("nan")]}, "lasso"),
+        ({"lambda1": [float("nan"), 0.1]}, "pcm"),
+        ({"lambda2": [0.01, 0.1]}, "pcm"),
+        ({"zeta1": [float("nan"), 0.2]}, "pcm"),
+        ({"zeta1": [0.5], "xi1": [0.5 + 1e-10]}, "pcm"),
     ])
     def test_bad_grid_or_method_is_usage_error(self, linear_csv, roles_file, tmp_path,
                                                capsys, grid, method):
@@ -234,6 +255,16 @@ class TestTuneCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    def test_tune_grid_with_mix_summing_to_one(self, setting_csvs, tmp_path, capsys):
+        data, roles = setting_csvs["A"]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"lambda1": [0.1], "rho1": [0.1], "zeta1": [0.8],
+                                    "xi1": [0.2], "pilot_lambda": [1.0],
+                                    "pilot_rho": [1.0], "folds": 3}))
+        assert main(["tune", "--data", str(data), "--roles", str(roles),
+                     "--method", "pcm", "--grid", str(grid)]) == 0
+        assert '"zeta1": 0.8' in capsys.readouterr().out
 
     def test_writes_score_table(self, linear_csv, roles_file, tmp_path, capsys):
         grid = tmp_path / "grid.json"

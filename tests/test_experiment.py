@@ -95,6 +95,8 @@ class TestConfigValidation:
         ("pal1ma", {"lam": 0.294, "eta": -1}),
         ("pcm", {"lambda1": 0.1, "rho1": 0.1, "zeta1": 0.2, "xi1": 0.2, "xi2": 2}),
         ("frontdoor-including-x", {"mediators": []}),
+        ("lasso", {"lam": float("inf")}),
+        ("pcm", {"lambda1": float("nan"), "rho1": 0.1, "zeta1": 0.2, "xi1": 0.2}),
     ])
     def test_out_of_range_param_value_rejected(self, name, params):
         with pytest.raises(ConfigInvalid):

@@ -185,7 +185,7 @@ class TestAdaptiveWeights:
             z_rows=np.zeros((1, 3)),
             zbar_rows=np.asarray(m_zbar, dtype=float),
         )
-        return PilotEstimates(y=y, m=m, lam=1.0, rho=1.0)
+        return PilotEstimates(y=y, m=m)
 
     def test_equal_pilots_give_uniform_weights(self):
         pilots = self.make_pilots([0.3, 0.3], [0.2, 0.2], np.full((2, 3), 0.5))
@@ -222,8 +222,7 @@ class TestStage1:
     def test_lambda_zero_equals_ols(self):
         ds = random_instance(11)
         w = adaptive_weights(PilotEstimates(
-            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5),
-            lam=0.5, rho=0.5))
+            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5)))
         fit = pcm_stage1_y(ds, ROLES, w, 0.0, 0.0, 0.0)
         np.testing.assert_allclose(
             fit.stacked(), ols_joint(ds, ROLES).stacked(), atol=1e-8
@@ -232,8 +231,7 @@ class TestStage1:
     def test_total_shrinkage_leaves_reduced_ols(self):
         ds = random_instance(12)
         w = adaptive_weights(PilotEstimates(
-            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5),
-            lam=0.5, rho=0.5))
+            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5)))
         fit = pcm_stage1_y(ds, ROLES, w, 1e4, 1.0 / 3, 1.0 / 3)
         assert fit.beta_x == 0.0
         assert np.all(fit.coef_sbar == 0.0) and np.all(fit.coef_zbar == 0.0)
@@ -244,8 +242,7 @@ class TestStage1:
     def test_objective_beats_perturbations_and_kkt(self):
         ds = random_instance(13, n=50)
         w = adaptive_weights(PilotEstimates(
-            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5),
-            lam=0.5, rho=0.5))
+            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5)))
         lam1, zeta1, xi1 = 0.08, 0.25, 0.25
         fit = pcm_stage1_y(ds, ROLES, w, lam1, zeta1, xi1)
         a = y_design(ds)
@@ -271,8 +268,7 @@ class TestStage1:
     def test_mediator_model_objective_is_columnwise_optimal(self):
         ds = random_instance(15, n=60)
         w = adaptive_weights(PilotEstimates(
-            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5),
-            lam=0.5, rho=0.5))
+            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5)))
         rho1 = 0.08
         fit = pcm_stage1_m(ds, ROLES, w, rho1)
         a = ds.values[:, ds.index_of(["X", "Z1", "Zb1", "Zb2"])]
@@ -293,8 +289,7 @@ class TestStage1:
     def test_rho_zero_is_per_column_ols(self):
         ds = random_instance(17)
         w = adaptive_weights(PilotEstimates(
-            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5),
-            lam=0.5, rho=0.5))
+            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5)))
         fit = pcm_stage1_m(ds, ROLES, w, 0.0)
         a = ds.values[:, ds.index_of(["X", "Z1", "Zb1", "Zb2"])]
         m = ds.values[:, ds.index_of(["S1", "Sb1", "Sb2"])]
@@ -341,8 +336,7 @@ def x_inactive_instance(seed, n=200):
 class TestDebiasRidges:
     def fit_weights(self, ds):
         return adaptive_weights(PilotEstimates(
-            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5),
-            lam=0.5, rho=0.5))
+            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5)))
 
     def test_zero_penalties_reduce_to_least_squares(self):
         ds = random_instance(22)

@@ -3,9 +3,12 @@ import pytest
 
 from pcmselect.data import Dataset, RolePartition
 from pcmselect.errors import EmptyGrid, FoldTooSmall
+from pcmselect.experiment import experiment_roles
 from pcmselect.pcm import PilotEstimates, adaptive_weights, pcm_stage1_y, ridge_pilot_m, ridge_pilot_y
+from pcmselect.scm import build_experiment_scm
 from pcmselect.tuning import ParamGrid, _fold_indices, cross_validate, cv_table_csv
 
+from oracles import brute_force_pcm_cv
 from test_pcm import ROLES, random_instance
 
 BASE_ROLES = RolePartition(x="X", y="Y", z=("Z1",), zbar=("Zb1", "Zb2"))
@@ -23,8 +26,9 @@ def small_grid(**kwargs):
 
 class TestGridValidation:
     def test_mix_pairs_respect_the_simplex(self):
-        with pytest.raises(ValueError):
-            ParamGrid(zeta_xi=((0.8, 0.4),))
+        for pair in ((0.8, 0.4), (0.5, 0.5 + 1e-10)):
+            with pytest.raises(ValueError):
+                ParamGrid(zeta_xi=(pair,))
 
     def test_from_dict_filters_product(self):
         grid = ParamGrid.from_dict({"zeta1": [0.0, 0.6], "xi1": [0.0, 0.6],
@@ -113,9 +117,8 @@ class TestCrossValidate:
             lambda1=(0.01, 0.2), rho1=(0.05,), zeta_xi=((0.2, 0.2), (0.0, 0.0)),
         )
         result = cross_validate(ds, ROLES, "pcm", grid)
-        for key in ("pilot_lambda", "pilot_rho", "lambda1", "rho1", "zeta1", "xi1",
-                    "lambda2", "xi2", "rho2", "rho2_prime"):
-            assert key in result.chosen
+        assert set(result.chosen) == {"pilot_lambda", "pilot_rho", "lambda1", "rho1",
+                                      "zeta1", "xi1"}
         assert np.isfinite(result.score)
 
     def test_pal1ma_scores_its_own_stage1_fit(self):
@@ -132,8 +135,7 @@ class TestCrossValidate:
             train_rows = np.concatenate([f for j, f in enumerate(folds) if j != i])
             train = Dataset(ds.values[train_rows], ds.columns)
             weights = adaptive_weights(PilotEstimates(
-                y=ridge_pilot_y(train, base, pilot), m=ridge_pilot_m(train, base, pilot),
-                lam=pilot, rho=pilot))
+                y=ridge_pilot_y(train, base, pilot), m=ridge_pilot_m(train, base, pilot)))
             beta = pcm_stage1_y(train, base, weights, lam, 0.0, 0.0).stacked()
             test = ds.values[test_rows]
             resid = test[:, ds.index_of(["Y"])[0]] - test[:, ds.index_of(cols)] @ beta
@@ -151,6 +153,56 @@ class TestCrossValidate:
         ds = random_instance(68, n=30)
         with pytest.raises(ValueError):
             cross_validate(ds, BASE_ROLES, "ols", small_grid())
+
+
+def setting_a_sample(rep, n=15):
+    """Replication ``rep`` of the seed-0 setting-A run, standardized."""
+    children = np.random.SeedSequence(0).spawn(13)
+    scm, spec, _ = build_experiment_scm("A", np.random.default_rng(children[0]))
+    roles = experiment_roles("A")
+    raw = scm.sample(n, np.random.default_rng(children[rep]), spec)
+    observed = roles.required_columns()
+    return Dataset(raw[:, [scm.dag.vertices.index(c) for c in observed]],
+                   observed).standardized(), roles
+
+
+def search_case(name):
+    """(data, roles, grid) of one separated-search check."""
+    if name == "n > p with mediators":
+        return random_instance(72, n=60), ROLES, small_grid(
+            pilot_lambda=(0.1, 1.0), pilot_rho=(0.1, 1.0), lambda1=(0.01, 0.2, 1.0),
+            rho1=(0.05, 0.5), zeta_xi=((0.2, 0.2), (0.0, 0.0), (0.8, 0.2)))
+    if name == "p >= n, failing stage-1 fits":
+        ds, roles = setting_a_sample(6)
+        return ds, roles, small_grid(
+            pilot_lambda=(0.01, 1.0), pilot_rho=(0.01, 1.0), lambda1=(0.001, 0.1, 10.0),
+            rho1=(0.001, 1.0), zeta_xi=((0.2, 0.3), (0.0, 0.0), (0.8, 0.2)), folds=5,
+            fold_seed=0)
+    if name == "p >= n, failing pilots":
+        # every row scores inf, so the tie key alone picks the row
+        return random_instance(71, n=8), ROLES, small_grid(
+            pilot_lambda=(0.0,), lambda1=(0.01, 0.3), rho1=(0.0, 0.2),
+            zeta_xi=((0.2, 0.6), (0.8, 0.2), (0.0, 0.0)), fold_seed=1)
+    return random_instance(73, n=40), BASE_ROLES, small_grid(
+        pilot_lambda=(0.1, 1.0), pilot_rho=(0.1, 1.0), lambda1=(0.01, 0.2),
+        rho1=(0.05, 0.5), zeta_xi=((0.2, 0.2), (0.0, 0.0)))
+
+
+class TestSeparatedSearch:
+    @pytest.mark.parametrize("name", ["n > p with mediators", "p >= n, failing stage-1 fits",
+                                      "p >= n, failing pilots", "no mediators"])
+    def test_equals_the_per_candidate_search(self, name):
+        ds, roles, grid = search_case(name)
+        result = cross_validate(ds, roles, "pcm", grid)
+        table, chosen, score = brute_force_pcm_cv(ds, roles, grid)
+        assert [(r.params, r.mean_score, r.fold_scores) for r in result.table] == table
+        assert result.chosen == chosen
+        assert result.score == score
+        stage = [s for r in result.table if "lambda1" in r.params for s in r.fold_scores]
+        if name.startswith("p >= n"):
+            assert np.inf in stage
+        if name != "p >= n, failing pilots":
+            assert np.isfinite(result.score)
 
 
 class TestTableExport:
