@@ -24,7 +24,6 @@ from .graphs import Dag, minimal_mediator_sets
 from .linalg import (
     conditional_cross_products,
     cross_products,
-    gram,
     pseudo_inverse,
     standardize,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "cross_validate",
     "debias_ridges",
     "front_door_like_estimate",
-    "gram",
     "minimal_mediator_sets",
     "ols_joint",
     "pcm_correct",

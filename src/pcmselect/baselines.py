@@ -17,8 +17,8 @@ lasso`` weights the L1 penalty by reciprocal ridge-pilot magnitudes raised to
 ``eta`` and standardized to sum one; ``elastic net`` mixes L1 and quadratic
 penalties by ``phi``; the partially adaptive variant penalizes only the
 candidate covariates (treatment and fixed covariates stay unpenalized) and
-applies the active-set bias correction, making it the no-mediator special
-case of the full pipeline.
+applies the active-set bias correction: it runs the pipeline's
+:func:`~pcmselect.pcm.fit_from_weights` on roles without mediators.
 """
 
 from __future__ import annotations
@@ -30,13 +30,10 @@ import numpy as np
 from .data import Dataset, RolePartition
 from .pcm import (
     AdaptiveWeights,
-    MediatorCoefs,
     PcmParams,
     PilotEstimates,
-    YModelCoefs,
     adaptive_weights,
-    debias_ridges,
-    pcm_correct,
+    fit_from_weights,
     pcm_stage1_y,
     reciprocal_power_weights,
     ridge_pilot_m,
@@ -149,7 +146,8 @@ def penalized_coefficients(
     """
     check_ranges(lam=lam, eta=eta, phi=phi, pilot_lam=pilot_lam)
     if method == "pal1ma":
-        return _pal1ma_stage1(data, roles, lam, eta, pilot_lam)[0].stacked()
+        base, _, weights = _pal1ma_pilots(data, roles, eta, pilot_lam)
+        return pcm_stage1_y(data, base, weights, lam, 0.0, 0.0).stacked()
     cols = [roles.x] + list(roles.covariates)
     gram, cross = data.cross(cols, cols), data.cross(cols, [roles.y])[:, 0]
     n, p = data.n, len(cols)
@@ -166,8 +164,9 @@ def penalized_coefficients(
     return coordinate_descent(gram, cross, n, l1, l2)
 
 
-def _pal1ma_stage1(data, roles, lam, eta, pilot_lam) -> tuple[YModelCoefs, AdaptiveWeights]:
-    """Stage-1 fit and weights of pal1ma, on ``roles`` without its mediators."""
+def _pal1ma_pilots(data, roles, eta, pilot_lam) -> tuple[RolePartition, PilotEstimates,
+                                                          AdaptiveWeights]:
+    """pal1ma's roles (``roles`` without its mediators), ridge pilots and weights."""
     base = replace(roles, s=(), sbar=())
     pilots = PilotEstimates(
         y=ridge_pilot_y(data, base, pilot_lam),
@@ -177,8 +176,7 @@ def _pal1ma_stage1(data, roles, lam, eta, pilot_lam) -> tuple[YModelCoefs, Adapt
     if eta != 1.0:
         w_zbar, floored = reciprocal_power_weights(pilots.y.coef_zbar, eta=eta)
         weights = replace(weights, zbar=w_zbar, floored=floored)
-    s1 = pcm_stage1_y(data, base, weights, lam, 0.0, 0.0)
-    return s1, weights
+    return base, pilots, weights
 
 
 def pal1ma_estimate(
@@ -195,33 +193,17 @@ def pal1ma_estimate(
 
     Candidate covariates are the only penalized block, with standardized
     reciprocal pilot weights raised to ``eta``; the treatment and fixed
-    covariates stay unpenalized.  The treatment coefficient then gets the
-    active-set correction built from an unpenalized refit of the treatment
-    on the covariates and the residual gram of the active candidates.
-    With ``eta == 1`` this equals the full pipeline run with an empty
-    mediator partition and zero treatment/mediator penalty shares.
+    covariates stay unpenalized.  This is the no-mediator case of the
+    pipeline: :func:`~pcmselect.pcm.fit_from_weights` on ``roles`` without
+    its mediators, with these weights and zero treatment and mediator
+    penalties.  So with ``eta == 1`` it equals
+    :func:`~pcmselect.pcm.pcm_total_effect` on those roles.
     """
     check_ranges(lam=lam, eta=eta, pilot_lam=pilot_lam, lam2=lam2, xi2=xi2)
-    s1, weights = _pal1ma_stage1(data, roles, lam, eta, pilot_lam)
-    base = replace(roles, s=(), sbar=())
-    active_x = s1.beta_x != 0.0
-    active_zbar = np.nonzero(s1.coef_zbar)[0]
-    no_sbar = np.zeros(0, dtype=int)
-    blocks = debias_ridges(
-        data, base, no_sbar, active_zbar, lam2, xi2, 0.0, 0.0, include_x=active_x
-    )
-    empty_med = MediatorCoefs(
-        x_row=np.zeros(0),
-        z_rows=np.zeros((len(base.z), 0)),
-        zbar_rows=np.zeros((active_zbar.size, 0)),
-    )
+    base, pilots, weights = _pal1ma_pilots(data, roles, eta, pilot_lam)
     params = PcmParams(
         lambda1=lam, rho1=0.0, zeta1=0.0, xi1=0.0,
         pilot_lambda=pilot_lam, pilot_rho=pilot_lam,
         lambda2=lam2, xi2=xi2, rho2=0.0, rho2_prime=0.0,
     )
-    corrected = pcm_correct(
-        s1, empty_med, blocks, weights, params, data.n,
-        active_x, no_sbar, active_zbar, q_s=0,
-    )
-    return float(corrected.beta_x)
+    return fit_from_weights(data, base, params, pilots, weights).total_effect

@@ -43,7 +43,7 @@ from .tuning import ParamGrid, cross_validate, cv_table_csv
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR = 1, 2, 3
 
 _CONFIG_ERRORS = (ConfigInvalid, EmptyGrid, FoldTooSmall, EmptyInput)
-_DATA_ERRORS = (DataFormatError, ConstantColumn, UnknownVertex, OverlappingSets)
+_DATA_ERRORS = (DataFormatError, ConstantColumn, UnknownVertex, OverlappingSets, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,6 +70,8 @@ def _load_roles(path: str) -> RolePartition:
 
 
 def _cmd_simulate(args) -> int:
+    if args.n < 1:
+        raise ConfigInvalid(f"--n must be at least 1, got {args.n}")
     seq = np.random.SeedSequence(args.seed)
     build_seed, sample_seed = seq.spawn(2)
     if args.scm.upper() in ("A", "B", "SETTINGA", "SETTINGB"):
@@ -234,9 +236,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except (PcmSelectError, np.linalg.LinAlgError) as exc:

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigInvalid
-from .linalg import StandardizationRecord, as_matrix, standardize
+from .linalg import as_matrix, standardize
 
 __all__ = ["RolePartition", "Dataset"]
+
+# The set-valued role groups, in declaration order.
+_GROUPS = ("z", "zbar", "s", "sbar")
 
 
 @dataclass(frozen=True)
@@ -35,12 +38,9 @@ class RolePartition:
     sbar: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "z", tuple(self.z))
-        object.__setattr__(self, "zbar", tuple(self.zbar))
-        object.__setattr__(self, "s", tuple(self.s))
-        object.__setattr__(self, "sbar", tuple(self.sbar))
-        groups = [(self.x,), (self.y,), self.z, self.zbar, self.s, self.sbar]
-        flat = [name for g in groups for name in g]
+        for key in _GROUPS:
+            object.__setattr__(self, key, tuple(getattr(self, key)))
+        flat = self.required_columns()
         if len(set(flat)) != len(flat):
             raise ConfigInvalid("role groups must be pairwise disjoint")
 
@@ -67,42 +67,33 @@ class RolePartition:
 
     @staticmethod
     def from_dict(payload: dict) -> "RolePartition":
-        try:
-            return RolePartition(
-                x=payload["x"],
-                y=payload["y"],
-                z=tuple(payload.get("z", ())),
-                zbar=tuple(payload.get("zbar", ())),
-                s=tuple(payload.get("s", ())),
-                sbar=tuple(payload.get("sbar", ())),
-            )
-        except KeyError as exc:
-            raise ConfigInvalid(f"roles config is missing field {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ConfigInvalid("roles config must be a JSON object")
+        for key in ("x", "y"):
+            if key not in payload:
+                raise ConfigInvalid(f"roles config is missing field {key!r}")
+            if not isinstance(payload[key], str):
+                raise ConfigInvalid(f"roles field {key!r} must be a column name")
+        groups = {key: payload.get(key, ()) for key in _GROUPS}
+        for key, names in groups.items():
+            if not (isinstance(names, (list, tuple)) and all(isinstance(c, str) for c in names)):
+                raise ConfigInvalid(f"roles field {key!r} must be a list of column names")
+        return RolePartition(x=payload["x"], y=payload["y"], **groups)
 
     def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "z": list(self.z),
-            "zbar": list(self.zbar),
-            "s": list(self.s),
-            "sbar": list(self.sbar),
-        }
+        return {"x": self.x, "y": self.y, **{key: list(getattr(self, key)) for key in _GROUPS}}
 
 
 @dataclass(frozen=True)
 class Dataset:
     """A named-column observation matrix, usually standardized.
 
-    ``record`` carries the standardization applied to the raw data (None for
-    data constructed directly on the standardized scale).  Every estimator
-    reads the data through :meth:`cross`, blocks of the one cross-product
-    matrix :attr:`gram`.
+    Every estimator reads the data through :meth:`cross`, blocks of the one
+    cross-product matrix :attr:`gram`.
     """
 
     values: np.ndarray
     columns: tuple[str, ...]
-    record: StandardizationRecord | None = field(default=None)
 
     def __post_init__(self):
         values = as_matrix(self.values, "dataset")
@@ -142,8 +133,7 @@ class Dataset:
         return self.values[:, self.index_of([name])[0]]
 
     def standardized(self) -> "Dataset":
-        values, record = standardize(self.values, self.columns)
-        return Dataset(values, self.columns, record)
+        return Dataset(standardize(self.values, self.columns), self.columns)
 
     def check_roles(self, roles: RolePartition) -> None:
         missing = [c for c in roles.required_columns() if c not in self.columns]

@@ -40,14 +40,6 @@ class MaxIterationsExceeded(PcmSelectError):
         self.events = events
 
 
-class ZeroPilot(PcmSelectError):
-    """A pilot coefficient is exactly zero so its reciprocal weight is undefined."""
-
-    def __init__(self, index):
-        super().__init__(f"pilot coefficient at index {index} is exactly zero")
-        self.index = index
-
-
 class UnknownVertex(PcmSelectError):
     """A vertex name is not part of the graph."""
 

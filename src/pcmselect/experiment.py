@@ -46,20 +46,6 @@ __all__ = [
 
 WORKERS_ENV_VAR = "PCMSELECT_WORKERS"
 
-SETTING_METHODS = {
-    "A": (
-        "lasso",
-        "adaptive-lasso",
-        "elastic-net",
-        "pal1ma",
-        "pcm",
-        "frontdoor-including-x",
-        "frontdoor-not-including-x",
-        "backdoor",
-    ),
-    "B": ("pcm", "frontdoor-minimal", "frontdoor-whole"),
-}
-
 # Published benchmark parameter values (selected by cross-validation there);
 # the debiasing-ridge settings are this package's defaults.
 PRESETS: dict[tuple[str, str], dict] = {
@@ -80,6 +66,11 @@ PRESETS: dict[tuple[str, str], dict] = {
     },
     ("B", "frontdoor-minimal"): {},
     ("B", "frontdoor-whole"): {},
+}
+
+# The methods of each benchmark setting: those with a preset there.
+SETTING_METHODS = {
+    setting: tuple(name for key, name in PRESETS if key == setting) for setting in ("A", "B")
 }
 
 
@@ -237,6 +228,8 @@ class ExperimentConfig:
             raise ConfigInvalid("n must be at least 3")
         if self.replications < 1:
             raise ConfigInvalid("replications must be at least 1")
+        if self.workers is not None and not isinstance(self.workers, int):
+            raise ConfigInvalid(f"workers must be an integer, got {self.workers!r}")
         if not self.methods:
             raise ConfigInvalid("configure at least one method")
         labels = [m.display for m in self.methods]
@@ -272,7 +265,11 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(payload: dict) -> "ExperimentConfig":
+        if not isinstance(payload, dict):
+            raise ConfigInvalid("experiment config must be a JSON object")
         try:
+            if not all(isinstance(m, dict) for m in payload["methods"]):
+                raise ConfigInvalid("each entry of 'methods' must be a JSON object")
             methods = tuple(
                 MethodSpec(
                     name=m["name"],
@@ -294,6 +291,8 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigInvalid(f"experiment config is missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigInvalid(f"bad experiment config: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -400,7 +399,11 @@ def run_monte_carlo(config: ExperimentConfig) -> McResult:
     ]
     workers = config.workers
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
+        raw = os.environ.get(WORKERS_ENV_VAR, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ConfigInvalid(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
     workers = max(1, workers)
     if workers == 1 or config.replications == 1:
         raw_results = [_replication_worker(p) for p in payloads]

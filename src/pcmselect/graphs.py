@@ -102,42 +102,27 @@ class Dag:
         if v not in self._parents:
             raise UnknownVertex(v)
 
-    def ancestors(self, v: str) -> frozenset[str]:
-        """Strict ancestors of ``v`` (transitive closure over parents)."""
-        self._require(v)
+    @staticmethod
+    def _closure(start: Iterable[str], step: dict[str, tuple[str, ...]]) -> frozenset[str]:
+        """``start`` and every vertex reached from it by repeated ``step`` (depth first)."""
         out: set[str] = set()
-        stack = list(self._parents[v])
+        stack = list(start)
         while stack:
             u = stack.pop()
             if u not in out:
                 out.add(u)
-                stack.extend(self._parents[u])
+                stack.extend(step[u])
         return frozenset(out)
+
+    def ancestors(self, v: str) -> frozenset[str]:
+        """Strict ancestors of ``v`` (transitive closure over parents)."""
+        self._require(v)
+        return self._closure(self._parents[v], self._parents)
 
     def descendants(self, v: str) -> frozenset[str]:
         """Strict descendants of ``v`` (transitive closure over children)."""
         self._require(v)
-        out: set[str] = set()
-        stack = list(self._children[v])
-        while stack:
-            u = stack.pop()
-            if u not in out:
-                out.add(u)
-                stack.extend(self._children[u])
-        return frozenset(out)
-
-    def ancestors_of_set(self, vs: Iterable[str]) -> frozenset[str]:
-        """Union of ``vs`` and all their strict ancestors."""
-        out: set[str] = set()
-        stack = [v for v in vs]
-        for v in stack:
-            self._require(v)
-        while stack:
-            u = stack.pop()
-            if u not in out:
-                out.add(u)
-                stack.extend(self._parents[u])
-        return frozenset(out)
+        return self._closure(self._children[v], self._children)
 
     def drop_edges_out_of(self, vs: Iterable[str]) -> "Dag":
         """Copy of the graph with every edge whose tail is in ``vs`` removed."""
@@ -165,7 +150,7 @@ class Dag:
             raise OverlappingSets("d-separation endpoint sets must be disjoint")
         if not a or not b:
             return True
-        anc_z = self.ancestors_of_set(z) if z else frozenset()
+        anc_z = self._closure(z, self._parents)  # z and its ancestors
         # states: (vertex, 'up') entered from a child, (vertex, 'down') entered
         # from a parent; start upward from each source.
         visited: set[tuple[str, str]] = set()

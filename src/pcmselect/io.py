@@ -43,6 +43,8 @@ def read_dataset_csv(path) -> Dataset:
     header = [c.strip() for c in lines[0].split(",")]
     if any(not c for c in header):
         raise DataFormatError(f"{path}: blank column name in header", row=1)
+    if len(set(header)) != len(header):
+        raise DataFormatError(f"{path}: duplicate column name in header", row=1)
     rows = []
     for i, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
@@ -62,8 +64,8 @@ def read_dataset_csv(path) -> Dataset:
                 )
             parsed.append(value)
         rows.append(parsed)
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
+    if len(rows) < 2:
+        raise DataFormatError(f"{path}: needs at least 2 data rows, found {len(rows)}")
     return Dataset(np.asarray(rows, dtype=float), header)
 
 

@@ -2,8 +2,7 @@
 
 All estimators in this package work on sums of squares and cross-products of
 standardized observation columns.  The helpers here compute those objects,
-their conditional (partialled) versions, gram matrices, and Moore-Penrose
-pseudoinverses.  Everything is a pure function of ndarray inputs.
+their conditional (partialled) versions, and Moore-Penrose pseudoinverses.  Everything is a pure function of ndarray inputs.
 
 Conventions
 -----------
@@ -17,20 +16,16 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConstantColumn, DecompositionFailure
 
 __all__ = [
-    "StandardizationRecord",
     "as_matrix",
     "standardize",
     "cross_products",
     "conditional_cross_products",
     "pseudo_inverse",
-    "gram",
 ]
 
 
@@ -46,25 +41,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class StandardizationRecord:
-    """Per-column mean and scale (population standard deviation).
-
-    ``apply`` reproduces the standardized data from raw data; ``invert``
-    undoes it.  Scales are strictly positive for every retained column.
-    """
-
-    mean: np.ndarray
-    scale: np.ndarray
-
-    def apply(self, raw: np.ndarray) -> np.ndarray:
-        return (np.asarray(raw, dtype=float) - self.mean) / self.scale
-
-    def invert(self, standardized: np.ndarray) -> np.ndarray:
-        return np.asarray(standardized, dtype=float) * self.scale + self.mean
-
-
-def standardize(raw, names=None) -> tuple[np.ndarray, StandardizationRecord]:
+def standardize(raw, names=None) -> np.ndarray:
     """Center and scale each column to mean 0 and population variance 1.
 
     Parameters
@@ -73,10 +50,6 @@ def standardize(raw, names=None) -> tuple[np.ndarray, StandardizationRecord]:
         Observation matrix, n >= 2 rows.
     names : sequence of str, optional
         Column names used in error messages.
-
-    Returns
-    -------
-    (standardized, record)
 
     Raises
     ------
@@ -93,7 +66,7 @@ def standardize(raw, names=None) -> tuple[np.ndarray, StandardizationRecord]:
         j = int(bad[0])
         label = names[j] if names is not None else str(j)
         raise ConstantColumn(label)
-    return (m - mean) / scale, StandardizationRecord(mean=mean, scale=scale)
+    return (m - mean) / scale
 
 
 def cross_products(data: np.ndarray, a, b) -> np.ndarray:
@@ -149,11 +122,3 @@ def pseudo_inverse(m, tol: float | None = None) -> np.ndarray:
     cutoff = tol * (s[0] if s.size else 0.0)
     inv = np.where(s > cutoff, np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
     return (vt.T * inv) @ u.T
-
-
-def gram(m) -> np.ndarray:
-    """Gram matrix ``m.T @ m`` (symmetric positive semidefinite)."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim == 1:
-        m = m[:, None]
-    return m.T @ m

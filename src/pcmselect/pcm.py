@@ -25,17 +25,23 @@ Pipeline (all on standardized data):
 5.  Total effect: corrected treatment coefficient plus the product of the
     corrected treatment-on-mediator and mediator-on-outcome blocks (the
     treatment coefficient is zero when stage 1 deactivated the treatment).
+
+Steps 3-5 are one function, :func:`fit_from_weights`.  :func:`pcm_total_effect`
+runs it on the weights of steps 1-2.  The partially adaptive baseline
+(``baselines.pal1ma_estimate``) is its no-mediator case: it runs the same
+function on roles without mediators, with its own covariate weights and zero
+treatment and mediator penalties.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .data import Dataset, RolePartition
-from .errors import SingularDesign, ZeroPilot
+from .errors import SingularDesign
 from .linalg import conditional_cross_products as ccp
 from .linalg import pseudo_inverse
 from .solvers import coordinate_descent, ols_solve, ridge_solve
@@ -58,6 +64,7 @@ __all__ = [
     "pcm_stage1_m",
     "debias_ridges",
     "pcm_correct",
+    "fit_from_weights",
     "pcm_total_effect",
     "verify_active_set_relation",
 ]
@@ -113,13 +120,7 @@ class PcmParams:
             raise ValueError("xi2 must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "lambda1": self.lambda1, "rho1": self.rho1,
-            "zeta1": self.zeta1, "xi1": self.xi1,
-            "pilot_lambda": self.pilot_lambda, "pilot_rho": self.pilot_rho,
-            "lambda2": self.lambda2, "xi2": self.xi2,
-            "rho2": self.rho2, "rho2_prime": self.rho2_prime,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -227,39 +228,18 @@ class PcmFit:
     total_effect: float
 
     def to_dict(self) -> dict:
-        def arr(a):
-            return np.asarray(a).tolist()
+        def plain(block) -> dict:
+            return {f.name: np.asarray(getattr(block, f.name)).tolist() for f in fields(block)}
 
         return {
             "total_effect": self.total_effect,
             "active_x": bool(self.active_x),
-            "active_sbar": arr(self.active_sbar),
-            "active_zbar": arr(self.active_zbar),
-            "stage1_y": {
-                "beta_x": self.stage1_y.beta_x,
-                "coef_s": arr(self.stage1_y.coef_s),
-                "coef_z": arr(self.stage1_y.coef_z),
-                "coef_sbar": arr(self.stage1_y.coef_sbar),
-                "coef_zbar": arr(self.stage1_y.coef_zbar),
-            },
-            "stage1_m": {
-                "x_row": arr(self.stage1_m.x_row),
-                "z_rows": arr(self.stage1_m.z_rows),
-                "zbar_rows": arr(self.stage1_m.zbar_rows),
-            },
-            "corrected": {
-                "beta_x": self.corrected.beta_x,
-                "coef_s": arr(self.corrected.coef_s),
-                "coef_sbar_active": arr(self.corrected.coef_sbar_active),
-                "med_x": arr(self.corrected.med_x),
-                "y_on_mediators": arr(self.corrected.y_on_mediators),
-            },
-            "weights": {
-                "sbar": arr(self.weights.sbar),
-                "zbar": arr(self.weights.zbar),
-                "med": arr(self.weights.med),
-                "floored": bool(self.weights.floored),
-            },
+            "active_sbar": self.active_sbar.tolist(),
+            "active_zbar": self.active_zbar.tolist(),
+            "stage1_y": plain(self.stage1_y),
+            "stage1_m": plain(self.stage1_m),
+            "corrected": plain(self.corrected),
+            "weights": plain(self.weights),
             "params": self.params.to_dict(),
         }
 
@@ -273,6 +253,12 @@ def _split_y_coefs(beta: np.ndarray, roles: RolePartition) -> YModelCoefs:
         coef_sbar=parts[3],
         coef_zbar=parts[4],
     )
+
+
+def _split_m_coefs(coefs: np.ndarray, q_z: int) -> MediatorCoefs:
+    """Mediator-model coefficient rows [x, z, zbar] as blocks."""
+    return MediatorCoefs(x_row=coefs[0, :], z_rows=coefs[1 : 1 + q_z, :],
+                         zbar_rows=coefs[1 + q_z :, :])
 
 
 def _y_moments(data: Dataset, roles: RolePartition) -> tuple[np.ndarray, np.ndarray]:
@@ -325,9 +311,7 @@ def ridge_pilot_m(data: Dataset, roles: RolePartition, rho: float) -> MediatorCo
         raise ValueError("rho must be nonnegative")
     q_z, q_zb = len(roles.z), len(roles.zbar)
     if not roles.mediators:
-        return MediatorCoefs(
-            x_row=np.zeros(0), z_rows=np.zeros((q_z, 0)), zbar_rows=np.zeros((q_zb, 0))
-        )
+        return _split_m_coefs(np.zeros((1 + q_z + q_zb, 0)), q_z)
     diag = np.concatenate([[0.0], np.zeros(q_z), np.full(q_zb, rho)])
     regs = roles.m_regressors
     gram, cross = data.cross(regs, regs), data.cross(regs, roles.mediators)
@@ -335,9 +319,7 @@ def ridge_pilot_m(data: Dataset, roles: RolePartition, rho: float) -> MediatorCo
         coefs = ols_solve(gram, cross)
     else:
         coefs = ridge_solve(gram, cross, data.n, diag)
-    return MediatorCoefs(
-        x_row=coefs[0, :], z_rows=coefs[1 : 1 + q_z, :], zbar_rows=coefs[1 + q_z :, :]
-    )
+    return _split_m_coefs(coefs, q_z)
 
 
 # ---------------------------------------------------------------------------
@@ -346,32 +328,24 @@ def ridge_pilot_m(data: Dataset, roles: RolePartition, rho: float) -> MediatorCo
 
 
 def reciprocal_power_weights(values: np.ndarray, eta: float = 1.0,
-                             floor: float = WEIGHT_FLOOR,
                              normalize: bool = True) -> tuple[np.ndarray, bool]:
-    """``|v|**-eta`` weights with a magnitude floor, standardized to sum one.
+    """``|v|**-eta`` weights, magnitudes floored at ``WEIGHT_FLOOR``, summing to one.
 
-    Returns the weights and whether any magnitude was floored.  With
-    ``floor == 0`` an exactly zero value raises :class:`ZeroPilot`;
+    Returns the weights and whether any magnitude was floored.
     ``normalize=False`` skips the sum-one standardization (the classical
     adaptive-weight form).
     """
     mags = np.abs(np.asarray(values, dtype=float)).ravel()
     if mags.size == 0:
         return mags.reshape(np.asarray(values).shape), False
-    if floor <= 0:
-        zero = np.nonzero(mags == 0.0)[0]
-        if zero.size:
-            raise ZeroPilot(int(zero[0]))
-        floored = False
-    else:
-        floored = bool(np.any(mags < floor))
-        mags = np.maximum(mags, floor)
+    floored = bool(np.any(mags < WEIGHT_FLOOR))
+    mags = np.maximum(mags, WEIGHT_FLOOR)
     raw = np.power(mags, -eta)
     out = raw / raw.sum() if normalize else raw
     return out.reshape(np.asarray(values).shape), floored
 
 
-def adaptive_weights(pilots: PilotEstimates, *, floor: float = WEIGHT_FLOOR) -> AdaptiveWeights:
+def adaptive_weights(pilots: PilotEstimates) -> AdaptiveWeights:
     """Standardized weights from the pilot coefficient magnitudes.
 
     Candidate-mediator weights use the treatment coefficients of the
@@ -383,9 +357,9 @@ def adaptive_weights(pilots: PilotEstimates, *, floor: float = WEIGHT_FLOOR) -> 
     q_m = pilots.m.x_row.shape[0]
     q_sb = pilots.y.coef_sbar.shape[0]
     q_s = q_m - q_sb
-    w_sbar, f1 = reciprocal_power_weights(pilots.m.x_row[q_s:], floor=floor)
-    w_zbar, f2 = reciprocal_power_weights(pilots.y.coef_zbar, floor=floor)
-    w_med, f3 = reciprocal_power_weights(pilots.m.zbar_rows, floor=floor)
+    w_sbar, f1 = reciprocal_power_weights(pilots.m.x_row[q_s:])
+    w_zbar, f2 = reciprocal_power_weights(pilots.y.coef_zbar)
+    w_med, f3 = reciprocal_power_weights(pilots.m.zbar_rows)
     return AdaptiveWeights(
         sbar=w_sbar, zbar=w_zbar, med=w_med, floored=bool(f1 or f2 or f3)
     )
@@ -411,6 +385,11 @@ def _y_l1_weights(roles: RolePartition, w: AdaptiveWeights,
             lam1 * _zbar_share(zeta1, xi1) * w.zbar,
         ]
     )
+
+
+def _active_sets(s1y: YModelCoefs) -> tuple[bool, np.ndarray, np.ndarray]:
+    """Whether stage 1 kept the treatment, and its active candidate mediators and covariates."""
+    return s1y.beta_x != 0.0, np.nonzero(s1y.coef_sbar)[0], np.nonzero(s1y.coef_zbar)[0]
 
 
 def pcm_stage1_y(
@@ -456,7 +435,7 @@ def pcm_stage1_m(
     regs = [roles.x, *roles.z] + [roles.zbar[i] for i in zb_cols]
     q_zb, q_m = zb_cols.size, len(responses)
     if q_m == 0:
-        return MediatorCoefs(np.zeros(0), np.zeros((q_z, 0)), np.zeros((q_zb, 0)))
+        return _split_m_coefs(np.zeros((1 + q_z + q_zb, 0)), q_z)
     med_cols = np.concatenate([np.arange(q_s), q_s + sb_cols]).astype(int)
     gram, cross = data.cross(regs, regs), data.cross(regs, responses)
     coefs = np.zeros((1 + q_z + q_zb, q_m))
@@ -464,9 +443,7 @@ def pcm_stage1_m(
         w_j = weights.med[np.ix_(zb_cols, med_cols[j : j + 1])][:, 0] if q_zb else np.zeros(0)
         l1 = np.concatenate([[0.0], np.zeros(q_z), rho1 * w_j])
         coefs[:, j] = coordinate_descent(gram, cross[:, j], data.n, l1)
-    return MediatorCoefs(
-        x_row=coefs[0, :], z_rows=coefs[1 : 1 + q_z, :], zbar_rows=coefs[1 + q_z :, :]
-    )
+    return _split_m_coefs(coefs, q_z)
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +581,6 @@ def pcm_correct(
     weights: AdaptiveWeights,
     params: PcmParams,
     n: int,
-    active_x: bool,
-    active_sbar,
-    active_zbar,
-    q_s: int,
 ) -> CorrectedBlocks:
     """Remove the first-order shrinkage bias from the stage-1 coefficients.
 
@@ -620,11 +593,11 @@ def pcm_correct(
     the rows and columns of the covariates-on-[treatment, fixed covariates]
     refit that the column's restricted stage-1 fit kept nonzero.
     When the treatment is inactive its corrected coefficient is exactly
-    zero and all treatment-dependent blocks drop out.
+    zero and all treatment-dependent blocks drop out.  The active sets are
+    the supports of ``stage1_y``.
     """
-    act_sb = np.asarray(active_sbar, dtype=int)
-    act_zb = np.asarray(active_zbar, dtype=int)
-    q_sa, q_za = act_sb.size, act_zb.size
+    active_x, act_sb, act_zb = _active_sets(stage1_y)
+    q_s, q_sa, q_za = stage1_y.coef_s.size, act_sb.size, act_zb.size
     lam1, zeta1, xi1, rho1 = params.lambda1, params.zeta1, params.xi1, params.rho1
 
     sb_signs = np.sign(stage1_y.coef_sbar[act_sb])
@@ -689,24 +662,19 @@ def pcm_correct(
     )
 
 
-def pcm_total_effect(data: Dataset, roles: RolePartition, params: PcmParams) -> PcmFit:
-    """Run the full pipeline on a standardized dataset.
+def fit_from_weights(data: Dataset, roles: RolePartition, params: PcmParams,
+                     pilots: PilotEstimates, weights: AdaptiveWeights) -> PcmFit:
+    """Steps 3-5 of the pipeline, from the adaptive weights to the total effect.
 
-    Pilots -> weights -> stage-1 fits -> active sets -> restricted mediator
-    refit -> debiasing ridges -> corrections -> total effect.  The total
-    effect is the corrected treatment coefficient plus the inner product of
-    the corrected treatment-on-mediator and mediator-on-outcome blocks over
-    the fixed and active candidate mediators.
+    Stage-1 fits -> active sets -> restricted mediator refit -> debiasing
+    ridges -> corrections -> total effect.  The total effect is the
+    corrected treatment coefficient plus the inner product of the corrected
+    treatment-on-mediator and mediator-on-outcome blocks over the fixed and
+    active candidate mediators; without mediators it is the corrected
+    treatment coefficient alone.  ``pilots`` is only recorded in the fit.
     """
-    pilots = PilotEstimates(
-        y=ridge_pilot_y(data, roles, params.pilot_lambda),
-        m=ridge_pilot_m(data, roles, params.pilot_rho),
-    )
-    weights = adaptive_weights(pilots)
     s1y = pcm_stage1_y(data, roles, weights, params.lambda1, params.zeta1, params.xi1)
-    active_x = s1y.beta_x != 0.0
-    active_sbar = np.nonzero(s1y.coef_sbar)[0]
-    active_zbar = np.nonzero(s1y.coef_zbar)[0]
+    active_x, active_sbar, active_zbar = _active_sets(s1y)
     s1m = pcm_stage1_m(data, roles, weights, params.rho1)
     s1m_restricted = pcm_stage1_m(
         data, roles, weights, params.rho1, sbar_idx=active_sbar, zbar_idx=active_zbar
@@ -716,10 +684,7 @@ def pcm_total_effect(data: Dataset, roles: RolePartition, params: PcmParams) -> 
         params.lambda2, params.xi2, params.rho2, params.rho2_prime,
         include_x=active_x,
     )
-    corrected = pcm_correct(
-        s1y, s1m_restricted, debias, weights, params, data.n,
-        active_x, active_sbar, active_zbar, len(roles.s),
-    )
+    corrected = pcm_correct(s1y, s1m_restricted, debias, weights, params, data.n)
     tau = corrected.beta_x + float(corrected.med_x @ corrected.y_on_mediators)
     return PcmFit(
         params=params,
@@ -735,6 +700,18 @@ def pcm_total_effect(data: Dataset, roles: RolePartition, params: PcmParams) -> 
         corrected=corrected,
         total_effect=float(tau),
     )
+
+
+def pcm_total_effect(data: Dataset, roles: RolePartition, params: PcmParams) -> PcmFit:
+    """Run the full pipeline on a standardized dataset.
+
+    Ridge pilots -> adaptive weights -> :func:`fit_from_weights`.
+    """
+    pilots = PilotEstimates(
+        y=ridge_pilot_y(data, roles, params.pilot_lambda),
+        m=ridge_pilot_m(data, roles, params.pilot_rho),
+    )
+    return fit_from_weights(data, roles, params, pilots, adaptive_weights(pilots))
 
 
 # ---------------------------------------------------------------------------

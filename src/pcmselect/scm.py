@@ -339,16 +339,9 @@ def random_correlation(q: int, rng: np.random.Generator) -> CovarianceSpec:
 
 # -- benchmark experiment models --------------------------------------------------
 
-EXPERIMENT_VERTICES = (
-    ["Z"]
-    + [f"Zbar{i}" for i in range(1, 11)]
-    + ["X", "S"]
-    + [f"Sbar{i}" for i in range(1, 6)]
-    + ["Y"]
-)
-
 _SBAR = [f"Sbar{i}" for i in range(1, 6)]
 _ZBAR = [f"Zbar{i}" for i in range(1, 11)]
+EXPERIMENT_VERTICES = ["Z"] + _ZBAR + ["X", "S"] + _SBAR + ["Y"]
 
 
 def _experiment_edges(setting: str, y_on_zbar, y_on_sbar) -> dict[tuple[str, str], float]:
@@ -382,6 +375,12 @@ def _experiment_edges(setting: str, y_on_zbar, y_on_sbar) -> dict[tuple[str, str
     return edges
 
 
+def _experiment_scm(edges: dict[tuple[str, str], float]) -> LinearScm:
+    """The benchmark model on ``edges`` with unit disturbance variances."""
+    return LinearScm(Dag(EXPERIMENT_VERTICES, list(edges)), edges,
+                     {v: 1.0 for v in EXPERIMENT_VERTICES}, correlated=tuple(["Z"] + _ZBAR))
+
+
 def build_experiment_scm(
     setting: str, rng: np.random.Generator
 ) -> tuple[LinearScm, CovarianceSpec, float]:
@@ -398,15 +397,8 @@ def build_experiment_scm(
     y_on_sbar[1:] = rng.uniform(-0.2, 0.2, size=4)
     y_on_sbar[0] = rng.uniform(-0.2, 0.2) if setting == "A" else 0.2
     edges = _experiment_edges(setting, y_on_zbar, y_on_sbar)
-    dag = Dag(EXPERIMENT_VERTICES, list(edges))
-    scm = LinearScm(
-        dag,
-        edges,
-        {v: 1.0 for v in EXPERIMENT_VERTICES},
-        correlated=tuple(["Z"] + _ZBAR),
-    )
     spec = random_correlation(11, rng)
-    scm = scm.calibrate_unit_variance(spec)
+    scm = _experiment_scm(edges).calibrate_unit_variance(spec)
     tau = scm.true_total_effect("X", "Y")
     return scm, spec, tau
 
@@ -430,12 +422,5 @@ def coupling_dag(scm: LinearScm, latent: str = "_L") -> Dag:
 
 def experiment_criteria_dag(setting: str) -> Dag:
     """Benchmark DAG (with the covariate-block latent) for criterion checks."""
-    edges = _experiment_edges(setting, np.full(10, 0.1), np.full(5, 0.1))
-    dag = Dag(EXPERIMENT_VERTICES, list(edges))
-    scm = LinearScm(
-        dag,
-        edges,
-        {v: 1.0 for v in EXPERIMENT_VERTICES},
-        correlated=tuple(["Z"] + _ZBAR),
-    )
-    return coupling_dag(scm)
+    return coupling_dag(_experiment_scm(_experiment_edges(setting, np.full(10, 0.1),
+                                                          np.full(5, 0.1))))

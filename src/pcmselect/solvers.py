@@ -25,14 +25,15 @@ from .errors import MaxIterationsExceeded, SingularDesign
 __all__ = [
     "coordinate_descent",
     "kkt_residual",
-    "l1_objective",
     "ridge_solve",
-    "ridge_objective",
     "ols_solve",
 ]
 
 # Largest stationarity violation accepted at the end of the path.
 KKT_LIMIT = 1e-9
+
+# Largest condition number of a gram matrix that ols_solve inverts.
+COND_LIMIT = 1e15
 
 
 def coordinate_descent(
@@ -143,16 +144,6 @@ def kkt_residual(gram, cross, n, l1_weights, beta, l2_weights=None) -> float:
     return float(violation.max())
 
 
-def l1_objective(design, response, l1_weights, beta, l2_weights=None) -> float:
-    """Penalized loss value on raw (design, response) arrays."""
-    resid = response - design @ beta
-    n = design.shape[0]
-    value = 0.5 / n * float(resid @ resid) + float(np.abs(beta) @ np.asarray(l1_weights))
-    if l2_weights is not None:
-        value += 0.5 * float(np.asarray(l2_weights) @ (beta**2))
-    return value
-
-
 def ridge_solve(gram, cross, n, diag_weights) -> np.ndarray:
     """Solve (G + n diag(d)) beta = cross; raises SingularDesign on failure.
 
@@ -172,22 +163,12 @@ def ridge_solve(gram, cross, n, diag_weights) -> np.ndarray:
     return solution
 
 
-def ridge_objective(design, response, diag_weights, beta) -> float:
-    """Quadratic loss matching :func:`ridge_solve` (response may be a matrix)."""
-    resid = np.asarray(response) - design @ beta
-    n = design.shape[0]
-    value = 0.5 / n * float(np.sum(resid * resid))
-    d = np.asarray(diag_weights, dtype=float)
-    value += 0.5 * float(np.sum(d[:, None] * np.asarray(beta).reshape(len(d), -1) ** 2))
-    return value
-
-
-def ols_solve(gram, cross, *, cond_limit: float = 1e15) -> np.ndarray:
+def ols_solve(gram, cross) -> np.ndarray:
     """Least-squares coefficients from normal equations with a rank guard."""
     p = gram.shape[0]
     if p == 0:
         return np.zeros_like(np.asarray(cross, dtype=float))
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > cond_limit:
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularDesign(f"design gram condition number {cond:.3e} exceeds limit")
     return np.linalg.solve(gram, cross)

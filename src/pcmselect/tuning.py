@@ -88,8 +88,10 @@ class ParamGrid:
     fold_seed: int = 0
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise ValueError("fold count must be at least 2")
+        if not isinstance(self.folds, int) or self.folds < 2:
+            raise ValueError(f"fold count must be an integer of at least 2, got {self.folds!r}")
+        if not isinstance(self.fold_seed, int) or self.fold_seed < 0:
+            raise ValueError(f"fold_seed must be a nonnegative integer, got {self.fold_seed!r}")
         for name in ("pilot_lambda", "pilot_rho", "lambda1", "rho1", "lam", "eta", "phi"):
             object.__setattr__(self, name, _candidates(name, getattr(self, name)))
         pairs = tuple((float(z), float(x)) for z, x in self.zeta_xi)

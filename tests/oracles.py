@@ -152,6 +152,29 @@ def total_effect_by_path_enumeration(scm, x, y):
     return total
 
 
+# -- objective values of the penalized solvers -----------------------------------
+
+
+def l1_objective(design, response, l1_weights, beta, l2_weights=None) -> float:
+    """Penalized loss value on raw (design, response) arrays."""
+    resid = response - design @ beta
+    n = design.shape[0]
+    value = 0.5 / n * float(resid @ resid) + float(np.abs(beta) @ np.asarray(l1_weights))
+    if l2_weights is not None:
+        value += 0.5 * float(np.asarray(l2_weights) @ (beta**2))
+    return value
+
+
+def ridge_objective(design, response, diag_weights, beta) -> float:
+    """Quadratic loss matching ``solvers.ridge_solve`` (response may be a matrix)."""
+    resid = np.asarray(response) - design @ beta
+    n = design.shape[0]
+    value = 0.5 / n * float(np.sum(resid * resid))
+    d = np.asarray(diag_weights, dtype=float)
+    value += 0.5 * float(np.sum(d[:, None] * np.asarray(beta).reshape(len(d), -1) ** 2))
+    return value
+
+
 # -- cyclic coordinate descent with a feature-sign polish ----------------------
 
 

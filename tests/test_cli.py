@@ -69,6 +69,18 @@ class TestDatasetCsv:
         with pytest.raises(DataFormatError):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize("text", [
+        "X,X,Y\n1.0,2.0,0.5\n2.0,1.0,1.5\n",  # a repeated column name
+        "X,Y,Z\n1.0,2.0,0.5\n",  # one data row cannot be standardized
+    ])
+    def test_malformed_csv_is_a_data_error(self, tmp_path, roles_file, text, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code = main(["estimate", "--data", str(path), "--roles", str(roles_file),
+                     "--method", "backdoor"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestCheckCommand:
     def test_backdoor_verdict_on_benchmark_graph(self, tmp_path, capsys):
@@ -217,6 +229,9 @@ class TestCliMatchesRegistry:
         ("pcm", {"lambda1": float("nan"), "rho1": 0.1, "zeta1": 0.2, "xi1": 0.2}, None),
         ("pcm", {"lambda1": float("inf"), "rho1": 0.1, "zeta1": 0.2, "xi1": 0.2}, None),
         ("pcm", {"lambda1": 0.1, "rho1": 0.1, "zeta1": float("nan"), "xi1": 0.2}, None),
+        ("backdoor", {}, ["X", "Y"]),
+        ("backdoor", {}, {"x": "X", "y": "Y", "z": 5}),
+        ("backdoor", {}, {"x": "X", "y": "Y", "z": "Z"}),
     ])
     def test_out_of_range_value_is_usage_error(self, name, params, roles, setting_csvs,
                                                tmp_path, capsys):
@@ -245,6 +260,9 @@ class TestTuneCommand:
         ({"lambda2": [0.01, 0.1]}, "pcm"),
         ({"zeta1": [float("nan"), 0.2]}, "pcm"),
         ({"zeta1": [0.5], "xi1": [0.5 + 1e-10]}, "pcm"),
+        ({"lam": [0.1], "fold_seed": "x"}, "lasso"),
+        ({"lam": [0.1], "fold_seed": -1}, "lasso"),
+        ({"lam": [0.1], "folds": 2.5}, "lasso"),
     ])
     def test_bad_grid_or_method_is_usage_error(self, linear_csv, roles_file, tmp_path,
                                                capsys, grid, method):
@@ -297,6 +315,13 @@ class TestSimulateCommand:
         assert main(["simulate", "--scm", str(model), "--n", "10", "--seed", "1",
                      "--out", str(out)]) == 0
         assert read_dataset_csv(out).n == 10
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_n_is_usage_error(self, tmp_path, n, capsys):
+        code = exit_code(["simulate", "--scm", "A", "--n", n, "--seed", "5",
+                          "--out", str(tmp_path / "sim.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -370,11 +395,30 @@ class TestExperimentCommand:
             assert float(cells[2]) == sd
             assert float(cells[4]) == sign
 
-    def test_invalid_config_exit_code(self, tmp_path):
+    def test_invalid_config_exit_code(self, tmp_path, monkeypatch, capsys):
+        valid = json.loads(self.write_config(tmp_path).read_text())
+        del valid["workers"]
+        cases = [  # (config, PCMSELECT_WORKERS)
+            ({"setting": "B", "n": 15, "replications": 2, "seed": 1,
+              "methods": [{"name": "backdoor"}]}, None),
+            ({**valid, "n": "abc"}, None),
+            ({**valid, "seed": "x"}, None),
+            ({**valid, "workers": "two"}, None),
+            ({**valid, "methods": ["pcm"]}, None),
+            ([valid], None),
+            (valid, "abc"),
+        ]
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"setting": "B", "n": 15, "replications": 2,
-                                    "seed": 1, "methods": [{"name": "backdoor"}]}))
-        assert main(["experiment", "--config", str(path)]) == 1
+        for config, env in cases:
+            path.write_text(json.dumps(config))
+            if env is None:
+                monkeypatch.delenv("PCMSELECT_WORKERS", raising=False)
+            else:
+                monkeypatch.setenv("PCMSELECT_WORKERS", env)
+            capsys.readouterr()
+            code = main(["experiment", "--config", str(path), "--out-dir", str(tmp_path)])
+            assert code == 1, (config, env)
+            assert capsys.readouterr().err.startswith("error:"), (config, env)
 
     def test_missing_file_is_usage_error(self):
         assert main(["experiment", "--config", "/nonexistent/config.json"]) in (1, 2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcmselect.data import Dataset, RolePartition
-from pcmselect.errors import SingularDesign, ZeroPilot
+from pcmselect.errors import SingularDesign
 from pcmselect.pcm import (
     AdaptiveWeights,
     PcmParams,
@@ -24,7 +24,9 @@ from pcmselect.pcm import (
 from pcmselect.experiment import PRESETS, experiment_roles
 from pcmselect.scm import LinearScm, build_experiment_scm
 from pcmselect.graphs import Dag
-from pcmselect.solvers import kkt_residual, l1_objective, ols_solve, ridge_objective
+from pcmselect.solvers import kkt_residual, ols_solve
+
+from oracles import l1_objective, ridge_objective
 
 ROLES = RolePartition(
     x="X", y="Y", z=("Z1",), zbar=("Zb1", "Zb2"), s=("S1",), sbar=("Sb1", "Sb2")
@@ -210,12 +212,10 @@ class TestAdaptiveWeights:
         assert w.med.sum() == pytest.approx(1.0, abs=1e-12)
         assert not w.floored
 
-    def test_zero_pilot_floors_or_raises(self):
+    def test_zero_pilot_is_floored(self):
         vals = np.array([0.0, 0.5])
         w, floored = reciprocal_power_weights(vals)
         assert floored and w[0] > w[1]
-        with pytest.raises(ZeroPilot):
-            reciprocal_power_weights(vals, floor=0.0)
 
 
 class TestStage1:

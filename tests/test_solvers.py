@@ -7,12 +7,11 @@ from pcmselect.errors import SingularDesign
 from pcmselect.solvers import (
     coordinate_descent,
     kkt_residual,
-    l1_objective,
     ols_solve,
     ridge_solve,
 )
 
-from oracles import SweepCapHit, descent_with_polish
+from oracles import SweepCapHit, descent_with_polish, l1_objective
 
 
 def make_problem(seed, n=60, p=6, weight_scale=0.1):
