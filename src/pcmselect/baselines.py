@@ -146,7 +146,7 @@ def penalized_coefficients(
     """
     check_ranges(lam=lam, eta=eta, phi=phi, pilot_lam=pilot_lam)
     if method == "pal1ma":
-        base, _, weights = _pal1ma_pilots(data, roles, eta, pilot_lam)
+        base, weights = _pal1ma_pilots(data, roles, eta, pilot_lam)
         return pcm_stage1_y(data, base, weights, lam, 0.0, 0.0).stacked()
     cols = [roles.x] + list(roles.covariates)
     gram, cross = data.cross(cols, cols), data.cross(cols, [roles.y])[:, 0]
@@ -164,9 +164,8 @@ def penalized_coefficients(
     return coordinate_descent(gram, cross, n, l1, l2)
 
 
-def _pal1ma_pilots(data, roles, eta, pilot_lam) -> tuple[RolePartition, PilotEstimates,
-                                                          AdaptiveWeights]:
-    """pal1ma's roles (``roles`` without its mediators), ridge pilots and weights."""
+def _pal1ma_pilots(data, roles, eta, pilot_lam) -> tuple[RolePartition, AdaptiveWeights]:
+    """pal1ma's roles (``roles`` without its mediators) and its ridge pilots' weights."""
     base = replace(roles, s=(), sbar=())
     pilots = PilotEstimates(
         y=ridge_pilot_y(data, base, pilot_lam),
@@ -176,7 +175,7 @@ def _pal1ma_pilots(data, roles, eta, pilot_lam) -> tuple[RolePartition, PilotEst
     if eta != 1.0:
         w_zbar, floored = reciprocal_power_weights(pilots.y.coef_zbar, eta=eta)
         weights = replace(weights, zbar=w_zbar, floored=floored)
-    return base, pilots, weights
+    return base, weights
 
 
 def pal1ma_estimate(
@@ -200,10 +199,10 @@ def pal1ma_estimate(
     :func:`~pcmselect.pcm.pcm_total_effect` on those roles.
     """
     check_ranges(lam=lam, eta=eta, pilot_lam=pilot_lam, lam2=lam2, xi2=xi2)
-    base, pilots, weights = _pal1ma_pilots(data, roles, eta, pilot_lam)
+    base, weights = _pal1ma_pilots(data, roles, eta, pilot_lam)
     params = PcmParams(
         lambda1=lam, rho1=0.0, zeta1=0.0, xi1=0.0,
         pilot_lambda=pilot_lam, pilot_rho=pilot_lam,
         lambda2=lam2, xi2=xi2, rho2=0.0, rho2_prime=0.0,
     )
-    return fit_from_weights(data, base, params, pilots, weights).total_effect
+    return fit_from_weights(data, base, params, weights).total_effect

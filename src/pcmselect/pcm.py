@@ -17,11 +17,20 @@ Pipeline (all on standardized data):
     path.  The outcome model penalizes the treatment with weight
     ``lam1*zeta1``, candidate mediators with ``lam1*xi1*w``, candidate
     covariates with ``lam1*(1-zeta1-xi1)*w``; fixed covariates and mediators
-    are never penalized.  The mediator model penalizes candidate covariates only.
-    The supports of the treatment / candidate blocks are the active sets.
-4.  Debiasing ridges on the active sets, their residual gram matrices, and a
-    sign-based correction that removes the first-order shrinkage bias from
-    the stage-1 coefficients.
+    are never penalized.  The supports of the treatment / candidate blocks
+    are the active sets.  The mediator model is fitted once, on the active
+    sets: each fixed or active candidate mediator on [treatment, fixed
+    covariates, active candidate covariates], penalizing the candidate
+    covariates only.
+4.  Correction.  Each penalized active column of the outcome model (the
+    treatment when active, the active candidate mediators and covariates) is
+    ridge-refitted on the other columns of the active design [x, s, active
+    sbar, z, active zbar].  The refit coefficients, with -1 on each column's
+    own row, form one partial-regression matrix; applied to the
+    sign-and-weight subgradient through the pseudoinverted residual grams,
+    it removes the first-order shrinkage bias from the stage-1
+    coefficients.  Each mediator column's treatment coefficient gets the
+    same correction on that column's own active candidate covariates.
 5.  Total effect: corrected treatment coefficient plus the product of the
     corrected treatment-on-mediator and mediator-on-outcome blocks (the
     treatment coefficient is zero when stage 1 deactivated the treatment).
@@ -41,8 +50,6 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .data import Dataset, RolePartition
-from .errors import SingularDesign
-from .linalg import conditional_cross_products as ccp
 from .linalg import pseudo_inverse
 from .solvers import coordinate_descent, ols_solve, ridge_solve
 
@@ -177,24 +184,20 @@ class AdaptiveWeights:
 class DebiasBlocks:
     """Active-set ridge refits used by the bias correction.
 
-    Each refit's regressors follow the order [x, s, active sbar, z, active
-    zbar] with its own response block left out, and x left out when the
-    treatment is inactive (``include_x`` False).  ``x_coef``: treatment on
-    [s, active sbar, z, active zbar] (absent when the treatment is inactive).
-    ``sb_coef`` / ``zb_coef``: active candidate mediators / covariates, one
-    column each, on [x, s, z, active zbar] / [x, s, active sbar, z].
-    ``zb_on_xz_coef``: unpenalized refit of the active candidate covariates
-    on [x, z], used by the mediator-equation correction.  Residual gram
-    matrices accompany each refit; a refit with no response is None.
+    The frame is the active design [x, s, active sbar, z, active zbar], with
+    x left out when the treatment is inactive.  ``coef`` has one column per
+    penalized active column (treatment, active candidate mediators, active
+    candidate covariates, in frame order): that column's refit coefficients
+    on the other columns of the frame, and -1 on its own row.
+    ``resid_grams`` holds the residual gram of each nonempty penalized block
+    in the same order.  ``zb_on_xz_coef``: unpenalized refit of the active
+    candidate covariates on [x, z], used by the mediator-equation
+    correction, with its residual gram; None without active candidate
+    covariates.
     """
 
-    include_x: bool
-    x_coef: np.ndarray | None
-    x_resid_ss: float | None
-    sb_coef: np.ndarray | None
-    sb_resid_gram: np.ndarray | None
-    zb_coef: np.ndarray | None
-    zb_resid_gram: np.ndarray | None
+    coef: np.ndarray
+    resid_grams: list[np.ndarray]
     zb_on_xz_coef: np.ndarray | None
     zb_on_xz_resid_gram: np.ndarray | None
 
@@ -212,18 +215,20 @@ class CorrectedBlocks:
 
 @dataclass(frozen=True)
 class PcmFit:
-    """Everything produced by one run of the pipeline."""
+    """Everything produced by one run of the pipeline.
+
+    ``stage1_m`` is the mediator fit on the active sets: columns are the
+    fixed and active candidate mediators, ``zbar_rows`` the active candidate
+    covariates.
+    """
 
     params: PcmParams
-    pilots: PilotEstimates
     weights: AdaptiveWeights
     stage1_y: YModelCoefs
     stage1_m: MediatorCoefs
     active_x: bool
     active_sbar: np.ndarray
     active_zbar: np.ndarray
-    stage1_m_restricted: MediatorCoefs
-    debias: DebiasBlocks
     corrected: CorrectedBlocks
     total_effect: float
 
@@ -392,6 +397,11 @@ def _active_sets(s1y: YModelCoefs) -> tuple[bool, np.ndarray, np.ndarray]:
     return s1y.beta_x != 0.0, np.nonzero(s1y.coef_sbar)[0], np.nonzero(s1y.coef_zbar)[0]
 
 
+def _mediator_columns(q_s: int, sbar_idx) -> np.ndarray:
+    """Columns of the fixed and the given candidate mediators in ``AdaptiveWeights.med``."""
+    return np.concatenate([np.arange(q_s), q_s + np.asarray(sbar_idx, int)]).astype(int)
+
+
 def pcm_stage1_y(
     data: Dataset,
     roles: RolePartition,
@@ -436,7 +446,7 @@ def pcm_stage1_m(
     q_zb, q_m = zb_cols.size, len(responses)
     if q_m == 0:
         return _split_m_coefs(np.zeros((1 + q_z + q_zb, 0)), q_z)
-    med_cols = np.concatenate([np.arange(q_s), q_s + sb_cols]).astype(int)
+    med_cols = _mediator_columns(q_s, sb_cols)
     gram, cross = data.cross(regs, regs), data.cross(regs, responses)
     coefs = np.zeros((1 + q_z + q_zb, q_m))
     for j in range(q_m):
@@ -479,52 +489,42 @@ def debias_ridges(
     *,
     include_x: bool = True,
 ) -> DebiasBlocks:
-    """Ridge refits on the active sets plus their residual gram matrices.
+    """Ridge refits of the penalized active columns plus their residual grams.
 
-    Three quadratic problems: the treatment on everything else (penalizing
-    the candidate blocks by ``lam2*xi2`` / ``lam2*(1-xi2)``); the active
-    candidate mediators on the rest (penalty ``rho2`` on candidate
-    covariates); the active candidate covariates on the rest (penalty
-    ``rho2_prime`` on candidate mediators).  A quadratic penalty ``p`` adds
+    The frame is the active design [x, s, active sbar, z, active zbar];
+    ``include_x=False`` (treatment inactive in stage 1) leaves x out.  Each
+    penalized block is refitted on the other columns of the frame: the
+    treatment penalizing the candidate blocks by ``lam2*xi2`` /
+    ``lam2*(1-xi2)``, the active candidate mediators penalizing candidate
+    covariates by ``rho2``, the active candidate covariates penalizing
+    candidate mediators by ``rho2_prime``.  A quadratic penalty ``p`` adds
     ``n*p`` to the gram diagonal, matching the pilot convention.  With all
     penalties zero the refits reduce to least squares and the residual grams
     to conditional cross-products.
-
-    ``include_x=False`` (treatment inactive in stage 1) skips the treatment
-    refit and drops the treatment column from the other designs.
     """
     sba = [roles.sbar[i] for i in np.asarray(active_sbar, dtype=int)]
     zba = [roles.zbar[i] for i in np.asarray(active_zbar, dtype=int)]
-    x = [roles.x] if include_x else []
-    s, z = list(roles.s), list(roles.z)
-    q_s, q_z, q_sa, q_za = len(s), len(z), len(sba), len(zba)
-
-    x_coef = x_resid_ss = None
-    if include_x:
-        diag = np.concatenate([np.zeros(q_s), np.full(q_sa, lam2 * xi2),
-                               np.zeros(q_z), np.full(q_za, lam2 * (1 - xi2))])
-        coef, resid = _refit(data, x, s + sba + z + zba, diag)
-        x_coef, x_resid_ss = coef[:, 0], float(resid[0, 0])
-
-    sb_coef = sb_resid_gram = None
-    if q_sa:
-        diag = np.concatenate([np.zeros(len(x) + q_s + q_z), np.full(q_za, rho2)])
-        sb_coef, sb_resid_gram = _refit(data, sba, x + s + z + zba, diag)
-
-    zb_coef = zb_resid_gram = zb_on_xz_coef = zb_on_xz_resid_gram = None
-    if q_za:
-        diag = np.concatenate([np.zeros(len(x) + q_s), np.full(q_sa, rho2_prime),
-                               np.zeros(q_z)])
-        zb_coef, zb_resid_gram = _refit(data, zba, x + s + sba + z, diag)
-        zb_on_xz_coef, zb_on_xz_resid_gram = _refit(data, zba, [roles.x] + z)
-
-    return DebiasBlocks(
-        include_x=include_x,
-        x_coef=x_coef, x_resid_ss=x_resid_ss,
-        sb_coef=sb_coef, sb_resid_gram=sb_resid_gram,
-        zb_coef=zb_coef, zb_resid_gram=zb_resid_gram,
-        zb_on_xz_coef=zb_on_xz_coef, zb_on_xz_resid_gram=zb_on_xz_resid_gram,
-    )
+    groups = [[roles.x] if include_x else [], list(roles.s), sba, list(roles.z), zba]
+    frame = np.array([name for group in groups for name in group], dtype=object)
+    group_of = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
+    # ridge penalty of each penalized group's refit on the groups of the frame
+    penalties = {0: [0.0, 0.0, lam2 * xi2, 0.0, lam2 * (1 - xi2)],
+                 2: [0.0, 0.0, 0.0, 0.0, rho2],
+                 4: [0.0, 0.0, rho2_prime, 0.0, 0.0]}
+    columns, resid_grams = [np.zeros((frame.size, 0))], []
+    for group, penalty in penalties.items():
+        own = group_of == group
+        if not own.any():
+            continue
+        refit, gram = _refit(data, list(frame[own]), list(frame[~own]),
+                             np.asarray(penalty)[group_of[~own]])
+        column = np.zeros((frame.size, refit.shape[1]))
+        column[~own] = refit
+        column[own] = -np.eye(refit.shape[1])
+        columns.append(column)
+        resid_grams.append(gram)
+    zb_on_xz = _refit(data, zba, [roles.x, *roles.z]) if zba else (None, None)
+    return DebiasBlocks(np.hstack(columns), resid_grams, *zb_on_xz)
 
 
 # ---------------------------------------------------------------------------
@@ -532,51 +532,9 @@ def debias_ridges(
 # ---------------------------------------------------------------------------
 
 
-def _correction_matrix(include_x: bool, q_s: int, q_sa: int, q_za: int, *,
-                       x_coef_s=None, x_coef_sbar=None, sb_coef_x=None, sb_coef_s=None,
-                       zb_coef_x=None, zb_coef_s=None, zb_coef_sbar=None) -> np.ndarray:
-    """Partial-regression matrix that maps penalty subgradients to coefficients.
-
-    Rows are [x, s, active sbar] and columns [x, active sbar, active zbar],
-    without x when ``include_x`` is False.  ``x_coef_s`` is the coefficient
-    of s in the treatment refit, ``sb_coef_x`` the coefficient of x in the
-    candidate-mediator refit, and so on; a block is read only when both its
-    row and its column set are nonempty.
-    """
-    rows = (1 if include_x else 0) + q_s + q_sa
-    cols = (1 if include_x else 0) + q_sa + q_za
-    m = np.zeros((rows, cols))
-    r = c = 0
-    if include_x:
-        m[0, 0] = -1.0
-        if q_sa:
-            m[0, 1 : 1 + q_sa] = sb_coef_x
-        if q_za:
-            m[0, 1 + q_sa :] = zb_coef_x
-        if q_s:
-            m[1 : 1 + q_s, 0] = x_coef_s
-        if q_sa:
-            m[1 + q_s :, 0] = x_coef_sbar
-        r = c = 1
-    if q_s:
-        if q_sa:
-            m[r : r + q_s, c : c + q_sa] = sb_coef_s
-        if q_za:
-            m[r : r + q_s, c + q_sa :] = zb_coef_s
-    if q_sa:
-        m[r + q_s :, c : c + q_sa] = -np.eye(q_sa)
-        if q_za:
-            m[r + q_s :, c + q_sa :] = zb_coef_sbar
-    return m
-
-
-def _inv_or_zero(value: float) -> float:
-    return 1.0 / value if abs(value) > 1e-300 else 0.0
-
-
 def pcm_correct(
     stage1_y: YModelCoefs,
-    stage1_m_restricted: MediatorCoefs,
+    stage1_m: MediatorCoefs,
     debias: DebiasBlocks,
     weights: AdaptiveWeights,
     params: PcmParams,
@@ -584,99 +542,71 @@ def pcm_correct(
 ) -> CorrectedBlocks:
     """Remove the first-order shrinkage bias from the stage-1 coefficients.
 
-    The corrected outcome blocks subtract ``n*lambda1`` times the
-    partial-regression matrix (built from the debiasing ridges) applied to
-    the sign-and-weight subgradient vector, with residual gram
-    pseudoinverses standing in for the conditional gram inverses.  Each
-    entry of the treatment-on-mediator row gets the analogous ``n*rho1``
-    correction on that mediator column's own active candidate covariates:
-    the rows and columns of the covariates-on-[treatment, fixed covariates]
-    refit that the column's restricted stage-1 fit kept nonzero.
+    The corrected outcome blocks [x, s, active sbar] subtract ``n*lambda1``
+    times the partial-regression matrix ``debias.coef`` applied to the
+    sign-and-weight subgradient vector, with residual gram pseudoinverses
+    standing in for the conditional gram inverses.  Each entry of the
+    treatment-on-mediator row gets the analogous ``n*rho1`` correction on
+    that mediator column's own active candidate covariates: the rows and
+    columns of the covariates-on-[treatment, fixed covariates] refit that
+    the column's stage-1 fit on the active sets (``stage1_m``) kept nonzero.
     When the treatment is inactive its corrected coefficient is exactly
     zero and all treatment-dependent blocks drop out.  The active sets are
     the supports of ``stage1_y``.
     """
     active_x, act_sb, act_zb = _active_sets(stage1_y)
-    q_s, q_sa, q_za = stage1_y.coef_s.size, act_sb.size, act_zb.size
     lam1, zeta1, xi1, rho1 = params.lambda1, params.zeta1, params.xi1, params.rho1
-
-    sb_signs = np.sign(stage1_y.coef_sbar[act_sb])
-    zb_signs = np.sign(stage1_y.coef_zbar[act_zb])
-    u_parts = [np.zeros(0)]
-    if active_x:
-        u_parts.append(
-            [zeta1 * _inv_or_zero(debias.x_resid_ss) * np.sign(stage1_y.beta_x)]
-        )
-    if q_sa:
-        u_parts.append(
-            xi1 * pseudo_inverse(debias.sb_resid_gram, CORRECTION_PINV_TOL)
-            @ (weights.sbar[act_sb] * sb_signs)
-        )
-    if q_za:
-        u_parts.append(
-            _zbar_share(zeta1, xi1)
-            * pseudo_inverse(debias.zb_resid_gram, CORRECTION_PINV_TOL)
-            @ (weights.zbar[act_zb] * zb_signs)
-        )
-    u = np.concatenate([np.atleast_1d(p) for p in u_parts])
-
-    qx = 1 if active_x else 0
-    blocks = {}
-    if active_x:
-        blocks.update(x_coef_s=debias.x_coef[:q_s], x_coef_sbar=debias.x_coef[q_s : q_s + q_sa])
-    if q_sa:
-        blocks.update(sb_coef_x=debias.sb_coef[:qx], sb_coef_s=debias.sb_coef[qx : qx + q_s])
-    if q_za:
-        blocks.update(zb_coef_x=debias.zb_coef[:qx], zb_coef_s=debias.zb_coef[qx : qx + q_s],
-                      zb_coef_sbar=debias.zb_coef[qx + q_s : qx + q_s + q_sa])
-    m = _correction_matrix(active_x, q_s, q_sa, q_za, **blocks)
-    target_parts = ([stage1_y.beta_x] if active_x else [])
-    target = np.concatenate(
-        [np.atleast_1d(target_parts), stage1_y.coef_s, stage1_y.coef_sbar[act_sb]]
-    )
-    corrected = target - n * lam1 * (m @ u)
-    beta_x = float(corrected[0]) if active_x else 0.0
+    x = [stage1_y.beta_x] if active_x else []
+    sbar, zbar = stage1_y.coef_sbar[act_sb], stage1_y.coef_zbar[act_zb]
+    # (penalty share, adaptive weights, coefficients) of each penalized block
+    blocks = [(zeta1, np.ones(len(x)), np.array(x)),
+              (xi1, weights.sbar[act_sb], sbar),
+              (_zbar_share(zeta1, xi1), weights.zbar[act_zb], zbar)]
+    u = np.concatenate([np.zeros(0)] + [
+        share * pseudo_inverse(gram, CORRECTION_PINV_TOL) @ (w * np.sign(coef))
+        for (share, w, coef), gram in zip([b for b in blocks if b[2].size], debias.resid_grams)
+    ])
+    target = np.concatenate([x, stage1_y.coef_s, sbar])
+    corrected = target - n * lam1 * (debias.coef[: target.size] @ u)
+    qx, q_s = len(x), stage1_y.coef_s.size
     coef_s = corrected[qx : qx + q_s]
     coef_sbar_active = corrected[qx + q_s :]
 
-    med_x = stage1_m_restricted.x_row.copy()
-    if q_za and rho1:
-        med_cols = np.concatenate([np.arange(q_s), q_s + act_sb]).astype(int)
-        for j, col in enumerate(med_cols):
-            own = np.nonzero(stage1_m_restricted.zbar_rows[:, j])[0]
+    med_x = stage1_m.x_row.copy()
+    if act_zb.size and rho1:
+        for j, col in enumerate(_mediator_columns(q_s, act_sb)):
+            own = np.nonzero(stage1_m.zbar_rows[:, j])[0]
             gamma = weights.med[act_zb[own], col]
-            signs = np.sign(stage1_m_restricted.zbar_rows[own, j])
+            signs = np.sign(stage1_m.zbar_rows[own, j])
             med_x[j] -= n * rho1 * (
                 debias.zb_on_xz_coef[0, own]
                 @ pseudo_inverse(debias.zb_on_xz_resid_gram[np.ix_(own, own)],
                                  CORRECTION_PINV_TOL)
                 @ (gamma * signs)
             )
-    y_on_med = np.concatenate([coef_s, coef_sbar_active])
     return CorrectedBlocks(
-        beta_x=beta_x,
+        beta_x=float(corrected[0]) if active_x else 0.0,
         coef_s=coef_s,
         coef_sbar_active=coef_sbar_active,
         med_x=med_x,
-        y_on_mediators=y_on_med,
+        y_on_mediators=np.concatenate([coef_s, coef_sbar_active]),
     )
 
 
 def fit_from_weights(data: Dataset, roles: RolePartition, params: PcmParams,
-                     pilots: PilotEstimates, weights: AdaptiveWeights) -> PcmFit:
+                     weights: AdaptiveWeights) -> PcmFit:
     """Steps 3-5 of the pipeline, from the adaptive weights to the total effect.
 
-    Stage-1 fits -> active sets -> restricted mediator refit -> debiasing
-    ridges -> corrections -> total effect.  The total effect is the
-    corrected treatment coefficient plus the inner product of the corrected
-    treatment-on-mediator and mediator-on-outcome blocks over the fixed and
-    active candidate mediators; without mediators it is the corrected
-    treatment coefficient alone.  ``pilots`` is only recorded in the fit.
+    Stage-1 outcome fit -> active sets -> mediator fit on the active sets ->
+    debiasing ridges -> corrections -> total effect.  The total effect is
+    the corrected treatment coefficient plus the inner product of the
+    corrected treatment-on-mediator and mediator-on-outcome blocks over the
+    fixed and active candidate mediators; without mediators it is the
+    corrected treatment coefficient alone.
     """
     s1y = pcm_stage1_y(data, roles, weights, params.lambda1, params.zeta1, params.xi1)
     active_x, active_sbar, active_zbar = _active_sets(s1y)
-    s1m = pcm_stage1_m(data, roles, weights, params.rho1)
-    s1m_restricted = pcm_stage1_m(
+    s1m = pcm_stage1_m(
         data, roles, weights, params.rho1, sbar_idx=active_sbar, zbar_idx=active_zbar
     )
     debias = debias_ridges(
@@ -684,19 +614,16 @@ def fit_from_weights(data: Dataset, roles: RolePartition, params: PcmParams,
         params.lambda2, params.xi2, params.rho2, params.rho2_prime,
         include_x=active_x,
     )
-    corrected = pcm_correct(s1y, s1m_restricted, debias, weights, params, data.n)
+    corrected = pcm_correct(s1y, s1m, debias, weights, params, data.n)
     tau = corrected.beta_x + float(corrected.med_x @ corrected.y_on_mediators)
     return PcmFit(
         params=params,
-        pilots=pilots,
         weights=weights,
         stage1_y=s1y,
         stage1_m=s1m,
         active_x=active_x,
         active_sbar=active_sbar,
         active_zbar=active_zbar,
-        stage1_m_restricted=s1m_restricted,
-        debias=debias,
         corrected=corrected,
         total_effect=float(tau),
     )
@@ -711,7 +638,7 @@ def pcm_total_effect(data: Dataset, roles: RolePartition, params: PcmParams) -> 
         y=ridge_pilot_y(data, roles, params.pilot_lambda),
         m=ridge_pilot_m(data, roles, params.pilot_rho),
     )
-    return fit_from_weights(data, roles, params, pilots, adaptive_weights(pilots))
+    return fit_from_weights(data, roles, params, adaptive_weights(pilots))
 
 
 # ---------------------------------------------------------------------------
@@ -719,124 +646,49 @@ def pcm_total_effect(data: Dataset, roles: RolePartition, params: PcmParams) -> 
 # ---------------------------------------------------------------------------
 
 
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesign(str(exc)) from exc
+def _stationarity_gap(data: Dataset, response: str, regressors, l1: np.ndarray,
+                      beta: np.ndarray) -> float:
+    """Largest gap between an L1 fit and its closed form on its active rows.
+
+    The active rows are the nonzero or unpenalized coefficients, A their
+    design columns.  The closed form is the least-squares fit of the
+    response on A minus ``n * (A.T A)^-1 (l1 * sign(beta))``.
+    """
+    keep = (beta != 0.0) | (l1 == 0.0)
+    a = data.values[:, data.index_of(regressors)[keep]]
+    rhs = np.column_stack([a.T @ data.column(response), l1[keep] * np.sign(beta[keep])])
+    ols, shrink = ols_solve(a.T @ a, rhs).T
+    return float(np.max(np.abs(beta[keep] - (ols - data.n * shrink)))) if keep.any() else 0.0
 
 
 def verify_active_set_relation(fit: PcmFit, data: Dataset, roles: RolePartition) -> float:
     """Max discrepancy of the closed-form stationarity relations at the fit.
 
-    On the active restriction, the stage-1 outcome coefficients must equal
-    the restricted least-squares coefficients plus ``n*lambda1`` times the
-    partial-regression matrix applied to the weighted sign vector (with the
-    treatment-inactive variant substituting zeros for every
-    treatment-dependent block).  The mediator-model fit satisfies the
-    analogous relation per mediator column on that column's own active
-    candidate covariates.  Returns the largest absolute violation; small
-    values certify that the stage-1 solver reached a stationary point.
+    On every active row (the treatment when active, the fixed blocks, the
+    active candidate blocks) the stage-1 outcome coefficients must equal the
+    restricted least-squares fit minus ``n*(A.T A)^-1 (l1 * sign)``, with A
+    the active design and l1 the stage-1 L1 weights.  Each column of the
+    mediator fit satisfies the same relation on [treatment, fixed
+    covariates] and that column's own active candidate covariates.
+    Returns the largest absolute violation; small values certify that the
+    stage-1 solver reached a stationary point.
 
     Raises
     ------
     SingularDesign
         If a restricted design needed by the relation is singular.
     """
-    v = data.values
-    n = data.n
-    params = fit.params
-    act_sb = np.asarray(fit.active_sbar, dtype=int)
-    act_zb = np.asarray(fit.active_zbar, dtype=int)
-    q_s, q_z = len(roles.s), len(roles.z)
-    q_sa, q_za = act_sb.size, act_zb.size
-
-    ix = data.index_of([roles.x]).tolist()
-    iy = data.index_of([roles.y]).tolist()
-    is_ = data.index_of(roles.s).tolist()
-    iz = data.index_of(roles.z).tolist()
-    isb = [data.index_of(roles.sbar).tolist()[i] for i in act_sb]
-    izb = [data.index_of(roles.zbar).tolist()[i] for i in act_zb]
-    include_x = bool(fit.active_x)
-
-    def B(resp, reg, given):
-        """Coefficients of ``reg`` in the joint regression of ``resp``."""
-        return _solve(ccp(v, reg, reg, given), ccp(v, reg, resp, given))
-
-    # restricted least squares of the outcome
-    design_cols = (ix if include_x else []) + is_ + iz + isb + izb
-    a = v[:, design_cols]
-    beta_ols = ols_solve(a.T @ a, a.T @ v[:, iy[0]])
-    off = 1 if include_x else 0
-    ols_x = beta_ols[0] if include_x else 0.0
-    ols_s = beta_ols[off : off + q_s]
-    ols_sb = beta_ols[off + q_s + q_z : off + q_s + q_z + q_sa]
-
-    blocks = {}
-    if include_x:
-        if q_sa:
-            blocks["sb_coef_x"] = B(isb, ix, is_ + iz + izb)[0]
-            blocks["x_coef_sbar"] = B(ix, isb, iz + izb + is_)[:, 0]
-        if q_za:
-            blocks["zb_coef_x"] = B(izb, ix, iz + is_ + isb)[0]
-        if q_s:
-            blocks["x_coef_s"] = B(ix, is_, iz + izb + isb)[:, 0]
-        sxx_cm = float(ccp(v, ix, ix, iz + izb + is_ + isb)[0, 0])
-    if q_s:
-        base = (ix if include_x else [])
-        if q_sa:
-            blocks["sb_coef_s"] = B(isb, is_, base + iz + izb)
-        if q_za:
-            blocks["zb_coef_s"] = B(izb, is_, base + iz + isb)
-    if q_sa and q_za:
-        blocks["zb_coef_sbar"] = B(izb, isb, (ix if include_x else []) + is_ + iz)
-
-    u_parts = [np.zeros(0)]
-    if include_x:
-        u_parts.append([params.zeta1 / sxx_cm * np.sign(fit.stage1_y.beta_x)])
-    if q_sa:
-        s_gram = ccp(v, isb, isb, (ix if include_x else []) + iz + izb + is_)
-        u_parts.append(
-            params.xi1
-            * _solve(s_gram, fit.weights.sbar[act_sb] * np.sign(fit.stage1_y.coef_sbar[act_sb]))
-        )
-    if q_za:
-        z_gram = ccp(v, izb, izb, (ix if include_x else []) + is_ + isb + iz)
-        u_parts.append(
-            _zbar_share(params.zeta1, params.xi1)
-            * _solve(z_gram, fit.weights.zbar[act_zb] * np.sign(fit.stage1_y.coef_zbar[act_zb]))
-        )
-    u = np.concatenate([np.atleast_1d(p) for p in u_parts])
-    m = _correction_matrix(include_x, q_s, q_sa, q_za, **blocks)
-    rhs = (
-        np.concatenate([np.atleast_1d([ols_x] if include_x else []), ols_s, ols_sb])
-        + n * params.lambda1 * (m @ u)
+    p = fit.params
+    worst = _stationarity_gap(
+        data, roles.y, roles.y_regressors,
+        _y_l1_weights(roles, fit.weights, p.lambda1, p.zeta1, p.xi1), fit.stage1_y.stacked(),
     )
-    lhs = np.concatenate(
-        [
-            np.atleast_1d([fit.stage1_y.beta_x] if include_x else []),
-            fit.stage1_y.coef_s,
-            fit.stage1_y.coef_sbar[act_sb],
-        ]
-    )
-    worst = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-
-    # mediator-model relation, per column on its own active candidate set
     med = fit.stage1_m
-    izb_all = data.index_of(roles.zbar).tolist()
-    for j in range(med.x_row.shape[0]):
-        col_active = np.nonzero(med.zbar_rows[:, j])[0]
-        cols = [izb_all[i] for i in col_active]
-        resp = (is_ + data.index_of(roles.sbar).tolist())[j : j + 1]
-        design = v[:, ix + iz + cols]
-        beta = ols_solve(design.T @ design, design.T @ v[:, resp[0]])
-        correction = 0.0
-        if col_active.size:
-            zx = B(cols, ix, iz)[0]
-            gram_zb = ccp(v, cols, cols, ix + iz)
-            gamma = fit.weights.med[col_active, j]
-            signs = np.sign(med.zbar_rows[col_active, j])
-            correction = float(n * params.rho1 * (zx @ _solve(gram_zb, gamma * signs)))
-        worst = max(worst, abs(med.x_row[j] - (beta[0] + correction)))
+    coefs = np.vstack([med.x_row, med.z_rows, med.zbar_rows])
+    regressors = [roles.x, *roles.z, *(roles.zbar[i] for i in fit.active_zbar)]
+    mediators = [*roles.s, *(roles.sbar[i] for i in fit.active_sbar)]
+    for j, col in enumerate(_mediator_columns(len(roles.s), fit.active_sbar)):
+        l1 = np.concatenate([np.zeros(1 + len(roles.z)),
+                             p.rho1 * fit.weights.med[fit.active_zbar, col]])
+        worst = max(worst, _stationarity_gap(data, mediators[j], regressors, l1, coefs[:, j]))
     return worst
-

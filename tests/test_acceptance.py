@@ -152,8 +152,8 @@ def test_criterion_2_stationarity_and_closed_form():
             a.T @ a, a.T @ ds.column("Y"), ds.n, l1, fit.stage1_y.stacked()))
         am = ds.values[:, ds.index_of(["X", "Z1", "Zb1", "Zb2"])]
         med = ds.values[:, ds.index_of(["S1", "Sb1", "Sb2"])]
-        stacked = np.vstack([fit.stage1_m.x_row[None, :], fit.stage1_m.z_rows,
-                             fit.stage1_m.zbar_rows])
+        m1 = pcm_stage1_m(ds, ROLES, weights, rho1)
+        stacked = np.vstack([m1.x_row[None, :], m1.z_rows, m1.zbar_rows])
         for j in range(3):
             l1_m = np.concatenate([np.zeros(2), rho1 * weights.med[:, j]])
             worst_kkt = max(worst_kkt, kkt_residual(

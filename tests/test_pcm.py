@@ -319,6 +319,13 @@ class TestActiveSetRelation:
         assert not fit.active_x
         assert verify_active_set_relation(fit, ds, ROLES) < 1e-6
 
+    def test_mediator_columns_with_different_active_covariates(self):
+        ds = random_instance(19)
+        fit = pcm_total_effect(ds, ROLES, default_params(rho1=0.1))
+        own_sets = [np.nonzero(col)[0].tolist() for col in fit.stage1_m.zbar_rows.T]
+        assert own_sets == [[1], [0], [0, 1]]
+        assert verify_active_set_relation(fit, ds, ROLES) < 1e-6
+
 
 def x_inactive_instance(seed, n=200):
     """The treatment carries no direct outcome effect, so stage 1 can drop it."""
@@ -343,19 +350,22 @@ class TestDebiasRidges:
         blocks = debias_ridges(ds, ROLES, [0, 1], [0, 1], 0.0, 0.5, 0.0, 0.0)
         a = ds.values[:, ds.index_of(["S1", "Sb1", "Sb2", "Z1", "Zb1", "Zb2"])]
         oracle = np.linalg.solve(a.T @ a, a.T @ ds.column("X"))
-        np.testing.assert_allclose(blocks.x_coef, oracle, atol=1e-9)
+        # frame [X, S1, Sb1, Sb2, Z1, Zb1, Zb2]; the treatment's column comes first
+        assert blocks.coef[0, 0] == -1.0
+        np.testing.assert_allclose(blocks.coef[1:, 0], oracle, atol=1e-9)
         resid = ds.column("X") - a @ oracle
-        assert blocks.x_resid_ss == pytest.approx(float(resid @ resid), abs=1e-8)
+        assert blocks.resid_grams[0][0, 0] == pytest.approx(float(resid @ resid), abs=1e-8)
 
     def test_empty_active_sets(self):
         ds = random_instance(23)
         blocks = debias_ridges(ds, ROLES, [], [], 0.1, 0.5, 0.1, 0.1)
-        assert blocks.sb_resid_gram is None and blocks.zb_resid_gram is None
+        # only the treatment is penalized and active: frame [X, S1, Z1]
+        assert blocks.coef.shape == (3, 1) and len(blocks.resid_grams) == 1
         # the treatment refit reduces to x on fixed covariates and mediators
         a = ds.values[:, ds.index_of(["Z1", "S1"])]
         oracle = np.linalg.solve(a.T @ a, a.T @ ds.column("X"))
         resid = ds.column("X") - a @ oracle
-        assert blocks.x_resid_ss == pytest.approx(float(resid @ resid), abs=1e-8)
+        assert blocks.resid_grams[0][0, 0] == pytest.approx(float(resid @ resid), abs=1e-8)
 
     def test_objectives_beat_perturbations(self):
         ds = random_instance(24, n=80)
@@ -365,7 +375,7 @@ class TestDebiasRidges:
 
         a = ds.values[:, ds.index_of(["S1", "Sb1", "Sb2", "Z1", "Zb1", "Zb2"])]
         d = np.concatenate([[0.0], np.full(2, lam2 * xi2), [0.0], np.full(2, lam2 * (1 - xi2))])
-        coef = blocks.x_coef
+        coef = blocks.coef[1:, 0]  # frame [X, S1, Sb1, Sb2, Z1, Zb1, Zb2]
         base = ridge_objective(a, ds.column("X"), d, coef)
         for _ in range(1000):
             delta = rng.standard_normal(coef.size) * rng.choice([1e-3, 0.05])
@@ -374,7 +384,7 @@ class TestDebiasRidges:
         a_sb = ds.values[:, ds.index_of(["X", "S1", "Z1", "Zb1", "Zb2"])]
         target = ds.values[:, ds.index_of(["Sb1", "Sb2"])]
         d_sb = np.concatenate([np.zeros(3), np.full(2, rho2)])
-        coef_sb = blocks.sb_coef
+        coef_sb = blocks.coef[np.ix_([0, 1, 4, 5, 6], [1, 2])]
         base = ridge_objective(a_sb, target, d_sb, coef_sb)
         for _ in range(1000):
             delta = rng.standard_normal(coef_sb.shape) * rng.choice([1e-3, 0.05])
@@ -412,7 +422,7 @@ class TestCorrections:
         ds = random_instance(19)
         fit = pcm_total_effect(ds, ROLES, default_params(
             rho1=0.1, lambda2=0.0, rho2=0.0, rho2_prime=0.0))
-        own_sets = [np.nonzero(col)[0] for col in fit.stage1_m_restricted.zbar_rows.T]
+        own_sets = [np.nonzero(col)[0] for col in fit.stage1_m.zbar_rows.T]
         # some mediator column must drop an active candidate covariate
         assert any(own.size < fit.active_zbar.size for own in own_sets)
         mediators = list(ROLES.s) + [ROLES.sbar[i] for i in fit.active_sbar]
