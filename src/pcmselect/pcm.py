@@ -34,6 +34,12 @@ Pipeline (all on standardized data):
 5.  Total effect: corrected treatment coefficient plus the product of the
     corrected treatment-on-mediator and mediator-on-outcome blocks (the
     treatment coefficient is zero when stage 1 deactivated the treatment).
+    Without observed covariates but with mediators, the total effect is the
+    mediator product alone (front-door identification): the treatment then
+    stays a regressor of the outcome model, but its coefficient carries the
+    unadjusted treatment-outcome confounding, so it is not added.  This
+    assumes that the mediators intercept every directed path from the
+    treatment to the outcome.
 
 Steps 3-5 are one function, :func:`fit_from_weights`.  :func:`pcm_total_effect`
 runs it on the weights of steps 1-2.  The partially adaptive baseline
@@ -219,7 +225,10 @@ class PcmFit:
 
     ``stage1_m`` is the mediator fit on the active sets: columns are the
     fixed and active candidate mediators, ``zbar_rows`` the active candidate
-    covariates.
+    covariates.  ``total_effect`` is ``corrected.beta_x`` plus the mediator
+    product ``corrected.med_x @ corrected.y_on_mediators``; without
+    covariates but with mediators it is the mediator product alone, and
+    ``corrected.beta_x`` is reported but not added.
     """
 
     params: PcmParams
@@ -602,7 +611,8 @@ def fit_from_weights(data: Dataset, roles: RolePartition, params: PcmParams,
     the corrected treatment coefficient plus the inner product of the
     corrected treatment-on-mediator and mediator-on-outcome blocks over the
     fixed and active candidate mediators; without mediators it is the
-    corrected treatment coefficient alone.
+    corrected treatment coefficient alone, and without covariates but with
+    mediators the inner product alone (front-door identification).
     """
     s1y = pcm_stage1_y(data, roles, weights, params.lambda1, params.zeta1, params.xi1)
     active_x, active_sbar, active_zbar = _active_sets(s1y)
@@ -615,7 +625,10 @@ def fit_from_weights(data: Dataset, roles: RolePartition, params: PcmParams,
         include_x=active_x,
     )
     corrected = pcm_correct(s1y, s1m, debias, weights, params, data.n)
-    tau = corrected.beta_x + float(corrected.med_x @ corrected.y_on_mediators)
+    if roles.mediators and not roles.covariates:
+        tau = float(corrected.med_x @ corrected.y_on_mediators)
+    else:
+        tau = corrected.beta_x + float(corrected.med_x @ corrected.y_on_mediators)
     return PcmFit(
         params=params,
         weights=weights,

@@ -319,6 +319,22 @@ def test_criterion_5_benchmark_reproduction():
 
 
 @pytest.mark.slow
+@pytest.mark.parametrize("setting", ["A", "B"])
+def test_pcm_consistency_at_n_1000(setting):
+    """The abstract promises a consistent estimator: at n=1000 the pcm mean
+    lies within 3 of its own Monte Carlo standard errors of the truth, with
+    covariates (setting A) and without them (setting B, front-door case)."""
+    cfg = ExperimentConfig(setting=setting, n=1000, replications=1000, seed=TABLE_SEED,
+                           workers=2, methods=(MethodSpec("pcm"),))
+    res = run_monte_carlo(cfg)
+    row = res.summaries[0]
+    se = row.sd / np.sqrt(cfg.replications - row.failures)
+    report(f"pcm consistency, setting {setting}", abs(row.bias) <= 3 * se,
+           f"n=1000 tau={res.true_tau:.3f}: bias {row.bias:+.4f} = {row.bias / se:+.1f} SE "
+           f"(SE {se:.4f}, SD {row.sd:.3f}, {row.failures} failures)")
+
+
+@pytest.mark.slow
 def test_criterion_6_variance_orderings():
     start = time.time()
     names = ["Z", "X", "M1", "M2", "Y"]
