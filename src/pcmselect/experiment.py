@@ -26,7 +26,7 @@ from .data import Dataset, RolePartition
 from .errors import ConfigInvalid, EmptyInput, PcmSelectError
 from .graphs import minimal_mediator_sets
 from .pcm import PcmParams, pcm_total_effect
-from .scm import CovarianceSpec, LinearScm, build_experiment_scm, coupling_dag
+from .scm import CovarianceSpec, LinearScm, build_experiment_scm, coupling_dag, parse_scm
 
 __all__ = [
     "Method",
@@ -209,6 +209,12 @@ class MethodSpec:
         return self.label or self.name
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise :class:`ConfigInvalid` unless ``value`` is an integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigInvalid(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     setting: str  # "A", "B", or "custom"
@@ -224,12 +230,11 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         setting = self.setting.upper() if self.setting.lower() != "custom" else "custom"
         object.__setattr__(self, "setting", setting)
-        if self.n < 3:
-            raise ConfigInvalid("n must be at least 3")
-        if self.replications < 1:
-            raise ConfigInvalid("replications must be at least 1")
-        if self.workers is not None and not isinstance(self.workers, int):
-            raise ConfigInvalid(f"workers must be an integer, got {self.workers!r}")
+        _check_count("n", self.n, 3)
+        _check_count("replications", self.replications, 1)
+        _check_count("seed", self.seed, 0)
+        if self.workers is not None:
+            _check_count("workers", self.workers, 1)
         if not self.methods:
             raise ConfigInvalid("configure at least one method")
         labels = [m.display for m in self.methods]
@@ -249,6 +254,10 @@ class ExperimentConfig:
         elif setting == "custom":
             if self.scm_payload is None or self.roles is None:
                 raise ConfigInvalid("custom setting needs an scm payload and roles")
+            scm, _ = parse_scm(self.scm_payload, ConfigInvalid, "experiment config 'scm'")
+            absent = [c for c in self.roles.required_columns() if c not in scm.dag.vertices]
+            if absent:
+                raise ConfigInvalid(f"roles name vertices missing from the model: {absent}")
         else:
             raise ConfigInvalid(f"unknown setting {self.setting!r}")
         roles = self.roles if setting == "custom" else experiment_roles(setting)
@@ -281,9 +290,9 @@ class ExperimentConfig:
             roles = payload.get("roles")
             return ExperimentConfig(
                 setting=str(payload["setting"]),
-                n=int(payload["n"]),
-                replications=int(payload["replications"]),
-                seed=int(payload["seed"]),
+                n=payload["n"],
+                replications=payload["replications"],
+                seed=payload["seed"],
                 methods=methods,
                 workers=payload.get("workers"),
                 scm_payload=payload.get("scm"),
@@ -403,8 +412,8 @@ def run_monte_carlo(config: ExperimentConfig) -> McResult:
         try:
             workers = int(raw)
         except ValueError:
-            raise ConfigInvalid(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
-    workers = max(1, workers)
+            workers = raw  # not an integer: _check_count rejects it
+        _check_count(WORKERS_ENV_VAR, workers, 1)
     if workers == 1 or config.replications == 1:
         raw_results = [_replication_worker(p) for p in payloads]
     else:

@@ -18,7 +18,7 @@ from .data import Dataset
 from .errors import ConfigInvalid, DataFormatError
 from .experiment import McResult
 from .graphs import Dag, format_edge_list, parse_edge_list
-from .scm import CovarianceSpec, LinearScm
+from .scm import CovarianceSpec, LinearScm, parse_scm
 
 __all__ = [
     "read_dataset_csv",
@@ -99,11 +99,7 @@ def save_graph(path, dag: Dag) -> None:
 
 
 def load_scm(path) -> tuple[LinearScm, CovarianceSpec | None]:
-    payload = load_json(path)
-    try:
-        return LinearScm.from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: bad structural model: {exc}") from exc
+    return parse_scm(load_json(path), DataFormatError, str(path))
 
 
 def save_scm(path, scm: LinearScm, spec: CovarianceSpec | None = None) -> None:

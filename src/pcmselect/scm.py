@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     ExplainedVarianceExceedsOne,
+    PcmSelectError,
     SingularSystem,
     UnknownVertex,
 )
@@ -29,6 +30,7 @@ from .graphs import Dag
 __all__ = [
     "CovarianceSpec",
     "LinearScm",
+    "parse_scm",
     "random_correlation",
     "build_experiment_scm",
     "experiment_criteria_dag",
@@ -312,6 +314,19 @@ class LinearScm:
                 spec = CovarianceSpec(np.asarray(corr, dtype=float))
         scm = LinearScm(dag, coefs, variances, correlated)
         return scm, spec
+
+
+def parse_scm(payload, error: type[PcmSelectError],
+              source: str) -> tuple[LinearScm, CovarianceSpec | None]:
+    """:meth:`LinearScm.from_dict` that raises ``error`` for a malformed payload.
+
+    A missing key, a value of the wrong type or a bad number becomes
+    ``error``, whose message names ``source`` (a file path or a config field).
+    """
+    try:
+        return LinearScm.from_dict(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise error(f"{source}: bad structural model: {exc}") from exc
 
 
 def random_correlation(q: int, rng: np.random.Generator) -> CovarianceSpec:

@@ -407,6 +407,19 @@ class TestExperimentCommand:
             ({**valid, "methods": ["pcm"]}, None),
             ([valid], None),
             (valid, "abc"),
+            ({**valid, "n": 15.9}, None),
+            ({**valid, "replications": True}, None),
+            ({**valid, "replications": 2.7}, None),
+            ({**valid, "seed": 0.5}, None),
+            ({**valid, "seed": -1}, None),
+            ({**valid, "workers": -4}, None),
+            ({**valid, "workers": 0}, None),
+            ({**valid, "workers": True}, None),
+            (valid, "-3"),
+            (valid, "0"),
+            ({**valid, "scm": {k: v for k, v in valid["scm"].items() if k != "edges"}}, None),
+            ({**valid, "scm": [valid["scm"]]}, None),
+            ({**valid, "roles": {**valid["roles"], "z": ["Q"]}}, None),
         ]
         path = tmp_path / "bad.json"
         for config, env in cases:
@@ -418,7 +431,8 @@ class TestExperimentCommand:
             capsys.readouterr()
             code = main(["experiment", "--config", str(path), "--out-dir", str(tmp_path)])
             assert code == 1, (config, env)
-            assert capsys.readouterr().err.startswith("error:"), (config, env)
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1, (config, env, err)
 
     def test_missing_file_is_usage_error(self):
         assert main(["experiment", "--config", "/nonexistent/config.json"]) in (1, 2)
