@@ -1,8 +1,11 @@
-"""Every exported name and every benchmark-traced function resolves."""
+"""Every exported name and every benchmark-traced function resolves; numpy.ma stays unloaded."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +57,46 @@ def test_traced_functions_resolve():
             continue
         assert callable(fn), f"{module}.{qualname} is not callable"
     assert not missing, f"the benchmark traces functions that do not exist: {missing}"
+
+
+# Runs both benchmark settings with all their methods and one pcm
+# cross-validation, then reports whether numpy.ma was ever imported.
+MA_GUARD = """
+import sys
+
+import numpy as np
+
+import pcmselect
+from pcmselect.data import Dataset
+from pcmselect.experiment import (SETTING_METHODS, ExperimentConfig, MethodSpec,
+                                  experiment_roles, run_monte_carlo)
+from pcmselect.scm import build_experiment_scm
+from pcmselect.tuning import ParamGrid, cross_validate
+
+for setting in ("A", "B"):
+    run_monte_carlo(ExperimentConfig(
+        setting=setting, n=15, replications=5, seed=0, workers=1,
+        methods=tuple(MethodSpec(m) for m in SETTING_METHODS[setting])))
+roles = experiment_roles("A")
+scm, spec, _ = build_experiment_scm("A", np.random.default_rng(0))
+raw = scm.sample(60, np.random.default_rng(1), spec)
+cols = [scm.dag.vertices.index(c) for c in roles.required_columns()]
+ds = Dataset(raw[:, cols], roles.required_columns()).standardized()
+grid = ParamGrid(pilot_lambda=(1.0,), pilot_rho=(1.0,), lambda1=(0.05, 0.1),
+                 rho1=(0.1,), zeta_xi=((0.3, 0.3),), folds=3)
+cross_validate(ds, roles, "pcm", grid)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_numpy_ma_stays_unloaded():
+    """``np.unique`` and the set routines built on it (``setdiff1d``,
+    ``intersect1d``, ``union1d``) import numpy.ma, which raises the
+    benchmark's gated peak memory; the package uses boolean masks instead."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    run = subprocess.run([sys.executable, "-c", MA_GUARD], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False", "numpy.ma was imported"
