@@ -411,7 +411,7 @@ def run_monte_carlo(config: ExperimentConfig) -> McResult:
         try:
             workers = int(raw)
         except ValueError:
-            workers = raw  # not an integer: _check_count rejects it
+            raise ConfigInvalid(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
         _check_count(WORKERS_ENV_VAR, workers, 1)
     if workers == 1 or config.replications == 1:
         raw_results = [_replication_worker(p) for p in payloads]
