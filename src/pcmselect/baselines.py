@@ -12,12 +12,13 @@ conditioning set (optionally including the treatment).
 Penalized baselines
 -------------------
 All four regress the outcome on treatment plus all covariates and return the
-treatment coefficient.  ``lasso`` applies a uniform L1 penalty; ``adaptive
-lasso`` weights the L1 penalty by reciprocal ridge-pilot magnitudes raised to
-``eta`` and standardized to sum one; ``elastic net`` mixes L1 and quadratic
-penalties by ``phi``; the partially adaptive variant penalizes only the
-candidate covariates (treatment and fixed covariates stay unpenalized) and
-applies the active-set bias correction: it runs the pipeline's
+treatment coefficient; they take the method registry's names.  ``lasso``
+applies a uniform L1 penalty; ``adaptive-lasso`` weights the L1 penalty by
+reciprocal ridge-pilot magnitudes raised to ``eta``; ``elastic-net`` mixes
+L1 and quadratic penalties by ``phi``; ``pal1ma``, the partially adaptive
+variant, penalizes only the candidate covariates (treatment and fixed
+covariates stay unpenalized), with pilot weights standardized to sum one,
+and applies the active-set bias correction: it runs the pipeline's
 :func:`~pcmselect.pcm.fit_from_weights` on roles without mediators.
 """
 
@@ -31,12 +32,9 @@ from .data import Dataset, RolePartition
 from .pcm import (
     AdaptiveWeights,
     PcmParams,
-    PilotEstimates,
-    adaptive_weights,
     fit_from_weights,
     pcm_stage1_y,
     reciprocal_power_weights,
-    ridge_pilot_m,
     ridge_pilot_y,
 )
 from .solvers import coordinate_descent, ols_solve, ridge_solve
@@ -46,6 +44,7 @@ __all__ = [
     "front_door_like_estimate",
     "baseline_penalized",
     "penalized_coefficients",
+    "pilot_coefficients",
     "pal1ma_estimate",
     "check_ranges",
 ]
@@ -116,7 +115,7 @@ def baseline_penalized(
 ) -> float:
     """Treatment coefficient from a penalized regression on treatment + covariates.
 
-    ``method`` is one of ``lasso``, ``adaptive_lasso``, ``elastic_net``,
+    ``method`` is one of ``lasso``, ``adaptive-lasso``, ``elastic-net``,
     ``pal1ma``.  ``eta`` is the adaptive-weight exponent, ``phi`` the L1
     share of the elastic-net penalty, ``pilot_lam`` the ridge-pilot penalty
     for the adaptive variants; ``lam2`` and ``xi2`` are pal1ma's debiasing
@@ -146,17 +145,17 @@ def penalized_coefficients(
     """
     check_ranges(lam=lam, eta=eta, phi=phi, pilot_lam=pilot_lam)
     if method == "pal1ma":
-        base, weights = _pal1ma_pilots(data, roles, eta, pilot_lam)
-        return pcm_stage1_y(data, base, weights, lam, 0.0, 0.0).stacked()
+        weights = _pal1ma_weights(data, roles, eta, pilot_lam)
+        return pcm_stage1_y(data, _without_mediators(roles), weights, lam, 0.0, 0.0).stacked()
     cols = [roles.x] + list(roles.covariates)
     gram, cross = data.cross(cols, cols), data.cross(cols, [roles.y])[:, 0]
     n, p = data.n, len(cols)
     if method == "lasso":
         l1, l2 = np.full(p, lam), None
-    elif method == "elastic_net":
+    elif method == "elastic-net":
         l1, l2 = np.full(p, lam * phi), np.full(p, lam * (1.0 - phi))
-    elif method == "adaptive_lasso":
-        pilot = ridge_solve(gram, cross, n, np.full(p, pilot_lam))
+    elif method == "adaptive-lasso":
+        pilot = pilot_coefficients(data, roles, method, pilot_lam)
         w, _ = reciprocal_power_weights(pilot, eta=eta, normalize=False)
         l1, l2 = lam * w, None
     else:
@@ -164,18 +163,34 @@ def penalized_coefficients(
     return coordinate_descent(gram, cross, n, l1, l2)
 
 
-def _pal1ma_pilots(data, roles, eta, pilot_lam) -> tuple[RolePartition, AdaptiveWeights]:
-    """pal1ma's roles (``roles`` without its mediators) and its ridge pilots' weights."""
-    base = replace(roles, s=(), sbar=())
-    pilots = PilotEstimates(
-        y=ridge_pilot_y(data, base, pilot_lam),
-        m=ridge_pilot_m(data, base, pilot_lam),
-    )
-    weights = adaptive_weights(pilots)
-    if eta != 1.0:
-        w_zbar, floored = reciprocal_power_weights(pilots.y.coef_zbar, eta=eta)
-        weights = replace(weights, zbar=w_zbar, floored=floored)
-    return base, weights
+def pilot_coefficients(data: Dataset, roles: RolePartition, method: str,
+                       pilot_lam: float) -> np.ndarray:
+    """Ridge pilot of ``method``'s adaptive weights: the outcome on ``[x] + roles.covariates``.
+
+    ``adaptive-lasso`` penalizes every coefficient by ``pilot_lam``;
+    ``pal1ma`` uses the pipeline's outcome pilot :func:`~pcmselect.pcm.ridge_pilot_y`
+    on its roles, which leaves the fixed covariates unpenalized.
+    """
+    if method == "pal1ma":
+        return ridge_pilot_y(data, _without_mediators(roles), pilot_lam).stacked()
+    if method != "adaptive-lasso":
+        raise ValueError(f"{method!r} has no ridge pilot")
+    cols = [roles.x] + list(roles.covariates)
+    return ridge_solve(data.cross(cols, cols), data.cross(cols, [roles.y])[:, 0], data.n,
+                       np.full(len(cols), pilot_lam))
+
+
+def _without_mediators(roles: RolePartition) -> RolePartition:
+    """pal1ma's roles: ``roles`` without its mediators."""
+    return replace(roles, s=(), sbar=())
+
+
+def _pal1ma_weights(data, roles, eta, pilot_lam) -> AdaptiveWeights:
+    """pal1ma's weights: its pilot's reciprocal candidate-covariate magnitudes to the ``eta``."""
+    pilot = pilot_coefficients(data, roles, "pal1ma", pilot_lam)
+    zbar, floored = reciprocal_power_weights(pilot[1 + len(roles.z):], eta=eta)
+    return AdaptiveWeights(sbar=np.zeros(0), zbar=zbar, med=np.zeros((len(roles.zbar), 0)),
+                           floored=floored)
 
 
 def pal1ma_estimate(
@@ -199,10 +214,10 @@ def pal1ma_estimate(
     :func:`~pcmselect.pcm.pcm_total_effect` on those roles.
     """
     check_ranges(lam=lam, eta=eta, pilot_lam=pilot_lam, lam2=lam2, xi2=xi2)
-    base, weights = _pal1ma_pilots(data, roles, eta, pilot_lam)
+    weights = _pal1ma_weights(data, roles, eta, pilot_lam)
     params = PcmParams(
         lambda1=lam, rho1=0.0, zeta1=0.0, xi1=0.0,
         pilot_lambda=pilot_lam, pilot_rho=pilot_lam,
         lambda2=lam2, xi2=xi2, rho2=0.0, rho2_prime=0.0,
     )
-    return fit_from_weights(data, base, params, weights).total_effect
+    return fit_from_weights(data, _without_mediators(roles), params, weights).total_effect

@@ -123,9 +123,9 @@ def _cmd_estimate(args) -> int:
     params = pio.load_json(args.params) if args.params else {}
     method = METHODS[args.method]
     if args.cv:
-        if method.cv is None:
+        if not method.cv:
             raise ConfigInvalid(f"{args.method} has no parameters to cross-validate")
-        params = dict(cross_validate(ds, roles, method.cv, _load_grid(args.grid)).chosen)
+        params = dict(cross_validate(ds, roles, args.method, _load_grid(args.grid)).chosen)
         print(f"cross-validation selected: {json.dumps(params, sort_keys=True)}")
     check_params(args.method, params, roles)
     if args.method != "pcm":
@@ -140,7 +140,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_tune(args) -> int:
     ds = pio.read_dataset_csv(args.data).standardized()
     roles = _load_roles(args.roles)
-    result = cross_validate(ds, roles, METHODS[args.method].cv, _load_grid(args.grid))
+    result = cross_validate(ds, roles, args.method, _load_grid(args.grid))
     print(f"chosen parameters: {json.dumps(result.chosen, sort_keys=True)}")
     print(f"cv score: {result.score!r}")
     table = cv_table_csv(result)

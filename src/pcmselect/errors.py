@@ -28,10 +28,6 @@ class SingularDesign(PcmSelectError):
     """A design matrix that must be invertible is (numerically) singular."""
 
 
-class SingularSystem(PcmSelectError):
-    """A structural system matrix is numerically singular."""
-
-
 class MaxIterationsExceeded(PcmSelectError):
     """The L1 solution path took more events than its cap."""
 

@@ -14,7 +14,6 @@ output is byte-identical regardless of the worker count.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -40,10 +39,7 @@ __all__ = [
     "experiment_roles",
     "PRESETS",
     "SETTING_METHODS",
-    "WORKERS_ENV_VAR",
 ]
-
-WORKERS_ENV_VAR = "PCMSELECT_WORKERS"
 
 # Published benchmark parameter values (selected by cross-validation there);
 # the debiasing-ridge settings are this package's defaults.
@@ -80,27 +76,27 @@ class Method:
     ``estimate(data, roles, params)`` returns the total-effect estimate on
     standardized data and holds the defaults of the keys left out;
     ``allowed`` and ``required`` are its parameter keys; ``check(roles,
-    params)`` raises ``ValueError`` for a value out of range; ``cv`` is its
-    :func:`~pcmselect.tuning.cross_validate` name (None: nothing to tune).
+    params)`` raises ``ValueError`` for a value out of range; ``cv`` says
+    whether :func:`~pcmselect.tuning.cross_validate` tunes it.
     """
 
     estimate: Callable[[Dataset, RolePartition, dict], float]
     allowed: frozenset[str]
     required: frozenset[str] = frozenset()
     check: Callable[[RolePartition, dict], object] = lambda roles, params: None
-    cv: str | None = None
+    cv: bool = False
 
 
 def _pcm(ds: Dataset, roles: RolePartition, params: dict) -> float:
     return pcm_total_effect(ds, roles, PcmParams(**params)).total_effect
 
 
-def _penalized(kind: str, *keys: str) -> Method:
+def _penalized(name: str, *keys: str) -> Method:
     def estimate(ds, roles, params):
-        return baseline_penalized(ds, roles, kind, **params)
+        return baseline_penalized(ds, roles, name, **params)
 
     return Method(estimate, frozenset({"lam", *keys}), frozenset({"lam"}),
-                  check=lambda roles, params: check_ranges(**params), cv=kind)
+                  check=lambda roles, params: check_ranges(**params), cv=True)
 
 
 def _backdoor(ds: Dataset, roles: RolePartition, params: dict) -> float:
@@ -133,12 +129,12 @@ def _frontdoor(include_x: bool, adjusted: bool, required=frozenset()) -> Method:
 
 METHODS: dict[str, Method] = {
     "lasso": _penalized("lasso"),
-    "adaptive-lasso": _penalized("adaptive_lasso", "eta", "pilot_lam"),
-    "elastic-net": _penalized("elastic_net", "phi"),
+    "adaptive-lasso": _penalized("adaptive-lasso", "eta", "pilot_lam"),
+    "elastic-net": _penalized("elastic-net", "phi"),
     "pal1ma": _penalized("pal1ma", "eta", "pilot_lam", "lam2", "xi2"),
     "pcm": Method(_pcm, frozenset(f.name for f in fields(PcmParams)),
                   frozenset(f.name for f in fields(PcmParams) if f.default is MISSING),
-                  check=lambda roles, params: PcmParams(**params), cv="pcm"),
+                  check=lambda roles, params: PcmParams(**params), cv=True),
     "frontdoor-including-x": _frontdoor(True, adjusted=True),
     "frontdoor-not-including-x": _frontdoor(False, adjusted=True),
     "backdoor": Method(_backdoor, frozenset({"z"})),
@@ -221,7 +217,7 @@ class ExperimentConfig:
     replications: int
     seed: int
     methods: tuple[MethodSpec, ...]
-    workers: int | None = None
+    workers: int = 1
     scm_payload: dict | None = None  # custom setting only
     roles: RolePartition | None = None  # custom setting only
 
@@ -232,8 +228,7 @@ class ExperimentConfig:
         _check_count("n", self.n, 3)
         _check_count("replications", self.replications, 1)
         _check_count("seed", self.seed, 0)
-        if self.workers is not None:
-            _check_count("workers", self.workers, 1)
+        _check_count("workers", self.workers, 1)
         if not self.methods:
             raise ConfigInvalid("configure at least one method")
         labels = [m.display for m in self.methods]
@@ -293,7 +288,7 @@ class ExperimentConfig:
                 replications=payload["replications"],
                 seed=payload["seed"],
                 methods=methods,
-                workers=payload.get("workers"),
+                workers=payload.get("workers", 1),
                 scm_payload=payload.get("scm"),
                 roles=RolePartition.from_dict(roles) if roles else None,
             )
@@ -405,23 +400,15 @@ def run_monte_carlo(config: ExperimentConfig) -> McResult:
         (rep, children[rep + 1], scm, spec, roles, config.n, methods)
         for rep in range(config.replications)
     ]
-    workers = config.workers
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV_VAR, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ConfigInvalid(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
-        _check_count(WORKERS_ENV_VAR, workers, 1)
-    if workers == 1 or config.replications == 1:
+    if config.workers == 1 or config.replications == 1:
         raw_results = [_replication_worker(p) for p in payloads]
     else:
         # Imported here: importing multiprocessing adds about 1.3 MiB of
         # resident memory, which single-worker runs do not need.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, config.replications // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunk = max(1, config.replications // (config.workers * 8))
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
             raw_results = list(pool.map(_replication_worker, payloads, chunksize=chunk))
     raw_results.sort(key=lambda item: item[0])
 

@@ -25,6 +25,9 @@ __all__ = [
     "minimal_mediator_sets",
 ]
 
+# Most criterion evaluations that minimal_mediator_sets may make.
+SEARCH_BUDGET = 200_000
+
 
 class Dag:
     """A directed acyclic graph over named vertices.
@@ -56,8 +59,6 @@ class Dag:
             seen.add((tail, head))
             edge_list.append((tail, head))
         self.edges: frozenset[tuple[str, str]] = frozenset(edge_list)
-        self._parents: dict[str, tuple[str, ...]] = {v: () for v in self.vertices}
-        self._children: dict[str, tuple[str, ...]] = {v: () for v in self.vertices}
         par: dict[str, list[str]] = {v: [] for v in self.vertices}
         chi: dict[str, list[str]] = {v: [] for v in self.vertices}
         for tail, head in edge_list:
@@ -255,8 +256,6 @@ def minimal_mediator_sets(
     x: str,
     y: str,
     candidate_z: Sequence[str] = (),
-    *,
-    budget: int = 200_000,
 ) -> list[frozenset[str]]:
     """All inclusion-minimal mediator sets satisfying the front-door-like criterion.
 
@@ -269,7 +268,7 @@ def minimal_mediator_sets(
     Raises
     ------
     SearchBudgetExceeded
-        When the number of criterion evaluations would exceed ``budget``.
+        When the number of criterion evaluations would exceed ``SEARCH_BUDGET``.
     """
     g._require(x)
     g._require(y)
@@ -277,10 +276,10 @@ def minimal_mediator_sets(
     z_pool = sorted(set(candidate_z) - {x, y})
     z_subsets = _subsets(z_pool)
     n_pairs = len(z_subsets) + len(z_subsets) ** 2
-    if (2 ** len(mediators)) * max(n_pairs, 1) > budget:
+    if (2 ** len(mediators)) * max(n_pairs, 1) > SEARCH_BUDGET:
         raise SearchBudgetExceeded(
             f"{2 ** len(mediators)} mediator subsets x {n_pairs} conditioning "
-            f"pairs exceeds budget {budget}"
+            f"pairs exceeds budget {SEARCH_BUDGET}"
         )
     found: list[frozenset[str]] = []
     for size in range(0, len(mediators) + 1):

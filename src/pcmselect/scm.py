@@ -19,12 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    ExplainedVarianceExceedsOne,
-    PcmSelectError,
-    SingularSystem,
-    UnknownVertex,
-)
+from .errors import ExplainedVarianceExceedsOne, PcmSelectError, UnknownVertex
 from .graphs import Dag
 
 __all__ = [
@@ -124,17 +119,22 @@ class LinearScm:
             w[idx[head], idx[tail]] = coef
         return w
 
+    def _check_block(self, spec: CovarianceSpec | None) -> None:
+        """Raise ``ValueError`` unless ``spec`` fits the correlated block, if there is one."""
+        if not self.correlated:
+            return
+        if spec is None:
+            raise ValueError("scm declares a correlated block; pass its CovarianceSpec")
+        if spec.dim != len(self.correlated):
+            raise ValueError(
+                f"covariance spec has dim {spec.dim}, expected {len(self.correlated)}"
+            )
+
     def _noise_covariance(self, block: CovarianceSpec | None) -> np.ndarray:
+        self._check_block(block)
         idx = self._index()
-        q = len(self.dag.vertices)
         omega = np.diag([self.error_variances[v] for v in self.dag.vertices])
         if self.correlated:
-            if block is None:
-                raise ValueError("scm declares a correlated block; pass its CovarianceSpec")
-            if block.dim != len(self.correlated):
-                raise ValueError(
-                    f"covariance spec has dim {block.dim}, expected {len(self.correlated)}"
-                )
             cols = [idx[v] for v in self.correlated]
             omega[np.ix_(cols, cols)] = block.matrix
         return omega
@@ -145,24 +145,16 @@ class LinearScm:
         """Exact covariance of all variables, ordered like ``dag.vertices``.
 
         Solves the structural composition v = W v + e in closed form.  For a
-        DAG the system matrix is unipotent, so singularity cannot occur; it
-        is guarded anyway.
+        DAG the system matrix I - W is unipotent, so it is never singular.
         """
         w = self._weight_matrix()
         omega = self._noise_covariance(exogenous_block)
         q = w.shape[0]
-        try:
-            inv = np.linalg.solve(np.eye(q) - w, np.eye(q))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - unreachable for a DAG
-            raise SingularSystem(str(exc)) from exc
+        inv = np.linalg.solve(np.eye(q) - w, np.eye(q))
         return inv @ omega @ inv.T
 
     def true_total_effect(self, x: str, y: str) -> float:
-        """Sum over all directed x-to-y paths of the edge-coefficient products.
-
-        Computed independently by path recursion and through the structural
-        inverse; the two must agree to 1e-10.
-        """
+        """Sum over all directed x-to-y paths of the edge-coefficient products."""
         self.dag._require(x)
         self.dag._require(y)
         memo: dict[str, float] = {}
@@ -178,16 +170,7 @@ class LinearScm:
             memo[v] = total
             return total
 
-        by_paths = from_vertex(x)
-        idx = self._index()
-        w = self._weight_matrix()
-        q = w.shape[0]
-        by_inverse = np.linalg.solve(np.eye(q) - w, np.eye(q))[idx[y], idx[x]]
-        if abs(by_paths - by_inverse) > 1e-10:  # pragma: no cover - internal consistency
-            raise SingularSystem(
-                f"path and inverse total effects disagree: {by_paths} vs {by_inverse}"
-            )
-        return float(by_paths)
+        return float(from_vertex(x))
 
     def calibrate_unit_variance(self, exogenous_block: CovarianceSpec | None = None) -> "LinearScm":
         """Set disturbance variances so every variable has population variance 1.
@@ -201,6 +184,7 @@ class LinearScm:
         ExplainedVarianceExceedsOne
             If a vertex's parents explain variance >= 1.
         """
+        self._check_block(exogenous_block)
         block = list(self.correlated)
         order = block + [v for v in self.dag.topological_order if v not in self.correlated]
         pos = {v: i for i, v in enumerate(order)}
@@ -208,8 +192,6 @@ class LinearScm:
         sigma = np.zeros((q, q))
         new_vars = dict(self.error_variances)
         if block:
-            if exogenous_block is None:
-                raise ValueError("scm declares a correlated block; pass its CovarianceSpec")
             bidx = [pos[v] for v in block]
             sigma[np.ix_(bidx, bidx)] = exogenous_block.matrix
             for v in block:
@@ -251,12 +233,11 @@ class LinearScm:
         """
         if n < 1:
             raise ValueError("n must be >= 1")
+        self._check_block(exogenous_block)
         idx = self._index()
         q = len(self.dag.vertices)
         noise = rng.standard_normal((n, q))
         if self.correlated:
-            if exogenous_block is None:
-                raise ValueError("scm declares a correlated block; pass its CovarianceSpec")
             chol = exogenous_block.cholesky_factor()
             cols = [idx[v] for v in self.correlated]
             noise[:, cols] = noise[:, cols] @ chol.T
@@ -279,6 +260,7 @@ class LinearScm:
     # -- serialization -------------------------------------------------------------
 
     def to_dict(self, exogenous_block: CovarianceSpec | None = None) -> dict:
+        self._check_block(exogenous_block)
         payload = {
             "vertices": list(self.dag.vertices),
             "edges": [
@@ -290,9 +272,7 @@ class LinearScm:
         if self.correlated:
             payload["correlated_block"] = {
                 "vertices": list(self.correlated),
-                "correlation": np.asarray(
-                    exogenous_block.matrix if exogenous_block is not None else []
-                ).tolist(),
+                "correlation": exogenous_block.matrix.tolist(),
             }
         return payload
 
@@ -313,6 +293,7 @@ class LinearScm:
             if corr:
                 spec = CovarianceSpec(np.asarray(corr, dtype=float))
         scm = LinearScm(dag, coefs, variances, correlated)
+        scm._check_block(spec)
         return scm, spec
 
 
@@ -418,8 +399,8 @@ def build_experiment_scm(
     return scm, spec, tau
 
 
-def coupling_dag(scm: LinearScm, latent: str = "_L") -> Dag:
-    """The model's DAG with a latent common parent over the correlated block.
+def coupling_dag(scm: LinearScm) -> Dag:
+    """The model's DAG with a latent common parent ``_L`` over the correlated block.
 
     Criterion checks (d-separation, back-door, front-door-like) must account
     for the dependence inside the correlated exogenous block; a shared latent
@@ -428,6 +409,7 @@ def coupling_dag(scm: LinearScm, latent: str = "_L") -> Dag:
     """
     if not scm.correlated:
         return scm.dag
+    latent = "_L"
     if latent in scm.dag.vertices:
         raise ValueError(f"latent name {latent!r} collides with a model vertex")
     vertices = [latent] + list(scm.dag.vertices)

@@ -14,6 +14,10 @@ The protocol is two-phase and deterministic:
     row of the (lambda1, rho1, (zeta1, xi1)) product sums one error of each.
     The debiasing ridges are not scored; they keep ``PcmParams``' defaults.
     Baseline methods score the held-out error of their single regression.
+    They search the keys that the method registry gives them (``lam`` and
+    whichever of ``eta`` and ``phi`` they take; the ridge pilot first when
+    they take ``pilot_lam``), and every candidate passes the registry's
+    range checks before any fit.
 
 Folds come from a seeded permutation, so selection is reproducible; ties are
 broken toward stronger regularization.  A fit that fails on some fold (for
@@ -29,9 +33,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import penalized_coefficients
+from .baselines import penalized_coefficients, pilot_coefficients
 from .data import Dataset, RolePartition
 from .errors import ConfigInvalid, EmptyGrid, FoldTooSmall, PcmSelectError
+from .experiment import METHODS, check_params
 from .pcm import (
     MIX_SLACK,
     MediatorCoefs,
@@ -42,7 +47,6 @@ from .pcm import (
     ridge_pilot_m,
     ridge_pilot_y,
 )
-from .solvers import ridge_solve
 
 __all__ = ["ParamGrid", "CvRow", "CvResult", "cross_validate", "default_log_grid"]
 
@@ -178,17 +182,19 @@ def _m_error(test: Dataset, roles: RolePartition, coef: MediatorCoefs) -> float:
 def cross_validate(data: Dataset, roles: RolePartition, method: str, grid: ParamGrid) -> CvResult:
     """Select parameters for ``method`` by deterministic k-fold prediction error.
 
-    ``method`` is one of ``pcm``, ``lasso``, ``adaptive_lasso``,
-    ``elastic_net``, ``pal1ma``.  Ties break toward larger penalties; the
-    resulting selection is invariant to the enumeration order of the grid.
+    ``method`` is a registry name whose :class:`~pcmselect.experiment.Method`
+    has ``cv`` set: ``pcm``, ``lasso``, ``adaptive-lasso``, ``elastic-net``
+    or ``pal1ma``.  Ties break toward larger penalties; the resulting
+    selection is invariant to the enumeration order of the grid.  A baseline
+    candidate out of its registry range raises :class:`ConfigInvalid`.
     """
+    if method not in METHODS or not METHODS[method].cv:
+        raise ValueError(f"unknown method {method!r} for cross-validation")
     data.check_roles(roles)
     splits = _splits(data, _fold_indices(data.n, grid.folds, grid.fold_seed))
     if method == "pcm":
         return _cross_validate_pcm(roles, grid, splits)
-    if method in ("lasso", "adaptive_lasso", "elastic_net", "pal1ma"):
-        return _cross_validate_baseline(roles, method, grid, splits)
-    raise ValueError(f"unknown method {method!r} for cross-validation")
+    return _cross_validate_baseline(roles, method, grid, splits)
 
 
 def _select(rows: list[CvRow], tie_key) -> CvRow:
@@ -252,52 +258,32 @@ def _cross_validate_pcm(roles, grid: ParamGrid, splits) -> CvResult:
 
 
 def _cross_validate_baseline(roles, method, grid: ParamGrid, splits) -> CvResult:
-    if not grid.lam:
-        raise EmptyGrid("baseline grid has no penalty candidates")
-    etas = grid.eta if method in ("adaptive_lasso", "pal1ma") else (1.0,)
-    phis = grid.phi if method == "elastic_net" else (0.5,)
-    if not etas or not phis:
+    allowed = METHODS[method].allowed
+    keys = [key for key in ("lam", "eta", "phi") if key in allowed]
+    values = [getattr(grid, key) for key in keys]
+    if not all(values) or ("pilot_lam" in allowed and not grid.pilot_lambda):
         raise EmptyGrid(f"{method} grid has an empty parameter list")
+    cands = [dict(zip(keys, combo)) for combo in itertools.product(*values)]
+    # pilot_lam candidates are finite and nonnegative by ParamGrid, its whole range
+    for cand in cands:
+        check_params(method, cand, roles)
     # every baseline regresses the outcome on [x, covariates], pal1ma's own roles
     base = replace(roles, s=(), sbar=())
-    pilot_lam = 1.0
-    if method in ("adaptive_lasso", "pal1ma"):
-        if not grid.pilot_lambda:
-            raise EmptyGrid("pilot grid is empty")
-        pilot_rows = [
-            CvRow({"pilot_lambda": lam},
-                  *_score_mean(splits, lambda tr, te, lam=lam:
-                               _y_error(te, base, ridge_pilot_y(tr, base, lam).stacked())
-                               if method == "pal1ma"
-                               else _uniform_pilot_score(tr, te, base, lam)))
-            for lam in grid.pilot_lambda
-        ]
+
+    def score(fit):
+        """Mean and per-fold held-out error of the coefficients ``fit(train)``."""
+        return _score_mean(splits, lambda tr, te: _y_error(te, base, fit(tr)))
+
+    if "pilot_lam" in allowed:
+        pilot_rows = [CvRow({"pilot_lambda": lam},
+                            *score(lambda tr: pilot_coefficients(tr, roles, method, lam)))
+                      for lam in grid.pilot_lambda]
         pilot_lam = _select(pilot_rows, lambda p: (-p["pilot_lambda"],)).params["pilot_lambda"]
-    rows = []
-    for lam, eta, phi in itertools.product(grid.lam, etas, phis):
-        cand = {"lam": lam}
-        if method in ("adaptive_lasso", "pal1ma"):
-            cand["eta"] = eta
-            cand["pilot_lam"] = pilot_lam
-        if method == "elastic_net":
-            cand["phi"] = phi
-
-        def fit_predict(tr, te, lam=lam, eta=eta, phi=phi):
-            beta = penalized_coefficients(tr, roles, method, lam, eta=eta, phi=phi,
-                                          pilot_lam=pilot_lam)
-            return _y_error(te, base, beta)
-
-        mean, per_fold = _score_mean(splits, fit_predict)
-        rows.append(CvRow(cand, mean, per_fold))
+        cands = [{**cand, "pilot_lam": pilot_lam} for cand in cands]
+    rows = [CvRow(cand, *score(lambda tr: penalized_coefficients(tr, roles, method, **cand)))
+            for cand in cands]
     best = _select(rows, lambda p: (-p["lam"], -p.get("eta", 0.0), -p.get("phi", 0.0)))
     return CvResult(method, dict(best.params), best.mean_score, tuple(rows))
-
-
-def _uniform_pilot_score(train: Dataset, test: Dataset, roles, lam: float) -> float:
-    cols = roles.y_regressors
-    beta = ridge_solve(train.cross(cols, cols), train.cross(cols, [roles.y])[:, 0],
-                       train.n, np.full(len(cols), lam))
-    return _y_error(test, roles, beta)
 
 
 def cv_table_csv(result: CvResult) -> str:

@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import pcmselect
+from pcmselect.experiment import METHODS, check_params, experiment_roles
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pcmselect.__path__))
-TRACER = Path(__file__).resolve().parents[1] / "pcmbench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "pcmbench"
+TRACER = BENCH / "tracer.py"
 
 
 def resolve(owner, dotted: str):
@@ -57,6 +59,22 @@ def test_traced_functions_resolve():
             continue
         assert callable(fn), f"{module}.{qualname} is not callable"
     assert not missing, f"the benchmark traces functions that do not exist: {missing}"
+
+
+def test_benchmark_methods_are_valid():
+    """Every method and parameter set that the benchmark runs passes the registry's
+    checks, and the method that its tune workload tunes is tunable."""
+    tree = ast.parse((BENCH / "worker.py").read_text())
+    mc_methods = next(ast.literal_eval(node.value) for node in tree.body
+                      if isinstance(node, ast.Assign)
+                      and any(isinstance(t, ast.Name) and t.id == "MC_METHODS"
+                              for t in node.targets))
+    assert set(mc_methods) == {"A", "B"}
+    for setting, methods in mc_methods.items():
+        for name, params in methods.items():
+            # run_monte_carlo fills frontdoor-minimal's mediators from the graph
+            check_params(name, params, experiment_roles(setting), filled=frozenset({"mediators"}))
+    assert METHODS["pcm"].cv
 
 
 # Runs both benchmark settings with all their methods and one pcm

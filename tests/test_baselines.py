@@ -64,33 +64,34 @@ class TestPenalizedBaselines:
         cols = ["X", "Z1", "Zb1", "Zb2"]
         a = ds.values[:, ds.index_of(cols)]
         ols_x = ols_solve(a.T @ a, a.T @ ds.column("Y"))[0]
-        for method in ("lasso", "adaptive_lasso", "elastic_net", "pal1ma"):
+        for method in ("lasso", "adaptive-lasso", "elastic-net", "pal1ma"):
             est = baseline_penalized(ds, BASE_ROLES, method, 0.0, pilot_lam=0.5)
             assert est == pytest.approx(ols_x, abs=1e-8), method
 
     def test_huge_penalty_kills_the_treatment_for_lasso_family(self):
         ds = random_instance(46)
-        for method in ("lasso", "elastic_net"):
+        for method in ("lasso", "elastic-net"):
             assert baseline_penalized(ds, BASE_ROLES, method, 1e4) == 0.0
 
     def test_adaptive_lasso_eta_zero_matches_lasso(self):
         ds = random_instance(47)
         lam = 0.015
-        a = baseline_penalized(ds, BASE_ROLES, "adaptive_lasso", lam, eta=0.0, pilot_lam=0.5)
+        a = baseline_penalized(ds, BASE_ROLES, "adaptive-lasso", lam, eta=0.0, pilot_lam=0.5)
         b = baseline_penalized(ds, BASE_ROLES, "lasso", lam)
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_elastic_net_phi_one_is_lasso(self):
         ds = random_instance(48)
         lam = 0.02
-        a = baseline_penalized(ds, BASE_ROLES, "elastic_net", lam, phi=1.0)
+        a = baseline_penalized(ds, BASE_ROLES, "elastic-net", lam, phi=1.0)
         b = baseline_penalized(ds, BASE_ROLES, "lasso", lam)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_unknown_method(self):
         ds = random_instance(49)
-        with pytest.raises(ValueError):
-            baseline_penalized(ds, BASE_ROLES, "ridge", 0.1)
+        for method in ("ridge", "adaptive_lasso", "elastic_net"):
+            with pytest.raises(ValueError):
+                baseline_penalized(ds, BASE_ROLES, method, 0.1)
 
 
 class TestPal1maReduction:

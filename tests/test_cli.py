@@ -263,6 +263,7 @@ class TestTuneCommand:
         ({"lam": [0.1], "fold_seed": "x"}, "lasso"),
         ({"lam": [0.1], "fold_seed": -1}, "lasso"),
         ({"lam": [0.1], "folds": 2.5}, "lasso"),
+        ({"phi": [2.0]}, "elastic-net"),
     ])
     def test_bad_grid_or_method_is_usage_error(self, linear_csv, roles_file, tmp_path,
                                                capsys, grid, method):
@@ -322,6 +323,23 @@ class TestSimulateCommand:
                           "--out", str(tmp_path / "sim.csv")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("block", [
+        {"vertices": ["Z"]},
+        {"vertices": ["Z"], "correlation": [[1.0, 0.0], [0.0, 1.0]]},
+    ])
+    def test_model_without_its_block_correlation_is_a_data_error(self, tmp_path, block,
+                                                                  capsys):
+        from test_experiment import tiny_custom_config
+
+        model = tmp_path / "scm.json"
+        model.write_text(json.dumps({**tiny_custom_config().scm_payload,
+                                     "correlated_block": block}))
+        code = exit_code(["simulate", "--scm", str(model), "--n", "10", "--seed", "1",
+                          "--out", str(tmp_path / "sim.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -395,44 +413,41 @@ class TestExperimentCommand:
             assert float(cells[2]) == sd
             assert float(cells[4]) == sign
 
-    def test_invalid_config_exit_code(self, tmp_path, monkeypatch, capsys):
+    def test_invalid_config_exit_code(self, tmp_path, capsys):
         valid = json.loads(self.write_config(tmp_path).read_text())
         del valid["workers"]
-        cases = [  # (config, PCMSELECT_WORKERS)
-            ({"setting": "B", "n": 15, "replications": 2, "seed": 1,
-              "methods": [{"name": "backdoor"}]}, None),
-            ({**valid, "n": "abc"}, None),
-            ({**valid, "seed": "x"}, None),
-            ({**valid, "workers": "two"}, None),
-            ({**valid, "methods": ["pcm"]}, None),
-            ([valid], None),
-            (valid, "abc"),
-            ({**valid, "n": 15.9}, None),
-            ({**valid, "replications": True}, None),
-            ({**valid, "replications": 2.7}, None),
-            ({**valid, "seed": 0.5}, None),
-            ({**valid, "seed": -1}, None),
-            ({**valid, "workers": -4}, None),
-            ({**valid, "workers": 0}, None),
-            ({**valid, "workers": True}, None),
-            (valid, "-3"),
-            (valid, "0"),
-            ({**valid, "scm": {k: v for k, v in valid["scm"].items() if k != "edges"}}, None),
-            ({**valid, "scm": [valid["scm"]]}, None),
-            ({**valid, "roles": {**valid["roles"], "z": ["Q"]}}, None),
+        block = {"vertices": ["Z"]}
+        cases = [
+            {"setting": "B", "n": 15, "replications": 2, "seed": 1,
+             "methods": [{"name": "backdoor"}]},
+            {**valid, "n": "abc"},
+            {**valid, "seed": "x"},
+            {**valid, "workers": "two"},
+            {**valid, "methods": ["pcm"]},
+            [valid],
+            {**valid, "n": 15.9},
+            {**valid, "replications": True},
+            {**valid, "replications": 2.7},
+            {**valid, "seed": 0.5},
+            {**valid, "seed": -1},
+            {**valid, "workers": -4},
+            {**valid, "workers": 0},
+            {**valid, "workers": True},
+            {**valid, "scm": {k: v for k, v in valid["scm"].items() if k != "edges"}},
+            {**valid, "scm": [valid["scm"]]},
+            {**valid, "roles": {**valid["roles"], "z": ["Q"]}},
+            {**valid, "scm": {**valid["scm"], "correlated_block": block}},
+            {**valid, "scm": {**valid["scm"], "correlated_block": {
+                **block, "correlation": [[1.0, 0.0], [0.0, 1.0]]}}},
         ]
         path = tmp_path / "bad.json"
-        for config, env in cases:
+        for config in cases:
             path.write_text(json.dumps(config))
-            if env is None:
-                monkeypatch.delenv("PCMSELECT_WORKERS", raising=False)
-            else:
-                monkeypatch.setenv("PCMSELECT_WORKERS", env)
             capsys.readouterr()
             code = main(["experiment", "--config", str(path), "--out-dir", str(tmp_path)])
-            assert code == 1, (config, env)
+            assert code == 1, config
             err = capsys.readouterr().err
-            assert err.startswith("error:") and err.count("\n") == 1, (config, env, err)
+            assert err.startswith("error:") and err.count("\n") == 1, (config, err)
 
     def test_missing_file_is_usage_error(self):
         assert main(["experiment", "--config", "/nonexistent/config.json"]) in (1, 2)

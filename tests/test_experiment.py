@@ -111,7 +111,7 @@ class TestConfigValidation:
         assert cfg.methods[1].params == {"lam": 0.4}
 
 
-def tiny_custom_config(replications=6, workers=None, methods=None):
+def tiny_custom_config(replications=6, workers=1, methods=None):
     dag = Dag(["Z", "X", "M", "Y"],
               [("Z", "X"), ("Z", "Y"), ("X", "M"), ("M", "Y")])
     scm = LinearScm(

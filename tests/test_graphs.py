@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmselect.errors import OverlappingSets, SearchBudgetExceeded, UnknownVertex
+from pcmselect import graphs
 from pcmselect.graphs import Dag, format_edge_list, minimal_mediator_sets, parse_edge_list
 from pcmselect.scm import experiment_criteria_dag
 
@@ -169,10 +170,11 @@ class TestMinimalMediatorSets:
         sets = minimal_mediator_sets(g, "X", "Y", candidate_z=["Z"])
         assert sets[0] == frozenset({"S"})
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(graphs, "SEARCH_BUDGET", 3)
         g = experiment_criteria_dag("B")
         with pytest.raises(SearchBudgetExceeded):
-            minimal_mediator_sets(g, "X", "Y", candidate_z=[], budget=3)
+            minimal_mediator_sets(g, "X", "Y", candidate_z=[])
 
 
 class TestEdgeListFormat:

@@ -151,8 +151,9 @@ class TestCrossValidate:
 
     def test_unknown_method(self):
         ds = random_instance(68, n=30)
-        with pytest.raises(ValueError):
-            cross_validate(ds, BASE_ROLES, "ols", small_grid())
+        for method in ("ols", "adaptive_lasso", "elastic_net", "backdoor"):
+            with pytest.raises(ValueError):
+                cross_validate(ds, BASE_ROLES, method, small_grid())
 
 
 def setting_a_sample(rep, n=15):
