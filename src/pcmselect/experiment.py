@@ -15,7 +15,7 @@ output is byte-identical regardless of the worker count.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -24,7 +24,8 @@ from .data import Dataset, RolePartition
 from .errors import ConfigInvalid, EmptyInput, PcmSelectError
 from .graphs import minimal_mediator_sets
 from .pcm import PcmParams, pcm_total_effect
-from .scm import CovarianceSpec, LinearScm, build_experiment_scm, coupling_dag, parse_scm
+from .scm import (CovarianceSpec, LinearScm, build_experiment_scm, coupling_dag,
+                  experiment_criteria_dag, parse_scm)
 
 __all__ = [
     "Method",
@@ -138,20 +139,15 @@ METHODS: dict[str, Method] = {
     "frontdoor-including-x": _frontdoor(True, adjusted=True),
     "frontdoor-not-including-x": _frontdoor(False, adjusted=True),
     "backdoor": Method(_backdoor, frozenset({"z"})),
-    # run_monte_carlo fills frontdoor-minimal's mediators from the graph
+    # ExperimentConfig fills frontdoor-minimal's mediators from the graph
     "frontdoor-minimal": _frontdoor(True, adjusted=False, required={"mediators"}),
     "frontdoor-whole": _frontdoor(True, adjusted=False),
 }
 
 
-def check_params(name: str, params: dict, roles: RolePartition, *,
-                 filled: frozenset[str] = frozenset()) -> None:
+def check_params(name: str, params: dict, roles: RolePartition) -> None:
     """Raise :class:`ConfigInvalid` for an unknown method or parameter key, a
-    missing required key or a value out of range.
-
-    Keys in ``filled`` are supplied later by the caller, which checks their
-    values; while one is missing, only the keys are checked here.
-    """
+    missing required key or a value out of range."""
     if name not in METHODS:
         raise ConfigInvalid(f"unknown method {name!r}")
     if not isinstance(params, dict):
@@ -164,11 +160,10 @@ def check_params(name: str, params: dict, roles: RolePartition, *,
             f"allowed: {', '.join(sorted(method.allowed))}"
         )
     missing = method.required - set(params)
-    if missing - filled:
+    if missing:
         raise ConfigInvalid(f"{name} needs parameter(s) {', '.join(sorted(missing))}")
     try:
-        if not missing:
-            method.check(roles, params)
+        method.check(roles, params)
     except (TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad parameters for {name}: {exc}") from exc
 
@@ -192,7 +187,10 @@ def experiment_roles(setting: str) -> RolePartition:
 class MethodSpec:
     """One estimator to run: its name, display label, and parameters.
 
-    ``params=None`` means "use the preset for this setting".
+    ``params=None`` means "use the preset for this setting".  A built
+    :class:`ExperimentConfig` holds resolved specs: explicit parameters or
+    the preset, with the first minimal mediator set of the model's graph as
+    ``frontdoor-minimal``'s missing ``mediators``.
     """
 
     name: str
@@ -234,37 +232,37 @@ class ExperimentConfig:
         labels = [m.display for m in self.methods]
         if len(set(labels)) != len(labels):
             raise ConfigInvalid("method labels must be unique")
-        for m in self.methods:
-            if m.name not in METHODS:
-                raise ConfigInvalid(f"unknown method {m.name!r}")
-        if setting in ("A", "B"):
-            allowed = SETTING_METHODS[setting]
-            for m in self.methods:
-                if m.name not in allowed:
-                    raise ConfigInvalid(
-                        f"method {m.name!r} is not available in setting {setting}"
-                        + (" (covariates are unobserved)" if setting == "B" else "")
-                    )
-        elif setting == "custom":
+        if setting == "custom":
             if self.scm_payload is None or self.roles is None:
                 raise ConfigInvalid("custom setting needs an scm payload and roles")
             scm, _ = parse_scm(self.scm_payload, ConfigInvalid, "experiment config 'scm'")
             absent = [c for c in self.roles.required_columns() if c not in scm.dag.vertices]
             if absent:
                 raise ConfigInvalid(f"roles name vertices missing from the model: {absent}")
-        else:
+        elif setting not in ("A", "B"):
             raise ConfigInvalid(f"unknown setting {self.setting!r}")
         roles = self.roles if setting == "custom" else experiment_roles(setting)
+        methods = []
         for m in self.methods:
-            # run_monte_carlo fills frontdoor-minimal's mediators from the graph
-            filled = frozenset({"mediators"}) if m.name == "frontdoor-minimal" else frozenset()
-            check_params(m.name, self.params_of(m), roles, filled=filled)
-
-    def params_of(self, method: MethodSpec) -> dict:
-        """A method's explicit parameters, or its preset for this setting."""
-        if method.params is not None:
-            return method.params
-        return PRESETS.get((self.setting, method.name), {})
+            if m.name not in METHODS:
+                raise ConfigInvalid(f"unknown method {m.name!r}")
+            if setting != "custom" and m.name not in SETTING_METHODS[setting]:
+                raise ConfigInvalid(
+                    f"method {m.name!r} is not available in setting {setting}"
+                    + (" (covariates are unobserved)" if setting == "B" else "")
+                )
+            params = dict(PRESETS.get((setting, m.name), {})) if m.params is None else m.params
+            if (m.name == "frontdoor-minimal" and isinstance(params, dict)
+                    and "mediators" not in params):
+                # only this spec needs the graph; building it for every config costs memory
+                dag = coupling_dag(scm) if setting == "custom" else experiment_criteria_dag(setting)
+                sets = minimal_mediator_sets(dag, roles.x, roles.y, roles.covariates)
+                if not sets:
+                    raise ConfigInvalid("no mediator set satisfies the front-door-like criterion")
+                params = {**params, "mediators": sorted(sets[0])}
+            check_params(m.name, params, roles)
+            methods.append(replace(m, params=params))
+        object.__setattr__(self, "methods", tuple(methods))
 
     @staticmethod
     def from_dict(payload: dict) -> "ExperimentConfig":
@@ -338,25 +336,6 @@ def summarize(estimates, true_tau: float) -> tuple[float, float, float, float]:
 # -- per-replication execution -----------------------------------------------------
 
 
-def _resolve_methods(config: ExperimentConfig, scm: LinearScm,
-                     roles: RolePartition) -> list[tuple[str, str, dict]]:
-    """Materialize (label, name, params) triples, resolving presets/minimal sets."""
-    resolved = []
-    for m in config.methods:
-        params = dict(config.params_of(m))
-        if m.name == "frontdoor-minimal" and "mediators" not in params:
-            sets = minimal_mediator_sets(
-                coupling_dag(scm), roles.x, roles.y, roles.covariates
-            )
-            if not sets:
-                raise ConfigInvalid(
-                    "no mediator set satisfies the front-door-like criterion"
-                )
-            params["mediators"] = sorted(sets[0])
-        resolved.append((m.display, m.name, params))
-    return resolved
-
-
 def _replication_worker(payload) -> tuple[int, list[tuple[str, float | None]]]:
     rep, seed, scm, spec, roles, n, methods = payload
     rng = np.random.default_rng(seed)
@@ -395,7 +374,7 @@ def run_monte_carlo(config: ExperimentConfig) -> McResult:
     ss = np.random.SeedSequence(config.seed)
     children = ss.spawn(config.replications + 1)
     scm, spec, roles, tau = _build_model(config, children[0])
-    methods = _resolve_methods(config, scm, roles)
+    methods = [(m.display, m.name, m.params) for m in config.methods]
     payloads = [
         (rep, children[rep + 1], scm, spec, roles, config.n, methods)
         for rep in range(config.replications)

@@ -18,10 +18,11 @@ Pipeline (all on standardized data):
     ``lam1*zeta1``, candidate mediators with ``lam1*xi1*w``, candidate
     covariates with ``lam1*(1-zeta1-xi1)*w``; fixed covariates and mediators
     are never penalized.  The supports of the treatment / candidate blocks
-    are the active sets.  The mediator model is fitted once, on the active
-    sets: each fixed or active candidate mediator on [treatment, fixed
-    covariates, active candidate covariates], penalizing the candidate
-    covariates only.
+    are the active sets.  The roles and weights are restricted to them once,
+    and every later step works on that active design.  The mediator model is
+    fitted once, on it: each fixed or active candidate mediator on
+    [treatment, fixed covariates, active candidate covariates], penalizing
+    the candidate covariates only.
 4.  Correction.  Each penalized active column of the outcome model (the
     treatment when active, the active candidate mediators and covariates) is
     ridge-refitted on the other columns of the active design [x, s, active
@@ -51,7 +52,7 @@ treatment and mediator penalties.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -401,14 +402,21 @@ def _y_l1_weights(roles: RolePartition, w: AdaptiveWeights,
     )
 
 
-def _active_sets(s1y: YModelCoefs) -> tuple[bool, np.ndarray, np.ndarray]:
-    """Whether stage 1 kept the treatment, and its active candidate mediators and covariates."""
-    return s1y.beta_x != 0.0, np.nonzero(s1y.coef_sbar)[0], np.nonzero(s1y.coef_zbar)[0]
+def _restrict(roles: RolePartition, weights: AdaptiveWeights, active_sbar: np.ndarray,
+              active_zbar: np.ndarray) -> tuple[RolePartition, AdaptiveWeights]:
+    """Roles and weights of the active design: the fixed blocks plus the given candidates.
 
-
-def _mediator_columns(q_s: int, sbar_idx) -> np.ndarray:
-    """Columns of the fixed and the given candidate mediators in ``AdaptiveWeights.med``."""
-    return np.concatenate([np.arange(q_s), q_s + np.asarray(sbar_idx, int)]).astype(int)
+    ``med`` keeps the rows of the given candidate covariates and the columns
+    of the fixed mediators followed by the given candidate mediators.
+    """
+    q_s = len(roles.s)
+    med_cols = np.concatenate([np.arange(q_s), q_s + active_sbar])
+    active_roles = replace(roles, sbar=[roles.sbar[i] for i in active_sbar],
+                           zbar=[roles.zbar[i] for i in active_zbar])
+    return active_roles, AdaptiveWeights(
+        sbar=weights.sbar[active_sbar], zbar=weights.zbar[active_zbar],
+        med=weights.med[np.ix_(active_zbar, med_cols)], floored=weights.floored,
+    )
 
 
 def pcm_stage1_y(
@@ -433,34 +441,23 @@ def pcm_stage1_m(
     roles: RolePartition,
     weights: AdaptiveWeights,
     rho1: float,
-    *,
-    sbar_idx=None,
-    zbar_idx=None,
 ) -> MediatorCoefs:
     """Weighted-L1 mediator fits (one independent problem per mediator).
 
     The squared loss and the elementwise penalty both separate across
     mediator columns, so each column is solved on the shared design
-    [x, z, zbar] with its own candidate-covariate weights.  ``sbar_idx`` /
-    ``zbar_idx`` restrict the candidate mediators (responses) and candidate
-    covariates (regressors) to subsets; weights are subselected accordingly.
+    [x, z, zbar] with its own column of ``weights.med`` on the candidate
+    covariates.  :func:`fit_from_weights` passes the active design's roles
+    and weights.
     """
     if rho1 < 0:
         raise ValueError("rho1 must be nonnegative")
-    q_s, q_z = len(roles.s), len(roles.z)
-    sb_cols = np.arange(len(roles.sbar)) if sbar_idx is None else np.asarray(sbar_idx, int)
-    zb_cols = np.arange(len(roles.zbar)) if zbar_idx is None else np.asarray(zbar_idx, int)
-    responses = list(roles.s) + [roles.sbar[i] for i in sb_cols]
-    regs = [roles.x, *roles.z] + [roles.zbar[i] for i in zb_cols]
-    q_zb, q_m = zb_cols.size, len(responses)
-    if q_m == 0:
-        return _split_m_coefs(np.zeros((1 + q_z + q_zb, 0)), q_z)
-    med_cols = _mediator_columns(q_s, sb_cols)
-    gram, cross = data.cross(regs, regs), data.cross(regs, responses)
+    q_z, q_zb, q_m = len(roles.z), len(roles.zbar), len(roles.mediators)
+    regs = roles.m_regressors
+    gram, cross = data.cross(regs, regs), data.cross(regs, roles.mediators)
     coefs = np.zeros((1 + q_z + q_zb, q_m))
     for j in range(q_m):
-        w_j = weights.med[np.ix_(zb_cols, med_cols[j : j + 1])][:, 0] if q_zb else np.zeros(0)
-        l1 = np.concatenate([[0.0], np.zeros(q_z), rho1 * w_j])
+        l1 = np.concatenate([[0.0], np.zeros(q_z), rho1 * weights.med[:, j]])
         coefs[:, j] = coordinate_descent(gram, cross[:, j], data.n, l1)
     return _split_m_coefs(coefs, q_z)
 
@@ -489,8 +486,6 @@ def _refit(data: Dataset, responses, regressors, diag=None) -> tuple[np.ndarray,
 def debias_ridges(
     data: Dataset,
     roles: RolePartition,
-    active_sbar,
-    active_zbar,
     lam2: float,
     xi2: float,
     rho2: float,
@@ -500,20 +495,18 @@ def debias_ridges(
 ) -> DebiasBlocks:
     """Ridge refits of the penalized active columns plus their residual grams.
 
-    The frame is the active design [x, s, active sbar, z, active zbar];
+    The frame is [x, s, sbar, z, zbar] of the active design's ``roles``;
     ``include_x=False`` (treatment inactive in stage 1) leaves x out.  Each
     penalized block is refitted on the other columns of the frame: the
     treatment penalizing the candidate blocks by ``lam2*xi2`` /
-    ``lam2*(1-xi2)``, the active candidate mediators penalizing candidate
-    covariates by ``rho2``, the active candidate covariates penalizing
-    candidate mediators by ``rho2_prime``.  A quadratic penalty ``p`` adds
+    ``lam2*(1-xi2)``, the candidate mediators penalizing candidate
+    covariates by ``rho2``, the candidate covariates penalizing candidate
+    mediators by ``rho2_prime``.  A quadratic penalty ``p`` adds
     ``n*p`` to the gram diagonal, matching the pilot convention.  With all
     penalties zero the refits reduce to least squares and the residual grams
     to conditional cross-products.
     """
-    sba = [roles.sbar[i] for i in np.asarray(active_sbar, dtype=int)]
-    zba = [roles.zbar[i] for i in np.asarray(active_zbar, dtype=int)]
-    groups = [[roles.x] if include_x else [], list(roles.s), sba, list(roles.z), zba]
+    groups = [[roles.x] if include_x else [], roles.s, roles.sbar, roles.z, roles.zbar]
     frame = np.array([name for group in groups for name in group], dtype=object)
     group_of = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
     # ridge penalty of each penalized group's refit on the groups of the frame
@@ -532,7 +525,7 @@ def debias_ridges(
         column[own] = -np.eye(refit.shape[1])
         columns.append(column)
         resid_grams.append(gram)
-    zb_on_xz = _refit(data, zba, [roles.x, *roles.z]) if zba else (None, None)
+    zb_on_xz = _refit(data, roles.zbar, [roles.x, *roles.z]) if roles.zbar else (None, None)
     return DebiasBlocks(np.hstack(columns), resid_grams, *zb_on_xz)
 
 
@@ -551,41 +544,41 @@ def pcm_correct(
 ) -> CorrectedBlocks:
     """Remove the first-order shrinkage bias from the stage-1 coefficients.
 
-    The corrected outcome blocks [x, s, active sbar] subtract ``n*lambda1``
-    times the partial-regression matrix ``debias.coef`` applied to the
-    sign-and-weight subgradient vector, with residual gram pseudoinverses
-    standing in for the conditional gram inverses.  Each entry of the
-    treatment-on-mediator row gets the analogous ``n*rho1`` correction on
-    that mediator column's own active candidate covariates: the rows and
-    columns of the covariates-on-[treatment, fixed covariates] refit that
-    the column's stage-1 fit on the active sets (``stage1_m``) kept nonzero.
-    When the treatment is inactive its corrected coefficient is exactly
-    zero and all treatment-dependent blocks drop out.  The active sets are
-    the supports of ``stage1_y``.
+    Every input is on the active design: ``stage1_y`` holds the active
+    candidate coefficients only, and the treatment is active when its
+    coefficient is nonzero.  The corrected outcome blocks [x, s, sbar]
+    subtract ``n*lambda1`` times the partial-regression matrix
+    ``debias.coef`` applied to the sign-and-weight subgradient vector, with
+    residual gram pseudoinverses standing in for the conditional gram
+    inverses.  Each entry of the treatment-on-mediator row gets the
+    analogous ``n*rho1`` correction on that mediator column's own candidate
+    covariates: the rows and columns of the covariates-on-[treatment, fixed
+    covariates] refit that the column's stage-1 fit (``stage1_m``) kept
+    nonzero.  When the treatment is inactive its corrected coefficient is
+    exactly zero and all treatment-dependent blocks drop out.
     """
-    active_x, act_sb, act_zb = _active_sets(stage1_y)
+    active_x = stage1_y.beta_x != 0.0
     lam1, zeta1, xi1, rho1 = params.lambda1, params.zeta1, params.xi1, params.rho1
     x = [stage1_y.beta_x] if active_x else []
-    sbar, zbar = stage1_y.coef_sbar[act_sb], stage1_y.coef_zbar[act_zb]
     # (penalty share, adaptive weights, coefficients) of each penalized block
     blocks = [(zeta1, np.ones(len(x)), np.array(x)),
-              (xi1, weights.sbar[act_sb], sbar),
-              (_zbar_share(zeta1, xi1), weights.zbar[act_zb], zbar)]
+              (xi1, weights.sbar, stage1_y.coef_sbar),
+              (_zbar_share(zeta1, xi1), weights.zbar, stage1_y.coef_zbar)]
     u = np.concatenate([np.zeros(0)] + [
         share * pseudo_inverse(gram, CORRECTION_PINV_TOL) @ (w * np.sign(coef))
         for (share, w, coef), gram in zip([b for b in blocks if b[2].size], debias.resid_grams)
     ])
-    target = np.concatenate([x, stage1_y.coef_s, sbar])
+    target = np.concatenate([x, stage1_y.coef_s, stage1_y.coef_sbar])
     corrected = target - n * lam1 * (debias.coef[: target.size] @ u)
     qx, q_s = len(x), stage1_y.coef_s.size
     coef_s = corrected[qx : qx + q_s]
     coef_sbar_active = corrected[qx + q_s :]
 
     med_x = stage1_m.x_row.copy()
-    if act_zb.size and rho1:
-        for j, col in enumerate(_mediator_columns(q_s, act_sb)):
+    if weights.zbar.size and rho1:
+        for j in range(med_x.size):
             own = np.nonzero(stage1_m.zbar_rows[:, j])[0]
-            gamma = weights.med[act_zb[own], col]
+            gamma = weights.med[own, j]
             signs = np.sign(stage1_m.zbar_rows[own, j])
             med_x[j] -= n * rho1 * (
                 debias.zb_on_xz_coef[0, own]
@@ -615,16 +608,15 @@ def fit_from_weights(data: Dataset, roles: RolePartition, params: PcmParams,
     mediators the inner product alone (front-door identification).
     """
     s1y = pcm_stage1_y(data, roles, weights, params.lambda1, params.zeta1, params.xi1)
-    active_x, active_sbar, active_zbar = _active_sets(s1y)
-    s1m = pcm_stage1_m(
-        data, roles, weights, params.rho1, sbar_idx=active_sbar, zbar_idx=active_zbar
-    )
-    debias = debias_ridges(
-        data, roles, active_sbar, active_zbar,
-        params.lambda2, params.xi2, params.rho2, params.rho2_prime,
-        include_x=active_x,
-    )
-    corrected = pcm_correct(s1y, s1m, debias, weights, params, data.n)
+    active_x = s1y.beta_x != 0.0
+    active_sbar, active_zbar = np.nonzero(s1y.coef_sbar)[0], np.nonzero(s1y.coef_zbar)[0]
+    act_roles, act_weights = _restrict(roles, weights, active_sbar, active_zbar)
+    s1m = pcm_stage1_m(data, act_roles, act_weights, params.rho1)
+    debias = debias_ridges(data, act_roles, params.lambda2, params.xi2, params.rho2,
+                           params.rho2_prime, include_x=active_x)
+    act_s1y = replace(s1y, coef_sbar=s1y.coef_sbar[active_sbar],
+                      coef_zbar=s1y.coef_zbar[active_zbar])
+    corrected = pcm_correct(act_s1y, s1m, debias, act_weights, params, data.n)
     if roles.mediators and not roles.covariates:
         tau = float(corrected.med_x @ corrected.y_on_mediators)
     else:
@@ -698,10 +690,9 @@ def verify_active_set_relation(fit: PcmFit, data: Dataset, roles: RolePartition)
     )
     med = fit.stage1_m
     coefs = np.vstack([med.x_row, med.z_rows, med.zbar_rows])
-    regressors = [roles.x, *roles.z, *(roles.zbar[i] for i in fit.active_zbar)]
-    mediators = [*roles.s, *(roles.sbar[i] for i in fit.active_sbar)]
-    for j, col in enumerate(_mediator_columns(len(roles.s), fit.active_sbar)):
-        l1 = np.concatenate([np.zeros(1 + len(roles.z)),
-                             p.rho1 * fit.weights.med[fit.active_zbar, col]])
-        worst = max(worst, _stationarity_gap(data, mediators[j], regressors, l1, coefs[:, j]))
+    act_roles, act_weights = _restrict(roles, fit.weights, fit.active_sbar, fit.active_zbar)
+    for j, mediator in enumerate(act_roles.mediators):
+        l1 = np.concatenate([np.zeros(1 + len(roles.z)), p.rho1 * act_weights.med[:, j]])
+        worst = max(worst, _stationarity_gap(data, mediator, act_roles.m_regressors, l1,
+                                             coefs[:, j]))
     return worst

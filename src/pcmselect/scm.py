@@ -405,13 +405,13 @@ def coupling_dag(scm: LinearScm) -> Dag:
     Criterion checks (d-separation, back-door, front-door-like) must account
     for the dependence inside the correlated exogenous block; a shared latent
     parent represents an arbitrary all-nonzero correlation pattern for
-    separation purposes.
+    separation purposes.  If a vertex has that name, the latent gets more underscores.
     """
     if not scm.correlated:
         return scm.dag
     latent = "_L"
-    if latent in scm.dag.vertices:
-        raise ValueError(f"latent name {latent!r} collides with a model vertex")
+    while latent in scm.dag.vertices:
+        latent = "_" + latent
     vertices = [latent] + list(scm.dag.vertices)
     edges = [(latent, v) for v in scm.correlated] + sorted(scm.dag.edges)
     return Dag(vertices, edges)

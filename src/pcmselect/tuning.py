@@ -201,6 +201,14 @@ def _select(rows: list[CvRow], tie_key) -> CvRow:
     return min(rows, key=lambda r: (r.mean_score,) + tie_key(r.params))
 
 
+def _search(key: str, values, splits, error) -> tuple[list[CvRow], float]:
+    """Score each value of one key by ``error(train, test, value)``; return the rows
+    and the value of the best mean score, ties toward the larger value."""
+    rows = [CvRow({key: v}, *_score_mean(splits, lambda tr, te: error(tr, te, v)))
+            for v in values]
+    return rows, _select(rows, lambda p: (-p[key],)).params[key]
+
+
 # -- pcm ------------------------------------------------------------------------
 
 
@@ -227,20 +235,12 @@ def _cross_validate_pcm(roles, grid: ParamGrid, splits) -> CvResult:
     if not (grid.pilot_lambda and grid.pilot_rho and grid.lambda1 and grid.rho1
             and grid.zeta_xi):
         raise EmptyGrid("pcm grid has an empty parameter list")
-    pilot_rows = [
-        CvRow({"pilot_lambda": lam},
-              *_score_mean(splits, lambda tr, te, lam=lam:
-                           _y_error(te, roles, ridge_pilot_y(tr, roles, lam).stacked())))
-        for lam in grid.pilot_lambda
-    ]
-    pilot_lam = _select(pilot_rows, lambda p: (-p["pilot_lambda"],)).params["pilot_lambda"]
-    rho_rows = [
-        CvRow({"pilot_rho": rho},
-              *_score_mean(splits, lambda tr, te, rho=rho:
-                           _m_error(te, roles, ridge_pilot_m(tr, roles, rho))))
-        for rho in grid.pilot_rho
-    ]
-    pilot_rho = _select(rho_rows, lambda p: (-p["pilot_rho"],)).params["pilot_rho"]
+    pilot_rows, pilot_lam = _search(
+        "pilot_lambda", grid.pilot_lambda, splits,
+        lambda tr, te, lam: _y_error(te, roles, ridge_pilot_y(tr, roles, lam).stacked()))
+    rho_rows, pilot_rho = _search(
+        "pilot_rho", grid.pilot_rho, splits,
+        lambda tr, te, rho: _m_error(te, roles, ridge_pilot_m(tr, roles, rho)))
 
     per_fold = [_stage1_scores(tr, te, roles, pilot_lam, pilot_rho, grid) for tr, te in splits]
     rows = [
@@ -269,18 +269,13 @@ def _cross_validate_baseline(roles, method, grid: ParamGrid, splits) -> CvResult
         check_params(method, cand, roles)
     # every baseline regresses the outcome on [x, covariates], pal1ma's own roles
     base = replace(roles, s=(), sbar=())
-
-    def score(fit):
-        """Mean and per-fold held-out error of the coefficients ``fit(train)``."""
-        return _score_mean(splits, lambda tr, te: _y_error(te, base, fit(tr)))
-
     if "pilot_lam" in allowed:
-        pilot_rows = [CvRow({"pilot_lambda": lam},
-                            *score(lambda tr: pilot_coefficients(tr, roles, method, lam)))
-                      for lam in grid.pilot_lambda]
-        pilot_lam = _select(pilot_rows, lambda p: (-p["pilot_lambda"],)).params["pilot_lambda"]
+        _, pilot_lam = _search(
+            "pilot_lambda", grid.pilot_lambda, splits,
+            lambda tr, te, lam: _y_error(te, base, pilot_coefficients(tr, roles, method, lam)))
         cands = [{**cand, "pilot_lam": pilot_lam} for cand in cands]
-    rows = [CvRow(cand, *score(lambda tr: penalized_coefficients(tr, roles, method, **cand)))
+    rows = [CvRow(cand, *_score_mean(splits, lambda tr, te: _y_error(
+                te, base, penalized_coefficients(tr, roles, method, **cand))))
             for cand in cands]
     best = _select(rows, lambda p: (-p["lam"], -p.get("eta", 0.0), -p.get("phi", 0.0)))
     return CvResult(method, dict(best.params), best.mean_score, tuple(rows))

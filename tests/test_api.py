@@ -1,4 +1,5 @@
-"""Every exported name and every benchmark-traced function resolves; numpy.ma stays unloaded."""
+"""Every exported name and every benchmark-traced function resolves; numpy.ma, scipy
+and the process-pool modules stay unloaded."""
 
 import ast
 import importlib
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pcmselect
-from pcmselect.experiment import METHODS, check_params, experiment_roles
+from pcmselect.experiment import METHODS, ExperimentConfig, MethodSpec
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(pcmselect.__path__))
 BENCH = Path(__file__).resolve().parents[1] / "pcmbench"
@@ -71,14 +72,15 @@ def test_benchmark_methods_are_valid():
                               for t in node.targets))
     assert set(mc_methods) == {"A", "B"}
     for setting, methods in mc_methods.items():
-        for name, params in methods.items():
-            # run_monte_carlo fills frontdoor-minimal's mediators from the graph
-            check_params(name, params, experiment_roles(setting), filled=frozenset({"mediators"}))
+        ExperimentConfig(setting, n=15, replications=1, seed=0,
+                         methods=tuple(MethodSpec(name, params=dict(params))
+                                       for name, params in methods.items()))
     assert METHODS["pcm"].cv
 
 
 # Runs both benchmark settings with all their methods and one pcm
-# cross-validation, then reports whether numpy.ma was ever imported.
+# cross-validation on one worker, then prints which of the modules that the
+# package must not need were ever imported.
 MA_GUARD = """
 import sys
 
@@ -103,18 +105,20 @@ ds = Dataset(raw[:, cols], roles.required_columns()).standardized()
 grid = ParamGrid(pilot_lambda=(1.0,), pilot_rho=(1.0,), lambda1=(0.05, 0.1),
                  rho1=(0.1,), zeta_xi=((0.3, 0.3),), folds=3)
 cross_validate(ds, roles, "pcm", grid)
-print("numpy.ma" in sys.modules)
+print(sorted({"numpy.ma", "scipy", "multiprocessing", "concurrent.futures"} & set(sys.modules)))
 """
 
 
 def test_numpy_ma_stays_unloaded():
     """``np.unique`` and the set routines built on it (``setdiff1d``,
     ``intersect1d``, ``union1d``) import numpy.ma, which raises the
-    benchmark's gated peak memory; the package uses boolean masks instead."""
+    benchmark's gated peak memory; the package uses boolean masks instead.
+    numpy is the only runtime dependency, so scipy stays unloaded, and a
+    single-worker run never imports the process pool."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
     run = subprocess.run([sys.executable, "-c", MA_GUARD], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False", "numpy.ma was imported"
+    assert run.stdout.strip() == "[]", f"imported: {run.stdout.strip()}"

@@ -439,6 +439,10 @@ class TestExperimentCommand:
             {**valid, "scm": {**valid["scm"], "correlated_block": block}},
             {**valid, "scm": {**valid["scm"], "correlated_block": {
                 **block, "correlation": [[1.0, 0.0], [0.0, 1.0]]}}},
+            # the direct X -> Y edge leaves no front-door mediator set
+            {**valid, "scm": {**valid["scm"], "edges": valid["scm"]["edges"] + [
+                {"from": "X", "to": "Y", "coef": 0.2}]},
+             "methods": [{"name": "frontdoor-minimal"}]},
         ]
         path = tmp_path / "bad.json"
         for config in cases:
@@ -448,6 +452,26 @@ class TestExperimentCommand:
             assert code == 1, config
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1, (config, err)
+
+    def test_vertex_named_like_the_coupling_latent(self, tmp_path):
+        """The latent that ``coupling_dag`` adds over the correlated block takes
+        a name no model vertex has, so frontdoor-minimal finds its mediators."""
+        edges = [("_L", "X", 0.5), ("X", "M", 0.7), ("M", "Y", 0.5), ("_L", "Y", 0.4)]
+        payload = {
+            "setting": "custom", "n": 40, "replications": 3, "seed": 1,
+            "scm": {"vertices": ["_L", "X", "M", "Y"],
+                    "edges": [{"from": a, "to": b, "coef": c} for a, b, c in edges],
+                    "error_variances": {"_L": 1.0, "X": 0.75, "M": 0.5, "Y": 0.5},
+                    "correlated_block": {"vertices": ["_L"], "correlation": [[1.0]]}},
+            "roles": {"x": "X", "y": "Y", "s": ["M"]},
+            "methods": [{"name": "frontdoor-minimal"}],
+        }
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "run"
+        assert main(["experiment", "--config", str(path), "--out-dir", str(out)]) == 0
+        summary = (out / "summary.csv").read_text().splitlines()
+        assert summary[1].startswith("frontdoor-minimal,") and "'mediators': ['M']" in summary[1]
 
     def test_missing_file_is_usage_error(self):
         assert main(["experiment", "--config", "/nonexistent/config.json"]) in (1, 2)

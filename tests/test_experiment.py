@@ -102,6 +102,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid):
             ExperimentConfig(**self.base(methods=(MethodSpec(name, params=params),)))
 
+    def test_model_without_front_door_mediator_set_rejected(self):
+        # the direct X -> Y edge leaves no mediator set intercepting every path
+        dag = Dag(["X", "M", "Y"], [("X", "M"), ("M", "Y"), ("X", "Y")])
+        scm = LinearScm(dag, {("X", "M"): 0.7, ("M", "Y"): 0.5, ("X", "Y"): 0.4},
+                        {v: 1.0 for v in dag.vertices}).calibrate_unit_variance()
+        with pytest.raises(ConfigInvalid, match="no mediator set"):
+            ExperimentConfig(**self.base(
+                setting="custom", methods=(MethodSpec("frontdoor-minimal"),),
+                scm_payload=scm.to_dict(), roles=RolePartition(x="X", y="Y", s=("M",))))
+
     def test_from_dict_round_trip(self):
         payload = {
             "setting": "A", "n": 15, "replications": 3, "seed": 9,
@@ -182,6 +192,7 @@ class TestRunMonteCarlo:
             setting="B", n=15, replications=2, seed=3,
             methods=(MethodSpec("frontdoor-minimal"),),
         )
+        assert cfg.methods[0].params["mediators"] == ["S", "Sbar1"]
         result = run_monte_carlo(cfg)
         assert result.summaries[0].params["mediators"] == ["S", "Sbar1"]
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -347,7 +349,7 @@ class TestDebiasRidges:
 
     def test_zero_penalties_reduce_to_least_squares(self):
         ds = random_instance(22)
-        blocks = debias_ridges(ds, ROLES, [0, 1], [0, 1], 0.0, 0.5, 0.0, 0.0)
+        blocks = debias_ridges(ds, ROLES, 0.0, 0.5, 0.0, 0.0)
         a = ds.values[:, ds.index_of(["S1", "Sb1", "Sb2", "Z1", "Zb1", "Zb2"])]
         oracle = np.linalg.solve(a.T @ a, a.T @ ds.column("X"))
         # frame [X, S1, Sb1, Sb2, Z1, Zb1, Zb2]; the treatment's column comes first
@@ -358,7 +360,7 @@ class TestDebiasRidges:
 
     def test_empty_active_sets(self):
         ds = random_instance(23)
-        blocks = debias_ridges(ds, ROLES, [], [], 0.1, 0.5, 0.1, 0.1)
+        blocks = debias_ridges(ds, replace(ROLES, sbar=(), zbar=()), 0.1, 0.5, 0.1, 0.1)
         # only the treatment is penalized and active: frame [X, S1, Z1]
         assert blocks.coef.shape == (3, 1) and len(blocks.resid_grams) == 1
         # the treatment refit reduces to x on fixed covariates and mediators
@@ -370,7 +372,7 @@ class TestDebiasRidges:
     def test_objectives_beat_perturbations(self):
         ds = random_instance(24, n=80)
         lam2, xi2, rho2, rho2b = 0.2, 0.4, 0.15, 0.25
-        blocks = debias_ridges(ds, ROLES, [0, 1], [0, 1], lam2, xi2, rho2, rho2b)
+        blocks = debias_ridges(ds, ROLES, lam2, xi2, rho2, rho2b)
         rng = np.random.default_rng(25)
 
         a = ds.values[:, ds.index_of(["S1", "Sb1", "Sb2", "Z1", "Zb1", "Zb2"])]
