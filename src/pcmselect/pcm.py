@@ -57,8 +57,9 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .data import Dataset, RolePartition
+from .errors import PcmSelectError
 from .linalg import pseudo_inverse
-from .solvers import coordinate_descent, ols_solve, ridge_solve
+from .solvers import coordinate_descent, l1_path, ols_solve, ridge_solve
 
 __all__ = [
     "PcmParams",
@@ -75,7 +76,9 @@ __all__ = [
     "adaptive_weights",
     "reciprocal_power_weights",
     "pcm_stage1_y",
+    "pcm_stage1_y_path",
     "pcm_stage1_m",
+    "pcm_stage1_m_path",
     "debias_ridges",
     "pcm_correct",
     "fit_from_weights",
@@ -164,6 +167,9 @@ class MediatorCoefs:
     x_row: np.ndarray
     z_rows: np.ndarray
     zbar_rows: np.ndarray
+
+    def stacked(self) -> np.ndarray:
+        return np.vstack([self.x_row[None, :], self.z_rows, self.zbar_rows])
 
 
 @dataclass(frozen=True)
@@ -436,6 +442,21 @@ def pcm_stage1_y(
     return _split_y_coefs(beta, roles)
 
 
+def pcm_stage1_y_path(data: Dataset, roles: RolePartition, weights: AdaptiveWeights,
+                      lams, zeta1: float, xi1: float) -> list:
+    """:func:`pcm_stage1_y` at each of ``lams`` (descending), read off one L1 path.
+
+    Each fit is its coefficient vector (:meth:`YModelCoefs.stacked`) or, if
+    it failed, its exception (see :func:`solvers.l1_path`).
+    """
+    return l1_path(*_y_moments(data, roles), data.n,
+                   [_y_l1_weights(roles, weights, lam1, zeta1, xi1) for lam1 in lams])
+
+
+def _m_l1_weights(roles, w, rho1, j) -> np.ndarray:
+    return np.concatenate([[0.0], np.zeros(len(roles.z)), rho1 * w.med[:, j]])
+
+
 def pcm_stage1_m(
     data: Dataset,
     roles: RolePartition,
@@ -452,14 +473,28 @@ def pcm_stage1_m(
     """
     if rho1 < 0:
         raise ValueError("rho1 must be nonnegative")
-    q_z, q_zb, q_m = len(roles.z), len(roles.zbar), len(roles.mediators)
+    q_z, q_m = len(roles.z), len(roles.mediators)
     regs = roles.m_regressors
     gram, cross = data.cross(regs, regs), data.cross(regs, roles.mediators)
-    coefs = np.zeros((1 + q_z + q_zb, q_m))
+    coefs = np.zeros((len(regs), q_m))
     for j in range(q_m):
-        l1 = np.concatenate([[0.0], np.zeros(q_z), rho1 * weights.med[:, j]])
-        coefs[:, j] = coordinate_descent(gram, cross[:, j], data.n, l1)
+        coefs[:, j] = coordinate_descent(gram, cross[:, j], data.n,
+                                         _m_l1_weights(roles, weights, rho1, j))
     return _split_m_coefs(coefs, q_z)
+
+
+def pcm_stage1_m_path(data: Dataset, roles: RolePartition, weights: AdaptiveWeights,
+                      rhos) -> list:
+    """:func:`pcm_stage1_m` at each of ``rhos`` (descending), one L1 path per mediator.
+
+    ``paths[j][k]`` is mediator j's coefficient column at ``rhos[k]`` or, if
+    that fit failed, its exception (see :func:`solvers.l1_path`).
+    """
+    regs = roles.m_regressors
+    gram, cross = data.cross(regs, regs), data.cross(regs, roles.mediators)
+    return [l1_path(gram, cross[:, j], data.n,
+                    [_m_l1_weights(roles, weights, rho1, j) for rho1 in rhos])
+            for j in range(len(roles.mediators))]
 
 
 # ---------------------------------------------------------------------------
@@ -688,11 +723,10 @@ def verify_active_set_relation(fit: PcmFit, data: Dataset, roles: RolePartition)
         data, roles.y, roles.y_regressors,
         _y_l1_weights(roles, fit.weights, p.lambda1, p.zeta1, p.xi1), fit.stage1_y.stacked(),
     )
-    med = fit.stage1_m
-    coefs = np.vstack([med.x_row, med.z_rows, med.zbar_rows])
+    coefs = fit.stage1_m.stacked()
     act_roles, act_weights = _restrict(roles, fit.weights, fit.active_sbar, fit.active_zbar)
     for j, mediator in enumerate(act_roles.mediators):
-        l1 = np.concatenate([np.zeros(1 + len(roles.z)), p.rho1 * act_weights.med[:, j]])
+        l1 = _m_l1_weights(act_roles, act_weights, p.rho1, j)
         worst = max(worst, _stationarity_gap(data, mediator, act_roles.m_regressors, l1,
                                              coefs[:, j]))
     return worst

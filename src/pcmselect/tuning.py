@@ -9,9 +9,13 @@ The protocol is two-phase and deterministic:
     stage-1 fits.  The score is additive: the outcome model's error, which
     depends only on (lambda1, zeta1, xi1), plus the mediator model's error
     per response column, which depends only on rho1.  So on each fold the
-    pilots and weights are fitted once, the outcome model once per
-    (lambda1, (zeta1, xi1)) and the mediator model once per rho1, and every
-    row of the (lambda1, rho1, (zeta1, xi1)) product sums one error of each.
+    pilots and weights are fitted once, and every row of the (lambda1, rho1,
+    (zeta1, xi1)) product sums one error of each model.  The L1 weights of
+    the lambda1 candidates of one (zeta1, xi1) pair are multiples of one
+    vector, and so are those of the rho1 candidates of one mediator column,
+    so each pair's outcome fits are read off one L1 solution path, and each
+    mediator column's off one more (``solvers.l1_path``); a fit equals the
+    one fitted alone wherever the two paths take the same events.
     The debiasing ridges are not scored; they keep ``PcmParams``' defaults.
     Baseline methods score the held-out error of their single regression.
     They search the keys that the method registry gives them (``lam`` and
@@ -22,7 +26,10 @@ The protocol is two-phase and deterministic:
 Folds come from a seeded permutation, so selection is reproducible; ties are
 broken toward stronger regularization.  A fit that fails on some fold (for
 example an unpenalized pilot on a singular design) scores infinity there,
-for every candidate that uses it, rather than aborting the search.
+for every candidate that uses it, rather than aborting the search.  On a
+stage-1 path, a singular active block or the event cap fails every candidate
+at or below the penalty where it happens; a fit whose endpoint misses the
+stationarity conditions fails alone.
 """
 
 from __future__ import annotations
@@ -39,11 +46,10 @@ from .errors import ConfigInvalid, EmptyGrid, FoldTooSmall, PcmSelectError
 from .experiment import METHODS, check_params
 from .pcm import (
     MIX_SLACK,
-    MediatorCoefs,
     PilotEstimates,
     adaptive_weights,
-    pcm_stage1_m,
-    pcm_stage1_y,
+    pcm_stage1_m_path,
+    pcm_stage1_y_path,
     ridge_pilot_m,
     ridge_pilot_y,
 )
@@ -162,20 +168,26 @@ def _score_mean(splits, fit_predict) -> tuple[float, tuple[float, ...]]:
     return float(np.mean(scores)), scores
 
 
-def _y_error(test: Dataset, roles: RolePartition, beta: np.ndarray) -> float:
-    """Held-out mean squared error of the outcome on ``roles.y_regressors``."""
+def _y_error(test: Dataset, roles: RolePartition, beta) -> float:
+    """Held-out mean squared error of the outcome on ``roles.y_regressors``;
+    infinity when the fit failed (``beta`` is its exception)."""
+    if isinstance(beta, PcmSelectError):
+        return math.inf
     resid = test.column(roles.y) - test.values[:, test.index_of(roles.y_regressors)] @ beta
     return float(resid @ resid) / test.n
 
 
-def _m_error(test: Dataset, roles: RolePartition, coef: MediatorCoefs) -> float:
-    """Held-out mean squared error of the mediators, per mediator column."""
+def _m_error(test: Dataset, roles: RolePartition, columns) -> float:
+    """Held-out mean squared error of the mediators, per mediator column, given
+    one coefficient column on ``roles.m_regressors`` per mediator; infinity
+    when a column's fit failed (the column is its exception)."""
     q_m = len(roles.mediators)
     if q_m == 0:
         return 0.0
-    stacked = np.vstack([coef.x_row[None, :], coef.z_rows, coef.zbar_rows])
+    if any(isinstance(c, PcmSelectError) for c in columns):
+        return math.inf
     a = test.values[:, test.index_of(roles.m_regressors)]
-    resid = test.values[:, test.index_of(roles.mediators)] - a @ stacked
+    resid = test.values[:, test.index_of(roles.mediators)] - a @ np.column_stack(columns)
     return float(np.sum(resid * resid)) / (test.n * q_m)
 
 
@@ -214,21 +226,25 @@ def _search(key: str, values, splits, error) -> tuple[list[CvRow], float]:
 
 def _stage1_scores(train: Dataset, test: Dataset, roles, pilot_lam, pilot_rho,
                    grid: ParamGrid) -> list[float]:
-    """One fold's score of every (lambda1, rho1, (zeta1, xi1)) row, in product order."""
+    """One fold's score of every (lambda1, rho1, (zeta1, xi1)) row, in product order.
+
+    One outcome path per (zeta1, xi1) pair runs over the distinct lambda1
+    values, one mediator path per mediator column over the distinct rho1
+    values; a failed fit scores infinity.
+    """
     try:
         weights = adaptive_weights(PilotEstimates(ridge_pilot_y(train, roles, pilot_lam),
                                                   ridge_pilot_m(train, roles, pilot_rho)))
     except PcmSelectError:
         return [math.inf] * (len(grid.lambda1) * len(grid.rho1) * len(grid.zeta_xi))
-    y_errs = [
-        [_or_inf(lambda: _y_error(test, roles, pcm_stage1_y(
-            train, roles, weights, lam1, zeta1, xi1).stacked()))
-         for zeta1, xi1 in grid.zeta_xi]
-        for lam1 in grid.lambda1
-    ]
-    m_errs = [_or_inf(lambda: _m_error(test, roles, pcm_stage1_m(train, roles, weights, rho1)))
-              for rho1 in grid.rho1]
-    return [y + m for y_row in y_errs for m in m_errs for y in y_row]
+    lams, rhos = sorted(set(grid.lambda1), reverse=True), sorted(set(grid.rho1), reverse=True)
+    y_errs = {(lam1, pair): _y_error(test, roles, fit) for pair in set(grid.zeta_xi)
+              for lam1, fit in zip(lams, pcm_stage1_y_path(train, roles, weights, lams, *pair))}
+    m_paths = pcm_stage1_m_path(train, roles, weights, rhos)
+    m_errs = {rho1: _m_error(test, roles, [path[k] for path in m_paths])
+              for k, rho1 in enumerate(rhos)}
+    return [y_errs[lam1, pair] + m_errs[rho1]
+            for lam1, rho1, pair in itertools.product(grid.lambda1, grid.rho1, grid.zeta_xi)]
 
 
 def _cross_validate_pcm(roles, grid: ParamGrid, splits) -> CvResult:
@@ -240,7 +256,7 @@ def _cross_validate_pcm(roles, grid: ParamGrid, splits) -> CvResult:
         lambda tr, te, lam: _y_error(te, roles, ridge_pilot_y(tr, roles, lam).stacked()))
     rho_rows, pilot_rho = _search(
         "pilot_rho", grid.pilot_rho, splits,
-        lambda tr, te, rho: _m_error(te, roles, ridge_pilot_m(tr, roles, rho)))
+        lambda tr, te, rho: _m_error(te, roles, ridge_pilot_m(tr, roles, rho).stacked().T))
 
     per_fold = [_stage1_scores(tr, te, roles, pilot_lam, pilot_rho, grid) for tr, te in splits]
     rows = [

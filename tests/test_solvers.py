@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmselect.errors import SingularDesign
+from pcmselect import solvers
+from pcmselect.errors import PcmSelectError, SingularDesign
 from pcmselect.solvers import (
     coordinate_descent,
     kkt_residual,
+    l1_path,
     ols_solve,
     ridge_solve,
 )
@@ -116,6 +118,81 @@ class TestCoordinateDescent:
         l1[:2] = 0.0
         with pytest.raises(SingularDesign):
             coordinate_descent(a.T @ a, a.T @ y, a.shape[0], l1)
+
+
+def solve_alone(gram, cross, n, l1):
+    """``coordinate_descent``'s solution, or the exception it raises."""
+    try:
+        return coordinate_descent(gram, cross, n, l1)
+    except PcmSelectError as exc:
+        return exc
+
+
+def assert_same_fit(fit, alone):
+    """Bit-identical solutions, or failures of the same class."""
+    if isinstance(alone, PcmSelectError):
+        assert type(fit) is type(alone)
+    else:
+        assert isinstance(fit, np.ndarray) and fit.tobytes() == alone.tobytes()
+
+
+class TestL1Path:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), SHAPES,
+           st.lists(st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.0, 5.0, 20.0]), min_size=1,
+                    max_size=7))
+    def test_equals_the_solver_at_each_candidate(self, seed, shape, scales):
+        a, y, l1 = make_problem(seed, *shape)
+        gram, cross, n = a.T @ a, a.T @ y, shape[0]
+        cands = [s * l1 for s in sorted(scales, reverse=True)]
+        for w, fit in zip(cands, l1_path(gram, cross, n, cands)):
+            assert_same_fit(fit, solve_alone(gram, cross, n, w))
+            if isinstance(fit, np.ndarray):
+                assert kkt_residual(gram, cross, n, w, fit) <= 1e-9
+
+    def test_rejects_ascending_candidates(self):
+        a, y, l1 = make_problem(10)
+        with pytest.raises(ValueError):
+            l1_path(a.T @ a, a.T @ y, 60, [l1, 2 * l1])
+        with pytest.raises(ValueError):
+            l1_path(a.T @ a, a.T @ y, 60, [0 * l1, l1])
+
+    def test_a_singular_block_fails_every_candidate_below_it(self, monkeypatch):
+        # a stand-in for a singular active block: every block of 3 or more
+        # columns fails to factor; the path reaches 3 active between 10 and 3
+        a, y, l1 = make_problem(11)
+        gram, cross = a.T @ a, a.T @ y
+        cands = [s * l1 for s in (30.0, 10.0, 3.0, 1.0, 0.3)]
+        solve = np.linalg.solve
+
+        def solve_small(block, rhs):
+            if block.shape[0] >= 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(block, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_small)
+        fits = l1_path(gram, cross, 60, cands)
+        assert [isinstance(f, SingularDesign) for f in fits] == [False, False, True, True, True]
+        for w, fit in zip(cands, fits):
+            assert_same_fit(fit, solve_alone(gram, cross, 60, w))
+
+    def test_a_stationarity_failure_fails_its_candidate_alone(self, monkeypatch):
+        a, y, l1 = make_problem(12)
+        gram, cross = a.T @ a, a.T @ y
+        cands = [s * l1 for s in (10.0, 3.0, 1.0, 0.3)]
+        alone = [solve_alone(gram, cross, 60, w) for w in cands]
+        kkt = solvers.kkt_residual
+
+        def kkt_failing_third(gram, cross, n, l1_weights, beta, l2_weights=None):
+            if np.array_equal(l1_weights, cands[2]):
+                return np.inf
+            return kkt(gram, cross, n, l1_weights, beta, l2_weights)
+
+        monkeypatch.setattr(solvers, "kkt_residual", kkt_failing_third)
+        fits = l1_path(gram, cross, 60, cands)
+        assert isinstance(fits[2], SingularDesign)
+        for k in (0, 1, 3):
+            assert_same_fit(fits[k], alone[k])
 
 
 class TestRidgeSolve:

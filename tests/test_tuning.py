@@ -179,6 +179,14 @@ def search_case(name):
             pilot_lambda=(0.01, 1.0), pilot_rho=(0.01, 1.0), lambda1=(0.001, 0.1, 10.0),
             rho1=(0.001, 1.0), zeta_xi=((0.2, 0.3), (0.0, 0.0), (0.8, 0.2)), folds=5,
             fold_seed=0)
+    if name.startswith("unsorted, zero and repeated candidates"):
+        # a zero penalty is solved on its own; the paths run to the smallest positive one
+        ds, roles = (random_instance(72, n=60), ROLES) if name.endswith("n > p") \
+            else setting_a_sample(6)
+        return ds, roles, small_grid(
+            pilot_lambda=(0.1, 1.0), pilot_rho=(0.1, 1.0), lambda1=(0.1, 0.0, 1.0, 0.1),
+            rho1=(0.5, 0.0), zeta_xi=((0.2, 0.3), (0.0, 0.0), (0.8, 0.2)), folds=5,
+            fold_seed=0)
     if name == "p >= n, failing pilots":
         # every row scores inf, so the tie key alone picks the row
         return random_instance(71, n=8), ROLES, small_grid(
@@ -191,7 +199,9 @@ def search_case(name):
 
 class TestSeparatedSearch:
     @pytest.mark.parametrize("name", ["n > p with mediators", "p >= n, failing stage-1 fits",
-                                      "p >= n, failing pilots", "no mediators"])
+                                      "p >= n, failing pilots", "no mediators",
+                                      "unsorted, zero and repeated candidates, n > p",
+                                      "unsorted, zero and repeated candidates, p >= n"])
     def test_equals_the_per_candidate_search(self, name):
         ds, roles, grid = search_case(name)
         result = cross_validate(ds, roles, "pcm", grid)
