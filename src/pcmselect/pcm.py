@@ -59,7 +59,7 @@ import numpy as np
 from .data import Dataset, RolePartition
 from .errors import PcmSelectError
 from .linalg import pseudo_inverse
-from .solvers import coordinate_descent, l1_path, ols_solve, ridge_solve
+from .solvers import l1_path, ols_solve, ridge_solve
 
 __all__ = [
     "PcmParams",
@@ -288,6 +288,12 @@ def _y_moments(data: Dataset, roles: RolePartition) -> tuple[np.ndarray, np.ndar
     return data.cross(cols, cols), data.cross(cols, [roles.y])[:, 0]
 
 
+def _m_moments(data: Dataset, roles: RolePartition) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix of the mediator-model regressors and their cross products with the mediators."""
+    regs = roles.m_regressors
+    return data.cross(regs, regs), data.cross(regs, roles.mediators)
+
+
 # ---------------------------------------------------------------------------
 # least squares and ridge pilots
 # ---------------------------------------------------------------------------
@@ -334,8 +340,7 @@ def ridge_pilot_m(data: Dataset, roles: RolePartition, rho: float) -> MediatorCo
     if not roles.mediators:
         return _split_m_coefs(np.zeros((1 + q_z + q_zb, 0)), q_z)
     diag = np.concatenate([[0.0], np.zeros(q_z), np.full(q_zb, rho)])
-    regs = roles.m_regressors
-    gram, cross = data.cross(regs, regs), data.cross(regs, roles.mediators)
+    gram, cross = _m_moments(data, roles)
     if rho == 0 or q_zb == 0:
         coefs = ols_solve(gram, cross)
     else:
@@ -425,6 +430,13 @@ def _restrict(roles: RolePartition, weights: AdaptiveWeights, active_sbar: np.nd
     )
 
 
+def _first(fit):
+    """A one-candidate fit's solution; raises its failure."""
+    if isinstance(fit, PcmSelectError):
+        raise fit
+    return fit
+
+
 def pcm_stage1_y(
     data: Dataset,
     roles: RolePartition,
@@ -433,24 +445,28 @@ def pcm_stage1_y(
     zeta1: float,
     xi1: float,
 ) -> YModelCoefs:
-    """Weighted-L1 outcome fit; fixed covariates/mediators stay unpenalized."""
+    """Weighted-L1 outcome fit; fixed covariates/mediators stay unpenalized.
+
+    The one-candidate case of :func:`pcm_stage1_y_path`.
+    """
     if min(lam1, zeta1, xi1) < 0 or zeta1 + xi1 > 1.0 + MIX_SLACK:
         raise ValueError("need lam1, zeta1, xi1 >= 0 and zeta1 + xi1 <= 1")
-    l1 = _y_l1_weights(roles, weights, lam1, zeta1, xi1)
-    gram, cross = _y_moments(data, roles)
-    beta = coordinate_descent(gram, cross, data.n, l1)
-    return _split_y_coefs(beta, roles)
+    ((beta,),) = pcm_stage1_y_path(data, roles, weights, [lam1], [(zeta1, xi1)])
+    return _split_y_coefs(_first(beta), roles)
 
 
 def pcm_stage1_y_path(data: Dataset, roles: RolePartition, weights: AdaptiveWeights,
-                      lams, zeta1: float, xi1: float) -> list:
-    """:func:`pcm_stage1_y` at each of ``lams`` (descending), read off one L1 path.
+                      lams, pairs) -> list:
+    """:func:`pcm_stage1_y` at each of ``lams`` (descending) for each (zeta1, xi1) of ``pairs``.
 
-    Each fit is its coefficient vector (:meth:`YModelCoefs.stacked`) or, if
-    it failed, its exception (see :func:`solvers.l1_path`).
+    One :func:`solvers.l1_path` call with one lane per pair: ``fits[i][k]``
+    is the coefficient vector (:meth:`YModelCoefs.stacked`) at ``pairs[i]``
+    and ``lams[k]`` or, if that fit failed, its exception.
     """
-    return l1_path(*_y_moments(data, roles), data.n,
-                   [_y_l1_weights(roles, weights, lam1, zeta1, xi1) for lam1 in lams])
+    gram, cross = _y_moments(data, roles)
+    return l1_path(gram, np.broadcast_to(cross, (len(pairs), cross.size)), data.n,
+                   [[_y_l1_weights(roles, weights, lam1, *pair) for lam1 in lams]
+                    for pair in pairs])
 
 
 def _m_l1_weights(roles, w, rho1, j) -> np.ndarray:
@@ -468,33 +484,28 @@ def pcm_stage1_m(
     The squared loss and the elementwise penalty both separate across
     mediator columns, so each column is solved on the shared design
     [x, z, zbar] with its own column of ``weights.med`` on the candidate
-    covariates.  :func:`fit_from_weights` passes the active design's roles
-    and weights.
+    covariates: the one-candidate case of :func:`pcm_stage1_m_path`.
+    :func:`fit_from_weights` passes the active design's roles and weights.
     """
     if rho1 < 0:
         raise ValueError("rho1 must be nonnegative")
-    q_z, q_m = len(roles.z), len(roles.mediators)
-    regs = roles.m_regressors
-    gram, cross = data.cross(regs, regs), data.cross(regs, roles.mediators)
-    coefs = np.zeros((len(regs), q_m))
-    for j in range(q_m):
-        coefs[:, j] = coordinate_descent(gram, cross[:, j], data.n,
-                                         _m_l1_weights(roles, weights, rho1, j))
-    return _split_m_coefs(coefs, q_z)
+    fits = [_first(beta) for (beta,) in pcm_stage1_m_path(data, roles, weights, [rho1])]
+    # the empty leading block keeps the shape when there are no mediators
+    return _split_m_coefs(np.column_stack([np.zeros((len(roles.m_regressors), 0)), *fits]),
+                          len(roles.z))
 
 
 def pcm_stage1_m_path(data: Dataset, roles: RolePartition, weights: AdaptiveWeights,
                       rhos) -> list:
-    """:func:`pcm_stage1_m` at each of ``rhos`` (descending), one L1 path per mediator.
+    """:func:`pcm_stage1_m` at each of ``rhos`` (descending), one lane per mediator.
 
-    ``paths[j][k]`` is mediator j's coefficient column at ``rhos[k]`` or, if
-    that fit failed, its exception (see :func:`solvers.l1_path`).
+    One :func:`solvers.l1_path` call: ``paths[j][k]`` is mediator j's
+    coefficient column at ``rhos[k]`` or, if that fit failed, its exception.
     """
-    regs = roles.m_regressors
-    gram, cross = data.cross(regs, regs), data.cross(regs, roles.mediators)
-    return [l1_path(gram, cross[:, j], data.n,
-                    [_m_l1_weights(roles, weights, rho1, j) for rho1 in rhos])
-            for j in range(len(roles.mediators))]
+    gram, cross = _m_moments(data, roles)
+    return l1_path(gram, cross.T, data.n,
+                   [[_m_l1_weights(roles, weights, rho1, j) for rho1 in rhos]
+                    for j in range(len(roles.mediators))])
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,17 @@ one linear solve per change of the active set.  Candidates that are
 multiples of one weight vector (a penalty grid) are points on one such path:
 :func:`l1_path` follows it once, to the smallest candidate, and solves each
 candidate on the segment where its scale falls, with that segment's active
-set and signs and its own weight vector.  A singular active block or the
-event cap ends the path and fails every candidate not yet reached; an
-endpoint off the stationarity conditions fails only its own candidate.
+set and signs and its own weight vector.
+
+:func:`l1_path` also takes several lanes: independent problems on one gram,
+each with its own cross-product vector and its own candidate list.  Their
+paths go in lockstep, and each event step is one batched solve of every live
+path's active block, posed as a p x p system with the identity on the
+inactive coordinates.  Every system is its own LAPACK call, so a lane's
+numbers do not depend on the lanes it shares a call with.  Failures stay in
+their lane: a singular active block or the event cap ends that lane's path
+and fails its candidates not yet reached, and an endpoint off the
+stationarity conditions fails only its own candidate.
 """
 
 from __future__ import annotations
@@ -82,123 +90,155 @@ def l1_path(
     n: int,
     l1_weights,
     l2_weights: np.ndarray | None = None,
-) -> list[np.ndarray | PcmSelectError]:
-    """The minimizers at several L1 weight vectors, read off one path.
+) -> list:
+    """The minimizers at several L1 weight vectors, read off one path per lane.
 
-    ``l1_weights`` lists the candidate vectors in descending order, each a
-    nonnegative multiple of the last.  With ``H = G/n + diag(l2)`` and the
-    last positive candidate ``w`` scaled by ``t``, the active coefficients on
-    a segment of the path are ``a - t b`` with ``H_AA [a, b] = [lin_A,
-    w_A sign_A]``.  Going down from ``t = inf`` (the unpenalized coordinates
-    active), the next event is the largest ``t`` in ``(1, t_now]`` where an
-    inactive gradient reaches its bound or an active coefficient that is
-    moving toward zero reaches it.  A candidate ``s w`` whose scale ``s``
-    lies on a segment keeps that segment's active set and signs and is
-    solved there with its own vector, as the path to it alone would solve
-    its last segment, so it equals :func:`coordinate_descent` at that vector
-    wherever the two paths take the same events.  Zero candidates are one
-    segment of their own.
+    A lane is one L1 problem on the shared ``gram``: its cross-product vector
+    and its candidate vectors in descending order, each a nonnegative
+    multiple of the last.  ``cross`` of shape (p,) with one candidate list is
+    one lane, and the result is one list; a (B, p) stack with B lists is B
+    lanes, and the result is B lists.  With ``H = G/n + diag(l2)`` and a
+    lane's last positive candidate ``w`` scaled by ``t``, the active
+    coefficients on a segment of its path are ``a - t b`` with
+    ``H_AA [a, b] = [lin_A, w_A sign_A]``.  Going down from ``t = inf`` (the
+    unpenalized coordinates active), the next event is the largest ``t`` in
+    ``(1, t_now]`` where an inactive gradient reaches its bound or an active
+    coefficient that is moving toward zero reaches it.  A candidate ``s w``
+    whose scale ``s`` lies on a segment keeps that segment's active set and
+    signs and is solved there with its own vector, as the path to it alone
+    would solve its last segment, so it equals :func:`coordinate_descent` at
+    that vector wherever the two paths take the same events.  Zero
+    candidates are one segment of their own.  A lane's numbers do not depend
+    on the other lanes of the call.
 
     Returns one solution or one failure per candidate, in the given order.
-    A singular active block or the ``10 p + 10`` event cap ends the path:
-    every candidate at or below that scale gets the failure
+    A singular active block or the ``10 p + 10`` event cap ends that lane's
+    path: each of its candidates at or below that scale gets the failure
     (:class:`SingularDesign` or :class:`MaxIterationsExceeded`).  An
     endpoint that violates the stationarity conditions by more than
     ``KKT_LIMIT`` fails alone (:class:`SingularDesign`), and the path goes
-    on.
+    on.  Other lanes are not affected by either.
     """
     p = gram.shape[0]
-    cands = [np.asarray(w, dtype=float) for w in l1_weights]
+    crosses = np.asarray(cross, dtype=float)
+    lanes = crosses.ndim == 2
+    if not lanes:
+        crosses, l1_weights = crosses[None], [l1_weights]
+    lists = [[np.asarray(w, dtype=float) for w in ws] for ws in l1_weights]
     l2 = np.zeros(p) if l2_weights is None else np.asarray(l2_weights, dtype=float)
-    if l2.shape != (p,) or any(w.shape != (p,) for w in cands):
-        raise ValueError("penalty weight vectors must match the design width")
-    if (l2 < 0).any() or any((w < 0).any() for w in cands):
+    if (crosses.shape != (len(lists), p) or l2.shape != (p,)
+            or any(w.shape != (p,) for ws in lists for w in ws)):
+        raise ValueError("cross products and penalty weights must match the design width")
+    if (l2 < 0).any() or any((w < 0).any() for ws in lists for w in ws):
         raise ValueError("penalty weights must be nonnegative")
-    if p == 0:
-        return [np.zeros(0) for _ in cands]
-    # each candidate's scale relative to the last positive one; zero ones come last
-    peaks = [w.max() for w in cands]
-    positive = [peak for peak in peaks if peak > 0.0]
-    scales = [peak / positive[-1] for peak in peaks] if positive else peaks
-    if any(s < s_next for s, s_next in zip(scales, scales[1:])):
-        raise ValueError("L1 candidates must be in descending order")
-    m = len(positive)
-    hess = gram / n
-    hess.flat[:: p + 1] += l2
-    lin = np.asarray(cross, dtype=float) / n
-    fits = []
-    for lo, hi in ((0, m), (m, len(cands))):
-        if lo < hi:
-            fits += _follow(hess, lin, cands[lo:hi], scales[lo:hi])
-    return [fit if isinstance(fit, PcmSelectError)
-            or kkt_residual(gram, cross, n, w, fit, l2) <= KKT_LIMIT
-            else SingularDesign("the L1 path ended off the optimum (degenerate active set)")
-            for w, fit in zip(cands, fits)]
+    fits = [[np.zeros(0)] * len(ws) for ws in lists]
+    if p > 0:
+        # a lane's positive and its zero candidates are two paths, each a list of
+        # (lane, index, weights, scale) in descending order
+        paths = []
+        for b, ws in enumerate(lists):
+            # each candidate's scale relative to the last positive one; zero ones come last
+            peaks = [w.max() for w in ws]
+            positive = [peak for peak in peaks if peak > 0.0]
+            scales = [peak / positive[-1] for peak in peaks] if positive else peaks
+            if any(s < s_next for s, s_next in zip(scales, scales[1:])):
+                raise ValueError("L1 candidates must be in descending order")
+            cands = [(b, k, ws[k], s) for k, s in enumerate(scales)]
+            paths += [part for part in (cands[: len(positive)], cands[len(positive):]) if part]
+        hess = gram / n
+        hess.flat[:: p + 1] += l2
+        _lockstep(hess, crosses / n, paths, fits)
+        fits = [[fit if isinstance(fit, PcmSelectError)
+                 or kkt_residual(gram, c, n, w, fit, l2) <= KKT_LIMIT
+                 else SingularDesign("the L1 path ended off the optimum (degenerate active set)")
+                 for w, fit in zip(ws, lane)] for c, ws, lane in zip(crosses, lists, fits)]
+    return fits if lanes else fits[0]
 
 
-def _follow(hess: np.ndarray, lin: np.ndarray, cands: list[np.ndarray], scales) -> list:
-    """The path with weights ``t * cands[-1]``, solved at each candidate's ``t = scales[k]``."""
+def _lockstep(hess: np.ndarray, lin: np.ndarray, paths, fits) -> None:
+    """Follow all paths together, with one batched solve of their active blocks per event.
+
+    A path has the weights ``t * w`` of its last candidate ``(b, k, w, s)``
+    and solves each of its candidates at ``t = s`` into ``fits[b][k]``.
+    Each path's active block is solved as a p x p system with the identity
+    on its inactive coordinates and a zero right-hand side there, one LAPACK
+    call per path, so no path's numbers depend on the others.  Row i of the
+    state arrays belongs to path ``live[i]``; a path's row is dropped when it
+    ends.
+    """
     p = hess.shape[0]
-    base = cands[-1]
-    rhs = np.column_stack([lin, base])
+    base = np.array([path[-1][2] for path in paths]).reshape(-1, p)
     usable = hess.diagonal() > 0.0
-    active, penalized = usable & (base == 0.0), usable & (base > 0.0)
-    one_segment = not penalized.any()  # least squares or ridge: no events
-    theta = np.zeros(p)
-    t = np.inf
-    cap = 10 * p + 10
-    fits = []
-    for _ in range(cap):
-        act = np.flatnonzero(active)
-        h_act = hess[:, act]
-        block = h_act[act]
-        r = rhs[act]
-        r[:, 1] *= theta[act]
+    # a least-squares or ridge path has no penalized coordinate and so no event
+    state = [usable & (base == 0.0), usable & (base > 0.0), base,
+             lin[[path[0][0] for path in paths]], np.zeros_like(base),
+             np.full(len(paths), np.inf)]
+    eye, cap, steps = np.eye(p), 10 * p + 10, 0
+    failure = [None] * len(paths)
+    live = np.arange(len(paths))
+    while live.size and steps < cap:
+        active, penalized, base, lin, theta, t = state
+        blocks = np.where(active[:, :, None] & active[:, None, :], hess, eye)
+        # the right-hand side [lin_A, w_A sign_A], zero off the active set
+        rhs = np.empty((*base.shape, 2))
+        rhs[..., 0], rhs[..., 1] = np.where(active, lin, 0.0), base * theta
         try:
-            ab = np.linalg.solve(block, r)
-        except np.linalg.LinAlgError as exc:
-            failure = SingularDesign(f"active block of the L1 path is singular: {exc}")
-            break
-        t_next = -np.inf
-        if not one_segment:
-            path = np.zeros((p, 2))
-            path[act] = ab
-            pq = h_act @ ab
-            pv = pq[:, 0] - lin
-            # An active coordinate leaves where a - t b = 0, an inactive one joins
-            # where |pv - t qv| = t w, that is at t = pv / (qv + sign(pv) w).  Only
-            # a coefficient moving toward zero may leave, and only a positive
-            # join time counts; without these conditions rounding lets a
-            # coordinate that has just joined leave again at the same t.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                event = np.where(active, path[:, 0] / path[:, 1],
-                                 pv / (pq[:, 1] + np.sign(pv) * base))
-            ok = (np.where(active, theta * path[:, 1] < 0.0, penalized)
-                  & (event > 1.0) & (event <= t))
-            if ok.any():
-                e = int(np.argmax(np.where(ok, event, -np.inf)))
-                t_next = event[e]
-        # a candidate at or above the next event ends on this segment
-        while len(fits) < len(cands) and scales[len(fits)] >= t_next:
-            w = cands[len(fits)]
-            if w is base:
-                ab_w = ab
-            else:
-                r = np.column_stack([lin, w])[act]
-                r[:, 1] *= theta[act]
-                ab_w = np.linalg.solve(block, r)
-            beta = np.zeros(p)
-            beta[act] = ab_w[:, 0] - ab_w[:, 1]
-            fits.append(beta)
-        if len(fits) == len(cands):
-            return fits
-        t = t_next
-        theta[e] = 0.0 if active[e] else -np.sign(pv[e])
-        active[e] = not active[e]
-    else:
-        failure = MaxIterationsExceeded(cap)
-    # the path ends here: every candidate not yet reached fails with it
-    return fits + [failure] * (len(cands) - len(fits))
+            ab = np.linalg.solve(blocks, rhs)
+        except np.linalg.LinAlgError:
+            # the batched error names no path: solve one by one, drop the singular ones
+            # and solve the rest again
+            keep = np.ones(live.size, dtype=bool)
+            for i, path in enumerate(live.tolist()):
+                try:
+                    np.linalg.solve(blocks[i], rhs[i])
+                except np.linalg.LinAlgError as exc:
+                    keep[i] = False
+                    failure[path] = SingularDesign(
+                        f"active block of the L1 path is singular: {exc}")
+            live, *state = (x[keep] for x in (live, *state))
+            continue
+        steps += 1
+        pq = hess @ ab
+        pv = pq[..., 0] - lin
+        # An active coordinate leaves where a - t b = 0, an inactive one joins
+        # where |pv - t qv| = t w, that is at t = pv / (qv + sign(pv) w).  Only
+        # a coefficient moving toward zero may leave, and only a positive
+        # join time counts; without these conditions rounding lets a
+        # coordinate that has just joined leave again at the same t.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            event = np.where(active, ab[..., 0] / ab[..., 1],
+                             pv / (pq[..., 1] + np.sign(pv) * base))
+        ok = (np.where(active, theta * ab[..., 1] < 0.0, penalized)
+              & (event > 1.0) & (event <= t[:, None]))
+        event = np.where(ok, event, -np.inf)
+        k = np.arange(0, event.size, p) + event.argmax(axis=1)  # flat indices
+        t[:] = event.max(axis=1)
+        # a candidate at or above its path's next event ends on this segment:
+        # the path's base takes the path's own solve, every other candidate
+        # is solved with its own weights
+        own, going = [], []
+        for i, path in enumerate(live.tolist()):
+            todo = paths[path]
+            while todo and todo[0][3] >= t[i]:
+                b, c, w, _ = todo.pop(0)
+                if todo:
+                    own.append((i, b, c, w))
+                else:
+                    fits[b][c] = ab[i, :, 0] - ab[i, :, 1]
+            going.append(bool(todo))
+        for i, b, c, w in own:
+            ab_w = np.linalg.solve(blocks[i], np.column_stack([rhs[i, :, 0], w * theta[i]]))
+            fits[b][c] = ab_w[:, 0] - ab_w[:, 1]
+        # the event coordinate of each path joins or leaves (the state is contiguous)
+        joins = ~active.reshape(-1)[k]
+        active.reshape(-1)[k] = joins
+        theta.reshape(-1)[k] = np.where(joins, -np.sign(pv.reshape(-1)[k]), 0.0)
+        if not all(going):
+            live, *state = (x[going] for x in (live, *state))
+    # a path that ended early fails every candidate it did not reach
+    for path, failed in zip(paths, failure):
+        for b, c, *_ in path:
+            fits[b][c] = failed or MaxIterationsExceeded(cap)
 
 
 def kkt_residual(gram, cross, n, l1_weights, beta, l2_weights=None) -> float:

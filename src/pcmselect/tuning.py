@@ -14,8 +14,10 @@ The protocol is two-phase and deterministic:
     the lambda1 candidates of one (zeta1, xi1) pair are multiples of one
     vector, and so are those of the rho1 candidates of one mediator column,
     so each pair's outcome fits are read off one L1 solution path, and each
-    mediator column's off one more (``solvers.l1_path``); a fit equals the
-    one fitted alone wherever the two paths take the same events.
+    mediator column's off one more.  On each fold, one ``solvers.l1_path``
+    call follows every pair's path as a lane, and one more every mediator
+    column's; a fit equals the one fitted alone wherever the two paths take
+    the same events.
     The debiasing ridges are not scored; they keep ``PcmParams``' defaults.
     Baseline methods score the held-out error of their single regression.
     They search the keys that the method registry gives them (``lam`` and
@@ -28,8 +30,8 @@ broken toward stronger regularization.  A fit that fails on some fold (for
 example an unpenalized pilot on a singular design) scores infinity there,
 for every candidate that uses it, rather than aborting the search.  On a
 stage-1 path, a singular active block or the event cap fails every candidate
-at or below the penalty where it happens; a fit whose endpoint misses the
-stationarity conditions fails alone.
+of that path at or below the penalty where it happens, and no other lane's;
+a fit whose endpoint misses the stationarity conditions fails alone.
 """
 
 from __future__ import annotations
@@ -168,27 +170,37 @@ def _score_mean(splits, fit_predict) -> tuple[float, tuple[float, ...]]:
     return float(np.mean(scores)), scores
 
 
-def _y_error(test: Dataset, roles: RolePartition, beta) -> float:
-    """Held-out mean squared error of the outcome on ``roles.y_regressors``;
+def _y_held(test: Dataset, roles: RolePartition) -> tuple[np.ndarray, np.ndarray]:
+    """The held-out outcome and its design ``roles.y_regressors``."""
+    return test.column(roles.y), test.values[:, test.index_of(roles.y_regressors)]
+
+
+def _m_held(test: Dataset, roles: RolePartition) -> tuple[np.ndarray, np.ndarray]:
+    """The held-out mediators and their design ``roles.m_regressors``."""
+    return (test.values[:, test.index_of(roles.mediators)],
+            test.values[:, test.index_of(roles.m_regressors)])
+
+
+def _y_error(y: np.ndarray, a: np.ndarray, beta) -> float:
+    """Held-out mean squared error of the outcome ``y`` on the design ``a``;
     infinity when the fit failed (``beta`` is its exception)."""
     if isinstance(beta, PcmSelectError):
         return math.inf
-    resid = test.column(roles.y) - test.values[:, test.index_of(roles.y_regressors)] @ beta
-    return float(resid @ resid) / test.n
+    resid = y - a @ beta
+    return float(resid @ resid) / len(y)
 
 
-def _m_error(test: Dataset, roles: RolePartition, columns) -> float:
-    """Held-out mean squared error of the mediators, per mediator column, given
-    one coefficient column on ``roles.m_regressors`` per mediator; infinity
+def _m_error(m: np.ndarray, a: np.ndarray, columns) -> float:
+    """Held-out mean squared error of the mediators ``m``, per mediator column,
+    given one coefficient column on the design ``a`` per mediator; infinity
     when a column's fit failed (the column is its exception)."""
-    q_m = len(roles.mediators)
+    n, q_m = m.shape
     if q_m == 0:
         return 0.0
     if any(isinstance(c, PcmSelectError) for c in columns):
         return math.inf
-    a = test.values[:, test.index_of(roles.m_regressors)]
-    resid = test.values[:, test.index_of(roles.mediators)] - a @ np.column_stack(columns)
-    return float(np.sum(resid * resid)) / (test.n * q_m)
+    resid = m - a @ np.column_stack(columns)
+    return float(np.sum(resid * resid)) / (n * q_m)
 
 
 def cross_validate(data: Dataset, roles: RolePartition, method: str, grid: ParamGrid) -> CvResult:
@@ -228,9 +240,10 @@ def _stage1_scores(train: Dataset, test: Dataset, roles, pilot_lam, pilot_rho,
                    grid: ParamGrid) -> list[float]:
     """One fold's score of every (lambda1, rho1, (zeta1, xi1)) row, in product order.
 
-    One outcome path per (zeta1, xi1) pair runs over the distinct lambda1
-    values, one mediator path per mediator column over the distinct rho1
-    values; a failed fit scores infinity.
+    One L1 path call follows one lane per distinct (zeta1, xi1) pair over the
+    distinct lambda1 values, another one lane per mediator column over the
+    distinct rho1 values; a failed fit scores infinity.  The held-out
+    designs are gathered once for all of them.
     """
     try:
         weights = adaptive_weights(PilotEstimates(ridge_pilot_y(train, roles, pilot_lam),
@@ -238,10 +251,13 @@ def _stage1_scores(train: Dataset, test: Dataset, roles, pilot_lam, pilot_rho,
     except PcmSelectError:
         return [math.inf] * (len(grid.lambda1) * len(grid.rho1) * len(grid.zeta_xi))
     lams, rhos = sorted(set(grid.lambda1), reverse=True), sorted(set(grid.rho1), reverse=True)
-    y_errs = {(lam1, pair): _y_error(test, roles, fit) for pair in set(grid.zeta_xi)
-              for lam1, fit in zip(lams, pcm_stage1_y_path(train, roles, weights, lams, *pair))}
+    pairs = list(dict.fromkeys(grid.zeta_xi))
+    y_held, m_held = _y_held(test, roles), _m_held(test, roles)
+    y_errs = {(lam1, pair): _y_error(*y_held, fit)
+              for pair, path in zip(pairs, pcm_stage1_y_path(train, roles, weights, lams, pairs))
+              for lam1, fit in zip(lams, path)}
     m_paths = pcm_stage1_m_path(train, roles, weights, rhos)
-    m_errs = {rho1: _m_error(test, roles, [path[k] for path in m_paths])
+    m_errs = {rho1: _m_error(*m_held, [path[k] for path in m_paths])
               for k, rho1 in enumerate(rhos)}
     return [y_errs[lam1, pair] + m_errs[rho1]
             for lam1, rho1, pair in itertools.product(grid.lambda1, grid.rho1, grid.zeta_xi)]
@@ -253,10 +269,11 @@ def _cross_validate_pcm(roles, grid: ParamGrid, splits) -> CvResult:
         raise EmptyGrid("pcm grid has an empty parameter list")
     pilot_rows, pilot_lam = _search(
         "pilot_lambda", grid.pilot_lambda, splits,
-        lambda tr, te, lam: _y_error(te, roles, ridge_pilot_y(tr, roles, lam).stacked()))
+        lambda tr, te, lam: _y_error(*_y_held(te, roles), ridge_pilot_y(tr, roles, lam).stacked()))
     rho_rows, pilot_rho = _search(
         "pilot_rho", grid.pilot_rho, splits,
-        lambda tr, te, rho: _m_error(te, roles, ridge_pilot_m(tr, roles, rho).stacked().T))
+        lambda tr, te, rho: _m_error(*_m_held(te, roles),
+                                     ridge_pilot_m(tr, roles, rho).stacked().T))
 
     per_fold = [_stage1_scores(tr, te, roles, pilot_lam, pilot_rho, grid) for tr, te in splits]
     rows = [
@@ -287,11 +304,11 @@ def _cross_validate_baseline(roles, method, grid: ParamGrid, splits) -> CvResult
     base = replace(roles, s=(), sbar=())
     if "pilot_lam" in allowed:
         _, pilot_lam = _search(
-            "pilot_lambda", grid.pilot_lambda, splits,
-            lambda tr, te, lam: _y_error(te, base, pilot_coefficients(tr, roles, method, lam)))
+            "pilot_lambda", grid.pilot_lambda, splits, lambda tr, te, lam: _y_error(
+                *_y_held(te, base), pilot_coefficients(tr, roles, method, lam)))
         cands = [{**cand, "pilot_lam": pilot_lam} for cand in cands]
     rows = [CvRow(cand, *_score_mean(splits, lambda tr, te: _y_error(
-                te, base, penalized_coefficients(tr, roles, method, **cand))))
+                *_y_held(te, base), penalized_coefficients(tr, roles, method, **cand))))
             for cand in cands]
     best = _select(rows, lambda p: (-p["lam"], -p.get("eta", 0.0), -p.get("phi", 0.0)))
     return CvResult(method, dict(best.params), best.mean_score, tuple(rows))

@@ -78,7 +78,7 @@ def test_benchmark_methods_are_valid():
     assert METHODS["pcm"].cv
 
 
-# Runs both benchmark settings with all their methods and one pcm
+# Runs one pcm fit, both benchmark settings with all their methods and one pcm
 # cross-validation on one worker, then prints which of the modules that the
 # package must not need were ever imported.
 MA_GUARD = """
@@ -88,22 +88,24 @@ import numpy as np
 
 import pcmselect
 from pcmselect.data import Dataset
-from pcmselect.experiment import (SETTING_METHODS, ExperimentConfig, MethodSpec,
+from pcmselect.experiment import (PRESETS, SETTING_METHODS, ExperimentConfig, MethodSpec,
                                   experiment_roles, run_monte_carlo)
+from pcmselect.pcm import PcmParams, pcm_total_effect
 from pcmselect.scm import build_experiment_scm
 from pcmselect.tuning import ParamGrid, cross_validate
 
-for setting in ("A", "B"):
-    run_monte_carlo(ExperimentConfig(
-        setting=setting, n=15, replications=5, seed=0, workers=1,
-        methods=tuple(MethodSpec(m) for m in SETTING_METHODS[setting])))
 roles = experiment_roles("A")
 scm, spec, _ = build_experiment_scm("A", np.random.default_rng(0))
 raw = scm.sample(60, np.random.default_rng(1), spec)
 cols = [scm.dag.vertices.index(c) for c in roles.required_columns()]
 ds = Dataset(raw[:, cols], roles.required_columns()).standardized()
+pcm_total_effect(ds, roles, PcmParams(**PRESETS["A", "pcm"]))
+for setting in ("A", "B"):
+    run_monte_carlo(ExperimentConfig(
+        setting=setting, n=15, replications=5, seed=0, workers=1,
+        methods=tuple(MethodSpec(m) for m in SETTING_METHODS[setting])))
 grid = ParamGrid(pilot_lambda=(1.0,), pilot_rho=(1.0,), lambda1=(0.05, 0.1),
-                 rho1=(0.1,), zeta_xi=((0.3, 0.3),), folds=3)
+                 rho1=(0.1,), zeta_xi=((0.3, 0.3), (0.0, 0.6)), folds=3)
 cross_validate(ds, roles, "pcm", grid)
 print(sorted({"numpy.ma", "scipy", "multiprocessing", "concurrent.futures"} & set(sys.modules)))
 """

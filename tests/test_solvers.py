@@ -150,6 +150,53 @@ class TestL1Path:
             if isinstance(fit, np.ndarray):
                 assert kkt_residual(gram, cross, n, w, fit) <= 1e-9
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), SHAPES,
+           st.lists(st.lists(st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.0, 5.0, 20.0]),
+                             min_size=1, max_size=5), min_size=1, max_size=4))
+    def test_each_lane_equals_that_lane_alone(self, seed, shape, lane_scales):
+        # lanes share the gram; each has its own cross vector and its own
+        # candidate list (zero, repeated and single candidates included)
+        rng = np.random.default_rng(seed + 2)
+        a, y, _ = make_problem(seed, *shape)
+        gram, (n, p) = a.T @ a, shape
+        crosses = [a.T @ (y + rng.standard_normal(n)) for _ in lane_scales]
+        lists = []
+        for scales in lane_scales:
+            l1 = 0.1 * rng.uniform(0.0, 1.0, p) * (rng.random(p) < 0.8)
+            lists.append([s * l1 for s in sorted(scales, reverse=True)])
+        fits = l1_path(gram, np.array(crosses), n, lists)
+        assert [len(lane) for lane in fits] == [len(cands) for cands in lists]
+        for cross, cands, lane in zip(crosses, lists, fits):
+            for fit, alone in zip(lane, l1_path(gram, cross, n, cands)):
+                assert_same_fit(fit, alone)
+
+    def test_a_singular_lane_fails_alone(self):
+        # columns 0 and 1 are equal: the middle lane leaves both unpenalized,
+        # so its first active block is singular; the others keep column 1 out
+        a, y, l1 = make_problem(13)
+        a[:, 1] = a[:, 0]
+        gram, n = a.T @ a, a.shape[0]
+        singular, kept = l1.copy(), l1.copy()
+        singular[:2] = 0.0
+        kept[0], kept[1] = 0.0, 1e3
+        crosses = np.array([a.T @ y, a.T @ y, a.T @ (y + a[:, 2])])
+        lists = [[3 * kept, kept], [3 * singular, singular], [kept]]
+        fits = l1_path(gram, crosses, n, lists)
+        # the batched solve raised; the lane's own solve named it singular
+        assert all(isinstance(fit, SingularDesign) and "singular" in str(fit)
+                   for fit in fits[1])
+        for lane in (0, 2):
+            for w, fit, alone in zip(lists[lane], fits[lane],
+                                     l1_path(gram, crosses[lane], n, lists[lane])):
+                assert isinstance(fit, np.ndarray)
+                assert_same_fit(fit, alone)
+                assert kkt_residual(gram, crosses[lane], n, w, fit) <= 1e-9
+
+    def test_no_lanes(self):
+        a, y, _ = make_problem(14)
+        assert l1_path(a.T @ a, np.zeros((0, 6)), 60, []) == []
+
     def test_rejects_ascending_candidates(self):
         a, y, l1 = make_problem(10)
         with pytest.raises(ValueError):
@@ -158,17 +205,22 @@ class TestL1Path:
             l1_path(a.T @ a, a.T @ y, 60, [0 * l1, l1])
 
     def test_a_singular_block_fails_every_candidate_below_it(self, monkeypatch):
-        # a stand-in for a singular active block: every block of 3 or more
-        # columns fails to factor; the path reaches 3 active between 10 and 3
+        # a stand-in for a singular active block: every system with 3 or more
+        # active columns fails to factor; the path reaches 3 active between 10
+        # and 3.  The path solves its active block as a p x p system with
+        # identity rows on the inactive coordinates, so the active columns are
+        # the rows that differ from the identity's; like numpy, a batch fails
+        # when any of its systems does.
         a, y, l1 = make_problem(11)
         gram, cross = a.T @ a, a.T @ y
         cands = [s * l1 for s in (30.0, 10.0, 3.0, 1.0, 0.3)]
         solve = np.linalg.solve
 
-        def solve_small(block, rhs):
-            if block.shape[0] >= 3:
+        def solve_small(blocks, rhs):
+            size = (blocks != np.eye(blocks.shape[-1])).any(axis=-1).sum(axis=-1)
+            if (size >= 3).any():
                 raise np.linalg.LinAlgError("Singular matrix")
-            return solve(block, rhs)
+            return solve(blocks, rhs)
 
         monkeypatch.setattr(np.linalg, "solve", solve_small)
         fits = l1_path(gram, cross, 60, cands)
