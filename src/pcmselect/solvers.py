@@ -168,10 +168,10 @@ def _lockstep(hess: np.ndarray, lin: np.ndarray, paths, fits) -> None:
     """
     p = hess.shape[0]
     base = np.array([path[-1][2] for path in paths]).reshape(-1, p)
+    lin = lin[[path[0][0] for path in paths]]
     usable = hess.diagonal() > 0.0
     # a least-squares or ridge path has no penalized coordinate and so no event
-    state = [usable & (base == 0.0), usable & (base > 0.0), base,
-             lin[[path[0][0] for path in paths]], np.zeros_like(base),
+    state = [usable & (base == 0.0), usable & (base > 0.0), base, lin, np.zeros_like(base),
              np.full(len(paths), np.inf)]
     eye, cap, steps = np.eye(p), 10 * p + 10, 0
     failure = [None] * len(paths)
@@ -211,28 +211,24 @@ def _lockstep(hess: np.ndarray, lin: np.ndarray, paths, fits) -> None:
         ok = (np.where(active, theta * ab[..., 1] < 0.0, penalized)
               & (event > 1.0) & (event <= t[:, None]))
         event = np.where(ok, event, -np.inf)
-        k = np.arange(0, event.size, p) + event.argmax(axis=1)  # flat indices
-        t[:] = event.max(axis=1)
-        # a candidate at or above its path's next event ends on this segment:
-        # the path's base takes the path's own solve, every other candidate
-        # is solved with its own weights
-        own, going = [], []
-        for i, path in enumerate(live.tolist()):
+        going = []
+        for i, (path, j) in enumerate(zip(live.tolist(), event.argmax(axis=1).tolist())):
+            t[i] = event[i, j]
             todo = paths[path]
+            # a candidate at or above the path's next event ends on this segment:
+            # the path's base takes the path's own solve, every other candidate
+            # is solved with its own weights
             while todo and todo[0][3] >= t[i]:
                 b, c, w, _ = todo.pop(0)
-                if todo:
-                    own.append((i, b, c, w))
-                else:
-                    fits[b][c] = ab[i, :, 0] - ab[i, :, 1]
+                ab_w = np.linalg.solve(blocks[i], np.column_stack(
+                    [rhs[i, :, 0], w * theta[i]])) if todo else ab[i]
+                fits[b][c] = ab_w[:, 0] - ab_w[:, 1]
             going.append(bool(todo))
-        for i, b, c, w in own:
-            ab_w = np.linalg.solve(blocks[i], np.column_stack([rhs[i, :, 0], w * theta[i]]))
-            fits[b][c] = ab_w[:, 0] - ab_w[:, 1]
-        # the event coordinate of each path joins or leaves (the state is contiguous)
-        joins = ~active.reshape(-1)[k]
-        active.reshape(-1)[k] = joins
-        theta.reshape(-1)[k] = np.where(joins, -np.sign(pv.reshape(-1)[k]), 0.0)
+            if todo:  # coordinate j joins or leaves
+                theta[i, j] = 0.0 if active[i, j] else -np.sign(pv[i, j])
+                active[i, j] = not active[i, j]
+        if not any(going):
+            break
         if not all(going):
             live, *state = (x[going] for x in (live, *state))
     # a path that ended early fails every candidate it did not reach
