@@ -127,7 +127,7 @@ class Dataset:
 
     def cross(self, rows, cols) -> np.ndarray:
         """Block of :attr:`gram` between two sequences of column names."""
-        return self.gram[np.ix_(self.index_of(rows), self.index_of(cols))]
+        return self.gram[self.index_of(rows)[:, None], self.index_of(cols)]
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.index_of([name])[0]]

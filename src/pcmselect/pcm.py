@@ -59,7 +59,7 @@ import numpy as np
 from .data import Dataset, RolePartition
 from .errors import PcmSelectError
 from .linalg import pseudo_inverse
-from .solvers import l1_path, ols_solve, ridge_solve
+from .solvers import l1_path, ols_solve, ridge_grid, ridge_solve
 
 __all__ = [
     "PcmParams",
@@ -72,7 +72,9 @@ __all__ = [
     "PcmFit",
     "ols_joint",
     "ridge_pilot_y",
+    "ridge_pilot_y_grid",
     "ridge_pilot_m",
+    "ridge_pilot_m_grid",
     "adaptive_weights",
     "reciprocal_power_weights",
     "pcm_stage1_y",
@@ -316,36 +318,34 @@ def ridge_pilot_y(data: Dataset, roles: RolePartition, lam: float) -> YModelCoef
 
     Fixed covariates and mediators carry no penalty, so at ``lam == 0`` this
     is exactly the joint least-squares fit (and requires an invertible
-    design).
+    design).  The one-value case of :func:`ridge_pilot_y_grid`.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    diag = np.concatenate([
-        [lam], np.zeros(len(roles.s) + len(roles.z)),
-        np.full(len(roles.sbar) + len(roles.zbar), lam),
-    ])
-    gram, cross = _y_moments(data, roles)
-    if lam == 0:
-        beta = ols_solve(gram, cross)
-    else:
-        beta = ridge_solve(gram, cross, data.n, diag)
-    return _split_y_coefs(beta, roles)
+    return _split_y_coefs(_first(ridge_pilot_y_grid(data, roles, [lam])[0]), roles)
+
+
+def ridge_pilot_y_grid(data: Dataset, roles: RolePartition, lams) -> list:
+    """:func:`ridge_pilot_y` at each of ``lams``, in one :func:`solvers.ridge_grid`
+    call: its :meth:`YModelCoefs.stacked` vector or, if that fit failed, its
+    exception."""
+    pen = np.concatenate([[1.0], np.zeros(len(roles.s) + len(roles.z)),
+                          np.ones(len(roles.sbar) + len(roles.zbar))])
+    return ridge_grid(*_y_moments(data, roles), data.n, pen, lams)
 
 
 def ridge_pilot_m(data: Dataset, roles: RolePartition, rho: float) -> MediatorCoefs:
-    """Mediator-model pilot: each mediator on [x, z, zbar], ``n*rho`` on zbar."""
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    q_z, q_zb = len(roles.z), len(roles.zbar)
-    if not roles.mediators:
-        return _split_m_coefs(np.zeros((1 + q_z + q_zb, 0)), q_z)
-    diag = np.concatenate([[0.0], np.zeros(q_z), np.full(q_zb, rho)])
-    gram, cross = _m_moments(data, roles)
-    if rho == 0 or q_zb == 0:
-        coefs = ols_solve(gram, cross)
-    else:
-        coefs = ridge_solve(gram, cross, data.n, diag)
-    return _split_m_coefs(coefs, q_z)
+    """Mediator-model pilot: each mediator on [x, z, zbar], ``n*rho`` on zbar.
+
+    The one-value case of :func:`ridge_pilot_m_grid`.
+    """
+    return _split_m_coefs(_first(ridge_pilot_m_grid(data, roles, [rho])[0]), len(roles.z))
+
+
+def ridge_pilot_m_grid(data: Dataset, roles: RolePartition, rhos) -> list:
+    """:func:`ridge_pilot_m` at each of ``rhos``, in one :func:`solvers.ridge_grid`
+    call: its :meth:`MediatorCoefs.stacked` matrix or, if that fit failed, its
+    exception."""
+    pen = np.concatenate([np.zeros(1 + len(roles.z)), np.ones(len(roles.zbar))])
+    return ridge_grid(*_m_moments(data, roles), data.n, pen, rhos)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,15 @@ set and signs and its own weight vector.
 each with its own cross-product vector and its own candidate list.  Their
 paths go in lockstep, and each event step is one batched solve of every live
 path's active block, posed as a p x p system with the identity on the
-inactive coordinates.  Every system is its own LAPACK call, so a lane's
-numbers do not depend on the lanes it shares a call with.  Failures stay in
-their lane: a singular active block or the event cap ends that lane's path
-and fails its candidates not yet reached, and an endpoint off the
-stationarity conditions fails only its own candidate.
+inactive coordinates, plus one more of every candidate of every lane that
+ends on that step's segment.  The stationarity of all the returned
+candidates is checked in one stacked :func:`kkt_residual` pass.  Every
+system is its own LAPACK call, so a lane's numbers do not depend on the
+lanes it shares a call with.  Failures stay in their lane: a singular active
+block or the event cap ends that lane's path and fails its candidates not
+yet reached, and an endpoint off the stationarity conditions fails only its
+own candidate.  :func:`ridge_grid` likewise solves a ridge fit at every value
+of a penalty grid in one batched call.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ __all__ = [
     "l1_path",
     "kkt_residual",
     "ridge_solve",
+    "ridge_grid",
     "ols_solve",
 ]
 
@@ -132,7 +137,7 @@ def l1_path(
     if (l2 < 0).any() or any((w < 0).any() for ws in lists for w in ws):
         raise ValueError("penalty weights must be nonnegative")
     fits = [[np.zeros(0)] * len(ws) for ws in lists]
-    if p > 0:
+    if p > 0 and any(lists):
         # a lane's positive and its zero candidates are two paths, each a list of
         # (lane, index, weights, scale) in descending order
         paths = []
@@ -148,10 +153,17 @@ def l1_path(
         hess = gram / n
         hess.flat[:: p + 1] += l2
         _lockstep(hess, crosses / n, paths, fits)
-        fits = [[fit if isinstance(fit, PcmSelectError)
-                 or kkt_residual(gram, c, n, w, fit, l2) <= KKT_LIMIT
-                 else SingularDesign("the L1 path ended off the optimum (degenerate active set)")
-                 for w, fit in zip(ws, lane)] for c, ws, lane in zip(crosses, lists, fits)]
+        # the stationarity of every solved candidate of every lane in one pass
+        done = [(b, k) for b, lane in enumerate(fits) for k, fit in enumerate(lane)
+                if not isinstance(fit, PcmSelectError)]
+        if done:
+            worst = kkt_residual(gram, crosses[[i for i, _ in done]], n,
+                                 [lists[i][j] for i, j in done],
+                                 np.array([fits[i][j] for i, j in done]), l2)
+            for (i, j), r in zip(done, worst.tolist()):
+                if not r <= KKT_LIMIT:
+                    fits[i][j] = SingularDesign(
+                        "the L1 path ended off the optimum (degenerate active set)")
     return fits if lanes else fits[0]
 
 
@@ -176,83 +188,93 @@ def _lockstep(hess: np.ndarray, lin: np.ndarray, paths, fits) -> None:
     eye, cap, steps = np.eye(p), 10 * p + 10, 0
     failure = [None] * len(paths)
     live = np.arange(len(paths))
-    while live.size and steps < cap:
-        active, penalized, base, lin, theta, t = state
-        blocks = np.where(active[:, :, None] & active[:, None, :], hess, eye)
-        # the right-hand side [lin_A, w_A sign_A], zero off the active set
-        rhs = np.empty((*base.shape, 2))
-        rhs[..., 0], rhs[..., 1] = np.where(active, lin, 0.0), base * theta
-        try:
-            ab = np.linalg.solve(blocks, rhs)
-        except np.linalg.LinAlgError:
-            # the batched error names no path: solve one by one, drop the singular ones
-            # and solve the rest again
-            keep = np.ones(live.size, dtype=bool)
-            for i, path in enumerate(live.tolist()):
-                try:
-                    np.linalg.solve(blocks[i], rhs[i])
-                except np.linalg.LinAlgError as exc:
-                    keep[i] = False
-                    failure[path] = SingularDesign(
-                        f"active block of the L1 path is singular: {exc}")
-            live, *state = (x[keep] for x in (live, *state))
-            continue
-        steps += 1
-        pq = hess @ ab
-        pv = pq[..., 0] - lin
-        # An active coordinate leaves where a - t b = 0, an inactive one joins
-        # where |pv - t qv| = t w, that is at t = pv / (qv + sign(pv) w).  Only
-        # a coefficient moving toward zero may leave, and only a positive
-        # join time counts; without these conditions rounding lets a
-        # coordinate that has just joined leave again at the same t.
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while live.size and steps < cap:
+            active, penalized, base, lin, theta, t = state
+            blocks = np.where(active[:, :, None] & active[:, None, :], hess, eye)
+            # the right-hand side [lin_A, w_A sign_A], zero off the active set
+            rhs = np.empty((*base.shape, 2))
+            rhs[..., 0], rhs[..., 1] = np.where(active, lin, 0.0), base * theta
+            try:
+                ab = np.linalg.solve(blocks, rhs)
+            except np.linalg.LinAlgError:
+                # the batched error names no path: solve one by one, drop the singular
+                # ones and solve the rest again
+                keep = np.ones(live.size, dtype=bool)
+                for i, path in enumerate(live.tolist()):
+                    try:
+                        np.linalg.solve(blocks[i], rhs[i])
+                    except np.linalg.LinAlgError as exc:
+                        keep[i] = False
+                        failure[path] = SingularDesign(
+                            f"active block of the L1 path is singular: {exc}")
+                live, *state = (x[keep] for x in (live, *state))
+                continue
+            steps += 1
+            pq = hess @ ab
+            pv = pq[..., 0] - lin
+            # An active coordinate leaves where a - t b = 0, an inactive one joins
+            # where |pv - t qv| = t w, that is at t = pv / (qv + sign(pv) w).  Only
+            # a coefficient moving toward zero may leave, and only a positive
+            # join time counts; without these conditions rounding lets a
+            # coordinate that has just joined leave again at the same t.
             event = np.where(active, ab[..., 0] / ab[..., 1],
                              pv / (pq[..., 1] + np.sign(pv) * base))
-        ok = (np.where(active, theta * ab[..., 1] < 0.0, penalized)
-              & (event > 1.0) & (event <= t[:, None]))
-        event = np.where(ok, event, -np.inf)
-        going = []
-        for i, (path, j) in enumerate(zip(live.tolist(), event.argmax(axis=1).tolist())):
-            t[i] = event[i, j]
-            todo = paths[path]
-            # a candidate at or above the path's next event ends on this segment:
-            # the path's base takes the path's own solve, every other candidate
-            # is solved with its own weights
-            while todo and todo[0][3] >= t[i]:
-                b, c, w, _ = todo.pop(0)
-                ab_w = np.linalg.solve(blocks[i], np.column_stack(
-                    [rhs[i, :, 0], w * theta[i]])) if todo else ab[i]
-                fits[b][c] = ab_w[:, 0] - ab_w[:, 1]
-            going.append(bool(todo))
-            if todo:  # coordinate j joins or leaves
-                theta[i, j] = 0.0 if active[i, j] else -np.sign(pv[i, j])
-                active[i, j] = not active[i, j]
-        if not any(going):
-            break
-        if not all(going):
-            live, *state = (x[going] for x in (live, *state))
+            ok = (np.where(active, theta * ab[..., 1] < 0.0, penalized)
+                  & (event > 1.0) & (event <= t[:, None]))
+            event = np.where(ok, event, -np.inf)
+            going, rows, own = [], [], []
+            for i, (path, j) in enumerate(zip(live.tolist(), event.argmax(axis=1).tolist())):
+                t[i] = event[i, j]
+                todo = paths[path]
+                # a candidate at or above the path's next event ends on this segment:
+                # the path's base takes the path's own solve, every other candidate
+                # is solved below with its own weights and this segment's signs
+                while todo and todo[0][3] >= t[i]:
+                    b, c, w, _ = todo.pop(0)
+                    if todo:
+                        rows.append(i)
+                        own.append((b, c, w * theta[i]))
+                    else:
+                        fits[b][c] = ab[i, :, 0] - ab[i, :, 1]
+                going.append(bool(todo))
+                if todo:  # coordinate j joins or leaves
+                    theta[i, j] = 0.0 if active[i, j] else -np.sign(pv[i, j])
+                    active[i, j] = not active[i, j]
+            if rows:
+                # all of them, of every path, in one batched solve
+                rhs = rhs[rows]
+                rhs[..., 1] = [w_theta for *_, w_theta in own]
+                for (b, c, _), ab_w in zip(own, np.linalg.solve(blocks[rows], rhs)):
+                    fits[b][c] = ab_w[:, 0] - ab_w[:, 1]
+            if not any(going):
+                break
+            if not all(going):
+                live, *state = (x[going] for x in (live, *state))
     # a path that ended early fails every candidate it did not reach
     for path, failed in zip(paths, failure):
         for b, c, *_ in path:
             fits[b][c] = failed or MaxIterationsExceeded(cap)
 
 
-def kkt_residual(gram, cross, n, l1_weights, beta, l2_weights=None) -> float:
+def kkt_residual(gram, cross, n, l1_weights, beta, l2_weights=None):
     """Max violation of the stationarity conditions at ``beta``.
 
     For nonzero coordinates the smooth gradient must equal minus the penalty
     times the sign; for zero coordinates its magnitude may not exceed the
-    penalty weight.
+    penalty weight.  ``beta`` of shape (p,) gives a float; a (K, p) stack,
+    with ``cross`` and ``l1_weights`` stacked alike, gives the K row maxima
+    as an array.
     """
-    if gram.shape[0] == 0:
-        return 0.0
+    beta = np.asarray(beta, dtype=float)
     l1 = np.asarray(l1_weights, dtype=float)
-    grad = (gram @ beta - cross) / n
+    grad = (beta @ gram - cross) / n
     if l2_weights is not None:
         grad = grad + np.asarray(l2_weights, dtype=float) * beta
     violation = np.where(beta != 0.0, np.abs(grad + l1 * np.sign(beta)),
                          np.maximum(np.abs(grad) - l1, 0.0))
-    return float(violation.max())
+    worst = violation.max(axis=-1, initial=0.0)
+    return float(worst) if beta.ndim == 1 else worst
 
 
 def ridge_solve(gram, cross, n, diag_weights) -> np.ndarray:
@@ -260,26 +282,74 @@ def ridge_solve(gram, cross, n, diag_weights) -> np.ndarray:
 
     ``cross`` may have multiple right-hand-side columns.
     """
-    p = gram.shape[0]
-    if p == 0:
-        return np.zeros_like(np.asarray(cross, dtype=float))
-    d = np.asarray(diag_weights, dtype=float)
-    system = gram + n * np.diag(d)
-    try:
-        solution = np.linalg.solve(system, cross)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesign(f"penalized system is singular: {exc}") from exc
-    if not np.all(np.isfinite(solution)):
-        raise SingularDesign("penalized system produced non-finite coefficients")
+    (solution,) = _ridge_batch(gram, cross, n, [diag_weights])
+    if isinstance(solution, PcmSelectError):
+        raise solution
     return solution
 
 
+def ridge_grid(gram, cross, n, pen, scales) -> list:
+    """The fits with ``n * s * pen`` added to the gram diagonal, at each scale ``s``.
+
+    Returns one solution, or one :class:`SingularDesign`, per scale.  Every
+    positive scale goes into one batched solve, and each system is its own
+    LAPACK call, so its fit is :func:`ridge_solve`'s.  A zero scale, or a
+    zero ``pen``, is least squares by :func:`ols_solve`, with its rank guard,
+    solved once and shared by every such scale.  Without right-hand-side
+    columns every fit is empty.
+    """
+    if any(s < 0 for s in scales):
+        raise ValueError("penalty scales must be nonnegative")
+    if not cross.size:
+        return [cross] * len(scales)
+    diags = [s * pen for s in scales]
+    ridge = iter(_ridge_batch(gram, cross, n, [d for d in diags if d.any()]))
+    if not all(d.any() for d in diags):
+        try:
+            ols = ols_solve(gram, cross)
+        except SingularDesign as exc:
+            ols = exc
+    return [next(ridge) if d.any() else ols for d in diags]
+
+
+def _ridge_batch(gram, cross, n, diags) -> list:
+    """The solution of (G + n diag(d)) beta = cross for each ``d`` of ``diags``, or its
+    :class:`SingularDesign`, all in one batched solve."""
+    p = gram.shape[0]
+    if p == 0:
+        return [np.zeros_like(np.asarray(cross, dtype=float))] * len(diags)
+    d = np.asarray(diags, dtype=float).reshape(-1, p)
+    # copies of the gram with n d on their diagonals, as gram + n diag(d) gives them
+    systems = np.empty((len(d), p, p))
+    systems[:] = gram
+    systems.reshape(len(d), p * p)[:, :: p + 1] += n * d
+    try:
+        fits = list(np.linalg.solve(systems, cross))
+    except np.linalg.LinAlgError:
+        # the batched error names no system: solve one by one
+        fits = []
+        for system in systems:
+            try:
+                fits.append(np.linalg.solve(system, cross))
+            except np.linalg.LinAlgError as exc:
+                fits.append(SingularDesign(f"penalized system is singular: {exc}"))
+    return [fit if isinstance(fit, PcmSelectError) or np.isfinite(fit).all()
+            else SingularDesign("penalized system produced non-finite coefficients")
+            for fit in fits]
+
+
 def ols_solve(gram, cross) -> np.ndarray:
-    """Least-squares coefficients from normal equations with a rank guard."""
+    """Least-squares coefficients from normal equations with a rank guard.
+
+    The guard is the gram's 2-norm condition number, the ratio of its extreme
+    singular values; an infinite or undefined ratio fails too.
+    """
     p = gram.shape[0]
     if p == 0:
         return np.zeros_like(np.asarray(cross, dtype=float))
-    cond = np.linalg.cond(gram)
+    sv = np.linalg.svd(gram, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = sv[0] / sv[-1]
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularDesign(f"design gram condition number {cond:.3e} exceeds limit")
     return np.linalg.solve(gram, cross)

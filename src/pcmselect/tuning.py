@@ -4,7 +4,10 @@ The protocol is two-phase and deterministic:
 
 1.  Pilot penalties are selected first by k-fold prediction error of the
     ridge pilots themselves (outcome pilot for ``pilot_lambda``, mediator
-    pilot for ``pilot_rho``), then held fixed.
+    pilot for ``pilot_rho``), then held fixed.  On each fold, one call of
+    ``pcm.ridge_pilot_y_grid`` fits the outcome pilot at every
+    ``pilot_lambda`` value, and one of ``pcm.ridge_pilot_m_grid`` the
+    mediator pilot at every ``pilot_rho`` value, each in one batched solve.
 2.  The stage-1 penalties are scored by held-out mean squared error of the
     stage-1 fits.  The score is additive: the outcome model's error, which
     depends only on (lambda1, zeta1, xi1), plus the mediator model's error
@@ -53,7 +56,9 @@ from .pcm import (
     pcm_stage1_m_path,
     pcm_stage1_y_path,
     ridge_pilot_m,
+    ridge_pilot_m_grid,
     ridge_pilot_y,
+    ridge_pilot_y_grid,
 )
 
 __all__ = ["ParamGrid", "CvRow", "CvResult", "cross_validate", "default_log_grid"]
@@ -164,10 +169,14 @@ def _or_inf(score) -> float:
         return math.inf
 
 
-def _score_mean(splits, fit_predict) -> tuple[float, tuple[float, ...]]:
-    """Average held-out score of ``fit_predict(train, test) -> float``."""
-    scores = tuple(_or_inf(lambda: fit_predict(train, test)) for train, test in splits)
-    return float(np.mean(scores)), scores
+def _rows(params, per_fold) -> list[CvRow]:
+    """One row per parameter set; ``per_fold`` holds each fold's scores in that order.
+
+    The means are one reduction over the (rows x folds) table, whose rows are
+    contiguous, so each is summed as ``np.mean`` sums that row alone.
+    """
+    means = np.column_stack(per_fold).mean(axis=1).tolist()
+    return [CvRow(p, mean, scores) for p, mean, scores in zip(params, means, zip(*per_fold))]
 
 
 def _y_held(test: Dataset, roles: RolePartition) -> tuple[np.ndarray, np.ndarray]:
@@ -225,25 +234,24 @@ def _select(rows: list[CvRow], tie_key) -> CvRow:
     return min(rows, key=lambda r: (r.mean_score,) + tie_key(r.params))
 
 
-def _search(key: str, values, splits, error) -> tuple[list[CvRow], float]:
-    """Score each value of one key by ``error(train, test, value)``; return the rows
-    and the value of the best mean score, ties toward the larger value."""
-    rows = [CvRow({key: v}, *_score_mean(splits, lambda tr, te: error(tr, te, v)))
-            for v in values]
+def _search(key: str, values, per_fold) -> tuple[list[CvRow], float]:
+    """The rows of one key's values, given each fold's scores of them, and the value
+    of the best mean score, ties toward the larger value."""
+    rows = _rows([{key: v} for v in values], per_fold)
     return rows, _select(rows, lambda p: (-p[key],)).params[key]
 
 
 # -- pcm ------------------------------------------------------------------------
 
 
-def _stage1_scores(train: Dataset, test: Dataset, roles, pilot_lam, pilot_rho,
+def _stage1_scores(train: Dataset, y_held, m_held, roles, pilot_lam, pilot_rho,
                    grid: ParamGrid) -> list[float]:
     """One fold's score of every (lambda1, rho1, (zeta1, xi1)) row, in product order.
 
     One L1 path call follows one lane per distinct (zeta1, xi1) pair over the
     distinct lambda1 values, another one lane per mediator column over the
-    distinct rho1 values; a failed fit scores infinity.  The held-out
-    designs are gathered once for all of them.
+    distinct rho1 values; a failed fit scores infinity.  ``y_held`` and
+    ``m_held`` are the fold's held-out responses and designs.
     """
     try:
         weights = adaptive_weights(PilotEstimates(ridge_pilot_y(train, roles, pilot_lam),
@@ -252,7 +260,6 @@ def _stage1_scores(train: Dataset, test: Dataset, roles, pilot_lam, pilot_rho,
         return [math.inf] * (len(grid.lambda1) * len(grid.rho1) * len(grid.zeta_xi))
     lams, rhos = sorted(set(grid.lambda1), reverse=True), sorted(set(grid.rho1), reverse=True)
     pairs = list(dict.fromkeys(grid.zeta_xi))
-    y_held, m_held = _y_held(test, roles), _m_held(test, roles)
     y_errs = {(lam1, pair): _y_error(*y_held, fit)
               for pair, path in zip(pairs, pcm_stage1_y_path(train, roles, weights, lams, pairs))
               for lam1, fit in zip(lams, path)}
@@ -267,21 +274,20 @@ def _cross_validate_pcm(roles, grid: ParamGrid, splits) -> CvResult:
     if not (grid.pilot_lambda and grid.pilot_rho and grid.lambda1 and grid.rho1
             and grid.zeta_xi):
         raise EmptyGrid("pcm grid has an empty parameter list")
-    pilot_rows, pilot_lam = _search(
-        "pilot_lambda", grid.pilot_lambda, splits,
-        lambda tr, te, lam: _y_error(*_y_held(te, roles), ridge_pilot_y(tr, roles, lam).stacked()))
-    rho_rows, pilot_rho = _search(
-        "pilot_rho", grid.pilot_rho, splits,
-        lambda tr, te, rho: _m_error(*_m_held(te, roles),
-                                     ridge_pilot_m(tr, roles, rho).stacked().T))
+    # each fold's training set and held-out data; each pilot grid is one call per fold
+    held = [(tr, _y_held(te, roles), _m_held(te, roles)) for tr, te in splits]
+    pilot_rows, pilot_lam = _search("pilot_lambda", grid.pilot_lambda, [
+        [_y_error(*y_te, fit) for fit in ridge_pilot_y_grid(tr, roles, grid.pilot_lambda)]
+        for tr, y_te, _ in held])
+    rho_rows, pilot_rho = _search("pilot_rho", grid.pilot_rho, [
+        [_m_error(*m_te, [fit] if isinstance(fit, PcmSelectError) else fit.T)
+         for fit in ridge_pilot_m_grid(tr, roles, grid.pilot_rho)]
+        for tr, _, m_te in held])
 
-    per_fold = [_stage1_scores(tr, te, roles, pilot_lam, pilot_rho, grid) for tr, te in splits]
-    rows = [
-        CvRow({"lambda1": lam1, "rho1": rho1, "zeta1": zeta1, "xi1": xi1},
-              float(np.mean(scores)), scores)
-        for (lam1, rho1, (zeta1, xi1)), scores in zip(
-            itertools.product(grid.lambda1, grid.rho1, grid.zeta_xi), zip(*per_fold))
-    ]
+    per_fold = [_stage1_scores(*fold, roles, pilot_lam, pilot_rho, grid) for fold in held]
+    rows = _rows([{"lambda1": lam1, "rho1": rho1, "zeta1": zeta1, "xi1": xi1}
+                  for lam1, rho1, (zeta1, xi1)
+                  in itertools.product(grid.lambda1, grid.rho1, grid.zeta_xi)], per_fold)
     best = _select(rows, lambda p: (-p["lambda1"], -p["rho1"], -p["zeta1"], -p["xi1"]))
     chosen = {"pilot_lambda": pilot_lam, "pilot_rho": pilot_rho, **best.params}
     return CvResult("pcm", chosen, best.mean_score, tuple(pilot_rows + rho_rows + rows))
@@ -301,15 +307,15 @@ def _cross_validate_baseline(roles, method, grid: ParamGrid, splits) -> CvResult
     for cand in cands:
         check_params(method, cand, roles)
     # every baseline regresses the outcome on [x, covariates], pal1ma's own roles
-    base = replace(roles, s=(), sbar=())
+    held = [(tr, _y_held(te, replace(roles, s=(), sbar=()))) for tr, te in splits]
     if "pilot_lam" in allowed:
-        _, pilot_lam = _search(
-            "pilot_lambda", grid.pilot_lambda, splits, lambda tr, te, lam: _y_error(
-                *_y_held(te, base), pilot_coefficients(tr, roles, method, lam)))
+        _, pilot_lam = _search("pilot_lambda", grid.pilot_lambda, [
+            [_or_inf(lambda: _y_error(*y_te, pilot_coefficients(tr, roles, method, lam)))
+             for lam in grid.pilot_lambda] for tr, y_te in held])
         cands = [{**cand, "pilot_lam": pilot_lam} for cand in cands]
-    rows = [CvRow(cand, *_score_mean(splits, lambda tr, te: _y_error(
-                *_y_held(te, base), penalized_coefficients(tr, roles, method, **cand))))
-            for cand in cands]
+    rows = _rows(cands, [
+        [_or_inf(lambda: _y_error(*y_te, penalized_coefficients(tr, roles, method, **cand)))
+         for cand in cands] for tr, y_te in held])
     best = _select(rows, lambda p: (-p["lam"], -p.get("eta", 0.0), -p.get("phi", 0.0)))
     return CvResult(method, dict(best.params), best.mean_score, tuple(rows))
 

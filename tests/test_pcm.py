@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pcmselect.data import Dataset, RolePartition
-from pcmselect.errors import SingularDesign
+from pcmselect.errors import PcmSelectError, SingularDesign
 from pcmselect.pcm import (
     AdaptiveWeights,
     PcmParams,
@@ -20,7 +20,9 @@ from pcmselect.pcm import (
     pcm_total_effect,
     reciprocal_power_weights,
     ridge_pilot_m,
+    ridge_pilot_m_grid,
     ridge_pilot_y,
+    ridge_pilot_y_grid,
     verify_active_set_relation,
 )
 from pcmselect.experiment import PRESETS, experiment_roles
@@ -178,6 +180,81 @@ class TestRidgePilots:
         roles = RolePartition(x="X", y="Y", z=("Z1",), zbar=("Zb1", "Zb2"))
         fit = ridge_pilot_m(ds, roles, 3.0)
         assert fit.x_row.shape == (0,)
+
+
+def pilot_alone(pilot, ds, roles, value):
+    """One pilot's stacked coefficients, or the exception it raises."""
+    try:
+        return pilot(ds, roles, value).stacked()
+    except PcmSelectError as exc:
+        return exc
+
+
+def grid_cases():
+    """(dataset, roles) pairs: a regular design; fewer rows than regressors, where
+    only the zero outcome pilot fails; unpenalized columns that are copies, where
+    the batched outcome solve raises and some of its systems fail alone; and
+    roles without mediators."""
+    wide = np.random.default_rng(33).standard_normal((5, len(COLS)))
+    copies = random_instance(34).values.copy()
+    copies[:, COLS.index("Z1")] = copies[:, COLS.index("S1")]
+    copies[:, COLS.index("Zb1")] = copies[:, COLS.index("Z1")]
+    no_mediators = replace(ROLES, s=(), sbar=())
+    return [(random_instance(31), ROLES), (Dataset(wide, COLS).standardized(), ROLES),
+            (Dataset(copies, COLS), ROLES), (random_instance(35), no_mediators)]
+
+
+class TestPilotGrids:
+    # zero (least squares), repeated and widely spread values
+    VALUES = (3.0, 0.0, 1e-3, 0.5, 1e4, 0.5, 0.0)
+
+    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("pilot, grid", [(ridge_pilot_y, ridge_pilot_y_grid),
+                                             (ridge_pilot_m, ridge_pilot_m_grid)])
+    def test_each_value_equals_the_pilot_alone(self, case, pilot, grid):
+        ds, roles = grid_cases()[case]
+        fits = grid(ds, roles, self.VALUES)
+        assert len(fits) == len(self.VALUES)
+        for value, fit in zip(self.VALUES, fits):
+            alone = pilot_alone(pilot, ds, roles, value)
+            if isinstance(alone, PcmSelectError):
+                assert type(fit) is type(alone)
+            else:
+                assert isinstance(fit, np.ndarray)
+                assert fit.shape == alone.shape and fit.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("case", range(2))
+    def test_positive_values_match_the_ridge_formula(self, case):
+        # the system gram + n diag(d) solved alone, as the pilots solved it before
+        # they were batched
+        ds, roles = grid_cases()[case]
+        q = len(roles.s) + len(roles.z)
+        for grid, regs, resp, pen in [
+            (ridge_pilot_y_grid, roles.y_regressors, [roles.y],
+             [1.0] + [0.0] * q + [1.0] * (len(roles.sbar) + len(roles.zbar))),
+            (ridge_pilot_m_grid, roles.m_regressors, roles.mediators,
+             [0.0] * (1 + len(roles.z)) + [1.0] * len(roles.zbar)),
+        ]:
+            gram, cross = ds.cross(regs, regs), ds.cross(regs, resp)
+            for value, fit in zip(self.VALUES, grid(ds, roles, self.VALUES)):
+                if value > 0:
+                    expected = np.linalg.solve(gram + ds.n * np.diag(value * np.array(pen)),
+                                               cross)
+                    assert fit.tobytes() == expected.tobytes()
+
+    def test_the_cases_fail_where_intended(self):
+        outcome = [[isinstance(f, SingularDesign) for f in ridge_pilot_y_grid(ds, roles, (0.0, 1.0))]
+                   for ds, roles in grid_cases()]
+        mediator = [[isinstance(f, SingularDesign) for f in ridge_pilot_m_grid(ds, roles, (0.0, 1.0))]
+                    for ds, roles in grid_cases()]
+        assert outcome == [[False, False], [True, False], [True, True], [False, False]]
+        assert mediator == [[False, False], [False, False], [True, False], [False, False]]
+
+    def test_negative_values_are_rejected(self):
+        with pytest.raises(ValueError):
+            ridge_pilot_y_grid(random_instance(36), ROLES, (1.0, -0.5))
+        with pytest.raises(ValueError):
+            ridge_pilot_m(random_instance(36), ROLES, -0.5)
 
 
 class TestAdaptiveWeights:

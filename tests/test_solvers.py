@@ -236,15 +236,39 @@ class TestL1Path:
         kkt = solvers.kkt_residual
 
         def kkt_failing_third(gram, cross, n, l1_weights, beta, l2_weights=None):
-            if np.array_equal(l1_weights, cands[2]):
-                return np.inf
-            return kkt(gram, cross, n, l1_weights, beta, l2_weights)
+            # the path checks every candidate in one stacked call
+            worst = kkt(gram, cross, n, l1_weights, beta, l2_weights)
+            return np.where((np.asarray(l1_weights) == cands[2]).all(axis=-1), np.inf, worst)
 
         monkeypatch.setattr(solvers, "kkt_residual", kkt_failing_third)
         fits = l1_path(gram, cross, 60, cands)
         assert isinstance(fits[2], SingularDesign)
         for k in (0, 1, 3):
             assert_same_fit(fits[k], alone[k])
+
+
+class TestKktResidual:
+    def test_stacked_rows_equal_the_one_vector_form(self):
+        # the path's candidate fits, some moved off the optimum and some zeroed
+        rng = np.random.default_rng(22)
+        a, y, l1 = make_problem(22)
+        gram, n = a.T @ a, a.shape[0]
+        crosses = np.array([a.T @ (y + rng.standard_normal(n)) for _ in range(3)])
+        lists = [[s * l1 for s in (5.0, 1.0, 0.2, 0.0)]] * 3
+        betas = np.array([fit for lane in l1_path(gram, crosses, n, lists) for fit in lane])
+        betas[::2] += 1e-3 * rng.standard_normal((6, 6))
+        betas[1::4, :2] = 0.0
+        rows = np.repeat(crosses, 4, axis=0)
+        weights = np.array([w for ws in lists for w in ws])
+        for l2 in (None, rng.uniform(0.0, 0.1, 6)):
+            stacked = kkt_residual(gram, rows, n, weights, betas, l2)
+            alone = [kkt_residual(gram, c, n, w, b, l2) for c, w, b in zip(rows, weights, betas)]
+            assert stacked.shape == (12,) and all(type(r) is float for r in alone)
+            assert max(alone) > 1e-6
+            np.testing.assert_allclose(stacked, alone, rtol=0.0, atol=1e-15)
+
+    def test_an_empty_design_has_no_violation(self):
+        assert kkt_residual(np.zeros((0, 0)), np.zeros(0), 5, np.zeros(0), np.zeros(0)) == 0.0
 
 
 class TestRidgeSolve:
