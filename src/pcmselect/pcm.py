@@ -129,10 +129,9 @@ class PcmParams:
     rho2_prime: float = 0.01
 
     def __post_init__(self):
-        for name in ("lambda1", "rho1", "zeta1", "xi1", "pilot_lambda",
-                     "pilot_rho", "lambda2", "xi2", "rho2", "rho2_prime"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and nonnegative")
+        for f in fields(self):
+            if not 0 <= getattr(self, f.name) < math.inf:
+                raise ValueError(f"{f.name} must be finite and nonnegative")
         if self.zeta1 + self.xi1 > 1.0 + MIX_SLACK:
             raise ValueError("zeta1 + xi1 must not exceed 1")
         if not 0.0 <= self.xi2 <= 1.0:
@@ -269,31 +268,26 @@ class PcmFit:
 
 def _split_y_coefs(beta: np.ndarray, roles: RolePartition) -> YModelCoefs:
     parts = np.split(beta, np.cumsum([1, len(roles.s), len(roles.z), len(roles.sbar)]))
-    return YModelCoefs(
-        beta_x=float(parts[0][0]),
-        coef_s=parts[1],
-        coef_z=parts[2],
-        coef_sbar=parts[3],
-        coef_zbar=parts[4],
-    )
+    return YModelCoefs(float(parts[0][0]), *parts[1:])
 
 
 def _split_m_coefs(coefs: np.ndarray, q_z: int) -> MediatorCoefs:
     """Mediator-model coefficient rows [x, z, zbar] as blocks."""
-    return MediatorCoefs(x_row=coefs[0, :], z_rows=coefs[1 : 1 + q_z, :],
-                         zbar_rows=coefs[1 + q_z :, :])
+    return MediatorCoefs(coefs[0], coefs[1 : 1 + q_z], coefs[1 + q_z :])
 
 
-def _y_moments(data: Dataset, roles: RolePartition) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix of the outcome-model regressors and their cross products with y."""
+def _y_moments(data: Dataset, roles: RolePartition) -> tuple[np.ndarray, np.ndarray, int]:
+    """Gram matrix of the outcome-model regressors, their cross products with y, and
+    the row count."""
     cols = roles.y_regressors
-    return data.cross(cols, cols), data.cross(cols, [roles.y])[:, 0]
+    return data.cross(cols, cols), data.cross(cols, [roles.y])[:, 0], data.n
 
 
-def _m_moments(data: Dataset, roles: RolePartition) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix of the mediator-model regressors and their cross products with the mediators."""
+def _m_moments(data: Dataset, roles: RolePartition) -> tuple[np.ndarray, np.ndarray, int]:
+    """Gram matrix of the mediator-model regressors, their cross products with the
+    mediators, and the row count."""
     regs = roles.m_regressors
-    return data.cross(regs, regs), data.cross(regs, roles.mediators)
+    return data.cross(regs, regs), data.cross(regs, roles.mediators), data.n
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +304,7 @@ def ols_joint(data: Dataset, roles: RolePartition) -> YModelCoefs:
         When the design gram matrix is numerically singular; that is the
         regime where only the penalized estimators apply.
     """
-    return _split_y_coefs(ols_solve(*_y_moments(data, roles)), roles)
+    return _split_y_coefs(ols_solve(*_y_moments(data, roles)[:2]), roles)
 
 
 def ridge_pilot_y(data: Dataset, roles: RolePartition, lam: float) -> YModelCoefs:
@@ -329,7 +323,7 @@ def ridge_pilot_y_grid(data: Dataset, roles: RolePartition, lams) -> list:
     exception."""
     pen = np.concatenate([[1.0], np.zeros(len(roles.s) + len(roles.z)),
                           np.ones(len(roles.sbar) + len(roles.zbar))])
-    return ridge_grid(*_y_moments(data, roles), data.n, pen, lams)
+    return ridge_grid(*_y_moments(data, roles), pen, lams)
 
 
 def ridge_pilot_m(data: Dataset, roles: RolePartition, rho: float) -> MediatorCoefs:
@@ -345,7 +339,7 @@ def ridge_pilot_m_grid(data: Dataset, roles: RolePartition, rhos) -> list:
     call: its :meth:`MediatorCoefs.stacked` matrix or, if that fit failed, its
     exception."""
     pen = np.concatenate([np.zeros(1 + len(roles.z)), np.ones(len(roles.zbar))])
-    return ridge_grid(*_m_moments(data, roles), data.n, pen, rhos)
+    return ridge_grid(*_m_moments(data, roles), pen, rhos)
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +396,11 @@ def _zbar_share(zeta1: float, xi1: float) -> float:
 
 
 def _y_l1_weights(roles: RolePartition, w: AdaptiveWeights,
-                  lam1: float, zeta1: float, xi1: float) -> np.ndarray:
-    return np.concatenate(
-        [
-            [lam1 * zeta1],
-            np.zeros(len(roles.s) + len(roles.z)),
-            lam1 * xi1 * w.sbar,
-            lam1 * _zbar_share(zeta1, xi1) * w.zbar,
-        ]
-    )
+                  lams, zeta1: float, xi1: float) -> np.ndarray:
+    """The outcome model's L1 weights at each of ``lams``, one row each."""
+    lams = np.asarray(lams, dtype=float)[:, None]
+    return np.concatenate([lams * zeta1, np.zeros((len(lams), len(roles.s) + len(roles.z))),
+                           lams * xi1 * w.sbar, lams * _zbar_share(zeta1, xi1) * w.zbar], 1)
 
 
 def _restrict(roles: RolePartition, weights: AdaptiveWeights, active_sbar: np.ndarray,
@@ -451,26 +441,29 @@ def pcm_stage1_y(
     """
     if min(lam1, zeta1, xi1) < 0 or zeta1 + xi1 > 1.0 + MIX_SLACK:
         raise ValueError("need lam1, zeta1, xi1 >= 0 and zeta1 + xi1 <= 1")
-    ((beta,),) = pcm_stage1_y_path(data, roles, weights, [lam1], [(zeta1, xi1)])
+    (((beta,),),) = pcm_stage1_y_path([(data, weights)], roles, [lam1], [(zeta1, xi1)])
     return _split_y_coefs(_first(beta), roles)
 
 
-def pcm_stage1_y_path(data: Dataset, roles: RolePartition, weights: AdaptiveWeights,
-                      lams, pairs) -> list:
-    """:func:`pcm_stage1_y` at each of ``lams`` (descending) for each (zeta1, xi1) of ``pairs``.
+def pcm_stage1_y_path(folds, roles: RolePartition, lams, pairs) -> list:
+    """:func:`pcm_stage1_y` at each of ``lams`` (descending) for each (zeta1, xi1) of
+    ``pairs``, on each (data, weights) pair of ``folds``.
 
-    One :func:`solvers.l1_path` call with one lane per pair: ``fits[i][k]``
-    is the coefficient vector (:meth:`YModelCoefs.stacked`) at ``pairs[i]``
-    and ``lams[k]`` or, if that fit failed, its exception.
+    One :func:`solvers.l1_path` call with one lane per fold and pair:
+    ``fits[f][i][k]`` is the coefficient vector (:meth:`YModelCoefs.stacked`)
+    on ``folds[f]`` at ``pairs[i]`` and ``lams[k]`` or, if that fit failed,
+    its exception.
     """
-    gram, cross = _y_moments(data, roles)
-    return l1_path(gram, np.broadcast_to(cross, (len(pairs), cross.size)), data.n,
-                   [[_y_l1_weights(roles, weights, lam1, *pair) for lam1 in lams]
-                    for pair in pairs])
+    grams, crosses, ns = zip(*[_y_moments(data, roles) for data, _ in folds])
+    return l1_path(grams, [[cross] * len(pairs) for cross in crosses], ns,
+                   np.array([[_y_l1_weights(roles, w, lams, *pair) for pair in pairs]
+                             for _, w in folds]))
 
 
-def _m_l1_weights(roles, w, rho1, j) -> np.ndarray:
-    return np.concatenate([[0.0], np.zeros(len(roles.z)), rho1 * w.med[:, j]])
+def _m_l1_weights(roles, w, rhos) -> np.ndarray:
+    """Each mediator's L1 weights at each of ``rhos``: (mediators, rhos, regressors)."""
+    return np.multiply.outer(rhos, np.vstack([np.zeros((1 + len(roles.z), w.med.shape[1])),
+                                              w.med])).transpose(2, 0, 1)
 
 
 def pcm_stage1_m(
@@ -489,23 +482,23 @@ def pcm_stage1_m(
     """
     if rho1 < 0:
         raise ValueError("rho1 must be nonnegative")
-    fits = [_first(beta) for (beta,) in pcm_stage1_m_path(data, roles, weights, [rho1])]
+    fits = [_first(beta) for (beta,) in pcm_stage1_m_path([(data, weights)], roles, [rho1])[0]]
     # the empty leading block keeps the shape when there are no mediators
     return _split_m_coefs(np.column_stack([np.zeros((len(roles.m_regressors), 0)), *fits]),
                           len(roles.z))
 
 
-def pcm_stage1_m_path(data: Dataset, roles: RolePartition, weights: AdaptiveWeights,
-                      rhos) -> list:
-    """:func:`pcm_stage1_m` at each of ``rhos`` (descending), one lane per mediator.
+def pcm_stage1_m_path(folds, roles: RolePartition, rhos) -> list:
+    """:func:`pcm_stage1_m` at each of ``rhos`` (descending), on each (data, weights)
+    pair of ``folds``.
 
-    One :func:`solvers.l1_path` call: ``paths[j][k]`` is mediator j's
-    coefficient column at ``rhos[k]`` or, if that fit failed, its exception.
+    One :func:`solvers.l1_path` call with one lane per fold and mediator:
+    ``fits[f][j][k]`` is mediator j's coefficient column on ``folds[f]`` at
+    ``rhos[k]`` or, if that fit failed, its exception.
     """
-    gram, cross = _m_moments(data, roles)
-    return l1_path(gram, cross.T, data.n,
-                   [[_m_l1_weights(roles, weights, rho1, j) for rho1 in rhos]
-                    for j in range(len(roles.mediators))])
+    grams, crosses, ns = zip(*[_m_moments(data, roles) for data, _ in folds])
+    return l1_path(grams, [cross.T for cross in crosses], ns,
+                   np.array([_m_l1_weights(roles, w, rhos) for _, w in folds]))
 
 
 # ---------------------------------------------------------------------------
@@ -732,12 +725,12 @@ def verify_active_set_relation(fit: PcmFit, data: Dataset, roles: RolePartition)
     p = fit.params
     worst = _stationarity_gap(
         data, roles.y, roles.y_regressors,
-        _y_l1_weights(roles, fit.weights, p.lambda1, p.zeta1, p.xi1), fit.stage1_y.stacked(),
+        _y_l1_weights(roles, fit.weights, [p.lambda1], p.zeta1, p.xi1)[0],
+        fit.stage1_y.stacked(),
     )
-    coefs = fit.stage1_m.stacked()
     act_roles, act_weights = _restrict(roles, fit.weights, fit.active_sbar, fit.active_zbar)
-    for j, mediator in enumerate(act_roles.mediators):
-        l1 = _m_l1_weights(act_roles, act_weights, p.rho1, j)
-        worst = max(worst, _stationarity_gap(data, mediator, act_roles.m_regressors, l1,
-                                             coefs[:, j]))
+    for mediator, l1, coef in zip(act_roles.mediators,
+                                  _m_l1_weights(act_roles, act_weights, [p.rho1])[:, 0],
+                                  fit.stage1_m.stacked().T):
+        worst = max(worst, _stationarity_gap(data, mediator, act_roles.m_regressors, l1, coef))
     return worst

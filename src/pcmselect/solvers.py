@@ -19,19 +19,23 @@ multiples of one weight vector (a penalty grid) are points on one such path:
 candidate on the segment where its scale falls, with that segment's active
 set and signs and its own weight vector.
 
-:func:`l1_path` also takes several lanes: independent problems on one gram,
-each with its own cross-product vector and its own candidate list.  Their
-paths go in lockstep, and each event step is one batched solve of every live
-path's active block, posed as a p x p system with the identity on the
-inactive coordinates, plus one more of every candidate of every lane that
-ends on that step's segment.  The stationarity of all the returned
-candidates is checked in one stacked :func:`kkt_residual` pass.  Every
-system is its own LAPACK call, so a lane's numbers do not depend on the
-lanes it shares a call with.  Failures stay in their lane: a singular active
-block or the event cap ends that lane's path and fails its candidates not
-yet reached, and an endpoint off the stationarity conditions fails only its
-own candidate.  :func:`ridge_grid` likewise solves a ridge fit at every value
-of a penalty grid in one batched call.
+:func:`l1_path` also takes several lanes: independent problems, each with
+its own cross-product vector and its own candidate list.  Lanes may share
+one gram and row count, or come in groups on grams and row counts of their
+own, such as the training sets of the folds of a cross-validation, whose row
+counts differ by one when the folds are unequal.  All paths go in lockstep,
+and each event step is one batched solve of every live path's active block,
+posed as a p x p system with the identity on the inactive coordinates, plus
+one more of every candidate of every lane that ends on that step's segment.
+A shared gram is broadcast over the paths; with several, each step stacks
+every live path's own.  The stationarity of all the returned candidates is
+checked in one stacked :func:`kkt_residual` pass, each row against its own
+gram.  Every system is its own LAPACK call, so a lane's numbers do not
+depend on the lanes it shares a call with.  Failures stay in their lane: a
+singular active block or the event cap ends that lane's path and fails its
+candidates not yet reached, and an endpoint off the stationarity conditions
+fails only its own candidate.  :func:`ridge_grid` likewise solves a ridge fit
+at every value of a penalty grid in one batched call.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ def coordinate_descent(
     MaxIterationsExceeded
         If the path takes more than ``10 p + 10`` events.
     """
-    (beta,) = l1_path(gram, cross, n, [l1_weights], l2_weights)
+    (beta,) = l1_path(gram, cross, n, np.asarray(l1_weights, dtype=float)[None], l2_weights)
     if isinstance(beta, PcmSelectError):
         raise beta
     return beta
@@ -92,29 +96,36 @@ def coordinate_descent(
 def l1_path(
     gram: np.ndarray,
     cross: np.ndarray,
-    n: int,
+    n,
     l1_weights,
     l2_weights: np.ndarray | None = None,
 ) -> list:
     """The minimizers at several L1 weight vectors, read off one path per lane.
 
-    A lane is one L1 problem on the shared ``gram``: its cross-product vector
-    and its candidate vectors in descending order, each a nonnegative
-    multiple of the last.  ``cross`` of shape (p,) with one candidate list is
-    one lane, and the result is one list; a (B, p) stack with B lists is B
-    lanes, and the result is B lists.  With ``H = G/n + diag(l2)`` and a
-    lane's last positive candidate ``w`` scaled by ``t``, the active
-    coefficients on a segment of its path are ``a - t b`` with
-    ``H_AA [a, b] = [lin_A, w_A sign_A]``.  Going down from ``t = inf`` (the
-    unpenalized coordinates active), the next event is the largest ``t`` in
-    ``(1, t_now]`` where an inactive gradient reaches its bound or an active
-    coefficient that is moving toward zero reaches it.  A candidate ``s w``
-    whose scale ``s`` lies on a segment keeps that segment's active set and
-    signs and is solved there with its own vector, as the path to it alone
-    would solve its last segment, so it equals :func:`coordinate_descent` at
-    that vector wherever the two paths take the same events.  Zero
-    candidates are one segment of their own.  A lane's numbers do not depend
-    on the other lanes of the call.
+    A lane is one L1 problem on a gram: its cross-product vector and its
+    candidate vectors in descending order, each a nonnegative multiple of the
+    last, given as a list or as the rows of a (K, p) array.  ``cross`` of
+    shape (p,) with one candidate list is one lane, and the result is one
+    list.  A (B, p) stack with B lists is B lanes on the (p, p) ``gram`` and
+    the row count ``n``, and the result is B lists.  A (F, B, p) stack with F
+    lists of B lists is B lanes on each of F problems with their own grams
+    and row counts, such as the training sets of F folds: ``gram`` is a
+    (F, p, p) stack, ``n`` holds F row counts, and the result is F lists of
+    B lists.  Lanes with K candidates each may give them all in one array,
+    shaped like ``cross`` with (K, p) in place of its last axis.
+
+    With ``H = G/n + diag(l2)`` and a lane's last positive candidate ``w``
+    scaled by ``t``, the active coefficients on a segment of its path are
+    ``a - t b`` with ``H_AA [a, b] = [lin_A, w_A sign_A]``.  Going down from
+    ``t = inf`` (the unpenalized coordinates active), the next event is the
+    largest ``t`` in ``(1, t_now]`` where an inactive gradient reaches its
+    bound or an active coefficient that is moving toward zero reaches it.  A
+    candidate ``s w`` whose scale ``s`` lies on a segment keeps that
+    segment's active set and signs and is solved there with its own vector,
+    as the path to it alone would solve its last segment, so it equals
+    :func:`coordinate_descent` at that vector wherever the two paths take the
+    same events.  Zero candidates are one segment of their own.  A lane's
+    numbers do not depend on the other lanes of the call.
 
     Returns one solution or one failure per candidate, in the given order.
     A singular active block or the ``10 p + 10`` event cap ends that lane's
@@ -124,64 +135,102 @@ def l1_path(
     ``KKT_LIMIT`` fails alone (:class:`SingularDesign`), and the path goes
     on.  Other lanes are not affected by either.
     """
-    p = gram.shape[0]
+    gram = np.asarray(gram, dtype=float)
+    p = gram.shape[-1]
     crosses = np.asarray(cross, dtype=float)
-    lanes = crosses.ndim == 2
-    if not lanes:
-        crosses, l1_weights = crosses[None], [l1_weights]
-    lists = [[np.asarray(w, dtype=float) for w in ws] for ws in l1_weights]
-    l2 = np.zeros(p) if l2_weights is None else np.asarray(l2_weights, dtype=float)
-    if (crosses.shape != (len(lists), p) or l2.shape != (p,)
-            or any(w.shape != (p,) for ws in lists for w in ws)):
-        raise ValueError("cross products and penalty weights must match the design width")
-    if (l2 < 0).any() or any((w < 0).any() for ws in lists for w in ws):
-        raise ValueError("penalty weights must be nonnegative")
-    fits = [[np.zeros(0)] * len(ws) for ws in lists]
-    if p > 0 and any(lists):
-        # a lane's positive and its zero candidates are two paths, each a list of
-        # (lane, index, weights, scale) in descending order
-        paths = []
+    nest = crosses.ndim
+    # (problems, lanes per problem, p): lane i is on problem i // width
+    groups = crosses[(None,) * (3 - nest)]
+    width = groups.shape[1]
+    if isinstance(l1_weights, np.ndarray) and l1_weights.ndim == nest + 1:
+        # every lane's candidates in one array, (..., K, p) after the lanes' shape
+        if l1_weights.shape[:-2] != crosses.shape[:-1] or l1_weights.shape[-1] != p:
+            raise ValueError("penalty weights must match the lanes and the design width")
+        weights = l1_weights.reshape(-1, *l1_weights.shape[-2:]).astype(float, copy=False)
+        counts = [weights.shape[1]] * len(weights)
+    else:
+        lists = [l1_weights] if nest == 1 else l1_weights
+        if nest == 3:
+            lists = [ws for group in lists for ws in group]
+        lists = [np.asarray(ws, dtype=float) for ws in lists]
+        if any(ws.shape != (len(ws), p) for ws in lists if len(ws)):
+            raise ValueError("penalty weights must match the design width")
+        counts = [len(ws) for ws in lists]
+        # every lane's candidates, padded with zero rows to the longest list
+        weights = np.zeros((len(lists), max(counts, default=0), p))
         for b, ws in enumerate(lists):
+            weights[b, : len(ws)] = ws if len(ws) else 0.0
+    l2 = np.zeros(p) if l2_weights is None else np.asarray(l2_weights, dtype=float)
+    n_rows = np.asarray(n, dtype=float)
+    if (crosses.shape[-1] != p or len(groups) * width != len(weights)
+            or gram.shape != (*crosses.shape[:-2], p, p) or n_rows.shape != gram.shape[:-2]
+            or l2.shape != (p,)):
+        raise ValueError("grams, cross products, row counts and penalty weights must match")
+    if (weights < 0).any() or (l2 < 0).any():
+        raise ValueError("penalty weights must be nonnegative")
+    # each candidate's solution goes into its row of betas, a failure into fits
+    betas = np.zeros(weights.shape)
+    fits = [[None] * k for k in counts]
+    if p > 0 and weights.size:
+        # a lane's positive and its zero candidates are two paths, each a list of
+        # (lane, index, scale) in descending order
+        paths = []
+        for b, (count, peaks) in enumerate(zip(counts, weights.max(axis=2).tolist())):
             # each candidate's scale relative to the last positive one; zero ones come last
-            peaks = [w.max() for w in ws]
+            peaks = peaks[:count]
             positive = [peak for peak in peaks if peak > 0.0]
             scales = [peak / positive[-1] for peak in peaks] if positive else peaks
             if any(s < s_next for s, s_next in zip(scales, scales[1:])):
                 raise ValueError("L1 candidates must be in descending order")
-            cands = [(b, k, ws[k], s) for k, s in enumerate(scales)]
+            cands = [(b, k, s) for k, s in enumerate(scales)]
             paths += [part for part in (cands[: len(positive)], cands[len(positive):]) if part]
-        hess = gram / n
-        hess.flat[:: p + 1] += l2
-        _lockstep(hess, crosses / n, paths, fits)
-        # the stationarity of every solved candidate of every lane in one pass
-        done = [(b, k) for b, lane in enumerate(fits) for k, fit in enumerate(lane)
-                if not isinstance(fit, PcmSelectError)]
+        # each problem's H, and its row count shaped to divide its gram and cross rows
+        n_rows = n_rows.reshape(-1, 1, 1)
+        hess = gram.reshape(-1, p, p) / n_rows
+        hess.reshape(-1, p * p)[:, :: p + 1] += l2
+        _lockstep(hess, [path[0][0] // width for path in paths], (groups / n_rows).reshape(-1, p),
+                  weights, paths, betas, fits)
+        # the stationarity of every solved candidate of every lane in one pass: a
+        # (problems, lanes x candidates, p) stack, one product with each problem's gram
+        done = [(b, k) for b, lane in enumerate(fits) for k, fit in enumerate(lane) if fit is None]
         if done:
-            worst = kkt_residual(gram, crosses[[i for i, _ in done]], n,
-                                 [lists[i][j] for i, j in done],
-                                 np.array([fits[i][j] for i, j in done]), l2)
-            for (i, j), r in zip(done, worst.tolist()):
+            at = tuple(zip(*done))
+            rows = (len(hess), -1, p)
+            worst = kkt_residual(gram.reshape(-1, p, p), groups.repeat(weights.shape[1], axis=1),
+                                 n_rows, weights.reshape(rows), betas.reshape(rows), l2)
+            for (b, k), r in zip(done, worst.reshape(weights.shape[:2])[at].tolist()):
                 if not r <= KKT_LIMIT:
-                    fits[i][j] = SingularDesign(
+                    fits[b][k] = SingularDesign(
                         "the L1 path ended off the optimum (degenerate active set)")
-    return fits if lanes else fits[0]
+    fits = [[betas[b, k] if fit is None else fit for k, fit in enumerate(lane)]
+            for b, lane in enumerate(fits)]
+    if nest == 3:
+        return [fits[i * width : (i + 1) * width] for i in range(len(groups))]
+    return fits if nest == 2 else fits[0]
 
 
-def _lockstep(hess: np.ndarray, lin: np.ndarray, paths, fits) -> None:
+def _lockstep(hess: np.ndarray, problem, lin: np.ndarray, weights: np.ndarray, paths, betas,
+              fits) -> None:
     """Follow all paths together, with one batched solve of their active blocks per event.
 
-    A path has the weights ``t * w`` of its last candidate ``(b, k, w, s)``
-    and solves each of its candidates at ``t = s`` into ``fits[b][k]``.
-    Each path's active block is solved as a p x p system with the identity
-    on its inactive coordinates and a zero right-hand side there, one LAPACK
-    call per path, so no path's numbers depend on the others.  Row i of the
-    state arrays belongs to path ``live[i]``; a path's row is dropped when it
-    ends.
+    A path has the weights ``t * weights[b, k]`` of its last candidate
+    ``(b, k, s)`` and solves each of its candidates ``(b, c, s)`` at
+    ``t = s`` into ``betas[b, c]``, on lane ``b``'s row of ``lin`` and on
+    ``hess[problem[i]]`` for path i.  Each path's active block is solved as
+    a p x p system with the identity on its inactive coordinates and a zero
+    right-hand side there, one LAPACK call per path, so no path's numbers
+    depend on the others.  Row i of the state arrays belongs to path
+    ``live[i]``; a path's row is dropped when it ends.  A path that ends
+    early puts its failure in ``fits`` for every candidate it did not reach.
     """
-    p = hess.shape[0]
-    base = np.array([path[-1][2] for path in paths]).reshape(-1, p)
+    p = hess.shape[-1]
+    base = np.array([weights[b, k] for b, k, _ in (path[-1] for path in paths)])
     lin = lin[[path[0][0] for path in paths]]
-    usable = hess.diagonal() > 0.0
+    # one problem's H is broadcast; several are taken by live path at each step
+    stacked = len(hess) > 1
+    problem = np.array(problem) if stacked else 0
+    usable = hess.diagonal(axis1=1, axis2=2)[problem] > 0.0
+    hess = hess if stacked else hess[0]
     # a least-squares or ridge path has no penalized coordinate and so no event
     state = [usable & (base == 0.0), usable & (base > 0.0), base, lin, np.zeros_like(base),
              np.full(len(paths), np.inf)]
@@ -191,7 +240,10 @@ def _lockstep(hess: np.ndarray, lin: np.ndarray, paths, fits) -> None:
     with np.errstate(divide="ignore", invalid="ignore"):
         while live.size and steps < cap:
             active, penalized, base, lin, theta, t = state
-            blocks = np.where(active[:, :, None] & active[:, None, :], hess, eye)
+            # the last step's blocks go first, so no more than two stacks are held
+            blocks = None
+            h = hess[problem[live]] if stacked else hess
+            blocks = np.where(active[:, :, None] & active[:, None, :], h, eye)
             # the right-hand side [lin_A, w_A sign_A], zero off the active set
             rhs = np.empty((*base.shape, 2))
             rhs[..., 0], rhs[..., 1] = np.where(active, lin, 0.0), base * theta
@@ -211,7 +263,8 @@ def _lockstep(hess: np.ndarray, lin: np.ndarray, paths, fits) -> None:
                 live, *state = (x[keep] for x in (live, *state))
                 continue
             steps += 1
-            pq = hess @ ab
+            pq = h @ ab
+            del h
             pv = pq[..., 0] - lin
             # An active coordinate leaves where a - t b = 0, an inactive one joins
             # where |pv - t qv| = t w, that is at t = pv / (qv + sign(pv) w).  Only
@@ -223,37 +276,42 @@ def _lockstep(hess: np.ndarray, lin: np.ndarray, paths, fits) -> None:
             ok = (np.where(active, theta * ab[..., 1] < 0.0, penalized)
                   & (event > 1.0) & (event <= t[:, None]))
             event = np.where(ok, event, -np.inf)
-            going, rows, own = [], [], []
+            going, moves, rows, cands = [], [], [], []
             for i, (path, j) in enumerate(zip(live.tolist(), event.argmax(axis=1).tolist())):
                 t[i] = event[i, j]
                 todo = paths[path]
                 # a candidate at or above the path's next event ends on this segment:
                 # the path's base takes the path's own solve, every other candidate
                 # is solved below with its own weights and this segment's signs
-                while todo and todo[0][3] >= t[i]:
-                    b, c, w, _ = todo.pop(0)
+                while todo and todo[0][2] >= t[i]:
+                    b, c, _ = todo.pop(0)
                     if todo:
                         rows.append(i)
-                        own.append((b, c, w * theta[i]))
+                        cands.append((b, c))
                     else:
-                        fits[b][c] = ab[i, :, 0] - ab[i, :, 1]
+                        betas[b, c] = ab[i, :, 0] - ab[i, :, 1]
                 going.append(bool(todo))
-                if todo:  # coordinate j joins or leaves
-                    theta[i, j] = 0.0 if active[i, j] else -np.sign(pv[i, j])
-                    active[i, j] = not active[i, j]
+                if todo:
+                    moves.append((i, j))
             if rows:
-                # all of them, of every path, in one batched solve
+                # all of them, of every path, in batched solves no larger than blocks
+                at = tuple(zip(*cands))
                 rhs = rhs[rows]
-                rhs[..., 1] = [w_theta for *_, w_theta in own]
-                for (b, c, _), ab_w in zip(own, np.linalg.solve(blocks[rows], rhs)):
-                    fits[b][c] = ab_w[:, 0] - ab_w[:, 1]
+                rhs[..., 1] = weights[at] * theta[rows]
+                for start in range(0, len(rows), len(blocks)):
+                    chunk = slice(start, start + len(blocks))
+                    ab_w = np.linalg.solve(blocks[rows[chunk]], rhs[chunk])
+                    betas[at[0][chunk], at[1][chunk]] = ab_w[..., 0] - ab_w[..., 1]
+            for i, j in moves:  # coordinate j joins or leaves
+                theta[i, j] = 0.0 if active[i, j] else -np.sign(pv[i, j])
+                active[i, j] = not active[i, j]
             if not any(going):
                 break
             if not all(going):
                 live, *state = (x[going] for x in (live, *state))
     # a path that ended early fails every candidate it did not reach
     for path, failed in zip(paths, failure):
-        for b, c, *_ in path:
+        for b, c, _ in path:
             fits[b][c] = failed or MaxIterationsExceeded(cap)
 
 
@@ -262,17 +320,20 @@ def kkt_residual(gram, cross, n, l1_weights, beta, l2_weights=None):
 
     For nonzero coordinates the smooth gradient must equal minus the penalty
     times the sign; for zero coordinates its magnitude may not exceed the
-    penalty weight.  ``beta`` of shape (p,) gives a float; a (K, p) stack,
-    with ``cross`` and ``l1_weights`` stacked alike, gives the K row maxima
-    as an array.
+    penalty weight.  ``beta`` of shape (p,) gives a float, and a stack of
+    rows, such as (K, p), gives the row maxima as an array.  ``cross``,
+    ``l1_weights`` and ``n`` broadcast against ``beta``, and ``gram`` is one
+    (p, p) matrix or a stack that ``beta @ gram`` broadcasts against it: a
+    (K, p, p) stack with a (K, 1, p) ``beta`` is a gram per row.
     """
     beta = np.asarray(beta, dtype=float)
     l1 = np.asarray(l1_weights, dtype=float)
     grad = (beta @ gram - cross) / n
     if l2_weights is not None:
         grad = grad + np.asarray(l2_weights, dtype=float) * beta
-    violation = np.where(beta != 0.0, np.abs(grad + l1 * np.sign(beta)),
-                         np.maximum(np.abs(grad) - l1, 0.0))
+    # |grad + l1 sign| where beta is nonzero, |grad| - l1 where it is zero; the
+    # maximum starts from zero, so a zero coordinate inside its bound counts 0
+    violation = np.abs(grad + l1 * np.sign(beta)) - l1 * (beta == 0.0)
     worst = violation.max(axis=-1, initial=0.0)
     return float(worst) if beta.ndim == 1 else worst
 

@@ -17,10 +17,12 @@ The protocol is two-phase and deterministic:
     the lambda1 candidates of one (zeta1, xi1) pair are multiples of one
     vector, and so are those of the rho1 candidates of one mediator column,
     so each pair's outcome fits are read off one L1 solution path, and each
-    mediator column's off one more.  On each fold, one ``solvers.l1_path``
-    call follows every pair's path as a lane, and one more every mediator
-    column's; a fit equals the one fitted alone wherever the two paths take
-    the same events.
+    mediator column's off one more.  One ``solvers.l1_path`` call follows
+    the path of every pair on every fold as a lane on that fold's training
+    gram and row count, and one more that of every mediator column on every
+    fold, so a cross-validation makes two solver calls; a fit equals the one
+    fitted alone wherever the two paths take the same events.  Each fold's
+    held-out errors of all its candidates are stacked products.
     The debiasing ridges are not scored; they keep ``PcmParams``' defaults.
     Baseline methods score the held-out error of their single regression.
     They search the keys that the method registry gives them (``lam`` and
@@ -190,26 +192,44 @@ def _m_held(test: Dataset, roles: RolePartition) -> tuple[np.ndarray, np.ndarray
             test.values[:, test.index_of(roles.m_regressors)])
 
 
-def _y_error(y: np.ndarray, a: np.ndarray, beta) -> float:
-    """Held-out mean squared error of the outcome ``y`` on the design ``a``;
-    infinity when the fit failed (``beta`` is its exception)."""
-    if isinstance(beta, PcmSelectError):
-        return math.inf
-    resid = y - a @ beta
-    return float(resid @ resid) / len(y)
+def _y_errors(y: np.ndarray, a: np.ndarray, fits) -> list[float]:
+    """Held-out mean squared error of the outcome ``y`` on the design ``a`` at each
+    coefficient vector of ``fits``; infinity where a fit failed (the entry is its
+    exception).
+
+    The residuals and their squared norms are stacked products, one
+    matrix-vector and one inner product per fit, so each error is
+    ``(y - a @ beta) @ (y - a @ beta) / len(y)`` to the bit.
+    """
+    ok = [i for i, beta in enumerate(fits) if not isinstance(beta, PcmSelectError)]
+    errors = [math.inf] * len(fits)
+    if ok:
+        resid = y[:, None] - np.matmul(a[None], np.array([fits[i] for i in ok])[:, :, None])
+        for i, sq in zip(ok, np.matmul(resid.transpose(0, 2, 1), resid).ravel().tolist()):
+            errors[i] = sq / len(y)
+    return errors
 
 
-def _m_error(m: np.ndarray, a: np.ndarray, columns) -> float:
-    """Held-out mean squared error of the mediators ``m``, per mediator column,
-    given one coefficient column on the design ``a`` per mediator; infinity
-    when a column's fit failed (the column is its exception)."""
+def _m_errors(m: np.ndarray, a: np.ndarray, fits) -> list[float]:
+    """Held-out mean squared error of the mediators ``m``, per mediator column, at
+    each entry of ``fits``: one coefficient column on the design ``a`` per
+    mediator.  Infinity where a column's fit failed (the column is its exception).
+
+    Each error is ``np.sum(resid * resid) / resid.size`` of
+    ``resid = m - a @ np.column_stack(columns)`` to the bit, with the
+    products and the sums stacked over the entries.
+    """
     n, q_m = m.shape
     if q_m == 0:
-        return 0.0
-    if any(isinstance(c, PcmSelectError) for c in columns):
-        return math.inf
-    resid = m - a @ np.column_stack(columns)
-    return float(np.sum(resid * resid)) / (n * q_m)
+        return [0.0] * len(fits)
+    ok = [i for i, columns in enumerate(fits)
+          if not any(isinstance(c, PcmSelectError) for c in columns)]
+    errors = [math.inf] * len(fits)
+    if ok:
+        resid = m - np.matmul(a[None], np.array([np.column_stack(fits[i]) for i in ok]))
+        for i, sq in zip(ok, (resid * resid).reshape(len(ok), -1).sum(axis=1).tolist()):
+            errors[i] = sq / (n * q_m)
+    return errors
 
 
 def cross_validate(data: Dataset, roles: RolePartition, method: str, grid: ParamGrid) -> CvResult:
@@ -244,30 +264,39 @@ def _search(key: str, values, per_fold) -> tuple[list[CvRow], float]:
 # -- pcm ------------------------------------------------------------------------
 
 
-def _stage1_scores(train: Dataset, y_held, m_held, roles, pilot_lam, pilot_rho,
-                   grid: ParamGrid) -> list[float]:
-    """One fold's score of every (lambda1, rho1, (zeta1, xi1)) row, in product order.
+def _stage1_scores(held, roles, pilot_lam, pilot_rho, grid: ParamGrid) -> list[list[float]]:
+    """Each fold's score of every (lambda1, rho1, (zeta1, xi1)) row, in product order.
 
-    One L1 path call follows one lane per distinct (zeta1, xi1) pair over the
-    distinct lambda1 values, another one lane per mediator column over the
-    distinct rho1 values; a failed fit scores infinity.  ``y_held`` and
-    ``m_held`` are the fold's held-out responses and designs.
+    ``held`` holds each fold's training set and held-out responses and
+    designs.  The folds whose pilots fit go into one L1 path call with one
+    lane per fold and distinct (zeta1, xi1) pair over the distinct lambda1
+    values, and one more with one lane per fold and mediator column over the
+    distinct rho1 values.  A failed fit scores infinity, and a fold whose
+    pilots failed scores infinity on every row.
     """
-    try:
-        weights = adaptive_weights(PilotEstimates(ridge_pilot_y(train, roles, pilot_lam),
-                                                  ridge_pilot_m(train, roles, pilot_rho)))
-    except PcmSelectError:
-        return [math.inf] * (len(grid.lambda1) * len(grid.rho1) * len(grid.zeta_xi))
+    rows = list(itertools.product(grid.lambda1, grid.rho1, grid.zeta_xi))
+    per_fold = [[math.inf] * len(rows) for _ in held]
+    fitted = {}  # the training set and adaptive weights of each fold whose pilots fit
+    for i, (train, _, _) in enumerate(held):
+        try:
+            fitted[i] = train, adaptive_weights(PilotEstimates(
+                ridge_pilot_y(train, roles, pilot_lam), ridge_pilot_m(train, roles, pilot_rho)))
+        except PcmSelectError:
+            continue
+    if not fitted:
+        return per_fold
     lams, rhos = sorted(set(grid.lambda1), reverse=True), sorted(set(grid.rho1), reverse=True)
     pairs = list(dict.fromkeys(grid.zeta_xi))
-    y_errs = {(lam1, pair): _y_error(*y_held, fit)
-              for pair, path in zip(pairs, pcm_stage1_y_path(train, roles, weights, lams, pairs))
-              for lam1, fit in zip(lams, path)}
-    m_paths = pcm_stage1_m_path(train, roles, weights, rhos)
-    m_errs = {rho1: _m_error(*m_held, [path[k] for path in m_paths])
-              for k, rho1 in enumerate(rhos)}
-    return [y_errs[lam1, pair] + m_errs[rho1]
-            for lam1, rho1, pair in itertools.product(grid.lambda1, grid.rho1, grid.zeta_xi)]
+    folds = list(fitted.values())
+    for i, y_lanes, m_lanes in zip(fitted, pcm_stage1_y_path(folds, roles, lams, pairs),
+                                   pcm_stage1_m_path(folds, roles, rhos)):
+        _, y_held, m_held = held[i]
+        y_errs = dict(zip(itertools.product(pairs, lams),
+                          _y_errors(*y_held, [fit for lane in y_lanes for fit in lane])))
+        m_errs = dict(zip(rhos, _m_errors(*m_held, [[lane[k] for lane in m_lanes]
+                                                    for k in range(len(rhos))])))
+        per_fold[i] = [y_errs[pair, lam1] + m_errs[rho1] for lam1, rho1, pair in rows]
+    return per_fold
 
 
 def _cross_validate_pcm(roles, grid: ParamGrid, splits) -> CvResult:
@@ -277,14 +306,14 @@ def _cross_validate_pcm(roles, grid: ParamGrid, splits) -> CvResult:
     # each fold's training set and held-out data; each pilot grid is one call per fold
     held = [(tr, _y_held(te, roles), _m_held(te, roles)) for tr, te in splits]
     pilot_rows, pilot_lam = _search("pilot_lambda", grid.pilot_lambda, [
-        [_y_error(*y_te, fit) for fit in ridge_pilot_y_grid(tr, roles, grid.pilot_lambda)]
+        _y_errors(*y_te, ridge_pilot_y_grid(tr, roles, grid.pilot_lambda))
         for tr, y_te, _ in held])
     rho_rows, pilot_rho = _search("pilot_rho", grid.pilot_rho, [
-        [_m_error(*m_te, [fit] if isinstance(fit, PcmSelectError) else fit.T)
-         for fit in ridge_pilot_m_grid(tr, roles, grid.pilot_rho)]
+        _m_errors(*m_te, [[fit] if isinstance(fit, PcmSelectError) else list(fit.T)
+                          for fit in ridge_pilot_m_grid(tr, roles, grid.pilot_rho)])
         for tr, _, m_te in held])
 
-    per_fold = [_stage1_scores(*fold, roles, pilot_lam, pilot_rho, grid) for fold in held]
+    per_fold = _stage1_scores(held, roles, pilot_lam, pilot_rho, grid)
     rows = _rows([{"lambda1": lam1, "rho1": rho1, "zeta1": zeta1, "xi1": xi1}
                   for lam1, rho1, (zeta1, xi1)
                   in itertools.product(grid.lambda1, grid.rho1, grid.zeta_xi)], per_fold)
@@ -310,11 +339,11 @@ def _cross_validate_baseline(roles, method, grid: ParamGrid, splits) -> CvResult
     held = [(tr, _y_held(te, replace(roles, s=(), sbar=()))) for tr, te in splits]
     if "pilot_lam" in allowed:
         _, pilot_lam = _search("pilot_lambda", grid.pilot_lambda, [
-            [_or_inf(lambda: _y_error(*y_te, pilot_coefficients(tr, roles, method, lam)))
+            [_or_inf(lambda: _y_errors(*y_te, [pilot_coefficients(tr, roles, method, lam)])[0])
              for lam in grid.pilot_lambda] for tr, y_te in held])
         cands = [{**cand, "pilot_lam": pilot_lam} for cand in cands]
     rows = _rows(cands, [
-        [_or_inf(lambda: _y_error(*y_te, penalized_coefficients(tr, roles, method, **cand)))
+        [_or_inf(lambda: _y_errors(*y_te, [penalized_coefficients(tr, roles, method, **cand)])[0])
          for cand in cands] for tr, y_te in held])
     best = _select(rows, lambda p: (-p["lam"], -p.get("eta", 0.0), -p.get("phi", 0.0)))
     return CvResult(method, dict(best.params), best.mean_score, tuple(rows))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmselect import solvers
-from pcmselect.errors import PcmSelectError, SingularDesign
+from pcmselect.errors import MaxIterationsExceeded, PcmSelectError, SingularDesign
 from pcmselect.solvers import (
     coordinate_descent,
     kkt_residual,
@@ -193,6 +193,62 @@ class TestL1Path:
                 assert_same_fit(fit, alone)
                 assert kkt_residual(gram, crosses[lane], n, w, fit) <= 1e-9
 
+    def test_lanes_on_their_own_grams_equal_each_lane_alone(self, monkeypatch):
+        # three problems with their own grams and row counts, two lanes each:
+        # n > p; n < p with equal columns 0 and 1, left unpenalized by the first
+        # lane, so that lane's first active block is singular; and a diagonal
+        # gram whose lanes hit the event cap.  The last ones are a stand-in:
+        # their systems are recognized by the MARK on the diagonal and solved
+        # with the opposite signs, so every active coefficient reads as moving
+        # toward zero and leaves at t = 2, where |lin_j| / w_j = 2 makes every
+        # inactive one join again, and the path toggles one coordinate at t = 2
+        # until the cap, above all of its candidates' scales
+        mark, p = 0.8125, 6
+        solve = np.linalg.solve
+
+        def solve_flipped(blocks, rhs):
+            out = solve(blocks, rhs)
+            flip = (np.diagonal(blocks, axis1=-2, axis2=-1) == mark).any(axis=-1)
+            return np.where(flip[..., None, None], -out, out)
+
+        rng = np.random.default_rng(15)
+        grams, crosses, ns, lists = [], [], [], []
+        for n in (60, 5):
+            a, y, l1 = make_problem(int(rng.integers(100)), n=n, p=p)
+            if n < p:
+                a[:, 1] = a[:, 0]
+            grams.append(a.T @ a)
+            crosses.append([a.T @ y, a.T @ (y + rng.standard_normal(n))])
+            singular, kept = l1.copy(), l1.copy()
+            singular[:2], kept[0], kept[1] = 0.0, 0.0, 1e3
+            lists.append([[s * w for s in (5.0, 1.0, 0.3, 0.0)] for w in (singular, kept)])
+        w = np.array([0.25, 0.5, 0.125, 0.375, 0.0625, 0.75])
+        grams.append(np.diag(np.full(p, mark * 37)))
+        crosses.append([2 * w * 37 * np.array([1, -1, 1, 1, -1, -1]), -2 * w * 37])
+        lists.append([[s * w for s in (1.75, 1.5, 1.25, 1.0)]] * 2)
+        grams, crosses, ns = np.array(grams), np.array(crosses), [60, 5, 37]
+        monkeypatch.setattr(np.linalg, "solve", solve_flipped)
+        fits = l1_path(grams, crosses, ns, lists)
+        assert [len(problem) for problem in fits] == [2, 2, 2]
+        # the same lanes with their candidates in one array
+        for problem, arrayed in zip(fits, l1_path(grams, crosses, ns, np.array(lists))):
+            for lane, other in zip(problem, arrayed):
+                for fit, same in zip(lane, other):
+                    assert_same_fit(fit, same)
+        for f, problem in enumerate(fits):
+            for b, lane in enumerate(problem):
+                for fit, alone in zip(lane, l1_path(grams[f], crosses[f, b], ns[f], lists[f][b])):
+                    assert_same_fit(fit, alone)
+        assert all(isinstance(fit, np.ndarray) for lane in fits[0] for fit in lane)
+        assert all(isinstance(fit, SingularDesign) and "singular" in str(fit)
+                   for fit in fits[1][0])
+        assert all(isinstance(fit, MaxIterationsExceeded) for lane in fits[2] for fit in lane)
+        # a one-problem stack is the shared gram
+        for lane, shared in zip(l1_path(grams[:1], crosses[:1], ns[:1], lists[:1])[0],
+                                l1_path(grams[0], crosses[0], ns[0], lists[0])):
+            for fit, same in zip(lane, shared):
+                assert_same_fit(fit, same)
+
     def test_no_lanes(self):
         a, y, _ = make_problem(14)
         assert l1_path(a.T @ a, np.zeros((0, 6)), 60, []) == []
@@ -266,6 +322,24 @@ class TestKktResidual:
             assert stacked.shape == (12,) and all(type(r) is float for r in alone)
             assert max(alone) > 1e-6
             np.testing.assert_allclose(stacked, alone, rtol=0.0, atol=1e-15)
+
+    def test_a_gram_per_row_equals_the_one_vector_form(self):
+        # fits of problems with their own grams and row counts, some moved off the optimum
+        rng = np.random.default_rng(23)
+        rows = []
+        for n in (60, 41, 15):
+            a, y, l1 = make_problem(int(rng.integers(100)), n=n)
+            gram, cross = a.T @ a, a.T @ y
+            for s in (3.0, 0.5, 0.0):
+                beta = coordinate_descent(gram, cross, n, s * l1)
+                rows.append((gram, cross, n, s * l1, beta + 1e-3 * rng.standard_normal(6) * (s > 1)))
+        grams, crosses, ns, weights, betas = (np.array(x) for x in zip(*rows))
+        for l2 in (None, rng.uniform(0.0, 0.1, 6)):
+            stacked = kkt_residual(grams, crosses[:, None], ns[:, None, None], weights[:, None],
+                                   betas[:, None], l2)
+            alone = [kkt_residual(*row, l2) for row in rows]
+            assert stacked.shape == (9, 1) and max(alone) > 1e-6
+            np.testing.assert_allclose(stacked[:, 0], alone, rtol=0.0, atol=1e-15)
 
     def test_an_empty_design_has_no_violation(self):
         assert kkt_residual(np.zeros((0, 0)), np.zeros(0), 5, np.zeros(0), np.zeros(0)) == 0.0

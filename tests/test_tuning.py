@@ -1,10 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from pcmselect.data import Dataset, RolePartition
-from pcmselect.errors import EmptyGrid, FoldTooSmall
+from pcmselect.errors import EmptyGrid, FoldTooSmall, PcmSelectError
 from pcmselect.experiment import experiment_roles
-from pcmselect.pcm import PilotEstimates, adaptive_weights, pcm_stage1_y, ridge_pilot_m, ridge_pilot_y
+from pcmselect.pcm import (
+    PilotEstimates,
+    adaptive_weights,
+    pcm_stage1_m_path,
+    pcm_stage1_y,
+    pcm_stage1_y_path,
+    ridge_pilot_m,
+    ridge_pilot_y,
+)
 from pcmselect.scm import build_experiment_scm
 from pcmselect.tuning import ParamGrid, _fold_indices, cross_validate, cv_table_csv
 
@@ -214,6 +224,127 @@ class TestSeparatedSearch:
             assert np.inf in stage
         if name != "p >= n, failing pilots":
             assert np.isfinite(result.score)
+
+
+def fold_by_fold_pcm_cv(data, roles, grid):
+    """pcm cross-validation one fold at a time: each fold's pilots, its one-fold
+    stage-1 path calls, and each candidate's held-out error on its own.
+
+    Returns the table as ``(params, mean, fold_scores)`` rows, the chosen
+    parameters and the score, as ``cross_validate`` orders them.
+    """
+    folds = _fold_indices(data.n, grid.folds, grid.fold_seed)
+    splits = [(Dataset(data.values[np.concatenate(folds[:i] + folds[i + 1:])], data.columns),
+               Dataset(data.values[rows], data.columns)) for i, rows in enumerate(folds)]
+
+    def y_error(test, beta):
+        a = test.values[:, test.index_of(roles.y_regressors)]
+        resid = test.column(roles.y) - a @ beta
+        return float(resid @ resid) / test.n
+
+    def m_error(test, columns):
+        if not roles.mediators:
+            return 0.0
+        if any(isinstance(c, PcmSelectError) for c in columns):
+            return np.inf
+        a = test.values[:, test.index_of(roles.m_regressors)]
+        resid = test.values[:, test.index_of(roles.mediators)] - a @ np.column_stack(columns)
+        return float(np.sum(resid * resid)) / resid.size
+
+    def or_inf(score):
+        try:
+            return score()
+        except PcmSelectError:
+            return np.inf
+
+    def rows_of(params, per_fold):
+        return [(p, float(np.mean(scores)), tuple(scores)) for p, scores in zip(params, per_fold)]
+
+    def best(rows, keys):
+        return min(rows, key=lambda r: (r[1],) + tuple(-r[0][k] for k in keys))
+
+    lam_rows = rows_of([{"pilot_lambda": v} for v in grid.pilot_lambda], [
+        [or_inf(lambda: y_error(te, ridge_pilot_y(tr, roles, v).stacked())) for tr, te in splits]
+        for v in grid.pilot_lambda])
+    rho_rows = rows_of([{"pilot_rho": v} for v in grid.pilot_rho], [
+        [or_inf(lambda: m_error(te, list(ridge_pilot_m(tr, roles, v).stacked().T)))
+         for tr, te in splits] for v in grid.pilot_rho])
+    pilot_lam = best(lam_rows, ["pilot_lambda"])[0]["pilot_lambda"]
+    pilot_rho = best(rho_rows, ["pilot_rho"])[0]["pilot_rho"]
+    lams, rhos = sorted(set(grid.lambda1), reverse=True), sorted(set(grid.rho1), reverse=True)
+    pairs = list(dict.fromkeys(grid.zeta_xi))
+    cands = list(itertools.product(grid.lambda1, grid.rho1, grid.zeta_xi))
+    per_fold = []
+    for tr, te in splits:
+        try:
+            weights = adaptive_weights(PilotEstimates(ridge_pilot_y(tr, roles, pilot_lam),
+                                                      ridge_pilot_m(tr, roles, pilot_rho)))
+        except PcmSelectError:
+            per_fold.append([np.inf] * len(cands))
+            continue
+        (y_lanes,) = pcm_stage1_y_path([(tr, weights)], roles, lams, pairs)
+        (m_lanes,) = pcm_stage1_m_path([(tr, weights)], roles, rhos)
+        y_errs = {(lam1, pair): or_inf(lambda: y_error(te, _raise(fit)))
+                  for pair, lane in zip(pairs, y_lanes) for lam1, fit in zip(lams, lane)}
+        m_errs = {rho1: m_error(te, [lane[k] for lane in m_lanes]) for k, rho1 in enumerate(rhos)}
+        per_fold.append([y_errs[lam1, pair] + m_errs[rho1] for lam1, rho1, pair in cands])
+    rows = rows_of([{"lambda1": l, "rho1": r, "zeta1": z, "xi1": x} for l, r, (z, x) in cands],
+                   list(zip(*per_fold)))
+    chosen = best(rows, ["lambda1", "rho1", "zeta1", "xi1"])
+    return (lam_rows + rho_rows + rows, {"pilot_lambda": pilot_lam, "pilot_rho": pilot_rho,
+                                         **chosen[0]}, chosen[1])
+
+
+def _raise(fit):
+    if isinstance(fit, PcmSelectError):
+        raise fit
+    return fit
+
+
+def merge_case(name):
+    """(data, roles, grid) of one check of the merged folds against fold by fold."""
+    logs = list(np.logspace(-3, 2, 13))
+    if name == "n=16, unequal folds":
+        return random_instance(74, n=16), ROLES, small_grid(
+            pilot_lambda=logs[::3], pilot_rho=logs[::3], lambda1=logs[::2], rho1=logs[::3],
+            zeta_xi=((0.2, 0.3), (0.0, 0.0), (0.8, 0.2)), folds=5)
+    if name == "setting A, n=15":
+        ds, roles = setting_a_sample(3)
+        return ds, roles, small_grid(
+            pilot_lambda=logs[::2], pilot_rho=logs[::2], lambda1=logs, rho1=logs[::3],
+            zeta_xi=((0.0, 0.0), (0.2, 0.3), (0.4, 0.6), (0.0, 1.0)), folds=5, fold_seed=0)
+    if name == "failing fold pilots":
+        # 22 rows in 5 folds train on 17 or 18 rows: the least-squares outcome
+        # pilot on setting A's 18 regressors fails on the 17-row folds only
+        ds, roles = setting_a_sample(2, n=22)
+        return ds, roles, small_grid(
+            pilot_lambda=(0.0,), pilot_rho=(0.0, 0.1), lambda1=logs[::2], rho1=logs[::4],
+            zeta_xi=((0.2, 0.3), (0.0, 0.0)), folds=5, fold_seed=0)
+    # zero pilot and rho1 candidates: least-squares pilots and unpenalized mediator fits
+    return random_instance(75, n=40), ROLES, small_grid(
+        pilot_lambda=(0.0, 0.1, 1.0), pilot_rho=(1.0, 0.0), lambda1=(1.0, 0.1, 0.0, 0.01),
+        rho1=(0.0, 0.3), zeta_xi=((0.2, 0.3), (0.0, 0.0)), folds=5)
+
+
+class TestMergedFolds:
+    @pytest.mark.parametrize("name", ["n=16, unequal folds", "setting A, n=15",
+                                      "failing fold pilots", "zero pilot and rho1 candidates"])
+    def test_equals_the_fold_by_fold_search(self, name):
+        # every fold's stage-1 lanes go into one L1 path call per model; the
+        # table must be the one of one-fold calls, byte for byte
+        ds, roles, grid = merge_case(name)
+        result = cross_validate(ds, roles, "pcm", grid)
+        table, chosen, score = fold_by_fold_pcm_cv(ds, roles, grid)
+        assert [(r.params, r.mean_score, r.fold_scores) for r in result.table] == table
+        assert result.chosen == chosen and result.score == score
+        stage = [r.fold_scores for r in result.table if "lambda1" in r.params]
+        if name == "failing fold pilots":
+            failed = [all(np.isinf(s) for s in fold) for fold in zip(*stage)]
+            assert 0 < sum(failed) < len(failed)
+            assert all(np.isfinite(fold).any() for fold, out in zip(zip(*stage), failed)
+                       if not out)
+        if name == "n=16, unequal folds":
+            assert len({len(f) for f in _fold_indices(16, 5, grid.fold_seed)}) == 2
 
 
 class TestTableExport:
