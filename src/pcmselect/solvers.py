@@ -160,13 +160,13 @@ def l1_path(
         weights = np.zeros((len(lists), max(counts, default=0), p))
         for b, ws in enumerate(lists):
             weights[b, : len(ws)] = ws if len(ws) else 0.0
-    l2 = np.zeros(p) if l2_weights is None else np.asarray(l2_weights, dtype=float)
+    l2 = None if l2_weights is None else np.asarray(l2_weights, dtype=float)
     n_rows = np.asarray(n, dtype=float)
     if (crosses.shape[-1] != p or len(groups) * width != len(weights)
             or gram.shape != (*crosses.shape[:-2], p, p) or n_rows.shape != gram.shape[:-2]
-            or l2.shape != (p,)):
+            or (l2 is not None and l2.shape != (p,))):
         raise ValueError("grams, cross products, row counts and penalty weights must match")
-    if (weights < 0).any() or (l2 < 0).any():
+    if (weights < 0).any() or (l2 is not None and (l2 < 0).any()):
         raise ValueError("penalty weights must be nonnegative")
     # each candidate's solution goes into its row of betas, a failure into fits
     betas = np.zeros(weights.shape)
@@ -187,7 +187,8 @@ def l1_path(
         # each problem's H, and its row count shaped to divide its gram and cross rows
         n_rows = n_rows.reshape(-1, 1, 1)
         hess = gram.reshape(-1, p, p) / n_rows
-        hess.reshape(-1, p * p)[:, :: p + 1] += l2
+        if l2 is not None:
+            hess.reshape(-1, p * p)[:, :: p + 1] += l2
         _lockstep(hess, [path[0][0] // width for path in paths], (groups / n_rows).reshape(-1, p),
                   weights, paths, betas, fits)
         # the stationarity of every solved candidate of every lane in one pass: a
@@ -199,11 +200,11 @@ def l1_path(
             worst = kkt_residual(gram.reshape(-1, p, p), groups.repeat(weights.shape[1], axis=1),
                                  n_rows, weights.reshape(rows), betas.reshape(rows), l2)
             for (b, k), r in zip(done, worst.reshape(weights.shape[:2])[at].tolist()):
-                if not r <= KKT_LIMIT:
-                    fits[b][k] = SingularDesign(
-                        "the L1 path ended off the optimum (degenerate active set)")
-    fits = [[betas[b, k] if fit is None else fit for k, fit in enumerate(lane)]
-            for b, lane in enumerate(fits)]
+                fits[b][k] = betas[b, k] if r <= KKT_LIMIT else SingularDesign(
+                    "the L1 path ended off the optimum (degenerate active set)")
+    else:
+        # nothing to follow: every fit is its row of zeros
+        fits = [list(lane[:count]) for lane, count in zip(betas, counts)]
     if nest == 3:
         return [fits[i * width : (i + 1) * width] for i in range(len(groups))]
     return fits if nest == 2 else fits[0]
@@ -276,7 +277,9 @@ def _lockstep(hess: np.ndarray, problem, lin: np.ndarray, weights: np.ndarray, p
             ok = (np.where(active, theta * ab[..., 1] < 0.0, penalized)
                   & (event > 1.0) & (event <= t[:, None]))
             event = np.where(ok, event, -np.inf)
-            going, moves, rows, cands = [], [], [], []
+            # this segment's signs, for the candidates solved after the joins and leaves
+            signs = theta.copy()
+            going, rows, cands = [], [], []
             for i, (path, j) in enumerate(zip(live.tolist(), event.argmax(axis=1).tolist())):
                 t[i] = event[i, j]
                 todo = paths[path]
@@ -291,20 +294,18 @@ def _lockstep(hess: np.ndarray, problem, lin: np.ndarray, weights: np.ndarray, p
                     else:
                         betas[b, c] = ab[i, :, 0] - ab[i, :, 1]
                 going.append(bool(todo))
-                if todo:
-                    moves.append((i, j))
+                if todo:  # coordinate j joins or leaves
+                    theta[i, j] = 0.0 if active[i, j] else -np.sign(pv[i, j])
+                    active[i, j] = not active[i, j]
             if rows:
                 # all of them, of every path, in batched solves no larger than blocks
                 at = tuple(zip(*cands))
                 rhs = rhs[rows]
-                rhs[..., 1] = weights[at] * theta[rows]
+                rhs[..., 1] = weights[at] * signs[rows]
                 for start in range(0, len(rows), len(blocks)):
                     chunk = slice(start, start + len(blocks))
                     ab_w = np.linalg.solve(blocks[rows[chunk]], rhs[chunk])
                     betas[at[0][chunk], at[1][chunk]] = ab_w[..., 0] - ab_w[..., 1]
-            for i, j in moves:  # coordinate j joins or leaves
-                theta[i, j] = 0.0 if active[i, j] else -np.sign(pv[i, j])
-                active[i, j] = not active[i, j]
             if not any(going):
                 break
             if not all(going):
