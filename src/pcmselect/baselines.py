@@ -29,6 +29,7 @@ from dataclasses import replace
 import numpy as np
 
 from .data import Dataset, RolePartition
+from .errors import PcmSelectError
 from .pcm import (
     AdaptiveWeights,
     PcmParams,
@@ -36,6 +37,7 @@ from .pcm import (
     pcm_stage1_y,
     reciprocal_power_weights,
     ridge_pilot_y,
+    ridge_pilot_y_grid,
 )
 from .solvers import coordinate_descent, ols_solve, ridge_solve
 
@@ -46,6 +48,7 @@ __all__ = [
     "penalized_coefficients",
     "pilot_coefficients",
     "pal1ma_estimate",
+    "pal1ma_estimates",
     "check_ranges",
 ]
 
@@ -145,7 +148,7 @@ def penalized_coefficients(
     """
     check_ranges(lam=lam, eta=eta, phi=phi, pilot_lam=pilot_lam)
     if method == "pal1ma":
-        weights = _pal1ma_weights(data, roles, eta, pilot_lam)
+        weights = _pal1ma_weights(pilot_coefficients(data, roles, method, pilot_lam), roles, eta)
         return pcm_stage1_y(data, _without_mediators(roles), weights, lam, 0.0, 0.0).stacked()
     cols = [roles.x] + list(roles.covariates)
     gram, cross = data.cross(cols, cols), data.cross(cols, [roles.y])[:, 0]
@@ -185,9 +188,8 @@ def _without_mediators(roles: RolePartition) -> RolePartition:
     return replace(roles, s=(), sbar=())
 
 
-def _pal1ma_weights(data, roles, eta, pilot_lam) -> AdaptiveWeights:
+def _pal1ma_weights(pilot, roles, eta) -> AdaptiveWeights:
     """pal1ma's weights: its pilot's reciprocal candidate-covariate magnitudes to the ``eta``."""
-    pilot = pilot_coefficients(data, roles, "pal1ma", pilot_lam)
     zbar, floored = reciprocal_power_weights(pilot[1 + len(roles.z):], eta=eta)
     return AdaptiveWeights(sbar=np.zeros(0), zbar=zbar, med=np.zeros((len(roles.zbar), 0)),
                            floored=floored)
@@ -211,13 +213,35 @@ def pal1ma_estimate(
     pipeline: :func:`~pcmselect.pcm.fit_from_weights` on ``roles`` without
     its mediators, with these weights and zero treatment and mediator
     penalties.  So with ``eta == 1`` it equals
-    :func:`~pcmselect.pcm.pcm_total_effect` on those roles.
+    :func:`~pcmselect.pcm.pcm_total_effect` on those roles.  The one-dataset
+    case of :func:`pal1ma_estimates`, which raises the fit's failure.
+    """
+    (estimate,) = pal1ma_estimates([data], roles, lam, eta=eta, pilot_lam=pilot_lam,
+                                   lam2=lam2, xi2=xi2)
+    if isinstance(estimate, PcmSelectError):
+        raise estimate
+    return estimate
+
+
+def pal1ma_estimates(datasets, roles: RolePartition, lam: float, *, eta: float = 1.0,
+                     pilot_lam: float = 1.0, lam2: float = 0.01, xi2: float = 0.5) -> list:
+    """:func:`pal1ma_estimate` on each of ``datasets``: its estimate or, if that fit
+    failed, its exception, in order.
+
+    Every dataset's pilot is one batched solve
+    (:func:`~pcmselect.pcm.ridge_pilot_y_grid`), and one
+    :func:`~pcmselect.pcm.fit_from_weights` call fits them all.
     """
     check_ranges(lam=lam, eta=eta, pilot_lam=pilot_lam, lam2=lam2, xi2=xi2)
-    weights = _pal1ma_weights(data, roles, eta, pilot_lam)
+    if not datasets:
+        return []
+    bare = _without_mediators(roles)
     params = PcmParams(
         lambda1=lam, rho1=0.0, zeta1=0.0, xi1=0.0,
         pilot_lambda=pilot_lam, pilot_rho=pilot_lam,
         lambda2=lam2, xi2=xi2, rho2=0.0, rho2_prime=0.0,
     )
-    return fit_from_weights(data, _without_mediators(roles), params, weights).total_effect
+    weights = [pilot if isinstance(pilot, PcmSelectError) else _pal1ma_weights(pilot, roles, eta)
+               for (pilot,) in ridge_pilot_y_grid(datasets, bare, [pilot_lam])]
+    return [fit if isinstance(fit, PcmSelectError) else fit.total_effect
+            for fit in fit_from_weights(datasets, bare, params, weights)]

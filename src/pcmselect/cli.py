@@ -129,7 +129,10 @@ def _cmd_estimate(args) -> int:
         print(f"cross-validation selected: {json.dumps(params, sort_keys=True)}")
     check_params(args.method, params, roles)
     if args.method != "pcm":
-        print(f"total effect estimate: {method.estimate(ds, roles, params)!r}")
+        (estimate,) = method.estimate([ds], roles, params)
+        if isinstance(estimate, PcmSelectError):
+            raise estimate
+        print(f"total effect estimate: {estimate!r}")
         return 0
     fit = pcm_total_effect(ds, roles, PcmParams(**params))
     print(f"total effect estimate: {fit.total_effect!r}")

@@ -5,25 +5,37 @@ benchmark models (or a user-supplied model), collecting per-replication
 estimates and per-method summary statistics (mean, standard deviation, bias,
 sign-coincidence rate, failure count).
 
+Replications run in chunks: a chunk samples and standardizes each of its
+replications, then calls each method once on all of them
+(:attr:`Method.estimate` takes a sequence of datasets).  pcm and pal1ma fit
+each ridge pilot of every replication of the chunk in one batched solve, the
+stage-1 outcome fits in one L1 solver call and the mediator fits in one per
+width of the active mediator design; the other methods, and the debiasing
+and correction steps, go one replication at a time.  A process pool gets one
+chunk per task.
+
 Determinism: the master seed feeds a seed sequence whose first child builds
 the model (fixing the random coefficients, the covariate correlation matrix,
 and hence the true effect for the whole run) and whose remaining children
-seed the replications.  Results are keyed by replication index, so the
-output is byte-identical regardless of the worker count.
+seed the replications, one each.  A batched call solves every replication's
+systems as LAPACK calls of their own, so no estimate depends on the other
+replications of its chunk, and results are keyed by replication index; the
+output is byte-identical whatever the chunk size and the worker count.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .baselines import back_door_estimate, baseline_penalized, check_ranges, front_door_like_estimate
+from .baselines import (back_door_estimate, baseline_penalized, check_ranges,
+                        front_door_like_estimate, pal1ma_estimates)
 from .data import Dataset, RolePartition
 from .errors import ConfigInvalid, EmptyInput, PcmSelectError
 from .graphs import minimal_mediator_sets
-from .pcm import PcmParams, pcm_total_effect
+from .pcm import PcmParams, pcm_fits
 from .scm import (CovarianceSpec, LinearScm, build_experiment_scm, coupling_dag,
                   experiment_criteria_dag, parse_scm)
 
@@ -69,37 +81,71 @@ SETTING_METHODS = {
     setting: tuple(name for key, name in PRESETS if key == setting) for setting in ("A", "B")
 }
 
+# Sample values (rows times observed columns) that one chunk of replications
+# holds.  A chunk keeps every replication's sample, pilots, stage-1 lanes and
+# fits at once: about 7 KiB per replication at n=15 in setting B, 22 KiB in
+# setting A and 12 KiB at n=100 (tracemalloc peaks of single-worker calls).
+# 2**10 values keeps a chunk within about 50 KiB of a one-replication chunk:
+# 8 replications at n=15 in setting B, 3 in setting A, one at n=100.  With
+# 2**16 a 1000-replication run at n=15 peaked 5 MiB higher than with chunks
+# of one replication.
+CHUNK_VALUES = 2**10
+
 
 @dataclass(frozen=True)
 class Method:
     """One estimator that the CLI, the Monte Carlo run and CV dispatch to.
 
-    ``estimate(data, roles, params)`` returns the total-effect estimate on
-    standardized data and holds the defaults of the keys left out;
-    ``allowed`` and ``required`` are its parameter keys; ``check(roles,
-    params)`` raises ``ValueError`` for a value out of range; ``cv`` says
-    whether :func:`~pcmselect.tuning.cross_validate` tunes it.
+    ``estimate(datasets, roles, params)`` takes a sequence of standardized
+    datasets and returns, for each in order, its total-effect estimate or,
+    if its fit failed, the :class:`~pcmselect.errors.PcmSelectError`; it
+    holds the defaults of the keys left out.  The CLI's estimate is its
+    one-dataset case.  ``allowed`` and ``required`` are its parameter keys;
+    ``check(roles, params)`` raises ``ValueError`` for a value out of range;
+    ``cv`` says whether :func:`~pcmselect.tuning.cross_validate` tunes it.
     """
 
-    estimate: Callable[[Dataset, RolePartition, dict], float]
+    estimate: Callable[[Sequence[Dataset], RolePartition, dict], list]
     allowed: frozenset[str]
     required: frozenset[str] = frozenset()
     check: Callable[[RolePartition, dict], object] = lambda roles, params: None
     cv: bool = False
 
 
-def _pcm(ds: Dataset, roles: RolePartition, params: dict) -> float:
-    return pcm_total_effect(ds, roles, PcmParams(**params)).total_effect
+def _each(estimate: Callable[[Dataset, RolePartition, dict], float]):
+    """A registry ``estimate`` that runs ``estimate`` on one dataset at a time."""
+
+    def each(datasets, roles, params) -> list:
+        results = []
+        for ds in datasets:
+            try:
+                results.append(estimate(ds, roles, params))
+            except PcmSelectError as exc:
+                results.append(exc)
+        return results
+
+    return each
 
 
-def _penalized(name: str, *keys: str) -> Method:
-    def estimate(ds, roles, params):
-        return baseline_penalized(ds, roles, name, **params)
+def _pcm(datasets, roles: RolePartition, params: dict) -> list:
+    return [fit if isinstance(fit, PcmSelectError) else fit.total_effect
+            for fit in pcm_fits(datasets, roles, PcmParams(**params))]
 
+
+def _penalized(estimate, *keys: str) -> Method:
     return Method(estimate, frozenset({"lam", *keys}), frozenset({"lam"}),
                   check=lambda roles, params: check_ranges(**params), cv=True)
 
 
+def _baseline(name: str):
+    return _each(lambda ds, roles, params: baseline_penalized(ds, roles, name, **params))
+
+
+def _pal1ma(datasets, roles: RolePartition, params: dict) -> list:
+    return pal1ma_estimates(datasets, roles, **params)
+
+
+@_each
 def _backdoor(ds: Dataset, roles: RolePartition, params: dict) -> float:
     return back_door_estimate(ds, roles.x, roles.y, params.get("z", roles.covariates))
 
@@ -119,6 +165,7 @@ def _frontdoor(include_x: bool, adjusted: bool, required=frozenset()) -> Method:
             raise ValueError("front-door-like estimation needs at least one mediator")
         return p
 
+    @_each
     def estimate(ds, roles, params):
         p = resolve(roles, params)
         return front_door_like_estimate(ds, roles.x, roles.y, p["mediators"], p["z1"],
@@ -129,10 +176,10 @@ def _frontdoor(include_x: bool, adjusted: bool, required=frozenset()) -> Method:
 
 
 METHODS: dict[str, Method] = {
-    "lasso": _penalized("lasso"),
-    "adaptive-lasso": _penalized("adaptive-lasso", "eta", "pilot_lam"),
-    "elastic-net": _penalized("elastic-net", "phi"),
-    "pal1ma": _penalized("pal1ma", "eta", "pilot_lam", "lam2", "xi2"),
+    "lasso": _penalized(_baseline("lasso")),
+    "adaptive-lasso": _penalized(_baseline("adaptive-lasso"), "eta", "pilot_lam"),
+    "elastic-net": _penalized(_baseline("elastic-net"), "phi"),
+    "pal1ma": _penalized(_pal1ma, "eta", "pilot_lam", "lam2", "xi2"),
     "pcm": Method(_pcm, frozenset(f.name for f in fields(PcmParams)),
                   frozenset(f.name for f in fields(PcmParams) if f.default is MISSING),
                   check=lambda roles, params: PcmParams(**params), cv=True),
@@ -333,26 +380,28 @@ def summarize(estimates, true_tau: float) -> tuple[float, float, float, float]:
     return mean, sd, mean - true_tau, sign
 
 
-# -- per-replication execution -----------------------------------------------------
+# -- chunked execution -------------------------------------------------------------
 
 
-def _replication_worker(payload) -> tuple[int, list[tuple[str, float | None]]]:
-    rep, seed, scm, spec, roles, n, methods = payload
-    rng = np.random.default_rng(seed)
-    raw = scm.sample(n, rng, spec)
+def _chunk_worker(payload) -> list[tuple[int, list[tuple[str, float | None]]]]:
+    """Each replication of one chunk, with each method's estimate (None where it failed)."""
+    reps, scm, spec, roles, n, methods = payload
     observed = roles.required_columns()
     cols = [scm.dag.vertices.index(c) for c in observed]
-    results: list[tuple[str, float | None]] = []
-    try:
-        ds = Dataset(raw[:, cols], observed).standardized()
-    except PcmSelectError:
-        return rep, [(label, None) for label, _, _ in methods]
-    for label, name, params in methods:
+    samples = {}  # the standardized sample of each replication that standardized
+    for rep, seed in reps:
+        raw = scm.sample(n, np.random.default_rng(seed), spec)
         try:
-            results.append((label, METHODS[name].estimate(ds, roles, params)))
+            samples[rep] = Dataset(raw[:, cols], observed).standardized()
         except PcmSelectError:
-            results.append((label, None))
-    return rep, results
+            continue
+    rows = {rep: [] for rep, _ in reps}
+    datasets = list(samples.values())
+    for label, name, params in methods if datasets else ():
+        for rep, value in zip(samples, METHODS[name].estimate(datasets, roles, params)):
+            rows[rep].append((label, None if isinstance(value, PcmSelectError) else value))
+    return [(rep, row if rep in samples else [(label, None) for label, _, _ in methods])
+            for rep, row in rows.items()]
 
 
 def _build_model(config: ExperimentConfig, model_seed) -> tuple[LinearScm, CovarianceSpec | None, RolePartition, float]:
@@ -372,24 +421,27 @@ def run_monte_carlo(config: ExperimentConfig) -> McResult:
     that method's statistics and counted in its ``failures`` column.
     """
     ss = np.random.SeedSequence(config.seed)
-    children = ss.spawn(config.replications + 1)
-    scm, spec, roles, tau = _build_model(config, children[0])
+    scm, spec, roles, tau = _build_model(config, ss.spawn(1)[0])
     methods = [(m.display, m.name, m.params) for m in config.methods]
-    payloads = [
-        (rep, children[rep + 1], scm, spec, roles, config.n, methods)
-        for rep in range(config.replications)
-    ]
-    if config.workers == 1 or config.replications == 1:
-        raw_results = [_replication_worker(p) for p in payloads]
+    size = max(1, CHUNK_VALUES // (config.n * len(roles.required_columns())))
+    if config.workers > 1:
+        # at least 8 tasks per worker, as a pool balances the slow replications
+        size = min(size, max(1, config.replications // (config.workers * 8)))
+    starts = range(0, config.replications, size)
+    # the next children of the seed sequence, spawned as each chunk is made, so that
+    # an in-process run holds one chunk's seeds at a time
+    payloads = ((list(enumerate(ss.spawn(min(size, config.replications - start)), start)),
+                 scm, spec, roles, config.n, methods) for start in starts)
+    if config.workers == 1 or len(starts) == 1:
+        chunks = map(_chunk_worker, payloads)
     else:
         # Imported here: importing multiprocessing adds about 1.3 MiB of
         # resident memory, which single-worker runs do not need.
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, config.replications // (config.workers * 8))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            raw_results = list(pool.map(_replication_worker, payloads, chunksize=chunk))
-    raw_results.sort(key=lambda item: item[0])
+            chunks = list(pool.map(_chunk_worker, payloads))
+    raw_results = sorted((item for chunk in chunks for item in chunk), key=lambda item: item[0])
 
     estimates: list[tuple[int, str, float]] = []
     per_method: dict[str, list[float]] = {label: [] for label, _, _ in methods}

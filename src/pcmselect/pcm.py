@@ -42,11 +42,23 @@ Pipeline (all on standardized data):
     assumes that the mediators intercept every directed path from the
     treatment to the outcome.
 
-Steps 3-5 are one function, :func:`fit_from_weights`.  :func:`pcm_total_effect`
-runs it on the weights of steps 1-2.  The partially adaptive baseline
-(``baselines.pal1ma_estimate``) is its no-mediator case: it runs the same
+Steps 3-5 are one function, :func:`fit_from_weights`.  :func:`pcm_fits`
+runs it on the weights of steps 1-2, and :func:`pcm_total_effect` is its
+one-dataset case.  The partially adaptive baseline
+(``baselines.pal1ma_estimates``) is its no-mediator case: it runs the same
 function on roles without mediators, with its own covariate weights and zero
 treatment and mediator penalties.
+
+Both take a sequence of datasets, such as the samples of a chunk of Monte
+Carlo replications, and return one fit or one failure per dataset.  Steps
+1 and 3 run over all of them at once: each ridge pilot of every dataset is
+one batched solve, every dataset's stage-1 outcome fit is a lane of one L1
+path call, and its mediator fits are lanes of one more per width of the
+active mediator design.  The adaptive weights, the restriction to the
+active design, the debiasing ridges (:mod:`pcmselect.debias`) and steps
+4-5 run per dataset.  Every system is its own LAPACK call, so no fit
+depends on the other datasets of its call, and a failure stays with its
+dataset.
 """
 
 from __future__ import annotations
@@ -57,9 +69,10 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .data import Dataset, RolePartition
+from .debias import DebiasBlocks, debias_ridges
 from .errors import PcmSelectError
 from .linalg import pseudo_inverse
-from .solvers import l1_path, ols_solve, ridge_grid, ridge_solve
+from .solvers import l1_path, ols_solve, ridge_grid
 
 __all__ = [
     "PcmParams",
@@ -85,6 +98,7 @@ __all__ = [
     "pcm_correct",
     "fit_from_weights",
     "pcm_total_effect",
+    "pcm_fits",
     "verify_active_set_relation",
 ]
 
@@ -195,28 +209,6 @@ class AdaptiveWeights:
 
 
 @dataclass(frozen=True)
-class DebiasBlocks:
-    """Active-set ridge refits used by the bias correction.
-
-    The frame is the active design [x, s, active sbar, z, active zbar], with
-    x left out when the treatment is inactive.  ``coef`` has one column per
-    penalized active column (treatment, active candidate mediators, active
-    candidate covariates, in frame order): that column's refit coefficients
-    on the other columns of the frame, and -1 on its own row.
-    ``resid_grams`` holds the residual gram of each nonempty penalized block
-    in the same order.  ``zb_on_xz_coef``: unpenalized refit of the active
-    candidate covariates on [x, z], used by the mediator-equation
-    correction, with its residual gram; None without active candidate
-    covariates.
-    """
-
-    coef: np.ndarray
-    resid_grams: list[np.ndarray]
-    zb_on_xz_coef: np.ndarray | None
-    zb_on_xz_resid_gram: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class CorrectedBlocks:
     """Sign-corrected coefficients entering the total-effect formula."""
 
@@ -267,8 +259,10 @@ class PcmFit:
 
 
 def _split_y_coefs(beta: np.ndarray, roles: RolePartition) -> YModelCoefs:
-    parts = np.split(beta, np.cumsum([1, len(roles.s), len(roles.z), len(roles.sbar)]))
-    return YModelCoefs(float(parts[0][0]), *parts[1:])
+    s = 1 + len(roles.s)
+    z = s + len(roles.z)
+    sbar = z + len(roles.sbar)
+    return YModelCoefs(float(beta[0]), beta[1:s], beta[s:z], beta[z:sbar], beta[sbar:])
 
 
 def _split_m_coefs(coefs: np.ndarray, q_z: int) -> MediatorCoefs:
@@ -307,39 +301,44 @@ def ols_joint(data: Dataset, roles: RolePartition) -> YModelCoefs:
     return _split_y_coefs(ols_solve(*_y_moments(data, roles)[:2]), roles)
 
 
+def _stacked(moments, datasets, roles: RolePartition) -> list:
+    """The ``moments`` of each of ``datasets``, stacked: grams, cross products, row counts."""
+    return [np.array(block) for block in zip(*[moments(data, roles) for data in datasets])]
+
+
 def ridge_pilot_y(data: Dataset, roles: RolePartition, lam: float) -> YModelCoefs:
     """Outcome-model pilot: ``n*lam`` on the treatment/candidate diagonal blocks.
 
     Fixed covariates and mediators carry no penalty, so at ``lam == 0`` this
     is exactly the joint least-squares fit (and requires an invertible
-    design).  The one-value case of :func:`ridge_pilot_y_grid`.
+    design).  The one-dataset, one-value case of :func:`ridge_pilot_y_grid`.
     """
-    return _split_y_coefs(_first(ridge_pilot_y_grid(data, roles, [lam])[0]), roles)
+    return _split_y_coefs(_first(ridge_pilot_y_grid([data], roles, [lam])[0][0]), roles)
 
 
-def ridge_pilot_y_grid(data: Dataset, roles: RolePartition, lams) -> list:
-    """:func:`ridge_pilot_y` at each of ``lams``, in one :func:`solvers.ridge_grid`
-    call: its :meth:`YModelCoefs.stacked` vector or, if that fit failed, its
-    exception."""
+def ridge_pilot_y_grid(datasets, roles: RolePartition, lams) -> list:
+    """:func:`ridge_pilot_y` at each of ``lams`` on each of ``datasets``, in one
+    :func:`solvers.ridge_grid` call: ``fits[d][k]`` is the :meth:`YModelCoefs.stacked`
+    vector on ``datasets[d]`` at ``lams[k]`` or, if that fit failed, its exception."""
     pen = np.concatenate([[1.0], np.zeros(len(roles.s) + len(roles.z)),
                           np.ones(len(roles.sbar) + len(roles.zbar))])
-    return ridge_grid(*_y_moments(data, roles), pen, lams)
+    return ridge_grid(*_stacked(_y_moments, datasets, roles), pen, lams)
 
 
 def ridge_pilot_m(data: Dataset, roles: RolePartition, rho: float) -> MediatorCoefs:
     """Mediator-model pilot: each mediator on [x, z, zbar], ``n*rho`` on zbar.
 
-    The one-value case of :func:`ridge_pilot_m_grid`.
+    The one-dataset, one-value case of :func:`ridge_pilot_m_grid`.
     """
-    return _split_m_coefs(_first(ridge_pilot_m_grid(data, roles, [rho])[0]), len(roles.z))
+    return _split_m_coefs(_first(ridge_pilot_m_grid([data], roles, [rho])[0][0]), len(roles.z))
 
 
-def ridge_pilot_m_grid(data: Dataset, roles: RolePartition, rhos) -> list:
-    """:func:`ridge_pilot_m` at each of ``rhos``, in one :func:`solvers.ridge_grid`
-    call: its :meth:`MediatorCoefs.stacked` matrix or, if that fit failed, its
-    exception."""
+def ridge_pilot_m_grid(datasets, roles: RolePartition, rhos) -> list:
+    """:func:`ridge_pilot_m` at each of ``rhos`` on each of ``datasets``, in one
+    :func:`solvers.ridge_grid` call: ``fits[d][k]`` is the :meth:`MediatorCoefs.stacked`
+    matrix on ``datasets[d]`` at ``rhos[k]`` or, if that fit failed, its exception."""
     pen = np.concatenate([np.zeros(1 + len(roles.z)), np.ones(len(roles.zbar))])
-    return ridge_grid(*_m_moments(data, roles), pen, rhos)
+    return ridge_grid(*_stacked(_m_moments, datasets, roles), pen, rhos)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +426,16 @@ def _first(fit):
     return fit
 
 
+def _on_fits(items, batch) -> list:
+    """``items`` with each entry that is not a failure replaced by its result of
+    ``batch``, which takes their indices and returns their results in order."""
+    ok = [i for i, item in enumerate(items) if not isinstance(item, PcmSelectError)]
+    out = list(items)
+    for i, result in zip(ok, batch(ok) if ok else ()):
+        out[i] = result
+    return out
+
+
 def pcm_stage1_y(
     data: Dataset,
     roles: RolePartition,
@@ -454,7 +463,7 @@ def pcm_stage1_y_path(folds, roles: RolePartition, lams, pairs) -> list:
     on ``folds[f]`` at ``pairs[i]`` and ``lams[k]`` or, if that fit failed,
     its exception.
     """
-    grams, crosses, ns = zip(*[_y_moments(data, roles) for data, _ in folds])
+    grams, crosses, ns = _stacked(_y_moments, [data for data, _ in folds], roles)
     return l1_path(grams, [[cross] * len(pairs) for cross in crosses], ns,
                    np.array([[_y_l1_weights(roles, w, lams, *pair) for pair in pairs]
                              for _, w in folds]))
@@ -482,90 +491,39 @@ def pcm_stage1_m(
     """
     if rho1 < 0:
         raise ValueError("rho1 must be nonnegative")
-    fits = [_first(beta) for (beta,) in pcm_stage1_m_path([(data, weights)], roles, [rho1])[0]]
+    return _m_coefs(pcm_stage1_m_path([(data, roles, weights)], [rho1])[0], roles)
+
+
+def _m_coefs(lanes, roles: RolePartition) -> MediatorCoefs:
+    """A one-candidate mediator fit's coefficients; raises its first failure."""
+    fits = [_first(beta) for (beta,) in lanes]
     # the empty leading block keeps the shape when there are no mediators
     return _split_m_coefs(np.column_stack([np.zeros((len(roles.m_regressors), 0)), *fits]),
                           len(roles.z))
 
 
-def pcm_stage1_m_path(folds, roles: RolePartition, rhos) -> list:
-    """:func:`pcm_stage1_m` at each of ``rhos`` (descending), on each (data, weights)
-    pair of ``folds``.
+def pcm_stage1_m_path(folds, rhos) -> list:
+    """:func:`pcm_stage1_m` at each of ``rhos`` (descending), on each (data, roles,
+    weights) triple of ``folds``.
 
-    One :func:`solvers.l1_path` call with one lane per fold and mediator:
-    ``fits[f][j][k]`` is mediator j's coefficient column on ``folds[f]`` at
-    ``rhos[k]`` or, if that fit failed, its exception.
+    One :func:`solvers.l1_path` call per width of the mediator design, with
+    one lane per fold and mediator: ``fits[f][j][k]`` is mediator j's
+    coefficient column on ``folds[f]`` at ``rhos[k]`` or, if that fit
+    failed, its exception.  A fold without mediators has no lanes and takes
+    no part in a call.
     """
-    grams, crosses, ns = zip(*[_m_moments(data, roles) for data, _ in folds])
-    return l1_path(grams, [cross.T for cross in crosses], ns,
-                   np.array([_m_l1_weights(roles, w, rhos) for _, w in folds]))
-
-
-# ---------------------------------------------------------------------------
-# debiasing ridges
-# ---------------------------------------------------------------------------
-
-
-def _refit(data: Dataset, responses, regressors, diag=None) -> tuple[np.ndarray, np.ndarray]:
-    """Ridge (least squares when ``diag`` is None) refit from the cross products.
-
-    Returns the coefficients, one column per response, and the residual gram
-    ``S_rr - C.T S_ar - S_ra C + C.T S_aa C``.
-    """
-    s_aa = data.cross(regressors, regressors)
-    s_ar = data.cross(regressors, responses)
-    if diag is None:
-        coef = ols_solve(s_aa, s_ar)
-    else:
-        coef = ridge_solve(s_aa, s_ar, data.n, diag)
-    fitted = coef.T @ s_ar
-    return coef, data.cross(responses, responses) - fitted - fitted.T + coef.T @ s_aa @ coef
-
-
-def debias_ridges(
-    data: Dataset,
-    roles: RolePartition,
-    lam2: float,
-    xi2: float,
-    rho2: float,
-    rho2_prime: float,
-    *,
-    include_x: bool = True,
-) -> DebiasBlocks:
-    """Ridge refits of the penalized active columns plus their residual grams.
-
-    The frame is [x, s, sbar, z, zbar] of the active design's ``roles``;
-    ``include_x=False`` (treatment inactive in stage 1) leaves x out.  Each
-    penalized block is refitted on the other columns of the frame: the
-    treatment penalizing the candidate blocks by ``lam2*xi2`` /
-    ``lam2*(1-xi2)``, the candidate mediators penalizing candidate
-    covariates by ``rho2``, the candidate covariates penalizing candidate
-    mediators by ``rho2_prime``.  A quadratic penalty ``p`` adds
-    ``n*p`` to the gram diagonal, matching the pilot convention.  With all
-    penalties zero the refits reduce to least squares and the residual grams
-    to conditional cross-products.
-    """
-    groups = [[roles.x] if include_x else [], roles.s, roles.sbar, roles.z, roles.zbar]
-    frame = np.array([name for group in groups for name in group], dtype=object)
-    group_of = np.repeat(np.arange(len(groups)), [len(group) for group in groups])
-    # ridge penalty of each penalized group's refit on the groups of the frame
-    penalties = {0: [0.0, 0.0, lam2 * xi2, 0.0, lam2 * (1 - xi2)],
-                 2: [0.0, 0.0, 0.0, 0.0, rho2],
-                 4: [0.0, 0.0, rho2_prime, 0.0, 0.0]}
-    columns, resid_grams = [np.zeros((frame.size, 0))], []
-    for group, penalty in penalties.items():
-        own = group_of == group
-        if not own.any():
-            continue
-        refit, gram = _refit(data, list(frame[own]), list(frame[~own]),
-                             np.asarray(penalty)[group_of[~own]])
-        column = np.zeros((frame.size, refit.shape[1]))
-        column[~own] = refit
-        column[own] = -np.eye(refit.shape[1])
-        columns.append(column)
-        resid_grams.append(gram)
-    zb_on_xz = _refit(data, roles.zbar, [roles.x, *roles.z]) if roles.zbar else (None, None)
-    return DebiasBlocks(np.hstack(columns), resid_grams, *zb_on_xz)
+    fits = [[] for _ in folds]
+    widths = {}  # the folds with mediators, by the width of their mediator design
+    for f, (_, roles, _) in enumerate(folds):
+        if roles.mediators:
+            widths.setdefault(len(roles.m_regressors), []).append(f)
+    for group in widths.values():
+        grams, crosses, ns = zip(*[_m_moments(*folds[f][:2]) for f in group])
+        lanes = l1_path(grams, [cross.T for cross in crosses], ns,
+                        [_m_l1_weights(*folds[f][1:], rhos) for f in group])
+        for f, lane in zip(group, lanes):
+            fits[f] = lane
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -634,32 +592,59 @@ def pcm_correct(
     )
 
 
-def fit_from_weights(data: Dataset, roles: RolePartition, params: PcmParams,
-                     weights: AdaptiveWeights) -> PcmFit:
-    """Steps 3-5 of the pipeline, from the adaptive weights to the total effect.
+def fit_from_weights(datasets, roles: RolePartition, params: PcmParams, weights) -> list:
+    """Steps 3-5 of the pipeline, from the adaptive weights to the total effect, on each
+    of ``datasets`` with its ``weights``: its :class:`PcmFit` or, if it failed, its
+    exception, in order.  A failure in place of a dataset's weights, such as that
+    of its pilots, is that dataset's result.
 
     Stage-1 outcome fit -> active sets -> mediator fit on the active sets ->
-    debiasing ridges -> corrections -> total effect.  The total effect is
-    the corrected treatment coefficient plus the inner product of the
-    corrected treatment-on-mediator and mediator-on-outcome blocks over the
-    fixed and active candidate mediators; without mediators it is the
-    corrected treatment coefficient alone, and without covariates but with
-    mediators the inner product alone (front-door identification).
+    debiasing ridges -> corrections -> total effect.  Every dataset's
+    outcome fit is a lane of one :func:`pcm_stage1_y_path` call and its
+    mediator fit lanes of one :func:`pcm_stage1_m_path` call; the debiasing
+    ridges and the corrections run per dataset.  The total effect is the
+    corrected treatment coefficient plus the inner product of the corrected
+    treatment-on-mediator and mediator-on-outcome blocks over the fixed and
+    active candidate mediators; without mediators it is the corrected
+    treatment coefficient alone, and without covariates but with mediators
+    the inner product alone (front-door identification).
     """
-    s1y = pcm_stage1_y(data, roles, weights, params.lambda1, params.zeta1, params.xi1)
-    active_x = s1y.beta_x != 0.0
-    active_sbar, active_zbar = np.nonzero(s1y.coef_sbar)[0], np.nonzero(s1y.coef_zbar)[0]
-    act_roles, act_weights = _restrict(roles, weights, active_sbar, active_zbar)
-    s1m = pcm_stage1_m(data, act_roles, act_weights, params.rho1)
-    debias = debias_ridges(data, act_roles, params.lambda2, params.xi2, params.rho2,
-                           params.rho2_prime, include_x=active_x)
-    act_s1y = replace(s1y, coef_sbar=s1y.coef_sbar[active_sbar],
-                      coef_zbar=s1y.coef_zbar[active_zbar])
-    corrected = pcm_correct(act_s1y, s1m, debias, act_weights, params, data.n)
-    if roles.mediators and not roles.covariates:
-        tau = float(corrected.med_x @ corrected.y_on_mediators)
-    else:
-        tau = corrected.beta_x + float(corrected.med_x @ corrected.y_on_mediators)
+    p = params
+    # each dataset's stage-1 outcome fit, active sets and active design, or its failure
+    fits = _on_fits(weights, lambda ok: [
+        beta if isinstance(beta, PcmSelectError) else _activate(beta, roles, weights[i])
+        for i, ((beta,),) in zip(ok, pcm_stage1_y_path([(datasets[i], weights[i]) for i in ok],
+                                                        roles, [p.lambda1], [(p.zeta1, p.xi1)]))])
+    return _on_fits(fits, lambda ok: [
+        _finish(datasets[i], roles, p, weights[i], *fits[i], lanes) for i, lanes in zip(
+            ok, pcm_stage1_m_path([(datasets[i], *fits[i][3:]) for i in ok], [p.rho1]))])
+
+
+def _activate(beta, roles, weights) -> tuple:
+    """A stage-1 outcome fit as blocks, its active sets, and its active design's roles
+    and weights."""
+    s1y = _split_y_coefs(beta, roles)
+    active = np.nonzero(s1y.coef_sbar)[0], np.nonzero(s1y.coef_zbar)[0]
+    return (s1y, *active, *_restrict(roles, weights, *active))
+
+
+def _finish(data, roles, params, weights, s1y, active_sbar, active_zbar, act_roles, act_weights,
+            lanes):
+    """:func:`fit_from_weights` on one dataset, from its mediator fit's lanes on: its
+    :class:`PcmFit` or, if it failed, its exception."""
+    try:
+        s1m = _m_coefs(lanes, act_roles)
+        active_x = s1y.beta_x != 0.0
+        debias = debias_ridges(data, act_roles, params.lambda2, params.xi2, params.rho2,
+                               params.rho2_prime, include_x=active_x)
+        act_s1y = replace(s1y, coef_sbar=s1y.coef_sbar[active_sbar],
+                          coef_zbar=s1y.coef_zbar[active_zbar])
+        corrected = pcm_correct(act_s1y, s1m, debias, act_weights, params, data.n)
+    except PcmSelectError as exc:
+        return exc
+    tau = float(corrected.med_x @ corrected.y_on_mediators)
+    if roles.covariates or not roles.mediators:
+        tau = corrected.beta_x + tau
     return PcmFit(
         params=params,
         weights=weights,
@@ -674,15 +659,27 @@ def fit_from_weights(data: Dataset, roles: RolePartition, params: PcmParams,
 
 
 def pcm_total_effect(data: Dataset, roles: RolePartition, params: PcmParams) -> PcmFit:
-    """Run the full pipeline on a standardized dataset.
+    """Run the full pipeline on a standardized dataset: the one-dataset case of
+    :func:`pcm_fits`, which raises the fit's failure."""
+    return _first(pcm_fits([data], roles, params)[0])
 
-    Ridge pilots -> adaptive weights -> :func:`fit_from_weights`.
+
+def pcm_fits(datasets, roles: RolePartition, params: PcmParams) -> list:
+    """:func:`pcm_total_effect` on each of ``datasets``: its :class:`PcmFit` or, if it
+    failed, its exception, in order.
+
+    Ridge pilots -> adaptive weights -> :func:`fit_from_weights`.  Each ridge
+    pilot of every dataset is one batched solve (:func:`ridge_pilot_y_grid`,
+    :func:`ridge_pilot_m_grid`); a dataset whose pilots failed takes no part
+    in the later steps.
     """
-    pilots = PilotEstimates(
-        y=ridge_pilot_y(data, roles, params.pilot_lambda),
-        m=ridge_pilot_m(data, roles, params.pilot_rho),
-    )
-    return fit_from_weights(data, roles, params, adaptive_weights(pilots))
+    if not datasets:
+        return []
+    return fit_from_weights(datasets, roles, params, [
+        y if isinstance(y, PcmSelectError) else m if isinstance(m, PcmSelectError) else
+        adaptive_weights(PilotEstimates(_split_y_coefs(y, roles), _split_m_coefs(m, len(roles.z))))
+        for (y,), (m,) in zip(ridge_pilot_y_grid(datasets, roles, [params.pilot_lambda]),
+                              ridge_pilot_m_grid(datasets, roles, [params.pilot_rho]))])
 
 
 # ---------------------------------------------------------------------------

@@ -157,20 +157,14 @@ class LinearScm:
         """Sum over all directed x-to-y paths of the edge-coefficient products."""
         self.dag._require(x)
         self.dag._require(y)
-        memo: dict[str, float] = {}
-
-        def from_vertex(v: str) -> float:
-            if v == y:
-                return 1.0
-            if v in memo:
-                return memo[v]
+        # each vertex's sum over its paths to y, children before parents
+        totals: dict[str, float] = {}
+        for v in reversed(self.dag.topological_order):
             total = 0.0
             for c in self.dag.children(v):
-                total += self.coefficients[(v, c)] * from_vertex(c)
-            memo[v] = total
-            return total
-
-        return float(from_vertex(x))
+                total += self.coefficients[(v, c)] * totals[c]
+            totals[v] = 1.0 if v == y else total
+        return float(totals[x])
 
     def calibrate_unit_variance(self, exogenous_block: CovarianceSpec | None = None) -> "LinearScm":
         """Set disturbance variances so every variable has population variance 1.

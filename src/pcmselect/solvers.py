@@ -23,22 +23,27 @@ set and signs and its own weight vector.
 its own cross-product vector and its own candidate list.  Lanes may share
 one gram and row count, or come in groups on grams and row counts of their
 own, such as the training sets of the folds of a cross-validation, whose row
-counts differ by one when the folds are unequal.  All paths go in lockstep,
-and each event step is one batched solve of every live path's active block,
-posed as a p x p system with the identity on the inactive coordinates, plus
-one more of every candidate of every lane that ends on that step's segment.
-A shared gram is broadcast over the paths; with several, each step stacks
-every live path's own.  The stationarity of all the returned candidates is
-checked in one stacked :func:`kkt_residual` pass, each row against its own
-gram.  Every system is its own LAPACK call, so a lane's numbers do not
+counts differ by one when the folds are unequal, or the samples of a chunk
+of Monte Carlo replications, whose groups may hold different numbers of
+lanes.  All paths go in lockstep, and each event step is one batched solve
+of every live path's active block, posed as a p x p system with the identity
+on the inactive coordinates, plus one more of every candidate of every lane
+that ends on that step's segment.  A shared gram is broadcast over the
+paths; with several, each step stacks every live path's own.  The
+stationarity of all the returned candidates is checked in one stacked
+:func:`kkt_residual` pass per lane count of the groups, each row against its
+own gram.  Every system is its own LAPACK call, so a lane's numbers do not
 depend on the lanes it shares a call with.  Failures stay in their lane: a
 singular active block or the event cap ends that lane's path and fails its
 candidates not yet reached, and an endpoint off the stationarity conditions
-fails only its own candidate.  :func:`ridge_grid` likewise solves a ridge fit
-at every value of a penalty grid in one batched call.
+fails only its own candidate.  :func:`ridge_grid` likewise solves a ridge
+fit at every value of a penalty grid, on a stack of grams, in one batched
+call.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -107,12 +112,15 @@ def l1_path(
     last, given as a list or as the rows of a (K, p) array.  ``cross`` of
     shape (p,) with one candidate list is one lane, and the result is one
     list.  A (B, p) stack with B lists is B lanes on the (p, p) ``gram`` and
-    the row count ``n``, and the result is B lists.  A (F, B, p) stack with F
-    lists of B lists is B lanes on each of F problems with their own grams
-    and row counts, such as the training sets of F folds: ``gram`` is a
-    (F, p, p) stack, ``n`` holds F row counts, and the result is F lists of
-    B lists.  Lanes with K candidates each may give them all in one array,
-    shaped like ``cross`` with (K, p) in place of its last axis.
+    the row count ``n``, and the result is B lists.  F such stacks, each with
+    its lists, are the lanes of F problems with their own grams and row
+    counts, such as the training sets of F folds or the samples of F Monte
+    Carlo replications: ``gram`` is a (F, p, p) stack, ``n`` holds F row
+    counts, and the result holds one list of lane results per problem.  The
+    problems may have different lane counts, none included; with equal
+    counts ``cross`` may be one (F, B, p) array.  Lanes with K candidates
+    each may give them all in one array, shaped like ``cross`` (or like each
+    of its stacks) with (K, p) in place of its last axis.
 
     With ``H = G/n + diag(l2)`` and a lane's last positive candidate ``w``
     scaled by ``t``, the active coefficients on a segment of its path are
@@ -137,22 +145,34 @@ def l1_path(
     """
     gram = np.asarray(gram, dtype=float)
     p = gram.shape[-1]
-    crosses = np.asarray(cross, dtype=float)
-    nest = crosses.ndim
-    # (problems, lanes per problem, p): lane i is on problem i // width
-    groups = crosses[(None,) * (3 - nest)]
-    width = groups.shape[1]
-    if isinstance(l1_weights, np.ndarray) and l1_weights.ndim == nest + 1:
-        # every lane's candidates in one array, (..., K, p) after the lanes' shape
-        if l1_weights.shape[:-2] != crosses.shape[:-1] or l1_weights.shape[-1] != p:
+    # the stacks of lanes, one per problem, and each stack's candidates: a
+    # (lanes, K, p) array or one list per lane
+    if gram.ndim == 3:
+        nest, stacks, groups = 3, [np.asarray(c, dtype=float) for c in cross], list(l1_weights)
+    else:
+        crosses = np.asarray(cross, dtype=float)
+        nest, stacks = crosses.ndim, [crosses.reshape(-1, crosses.shape[-1])]
+        if isinstance(l1_weights, np.ndarray) and l1_weights.ndim == nest + 1:
+            groups = [l1_weights.reshape(-1, *l1_weights.shape[-2:])]
+        else:
+            groups = [[l1_weights] if nest == 1 else l1_weights]
+    sizes = [len(stack) for stack in stacks]
+    if (any(stack.ndim != 2 or stack.shape[1] != p for stack in stacks)
+            or [len(ws) for ws in groups] != sizes):
+        raise ValueError("grams, cross products, row counts and penalty weights must match")
+    crosses = _joined(stacks, (0, p))
+    # each problem's first lane
+    first = [0, *itertools.accumulate(sizes)]
+    if groups and all(isinstance(ws, np.ndarray) and ws.ndim == 3 for ws in groups):
+        # one array of every problem's lanes is reshaped rather than copied
+        whole = isinstance(l1_weights, np.ndarray) and l1_weights.ndim == 4
+        weights = (l1_weights.reshape(-1, *l1_weights.shape[2:]) if whole
+                   else _joined(groups, (0, 0, p))).astype(float, copy=False)
+        if weights.shape[-1] != p:
             raise ValueError("penalty weights must match the lanes and the design width")
-        weights = l1_weights.reshape(-1, *l1_weights.shape[-2:]).astype(float, copy=False)
         counts = [weights.shape[1]] * len(weights)
     else:
-        lists = [l1_weights] if nest == 1 else l1_weights
-        if nest == 3:
-            lists = [ws for group in lists for ws in group]
-        lists = [np.asarray(ws, dtype=float) for ws in lists]
+        lists = [np.asarray(ws, dtype=float) for group in groups for ws in group]
         if any(ws.shape != (len(ws), p) for ws in lists if len(ws)):
             raise ValueError("penalty weights must match the design width")
         counts = [len(ws) for ws in lists]
@@ -162,9 +182,8 @@ def l1_path(
             weights[b, : len(ws)] = ws if len(ws) else 0.0
     l2 = None if l2_weights is None else np.asarray(l2_weights, dtype=float)
     n_rows = np.asarray(n, dtype=float)
-    if (crosses.shape[-1] != p or len(groups) * width != len(weights)
-            or gram.shape != (*crosses.shape[:-2], p, p) or n_rows.shape != gram.shape[:-2]
-            or (l2 is not None and l2.shape != (p,))):
+    if (gram.shape != ((len(stacks),) if nest == 3 else ()) + (p, p)
+            or n_rows.shape != gram.shape[:-2] or (l2 is not None and l2.shape != (p,))):
         raise ValueError("grams, cross products, row counts and penalty weights must match")
     if (weights < 0).any() or (l2 is not None and (l2 < 0).any()):
         raise ValueError("penalty weights must be nonnegative")
@@ -186,28 +205,51 @@ def l1_path(
             paths += [part for part in (cands[: len(positive)], cands[len(positive):]) if part]
         # each problem's H, and its row count shaped to divide its gram and cross rows
         n_rows = n_rows.reshape(-1, 1, 1)
-        hess = gram.reshape(-1, p, p) / n_rows
+        grams = gram.reshape(-1, p, p)
+        hess = grams / n_rows
         if l2 is not None:
             hess.reshape(-1, p * p)[:, :: p + 1] += l2
-        _lockstep(hess, [path[0][0] // width for path in paths], (groups / n_rows).reshape(-1, p),
-                  weights, paths, betas, fits)
-        # the stationarity of every solved candidate of every lane in one pass: a
-        # (problems, lanes x candidates, p) stack, one product with each problem's gram
+        if len(stacks) > 1:
+            # each lane's problem
+            problem = np.repeat(np.arange(len(stacks)), sizes)
+            _lockstep(hess, problem[[path[0][0] for path in paths]],
+                      crosses / n_rows[problem, 0], weights, paths, betas, fits)
+        else:
+            _lockstep(hess, 0, crosses / n_rows[0, 0], weights, paths, betas, fits)
+        # the stationarity of every solved candidate of every lane: one stacked pass
+        # per lane count, a (problems, lanes x candidates, p) stack with one product
+        # with each problem's gram
         done = [(b, k) for b, lane in enumerate(fits) for k, fit in enumerate(lane) if fit is None]
         if done:
-            at = tuple(zip(*done))
-            rows = (len(hess), -1, p)
-            worst = kkt_residual(gram.reshape(-1, p, p), groups.repeat(weights.shape[1], axis=1),
-                                 n_rows, weights.reshape(rows), betas.reshape(rows), l2)
-            for (b, k), r in zip(done, worst.reshape(weights.shape[:2])[at].tolist()):
-                fits[b][k] = betas[b, k] if r <= KKT_LIMIT else SingularDesign(
+            k = weights.shape[1]
+            worst = np.empty(weights.shape[:2])
+            for size in set(sizes) - {0}:
+                at = [f for f, s in enumerate(sizes) if s == size]
+                # the lanes of the problems with this many, all of them without a gather
+                if len(at) == len(sizes):
+                    at = lanes = slice(None)
+                else:
+                    lanes = [first[f] + b for f in at for b in range(size)]
+                rows = (-1, size * k, p)
+                worst[lanes] = kkt_residual(
+                    grams[at], crosses[lanes].repeat(k, axis=0).reshape(rows), n_rows[at],
+                    weights[lanes].reshape(rows), betas[lanes].reshape(rows), l2).reshape(-1, k)
+            for (b, c), r in zip(done, worst[tuple(zip(*done))].tolist()):
+                fits[b][c] = betas[b, c] if r <= KKT_LIMIT else SingularDesign(
                     "the L1 path ended off the optimum (degenerate active set)")
     else:
         # nothing to follow: every fit is its row of zeros
         fits = [list(lane[:count]) for lane, count in zip(betas, counts)]
     if nest == 3:
-        return [fits[i * width : (i + 1) * width] for i in range(len(groups))]
+        return [fits[start : start + size] for start, size in zip(first, sizes)]
     return fits if nest == 2 else fits[0]
+
+
+def _joined(parts: list, empty: tuple) -> np.ndarray:
+    """``parts`` joined along their first axis; an array of shape ``empty`` if none."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.zeros(empty)
 
 
 def _lockstep(hess: np.ndarray, problem, lin: np.ndarray, weights: np.ndarray, paths, betas,
@@ -344,60 +386,84 @@ def ridge_solve(gram, cross, n, diag_weights) -> np.ndarray:
 
     ``cross`` may have multiple right-hand-side columns.
     """
-    (solution,) = _ridge_batch(gram, cross, n, [diag_weights])
+    ((solution,),) = _ridge_batch(np.asarray(gram, dtype=float)[None],
+                                  np.asarray(cross, dtype=float)[None],
+                                  n * np.asarray(diag_weights, dtype=float)[None, None])
     if isinstance(solution, PcmSelectError):
         raise solution
     return solution
 
 
 def ridge_grid(gram, cross, n, pen, scales) -> list:
-    """The fits with ``n * s * pen`` added to the gram diagonal, at each scale ``s``.
+    """The fits with ``n * s * pen`` added to the gram diagonal, at each scale ``s``,
+    on each of D problems, such as the samples of D Monte Carlo replications:
+    ``gram`` is a (D, p, p) stack, ``cross`` holds D cross products and ``n``
+    D row counts.
 
-    Returns one solution, or one :class:`SingularDesign`, per scale.  Every
-    positive scale goes into one batched solve, and each system is its own
-    LAPACK call, so its fit is :func:`ridge_solve`'s.  A zero scale, or a
-    zero ``pen``, is least squares by :func:`ols_solve`, with its rank guard,
-    solved once and shared by every such scale.  Without right-hand-side
+    Returns D lists of one solution, or one :class:`SingularDesign`, per
+    scale.  Every positive scale of every problem goes into one batched
+    solve, and each system is its own LAPACK call, so its fit is
+    :func:`ridge_solve`'s.  A zero scale, or a zero ``pen``, is least
+    squares by :func:`ols_solve`, with its rank guard, solved once per
+    problem and shared by every such scale of it.  Without right-hand-side
     columns every fit is empty.
     """
     if any(s < 0 for s in scales):
         raise ValueError("penalty scales must be nonnegative")
-    if not cross.size:
-        return [cross] * len(scales)
-    diags = [s * pen for s in scales]
-    ridge = iter(_ridge_batch(gram, cross, n, [d for d in diags if d.any()]))
-    if not all(d.any() for d in diags):
-        try:
-            ols = ols_solve(gram, cross)
-        except SingularDesign as exc:
-            ols = exc
-    return [next(ridge) if d.any() else ols for d in diags]
-
-
-def _ridge_batch(gram, cross, n, diags) -> list:
-    """The solution of (G + n diag(d)) beta = cross for each ``d`` of ``diags``, or its
-    :class:`SingularDesign`, all in one batched solve."""
-    p = gram.shape[0]
-    if p == 0:
-        return [np.zeros_like(np.asarray(cross, dtype=float))] * len(diags)
-    d = np.asarray(diags, dtype=float).reshape(-1, p)
-    # copies of the gram with n d on their diagonals, as gram + n diag(d) gives them
-    systems = np.empty((len(d), p, p))
-    systems[:] = gram
-    systems.reshape(len(d), p * p)[:, :: p + 1] += n * d
-    try:
-        fits = list(np.linalg.solve(systems, cross))
-    except np.linalg.LinAlgError:
-        # the batched error names no system: solve one by one
-        fits = []
-        for system in systems:
+    gram = np.asarray(gram, dtype=float)
+    cross = np.asarray(cross, dtype=float)
+    diags = np.asarray(scales, dtype=float)[:, None] * pen
+    positive = diags.any(axis=1).tolist()
+    # every problem at every positive scale, in one batched solve
+    shifts = np.reshape(n, (-1, 1, 1)) * diags[positive]
+    if cross.size and shifts.shape[1]:
+        rows = _ridge_batch(gram, cross, shifts)
+    else:
+        rows = [[rhs] * shifts.shape[1] for rhs in cross]
+    out = []
+    for g, rhs, row in zip(gram, cross, rows):
+        if not all(positive):
             try:
-                fits.append(np.linalg.solve(system, cross))
-            except np.linalg.LinAlgError as exc:
-                fits.append(SingularDesign(f"penalized system is singular: {exc}"))
-    return [fit if isinstance(fit, PcmSelectError) or np.isfinite(fit).all()
+                ols = ols_solve(g, rhs) if rhs.size else rhs
+            except SingularDesign as exc:
+                ols = exc
+        row = iter(row)
+        out.append([next(row) if pos else ols for pos in positive])
+    return out
+
+
+def _ridge_batch(gram, cross, shifts) -> list:
+    """The solution of (G + diag(shift)) beta = cross on each of a (D, p, p) stack of
+    grams with its D cross products, for each of its K rows of the (D, K, p)
+    ``shifts`` (``n * d`` for the ridge weights d), or its :class:`SingularDesign`,
+    all in one batched solve: D lists of K fits."""
+    d, k, p = shifts.shape
+    if p == 0:
+        fits = [np.zeros_like(rhs) for rhs in cross for _ in range(k)]
+    else:
+        # copies of each gram with its shifts on their diagonals, as gram + n diag(d)
+        # gives them; the cross products broadcast over their shifts, a vector as
+        # one right-hand-side column
+        systems = np.empty((d, k, p, p))
+        systems[:] = gram[:, None]
+        systems.reshape(-1, p * p)[:, :: p + 1] += shifts.reshape(-1, p)
+        column = cross.ndim == 2
+        try:
+            fits = np.linalg.solve(systems, cross[:, None, :, None] if column else cross[:, None])
+        except np.linalg.LinAlgError:
+            # the batched error names no system: solve one by one
+            fits = []
+            for i, system in enumerate(systems.reshape(-1, p, p)):
+                try:
+                    fits.append(np.linalg.solve(system, cross[i // k]))
+                except np.linalg.LinAlgError as exc:
+                    fits.append(SingularDesign(f"penalized system is singular: {exc}"))
+        else:
+            fits = list(fits.reshape(d * k, *cross.shape[1:]))
+    fits = [fit if isinstance(fit, PcmSelectError) or np.isfinite(fit).all()
             else SingularDesign("penalized system produced non-finite coefficients")
             for fit in fits]
+    return [fits[i : i + k] for i in range(0, len(fits), k)]
 
 
 def ols_solve(gram, cross) -> np.ndarray:

@@ -289,7 +289,7 @@ def _stage1_scores(held, roles, pilot_lam, pilot_rho, grid: ParamGrid) -> list[l
     pairs = list(dict.fromkeys(grid.zeta_xi))
     folds = list(fitted.values())
     for i, y_lanes, m_lanes in zip(fitted, pcm_stage1_y_path(folds, roles, lams, pairs),
-                                   pcm_stage1_m_path(folds, roles, rhos)):
+                                   pcm_stage1_m_path([(tr, roles, w) for tr, w in folds], rhos)):
         _, y_held, m_held = held[i]
         y_errs = dict(zip(itertools.product(pairs, lams),
                           _y_errors(*y_held, [fit for lane in y_lanes for fit in lane])))
@@ -306,11 +306,11 @@ def _cross_validate_pcm(roles, grid: ParamGrid, splits) -> CvResult:
     # each fold's training set and held-out data; each pilot grid is one call per fold
     held = [(tr, _y_held(te, roles), _m_held(te, roles)) for tr, te in splits]
     pilot_rows, pilot_lam = _search("pilot_lambda", grid.pilot_lambda, [
-        _y_errors(*y_te, ridge_pilot_y_grid(tr, roles, grid.pilot_lambda))
+        _y_errors(*y_te, ridge_pilot_y_grid([tr], roles, grid.pilot_lambda)[0])
         for tr, y_te, _ in held])
     rho_rows, pilot_rho = _search("pilot_rho", grid.pilot_rho, [
         _m_errors(*m_te, [[fit] if isinstance(fit, PcmSelectError) else list(fit.T)
-                          for fit in ridge_pilot_m_grid(tr, roles, grid.pilot_rho)])
+                          for fit in ridge_pilot_m_grid([tr], roles, grid.pilot_rho)[0]])
         for tr, _, m_te in held])
 
     per_fold = _stage1_scores(held, roles, pilot_lam, pilot_rho, grid)

@@ -206,8 +206,8 @@ class TestCliMatchesRegistry:
                      "--method", name, "--params", str(params_file)]) == 0
         line = capsys.readouterr().out.splitlines()[0]
         printed = float(line.split(":")[1])
-        expected = METHODS[name].estimate(read_dataset_csv(data).standardized(),
-                                          experiment_roles(setting), params)
+        (expected,) = METHODS[name].estimate([read_dataset_csv(data).standardized()],
+                                             experiment_roles(setting), params)
         assert printed == expected
 
     def test_unknown_param_key_is_usage_error(self, setting_csvs, tmp_path, capsys):

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from pcmselect.data import RolePartition
-from pcmselect.errors import ConfigInvalid, EmptyInput
+from pcmselect import experiment
+from pcmselect.data import Dataset, RolePartition
+from pcmselect.errors import ConfigInvalid, EmptyInput, PcmSelectError
 from pcmselect.experiment import (
+    METHODS,
+    PRESETS,
     ExperimentConfig,
     MethodSpec,
     SETTING_METHODS,
@@ -14,7 +17,7 @@ from pcmselect.experiment import (
     summarize,
 )
 from pcmselect.graphs import Dag
-from pcmselect.scm import LinearScm
+from pcmselect.scm import LinearScm, build_experiment_scm
 
 
 class TestSummarize:
@@ -206,3 +209,106 @@ class TestRunMonteCarlo:
         b = experiment_roles("B")
         assert b.covariates == ()
         assert len(b.required_columns()) == 8
+
+
+# The column that a copy of X replaces to make every method of a setting fail
+# (the lasso family at lam=0): Z, which pcm leaves unpenalized next to S, and
+# S, which pcm's stage 1 leaves unpenalized next to X in setting B.
+COPY_OF_X = {"A": "Z", "B": "S"}
+
+
+def setting_of(name: str) -> str:
+    return "A" if name in SETTING_METHODS["A"] else "B"
+
+
+def break_replications(monkeypatch, setting: str, constant: int, copied: int) -> None:
+    """Replication ``constant`` samples a constant outcome, which fails
+    standardization; replication ``copied`` samples X into its
+    ``COPY_OF_X[setting]`` column, where pcm fails."""
+    original = LinearScm.sample
+
+    def sample(self, n, rng, exogenous_block=None):
+        raw = original(self, n, rng, exogenous_block)
+        # the run seeds replication r with child r + 1 of the master seed sequence
+        rep = rng.bit_generator.seed_seq.spawn_key[-1] - 1
+        names = self.dag.vertices
+        if rep == constant:
+            raw[:, names.index("Y")] = 1.0
+        elif rep == copied:
+            raw[:, names.index(COPY_OF_X[setting])] = raw[:, names.index("X")]
+        return raw
+
+    monkeypatch.setattr(LinearScm, "sample", sample)
+
+
+class TestChunks:
+    @pytest.mark.parametrize("setting", ["A", "B"])
+    def test_estimates_do_not_depend_on_chunks_or_workers(self, setting, monkeypatch):
+        # 34 replications: in chunks of the module's size (8 at n=15 in setting
+        # B, 3 in setting A); two per task with two workers; all in one chunk;
+        # one per chunk
+        def config(workers=1):
+            return ExperimentConfig(
+                setting=setting, n=15, replications=34, seed=11, workers=workers,
+                methods=tuple(MethodSpec(name) for name in SETTING_METHODS[setting]))
+
+        clean = run_monte_carlo(config())
+        break_replications(monkeypatch, setting, constant=3, copied=5)
+        chunked = run_monte_carlo(config())
+        pooled = run_monte_carlo(config(workers=2))
+        monkeypatch.setattr(experiment, "CHUNK_VALUES", 2**20)
+        one_chunk = run_monte_carlo(config())
+        monkeypatch.setattr(experiment, "CHUNK_VALUES", 1)
+        single = run_monte_carlo(config())
+        for other in (pooled, one_chunk, single):
+            assert repr(other.estimates) == repr(chunked.estimates)
+            assert repr(other.summaries) == repr(chunked.summaries)
+        # each broken replication fails alone: every other one keeps its estimates,
+        # and each failure is counted
+        found = {(rep, label): value for rep, label, value in chunked.estimates}
+        expected = {(rep, label): value for rep, label, value in clean.estimates}
+        assert {key: value for key, value in found.items() if key[0] != 5} == {
+            key: value for key, value in expected.items() if key[0] not in (3, 5)}
+        assert not any(rep == 3 for rep, _ in found)
+        assert (3, "pcm") in expected and (5, "pcm") in expected and (5, "pcm") not in found
+        for row in chunked.summaries:
+            assert row.failures == 34 - sum(label == row.method for _, label in found)
+        failures = {row.method: row.failures for row in clean.summaries}
+        assert chunked.summaries[SETTING_METHODS[setting].index("pcm")].failures == \
+            failures["pcm"] + 2
+
+
+def setting_sample(setting: str, seed: int) -> Dataset:
+    """A standardized n=15 sample of the setting's model with the model seed 0."""
+    roles = experiment_roles(setting)
+    scm, spec, _ = build_experiment_scm(setting, np.random.default_rng(0))
+    raw = scm.sample(15, np.random.default_rng(seed), spec)
+    cols = list(roles.required_columns())
+    return Dataset(raw[:, [scm.dag.vertices.index(c) for c in cols]], cols).standardized()
+
+
+class TestRegistryContract:
+    @pytest.mark.parametrize("name", list(METHODS))
+    def test_one_result_per_dataset_in_order(self, name):
+        setting = setting_of(name)
+        roles = experiment_roles(setting)
+        params = dict(PRESETS[setting, name])
+        if name in ("lasso", "adaptive-lasso", "elastic-net"):
+            params["lam"] = 0.0  # least squares, which fails on a copied column
+        if name == "frontdoor-minimal":
+            params["mediators"] = ["S", "Sbar1"]
+        good, other = setting_sample(setting, 1), setting_sample(setting, 2)
+        copied = good.values.copy()
+        copied[:, good.columns.index(COPY_OF_X[setting])] = copied[:, good.columns.index("X")]
+        broken = Dataset(copied, good.columns)
+        datasets = [good, broken, other, good]
+        method = METHODS[name]
+        results = method.estimate(datasets, roles, params)
+        assert len(results) == len(datasets)
+        for ds, result in zip(datasets, results):
+            (alone,) = method.estimate([ds], roles, params)
+            if ds is broken:
+                assert isinstance(result, PcmSelectError) and type(result) is type(alone)
+            else:
+                assert isinstance(result, float) and repr(result) == repr(alone)
+        assert method.estimate([], roles, params) == []

@@ -16,6 +16,7 @@ from pcmselect.pcm import (
     ols_joint,
     pcm_correct,
     pcm_stage1_m,
+    pcm_stage1_m_path,
     pcm_stage1_y,
     pcm_total_effect,
     reciprocal_power_weights,
@@ -28,6 +29,7 @@ from pcmselect.pcm import (
 from pcmselect.experiment import PRESETS, experiment_roles
 from pcmselect.scm import LinearScm, build_experiment_scm
 from pcmselect.graphs import Dag
+from pcmselect import pcm, solvers
 from pcmselect.solvers import kkt_residual, ols_solve
 
 from oracles import l1_objective, ridge_objective
@@ -213,7 +215,7 @@ class TestPilotGrids:
                                              (ridge_pilot_m, ridge_pilot_m_grid)])
     def test_each_value_equals_the_pilot_alone(self, case, pilot, grid):
         ds, roles = grid_cases()[case]
-        fits = grid(ds, roles, self.VALUES)
+        (fits,) = grid([ds], roles, self.VALUES)
         assert len(fits) == len(self.VALUES)
         for value, fit in zip(self.VALUES, fits):
             alone = pilot_alone(pilot, ds, roles, value)
@@ -236,23 +238,61 @@ class TestPilotGrids:
              [0.0] * (1 + len(roles.z)) + [1.0] * len(roles.zbar)),
         ]:
             gram, cross = ds.cross(regs, regs), ds.cross(regs, resp)
-            for value, fit in zip(self.VALUES, grid(ds, roles, self.VALUES)):
+            for value, fit in zip(self.VALUES, grid([ds], roles, self.VALUES)[0]):
                 if value > 0:
                     expected = np.linalg.solve(gram + ds.n * np.diag(value * np.array(pen)),
                                                cross)
                     assert fit.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("pilot, grid", [(ridge_pilot_y, ridge_pilot_y_grid),
+                                             (ridge_pilot_m, ridge_pilot_m_grid)])
+    def test_a_stack_of_datasets_equals_each_dataset_alone(self, pilot, grid, monkeypatch):
+        # the regular, the wide (5 rows) and the copied design of grid_cases and one
+        # more, on a gram stack: each fit equals that dataset's pilot alone, byte for
+        # byte, and the copied design's failures are its own
+        datasets = [ds for ds, roles in grid_cases() if roles == ROLES] + [random_instance(36)]
+        guarded = []
+
+        def ols_spy(gram, cross):
+            guarded.append(gram.shape)
+            return ols_solve(gram, cross)
+
+        monkeypatch.setattr(solvers, "ols_solve", ols_spy)
+        fits = grid(datasets, ROLES, self.VALUES)
+        # the zero values are least squares through the rank guard, once per dataset
+        assert len(guarded) == len(datasets)
+        assert len(fits) == len(datasets)
+        for ds, row in zip(datasets, fits):
+            assert len(row) == len(self.VALUES)
+            for value, fit in zip(self.VALUES, row):
+                alone = pilot_alone(pilot, ds, ROLES, value)
+                if isinstance(alone, PcmSelectError):
+                    assert type(fit) is type(alone)
+                else:
+                    assert isinstance(fit, np.ndarray) and fit.tobytes() == alone.tobytes()
+        failed = [[isinstance(fit, SingularDesign) for fit in row] for row in fits]
+        assert [any(row) for row in failed] == ([False, True, True, False] if grid is
+                                                ridge_pilot_y_grid else [False, False, True, False])
+
+    def test_the_rank_guard_refuses_the_wide_least_squares_pilot(self):
+        datasets = [ds for ds, roles in grid_cases()[:2]]
+        regular, wide = ridge_pilot_y_grid(datasets, ROLES, (0.0,))
+        assert isinstance(regular[0], np.ndarray)
+        assert isinstance(wide[0], SingularDesign) and "condition number" in str(wide[0])
+
     def test_the_cases_fail_where_intended(self):
-        outcome = [[isinstance(f, SingularDesign) for f in ridge_pilot_y_grid(ds, roles, (0.0, 1.0))]
+        outcome = [[isinstance(f, SingularDesign)
+                    for f in ridge_pilot_y_grid([ds], roles, (0.0, 1.0))[0]]
                    for ds, roles in grid_cases()]
-        mediator = [[isinstance(f, SingularDesign) for f in ridge_pilot_m_grid(ds, roles, (0.0, 1.0))]
+        mediator = [[isinstance(f, SingularDesign)
+                     for f in ridge_pilot_m_grid([ds], roles, (0.0, 1.0))[0]]
                     for ds, roles in grid_cases()]
         assert outcome == [[False, False], [True, False], [True, True], [False, False]]
         assert mediator == [[False, False], [False, False], [True, False], [False, False]]
 
     def test_negative_values_are_rejected(self):
         with pytest.raises(ValueError):
-            ridge_pilot_y_grid(random_instance(36), ROLES, (1.0, -0.5))
+            ridge_pilot_y_grid([random_instance(36)], ROLES, (1.0, -0.5))
         with pytest.raises(ValueError):
             ridge_pilot_m(random_instance(36), ROLES, -0.5)
 
@@ -298,6 +338,22 @@ class TestAdaptiveWeights:
 
 
 class TestStage1:
+    def test_no_mediators_fit_nothing(self, monkeypatch):
+        # pal1ma's roles: the empty mediator fit, with no moments and no solver call
+        ds = random_instance(13)
+        roles = replace(ROLES, s=(), sbar=())
+        w = AdaptiveWeights(sbar=np.zeros(0), zbar=np.array([0.5, 0.5]), med=np.zeros((2, 0)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fit without mediators computed moments or followed a path")
+
+        monkeypatch.setattr(pcm, "_m_moments", refuse)
+        monkeypatch.setattr(pcm, "l1_path", refuse)
+        fit = pcm_stage1_m(ds, roles, w, 0.3)
+        assert fit.x_row.shape == (0,) and fit.z_rows.shape == (1, 0)
+        assert fit.zbar_rows.shape == (2, 0)
+        assert pcm_stage1_m_path([(ds, roles, w), (ds, roles, w)], [0.3, 0.1]) == [[], []]
+
     def test_lambda_zero_equals_ols(self):
         ds = random_instance(11)
         w = adaptive_weights(PilotEstimates(

@@ -283,7 +283,7 @@ def fold_by_fold_pcm_cv(data, roles, grid):
             per_fold.append([np.inf] * len(cands))
             continue
         (y_lanes,) = pcm_stage1_y_path([(tr, weights)], roles, lams, pairs)
-        (m_lanes,) = pcm_stage1_m_path([(tr, weights)], roles, rhos)
+        (m_lanes,) = pcm_stage1_m_path([(tr, roles, weights)], rhos)
         y_errs = {(lam1, pair): or_inf(lambda: y_error(te, _raise(fit)))
                   for pair, lane in zip(pairs, y_lanes) for lam1, fit in zip(lams, lane)}
         m_errs = {rho1: m_error(te, [lane[k] for lane in m_lanes]) for k, rho1 in enumerate(rhos)}
