@@ -11,15 +11,20 @@ conditioning set (optionally including the treatment).
 
 Penalized baselines
 -------------------
-All four regress the outcome on treatment plus all covariates and return the
-treatment coefficient; they take the method registry's names.  ``lasso``
-applies a uniform L1 penalty; ``adaptive-lasso`` weights the L1 penalty by
-reciprocal ridge-pilot magnitudes raised to ``eta``; ``elastic-net`` mixes
-L1 and quadratic penalties by ``phi``; ``pal1ma``, the partially adaptive
-variant, penalizes only the candidate covariates (treatment and fixed
-covariates stay unpenalized), with pilot weights standardized to sum one,
-and applies the active-set bias correction: it runs the pipeline's
-:func:`~pcmselect.pcm.fit_from_weights` on roles without mediators.
+Both regress the outcome on treatment plus all covariates and return the
+treatment coefficient; the method registry
+(:data:`pcmselect.experiment.METHODS`) names their cases and holds their
+parameters.  :func:`baseline_penalized` is the adaptive elastic net (Zou &
+Zhang 2009) at fixed ``(phi, eta)``: L1 weights ``lam * phi * w`` and
+quadratic weights ``lam * (1 - phi)``, with ``w`` all ones, or the reciprocal
+ridge-pilot magnitudes raised to ``eta`` given a pilot penalty ``pilot_lam``.
+The lasso is its ``phi = 1`` case without a pilot, the adaptive lasso its
+``phi = 1`` case with one and the elastic net its case without one.
+:func:`pal1ma_estimates`, the partially adaptive variant, penalizes only the
+candidate covariates (treatment and fixed covariates stay unpenalized), with
+pilot weights standardized to sum one, and applies the active-set bias
+correction: it runs the pipeline's :func:`~pcmselect.pcm.fit_from_weights`
+on roles without mediators.
 """
 
 from __future__ import annotations
@@ -47,24 +52,10 @@ __all__ = [
     "baseline_penalized",
     "penalized_coefficients",
     "pilot_coefficients",
-    "pal1ma_estimate",
+    "pal1ma_coefficients",
+    "pal1ma_pilot",
     "pal1ma_estimates",
-    "check_ranges",
 ]
-
-# Valid (low, high) of each penalized baseline's parameters.
-PARAM_RANGES = {
-    "lam": (0.0, np.inf), "pilot_lam": (0.0, np.inf), "lam2": (0.0, np.inf),
-    "eta": (0.0, np.inf), "phi": (0.0, 1.0), "xi2": (0.0, 1.0),
-}
-
-
-def check_ranges(**params) -> None:
-    """Raise ``ValueError`` for a penalized-baseline parameter out of range."""
-    for key, value in params.items():
-        low, high = PARAM_RANGES[key]
-        if not (low <= value <= high and np.isfinite(value)):
-            raise ValueError(f"{key} must be finite in [{low:g}, {high:g}], got {value!r}")
 
 
 def back_door_estimate(data: Dataset, x: str, y: str, z=()) -> float:
@@ -104,80 +95,34 @@ def front_door_like_estimate(
     return float(x_on_med @ med_on_y)
 
 
-def baseline_penalized(
-    data: Dataset,
-    roles: RolePartition,
-    method: str,
-    lam: float,
-    *,
-    eta: float = 1.0,
-    phi: float = 0.5,
-    pilot_lam: float = 1.0,
-    lam2: float = 0.01,
-    xi2: float = 0.5,
-) -> float:
-    """Treatment coefficient from a penalized regression on treatment + covariates.
+def baseline_penalized(data: Dataset, roles: RolePartition, lam: float, *, phi: float = 1.0,
+                       eta: float = 1.0, pilot_lam: float | None = None) -> float:
+    """Treatment coefficient of :func:`penalized_coefficients`."""
+    return float(penalized_coefficients(data, roles, lam, phi=phi, eta=eta,
+                                        pilot_lam=pilot_lam)[0])
 
-    ``method`` is one of ``lasso``, ``adaptive-lasso``, ``elastic-net``,
-    ``pal1ma``.  ``eta`` is the adaptive-weight exponent, ``phi`` the L1
-    share of the elastic-net penalty, ``pilot_lam`` the ridge-pilot penalty
-    for the adaptive variants; ``lam2`` and ``xi2`` are pal1ma's debiasing
-    ridge penalties.
+
+def penalized_coefficients(data: Dataset, roles: RolePartition, lam: float, *,
+                           phi: float = 1.0, eta: float = 1.0,
+                           pilot_lam: float | None = None) -> np.ndarray:
+    """Adaptive elastic-net fit of the outcome on ``[x] + roles.covariates``.
+
+    The L1 weights are ``lam * phi * w`` and the quadratic weights
+    ``lam * (1 - phi)``.  ``w`` is all ones without ``pilot_lam``, and else the
+    reciprocal magnitudes of :func:`pilot_coefficients` at ``pilot_lam`` raised
+    to ``eta``.
     """
-    if method == "pal1ma":
-        return pal1ma_estimate(data, roles, lam, eta=eta, pilot_lam=pilot_lam,
-                               lam2=lam2, xi2=xi2)
-    beta = penalized_coefficients(data, roles, method, lam, eta=eta, phi=phi, pilot_lam=pilot_lam)
-    return float(beta[0])
-
-
-def penalized_coefficients(
-    data: Dataset,
-    roles: RolePartition,
-    method: str,
-    lam: float,
-    *,
-    eta: float = 1.0,
-    phi: float = 0.5,
-    pilot_lam: float = 1.0,
-) -> np.ndarray:
-    """Penalized fit of the outcome on ``[x] + roles.covariates``.
-
-    Arguments as in :func:`baseline_penalized`.  For ``pal1ma`` this is the
-    stage-1 fit of :func:`pal1ma_estimate`, before its bias correction.
-    """
-    check_ranges(lam=lam, eta=eta, phi=phi, pilot_lam=pilot_lam)
-    if method == "pal1ma":
-        weights = _pal1ma_weights(pilot_coefficients(data, roles, method, pilot_lam), roles, eta)
-        return pcm_stage1_y(data, _without_mediators(roles), weights, lam, 0.0, 0.0).stacked()
     cols = [roles.x] + list(roles.covariates)
     gram, cross = data.cross(cols, cols), data.cross(cols, [roles.y])[:, 0]
-    n, p = data.n, len(cols)
-    if method == "lasso":
-        l1, l2 = np.full(p, lam), None
-    elif method == "elastic-net":
-        l1, l2 = np.full(p, lam * phi), np.full(p, lam * (1.0 - phi))
-    elif method == "adaptive-lasso":
-        pilot = pilot_coefficients(data, roles, method, pilot_lam)
-        w, _ = reciprocal_power_weights(pilot, eta=eta, normalize=False)
-        l1, l2 = lam * w, None
-    else:
-        raise ValueError(f"unknown penalized baseline {method!r}")
-    return coordinate_descent(gram, cross, n, l1, l2)
+    w = np.ones(len(cols)) if pilot_lam is None else reciprocal_power_weights(
+        pilot_coefficients(data, roles, pilot_lam), eta=eta, normalize=False)[0]
+    return coordinate_descent(gram, cross, data.n, lam * phi * w,
+                              np.full(len(cols), lam * (1.0 - phi)))
 
 
-def pilot_coefficients(data: Dataset, roles: RolePartition, method: str,
-                       pilot_lam: float) -> np.ndarray:
-    """Ridge pilot of ``method``'s adaptive weights: the outcome on ``[x] + roles.covariates``.
-
-    ``adaptive-lasso`` penalizes every coefficient by ``pilot_lam``;
-    ``pal1ma`` uses the pipeline's outcome pilot :func:`~pcmselect.pcm.ridge_pilot_y`
-    on its roles, which leaves the fixed covariates unpenalized.
-    """
-    if method == "pal1ma":
-        return ridge_pilot_y(data, _without_mediators(roles), pilot_lam).stacked()
-    if method != "adaptive-lasso":
-        raise ValueError(f"{method!r} has no ridge pilot")
+def pilot_coefficients(data: Dataset, roles: RolePartition, pilot_lam: float) -> np.ndarray:
+    """Ridge pilot of the outcome on ``[x] + roles.covariates``, every coefficient
+    penalized by ``pilot_lam``."""
     cols = [roles.x] + list(roles.covariates)
     return ridge_solve(data.cross(cols, cols), data.cross(cols, [roles.y])[:, 0], data.n,
                        np.full(len(cols), pilot_lam))
@@ -195,17 +140,25 @@ def _pal1ma_weights(pilot, roles, eta) -> AdaptiveWeights:
                            floored=floored)
 
 
-def pal1ma_estimate(
-    data: Dataset,
-    roles: RolePartition,
-    lam: float,
-    *,
-    eta: float = 1.0,
-    pilot_lam: float = 1.0,
-    lam2: float = 0.01,
-    xi2: float = 0.5,
-) -> float:
-    """Partially adaptive L1 fit with bias correction (no mediators).
+def pal1ma_pilot(data: Dataset, roles: RolePartition, pilot_lam: float) -> np.ndarray:
+    """pal1ma's ridge pilot: the pipeline's outcome pilot
+    :func:`~pcmselect.pcm.ridge_pilot_y` on roles without mediators, which leaves
+    the fixed covariates unpenalized."""
+    return ridge_pilot_y(data, _without_mediators(roles), pilot_lam).stacked()
+
+
+def pal1ma_coefficients(data: Dataset, roles: RolePartition, lam: float, *, eta: float,
+                        pilot_lam: float) -> np.ndarray:
+    """pal1ma's stage-1 fit of the outcome on ``[x] + roles.covariates``, before its
+    bias correction."""
+    weights = _pal1ma_weights(pal1ma_pilot(data, roles, pilot_lam), roles, eta)
+    return pcm_stage1_y(data, _without_mediators(roles), weights, lam, 0.0, 0.0).stacked()
+
+
+def pal1ma_estimates(datasets, roles: RolePartition, lam: float, *, eta: float,
+                     pilot_lam: float, lam2: float, xi2: float) -> list:
+    """Partially adaptive L1 fit with bias correction (no mediators) on each of
+    ``datasets``: its estimate or, if that fit failed, its exception, in order.
 
     Candidate covariates are the only penalized block, with standardized
     reciprocal pilot weights raised to ``eta``; the treatment and fixed
@@ -213,26 +166,10 @@ def pal1ma_estimate(
     pipeline: :func:`~pcmselect.pcm.fit_from_weights` on ``roles`` without
     its mediators, with these weights and zero treatment and mediator
     penalties.  So with ``eta == 1`` it equals
-    :func:`~pcmselect.pcm.pcm_total_effect` on those roles.  The one-dataset
-    case of :func:`pal1ma_estimates`, which raises the fit's failure.
+    :func:`~pcmselect.pcm.pcm_total_effect` on those roles.  Every dataset's
+    pilot is one batched solve (:func:`~pcmselect.pcm.ridge_pilot_y_grid`), and
+    one :func:`~pcmselect.pcm.fit_from_weights` call fits them all.
     """
-    (estimate,) = pal1ma_estimates([data], roles, lam, eta=eta, pilot_lam=pilot_lam,
-                                   lam2=lam2, xi2=xi2)
-    if isinstance(estimate, PcmSelectError):
-        raise estimate
-    return estimate
-
-
-def pal1ma_estimates(datasets, roles: RolePartition, lam: float, *, eta: float = 1.0,
-                     pilot_lam: float = 1.0, lam2: float = 0.01, xi2: float = 0.5) -> list:
-    """:func:`pal1ma_estimate` on each of ``datasets``: its estimate or, if that fit
-    failed, its exception, in order.
-
-    Every dataset's pilot is one batched solve
-    (:func:`~pcmselect.pcm.ridge_pilot_y_grid`), and one
-    :func:`~pcmselect.pcm.fit_from_weights` call fits them all.
-    """
-    check_ranges(lam=lam, eta=eta, pilot_lam=pilot_lam, lam2=lam2, xi2=xi2)
     if not datasets:
         return []
     bare = _without_mediators(roles)

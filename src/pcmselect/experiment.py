@@ -25,13 +25,15 @@ output is byte-identical whatever the chunk size and the worker count.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .baselines import (back_door_estimate, baseline_penalized, check_ranges,
-                        front_door_like_estimate, pal1ma_estimates)
+from .baselines import (back_door_estimate, baseline_penalized, front_door_like_estimate,
+                        pal1ma_coefficients, pal1ma_estimates, pal1ma_pilot,
+                        penalized_coefficients, pilot_coefficients)
 from .data import Dataset, RolePartition
 from .errors import ConfigInvalid, EmptyInput, PcmSelectError
 from .graphs import minimal_mediator_sets
@@ -103,6 +105,10 @@ class Method:
     one-dataset case.  ``allowed`` and ``required`` are its parameter keys;
     ``check(roles, params)`` raises ``ValueError`` for a value out of range;
     ``cv`` says whether :func:`~pcmselect.tuning.cross_validate` tunes it.
+    A penalized baseline also holds ``fit(data, roles, **params)``, the
+    coefficient vector of the outcome on ``[x] + roles.covariates`` that CV
+    scores, and, if it has one, ``pilot(data, roles, pilot_lam)``, the ridge
+    pilot that CV tunes ``pilot_lam`` by.
     """
 
     estimate: Callable[[Sequence[Dataset], RolePartition, dict], list]
@@ -110,6 +116,12 @@ class Method:
     required: frozenset[str] = frozenset()
     check: Callable[[RolePartition, dict], object] = lambda roles, params: None
     cv: bool = False
+    fit: Callable[..., np.ndarray] | None = None
+    pilot: Callable[[Dataset, RolePartition, float], np.ndarray] | None = None
+
+
+# The keys whose values are lists of column names; every other key takes a number.
+_NAME_KEYS = frozenset({"z", "mediators", "z1", "z2"})
 
 
 def _each(estimate: Callable[[Dataset, RolePartition, dict], float]):
@@ -132,17 +144,26 @@ def _pcm(datasets, roles: RolePartition, params: dict) -> list:
             for fit in pcm_fits(datasets, roles, PcmParams(**params))]
 
 
-def _penalized(estimate, *keys: str) -> Method:
-    return Method(estimate, frozenset({"lam", *keys}), frozenset({"lam"}),
-                  check=lambda roles, params: check_ranges(**params), cv=True)
+def _penalized_baseline(estimate, fit, pilot=None, **keys) -> Method:
+    """A penalized baseline.  Its keys are ``lam`` and those of ``keys``, each given
+    as its (default, largest value); every value is finite and nonnegative.
+    ``estimate`` takes the parameters with the defaults filled in."""
+    defaults = {key: default for key, (default, _) in keys.items()}
+    highs = {"lam": math.inf, **{key: high for key, (_, high) in keys.items()}}
+
+    def check(roles, params):
+        for key, value in params.items():
+            if not (0.0 <= value <= highs[key] and math.isfinite(value)):
+                raise ValueError(f"{key} must be finite in [0, {highs[key]:g}], got {value!r}")
+
+    return Method(lambda datasets, roles, params: estimate(datasets, roles,
+                                                           {**defaults, **params}),
+                  frozenset(highs), frozenset({"lam"}), check, cv=True, fit=fit, pilot=pilot)
 
 
-def _baseline(name: str):
-    return _each(lambda ds, roles, params: baseline_penalized(ds, roles, name, **params))
-
-
-def _pal1ma(datasets, roles: RolePartition, params: dict) -> list:
-    return pal1ma_estimates(datasets, roles, **params)
+# The adaptive elastic net of baselines.baseline_penalized, called by its module
+# name so that a wrapper installed there sees every call.
+_adaptive_net = _each(lambda ds, roles, params: baseline_penalized(ds, roles, **params))
 
 
 @_each
@@ -176,10 +197,16 @@ def _frontdoor(include_x: bool, adjusted: bool, required=frozenset()) -> Method:
 
 
 METHODS: dict[str, Method] = {
-    "lasso": _penalized(_baseline("lasso")),
-    "adaptive-lasso": _penalized(_baseline("adaptive-lasso"), "eta", "pilot_lam"),
-    "elastic-net": _penalized(_baseline("elastic-net"), "phi"),
-    "pal1ma": _penalized(_pal1ma, "eta", "pilot_lam", "lam2", "xi2"),
+    # phi is 1 where it is not a key, and only a pilot_lam key gives a ridge pilot
+    "lasso": _penalized_baseline(_adaptive_net, penalized_coefficients),
+    "adaptive-lasso": _penalized_baseline(_adaptive_net, penalized_coefficients,
+                                          pilot_coefficients, eta=(1.0, math.inf),
+                                          pilot_lam=(1.0, math.inf)),
+    "elastic-net": _penalized_baseline(_adaptive_net, penalized_coefficients, phi=(0.5, 1.0)),
+    "pal1ma": _penalized_baseline(
+        lambda datasets, roles, params: pal1ma_estimates(datasets, roles, **params),
+        pal1ma_coefficients, pal1ma_pilot, eta=(1.0, math.inf), pilot_lam=(1.0, math.inf),
+        lam2=(0.01, math.inf), xi2=(0.5, 1.0)),
     "pcm": Method(_pcm, frozenset(f.name for f in fields(PcmParams)),
                   frozenset(f.name for f in fields(PcmParams) if f.default is MISSING),
                   check=lambda roles, params: PcmParams(**params), cv=True),
@@ -194,7 +221,7 @@ METHODS: dict[str, Method] = {
 
 def check_params(name: str, params: dict, roles: RolePartition) -> None:
     """Raise :class:`ConfigInvalid` for an unknown method or parameter key, a
-    missing required key or a value out of range."""
+    missing required key, a value of the wrong type or a value out of range."""
     if name not in METHODS:
         raise ConfigInvalid(f"unknown method {name!r}")
     if not isinstance(params, dict):
@@ -209,6 +236,13 @@ def check_params(name: str, params: dict, roles: RolePartition) -> None:
     missing = method.required - set(params)
     if missing:
         raise ConfigInvalid(f"{name} needs parameter(s) {', '.join(sorted(missing))}")
+    for key, value in params.items():
+        if key in _NAME_KEYS:
+            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                raise ConfigInvalid(f"{key} of {name} must be a list of column names, "
+                                    f"got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigInvalid(f"{key} of {name} must be a number, got {value!r}")
     try:
         method.check(roles, params)
     except (TypeError, ValueError) as exc:
@@ -308,6 +342,12 @@ class ExperimentConfig:
                     raise ConfigInvalid("no mediator set satisfies the front-door-like criterion")
                 params = {**params, "mediators": sorted(sets[0])}
             check_params(m.name, params, roles)
+            # a replication samples only the columns of the roles
+            for key in sorted(_NAME_KEYS & set(params)):
+                absent = [c for c in params[key] if c not in roles.required_columns()]
+                if absent:
+                    raise ConfigInvalid(f"{key} of {m.name} names columns outside the roles: "
+                                        f"{absent}")
             methods.append(replace(m, params=params))
         object.__setattr__(self, "methods", tuple(methods))
 

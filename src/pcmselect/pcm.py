@@ -45,9 +45,9 @@ Pipeline (all on standardized data):
 Steps 3-5 are one function, :func:`fit_from_weights`.  :func:`pcm_fits`
 runs it on the weights of steps 1-2, and :func:`pcm_total_effect` is its
 one-dataset case.  The partially adaptive baseline
-(``baselines.pal1ma_estimates``) is its no-mediator case: it runs the same
-function on roles without mediators, with its own covariate weights and zero
-treatment and mediator penalties.
+(``baselines.pal1ma_estimates``) is its no-mediator case: roles without
+mediators, its own covariate weights, zero treatment and mediator penalties;
+cross-validation scores its :func:`pcm_stage1_y` fit and :func:`ridge_pilot_y`.
 
 Both take a sequence of datasets, such as the samples of a chunk of Monte
 Carlo replications, and return one fit or one failure per dataset.  Steps

@@ -24,11 +24,12 @@ The protocol is two-phase and deterministic:
     fitted alone wherever the two paths take the same events.  Each fold's
     held-out errors of all its candidates are stacked products.
     The debiasing ridges are not scored; they keep ``PcmParams``' defaults.
-    Baseline methods score the held-out error of their single regression.
-    They search the keys that the method registry gives them (``lam`` and
-    whichever of ``eta`` and ``phi`` they take; the ridge pilot first when
-    they take ``pilot_lam``), and every candidate passes the registry's
-    range checks before any fit.
+    A penalized baseline scores the held-out error of the coefficient fit
+    that its registry entry holds (``Method.fit``).  It searches the keys
+    that the registry gives it (``lam`` and whichever of ``eta`` and ``phi``
+    it takes), after the ``pilot_lam`` of its ridge pilot (``Method.pilot``)
+    when the entry holds one, and every candidate passes the registry's
+    checks before any fit.
 
 Folds come from a seeded permutation, so selection is reproducible; ties are
 broken toward stronger regularization.  A fit that fails on some fold (for
@@ -47,7 +48,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import penalized_coefficients, pilot_coefficients
 from .data import Dataset, RolePartition
 from .errors import ConfigInvalid, EmptyGrid, FoldTooSmall, PcmSelectError
 from .experiment import METHODS, check_params
@@ -325,28 +325,28 @@ def _cross_validate_pcm(roles, grid: ParamGrid, splits) -> CvResult:
 # -- baselines -------------------------------------------------------------------
 
 
-def _cross_validate_baseline(roles, method, grid: ParamGrid, splits) -> CvResult:
-    allowed = METHODS[method].allowed
-    keys = [key for key in ("lam", "eta", "phi") if key in allowed]
+def _cross_validate_baseline(roles, name, grid: ParamGrid, splits) -> CvResult:
+    method = METHODS[name]
+    keys = [key for key in ("lam", "eta", "phi") if key in method.allowed]
     values = [getattr(grid, key) for key in keys]
-    if not all(values) or ("pilot_lam" in allowed and not grid.pilot_lambda):
-        raise EmptyGrid(f"{method} grid has an empty parameter list")
+    if not all(values) or (method.pilot and not grid.pilot_lambda):
+        raise EmptyGrid(f"{name} grid has an empty parameter list")
     cands = [dict(zip(keys, combo)) for combo in itertools.product(*values)]
     # pilot_lam candidates are finite and nonnegative by ParamGrid, its whole range
     for cand in cands:
-        check_params(method, cand, roles)
+        check_params(name, cand, roles)
     # every baseline regresses the outcome on [x, covariates], pal1ma's own roles
     held = [(tr, _y_held(te, replace(roles, s=(), sbar=()))) for tr, te in splits]
-    if "pilot_lam" in allowed:
+    if method.pilot:
         _, pilot_lam = _search("pilot_lambda", grid.pilot_lambda, [
-            [_or_inf(lambda: _y_errors(*y_te, [pilot_coefficients(tr, roles, method, lam)])[0])
+            [_or_inf(lambda: _y_errors(*y_te, [method.pilot(tr, roles, lam)])[0])
              for lam in grid.pilot_lambda] for tr, y_te in held])
         cands = [{**cand, "pilot_lam": pilot_lam} for cand in cands]
     rows = _rows(cands, [
-        [_or_inf(lambda: _y_errors(*y_te, [penalized_coefficients(tr, roles, method, **cand)])[0])
+        [_or_inf(lambda: _y_errors(*y_te, [method.fit(tr, roles, **cand)])[0])
          for cand in cands] for tr, y_te in held])
     best = _select(rows, lambda p: (-p["lam"], -p.get("eta", 0.0), -p.get("phi", 0.0)))
-    return CvResult(method, dict(best.params), best.mean_score, tuple(rows))
+    return CvResult(name, dict(best.params), best.mean_score, tuple(rows))
 
 
 def cv_table_csv(result: CvResult) -> str:

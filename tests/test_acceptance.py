@@ -10,10 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from pcmselect.baselines import pal1ma_estimate
 from pcmselect.data import Dataset, RolePartition
 from pcmselect.errors import SingularDesign
-from pcmselect.experiment import ExperimentConfig, MethodSpec, run_monte_carlo
+from pcmselect.experiment import METHODS, ExperimentConfig, MethodSpec, run_monte_carlo
 from pcmselect.graphs import Dag
 from pcmselect.pcm import (
     PcmParams,
@@ -114,8 +113,8 @@ def test_criterion_1_reduction_identities():
         worst_l2 = max(worst_l2, float(np.max(np.abs(reordered - direct))))
 
         lam1 = 0.05
-        direct_pal = pal1ma_estimate(ds, no_candidates, lam1, eta=1.0, pilot_lam=0.5,
-                                     lam2=0.01, xi2=0.5)
+        (direct_pal,) = METHODS["pal1ma"].estimate([ds], no_candidates, {
+            "lam": lam1, "eta": 1.0, "pilot_lam": 0.5, "lam2": 0.01, "xi2": 0.5})
         fit = pcm_total_effect(ds, no_candidates, PcmParams(
             lambda1=lam1, rho1=0.0, zeta1=0.0, xi1=0.0,
             pilot_lambda=0.5, pilot_rho=0.5, lambda2=0.01, xi2=0.5,

@@ -1,5 +1,6 @@
-"""Every exported name and every benchmark-traced function resolves; numpy.ma, scipy
-and the process-pool modules stay unloaded."""
+"""Every exported name and every benchmark-traced function resolves; only the method
+registry names the penalized baselines; numpy.ma, scipy and the process-pool modules
+stay unloaded."""
 
 import ast
 import importlib
@@ -76,6 +77,28 @@ def test_benchmark_methods_are_valid():
                          methods=tuple(MethodSpec(name, params=dict(params))
                                        for name, params in methods.items()))
     assert METHODS["pcm"].cv
+
+
+PENALIZED_NAMES = {"lasso", "adaptive-lasso", "elastic-net", "pal1ma"}
+
+
+def test_only_the_registry_names_the_penalized_baselines():
+    """No module but ``experiment``, which holds the method registry, has a
+    penalized baseline's name as a string literal outside its docstrings."""
+    found = []
+    for path in sorted(Path(pcmselect.__file__).parent.glob("*.py")):
+        if path.name == "experiment.py":
+            continue
+        tree = ast.parse(path.read_text())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)
+                      and isinstance(node.body[0].value, ast.Constant)}
+        found += [f"{path.name}:{node.lineno} {node.value!r}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value in PENALIZED_NAMES
+                  and id(node) not in docstrings]
+    assert not found, f"penalized baselines named outside the registry: {found}"
 
 
 # Runs one pcm fit, both benchmark settings with all their methods and one pcm

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from pcmselect.baselines import (
-    back_door_estimate,
-    baseline_penalized,
-    front_door_like_estimate,
-    pal1ma_estimate,
-)
+from pcmselect.baselines import back_door_estimate, front_door_like_estimate
 from pcmselect.data import Dataset, RolePartition
+from pcmselect.errors import ConfigInvalid, PcmSelectError
+from pcmselect.experiment import METHODS, check_params
 from pcmselect.pcm import PcmParams, pcm_total_effect
 from pcmselect.solvers import ols_solve
 
@@ -15,6 +12,15 @@ from test_pcm import random_instance  # shared generator
 
 
 BASE_ROLES = RolePartition(x="X", y="Y", z=("Z1",), zbar=("Zb1", "Zb2"))
+PENALIZED = ("lasso", "adaptive-lasso", "elastic-net", "pal1ma")
+
+
+def estimate(name, ds, **params):
+    """The registry estimate of ``name`` on ``ds``, raising its failure."""
+    (est,) = METHODS[name].estimate([ds], BASE_ROLES, params)
+    if isinstance(est, PcmSelectError):
+        raise est
+    return est
 
 
 class TestBackDoor:
@@ -64,34 +70,50 @@ class TestPenalizedBaselines:
         cols = ["X", "Z1", "Zb1", "Zb2"]
         a = ds.values[:, ds.index_of(cols)]
         ols_x = ols_solve(a.T @ a, a.T @ ds.column("Y"))[0]
-        for method in ("lasso", "adaptive-lasso", "elastic-net", "pal1ma"):
-            est = baseline_penalized(ds, BASE_ROLES, method, 0.0, pilot_lam=0.5)
+        for method in PENALIZED:
+            pilot = {"pilot_lam": 0.5} if "pilot_lam" in METHODS[method].allowed else {}
+            est = estimate(method, ds, lam=0.0, **pilot)
             assert est == pytest.approx(ols_x, abs=1e-8), method
 
     def test_huge_penalty_kills_the_treatment_for_lasso_family(self):
         ds = random_instance(46)
         for method in ("lasso", "elastic-net"):
-            assert baseline_penalized(ds, BASE_ROLES, method, 1e4) == 0.0
+            assert estimate(method, ds, lam=1e4) == 0.0
 
     def test_adaptive_lasso_eta_zero_matches_lasso(self):
         ds = random_instance(47)
         lam = 0.015
-        a = baseline_penalized(ds, BASE_ROLES, "adaptive-lasso", lam, eta=0.0, pilot_lam=0.5)
-        b = baseline_penalized(ds, BASE_ROLES, "lasso", lam)
-        assert a == pytest.approx(b, abs=1e-10)
+        a = estimate("adaptive-lasso", ds, lam=lam, eta=0.0, pilot_lam=0.5)
+        assert a == estimate("lasso", ds, lam=lam)
 
     def test_elastic_net_phi_one_is_lasso(self):
         ds = random_instance(48)
         lam = 0.02
-        a = baseline_penalized(ds, BASE_ROLES, "elastic-net", lam, phi=1.0)
-        b = baseline_penalized(ds, BASE_ROLES, "lasso", lam)
-        assert a == pytest.approx(b, abs=1e-12)
+        assert estimate("elastic-net", ds, lam=lam, phi=1.0) == estimate("lasso", ds, lam=lam)
+
+    def test_keys_left_out_take_their_defaults(self):
+        ds = random_instance(49)
+        defaults = {"lasso": {}, "adaptive-lasso": {"eta": 1.0, "pilot_lam": 1.0},
+                    "elastic-net": {"phi": 0.5},
+                    "pal1ma": {"eta": 1.0, "pilot_lam": 1.0, "lam2": 0.01, "xi2": 0.5}}
+        for method in PENALIZED:
+            assert METHODS[method].allowed == {"lam", *defaults[method]}
+            assert estimate(method, ds, lam=0.03) == estimate(method, ds, lam=0.03,
+                                                              **defaults[method]), method
+
+    def test_cv_scores_the_fit_that_estimates(self):
+        ds = random_instance(50)
+        for method, params in (("lasso", {}), ("adaptive-lasso", {"eta": 0.5, "pilot_lam": 2.0}),
+                               ("elastic-net", {"phi": 0.7})):
+            beta = METHODS[method].fit(ds, BASE_ROLES, lam=0.03, **params)
+            assert beta[0] == estimate(method, ds, lam=0.03, **params), method
+            assert (METHODS[method].pilot is None) == ("pilot_lam" not in params)
 
     def test_unknown_method(self):
-        ds = random_instance(49)
         for method in ("ridge", "adaptive_lasso", "elastic_net"):
-            with pytest.raises(ValueError):
-                baseline_penalized(ds, BASE_ROLES, method, 0.1)
+            assert method not in METHODS
+            with pytest.raises(ConfigInvalid):
+                check_params(method, {"lam": 0.1}, BASE_ROLES)
 
 
 class TestPal1maReduction:
@@ -99,8 +121,8 @@ class TestPal1maReduction:
         for seed in range(6):
             ds = random_instance(50 + seed)
             lam, pilot, lam2, xi2 = 0.05, 0.5, 0.01, 0.5
-            direct = pal1ma_estimate(ds, BASE_ROLES, lam, eta=1.0, pilot_lam=pilot,
-                                     lam2=lam2, xi2=xi2)
+            direct = estimate("pal1ma", ds, lam=lam, eta=1.0, pilot_lam=pilot,
+                              lam2=lam2, xi2=xi2)
             fit = pcm_total_effect(
                 ds, BASE_ROLES,
                 PcmParams(lambda1=lam, rho1=0.0, zeta1=0.0, xi1=0.0,
@@ -111,7 +133,7 @@ class TestPal1maReduction:
 
     def test_strong_penalty_prunes_candidates_but_keeps_x(self):
         ds = random_instance(56)
-        est = pal1ma_estimate(ds, BASE_ROLES, 5.0, pilot_lam=0.5)
+        est = estimate("pal1ma", ds, lam=5.0, pilot_lam=0.5)
         # with every candidate covariate dropped this is the (x, z) slope
         a = ds.values[:, ds.index_of(["X", "Z1"])]
         expected = ols_solve(a.T @ a, a.T @ ds.column("Y"))[0]

@@ -232,6 +232,17 @@ class TestCliMatchesRegistry:
         ("backdoor", {}, ["X", "Y"]),
         ("backdoor", {}, {"x": "X", "y": "Y", "z": 5}),
         ("backdoor", {}, {"x": "X", "y": "Y", "z": "Z"}),
+        ("backdoor", {"z": 5}, None),
+        ("backdoor", {"z": "Z"}, None),
+        ("frontdoor-including-x", {"mediators": "S"}, None),
+        ("frontdoor-not-including-x", {"z1": [1]}, None),
+        ("lasso", {"lam": "0.1"}, None),
+        ("lasso", {"lam": True}, None),
+        ("elastic-net", {"lam": 0.1, "phi": None}, None),
+        ("adaptive-lasso", {"lam": 0.407, "eta": [1.0]}, None),
+        ("pal1ma", {"lam": 0.294, "lam2": "0.01"}, None),
+        ("pcm", {"lambda1": "0.1", "rho1": 0.1, "zeta1": 0.2, "xi1": 0.2}, None),
+        ("pcm", {"lambda1": 0.1, "rho1": True, "zeta1": 0.2, "xi1": 0.2}, None),
     ])
     def test_out_of_range_value_is_usage_error(self, name, params, roles, setting_csvs,
                                                tmp_path, capsys):

@@ -100,9 +100,33 @@ class TestConfigValidation:
         ("frontdoor-including-x", {"mediators": []}),
         ("lasso", {"lam": float("inf")}),
         ("pcm", {"lambda1": float("nan"), "rho1": 0.1, "zeta1": 0.2, "xi1": 0.2}),
+        ("backdoor", {"z": 5}),
+        ("backdoor", {"z": "Zbar1"}),  # a string is not a list of names
+        ("backdoor", {"z": ["Q"]}),  # not an observed column
+        ("frontdoor-including-x", {"mediators": ["S"], "z1": ["Z", "Q"]}),
+        ("frontdoor-not-including-x", {"z2": [1]}),
+        ("lasso", {"lam": "0.1"}),
+        ("lasso", {"lam": True}),
+        ("lasso", {"lam": None}),
+        ("elastic-net", {"lam": 0.1, "phi": [0.5]}),
+        ("pal1ma", {"lam": 0.294, "xi2": "0.5"}),
+        ("pcm", {"lambda1": 0.1, "rho1": "0.1", "zeta1": 0.2, "xi1": 0.2}),
+        ("pcm", {"lambda1": False, "rho1": 0.1, "zeta1": 0.2, "xi1": 0.2}),
     ])
     def test_out_of_range_param_value_rejected(self, name, params):
         with pytest.raises(ConfigInvalid):
+            ExperimentConfig(**self.base(methods=(MethodSpec(name, params=params),)))
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("lasso", "lam", "0.1"),
+        ("adaptive-lasso", "eta", True),
+        ("pcm", "pilot_rho", None),
+        ("backdoor", "z", "Z"),
+        ("frontdoor-including-x", "z2", ["Q"]),
+    ])
+    def test_bad_value_message_names_its_key(self, name, key, value):
+        params = {**PRESETS["A", name], key: value}
+        with pytest.raises(ConfigInvalid, match=key):
             ExperimentConfig(**self.base(methods=(MethodSpec(name, params=params),)))
 
     def test_model_without_front_door_mediator_set_rejected(self):
