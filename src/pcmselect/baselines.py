@@ -34,7 +34,7 @@ from dataclasses import replace
 import numpy as np
 
 from .data import Dataset, RolePartition
-from .errors import PcmSelectError
+from .errors import PcmSelectError, unwrap
 from .pcm import (
     AdaptiveWeights,
     PcmParams,
@@ -44,11 +44,13 @@ from .pcm import (
     ridge_pilot_y,
     ridge_pilot_y_grid,
 )
-from .solvers import coordinate_descent, ols_solve, ridge_solve
+from .solvers import coordinate_descent, ols_batch, ridge_solve
 
 __all__ = [
     "back_door_estimate",
+    "back_door_estimates",
     "front_door_like_estimate",
+    "front_door_like_estimates",
     "baseline_penalized",
     "penalized_coefficients",
     "pilot_coefficients",
@@ -59,10 +61,16 @@ __all__ = [
 
 
 def back_door_estimate(data: Dataset, x: str, y: str, z=()) -> float:
-    """Treatment coefficient of the outcome regressed on treatment plus ``z``."""
-    cols = [x] + list(z)
-    beta = ols_solve(data.cross(cols, cols), data.cross(cols, [y])[:, 0])
-    return float(beta[0])
+    """Treatment coefficient of the outcome regressed on treatment plus ``z``: the
+    one-dataset case of :func:`back_door_estimates`, which raises its failure."""
+    return unwrap(back_door_estimates([data], x, y, z)[0])
+
+
+def back_door_estimates(datasets, x: str, y: str, z=()) -> list:
+    """:func:`back_door_estimate` on each of ``datasets``: its estimate or, if its
+    least squares failed, its exception, in order."""
+    return [fit if isinstance(fit, PcmSelectError) else float(fit[0, 0])
+            for fit in _least_squares(datasets, [x, *z], [y])]
 
 
 def front_door_like_estimate(
@@ -80,19 +88,39 @@ def front_door_like_estimate(
     First stage: coefficient of ``x`` in each regression of a mediator on
     ``[x] + z1``.  Second stage: coefficients of the mediators in the
     regression of ``y`` on ``s (+ x) + z2``.  Returns their inner product.
+    The one-dataset case of :func:`front_door_like_estimates`, which raises
+    its failure.
     """
+    (estimate,) = front_door_like_estimates(
+        [data], x, y, s, z1, z2, include_x_in_second_stage=include_x_in_second_stage)
+    return unwrap(estimate)
+
+
+def front_door_like_estimates(datasets, x: str, y: str, s, z1=(), z2=(), *,
+                              include_x_in_second_stage: bool = True) -> list:
+    """:func:`front_door_like_estimate` on each of ``datasets``: its estimate or, if a
+    stage's least squares failed, the first such failure, in order.  Each stage of
+    every dataset is one :func:`~pcmselect.solvers.ols_batch` call."""
     s = list(s)
     if not s:
         raise ValueError("front-door-like estimation needs at least one mediator")
-    first_cols = [x] + list(z1)
-    first = ols_solve(data.cross(first_cols, first_cols), data.cross(first_cols, s))
-    x_on_med = first[0, :]
+    first = _least_squares(datasets, [x, *z1], s)
+    second = _least_squares(datasets, s + ([x] if include_x_in_second_stage else []) + list(z2),
+                            [y])
+    return [a if isinstance(a, PcmSelectError) else b if isinstance(b, PcmSelectError) else
+            float(a[0, :] @ b[: len(s), 0]) for a, b in zip(first, second)]
 
-    second_cols = s + ([x] if include_x_in_second_stage else []) + list(z2)
-    second = ols_solve(data.cross(second_cols, second_cols),
-                       data.cross(second_cols, [y])[:, 0])
-    med_on_y = second[: len(s)]
-    return float(x_on_med @ med_on_y)
+
+def _least_squares(datasets, regressors: list, responses: list) -> list:
+    """The least-squares coefficients of ``responses`` on ``regressors`` in each of
+    ``datasets``, one column per response, in one :func:`~pcmselect.solvers.ols_batch`
+    call, or each fit's failure."""
+    if not datasets:
+        return []
+    names = regressors + responses
+    grams = np.array([data.cross(names, names) for data in datasets])
+    k = len(regressors)
+    return ols_batch(grams[:, :k, :k], grams[:, :k, k:])
 
 
 def baseline_penalized(data: Dataset, roles: RolePartition, lam: float, *, phi: float = 1.0,

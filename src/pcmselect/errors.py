@@ -12,6 +12,14 @@ class PcmSelectError(Exception):
     """Base class for all pcmselect errors."""
 
 
+def unwrap(result):
+    """One result of a batched call, which returns failures in place of results:
+    ``result`` itself, or raised if it is a failure."""
+    if isinstance(result, PcmSelectError):
+        raise result
+    return result
+
+
 class ConstantColumn(PcmSelectError):
     """A data column has zero variance and cannot be standardized."""
 

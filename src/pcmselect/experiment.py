@@ -9,10 +9,12 @@ Replications run in chunks: a chunk samples and standardizes each of its
 replications, then calls each method once on all of them
 (:attr:`Method.estimate` takes a sequence of datasets).  pcm and pal1ma fit
 each ridge pilot of every replication of the chunk in one batched solve, the
-stage-1 outcome fits in one L1 solver call and the mediator fits in one per
-width of the active mediator design; the other methods, and the debiasing
-and correction steps, go one replication at a time.  A process pool gets one
-chunk per task.
+stage-1 outcome fits in one L1 solver call, the mediator fits in one per
+width of the active mediator design, and the debiasing and correction steps
+in stacked calls, one per shape of the active design.  The least-squares
+plug-ins (``backdoor``, ``frontdoor-*``) solve each regression of every
+replication in one stacked call; the other penalized baselines go one
+replication at a time.  A process pool gets one chunk per task.
 
 Determinism: the master seed feeds a seed sequence whose first child builds
 the model (fixing the random coefficients, the covariate correlation matrix,
@@ -31,7 +33,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .baselines import (back_door_estimate, baseline_penalized, front_door_like_estimate,
+from .baselines import (back_door_estimates, baseline_penalized, front_door_like_estimates,
                         pal1ma_coefficients, pal1ma_estimates, pal1ma_pilot,
                         penalized_coefficients, pilot_coefficients)
 from .data import Dataset, RolePartition
@@ -85,8 +87,9 @@ SETTING_METHODS = {
 
 # Sample values (rows times observed columns) that one chunk of replications
 # holds.  A chunk keeps every replication's sample, pilots, stage-1 lanes and
-# fits at once: about 7 KiB per replication at n=15 in setting B, 22 KiB in
-# setting A and 12 KiB at n=100 (tracemalloc peaks of single-worker calls).
+# fits at once: about 7 KiB per replication at n=15 in setting B, 24 KiB in
+# setting A and 12 KiB at n=100 (tracemalloc peaks of single-worker calls; the
+# debiasing tail's stacks go once each shape group's corrections are known).
 # 2**10 values keeps a chunk within about 50 KiB of a one-replication chunk:
 # 8 replications at n=15 in setting B, 3 in setting A, one at n=100.  With
 # 2**16 a 1000-replication run at n=15 peaked 5 MiB higher than with chunks
@@ -166,9 +169,8 @@ def _penalized_baseline(estimate, fit, pilot=None, **keys) -> Method:
 _adaptive_net = _each(lambda ds, roles, params: baseline_penalized(ds, roles, **params))
 
 
-@_each
-def _backdoor(ds: Dataset, roles: RolePartition, params: dict) -> float:
-    return back_door_estimate(ds, roles.x, roles.y, params.get("z", roles.covariates))
+def _backdoor(datasets, roles: RolePartition, params: dict) -> list:
+    return back_door_estimates(datasets, roles.x, roles.y, params.get("z", roles.covariates))
 
 
 def _frontdoor(include_x: bool, adjusted: bool, required=frozenset()) -> Method:
@@ -186,11 +188,10 @@ def _frontdoor(include_x: bool, adjusted: bool, required=frozenset()) -> Method:
             raise ValueError("front-door-like estimation needs at least one mediator")
         return p
 
-    @_each
-    def estimate(ds, roles, params):
+    def estimate(datasets, roles, params):
         p = resolve(roles, params)
-        return front_door_like_estimate(ds, roles.x, roles.y, p["mediators"], p["z1"],
-                                        p["z2"], include_x_in_second_stage=include_x)
+        return front_door_like_estimates(datasets, roles.x, roles.y, p["mediators"], p["z1"],
+                                         p["z2"], include_x_in_second_stage=include_x)
 
     return Method(estimate, frozenset({"mediators", "z1", "z2"}), frozenset(required),
                   check=resolve)

@@ -26,6 +26,8 @@ __all__ = [
     "cross_products",
     "conditional_cross_products",
     "pseudo_inverse",
+    "pseudo_inverse_batch",
+    "batched",
 ]
 
 
@@ -103,22 +105,58 @@ def pseudo_inverse(m, tol: float | None = None) -> np.ndarray:
 
     Singular values at or below ``tol * (largest singular value)`` are
     treated as zero.  The default tolerance is ``1e-10 * max(rows, cols)``,
-    a standard numerical-rank cutoff.
+    a standard numerical-rank cutoff.  The one-matrix case of
+    :func:`pseudo_inverse_batch`.
 
     Raises
     ------
     DecompositionFailure
         If the SVD does not converge.
     """
-    m = as_matrix(m)
-    if m.size == 0:
-        return np.zeros((m.shape[1], m.shape[0]))
-    try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
-        raise DecompositionFailure(str(exc)) from exc
+    inverse, failed = pseudo_inverse_batch(as_matrix(m)[None], tol)
+    if failed:
+        raise failed[0]
+    return inverse[0]
+
+
+def pseudo_inverse_batch(stack: np.ndarray, tol: float | None = None) -> tuple:
+    """:func:`pseudo_inverse` of each matrix of a (D, rows, cols) stack, in one batched
+    SVD: the (D, cols, rows) stack of pseudoinverses, zero for a matrix whose SVD did
+    not converge, and the :class:`DecompositionFailure` of each such matrix, by index.
+
+    Raises ValueError if the stack holds a NaN or an Inf.
+    """
+    if not np.isfinite(stack).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    d, rows, cols = stack.shape
+    if not stack.size:
+        return np.zeros((d, cols, rows)), {}
+    (u, s, vt), failed = batched(lambda m: tuple(np.linalg.svd(m, full_matrices=False)),
+                                 [stack], lambda exc: DecompositionFailure(str(exc)))
     if tol is None:
-        tol = 1e-10 * max(m.shape)
-    cutoff = tol * (s[0] if s.size else 0.0)
-    inv = np.where(s > cutoff, np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
-    return (vt.T * inv) @ u.T
+        tol = 1e-10 * max(rows, cols)
+    inv = np.where(s > tol * s[:, :1], np.divide(1.0, s, out=np.zeros_like(s), where=s > 0), 0.0)
+    return (vt.transpose(0, 2, 1) * inv[:, None]) @ u.transpose(0, 2, 1), failed
+
+
+def batched(fn, stacks: list, error) -> tuple:
+    """``fn`` on ``stacks``, arrays of systems along their first axis, in one call: its
+    results, a tuple of arrays with zeros for each system that failed, and
+    ``error(exc)`` of each such system, by index.  A batch that raises LinAlgError does
+    not say which system failed, so then each is tried alone."""
+    count = len(stacks[0])
+    try:
+        return fn(*stacks), {}
+    except np.linalg.LinAlgError:
+        failed = {}
+        for i in range(count):
+            try:
+                fn(*[stack[i : i + 1] for stack in stacks])
+            except np.linalg.LinAlgError as exc:
+                failed[i] = error(exc)
+        ok = [i for i in range(count) if i not in failed]
+        passed = fn(*[stack[ok] for stack in stacks])
+        results = tuple(np.zeros((count, *part.shape[1:])) for part in passed)
+        for full, part in zip(results, passed):
+            full[ok] = part
+        return results, failed

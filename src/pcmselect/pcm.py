@@ -51,14 +51,15 @@ cross-validation scores its :func:`pcm_stage1_y` fit and :func:`ridge_pilot_y`.
 
 Both take a sequence of datasets, such as the samples of a chunk of Monte
 Carlo replications, and return one fit or one failure per dataset.  Steps
-1 and 3 run over all of them at once: each ridge pilot of every dataset is
-one batched solve, every dataset's stage-1 outcome fit is a lane of one L1
-path call, and its mediator fits are lanes of one more per width of the
-active mediator design.  The adaptive weights, the restriction to the
-active design, the debiasing ridges (:mod:`pcmselect.debias`) and steps
-4-5 run per dataset.  Every system is its own LAPACK call, so no fit
-depends on the other datasets of its call, and a failure stays with its
-dataset.
+1, 3 and 4 run over all of them at once: each ridge pilot of every dataset
+is one batched solve, every dataset's stage-1 outcome fit is a lane of one
+L1 path call, and its mediator fits are lanes of one more per width of the
+active mediator design.  Step 4 (:mod:`pcmselect.debias`) groups the
+datasets by the shape of their active design and runs each group's
+debiasing ridges, residual grams, pseudoinverses and corrections as stacked
+calls.  The adaptive weights, the restriction to the active design and step
+5 run per dataset.  Every system is its own LAPACK call, so no fit depends
+on the other datasets of its call, and a failure stays with its dataset.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .data import Dataset, RolePartition
-from .debias import DebiasBlocks, debias_ridges
-from .errors import PcmSelectError
-from .linalg import pseudo_inverse
+from .debias import (CorrectedBlocks, DebiasBlocks, corrections, debias_ridges, pcm_correct,
+                     zbar_share)
+from .errors import PcmSelectError, unwrap
 from .solvers import l1_path, ols_solve, ridge_grid
 
 __all__ = [
@@ -107,13 +108,6 @@ WEIGHT_FLOOR = 1e-8
 # How far zeta1 + xi1 may exceed 1: decimal inputs such as 0.7 + 0.3 carry
 # rounding error in their sum.
 MIX_SLACK = 1e-12
-
-# Relative singular-value cutoff for the residual-gram pseudoinverses in the
-# bias correction.  These grams are singular to machine precision whenever the
-# active design nearly saturates the sample, and directions below sampling
-# noise would otherwise dominate the correction.
-CORRECTION_PINV_TOL = 1e-3
-
 
 # ---------------------------------------------------------------------------
 # parameters and result containers
@@ -206,17 +200,6 @@ class AdaptiveWeights:
     zbar: np.ndarray
     med: np.ndarray
     floored: bool = False
-
-
-@dataclass(frozen=True)
-class CorrectedBlocks:
-    """Sign-corrected coefficients entering the total-effect formula."""
-
-    beta_x: float
-    coef_s: np.ndarray
-    coef_sbar_active: np.ndarray
-    med_x: np.ndarray  # treatment effect on [fixed, active candidate] mediators
-    y_on_mediators: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -313,7 +296,7 @@ def ridge_pilot_y(data: Dataset, roles: RolePartition, lam: float) -> YModelCoef
     is exactly the joint least-squares fit (and requires an invertible
     design).  The one-dataset, one-value case of :func:`ridge_pilot_y_grid`.
     """
-    return _split_y_coefs(_first(ridge_pilot_y_grid([data], roles, [lam])[0][0]), roles)
+    return _split_y_coefs(unwrap(ridge_pilot_y_grid([data], roles, [lam])[0][0]), roles)
 
 
 def ridge_pilot_y_grid(datasets, roles: RolePartition, lams) -> list:
@@ -330,7 +313,7 @@ def ridge_pilot_m(data: Dataset, roles: RolePartition, rho: float) -> MediatorCo
 
     The one-dataset, one-value case of :func:`ridge_pilot_m_grid`.
     """
-    return _split_m_coefs(_first(ridge_pilot_m_grid([data], roles, [rho])[0][0]), len(roles.z))
+    return _split_m_coefs(unwrap(ridge_pilot_m_grid([data], roles, [rho])[0][0]), len(roles.z))
 
 
 def ridge_pilot_m_grid(datasets, roles: RolePartition, rhos) -> list:
@@ -389,17 +372,12 @@ def adaptive_weights(pilots: PilotEstimates) -> AdaptiveWeights:
 # ---------------------------------------------------------------------------
 
 
-def _zbar_share(zeta1: float, xi1: float) -> float:
-    """Candidate covariates' penalty share, clipped (``1 - 0.8 - 0.2`` is -5.6e-17)."""
-    return max(0.0, 1.0 - zeta1 - xi1)
-
-
 def _y_l1_weights(roles: RolePartition, w: AdaptiveWeights,
                   lams, zeta1: float, xi1: float) -> np.ndarray:
     """The outcome model's L1 weights at each of ``lams``, one row each."""
     lams = np.asarray(lams, dtype=float)[:, None]
     return np.concatenate([lams * zeta1, np.zeros((len(lams), len(roles.s) + len(roles.z))),
-                           lams * xi1 * w.sbar, lams * _zbar_share(zeta1, xi1) * w.zbar], 1)
+                           lams * xi1 * w.sbar, lams * zbar_share(zeta1, xi1) * w.zbar], 1)
 
 
 def _restrict(roles: RolePartition, weights: AdaptiveWeights, active_sbar: np.ndarray,
@@ -417,13 +395,6 @@ def _restrict(roles: RolePartition, weights: AdaptiveWeights, active_sbar: np.nd
         sbar=weights.sbar[active_sbar], zbar=weights.zbar[active_zbar],
         med=weights.med[np.ix_(active_zbar, med_cols)], floored=weights.floored,
     )
-
-
-def _first(fit):
-    """A one-candidate fit's solution; raises its failure."""
-    if isinstance(fit, PcmSelectError):
-        raise fit
-    return fit
 
 
 def _on_fits(items, batch) -> list:
@@ -451,7 +422,7 @@ def pcm_stage1_y(
     if min(lam1, zeta1, xi1) < 0 or zeta1 + xi1 > 1.0 + MIX_SLACK:
         raise ValueError("need lam1, zeta1, xi1 >= 0 and zeta1 + xi1 <= 1")
     (((beta,),),) = pcm_stage1_y_path([(data, weights)], roles, [lam1], [(zeta1, xi1)])
-    return _split_y_coefs(_first(beta), roles)
+    return _split_y_coefs(unwrap(beta), roles)
 
 
 def pcm_stage1_y_path(folds, roles: RolePartition, lams, pairs) -> list:
@@ -496,7 +467,7 @@ def pcm_stage1_m(
 
 def _m_coefs(lanes, roles: RolePartition) -> MediatorCoefs:
     """A one-candidate mediator fit's coefficients; raises its first failure."""
-    fits = [_first(beta) for (beta,) in lanes]
+    fits = [unwrap(beta) for (beta,) in lanes]
     # the empty leading block keeps the shape when there are no mediators
     return _split_m_coefs(np.column_stack([np.zeros((len(roles.m_regressors), 0)), *fits]),
                           len(roles.z))
@@ -527,69 +498,8 @@ def pcm_stage1_m_path(folds, rhos) -> list:
 
 
 # ---------------------------------------------------------------------------
-# correction and assembly
+# assembly
 # ---------------------------------------------------------------------------
-
-
-def pcm_correct(
-    stage1_y: YModelCoefs,
-    stage1_m: MediatorCoefs,
-    debias: DebiasBlocks,
-    weights: AdaptiveWeights,
-    params: PcmParams,
-    n: int,
-) -> CorrectedBlocks:
-    """Remove the first-order shrinkage bias from the stage-1 coefficients.
-
-    Every input is on the active design: ``stage1_y`` holds the active
-    candidate coefficients only, and the treatment is active when its
-    coefficient is nonzero.  The corrected outcome blocks [x, s, sbar]
-    subtract ``n*lambda1`` times the partial-regression matrix
-    ``debias.coef`` applied to the sign-and-weight subgradient vector, with
-    residual gram pseudoinverses standing in for the conditional gram
-    inverses.  Each entry of the treatment-on-mediator row gets the
-    analogous ``n*rho1`` correction on that mediator column's own candidate
-    covariates: the rows and columns of the covariates-on-[treatment, fixed
-    covariates] refit that the column's stage-1 fit (``stage1_m``) kept
-    nonzero.  When the treatment is inactive its corrected coefficient is
-    exactly zero and all treatment-dependent blocks drop out.
-    """
-    active_x = stage1_y.beta_x != 0.0
-    lam1, zeta1, xi1, rho1 = params.lambda1, params.zeta1, params.xi1, params.rho1
-    x = [stage1_y.beta_x] if active_x else []
-    # (penalty share, adaptive weights, coefficients) of each penalized block
-    blocks = [(zeta1, np.ones(len(x)), np.array(x)),
-              (xi1, weights.sbar, stage1_y.coef_sbar),
-              (_zbar_share(zeta1, xi1), weights.zbar, stage1_y.coef_zbar)]
-    u = np.concatenate([np.zeros(0)] + [
-        share * pseudo_inverse(gram, CORRECTION_PINV_TOL) @ (w * np.sign(coef))
-        for (share, w, coef), gram in zip([b for b in blocks if b[2].size], debias.resid_grams)
-    ])
-    target = np.concatenate([x, stage1_y.coef_s, stage1_y.coef_sbar])
-    corrected = target - n * lam1 * (debias.coef[: target.size] @ u)
-    qx, q_s = len(x), stage1_y.coef_s.size
-    coef_s = corrected[qx : qx + q_s]
-    coef_sbar_active = corrected[qx + q_s :]
-
-    med_x = stage1_m.x_row.copy()
-    if weights.zbar.size and rho1:
-        for j in range(med_x.size):
-            own = np.nonzero(stage1_m.zbar_rows[:, j])[0]
-            gamma = weights.med[own, j]
-            signs = np.sign(stage1_m.zbar_rows[own, j])
-            med_x[j] -= n * rho1 * (
-                debias.zb_on_xz_coef[0, own]
-                @ pseudo_inverse(debias.zb_on_xz_resid_gram[np.ix_(own, own)],
-                                 CORRECTION_PINV_TOL)
-                @ (gamma * signs)
-            )
-    return CorrectedBlocks(
-        beta_x=float(corrected[0]) if active_x else 0.0,
-        coef_s=coef_s,
-        coef_sbar_active=coef_sbar_active,
-        med_x=med_x,
-        y_on_mediators=np.concatenate([coef_s, coef_sbar_active]),
-    )
 
 
 def fit_from_weights(datasets, roles: RolePartition, params: PcmParams, weights) -> list:
@@ -600,48 +510,51 @@ def fit_from_weights(datasets, roles: RolePartition, params: PcmParams, weights)
 
     Stage-1 outcome fit -> active sets -> mediator fit on the active sets ->
     debiasing ridges -> corrections -> total effect.  Every dataset's
-    outcome fit is a lane of one :func:`pcm_stage1_y_path` call and its
-    mediator fit lanes of one :func:`pcm_stage1_m_path` call; the debiasing
-    ridges and the corrections run per dataset.  The total effect is the
-    corrected treatment coefficient plus the inner product of the corrected
-    treatment-on-mediator and mediator-on-outcome blocks over the fixed and
-    active candidate mediators; without mediators it is the corrected
-    treatment coefficient alone, and without covariates but with mediators
-    the inner product alone (front-door identification).
+    outcome fit is a lane of one :func:`pcm_stage1_y_path` call, its
+    mediator fit lanes of one :func:`pcm_stage1_m_path` call, and its
+    debiasing ridges and corrections part of one :func:`debias.corrections`
+    call.  The total effect is the corrected treatment coefficient plus the
+    inner product of the corrected treatment-on-mediator and
+    mediator-on-outcome blocks over the fixed and active candidate
+    mediators; without mediators it is the corrected treatment coefficient
+    alone, and without covariates but with mediators the inner product
+    alone (front-door identification).
     """
     p = params
-    # each dataset's stage-1 outcome fit, active sets and active design, or its failure
+    # each dataset's stage-1 outcome blocks, active sbar and zbar, active roles and
+    # weights, and outcome blocks on the active design (_activate), or its failure
     fits = _on_fits(weights, lambda ok: [
         beta if isinstance(beta, PcmSelectError) else _activate(beta, roles, weights[i])
         for i, ((beta,),) in zip(ok, pcm_stage1_y_path([(datasets[i], weights[i]) for i in ok],
                                                         roles, [p.lambda1], [(p.zeta1, p.xi1)]))])
-    return _on_fits(fits, lambda ok: [
-        _finish(datasets[i], roles, p, weights[i], *fits[i], lanes) for i, lanes in zip(
-            ok, pcm_stage1_m_path([(datasets[i], *fits[i][3:]) for i in ok], [p.rho1]))])
+    # each dataset's mediator fit on its active design, or the first failure of its lanes
+    s1ms = _on_fits(fits, lambda ok: [_m_fit(lanes, fits[i][3]) for i, lanes in zip(
+        ok, pcm_stage1_m_path([(datasets[i], *fits[i][3:5]) for i in ok], [p.rho1]))])
+    corrected = _on_fits(s1ms, lambda ok: corrections(
+        [(datasets[i], fits[i][3], fits[i][5], s1ms[i], fits[i][4]) for i in ok], p))
+    return _on_fits(corrected, lambda ok: [
+        _pcm_fit(roles, p, weights[i], *fits[i][:3], s1ms[i], corrected[i]) for i in ok])
 
 
 def _activate(beta, roles, weights) -> tuple:
-    """A stage-1 outcome fit as blocks, its active sets, and its active design's roles
-    and weights."""
+    """A stage-1 outcome fit as blocks, its active sets, its active design's roles and
+    weights, and its blocks on the active design."""
     s1y = _split_y_coefs(beta, roles)
     active = np.nonzero(s1y.coef_sbar)[0], np.nonzero(s1y.coef_zbar)[0]
-    return (s1y, *active, *_restrict(roles, weights, *active))
+    return (s1y, *active, *_restrict(roles, weights, *active),
+            replace(s1y, coef_sbar=s1y.coef_sbar[active[0]], coef_zbar=s1y.coef_zbar[active[1]]))
 
 
-def _finish(data, roles, params, weights, s1y, active_sbar, active_zbar, act_roles, act_weights,
-            lanes):
-    """:func:`fit_from_weights` on one dataset, from its mediator fit's lanes on: its
-    :class:`PcmFit` or, if it failed, its exception."""
+def _m_fit(lanes, roles: RolePartition):
+    """:func:`_m_coefs`, or its failure."""
     try:
-        s1m = _m_coefs(lanes, act_roles)
-        active_x = s1y.beta_x != 0.0
-        debias = debias_ridges(data, act_roles, params.lambda2, params.xi2, params.rho2,
-                               params.rho2_prime, include_x=active_x)
-        act_s1y = replace(s1y, coef_sbar=s1y.coef_sbar[active_sbar],
-                          coef_zbar=s1y.coef_zbar[active_zbar])
-        corrected = pcm_correct(act_s1y, s1m, debias, act_weights, params, data.n)
+        return _m_coefs(lanes, roles)
     except PcmSelectError as exc:
         return exc
+
+
+def _pcm_fit(roles, params, weights, s1y, active_sbar, active_zbar, s1m, corrected) -> PcmFit:
+    """A dataset's :class:`PcmFit` from its corrected blocks."""
     tau = float(corrected.med_x @ corrected.y_on_mediators)
     if roles.covariates or not roles.mediators:
         tau = corrected.beta_x + tau
@@ -650,7 +563,7 @@ def _finish(data, roles, params, weights, s1y, active_sbar, active_zbar, act_rol
         weights=weights,
         stage1_y=s1y,
         stage1_m=s1m,
-        active_x=active_x,
+        active_x=s1y.beta_x != 0.0,
         active_sbar=active_sbar,
         active_zbar=active_zbar,
         corrected=corrected,
@@ -661,7 +574,7 @@ def _finish(data, roles, params, weights, s1y, active_sbar, active_zbar, act_rol
 def pcm_total_effect(data: Dataset, roles: RolePartition, params: PcmParams) -> PcmFit:
     """Run the full pipeline on a standardized dataset: the one-dataset case of
     :func:`pcm_fits`, which raises the fit's failure."""
-    return _first(pcm_fits([data], roles, params)[0])
+    return unwrap(pcm_fits([data], roles, params)[0])
 
 
 def pcm_fits(datasets, roles: RolePartition, params: PcmParams) -> list:

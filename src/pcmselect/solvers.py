@@ -47,7 +47,8 @@ import itertools
 
 import numpy as np
 
-from .errors import MaxIterationsExceeded, PcmSelectError, SingularDesign
+from .errors import MaxIterationsExceeded, PcmSelectError, SingularDesign, unwrap
+from .linalg import batched
 
 __all__ = [
     "coordinate_descent",
@@ -56,6 +57,7 @@ __all__ = [
     "ridge_solve",
     "ridge_grid",
     "ols_solve",
+    "ols_batch",
 ]
 
 # Largest stationarity violation accepted at the end of the path.
@@ -93,9 +95,7 @@ def coordinate_descent(
         If the path takes more than ``10 p + 10`` events.
     """
     (beta,) = l1_path(gram, cross, n, np.asarray(l1_weights, dtype=float)[None], l2_weights)
-    if isinstance(beta, PcmSelectError):
-        raise beta
-    return beta
+    return unwrap(beta)
 
 
 def l1_path(
@@ -389,9 +389,7 @@ def ridge_solve(gram, cross, n, diag_weights) -> np.ndarray:
     ((solution,),) = _ridge_batch(np.asarray(gram, dtype=float)[None],
                                   np.asarray(cross, dtype=float)[None],
                                   n * np.asarray(diag_weights, dtype=float)[None, None])
-    if isinstance(solution, PcmSelectError):
-        raise solution
-    return solution
+    return unwrap(solution)
 
 
 def ridge_grid(gram, cross, n, pen, scales) -> list:
@@ -404,7 +402,7 @@ def ridge_grid(gram, cross, n, pen, scales) -> list:
     scale.  Every positive scale of every problem goes into one batched
     solve, and each system is its own LAPACK call, so its fit is
     :func:`ridge_solve`'s.  A zero scale, or a zero ``pen``, is least
-    squares by :func:`ols_solve`, with its rank guard, solved once per
+    squares by :func:`ols_batch`, with its rank guard, solved once per
     problem and shared by every such scale of it.  Without right-hand-side
     columns every fit is empty.
     """
@@ -420,16 +418,11 @@ def ridge_grid(gram, cross, n, pen, scales) -> list:
         rows = _ridge_batch(gram, cross, shifts)
     else:
         rows = [[rhs] * shifts.shape[1] for rhs in cross]
-    out = []
-    for g, rhs, row in zip(gram, cross, rows):
-        if not all(positive):
-            try:
-                ols = ols_solve(g, rhs) if rhs.size else rhs
-            except SingularDesign as exc:
-                ols = exc
-        row = iter(row)
-        out.append([next(row) if pos else ols for pos in positive])
-    return out
+    if all(positive):
+        return rows
+    least = ols_batch(gram, cross) if cross.size else list(cross)
+    return [[next(row) if pos else ols for pos in positive]
+            for row, ols in zip(map(iter, rows), least)]
 
 
 def _ridge_batch(gram, cross, shifts) -> list:
@@ -442,42 +435,57 @@ def _ridge_batch(gram, cross, shifts) -> list:
         fits = [np.zeros_like(rhs) for rhs in cross for _ in range(k)]
     else:
         # copies of each gram with its shifts on their diagonals, as gram + n diag(d)
-        # gives them; the cross products broadcast over their shifts, a vector as
-        # one right-hand-side column
+        # gives them; each cross product goes with each of its shifts
         systems = np.empty((d, k, p, p))
         systems[:] = gram[:, None]
         systems.reshape(-1, p * p)[:, :: p + 1] += shifts.reshape(-1, p)
-        column = cross.ndim == 2
-        try:
-            fits = np.linalg.solve(systems, cross[:, None, :, None] if column else cross[:, None])
-        except np.linalg.LinAlgError:
-            # the batched error names no system: solve one by one
-            fits = []
-            for i, system in enumerate(systems.reshape(-1, p, p)):
-                try:
-                    fits.append(np.linalg.solve(system, cross[i // k]))
-                except np.linalg.LinAlgError as exc:
-                    fits.append(SingularDesign(f"penalized system is singular: {exc}"))
-        else:
-            fits = list(fits.reshape(d * k, *cross.shape[1:]))
-    fits = [fit if isinstance(fit, PcmSelectError) or np.isfinite(fit).all()
-            else SingularDesign("penalized system produced non-finite coefficients")
-            for fit in fits]
+        fits, failed = _solve(systems.reshape(-1, p, p),
+                              np.repeat(cross, k, axis=0) if k > 1 else cross, "penalized system")
+        fits = [failed.get(i, fit) if np.isfinite(fit).all() else
+                SingularDesign("penalized system produced non-finite coefficients")
+                for i, fit in enumerate(fits)]
     return [fits[i : i + k] for i in range(0, len(fits), k)]
 
 
 def ols_solve(gram, cross) -> np.ndarray:
     """Least-squares coefficients from normal equations with a rank guard.
 
-    The guard is the gram's 2-norm condition number, the ratio of its extreme
-    singular values; an infinite or undefined ratio fails too.
+    The one-problem case of :func:`ols_batch`; raises its failure.
     """
-    p = gram.shape[0]
-    if p == 0:
-        return np.zeros_like(np.asarray(cross, dtype=float))
+    (solution,) = ols_batch(np.asarray(gram, dtype=float)[None],
+                            np.asarray(cross, dtype=float)[None])
+    return unwrap(solution)
+
+
+def ols_batch(gram, cross) -> list:
+    """Least-squares coefficients from normal equations on each of D problems, such
+    as the samples of D Monte Carlo replications: ``gram`` is a (D, p, p) stack and
+    ``cross`` holds D cross products, vectors or matrices of right-hand sides.
+
+    Returns D solutions, or one :class:`SingularDesign` each.  The rank guard
+    is each gram's 2-norm condition number, the ratio of its extreme singular
+    values; an infinite or undefined ratio fails too.  Every gram's singular
+    values come from one batched SVD and every system is solved in one
+    batched solve, each its own LAPACK call; a rejected system's solution is
+    replaced by its failure.
+    """
+    if gram.shape[-1] == 0:
+        return list(np.zeros_like(cross))
     sv = np.linalg.svd(gram, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = sv[0] / sv[-1]
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularDesign(f"design gram condition number {cond:.3e} exceeds limit")
-    return np.linalg.solve(gram, cross)
+        cond = (sv[:, 0] / sv[:, -1]).tolist()
+    fits, failed = _solve(gram, cross, "design gram")
+    return [failed.get(i, fit) if c <= COND_LIMIT else
+            SingularDesign(f"design gram condition number {c:.3e} exceeds limit")
+            for i, (fit, c) in enumerate(zip(fits, cond))]
+
+
+def _solve(systems, rhs, kind: str) -> tuple:
+    """The solution of each of a (D, p, p) stack of systems with its right-hand side, a
+    vector or a matrix, in one batched solve: the stack of solutions, zero for a
+    singular system, and the :class:`SingularDesign` of each such system, by index."""
+    column = rhs.ndim == 2
+    (fits,), failed = batched(lambda a, b: (np.linalg.solve(a, b),),
+                              [systems, rhs[..., None] if column else rhs],
+                              lambda exc: SingularDesign(f"{kind} is singular: {exc}"))
+    return fits[..., 0] if column else fits, failed

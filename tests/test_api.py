@@ -1,6 +1,6 @@
 """Every exported name and every benchmark-traced function resolves; only the method
 registry names the penalized baselines; numpy.ma, scipy and the process-pool modules
-stay unloaded."""
+stay unloaded; every module stays below the parser's token-array doubling."""
 
 import ast
 import importlib
@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -147,3 +148,19 @@ def test_numpy_ma_stays_unloaded():
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]", f"imported: {run.stdout.strip()}"
+
+
+# CPython 3.11's parser keeps a module's tokens in an array that doubles when it
+# reaches 4,096 entries.  The benchmark's workers compile src without bytecode
+# caches, so a module at that size raised the gated peak_rss_mb: pcm.py's compile
+# peak went from 1,373 to 1,603 KiB (CHANGES.md FOUND, pcmbench/run.py).
+PARSER_TOKEN_LIMIT = 4096
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_module_stays_below_the_parser_token_doubling(name):
+    path = Path(pcmselect.__file__).parent / f"{name}.py"
+    with open(path, "rb") as source:
+        count = sum(1 for token in tokenize.tokenize(source.readline)
+                    if token.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING))
+    assert count < PARSER_TOKEN_LIMIT, f"{path.name} has {count} parser tokens"

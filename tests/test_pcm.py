@@ -3,8 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pcmselect.baselines import (back_door_estimate, back_door_estimates, front_door_like_estimate,
+                                 front_door_like_estimates)
 from pcmselect.data import Dataset, RolePartition
-from pcmselect.errors import PcmSelectError, SingularDesign
+from pcmselect.errors import DecompositionFailure, PcmSelectError, SingularDesign
 from pcmselect.pcm import (
     AdaptiveWeights,
     PcmParams,
@@ -17,6 +19,7 @@ from pcmselect.pcm import (
     pcm_correct,
     pcm_stage1_m,
     pcm_stage1_m_path,
+    pcm_fits,
     pcm_stage1_y,
     pcm_total_effect,
     reciprocal_power_weights,
@@ -30,7 +33,7 @@ from pcmselect.experiment import PRESETS, experiment_roles
 from pcmselect.scm import LinearScm, build_experiment_scm
 from pcmselect.graphs import Dag
 from pcmselect import pcm, solvers
-from pcmselect.solvers import kkt_residual, ols_solve
+from pcmselect.solvers import kkt_residual, ols_batch, ols_solve
 
 from oracles import l1_objective, ridge_objective
 
@@ -255,12 +258,13 @@ class TestPilotGrids:
 
         def ols_spy(gram, cross):
             guarded.append(gram.shape)
-            return ols_solve(gram, cross)
+            return ols_batch(gram, cross)
 
-        monkeypatch.setattr(solvers, "ols_solve", ols_spy)
+        monkeypatch.setattr(solvers, "ols_batch", ols_spy)
         fits = grid(datasets, ROLES, self.VALUES)
-        # the zero values are least squares through the rank guard, once per dataset
-        assert len(guarded) == len(datasets)
+        # the zero values are least squares through the rank guard, once per dataset,
+        # all in one stacked call
+        assert [shape[0] for shape in guarded] == [len(datasets)]
         assert len(fits) == len(datasets)
         for ds, row in zip(datasets, fits):
             assert len(row) == len(self.VALUES)
@@ -640,3 +644,139 @@ class TestTotalEffect:
         cols = roles.y_regressors
         assert kkt_residual(ds.cross(cols, cols), ds.cross(cols, [roles.y])[:, 0], ds.n,
                             l1, fit.stage1_y.stacked()) <= 1e-9
+
+
+# roles without mediators: stage 1 on [X, Z1, Zb1, Zb2]
+BARE = RolePartition(x="X", y="Y", z=("Z1",), zbar=("Zb1", "Zb2"))
+
+
+def no_x_instance(seed, n=60, copy=False):
+    """The outcome does not depend on the treatment given Z1, so stage 1 can drop
+    it; the mediator columns are noise.  ``copy`` makes the treatment a copy of Z1."""
+    rng = np.random.default_rng(seed)
+    z1 = rng.standard_normal(n)
+    zb = 0.4 * z1[:, None] + rng.standard_normal((n, 2))
+    x = z1.copy() if copy else 0.6 * z1 + rng.standard_normal(n) * 0.8
+    y = 0.3 * z1 + zb @ [0.4, 0.3] + rng.standard_normal(n)
+    return Dataset(np.column_stack([x, y, rng.standard_normal((n, 3)), z1, zb]),
+                   COLS).standardized()
+
+
+def setting_b_chunk(count=8):
+    """``count`` standardized n=15 samples of the setting-B model of model seed 0."""
+    roles = experiment_roles("B")
+    scm, spec, _ = build_experiment_scm("B", np.random.default_rng(0))
+    cols = [scm.dag.vertices.index(c) for c in roles.required_columns()]
+    return [Dataset(scm.sample(15, np.random.default_rng(seed), spec)[:, cols],
+                    roles.required_columns()).standardized() for seed in range(1, count + 1)]
+
+
+def alone_or_failure(estimate, *args, **kwargs):
+    try:
+        return estimate(*args, **kwargs)
+    except PcmSelectError as exc:
+        return exc
+
+
+def tail_shapes(monkeypatch) -> list:
+    """The active-design shape of each dataset that reaches the chunk tail, in order."""
+    seen = []
+    corrections = pcm.corrections
+
+    def spy(items, params):
+        seen.extend((item[2].beta_x != 0.0, len(item[1].sbar), len(item[1].zbar))
+                    for item in items)
+        return corrections(items, params)
+
+    monkeypatch.setattr(pcm, "corrections", spy)
+    return seen
+
+
+class TestChunkTail:
+    def test_a_failure_stays_with_its_dataset_inside_a_shape_group(self, monkeypatch):
+        # the copied dataset's treatment equals Z1, so stage 1 drops it and the rank
+        # guard rejects the refit of its active candidate covariates on [X, Z1]; it
+        # shares its active-design shape with two other datasets
+        datasets = [random_instance(41), no_x_instance(1), no_x_instance(101, copy=True),
+                    no_x_instance(7)]
+        params = default_params(lambda1=0.02, zeta1=0.9, xi1=0.0)
+        seen = tail_shapes(monkeypatch)
+        fits = pcm_fits(datasets, BARE, params)
+        assert seen[1] == seen[2] == seen[3] != seen[0]
+        for ds, fit in zip(datasets, fits):
+            alone = alone_or_failure(pcm_total_effect, ds, BARE, params)
+            if ds is datasets[2]:
+                assert isinstance(fit, SingularDesign) and "condition number" in str(fit)
+                assert type(alone) is type(fit) and str(alone) == str(fit)
+            else:
+                assert repr(fit.to_dict()) == repr(alone.to_dict())
+        # the least-squares plug-ins fail on the copied dataset alone too
+        for chunk, single, args in [
+                (back_door_estimates, back_door_estimate, ("X", "Y", ["Z1", "Zb1", "Zb2"])),
+                (front_door_like_estimates, front_door_like_estimate,
+                 ("X", "Y", ["S1"], ["Z1"], ["Z1"]))]:
+            for ds, estimate in zip(datasets, chunk(datasets, *args)):
+                alone = alone_or_failure(single, ds, *args)
+                if ds is datasets[2]:
+                    assert isinstance(estimate, SingularDesign) and str(alone) == str(estimate)
+                else:
+                    assert repr(estimate) == repr(alone)
+
+    def test_a_failed_pseudoinverse_falls_back_one_matrix_at_a_time(self, monkeypatch):
+        # the SVD of one dataset's mediator-block residual gram raises LinAlgError;
+        # the batch it is in does not say which matrix failed, so each is tried
+        # alone: that dataset fails, and its group-mates keep their fits
+        roles = experiment_roles("B")
+        params = PcmParams(**PRESETS[("B", "pcm")])
+        datasets = setting_b_chunk()
+        alone = [pcm_total_effect(ds, roles, params) for ds in datasets]
+        shapes = [(fit.active_x, fit.active_sbar.size) for fit in alone]
+        victim = next(i for i, shape in enumerate(shapes) if shapes.count(shape) > 1 and shape[1])
+        act = replace(roles, sbar=tuple(roles.sbar[i] for i in alone[victim].active_sbar))
+        target = debias_ridges(datasets[victim], act, params.lambda2, params.xi2, params.rho2,
+                               params.rho2_prime).resid_grams[-1]
+        svd, stacks = np.linalg.svd, []
+
+        def failing(a, *args, **kwargs):
+            if a.shape[-2:] == target.shape and (a == target).all(axis=(-2, -1)).any():
+                stacks.append(len(a))
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing)
+        fits = pcm_fits(datasets, roles, params)
+        monkeypatch.undo()
+        # the whole group's batch, then the victim alone
+        assert stacks == [shapes.count(shapes[victim]), 1]
+        for i, (fit, one) in enumerate(zip(fits, alone)):
+            if i == victim:
+                assert isinstance(fit, DecompositionFailure)
+            else:
+                assert repr(fit.to_dict()) == repr(one.to_dict())
+
+    def test_lapack_calls_scale_with_the_shapes_not_the_datasets(self, monkeypatch):
+        roles = experiment_roles("B")
+        params = PcmParams(**PRESETS[("B", "pcm")])
+        captured = []
+        corrections = pcm.corrections
+        monkeypatch.setattr(pcm, "corrections",
+                            lambda items, p: (captured.extend(items), corrections(items, p))[1])
+        pcm_fits(setting_b_chunk(), roles, params)
+        monkeypatch.undo()
+        calls = []
+        for name in ("solve", "svd"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, **k: (
+                calls.append(1), _f(*a, **k))[1])
+
+        def count(items):
+            calls.clear()
+            corrections(items, params)
+            return len(calls)
+
+        shapes = {}
+        for item in captured:
+            shapes.setdefault((item[2].beta_x != 0.0, len(item[1].sbar)), item)
+        assert len(captured) == 8 and len(shapes) < len(captured)
+        # the whole chunk makes the calls of one dataset of each shape
+        assert count(captured) == sum(count([item]) for item in shapes.values())

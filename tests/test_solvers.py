@@ -9,7 +9,9 @@ from pcmselect.solvers import (
     coordinate_descent,
     kkt_residual,
     l1_path,
+    ols_batch,
     ols_solve,
+    ridge_grid,
     ridge_solve,
 )
 
@@ -367,3 +369,89 @@ class TestOlsSolve:
         a = np.hstack([base, base * (1 + 1e-14)])
         with pytest.raises(SingularDesign):
             ols_solve(a.T @ a, a.T @ np.ones(10))
+
+
+def mixed_conditioning_stack(columns: int):
+    """Five (gram, cross) problems with ``columns`` right-hand sides (a vector for
+    None): well conditioned, ill conditioned but accepted, rejected by the guard,
+    exactly singular (LAPACK rejects it too) and all zero."""
+    rng = np.random.default_rng(12)
+    base = rng.standard_normal((10, 4))
+    ill = base.copy()
+    ill[:, 3] = ill[:, 2] + 1e-5 * rng.standard_normal(10)
+    near = base.copy()
+    near[:, 3] = near[:, 2] * (1 + 1e-14)
+    designs = [base, ill, near, np.ones((10, 4)), np.zeros((10, 4))]
+    y = rng.standard_normal((10, columns or 1))
+    return (np.array([a.T @ a for a in designs]),
+            np.array([a.T @ (y if columns else y[:, 0]) for a in designs]))
+
+
+class TestOlsBatch:
+    @pytest.mark.parametrize("columns", [None, 1, 3])
+    def test_each_problem_equals_the_one_problem_call(self, columns):
+        grams, crosses = mixed_conditioning_stack(columns)
+        fits = ols_batch(grams, crosses)
+        assert len(fits) == len(grams)
+        for gram, cross, fit in zip(grams, crosses, fits):
+            sv = np.linalg.svd(gram, compute_uv=False)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rejected = not sv[0] / sv[-1] <= solvers.COND_LIMIT
+            try:
+                alone = ols_solve(gram, cross)
+            except SingularDesign as exc:
+                alone = exc
+            # the guard rejects exactly what the one-problem call rejects, and its
+            # message names the same condition number
+            assert isinstance(fit, SingularDesign) is rejected is isinstance(alone, SingularDesign)
+            if rejected:
+                assert str(fit) == str(alone) and "condition number" in str(fit)
+            else:
+                assert fit.tobytes() == alone.tobytes() == np.linalg.solve(gram, cross).tobytes()
+        assert [isinstance(fit, SingularDesign) for fit in fits] == [False, False] + [True] * 3
+
+    def test_a_singular_system_sends_the_batch_one_system_at_a_time(self, monkeypatch):
+        # LAPACK rejects the exactly singular system, and its error does not say
+        # which one failed: each is then solved alone, and the others keep the
+        # one-problem results
+        grams, crosses = mixed_conditioning_stack(2)
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            calls.append(len(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        fits = ols_batch(grams[[0, 3, 1]], crosses[[0, 3, 1]])
+        assert calls[0] == 3 and calls[1:4] == [1, 1, 1] and calls[4] == 2
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        assert isinstance(fits[1], SingularDesign)
+        for fit, i in zip(fits[::2], [0, 1]):
+            assert fit.tobytes() == ols_solve(grams[i], crosses[i]).tobytes()
+
+    def test_an_empty_design(self):
+        (fit,) = ols_batch(np.zeros((1, 0, 0)), np.zeros((1, 0, 2)))
+        assert fit.shape == (0, 2)
+
+
+class TestRidgeGrid:
+    def test_a_singular_system_fails_alone(self):
+        # the second problem's unpenalized columns are equal, so its zero scale is
+        # rejected by the rank guard and its positive scale by LAPACK; the batched
+        # solve falls back to one system at a time and the first problem keeps
+        # its one-problem fits
+        # integer entries keep the twin gram exactly singular
+        rng = np.random.default_rng(9)
+        a, y = rng.integers(-3, 4, (60, 3)).astype(float), rng.standard_normal(60)
+        twin = a.copy()
+        twin[:, 1] = twin[:, 0]
+        grams = np.array([a.T @ a, twin.T @ twin])
+        crosses = np.array([a.T @ y, twin.T @ y])
+        pen = np.array([0.0, 0.0, 1.0])
+        fits = ridge_grid(grams, crosses, [60, 60], pen, [0.5, 0.0])
+        assert fits[0][0].tobytes() == ridge_solve(grams[0], crosses[0], 60,
+                                                   0.5 * pen).tobytes()
+        assert fits[0][1].tobytes() == ols_solve(grams[0], crosses[0]).tobytes()
+        assert "penalized system is singular" in str(fits[1][0])
+        assert "condition number" in str(fits[1][1])
