@@ -14,17 +14,18 @@ Penalized baselines
 Both regress the outcome on treatment plus all covariates and return the
 treatment coefficient; the method registry
 (:data:`pcmselect.experiment.METHODS`) names their cases and holds their
-parameters.  :func:`baseline_penalized` is the adaptive elastic net (Zou &
-Zhang 2009) at fixed ``(phi, eta)``: L1 weights ``lam * phi * w`` and
+parameters.  :func:`penalized_coefficients` is the adaptive elastic net (Zou
+& Zhang 2009) at fixed ``(phi, eta)``: L1 weights ``lam * phi * w`` and
 quadratic weights ``lam * (1 - phi)``, with ``w`` all ones, or the reciprocal
-ridge-pilot magnitudes raised to ``eta`` given a pilot penalty ``pilot_lam``.
+magnitudes of a ridge pilot (:func:`pilot_coefficients`) raised to ``eta``.
 The lasso is its ``phi = 1`` case without a pilot, the adaptive lasso its
 ``phi = 1`` case with one and the elastic net its case without one.
 :func:`pal1ma_estimates`, the partially adaptive variant, penalizes only the
 candidate covariates (treatment and fixed covariates stay unpenalized), with
 pilot weights standardized to sum one, and applies the active-set bias
 correction: it runs the pipeline's :func:`~pcmselect.pcm.fit_from_weights`
-on roles without mediators.
+on roles without mediators.  Each form takes a sequence of datasets and
+returns one result or one failure per dataset.
 """
 
 from __future__ import annotations
@@ -34,17 +35,16 @@ from dataclasses import replace
 import numpy as np
 
 from .data import Dataset, RolePartition
-from .errors import PcmSelectError, unwrap
+from .errors import PcmSelectError, on_successes, unwrap
 from .pcm import (
     AdaptiveWeights,
     PcmParams,
     fit_from_weights,
-    pcm_stage1_y,
+    pcm_stage1_y_path,
     reciprocal_power_weights,
-    ridge_pilot_y,
     ridge_pilot_y_grid,
 )
-from .solvers import coordinate_descent, ols_batch, ridge_solve
+from .solvers import l1_path, ols_batch, ridge_grid
 
 __all__ = [
     "back_door_estimate",
@@ -125,35 +125,51 @@ def _least_squares(datasets, regressors: list, responses: list) -> list:
 
 def baseline_penalized(data: Dataset, roles: RolePartition, lam: float, *, phi: float = 1.0,
                        eta: float = 1.0, pilot_lam: float | None = None) -> float:
-    """Treatment coefficient of :func:`penalized_coefficients`."""
-    return float(penalized_coefficients(data, roles, lam, phi=phi, eta=eta,
-                                        pilot_lam=pilot_lam)[0])
+    """Treatment coefficient of the adaptive elastic net on one dataset, with the
+    pilot at ``pilot_lam`` when given: the one-dataset case of
+    :func:`penalized_coefficients`, which raises its failure."""
+    pilots = None if pilot_lam is None else pilot_coefficients([data], roles, [pilot_lam])[0]
+    return float(unwrap(penalized_coefficients([data], roles, pilots, lam, phi=phi,
+                                               eta=eta)[0])[0])
 
 
-def penalized_coefficients(data: Dataset, roles: RolePartition, lam: float, *,
-                           phi: float = 1.0, eta: float = 1.0,
-                           pilot_lam: float | None = None) -> np.ndarray:
-    """Adaptive elastic-net fit of the outcome on ``[x] + roles.covariates``.
+def _outcome_moments(datasets, roles: RolePartition) -> tuple:
+    """The grams of ``[x] + roles.covariates`` in each of ``datasets``, their cross
+    products with the outcome and the row counts, stacked."""
+    cols = [roles.x, *roles.covariates]
+    return (np.array([data.cross(cols, cols) for data in datasets]),
+            np.array([data.cross(cols, [roles.y])[:, 0] for data in datasets]),
+            [data.n for data in datasets])
+
+
+def penalized_coefficients(datasets, roles: RolePartition, pilots, lam: float, *,
+                           phi: float = 1.0, eta: float = 1.0) -> list:
+    """Adaptive elastic-net fit of the outcome on ``[x] + roles.covariates`` in each
+    of ``datasets``, or its failure, in one :func:`~pcmselect.solvers.l1_path` call.
 
     The L1 weights are ``lam * phi * w`` and the quadratic weights
-    ``lam * (1 - phi)``.  ``w`` is all ones without ``pilot_lam``, and else the
-    reciprocal magnitudes of :func:`pilot_coefficients` at ``pilot_lam`` raised
-    to ``eta``.
+    ``lam * (1 - phi)``.  ``w`` is all ones without ``pilots``, and else the
+    reciprocal magnitudes of the dataset's :func:`pilot_coefficients` fit in
+    ``pilots`` raised to ``eta``; a failed pilot is its dataset's result.
     """
-    cols = [roles.x] + list(roles.covariates)
-    gram, cross = data.cross(cols, cols), data.cross(cols, [roles.y])[:, 0]
-    w = np.ones(len(cols)) if pilot_lam is None else reciprocal_power_weights(
-        pilot_coefficients(data, roles, pilot_lam), eta=eta, normalize=False)[0]
-    return coordinate_descent(gram, cross, data.n, lam * phi * w,
-                              np.full(len(cols), lam * (1.0 - phi)))
+    grams, crosses, ns = _outcome_moments(datasets, roles)
+    p = grams.shape[-1]
+    weights = [np.ones(p)] * len(datasets) if pilots is None else [
+        pilot if isinstance(pilot, PcmSelectError) else
+        reciprocal_power_weights(pilot, eta=eta, normalize=False)[0] for pilot in pilots]
+    return on_successes(weights, lambda ok: [beta for ((beta,),) in l1_path(
+        grams[ok], [crosses[i, None] for i in ok], [ns[i] for i in ok],
+        [lam * phi * weights[i][None, None] for i in ok], np.full(p, lam * (1.0 - phi)))])
 
 
-def pilot_coefficients(data: Dataset, roles: RolePartition, pilot_lam: float) -> np.ndarray:
-    """Ridge pilot of the outcome on ``[x] + roles.covariates``, every coefficient
-    penalized by ``pilot_lam``."""
-    cols = [roles.x] + list(roles.covariates)
-    return ridge_solve(data.cross(cols, cols), data.cross(cols, [roles.y])[:, 0], data.n,
-                       np.full(len(cols), pilot_lam))
+def pilot_coefficients(datasets, roles: RolePartition, pilot_lams) -> list:
+    """Ridge pilots of the outcome on ``[x] + roles.covariates``, every coefficient
+    penalized, at each of ``pilot_lams`` on each of ``datasets``, in one
+    :func:`~pcmselect.solvers.ridge_grid` call: ``fits[d][k]`` is the fit on
+    ``datasets[d]`` at ``pilot_lams[k]`` or, if it failed, its exception.  A zero
+    value is least squares with :func:`~pcmselect.solvers.ols_batch`'s rank guard."""
+    grams, crosses, ns = _outcome_moments(datasets, roles)
+    return ridge_grid(grams, crosses, ns, np.ones(grams.shape[-1]), pilot_lams)
 
 
 def _without_mediators(roles: RolePartition) -> RolePartition:
@@ -162,25 +178,30 @@ def _without_mediators(roles: RolePartition) -> RolePartition:
 
 
 def _pal1ma_weights(pilot, roles, eta) -> AdaptiveWeights:
-    """pal1ma's weights: its pilot's reciprocal candidate-covariate magnitudes to the ``eta``."""
+    """pal1ma's weights: its pilot's reciprocal candidate-covariate magnitudes to the
+    ``eta``, or the pilot's failure."""
+    if isinstance(pilot, PcmSelectError):
+        return pilot
     zbar, floored = reciprocal_power_weights(pilot[1 + len(roles.z):], eta=eta)
     return AdaptiveWeights(sbar=np.zeros(0), zbar=zbar, med=np.zeros((len(roles.zbar), 0)),
                            floored=floored)
 
 
-def pal1ma_pilot(data: Dataset, roles: RolePartition, pilot_lam: float) -> np.ndarray:
-    """pal1ma's ridge pilot: the pipeline's outcome pilot
-    :func:`~pcmselect.pcm.ridge_pilot_y` on roles without mediators, which leaves
-    the fixed covariates unpenalized."""
-    return ridge_pilot_y(data, _without_mediators(roles), pilot_lam).stacked()
+def pal1ma_pilot(datasets, roles: RolePartition, pilot_lams) -> list:
+    """pal1ma's ridge pilots: :func:`~pcmselect.pcm.ridge_pilot_y_grid` on roles
+    without mediators, which leaves the fixed covariates unpenalized."""
+    return ridge_pilot_y_grid(datasets, _without_mediators(roles), pilot_lams)
 
 
-def pal1ma_coefficients(data: Dataset, roles: RolePartition, lam: float, *, eta: float,
-                        pilot_lam: float) -> np.ndarray:
-    """pal1ma's stage-1 fit of the outcome on ``[x] + roles.covariates``, before its
-    bias correction."""
-    weights = _pal1ma_weights(pal1ma_pilot(data, roles, pilot_lam), roles, eta)
-    return pcm_stage1_y(data, _without_mediators(roles), weights, lam, 0.0, 0.0).stacked()
+def pal1ma_coefficients(datasets, roles: RolePartition, pilots, lam: float, *,
+                        eta: float) -> list:
+    """pal1ma's stage-1 fit of the outcome on ``[x] + roles.covariates`` in each of
+    ``datasets``, before its bias correction, with the weights of its
+    :func:`pal1ma_pilot` fit in ``pilots``, or its failure, in one
+    :func:`~pcmselect.pcm.pcm_stage1_y_path` call."""
+    weights = [_pal1ma_weights(pilot, roles, eta) for pilot in pilots]
+    return on_successes(weights, lambda ok: [beta for ((beta,),) in pcm_stage1_y_path(
+        [(datasets[i], weights[i]) for i in ok], _without_mediators(roles), [lam], [(0.0, 0.0)])])
 
 
 def pal1ma_estimates(datasets, roles: RolePartition, lam: float, *, eta: float,
@@ -195,18 +216,17 @@ def pal1ma_estimates(datasets, roles: RolePartition, lam: float, *, eta: float,
     its mediators, with these weights and zero treatment and mediator
     penalties.  So with ``eta == 1`` it equals
     :func:`~pcmselect.pcm.pcm_total_effect` on those roles.  Every dataset's
-    pilot is one batched solve (:func:`~pcmselect.pcm.ridge_pilot_y_grid`), and
-    one :func:`~pcmselect.pcm.fit_from_weights` call fits them all.
+    pilot is one batched solve (:func:`pal1ma_pilot`), and one
+    :func:`~pcmselect.pcm.fit_from_weights` call fits them all.
     """
     if not datasets:
         return []
-    bare = _without_mediators(roles)
     params = PcmParams(
         lambda1=lam, rho1=0.0, zeta1=0.0, xi1=0.0,
         pilot_lambda=pilot_lam, pilot_rho=pilot_lam,
         lambda2=lam2, xi2=xi2, rho2=0.0, rho2_prime=0.0,
     )
-    weights = [pilot if isinstance(pilot, PcmSelectError) else _pal1ma_weights(pilot, roles, eta)
-               for (pilot,) in ridge_pilot_y_grid(datasets, bare, [pilot_lam])]
+    weights = [_pal1ma_weights(pilot, roles, eta)
+               for (pilot,) in pal1ma_pilot(datasets, roles, [pilot_lam])]
     return [fit if isinstance(fit, PcmSelectError) else fit.total_effect
-            for fit in fit_from_weights(datasets, bare, params, weights)]
+            for fit in fit_from_weights(datasets, _without_mediators(roles), params, weights)]

@@ -20,6 +20,16 @@ def unwrap(result):
     return result
 
 
+def on_successes(items, batch) -> list:
+    """``items`` with each entry that is not a failure replaced by its result of
+    ``batch``, which takes their indices and returns their results in order."""
+    ok = [i for i, item in enumerate(items) if not isinstance(item, PcmSelectError)]
+    out = list(items)
+    for i, result in zip(ok, batch(ok) if ok else ()):
+        out[i] = result
+    return out
+
+
 class ConstantColumn(PcmSelectError):
     """A data column has zero variance and cannot be standardized."""
 

@@ -11,10 +11,11 @@ replications, then calls each method once on all of them
 each ridge pilot of every replication of the chunk in one batched solve, the
 stage-1 outcome fits in one L1 solver call, the mediator fits in one per
 width of the active mediator design, and the debiasing and correction steps
-in stacked calls, one per shape of the active design.  The least-squares
+in stacked calls, one per shape of the active design.  lasso,
+adaptive-lasso and elastic-net fit every replication's ridge pilot in one
+batched solve and every L1 fit in one L1 solver call.  The least-squares
 plug-ins (``backdoor``, ``frontdoor-*``) solve each regression of every
-replication in one stacked call; the other penalized baselines go one
-replication at a time.  A process pool gets one chunk per task.
+replication in one stacked call.  A process pool gets one chunk per task.
 
 Determinism: the master seed feeds a seed sequence whose first child builds
 the model (fixing the random coefficients, the covariate correlation matrix,
@@ -33,9 +34,9 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .baselines import (back_door_estimates, baseline_penalized, front_door_like_estimates,
-                        pal1ma_coefficients, pal1ma_estimates, pal1ma_pilot,
-                        penalized_coefficients, pilot_coefficients)
+from .baselines import (back_door_estimates, front_door_like_estimates, pal1ma_coefficients,
+                        pal1ma_estimates, pal1ma_pilot, penalized_coefficients,
+                        pilot_coefficients)
 from .data import Dataset, RolePartition
 from .errors import ConfigInvalid, EmptyInput, PcmSelectError
 from .graphs import minimal_mediator_sets
@@ -108,10 +109,14 @@ class Method:
     one-dataset case.  ``allowed`` and ``required`` are its parameter keys;
     ``check(roles, params)`` raises ``ValueError`` for a value out of range;
     ``cv`` says whether :func:`~pcmselect.tuning.cross_validate` tunes it.
-    A penalized baseline also holds ``fit(data, roles, **params)``, the
-    coefficient vector of the outcome on ``[x] + roles.covariates`` that CV
-    scores, and, if it has one, ``pilot(data, roles, pilot_lam)``, the ridge
-    pilot that CV tunes ``pilot_lam`` by.
+    A penalized baseline also holds the stacked forms that CV calls on the
+    training sets of all folds at once.  If it has a ridge pilot,
+    ``pilot(datasets, roles, pilot_lams)`` fits it at each value of the pilot
+    grid: one list of fits per dataset.  ``fit(datasets, roles, pilots,
+    **params)`` is the coefficient vector of the outcome on ``[x] +
+    roles.covariates`` that CV scores, on each dataset with its entry of
+    ``pilots`` (None without a pilot).  Like ``estimate``, both return each
+    dataset's failure in place of its result.
     """
 
     estimate: Callable[[Sequence[Dataset], RolePartition, dict], list]
@@ -119,27 +124,12 @@ class Method:
     required: frozenset[str] = frozenset()
     check: Callable[[RolePartition, dict], object] = lambda roles, params: None
     cv: bool = False
-    fit: Callable[..., np.ndarray] | None = None
-    pilot: Callable[[Dataset, RolePartition, float], np.ndarray] | None = None
+    fit: Callable[..., list] | None = None
+    pilot: Callable[[Sequence[Dataset], RolePartition, Sequence[float]], list] | None = None
 
 
 # The keys whose values are lists of column names; every other key takes a number.
 _NAME_KEYS = frozenset({"z", "mediators", "z1", "z2"})
-
-
-def _each(estimate: Callable[[Dataset, RolePartition, dict], float]):
-    """A registry ``estimate`` that runs ``estimate`` on one dataset at a time."""
-
-    def each(datasets, roles, params) -> list:
-        results = []
-        for ds in datasets:
-            try:
-                results.append(estimate(ds, roles, params))
-            except PcmSelectError as exc:
-                results.append(exc)
-        return results
-
-    return each
 
 
 def _pcm(datasets, roles: RolePartition, params: dict) -> list:
@@ -147,10 +137,12 @@ def _pcm(datasets, roles: RolePartition, params: dict) -> list:
             for fit in pcm_fits(datasets, roles, PcmParams(**params))]
 
 
-def _penalized_baseline(estimate, fit, pilot=None, **keys) -> Method:
-    """A penalized baseline.  Its keys are ``lam`` and those of ``keys``, each given
-    as its (default, largest value); every value is finite and nonnegative.
-    ``estimate`` takes the parameters with the defaults filled in."""
+def _penalized_baseline(fit, pilot=None, estimate=None, **keys) -> Method:
+    """A penalized baseline with its CV ``fit`` and ``pilot``.  Its keys are ``lam``
+    and those of ``keys``, each given as its (default, largest value); every value
+    is finite and nonnegative.  ``estimate`` takes the parameters with the
+    defaults filled in; without one, the estimate is the treatment coefficient of
+    ``fit`` with the ``pilot`` fit at ``pilot_lam``."""
     defaults = {key: default for key, (default, _) in keys.items()}
     highs = {"lam": math.inf, **{key: high for key, (_, high) in keys.items()}}
 
@@ -159,14 +151,16 @@ def _penalized_baseline(estimate, fit, pilot=None, **keys) -> Method:
             if not (0.0 <= value <= highs[key] and math.isfinite(value)):
                 raise ValueError(f"{key} must be finite in [0, {highs[key]:g}], got {value!r}")
 
-    return Method(lambda datasets, roles, params: estimate(datasets, roles,
-                                                           {**defaults, **params}),
+    def treatment(datasets, roles, params):
+        pilot_lam = params.pop("pilot_lam", None)
+        pilots = None if pilot is None else [fits[0] for fits in pilot(datasets, roles,
+                                                                       [pilot_lam])]
+        return [beta if isinstance(beta, PcmSelectError) else float(beta[0])
+                for beta in fit(datasets, roles, pilots, **params)]
+
+    run = estimate or treatment
+    return Method(lambda datasets, roles, params: run(datasets, roles, {**defaults, **params}),
                   frozenset(highs), frozenset({"lam"}), check, cv=True, fit=fit, pilot=pilot)
-
-
-# The adaptive elastic net of baselines.baseline_penalized, called by its module
-# name so that a wrapper installed there sees every call.
-_adaptive_net = _each(lambda ds, roles, params: baseline_penalized(ds, roles, **params))
 
 
 def _backdoor(datasets, roles: RolePartition, params: dict) -> list:
@@ -199,15 +193,14 @@ def _frontdoor(include_x: bool, adjusted: bool, required=frozenset()) -> Method:
 
 METHODS: dict[str, Method] = {
     # phi is 1 where it is not a key, and only a pilot_lam key gives a ridge pilot
-    "lasso": _penalized_baseline(_adaptive_net, penalized_coefficients),
-    "adaptive-lasso": _penalized_baseline(_adaptive_net, penalized_coefficients,
-                                          pilot_coefficients, eta=(1.0, math.inf),
-                                          pilot_lam=(1.0, math.inf)),
-    "elastic-net": _penalized_baseline(_adaptive_net, penalized_coefficients, phi=(0.5, 1.0)),
+    "lasso": _penalized_baseline(penalized_coefficients),
+    "adaptive-lasso": _penalized_baseline(penalized_coefficients, pilot_coefficients,
+                                          eta=(1.0, math.inf), pilot_lam=(1.0, math.inf)),
+    "elastic-net": _penalized_baseline(penalized_coefficients, phi=(0.5, 1.0)),
     "pal1ma": _penalized_baseline(
+        pal1ma_coefficients, pal1ma_pilot,
         lambda datasets, roles, params: pal1ma_estimates(datasets, roles, **params),
-        pal1ma_coefficients, pal1ma_pilot, eta=(1.0, math.inf), pilot_lam=(1.0, math.inf),
-        lam2=(0.01, math.inf), xi2=(0.5, 1.0)),
+        eta=(1.0, math.inf), pilot_lam=(1.0, math.inf), lam2=(0.01, math.inf), xi2=(0.5, 1.0)),
     "pcm": Method(_pcm, frozenset(f.name for f in fields(PcmParams)),
                   frozenset(f.name for f in fields(PcmParams) if f.default is MISSING),
                   check=lambda roles, params: PcmParams(**params), cv=True),

@@ -47,7 +47,8 @@ runs it on the weights of steps 1-2, and :func:`pcm_total_effect` is its
 one-dataset case.  The partially adaptive baseline
 (``baselines.pal1ma_estimates``) is its no-mediator case: roles without
 mediators, its own covariate weights, zero treatment and mediator penalties;
-cross-validation scores its :func:`pcm_stage1_y` fit and :func:`ridge_pilot_y`.
+cross-validation scores its :func:`pcm_stage1_y_path` fits and
+:func:`ridge_pilot_y_grid` pilots.
 
 Both take a sequence of datasets, such as the samples of a chunk of Monte
 Carlo replications, and return one fit or one failure per dataset.  Steps
@@ -72,7 +73,7 @@ import numpy as np
 from .data import Dataset, RolePartition
 from .debias import (CorrectedBlocks, DebiasBlocks, corrections, debias_ridges, pcm_correct,
                      zbar_share)
-from .errors import PcmSelectError, unwrap
+from .errors import PcmSelectError, on_successes, unwrap
 from .solvers import l1_path, ols_solve, ridge_grid
 
 __all__ = [
@@ -90,6 +91,7 @@ __all__ = [
     "ridge_pilot_m",
     "ridge_pilot_m_grid",
     "adaptive_weights",
+    "pilot_weights",
     "reciprocal_power_weights",
     "pcm_stage1_y",
     "pcm_stage1_y_path",
@@ -367,6 +369,16 @@ def adaptive_weights(pilots: PilotEstimates) -> AdaptiveWeights:
     )
 
 
+def pilot_weights(y_pilots, m_pilots, roles: RolePartition) -> list:
+    """Step 2 on each dataset: the :func:`adaptive_weights` of its outcome and mediator
+    pilots, entries of :func:`ridge_pilot_y_grid` and :func:`ridge_pilot_m_grid`, or
+    the failure of the first pilot that failed."""
+    return [y if isinstance(y, PcmSelectError) else m if isinstance(m, PcmSelectError) else
+            adaptive_weights(PilotEstimates(_split_y_coefs(y, roles),
+                                            _split_m_coefs(m, len(roles.z))))
+            for y, m in zip(y_pilots, m_pilots)]
+
+
 # ---------------------------------------------------------------------------
 # stage 1 (weighted L1)
 # ---------------------------------------------------------------------------
@@ -397,16 +409,6 @@ def _restrict(roles: RolePartition, weights: AdaptiveWeights, active_sbar: np.nd
     )
 
 
-def _on_fits(items, batch) -> list:
-    """``items`` with each entry that is not a failure replaced by its result of
-    ``batch``, which takes their indices and returns their results in order."""
-    ok = [i for i, item in enumerate(items) if not isinstance(item, PcmSelectError)]
-    out = list(items)
-    for i, result in zip(ok, batch(ok) if ok else ()):
-        out[i] = result
-    return out
-
-
 def pcm_stage1_y(
     data: Dataset,
     roles: RolePartition,
@@ -435,9 +437,10 @@ def pcm_stage1_y_path(folds, roles: RolePartition, lams, pairs) -> list:
     its exception.
     """
     grams, crosses, ns = _stacked(_y_moments, [data for data, _ in folds], roles)
-    return l1_path(grams, [[cross] * len(pairs) for cross in crosses], ns,
-                   np.array([[_y_l1_weights(roles, w, lams, *pair) for pair in pairs]
-                             for _, w in folds]))
+    # the candidates as a generator, so that l1_path holds one copy of them
+    return l1_path(grams, [np.array([cross] * len(pairs)) for cross in crosses], ns,
+                   (np.array([_y_l1_weights(roles, w, lams, *pair) for pair in pairs])
+                    for _, w in folds))
 
 
 def _m_l1_weights(roles, w, rhos) -> np.ndarray:
@@ -523,16 +526,16 @@ def fit_from_weights(datasets, roles: RolePartition, params: PcmParams, weights)
     p = params
     # each dataset's stage-1 outcome blocks, active sbar and zbar, active roles and
     # weights, and outcome blocks on the active design (_activate), or its failure
-    fits = _on_fits(weights, lambda ok: [
+    fits = on_successes(weights, lambda ok: [
         beta if isinstance(beta, PcmSelectError) else _activate(beta, roles, weights[i])
         for i, ((beta,),) in zip(ok, pcm_stage1_y_path([(datasets[i], weights[i]) for i in ok],
                                                         roles, [p.lambda1], [(p.zeta1, p.xi1)]))])
     # each dataset's mediator fit on its active design, or the first failure of its lanes
-    s1ms = _on_fits(fits, lambda ok: [_m_fit(lanes, fits[i][3]) for i, lanes in zip(
+    s1ms = on_successes(fits, lambda ok: [_m_fit(lanes, fits[i][3]) for i, lanes in zip(
         ok, pcm_stage1_m_path([(datasets[i], *fits[i][3:5]) for i in ok], [p.rho1]))])
-    corrected = _on_fits(s1ms, lambda ok: corrections(
+    corrected = on_successes(s1ms, lambda ok: corrections(
         [(datasets[i], fits[i][3], fits[i][5], s1ms[i], fits[i][4]) for i in ok], p))
-    return _on_fits(corrected, lambda ok: [
+    return on_successes(corrected, lambda ok: [
         _pcm_fit(roles, p, weights[i], *fits[i][:3], s1ms[i], corrected[i]) for i in ok])
 
 
@@ -581,18 +584,16 @@ def pcm_fits(datasets, roles: RolePartition, params: PcmParams) -> list:
     """:func:`pcm_total_effect` on each of ``datasets``: its :class:`PcmFit` or, if it
     failed, its exception, in order.
 
-    Ridge pilots -> adaptive weights -> :func:`fit_from_weights`.  Each ridge
-    pilot of every dataset is one batched solve (:func:`ridge_pilot_y_grid`,
-    :func:`ridge_pilot_m_grid`); a dataset whose pilots failed takes no part
-    in the later steps.
+    Ridge pilots -> adaptive weights (:func:`pilot_weights`) ->
+    :func:`fit_from_weights`.  Each ridge pilot of every dataset is one batched
+    solve (:func:`ridge_pilot_y_grid`, :func:`ridge_pilot_m_grid`); a dataset
+    whose pilots failed takes no part in the later steps.
     """
     if not datasets:
         return []
-    return fit_from_weights(datasets, roles, params, [
-        y if isinstance(y, PcmSelectError) else m if isinstance(m, PcmSelectError) else
-        adaptive_weights(PilotEstimates(_split_y_coefs(y, roles), _split_m_coefs(m, len(roles.z))))
-        for (y,), (m,) in zip(ridge_pilot_y_grid(datasets, roles, [params.pilot_lambda]),
-                              ridge_pilot_m_grid(datasets, roles, [params.pilot_rho]))])
+    return fit_from_weights(datasets, roles, params, pilot_weights(
+        [y for (y,) in ridge_pilot_y_grid(datasets, roles, [params.pilot_lambda])],
+        [m for (m,) in ridge_pilot_m_grid(datasets, roles, [params.pilot_rho])], roles))
 
 
 # ---------------------------------------------------------------------------

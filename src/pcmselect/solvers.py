@@ -19,16 +19,16 @@ multiples of one weight vector (a penalty grid) are points on one such path:
 candidate on the segment where its scale falls, with that segment's active
 set and signs and its own weight vector.
 
-:func:`l1_path` also takes several lanes: independent problems, each with
-its own cross-product vector and its own candidate list.  Lanes may share
-one gram and row count, or come in groups on grams and row counts of their
-own, such as the training sets of the folds of a cross-validation, whose row
-counts differ by one when the folds are unequal, or the samples of a chunk
-of Monte Carlo replications, whose groups may hold different numbers of
-lanes.  All paths go in lockstep, and each event step is one batched solve
-of every live path's active block, posed as a p x p system with the identity
-on the inactive coordinates, plus one more of every candidate of every lane
-that ends on that step's segment.  A shared gram is broadcast over the
+:func:`l1_path` takes a stack of problems, each a gram and a row count with
+its lanes: independent L1 problems on that gram, each with its own
+cross-product vector and its own candidates.  The problems may be the
+training sets of the folds of a cross-validation, whose row counts differ by
+one when the folds are unequal, or the samples of a chunk of Monte Carlo
+replications, and they may hold different numbers of lanes.  All paths go
+in lockstep, and each event step is one batched solve of every live path's
+active block, posed as a p x p system with the identity on the inactive
+coordinates, plus one more of every candidate of every lane that ends on
+that step's segment.  A stack of one problem broadcasts its gram over the
 paths; with several, each step stacks every live path's own.  The
 stationarity of all the returned candidates is checked in one stacked
 :func:`kkt_residual` pass per lane count of the groups, each row against its
@@ -76,9 +76,11 @@ def coordinate_descent(
 ) -> np.ndarray:
     """Minimize the penalized least-squares loss given sufficient statistics.
 
-    The name is kept for its callers; the solver is exact path following,
-    not coordinate descent: :func:`l1_path` with the one candidate
-    ``l1_weights``, which is the path's base.
+    The solver is exact path following, not coordinate descent: :func:`l1_path`
+    on a stack of one problem with one lane and the one candidate
+    ``l1_weights``, which is the path's base.  No module of the package calls
+    it; it is kept for the benchmark tracer's hook until the tracer hooks
+    :func:`l1_path` itself.
 
     Parameters
     ----------
@@ -94,33 +96,25 @@ def coordinate_descent(
     MaxIterationsExceeded
         If the path takes more than ``10 p + 10`` events.
     """
-    (beta,) = l1_path(gram, cross, n, np.asarray(l1_weights, dtype=float)[None], l2_weights)
+    (((beta,),),) = l1_path(np.asarray(gram, dtype=float)[None],
+                            [np.asarray(cross, dtype=float)[None]], [n],
+                            [np.asarray(l1_weights, dtype=float)[None, None]], l2_weights)
     return unwrap(beta)
 
 
-def l1_path(
-    gram: np.ndarray,
-    cross: np.ndarray,
-    n,
-    l1_weights,
-    l2_weights: np.ndarray | None = None,
-) -> list:
+def l1_path(grams, crosses, ns, l1_weights, l2_weights: np.ndarray | None = None) -> list:
     """The minimizers at several L1 weight vectors, read off one path per lane.
 
-    A lane is one L1 problem on a gram: its cross-product vector and its
-    candidate vectors in descending order, each a nonnegative multiple of the
-    last, given as a list or as the rows of a (K, p) array.  ``cross`` of
-    shape (p,) with one candidate list is one lane, and the result is one
-    list.  A (B, p) stack with B lists is B lanes on the (p, p) ``gram`` and
-    the row count ``n``, and the result is B lists.  F such stacks, each with
-    its lists, are the lanes of F problems with their own grams and row
-    counts, such as the training sets of F folds or the samples of F Monte
-    Carlo replications: ``gram`` is a (F, p, p) stack, ``n`` holds F row
-    counts, and the result holds one list of lane results per problem.  The
-    problems may have different lane counts, none included; with equal
-    counts ``cross`` may be one (F, B, p) array.  Lanes with K candidates
-    each may give them all in one array, shaped like ``cross`` (or like each
-    of its stacks) with (K, p) in place of its last axis.
+    The input is a stack of F problems, such as the training sets of the
+    folds of a cross-validation or the samples of a chunk of Monte Carlo
+    replications: ``grams`` is their (F, p, p) stack of grams and ``ns``
+    their F row counts.  Each problem has B_f lanes, independent L1 problems
+    on its gram: ``crosses`` holds each problem's (B_f, p) array of their
+    cross-product vectors, and ``l1_weights`` holds or yields its (B_f, K, p)
+    array of their K candidate vectors each, in descending order, each a
+    nonnegative multiple of the last.  Every problem has the same K; a
+    problem may have no lanes.  The quadratic weights ``l2_weights`` (p,)
+    are shared.  Returns F lists of B_f lane results, each a list of K.
 
     With ``H = G/n + diag(l2)`` and a lane's last positive candidate ``w``
     scaled by ``t``, the active coefficients on a segment of its path are
@@ -143,69 +137,46 @@ def l1_path(
     ``KKT_LIMIT`` fails alone (:class:`SingularDesign`), and the path goes
     on.  Other lanes are not affected by either.
     """
-    gram = np.asarray(gram, dtype=float)
-    p = gram.shape[-1]
-    # the stacks of lanes, one per problem, and each stack's candidates: a
-    # (lanes, K, p) array or one list per lane
-    if gram.ndim == 3:
-        nest, stacks, groups = 3, [np.asarray(c, dtype=float) for c in cross], list(l1_weights)
-    else:
-        crosses = np.asarray(cross, dtype=float)
-        nest, stacks = crosses.ndim, [crosses.reshape(-1, crosses.shape[-1])]
-        if isinstance(l1_weights, np.ndarray) and l1_weights.ndim == nest + 1:
-            groups = [l1_weights.reshape(-1, *l1_weights.shape[-2:])]
-        else:
-            groups = [[l1_weights] if nest == 1 else l1_weights]
-    sizes = [len(stack) for stack in stacks]
-    if (any(stack.ndim != 2 or stack.shape[1] != p for stack in stacks)
-            or [len(ws) for ws in groups] != sizes):
-        raise ValueError("grams, cross products, row counts and penalty weights must match")
-    crosses = _joined(stacks, (0, p))
-    # each problem's first lane
-    first = [0, *itertools.accumulate(sizes)]
-    if groups and all(isinstance(ws, np.ndarray) and ws.ndim == 3 for ws in groups):
-        # one array of every problem's lanes is reshaped rather than copied
-        whole = isinstance(l1_weights, np.ndarray) and l1_weights.ndim == 4
-        weights = (l1_weights.reshape(-1, *l1_weights.shape[2:]) if whole
-                   else _joined(groups, (0, 0, p))).astype(float, copy=False)
-        if weights.shape[-1] != p:
-            raise ValueError("penalty weights must match the lanes and the design width")
-        counts = [weights.shape[1]] * len(weights)
-    else:
-        lists = [np.asarray(ws, dtype=float) for group in groups for ws in group]
-        if any(ws.shape != (len(ws), p) for ws in lists if len(ws)):
-            raise ValueError("penalty weights must match the design width")
-        counts = [len(ws) for ws in lists]
-        # every lane's candidates, padded with zero rows to the longest list
-        weights = np.zeros((len(lists), max(counts, default=0), p))
-        for b, ws in enumerate(lists):
-            weights[b, : len(ws)] = ws if len(ws) else 0.0
+    grams = np.asarray(grams, dtype=float)
+    stacks = [np.asarray(c, dtype=float) for c in crosses]
+    groups = [np.asarray(w, dtype=float) for w in l1_weights]
+    n_rows = np.asarray(ns, dtype=float)
     l2 = None if l2_weights is None else np.asarray(l2_weights, dtype=float)
-    n_rows = np.asarray(n, dtype=float)
-    if (gram.shape != ((len(stacks),) if nest == 3 else ()) + (p, p)
-            or n_rows.shape != gram.shape[:-2] or (l2 is not None and l2.shape != (p,))):
+    p = grams.shape[-1]
+    k = groups[0].shape[1] if groups and groups[0].ndim == 3 else -1
+    sizes = [len(stack) for stack in stacks]
+    if (grams.shape != (len(stacks), p, p) or n_rows.shape != (len(stacks),)
+            or len(groups) != len(stacks) or (l2 is not None and l2.shape != (p,))
+            or any(stack.shape != (b, p) or ws.shape != (b, k, p)
+                   for stack, ws, b in zip(stacks, groups, sizes))):
         raise ValueError("grams, cross products, row counts and penalty weights must match")
+    if not stacks:
+        return []
+    # the per-problem arrays go once joined, so a caller that passes them as a
+    # generator holds one copy of its candidates, not two
+    crosses, weights = np.concatenate(stacks), np.concatenate(groups)
+    del groups
     if (weights < 0).any() or (l2 is not None and (l2 < 0).any()):
         raise ValueError("penalty weights must be nonnegative")
+    # each problem's first lane
+    first = [0, *itertools.accumulate(sizes)]
     # each candidate's solution goes into its row of betas, a failure into fits
     betas = np.zeros(weights.shape)
-    fits = [[None] * k for k in counts]
+    fits = [[None] * k for _ in betas]
     if p > 0 and weights.size:
         # a lane's positive and its zero candidates are two paths, each a list of
         # (lane, index, scale) in descending order
         paths = []
-        for b, (count, peaks) in enumerate(zip(counts, weights.max(axis=2).tolist())):
+        for b, peaks in enumerate(weights.max(axis=2).tolist()):
             # each candidate's scale relative to the last positive one; zero ones come last
-            peaks = peaks[:count]
             positive = [peak for peak in peaks if peak > 0.0]
             scales = [peak / positive[-1] for peak in peaks] if positive else peaks
             if any(s < s_next for s, s_next in zip(scales, scales[1:])):
                 raise ValueError("L1 candidates must be in descending order")
-            cands = [(b, k, s) for k, s in enumerate(scales)]
+            cands = [(b, c, s) for c, s in enumerate(scales)]
             paths += [part for part in (cands[: len(positive)], cands[len(positive):]) if part]
         # each problem's H, and its row count shaped to divide its gram and cross rows
         n_rows = n_rows.reshape(-1, 1, 1)
-        grams = gram.reshape(-1, p, p)
         hess = grams / n_rows
         if l2 is not None:
             hess.reshape(-1, p * p)[:, :: p + 1] += l2
@@ -219,9 +190,8 @@ def l1_path(
         # the stationarity of every solved candidate of every lane: one stacked pass
         # per lane count, a (problems, lanes x candidates, p) stack with one product
         # with each problem's gram
-        done = [(b, k) for b, lane in enumerate(fits) for k, fit in enumerate(lane) if fit is None]
+        done = [(b, c) for b, lane in enumerate(fits) for c, fit in enumerate(lane) if fit is None]
         if done:
-            k = weights.shape[1]
             worst = np.empty(weights.shape[:2])
             for size in set(sizes) - {0}:
                 at = [f for f, s in enumerate(sizes) if s == size]
@@ -239,17 +209,8 @@ def l1_path(
                     "the L1 path ended off the optimum (degenerate active set)")
     else:
         # nothing to follow: every fit is its row of zeros
-        fits = [list(lane[:count]) for lane, count in zip(betas, counts)]
-    if nest == 3:
-        return [fits[start : start + size] for start, size in zip(first, sizes)]
-    return fits if nest == 2 else fits[0]
-
-
-def _joined(parts: list, empty: tuple) -> np.ndarray:
-    """``parts`` joined along their first axis; an array of shape ``empty`` if none."""
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts) if parts else np.zeros(empty)
+        fits = [list(lane) for lane in betas]
+    return [fits[start : start + size] for start, size in zip(first, sizes)]
 
 
 def _lockstep(hess: np.ndarray, problem, lin: np.ndarray, weights: np.ndarray, paths, betas,
@@ -384,7 +345,9 @@ def kkt_residual(gram, cross, n, l1_weights, beta, l2_weights=None):
 def ridge_solve(gram, cross, n, diag_weights) -> np.ndarray:
     """Solve (G + n diag(d)) beta = cross; raises SingularDesign on failure.
 
-    ``cross`` may have multiple right-hand-side columns.
+    ``cross`` may have multiple right-hand-side columns.  The one-problem case
+    of :func:`ridge_grid`'s solve; no module of the package calls it, and it is
+    kept for the benchmark tracer's hook until the tracer hooks the grid form.
     """
     ((solution,),) = _ridge_batch(np.asarray(gram, dtype=float)[None],
                                   np.asarray(cross, dtype=float)[None],

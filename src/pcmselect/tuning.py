@@ -4,16 +4,18 @@ The protocol is two-phase and deterministic:
 
 1.  Pilot penalties are selected first by k-fold prediction error of the
     ridge pilots themselves (outcome pilot for ``pilot_lambda``, mediator
-    pilot for ``pilot_rho``), then held fixed.  On each fold, one call of
+    pilot for ``pilot_rho``), then held fixed.  One call of
     ``pcm.ridge_pilot_y_grid`` fits the outcome pilot at every
-    ``pilot_lambda`` value, and one of ``pcm.ridge_pilot_m_grid`` the
-    mediator pilot at every ``pilot_rho`` value, each in one batched solve.
+    ``pilot_lambda`` value on every fold's training set, and one of
+    ``pcm.ridge_pilot_m_grid`` the mediator pilot at every ``pilot_rho``
+    value, each in one batched solve.
 2.  The stage-1 penalties are scored by held-out mean squared error of the
     stage-1 fits.  The score is additive: the outcome model's error, which
     depends only on (lambda1, zeta1, xi1), plus the mediator model's error
-    per response column, which depends only on rho1.  So on each fold the
-    pilots and weights are fitted once, and every row of the (lambda1, rho1,
-    (zeta1, xi1)) product sums one error of each model.  The L1 weights of
+    per response column, which depends only on rho1.  So each fold's weights
+    come once from its pilot fits at the chosen values (``pcm.pilot_weights``),
+    and every row of the (lambda1, rho1, (zeta1, xi1)) product sums one
+    error of each model.  The L1 weights of
     the lambda1 candidates of one (zeta1, xi1) pair are multiples of one
     vector, and so are those of the rho1 candidates of one mediator column,
     so each pair's outcome fits are read off one L1 solution path, and each
@@ -29,7 +31,10 @@ The protocol is two-phase and deterministic:
     that the registry gives it (``lam`` and whichever of ``eta`` and ``phi``
     it takes), after the ``pilot_lam`` of its ridge pilot (``Method.pilot``)
     when the entry holds one, and every candidate passes the registry's
-    checks before any fit.
+    checks before any fit.  The pilot grid is one ``Method.pilot`` call on
+    every fold's training set, and each candidate's fits are one
+    ``Method.fit`` call on all of them, with the fits of the chosen pilot,
+    which every candidate reuses.
 
 Folds come from a seeded permutation, so selection is reproducible; ties are
 broken toward stronger regularization.  A fit that fails on some fold (for
@@ -53,13 +58,10 @@ from .errors import ConfigInvalid, EmptyGrid, FoldTooSmall, PcmSelectError
 from .experiment import METHODS, check_params
 from .pcm import (
     MIX_SLACK,
-    PilotEstimates,
-    adaptive_weights,
     pcm_stage1_m_path,
     pcm_stage1_y_path,
-    ridge_pilot_m,
+    pilot_weights,
     ridge_pilot_m_grid,
-    ridge_pilot_y,
     ridge_pilot_y_grid,
 )
 
@@ -163,14 +165,6 @@ def _splits(data: Dataset, folds) -> list[tuple[Dataset, Dataset]]:
     ]
 
 
-def _or_inf(score) -> float:
-    """``score()``, or infinity when one of its fits fails."""
-    try:
-        return score()
-    except PcmSelectError:
-        return math.inf
-
-
 def _rows(params, per_fold) -> list[CvRow]:
     """One row per parameter set; ``per_fold`` holds each fold's scores in that order.
 
@@ -264,30 +258,25 @@ def _search(key: str, values, per_fold) -> tuple[list[CvRow], float]:
 # -- pcm ------------------------------------------------------------------------
 
 
-def _stage1_scores(held, roles, pilot_lam, pilot_rho, grid: ParamGrid) -> list[list[float]]:
+def _stage1_scores(held, roles, weights, grid: ParamGrid) -> list[list[float]]:
     """Each fold's score of every (lambda1, rho1, (zeta1, xi1)) row, in product order.
 
     ``held`` holds each fold's training set and held-out responses and
-    designs.  The folds whose pilots fit go into one L1 path call with one
-    lane per fold and distinct (zeta1, xi1) pair over the distinct lambda1
-    values, and one more with one lane per fold and mediator column over the
-    distinct rho1 values.  A failed fit scores infinity, and a fold whose
-    pilots failed scores infinity on every row.
+    designs, and ``weights`` each fold's adaptive weights or its pilots'
+    failure.  The folds with weights go into one L1 path call with one lane
+    per fold and distinct (zeta1, xi1) pair over the distinct lambda1 values,
+    and one more with one lane per fold and mediator column over the distinct
+    rho1 values.  A failed fit scores infinity, and a fold whose pilots
+    failed scores infinity on every row.
     """
     rows = list(itertools.product(grid.lambda1, grid.rho1, grid.zeta_xi))
     per_fold = [[math.inf] * len(rows) for _ in held]
-    fitted = {}  # the training set and adaptive weights of each fold whose pilots fit
-    for i, (train, _, _) in enumerate(held):
-        try:
-            fitted[i] = train, adaptive_weights(PilotEstimates(
-                ridge_pilot_y(train, roles, pilot_lam), ridge_pilot_m(train, roles, pilot_rho)))
-        except PcmSelectError:
-            continue
+    fitted = [i for i, w in enumerate(weights) if not isinstance(w, PcmSelectError)]
     if not fitted:
         return per_fold
     lams, rhos = sorted(set(grid.lambda1), reverse=True), sorted(set(grid.rho1), reverse=True)
     pairs = list(dict.fromkeys(grid.zeta_xi))
-    folds = list(fitted.values())
+    folds = [(held[i][0], weights[i]) for i in fitted]
     for i, y_lanes, m_lanes in zip(fitted, pcm_stage1_y_path(folds, roles, lams, pairs),
                                    pcm_stage1_m_path([(tr, roles, w) for tr, w in folds], rhos)):
         _, y_held, m_held = held[i]
@@ -299,27 +288,45 @@ def _stage1_scores(held, roles, pilot_lam, pilot_rho, grid: ParamGrid) -> list[l
     return per_fold
 
 
+def _at(fits, values, value) -> list:
+    """Each fold's fit at ``value``, given its fits at each of ``values``."""
+    return [fold[values.index(value)] for fold in fits]
+
+
+def _pilots(held, roles, grid: ParamGrid) -> tuple:
+    """The rows of both pilot searches, the chosen pilot_lambda and pilot_rho, and each
+    fold's adaptive weights from its pilot fits at those values (or its failure).
+
+    Each pilot grid is one call over every fold's training set.  The grids'
+    fits go when this returns; the weights hold none of them.
+    """
+    trains = [tr for tr, _, _ in held]
+    y_fits = ridge_pilot_y_grid(trains, roles, grid.pilot_lambda)
+    m_fits = ridge_pilot_m_grid(trains, roles, grid.pilot_rho)
+    lam_rows, pilot_lam = _search("pilot_lambda", grid.pilot_lambda, [
+        _y_errors(*y_te, fits) for (_, y_te, _), fits in zip(held, y_fits)])
+    rho_rows, pilot_rho = _search("pilot_rho", grid.pilot_rho, [
+        _m_errors(*m_te, [[fit] if isinstance(fit, PcmSelectError) else list(fit.T)
+                          for fit in fits])
+        for (_, _, m_te), fits in zip(held, m_fits)])
+    return lam_rows + rho_rows, pilot_lam, pilot_rho, pilot_weights(
+        _at(y_fits, grid.pilot_lambda, pilot_lam), _at(m_fits, grid.pilot_rho, pilot_rho), roles)
+
+
 def _cross_validate_pcm(roles, grid: ParamGrid, splits) -> CvResult:
     if not (grid.pilot_lambda and grid.pilot_rho and grid.lambda1 and grid.rho1
             and grid.zeta_xi):
         raise EmptyGrid("pcm grid has an empty parameter list")
-    # each fold's training set and held-out data; each pilot grid is one call per fold
+    # each fold's training set and held-out data
     held = [(tr, _y_held(te, roles), _m_held(te, roles)) for tr, te in splits]
-    pilot_rows, pilot_lam = _search("pilot_lambda", grid.pilot_lambda, [
-        _y_errors(*y_te, ridge_pilot_y_grid([tr], roles, grid.pilot_lambda)[0])
-        for tr, y_te, _ in held])
-    rho_rows, pilot_rho = _search("pilot_rho", grid.pilot_rho, [
-        _m_errors(*m_te, [[fit] if isinstance(fit, PcmSelectError) else list(fit.T)
-                          for fit in ridge_pilot_m_grid([tr], roles, grid.pilot_rho)[0]])
-        for tr, _, m_te in held])
-
-    per_fold = _stage1_scores(held, roles, pilot_lam, pilot_rho, grid)
+    pilot_rows, pilot_lam, pilot_rho, weights = _pilots(held, roles, grid)
+    per_fold = _stage1_scores(held, roles, weights, grid)
     rows = _rows([{"lambda1": lam1, "rho1": rho1, "zeta1": zeta1, "xi1": xi1}
                   for lam1, rho1, (zeta1, xi1)
                   in itertools.product(grid.lambda1, grid.rho1, grid.zeta_xi)], per_fold)
     best = _select(rows, lambda p: (-p["lambda1"], -p["rho1"], -p["zeta1"], -p["xi1"]))
     chosen = {"pilot_lambda": pilot_lam, "pilot_rho": pilot_rho, **best.params}
-    return CvResult("pcm", chosen, best.mean_score, tuple(pilot_rows + rho_rows + rows))
+    return CvResult("pcm", chosen, best.mean_score, tuple(pilot_rows + rows))
 
 
 # -- baselines -------------------------------------------------------------------
@@ -336,15 +343,19 @@ def _cross_validate_baseline(roles, name, grid: ParamGrid, splits) -> CvResult:
     for cand in cands:
         check_params(name, cand, roles)
     # every baseline regresses the outcome on [x, covariates], pal1ma's own roles
-    held = [(tr, _y_held(te, replace(roles, s=(), sbar=()))) for tr, te in splits]
+    held = [_y_held(te, replace(roles, s=(), sbar=())) for _, te in splits]
+    trains = [tr for tr, _ in splits]
+    pilots, suffix = None, {}
     if method.pilot:
+        # the pilot grid on every fold in one call; every candidate reuses the chosen fits
+        pilot_fits = method.pilot(trains, roles, grid.pilot_lambda)
         _, pilot_lam = _search("pilot_lambda", grid.pilot_lambda, [
-            [_or_inf(lambda: _y_errors(*y_te, [method.pilot(tr, roles, lam)])[0])
-             for lam in grid.pilot_lambda] for tr, y_te in held])
-        cands = [{**cand, "pilot_lam": pilot_lam} for cand in cands]
-    rows = _rows(cands, [
-        [_or_inf(lambda: _y_errors(*y_te, [method.fit(tr, roles, **cand)])[0])
-         for cand in cands] for tr, y_te in held])
+            _y_errors(*y_te, fold) for y_te, fold in zip(held, pilot_fits)])
+        pilots, suffix = _at(pilot_fits, grid.pilot_lambda, pilot_lam), {"pilot_lam": pilot_lam}
+    # each candidate's fits on every fold in one call, failures in place
+    fits = [method.fit(trains, roles, pilots, **cand) for cand in cands]
+    rows = _rows([{**cand, **suffix} for cand in cands],
+                 [_y_errors(*y_te, list(fold)) for y_te, fold in zip(held, zip(*fits))])
     best = _select(rows, lambda p: (-p["lam"], -p.get("eta", 0.0), -p.get("phi", 0.0)))
     return CvResult(name, dict(best.params), best.mean_score, tuple(rows))
 

@@ -164,3 +164,34 @@ def test_module_stays_below_the_parser_token_doubling(name):
         count = sum(1 for token in tokenize.tokenize(source.readline)
                     if token.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING))
     assert count < PARSER_TOKEN_LIMIT, f"{path.name} has {count} parser tokens"
+
+
+def _top_level_names(node) -> list[str]:
+    """The names that a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+
+
+def test_every_private_name_is_used():
+    """Every private top-level name of a ``src/pcmselect`` module is read somewhere
+    in ``src`` outside its own definition, so no helper outlives its last caller."""
+    trees = [ast.parse(path.read_text()) for path in
+             sorted(Path(pcmselect.__file__).parent.glob("*.py"))]
+    reads = [(node, node.id) for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+    reads += [(node, node.attr) for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)]
+    reads += [(node, node.name) for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.alias)]
+    unused = []
+    for tree in trees:
+        for statement in tree.body:
+            inside = {id(node) for node in ast.walk(statement)}
+            for name in _top_level_names(statement):
+                if (name.startswith("_") and not name.startswith("__")
+                        and not any(n == name and id(node) not in inside for node, n in reads)):
+                    unused.append(name)
+    assert not unused, f"private names that nothing in src reads: {unused}"

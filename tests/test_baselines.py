@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from pcmselect.baselines import back_door_estimate, front_door_like_estimate
+from pcmselect.cli import NUMERIC_ERROR, main
 from pcmselect.data import Dataset, RolePartition
-from pcmselect.errors import ConfigInvalid, PcmSelectError
+from pcmselect.errors import ConfigInvalid, PcmSelectError, SingularDesign
+from pcmselect.io import write_dataset_csv
 from pcmselect.experiment import METHODS, check_params
 from pcmselect.pcm import PcmParams, pcm_total_effect
 from pcmselect.solvers import ols_solve
@@ -105,9 +109,13 @@ class TestPenalizedBaselines:
         ds = random_instance(50)
         for method, params in (("lasso", {}), ("adaptive-lasso", {"eta": 0.5, "pilot_lam": 2.0}),
                                ("elastic-net", {"phi": 0.7})):
-            beta = METHODS[method].fit(ds, BASE_ROLES, lam=0.03, **params)
+            entry = METHODS[method]
+            assert (entry.pilot is None) == ("pilot_lam" not in params)
+            keys = {key: value for key, value in params.items() if key != "pilot_lam"}
+            pilots = entry.pilot and [fits[0] for fits in entry.pilot([ds], BASE_ROLES,
+                                                                      [params["pilot_lam"]])]
+            (beta,) = entry.fit([ds], BASE_ROLES, pilots, lam=0.03, **keys)
             assert beta[0] == estimate(method, ds, lam=0.03, **params), method
-            assert (METHODS[method].pilot is None) == ("pilot_lam" not in params)
 
     def test_unknown_method(self):
         for method in ("ridge", "adaptive_lasso", "elastic_net"):
@@ -138,3 +146,41 @@ class TestPal1maReduction:
         a = ds.values[:, ds.index_of(["X", "Z1"])]
         expected = ols_solve(a.T @ a, a.T @ ds.column("Y"))[0]
         assert est == pytest.approx(expected, abs=1e-8)
+
+
+def near_copy_sample():
+    """n=40 rows of X, Y and three candidate covariates, Z2 a copy of Z1 up to 1e-9
+    noise, so the least-squares design gram on [X, Z1, Z2, Z3] is ill conditioned."""
+    rng = np.random.default_rng(3)
+    z1, z3, x = rng.standard_normal((3, 40))
+    z2 = z1 + 1e-9 * rng.standard_normal(40)
+    x = x + 0.5 * z1
+    y = 0.5 * x + 0.4 * z1 + 0.3 * z3 + rng.standard_normal(40)
+    return (Dataset(np.column_stack([x, y, z1, z2, z3]), ("X", "Y", "Z1", "Z2", "Z3")),
+            RolePartition(x="X", y="Y", zbar=("Z1", "Z2", "Z3")))
+
+
+class TestZeroPilot:
+    """At pilot_lam = 0 every ridge pilot is least squares through the rank guard of
+    ``solvers.ols_batch``: adaptive-lasso's as pal1ma's and pcm's."""
+
+    @pytest.mark.parametrize("name", ["adaptive-lasso", "pal1ma"])
+    def test_an_ill_conditioned_pilot_fails(self, name, tmp_path, capsys):
+        raw, roles = near_copy_sample()
+        params = {"lam": 0.05, "pilot_lam": 0.0}
+        (result,) = METHODS[name].estimate([raw.standardized()], roles, params)
+        assert isinstance(result, SingularDesign)
+        assert "design gram condition number" in str(result) and "exceeds limit" in str(result)
+        # a positive pilot penalty fits
+        (ridge,) = METHODS[name].estimate([raw.standardized()], roles, {**params, "pilot_lam": 1e-3})
+        assert isinstance(ridge, float)
+        # the CLI reports the same failure as a numerical error
+        paths = {key: tmp_path / f"{key}.json" for key in ("roles", "params")}
+        paths["roles"].write_text(json.dumps(roles.to_dict()))
+        paths["params"].write_text(json.dumps(params))
+        write_dataset_csv(tmp_path / "data.csv", raw)
+        capsys.readouterr()
+        assert main(["estimate", "--data", str(tmp_path / "data.csv"), "--roles",
+                     str(paths["roles"]), "--method", name, "--params",
+                     str(paths["params"])]) == NUMERIC_ERROR == 3
+        assert capsys.readouterr().err.strip() == f"error: {result}"

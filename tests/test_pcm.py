@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pcmselect.baselines import (back_door_estimate, back_door_estimates, front_door_like_estimate,
-                                 front_door_like_estimates)
+from pcmselect.baselines import (back_door_estimate, back_door_estimates, baseline_penalized,
+                                 front_door_like_estimate, front_door_like_estimates)
 from pcmselect.data import Dataset, RolePartition
 from pcmselect.errors import DecompositionFailure, PcmSelectError, SingularDesign
 from pcmselect.pcm import (
@@ -29,7 +29,7 @@ from pcmselect.pcm import (
     ridge_pilot_y_grid,
     verify_active_set_relation,
 )
-from pcmselect.experiment import PRESETS, experiment_roles
+from pcmselect.experiment import METHODS, PRESETS, experiment_roles
 from pcmselect.scm import LinearScm, build_experiment_scm
 from pcmselect.graphs import Dag
 from pcmselect import pcm, solvers
@@ -721,6 +721,18 @@ class TestChunkTail:
                     assert isinstance(estimate, SingularDesign) and str(alone) == str(estimate)
                 else:
                     assert repr(estimate) == repr(alone)
+        # and so do the lasso family's, through its L1 path (lam = 0 leaves X and its
+        # copy both unpenalized) or through its least-squares pilot (pilot_lam = 0)
+        for name, params, fails in [
+                ("lasso", {"lam": 0.0}, True), ("elastic-net", {"lam": 0.02, "phi": 0.9}, False),
+                ("adaptive-lasso", {"lam": 0.02, "pilot_lam": 0.0}, True),
+                ("adaptive-lasso", {"lam": 0.02, "eta": 0.5, "pilot_lam": 0.5}, False)]:
+            for ds, estimate in zip(datasets, METHODS[name].estimate(datasets, BARE, params)):
+                alone = alone_or_failure(baseline_penalized, ds, BARE, **params)
+                if ds is datasets[2] and fails:
+                    assert isinstance(estimate, SingularDesign) and str(alone) == str(estimate)
+                else:
+                    assert isinstance(estimate, float) and repr(estimate) == repr(alone)
 
     def test_a_failed_pseudoinverse_falls_back_one_matrix_at_a_time(self, monkeypatch):
         # the SVD of one dataset's mediator-block residual gram raises LinAlgError;

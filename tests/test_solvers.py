@@ -130,6 +130,13 @@ def solve_alone(gram, cross, n, l1):
         return exc
 
 
+def one_lane(gram, cross, n, cands):
+    """The fits of one lane: ``l1_path`` on a stack of one problem with one lane."""
+    (((lane),),) = l1_path(np.asarray(gram)[None], [np.asarray(cross)[None]], [n],
+                           [np.asarray(cands)[None]])
+    return lane
+
+
 def assert_same_fit(fit, alone):
     """Bit-identical solutions, or failures of the same class."""
     if isinstance(alone, PcmSelectError):
@@ -147,18 +154,18 @@ class TestL1Path:
         a, y, l1 = make_problem(seed, *shape)
         gram, cross, n = a.T @ a, a.T @ y, shape[0]
         cands = [s * l1 for s in sorted(scales, reverse=True)]
-        for w, fit in zip(cands, l1_path(gram, cross, n, cands)):
+        for w, fit in zip(cands, one_lane(gram, cross, n, cands)):
             assert_same_fit(fit, solve_alone(gram, cross, n, w))
             if isinstance(fit, np.ndarray):
                 assert kkt_residual(gram, cross, n, w, fit) <= 1e-9
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000), SHAPES,
-           st.lists(st.lists(st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.0, 5.0, 20.0]),
-                             min_size=1, max_size=5), min_size=1, max_size=4))
+    @given(st.integers(0, 10_000), SHAPES, st.integers(1, 5).flatmap(lambda k: st.lists(
+        st.lists(st.sampled_from([0.0, 0.1, 0.3, 1.0, 2.0, 5.0, 20.0]), min_size=k, max_size=k),
+        min_size=1, max_size=4)))
     def test_each_lane_equals_that_lane_alone(self, seed, shape, lane_scales):
         # lanes share the gram; each has its own cross vector and its own
-        # candidate list (zero, repeated and single candidates included)
+        # candidates (zero, repeated and single candidates included)
         rng = np.random.default_rng(seed + 2)
         a, y, _ = make_problem(seed, *shape)
         gram, (n, p) = a.T @ a, shape
@@ -167,10 +174,10 @@ class TestL1Path:
         for scales in lane_scales:
             l1 = 0.1 * rng.uniform(0.0, 1.0, p) * (rng.random(p) < 0.8)
             lists.append([s * l1 for s in sorted(scales, reverse=True)])
-        fits = l1_path(gram, np.array(crosses), n, lists)
+        (fits,) = l1_path(gram[None], [np.array(crosses)], [n], [np.array(lists)])
         assert [len(lane) for lane in fits] == [len(cands) for cands in lists]
         for cross, cands, lane in zip(crosses, lists, fits):
-            for fit, alone in zip(lane, l1_path(gram, cross, n, cands)):
+            for fit, alone in zip(lane, one_lane(gram, cross, n, cands)):
                 assert_same_fit(fit, alone)
 
     def test_a_singular_lane_fails_alone(self):
@@ -183,14 +190,14 @@ class TestL1Path:
         singular[:2] = 0.0
         kept[0], kept[1] = 0.0, 1e3
         crosses = np.array([a.T @ y, a.T @ y, a.T @ (y + a[:, 2])])
-        lists = [[3 * kept, kept], [3 * singular, singular], [kept]]
-        fits = l1_path(gram, crosses, n, lists)
+        lists = [[3 * kept, kept], [3 * singular, singular], [2 * kept, kept]]
+        (fits,) = l1_path(gram[None], [crosses], [n], [np.array(lists)])
         # the batched solve raised; the lane's own solve named it singular
         assert all(isinstance(fit, SingularDesign) and "singular" in str(fit)
                    for fit in fits[1])
         for lane in (0, 2):
             for w, fit, alone in zip(lists[lane], fits[lane],
-                                     l1_path(gram, crosses[lane], n, lists[lane])):
+                                     one_lane(gram, crosses[lane], n, lists[lane])):
                 assert isinstance(fit, np.ndarray)
                 assert_same_fit(fit, alone)
                 assert kkt_residual(gram, crosses[lane], n, w, fit) <= 1e-9
@@ -230,37 +237,52 @@ class TestL1Path:
         lists.append([[s * w for s in (1.75, 1.5, 1.25, 1.0)]] * 2)
         grams, crosses, ns = np.array(grams), np.array(crosses), [60, 5, 37]
         monkeypatch.setattr(np.linalg, "solve", solve_flipped)
-        fits = l1_path(grams, crosses, ns, lists)
+        fits = l1_path(grams, list(crosses), ns, [np.array(ws) for ws in lists])
         assert [len(problem) for problem in fits] == [2, 2, 2]
-        # the same lanes with their candidates in one array
-        for problem, arrayed in zip(fits, l1_path(grams, crosses, ns, np.array(lists))):
-            for lane, other in zip(problem, arrayed):
-                for fit, same in zip(lane, other):
-                    assert_same_fit(fit, same)
         for f, problem in enumerate(fits):
             for b, lane in enumerate(problem):
-                for fit, alone in zip(lane, l1_path(grams[f], crosses[f, b], ns[f], lists[f][b])):
+                for fit, alone in zip(lane, one_lane(grams[f], crosses[f, b], ns[f], lists[f][b])):
                     assert_same_fit(fit, alone)
         assert all(isinstance(fit, np.ndarray) for lane in fits[0] for fit in lane)
         assert all(isinstance(fit, SingularDesign) and "singular" in str(fit)
                    for fit in fits[1][0])
         assert all(isinstance(fit, MaxIterationsExceeded) for lane in fits[2] for fit in lane)
-        # a one-problem stack is the shared gram
-        for lane, shared in zip(l1_path(grams[:1], crosses[:1], ns[:1], lists[:1])[0],
-                                l1_path(grams[0], crosses[0], ns[0], lists[0])):
-            for fit, same in zip(lane, shared):
+        # a one-problem stack, whose gram is broadcast over its lanes, gives the
+        # fits of that problem in the stack of three
+        for lane, stacked in zip(l1_path(grams[:1], crosses[:1], ns[:1], [np.array(lists[0])])[0],
+                                 fits[0]):
+            for fit, same in zip(lane, stacked):
                 assert_same_fit(fit, same)
 
     def test_no_lanes(self):
-        a, y, _ = make_problem(14)
-        assert l1_path(a.T @ a, np.zeros((0, 6)), 60, []) == []
+        a, y, l1 = make_problem(14)
+        gram, cross = a.T @ a, a.T @ y
+        assert l1_path(np.zeros((0, 6, 6)), [], [], []) == []
+        # a problem without lanes takes no part beside one with a lane
+        fits = l1_path(np.array([gram, gram]), [np.zeros((0, 6)), cross[None]], [60, 60],
+                       [np.zeros((0, 2, 6)), np.array([[2 * l1, l1]])])
+        assert fits[0] == [] and len(fits[1]) == 1
+        for fit, alone in zip(fits[1][0], one_lane(gram, cross, 60, [2 * l1, l1])):
+            assert_same_fit(fit, alone)
 
     def test_rejects_ascending_candidates(self):
         a, y, l1 = make_problem(10)
         with pytest.raises(ValueError):
-            l1_path(a.T @ a, a.T @ y, 60, [l1, 2 * l1])
+            one_lane(a.T @ a, a.T @ y, 60, [l1, 2 * l1])
         with pytest.raises(ValueError):
-            l1_path(a.T @ a, a.T @ y, 60, [0 * l1, l1])
+            one_lane(a.T @ a, a.T @ y, 60, [0 * l1, l1])
+
+    def test_rejects_mismatched_shapes(self):
+        a, y, l1 = make_problem(16)
+        grams, crosses = np.array([a.T @ a] * 2), [(a.T @ y)[None]] * 2
+        for ns, weights in [([60, 60], [np.array([[l1]]), np.array([[2 * l1, l1]])]),
+                            ([60, 60], [np.array([[l1]]), np.array([[l1[:5]]])]),
+                            ([60], [np.array([[l1]])] * 2)]:
+            with pytest.raises(ValueError):
+                l1_path(grams, crosses, ns, weights)
+        # two grams with no problems' lanes
+        with pytest.raises(ValueError):
+            l1_path(grams, [], [], [])
 
     def test_a_singular_block_fails_every_candidate_below_it(self, monkeypatch):
         # a stand-in for a singular active block: every system with 3 or more
@@ -281,7 +303,7 @@ class TestL1Path:
             return solve(blocks, rhs)
 
         monkeypatch.setattr(np.linalg, "solve", solve_small)
-        fits = l1_path(gram, cross, 60, cands)
+        fits = one_lane(gram, cross, 60, cands)
         assert [isinstance(f, SingularDesign) for f in fits] == [False, False, True, True, True]
         for w, fit in zip(cands, fits):
             assert_same_fit(fit, solve_alone(gram, cross, 60, w))
@@ -299,7 +321,7 @@ class TestL1Path:
             return np.where((np.asarray(l1_weights) == cands[2]).all(axis=-1), np.inf, worst)
 
         monkeypatch.setattr(solvers, "kkt_residual", kkt_failing_third)
-        fits = l1_path(gram, cross, 60, cands)
+        fits = one_lane(gram, cross, 60, cands)
         assert isinstance(fits[2], SingularDesign)
         for k in (0, 1, 3):
             assert_same_fit(fits[k], alone[k])
@@ -313,7 +335,8 @@ class TestKktResidual:
         gram, n = a.T @ a, a.shape[0]
         crosses = np.array([a.T @ (y + rng.standard_normal(n)) for _ in range(3)])
         lists = [[s * l1 for s in (5.0, 1.0, 0.2, 0.0)]] * 3
-        betas = np.array([fit for lane in l1_path(gram, crosses, n, lists) for fit in lane])
+        (lanes,) = l1_path(gram[None], [crosses], [n], [np.array(lists)])
+        betas = np.array([fit for lane in lanes for fit in lane])
         betas[::2] += 1e-3 * rng.standard_normal((6, 6))
         betas[1::4, :2] = 0.0
         rows = np.repeat(crosses, 4, axis=0)

@@ -1,22 +1,28 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pcmselect import baselines, pcm, solvers
 from pcmselect.data import Dataset, RolePartition
 from pcmselect.errors import EmptyGrid, FoldTooSmall, PcmSelectError
 from pcmselect.experiment import experiment_roles
 from pcmselect.pcm import (
+    AdaptiveWeights,
     PilotEstimates,
     adaptive_weights,
     pcm_stage1_m_path,
     pcm_stage1_y,
     pcm_stage1_y_path,
+    reciprocal_power_weights,
     ridge_pilot_m,
     ridge_pilot_y,
 )
 from pcmselect.scm import build_experiment_scm
-from pcmselect.tuning import ParamGrid, _fold_indices, cross_validate, cv_table_csv
+from pcmselect.solvers import coordinate_descent, ridge_solve
+from pcmselect.tuning import (ParamGrid, _fold_indices, cross_validate, cv_table_csv,
+                              default_log_grid)
 
 from oracles import brute_force_pcm_cv
 from test_pcm import ROLES, random_instance
@@ -345,6 +351,151 @@ class TestMergedFolds:
                        if not out)
         if name == "n=16, unequal folds":
             assert len({len(f) for f in _fold_indices(16, 5, grid.fold_seed)}) == 2
+
+
+def fold_by_fold_baseline_cv(data, roles, name, grid):
+    """A penalized baseline's cross-validation one fold and one candidate at a time:
+    each pilot value's ridge fit alone, then each candidate's fit alone on its fold
+    with the chosen pilot, and each held-out error on its own.
+
+    Returns the table as ``(params, mean, fold_scores)`` rows, the chosen
+    parameters and the score, as ``cross_validate`` orders them.
+    """
+    folds = _fold_indices(data.n, grid.folds, grid.fold_seed)
+    splits = [(Dataset(data.values[np.concatenate(folds[:i] + folds[i + 1:])], data.columns),
+               Dataset(data.values[rows], data.columns)) for i, rows in enumerate(folds)]
+    bare = replace(roles, s=(), sbar=())
+    cols = [roles.x, *roles.covariates]
+    keys = {"lasso": ("lam",), "adaptive-lasso": ("lam", "eta"), "elastic-net": ("lam", "phi"),
+            "pal1ma": ("lam", "eta")}[name]
+    adaptive = name in ("adaptive-lasso", "pal1ma")
+
+    def moments(train):
+        return train.cross(cols, cols), train.cross(cols, [roles.y])[:, 0], train.n
+
+    def pilot(train, value):
+        if name == "pal1ma":
+            return ridge_pilot_y(train, bare, value).stacked()
+        return ridge_solve(*moments(train), np.full(len(cols), value))
+
+    def fit(train, pilot_beta, lam, eta=1.0, phi=1.0):
+        if name == "pal1ma":
+            zbar, _ = reciprocal_power_weights(pilot_beta[1 + len(roles.z):], eta=eta)
+            weights = AdaptiveWeights(np.zeros(0), zbar, np.zeros((len(roles.zbar), 0)))
+            return pcm_stage1_y(train, bare, weights, lam, 0.0, 0.0).stacked()
+        w = (np.ones(len(cols)) if pilot_beta is None
+             else reciprocal_power_weights(pilot_beta, eta=eta, normalize=False)[0])
+        return coordinate_descent(*moments(train), lam * phi * w, np.full(len(cols), lam * (1 - phi)))
+
+    def error(test, beta):
+        resid = test.column(roles.y) - test.values[:, test.index_of(cols)] @ beta
+        return float(resid @ resid) / test.n
+
+    def or_inf(score):
+        try:
+            return score()
+        except PcmSelectError:
+            return np.inf
+
+    def rows_of(params, per_fold):
+        return [(p, float(np.mean(scores)), tuple(scores)) for p, scores in zip(params, per_fold)]
+
+    pilots = [None] * len(splits)
+    suffix = {}
+    if adaptive:
+        lam_rows = rows_of([{"pilot_lambda": v} for v in grid.pilot_lambda], [
+            [or_inf(lambda: error(te, pilot(tr, v))) for tr, te in splits]
+            for v in grid.pilot_lambda])
+        best = min(lam_rows, key=lambda r: (r[1], -r[0]["pilot_lambda"]))
+        suffix = {"pilot_lam": best[0]["pilot_lambda"]}
+        pilots = [pilot(tr, suffix["pilot_lam"]) for tr, _ in splits]
+    cands = [dict(zip(keys, combo)) for combo in itertools.product(*(getattr(grid, k)
+                                                                       for k in keys))]
+    rows = rows_of([{**cand, **suffix} for cand in cands], [
+        [or_inf(lambda: error(te, fit(tr, beta, **cand))) for (tr, te), beta in zip(splits, pilots)]
+        for cand in cands])
+    best = min(rows, key=lambda r: (r[1], -r[0]["lam"], -r[0].get("eta", 0.0),
+                                    -r[0].get("phi", 0.0)))
+    return rows, best[0], best[1]
+
+
+def baseline_case(name):
+    """(data, roles, grid) of one check of baseline CV against fold by fold."""
+    logs = list(np.logspace(-3, 2, 13))
+    if name == "setting A, n=14":
+        # p >= n: the training sets have 11 or 12 rows for 12 regressors, and some
+        # zero-penalty fits fail
+        ds, roles = setting_a_sample(1, n=14)
+        return ds, roles, small_grid(lam=[0.0] + logs, eta=(0.5, 1.0, 2.0), phi=(0.5, 0.9, 1.0),
+                                     pilot_lambda=logs[::3], folds=5, fold_seed=0)
+    if name == "mediators, unequal folds":
+        return random_instance(76, n=17), ROLES, small_grid(
+            lam=(1.0, 0.0, 0.05, 0.3, 0.05), eta=(2.0, 0.5), phi=(0.3, 1.0),
+            pilot_lambda=(1.0, 0.01, 0.3), folds=5)
+    return random_instance(77, n=40), BASE_ROLES, small_grid(
+        lam=logs[::2], eta=(1.0, 0.1), phi=(0.9, 0.5), pilot_lambda=logs[1::4], folds=4)
+
+
+class TestBaselineFolds:
+    @pytest.mark.parametrize("case", ["setting A, n=14", "mediators, unequal folds", "n > p"])
+    @pytest.mark.parametrize("name", ["lasso", "adaptive-lasso", "elastic-net", "pal1ma"])
+    def test_equals_the_fold_by_fold_search(self, name, case):
+        # the table, the chosen parameters and the score must be those of one fit
+        # per fold and candidate, byte for byte
+        ds, roles, grid = baseline_case(case)
+        result = cross_validate(ds, roles, name, grid)
+        table, chosen, score = fold_by_fold_baseline_cv(ds, roles, name, grid)
+        assert [(r.params, r.mean_score, r.fold_scores) for r in result.table] == table
+        assert result.chosen == chosen and result.score == score
+        assert np.isfinite(score)
+        if case == "setting A, n=14":
+            # some fold fits fail, and score inf there
+            assert any(np.isinf(s) for row in result.table for s in row.fold_scores)
+
+
+def count_calls(monkeypatch, name, modules, size) -> list:
+    """Install a wrapper of the function ``name`` of ``solvers`` on each of
+    ``modules``; the list gets ``size(*args)`` for each call."""
+    calls, original = [], getattr(solvers, name)
+
+    def counted(*args, **kwargs):
+        calls.append(size(*args))
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestCallCounts:
+    @pytest.mark.parametrize("name", ["adaptive-lasso", "pal1ma"])
+    def test_a_baseline_tune_fits_its_pilot_grid_once(self, name, monkeypatch):
+        # 5 folds, 3 pilot values, 13 x 3 = 39 (lam, eta) candidates: one ridge_grid
+        # call of 15 systems, and one L1 path call per candidate on all 5 folds
+        ds, roles = setting_a_sample(1, n=100)
+        grid = small_grid(lam=default_log_grid(), eta=(0.5, 1.0, 2.0),
+                          pilot_lambda=(0.1, 1.0, 10.0), folds=5)
+        ridges = count_calls(monkeypatch, "ridge_grid", (baselines, pcm),
+                             lambda gram, cross, n, pen, scales: len(gram) * len(scales))
+        paths = count_calls(monkeypatch, "l1_path", (baselines, pcm), lambda grams, *_: len(grams))
+        solves = count_calls(monkeypatch, "ridge_solve", (solvers,), lambda *_: 1)
+        result = cross_validate(ds, roles, name, grid)
+        assert len(result.table) == 39
+        assert ridges == [15] and paths == [5] * 39 and solves == []
+
+    def test_a_pcm_tune_fits_each_pilot_grid_once(self, monkeypatch):
+        # one pilot-grid call per kind over every fold; stage 1 reuses the chosen fits
+        ds, roles = setting_a_sample(1, n=100)
+        grid = small_grid(pilot_lambda=(0.1, 1.0, 10.0), pilot_rho=(0.5, 5.0),
+                          lambda1=(0.01, 0.1), rho1=(0.05, 0.5), folds=5)
+        ridges = count_calls(monkeypatch, "ridge_grid", (pcm,),
+                             lambda gram, cross, n, pen, scales: len(gram) * len(scales))
+        refits = count_calls(monkeypatch, "ridge_solve", (solvers,), lambda *_: 1)
+        for pilot in ("ridge_pilot_y", "ridge_pilot_m"):
+            monkeypatch.setattr(pcm, pilot, None)
+        result = cross_validate(ds, roles, "pcm", grid)
+        assert np.isfinite(result.score)
+        assert ridges == [15, 10] and refits == []
 
 
 class TestTableExport:
