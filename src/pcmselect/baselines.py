@@ -34,11 +34,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .data import Dataset, RolePartition
+from .data import Dataset, RolePartition, gram_stack
 from .errors import PcmSelectError, on_successes, unwrap
 from .pcm import (
     AdaptiveWeights,
     PcmParams,
+    _y_moments,
     fit_from_weights,
     pcm_stage1_y_path,
     reciprocal_power_weights,
@@ -117,8 +118,7 @@ def _least_squares(datasets, regressors: list, responses: list) -> list:
     call, or each fit's failure."""
     if not datasets:
         return []
-    names = regressors + responses
-    grams = np.array([data.cross(names, names) for data in datasets])
+    grams = gram_stack(datasets, [regressors + responses] * len(datasets))
     k = len(regressors)
     return ols_batch(grams[:, :k, :k], grams[:, :k, k:])
 
@@ -133,15 +133,6 @@ def baseline_penalized(data: Dataset, roles: RolePartition, lam: float, *, phi: 
                                                eta=eta)[0])[0])
 
 
-def _outcome_moments(datasets, roles: RolePartition) -> tuple:
-    """The grams of ``[x] + roles.covariates`` in each of ``datasets``, their cross
-    products with the outcome and the row counts, stacked."""
-    cols = [roles.x, *roles.covariates]
-    return (np.array([data.cross(cols, cols) for data in datasets]),
-            np.array([data.cross(cols, [roles.y])[:, 0] for data in datasets]),
-            [data.n for data in datasets])
-
-
 def penalized_coefficients(datasets, roles: RolePartition, pilots, lam: float, *,
                            phi: float = 1.0, eta: float = 1.0) -> list:
     """Adaptive elastic-net fit of the outcome on ``[x] + roles.covariates`` in each
@@ -152,7 +143,8 @@ def penalized_coefficients(datasets, roles: RolePartition, pilots, lam: float, *
     reciprocal magnitudes of the dataset's :func:`pilot_coefficients` fit in
     ``pilots`` raised to ``eta``; a failed pilot is its dataset's result.
     """
-    grams, crosses, ns = _outcome_moments(datasets, roles)
+    # [x] + roles.covariates is the outcome design of roles without mediators
+    grams, crosses, ns = _y_moments(datasets, _without_mediators(roles))
     p = grams.shape[-1]
     weights = [np.ones(p)] * len(datasets) if pilots is None else [
         pilot if isinstance(pilot, PcmSelectError) else
@@ -168,7 +160,7 @@ def pilot_coefficients(datasets, roles: RolePartition, pilot_lams) -> list:
     :func:`~pcmselect.solvers.ridge_grid` call: ``fits[d][k]`` is the fit on
     ``datasets[d]`` at ``pilot_lams[k]`` or, if it failed, its exception.  A zero
     value is least squares with :func:`~pcmselect.solvers.ols_batch`'s rank guard."""
-    grams, crosses, ns = _outcome_moments(datasets, roles)
+    grams, crosses, ns = _y_moments(datasets, _without_mediators(roles))
     return ridge_grid(grams, crosses, ns, np.ones(grams.shape[-1]), pilot_lams)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ConfigInvalid
 from .linalg import as_matrix, standardize
 
-__all__ = ["RolePartition", "Dataset"]
+__all__ = ["RolePartition", "Dataset", "gram_stack"]
 
 # The set-valued role groups, in declaration order.
 _GROUPS = ("z", "zbar", "s", "sbar")
@@ -88,8 +88,9 @@ class RolePartition:
 class Dataset:
     """A named-column observation matrix, usually standardized.
 
-    Every estimator reads the data through :meth:`cross`, blocks of the one
-    cross-product matrix :attr:`gram`.
+    Every estimator reads the data through blocks of the one cross-product
+    matrix :attr:`gram`: a stack of datasets through :func:`gram_stack`, one
+    block through :meth:`cross`.
     """
 
     values: np.ndarray
@@ -139,3 +140,13 @@ class Dataset:
         missing = [c for c in roles.required_columns() if c not in self.columns]
         if missing:
             raise ConfigInvalid(f"dataset lacks role columns: {missing}")
+
+
+def gram_stack(datasets, names) -> np.ndarray:
+    """The (D, k, k) stack of the :attr:`Dataset.gram` blocks of ``datasets``, each
+    between the k columns of its entry of ``names``, laid out as :meth:`Dataset.cross`
+    lays out one.  ``take`` along one axis at a time keeps each block C-contiguous:
+    index arrays on the last two axes of a stack would put the stack's axis innermost,
+    and BLAS would then not take the blocks."""
+    return np.array([data.gram.take(index, 0).take(index, 1)
+                     for data, index in zip(datasets, map(Dataset.index_of, datasets, names))])

@@ -10,8 +10,8 @@ blocks.  They read the data through its cross products only.
 :func:`corrections` runs the step on a sequence of datasets, such as the
 samples of a chunk of Monte Carlo replications.  It groups them by the shape
 of their active design: whether the treatment is active, and the sizes of
-its fixed and active candidate blocks.  A group's frame grams are slices of
-its stacked :attr:`~pcmselect.data.Dataset.gram`\\ s, and each of its refits,
+its fixed and active candidate blocks.  A group's frame grams are one
+:func:`~pcmselect.data.gram_stack` of its datasets, and each of its refits,
 residual grams, pseudoinverses and corrections is one stacked call.  Every
 system is its own LAPACK call, so no result depends on the other datasets,
 and a failure stays with its dataset.  A group's stacks are dropped once its
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import gram_stack
 from .errors import PcmSelectError, unwrap
 from .linalg import pseudo_inverse_batch
 from .solvers import _ridge_batch, ols_batch
@@ -119,8 +120,7 @@ def debias_ridges(
     in :func:`corrections`; raises the first failure.
     """
     failed = {}
-    names = _frame(roles)
-    blocks = _refits(data.cross(names, names)[None], np.array([data.n]), include_x,
+    blocks = _refits(gram_stack([data], [_frame(roles)]), np.array([data.n]), include_x,
                      _shape(roles), (lam2, xi2, rho2, rho2_prime), failed)
     if failed:
         raise failed[0]
@@ -164,8 +164,7 @@ def _refits(ext, n, include_x: bool, shape: tuple, penalties: tuple, failed: dic
 
 def _blocks(ext, rows, *cols) -> list:
     """The (rows, cols) block of each of a stack of grams for each of ``cols``, laid out
-    as :meth:`~pcmselect.data.Dataset.cross` lays out one: indexing all three axes
-    would put the stack's axis innermost, and BLAS would then not take the blocks."""
+    as :func:`~pcmselect.data.gram_stack` lays out its blocks."""
     taken = ext.take(rows, axis=1)
     return [taken.take(c, axis=2) for c in cols]
 
@@ -290,7 +289,7 @@ def corrections(items, params) -> list:
 
 def _group(items, include_x: bool, shape: tuple, params) -> list:
     """:func:`corrections` on datasets of one active-design shape."""
-    ext = np.array([data.cross(_frame(roles), _frame(roles)) for data, roles, *_ in items])
+    ext = gram_stack([data for data, *_ in items], [_frame(roles) for _, roles, *_ in items])
     n = np.array([data.n for data, *_ in items])
     failed = {}
     debias = _refits(ext, n, include_x, shape,

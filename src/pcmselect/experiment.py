@@ -152,6 +152,8 @@ def _penalized_baseline(fit, pilot=None, estimate=None, **keys) -> Method:
                 raise ValueError(f"{key} must be finite in [0, {highs[key]:g}], got {value!r}")
 
     def treatment(datasets, roles, params):
+        if not datasets:
+            return []
         pilot_lam = params.pop("pilot_lam", None)
         pilots = None if pilot is None else [fits[0] for fits in pilot(datasets, roles,
                                                                        [pilot_lam])]

@@ -55,12 +55,14 @@ Carlo replications, and return one fit or one failure per dataset.  Steps
 1, 3 and 4 run over all of them at once: each ridge pilot of every dataset
 is one batched solve, every dataset's stage-1 outcome fit is a lane of one
 L1 path call, and its mediator fits are lanes of one more per width of the
-active mediator design.  Step 4 (:mod:`pcmselect.debias`) groups the
-datasets by the shape of their active design and runs each group's
-debiasing ridges, residual grams, pseudoinverses and corrections as stacked
-calls.  The adaptive weights, the restriction to the active design and step
-5 run per dataset.  Every system is its own LAPACK call, so no fit depends
-on the other datasets of its call, and a failure stays with its dataset.
+active mediator design.  Each of these calls reads the grams of all its
+datasets in one :func:`~pcmselect.data.gram_stack`.  Step 4
+(:mod:`pcmselect.debias`) groups the datasets by the shape of their active
+design and runs each group's debiasing ridges, residual grams,
+pseudoinverses and corrections as stacked calls.  The adaptive weights, the
+restriction to the active design and step 5 run per dataset.  Every system
+is its own LAPACK call, so no fit depends on the other datasets of its call,
+and a failure stays with its dataset.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .data import Dataset, RolePartition
+from .data import Dataset, RolePartition, gram_stack
 from .debias import (CorrectedBlocks, DebiasBlocks, corrections, debias_ridges, pcm_correct,
                      zbar_share)
 from .errors import PcmSelectError, on_successes, unwrap
@@ -255,18 +257,12 @@ def _split_m_coefs(coefs: np.ndarray, q_z: int) -> MediatorCoefs:
     return MediatorCoefs(coefs[0], coefs[1 : 1 + q_z], coefs[1 + q_z :])
 
 
-def _y_moments(data: Dataset, roles: RolePartition) -> tuple[np.ndarray, np.ndarray, int]:
-    """Gram matrix of the outcome-model regressors, their cross products with y, and
-    the row count."""
-    cols = roles.y_regressors
-    return data.cross(cols, cols), data.cross(cols, [roles.y])[:, 0], data.n
-
-
-def _m_moments(data: Dataset, roles: RolePartition) -> tuple[np.ndarray, np.ndarray, int]:
-    """Gram matrix of the mediator-model regressors, their cross products with the
-    mediators, and the row count."""
-    regs = roles.m_regressors
-    return data.cross(regs, regs), data.cross(regs, roles.mediators), data.n
+def _y_moments(datasets, roles: RolePartition) -> tuple:
+    """The grams of the outcome-model regressors in each of ``datasets``, their cross
+    products with y and the row counts, stacked: a split of one :func:`gram_stack`."""
+    k = len(roles.y_regressors)
+    grams = gram_stack(datasets, [(*roles.y_regressors, roles.y)] * len(datasets))
+    return grams[:, :k, :k], grams[:, :k, k], [data.n for data in datasets]
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +279,8 @@ def ols_joint(data: Dataset, roles: RolePartition) -> YModelCoefs:
         When the design gram matrix is numerically singular; that is the
         regime where only the penalized estimators apply.
     """
-    return _split_y_coefs(ols_solve(*_y_moments(data, roles)[:2]), roles)
-
-
-def _stacked(moments, datasets, roles: RolePartition) -> list:
-    """The ``moments`` of each of ``datasets``, stacked: grams, cross products, row counts."""
-    return [np.array(block) for block in zip(*[moments(data, roles) for data in datasets])]
+    (gram,), (cross,), _ = _y_moments([data], roles)
+    return _split_y_coefs(ols_solve(gram, cross), roles)
 
 
 def ridge_pilot_y(data: Dataset, roles: RolePartition, lam: float) -> YModelCoefs:
@@ -307,7 +299,7 @@ def ridge_pilot_y_grid(datasets, roles: RolePartition, lams) -> list:
     vector on ``datasets[d]`` at ``lams[k]`` or, if that fit failed, its exception."""
     pen = np.concatenate([[1.0], np.zeros(len(roles.s) + len(roles.z)),
                           np.ones(len(roles.sbar) + len(roles.zbar))])
-    return ridge_grid(*_stacked(_y_moments, datasets, roles), pen, lams)
+    return ridge_grid(*_y_moments(datasets, roles), pen, lams)
 
 
 def ridge_pilot_m(data: Dataset, roles: RolePartition, rho: float) -> MediatorCoefs:
@@ -322,8 +314,11 @@ def ridge_pilot_m_grid(datasets, roles: RolePartition, rhos) -> list:
     """:func:`ridge_pilot_m` at each of ``rhos`` on each of ``datasets``, in one
     :func:`solvers.ridge_grid` call: ``fits[d][k]`` is the :meth:`MediatorCoefs.stacked`
     matrix on ``datasets[d]`` at ``rhos[k]`` or, if that fit failed, its exception."""
+    k = len(roles.m_regressors)
+    grams = gram_stack(datasets, [roles.m_regressors + roles.mediators] * len(datasets))
     pen = np.concatenate([np.zeros(1 + len(roles.z)), np.ones(len(roles.zbar))])
-    return ridge_grid(*_stacked(_m_moments, datasets, roles), pen, rhos)
+    return ridge_grid(grams[:, :k, :k], grams[:, :k, k:], [data.n for data in datasets], pen,
+                      rhos)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +431,7 @@ def pcm_stage1_y_path(folds, roles: RolePartition, lams, pairs) -> list:
     on ``folds[f]`` at ``pairs[i]`` and ``lams[k]`` or, if that fit failed,
     its exception.
     """
-    grams, crosses, ns = _stacked(_y_moments, [data for data, _ in folds], roles)
+    grams, crosses, ns = _y_moments([data for data, _ in folds], roles)
     # the candidates as a generator, so that l1_path holds one copy of them
     return l1_path(grams, [np.array([cross] * len(pairs)) for cross in crosses], ns,
                    (np.array([_y_l1_weights(roles, w, lams, *pair) for pair in pairs])
@@ -465,15 +460,16 @@ def pcm_stage1_m(
     """
     if rho1 < 0:
         raise ValueError("rho1 must be nonnegative")
-    return _m_coefs(pcm_stage1_m_path([(data, roles, weights)], [rho1])[0], roles)
+    return unwrap(_m_coefs(pcm_stage1_m_path([(data, roles, weights)], [rho1])[0], roles))
 
 
-def _m_coefs(lanes, roles: RolePartition) -> MediatorCoefs:
-    """A one-candidate mediator fit's coefficients; raises its first failure."""
-    fits = [unwrap(beta) for (beta,) in lanes]
+def _m_coefs(lanes, roles: RolePartition):
+    """A one-candidate mediator fit's coefficients, or the first failure of its lanes."""
+    fits = [beta for (beta,) in lanes]
+    failed = [fit for fit in fits if isinstance(fit, PcmSelectError)]
     # the empty leading block keeps the shape when there are no mediators
-    return _split_m_coefs(np.column_stack([np.zeros((len(roles.m_regressors), 0)), *fits]),
-                          len(roles.z))
+    return failed[0] if failed else _split_m_coefs(
+        np.column_stack([np.zeros((len(roles.m_regressors), 0)), *fits]), len(roles.z))
 
 
 def pcm_stage1_m_path(folds, rhos) -> list:
@@ -492,8 +488,11 @@ def pcm_stage1_m_path(folds, rhos) -> list:
         if roles.mediators:
             widths.setdefault(len(roles.m_regressors), []).append(f)
     for group in widths.values():
-        grams, crosses, ns = zip(*[_m_moments(*folds[f][:2]) for f in group])
-        lanes = l1_path(grams, [cross.T for cross in crosses], ns,
+        datasets, roles = zip(*[folds[f][:2] for f in group])
+        # the regressor grams in one gather; the mediator counts differ between folds
+        lanes = l1_path(gram_stack(datasets, [r.m_regressors for r in roles]),
+                        [d.cross(r.m_regressors, r.mediators).T for d, r in zip(datasets, roles)],
+                        [d.n for d in datasets],
                         [_m_l1_weights(*folds[f][1:], rhos) for f in group])
         for f, lane in zip(group, lanes):
             fits[f] = lane
@@ -531,7 +530,7 @@ def fit_from_weights(datasets, roles: RolePartition, params: PcmParams, weights)
         for i, ((beta,),) in zip(ok, pcm_stage1_y_path([(datasets[i], weights[i]) for i in ok],
                                                         roles, [p.lambda1], [(p.zeta1, p.xi1)]))])
     # each dataset's mediator fit on its active design, or the first failure of its lanes
-    s1ms = on_successes(fits, lambda ok: [_m_fit(lanes, fits[i][3]) for i, lanes in zip(
+    s1ms = on_successes(fits, lambda ok: [_m_coefs(lanes, fits[i][3]) for i, lanes in zip(
         ok, pcm_stage1_m_path([(datasets[i], *fits[i][3:5]) for i in ok], [p.rho1]))])
     corrected = on_successes(s1ms, lambda ok: corrections(
         [(datasets[i], fits[i][3], fits[i][5], s1ms[i], fits[i][4]) for i in ok], p))
@@ -546,14 +545,6 @@ def _activate(beta, roles, weights) -> tuple:
     active = np.nonzero(s1y.coef_sbar)[0], np.nonzero(s1y.coef_zbar)[0]
     return (s1y, *active, *_restrict(roles, weights, *active),
             replace(s1y, coef_sbar=s1y.coef_sbar[active[0]], coef_zbar=s1y.coef_zbar[active[1]]))
-
-
-def _m_fit(lanes, roles: RolePartition):
-    """:func:`_m_coefs`, or its failure."""
-    try:
-        return _m_coefs(lanes, roles)
-    except PcmSelectError as exc:
-        return exc
 
 
 def _pcm_fit(roles, params, weights, s1y, active_sbar, active_zbar, s1m, corrected) -> PcmFit:

@@ -180,6 +180,11 @@ def l1_path(grams, crosses, ns, l1_weights, l2_weights: np.ndarray | None = None
         hess = grams / n_rows
         if l2 is not None:
             hess.reshape(-1, p * p)[:, :: p + 1] += l2
+        # A stack of one problem broadcasts its H.  That is every call of a setting-A
+        # Monte Carlo chunk at n=15 (most with one lane); taking its H per live path
+        # at each step made the benchmark's setting-A call 2-4% slower in alternating
+        # runs, and holding each path's H in the lockstep state raised a tune
+        # worker's resident peak by about 0.16 MiB.
         if len(stacks) > 1:
             # each lane's problem
             problem = np.repeat(np.arange(len(stacks)), sizes)
@@ -195,7 +200,9 @@ def l1_path(grams, crosses, ns, l1_weights, l2_weights: np.ndarray | None = None
             worst = np.empty(weights.shape[:2])
             for size in set(sizes) - {0}:
                 at = [f for f, s in enumerate(sizes) if s == size]
-                # the lanes of the problems with this many, all of them without a gather
+                # the lanes of the problems with this many; all of them (every tune
+                # call's paths) as slices, since a gather copies the (lanes, K, p)
+                # weights and betas and raised a tune worker's peak by about 0.14 MiB
                 if len(at) == len(sizes):
                     at = lanes = slice(None)
                 else:
@@ -230,7 +237,7 @@ def _lockstep(hess: np.ndarray, problem, lin: np.ndarray, weights: np.ndarray, p
     p = hess.shape[-1]
     base = np.array([weights[b, k] for b, k, _ in (path[-1] for path in paths)])
     lin = lin[[path[0][0] for path in paths]]
-    # one problem's H is broadcast; several are taken by live path at each step
+    # one problem's H is broadcast (see l1_path); several are taken by live path
     stacked = len(hess) > 1
     problem = np.array(problem) if stacked else 0
     usable = hess.diagonal(axis1=1, axis2=2)[problem] > 0.0
@@ -251,19 +258,13 @@ def _lockstep(hess: np.ndarray, problem, lin: np.ndarray, weights: np.ndarray, p
             # the right-hand side [lin_A, w_A sign_A], zero off the active set
             rhs = np.empty((*base.shape, 2))
             rhs[..., 0], rhs[..., 1] = np.where(active, lin, 0.0), base * theta
-            try:
-                ab = np.linalg.solve(blocks, rhs)
-            except np.linalg.LinAlgError:
-                # the batched error names no path: solve one by one, drop the singular
-                # ones and solve the rest again
+            ab, singular = _solve(blocks, rhs, "active block of the L1 path")
+            if singular:
+                # a singular block ends its path; the others take this step again
+                for i, exc in singular.items():
+                    failure[live[i]] = exc
                 keep = np.ones(live.size, dtype=bool)
-                for i, path in enumerate(live.tolist()):
-                    try:
-                        np.linalg.solve(blocks[i], rhs[i])
-                    except np.linalg.LinAlgError as exc:
-                        keep[i] = False
-                        failure[path] = SingularDesign(
-                            f"active block of the L1 path is singular: {exc}")
+                keep[list(singular)] = False
                 live, *state = (x[keep] for x in (live, *state))
                 continue
             steps += 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcmselect.data import Dataset
+from pcmselect.data import Dataset, gram_stack
 from pcmselect.errors import ConstantColumn
 from pcmselect.linalg import (
     conditional_cross_products,
@@ -167,3 +167,27 @@ class TestGram:
         rng = np.random.default_rng(9)
         m = rng.standard_normal((4, 2))
         np.testing.assert_allclose(gram(m), brute_force_cross_products(m, [0, 1], [0, 1]))
+
+
+class TestGramStack:
+    @staticmethod
+    def datasets(count, columns=7):
+        rng = np.random.default_rng(10)
+        names = tuple(f"c{j}" for j in range(columns))
+        return [Dataset(rng.standard_normal((9, columns)), names).standardized()
+                for _ in range(count)]
+
+    def assert_cross_stack(self, datasets, names):
+        stack = gram_stack(datasets, names)
+        expected = np.array([data.cross(cols, cols) for data, cols in zip(datasets, names)])
+        assert stack.flags["C_CONTIGUOUS"] and stack.shape == expected.shape
+        assert stack.tobytes() == expected.tobytes()
+
+    def test_shared_names_equal_a_stack_of_cross_blocks(self):
+        datasets = self.datasets(4)
+        self.assert_cross_stack(datasets, [["c3", "c0", "c6", "c1"]] * 4)
+        self.assert_cross_stack(datasets[:1], [["c5"]])
+
+    def test_names_per_dataset_equal_a_stack_of_cross_blocks(self):
+        datasets = self.datasets(3)
+        self.assert_cross_stack(datasets, [["c1", "c2"], ["c6", "c0"], ["c4", "c4"]])

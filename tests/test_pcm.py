@@ -343,15 +343,16 @@ class TestAdaptiveWeights:
 
 class TestStage1:
     def test_no_mediators_fit_nothing(self, monkeypatch):
-        # pal1ma's roles: the empty mediator fit, with no moments and no solver call
+        # pal1ma's roles: the empty mediator fit, with no gather and no solver call
         ds = random_instance(13)
         roles = replace(ROLES, s=(), sbar=())
         w = AdaptiveWeights(sbar=np.zeros(0), zbar=np.array([0.5, 0.5]), med=np.zeros((2, 0)))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a fit without mediators computed moments or followed a path")
+            raise AssertionError("a fit without mediators gathered moments or followed a path")
 
-        monkeypatch.setattr(pcm, "_m_moments", refuse)
+        monkeypatch.setattr(pcm, "gram_stack", refuse)
+        monkeypatch.setattr(Dataset, "cross", refuse)
         monkeypatch.setattr(pcm, "l1_path", refuse)
         fit = pcm_stage1_m(ds, roles, w, 0.3)
         assert fit.x_row.shape == (0,) and fit.z_rows.shape == (1, 0)

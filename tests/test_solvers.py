@@ -326,6 +326,42 @@ class TestL1Path:
         for k in (0, 1, 3):
             assert_same_fit(fits[k], alone[k])
 
+    def test_a_stationarity_failure_lands_on_its_lane_among_unequal_lane_counts(self,
+                                                                               monkeypatch):
+        # problems with 1, 2 and 3 lanes on their own grams and row counts: the
+        # stationarity pass gathers each lane count's lanes, and the failing
+        # candidate must come back at its own problem, lane and index
+        rng = np.random.default_rng(17)
+        grams, crosses, ns, lists = [], [], [], []
+        for f, (n, lanes) in enumerate([(40, 1), (15, 2), (60, 3)]):
+            a, y, _ = make_problem(20 + f, n=n, p=6)
+            grams.append(a.T @ a)
+            crosses.append(np.array([a.T @ (y + rng.standard_normal(n)) for _ in range(lanes)]))
+            ns.append(n)
+            lists.append(np.multiply.outer(0.1 * rng.uniform(0.1, 1.0, (lanes, 6)),
+                                           [5.0, 1.0, 0.3]).transpose(0, 2, 1))
+        alone = [[one_lane(grams[f], crosses[f][b], ns[f], lists[f][b]) for b in range(len(c))]
+                 for f, c in enumerate(crosses)]
+        chosen = 2, 1, 1  # problem, lane, candidate
+        kkt = solvers.kkt_residual
+
+        def kkt_failing_chosen(gram, cross, n, l1_weights, beta, l2_weights=None):
+            worst = kkt(gram, cross, n, l1_weights, beta, l2_weights)
+            target = lists[chosen[0]][chosen[1], chosen[2]]
+            return np.where((np.asarray(l1_weights) == target).all(axis=-1), np.inf, worst)
+
+        monkeypatch.setattr(solvers, "kkt_residual", kkt_failing_chosen)
+        fits = l1_path(np.array(grams), crosses, ns, lists)
+        assert [len(problem) for problem in fits] == [1, 2, 3]
+        for f, problem in enumerate(fits):
+            for b, lane in enumerate(problem):
+                for c, fit in enumerate(lane):
+                    if (f, b, c) == chosen:
+                        assert isinstance(fit, SingularDesign) and "off the optimum" in str(fit)
+                    else:
+                        assert_same_fit(fit, alone[f][b][c])
+                        assert isinstance(fit, np.ndarray)
+
 
 class TestKktResidual:
     def test_stacked_rows_equal_the_one_vector_form(self):
