@@ -22,8 +22,6 @@ from .experiment import (
 )
 from .graphs import Dag, minimal_mediator_sets
 from .linalg import (
-    conditional_cross_products,
-    cross_products,
     pseudo_inverse,
     standardize,
 )
@@ -74,9 +72,7 @@ __all__ = [
     "back_door_estimate",
     "baseline_penalized",
     "build_experiment_scm",
-    "conditional_cross_products",
     "coupling_dag",
-    "cross_products",
     "cross_validate",
     "debias_ridges",
     "front_door_like_estimate",

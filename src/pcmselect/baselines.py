@@ -25,11 +25,15 @@ candidate covariates (treatment and fixed covariates stay unpenalized), with
 pilot weights standardized to sum one, and applies the active-set bias
 correction: it runs the pipeline's :func:`~pcmselect.pcm.fit_from_weights`
 on roles without mediators.  Each form takes a sequence of datasets and
-returns one result or one failure per dataset.
+returns one result or one failure per dataset.  The fits that
+cross-validation scores, :func:`penalized_coefficients` and
+:func:`pal1ma_coefficients`, take a descending grid of ``lam`` values and
+read the values that share one quadratic weight off one L1 path.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -126,22 +130,26 @@ def _least_squares(datasets, regressors: list, responses: list) -> list:
 def baseline_penalized(data: Dataset, roles: RolePartition, lam: float, *, phi: float = 1.0,
                        eta: float = 1.0, pilot_lam: float | None = None) -> float:
     """Treatment coefficient of the adaptive elastic net on one dataset, with the
-    pilot at ``pilot_lam`` when given: the one-dataset case of
+    pilot at ``pilot_lam`` when given: the one-dataset, one-``lam`` case of
     :func:`penalized_coefficients`, which raises its failure."""
     pilots = None if pilot_lam is None else pilot_coefficients([data], roles, [pilot_lam])[0]
-    return float(unwrap(penalized_coefficients([data], roles, pilots, lam, phi=phi,
-                                               eta=eta)[0])[0])
+    (fits,) = penalized_coefficients([data], roles, pilots, [lam], phi=phi, eta=eta)
+    return float(unwrap(unwrap(fits)[0])[0])
 
 
-def penalized_coefficients(datasets, roles: RolePartition, pilots, lam: float, *,
+def penalized_coefficients(datasets, roles: RolePartition, pilots, lams, *,
                            phi: float = 1.0, eta: float = 1.0) -> list:
-    """Adaptive elastic-net fit of the outcome on ``[x] + roles.covariates`` in each
-    of ``datasets``, or its failure, in one :func:`~pcmselect.solvers.l1_path` call.
+    """Adaptive elastic-net fits of the outcome on ``[x] + roles.covariates`` at each
+    of ``lams`` (descending) in each of ``datasets``: one list of fits per dataset,
+    each its coefficient vector or its failure.
 
     The L1 weights are ``lam * phi * w`` and the quadratic weights
     ``lam * (1 - phi)``.  ``w`` is all ones without ``pilots``, and else the
     reciprocal magnitudes of the dataset's :func:`pilot_coefficients` fit in
-    ``pilots`` raised to ``eta``; a failed pilot is its dataset's result.
+    ``pilots`` raised to ``eta``; a failed pilot is its dataset's result.  The
+    values of ``lams`` that share one quadratic weight are the candidates of
+    one :func:`~pcmselect.solvers.l1_path` call with one lane per dataset: all
+    of them when ``phi`` is 1, one per call when it is below 1.
     """
     # [x] + roles.covariates is the outcome design of roles without mediators
     grams, crosses, ns = _y_moments(datasets, _without_mediators(roles))
@@ -149,9 +157,19 @@ def penalized_coefficients(datasets, roles: RolePartition, pilots, lam: float, *
     weights = [np.ones(p)] * len(datasets) if pilots is None else [
         pilot if isinstance(pilot, PcmSelectError) else
         reciprocal_power_weights(pilot, eta=eta, normalize=False)[0] for pilot in pilots]
-    return on_successes(weights, lambda ok: [beta for ((beta,),) in l1_path(
-        grams[ok], [crosses[i, None] for i in ok], [ns[i] for i in ok],
-        [lam * phi * weights[i][None, None] for i in ok], np.full(p, lam * (1.0 - phi)))])
+
+    def fit(ok):
+        fits = [[] for _ in ok]
+        for l2, group in itertools.groupby(lams, lambda lam: lam * (1.0 - phi)):
+            group = list(group)
+            for out, (lane,) in zip(fits, l1_path(
+                    grams[ok], [crosses[i, None] for i in ok], [ns[i] for i in ok],
+                    [np.array([[lam * phi * weights[i] for lam in group]]) for i in ok],
+                    np.full(p, l2))):
+                out.extend(lane)
+        return fits
+
+    return on_successes(weights, fit)
 
 
 def pilot_coefficients(datasets, roles: RolePartition, pilot_lams) -> list:
@@ -185,15 +203,16 @@ def pal1ma_pilot(datasets, roles: RolePartition, pilot_lams) -> list:
     return ridge_pilot_y_grid(datasets, _without_mediators(roles), pilot_lams)
 
 
-def pal1ma_coefficients(datasets, roles: RolePartition, pilots, lam: float, *,
-                        eta: float) -> list:
-    """pal1ma's stage-1 fit of the outcome on ``[x] + roles.covariates`` in each of
-    ``datasets``, before its bias correction, with the weights of its
-    :func:`pal1ma_pilot` fit in ``pilots``, or its failure, in one
-    :func:`~pcmselect.pcm.pcm_stage1_y_path` call."""
+def pal1ma_coefficients(datasets, roles: RolePartition, pilots, lams, *, eta: float) -> list:
+    """pal1ma's stage-1 fits of the outcome on ``[x] + roles.covariates`` at each of
+    ``lams`` (descending) in each of ``datasets``, before its bias correction, with
+    the weights of its :func:`pal1ma_pilot` fit in ``pilots``: one list of fits
+    per dataset, each its coefficient vector or its failure, or the dataset's
+    pilot failure.  One :func:`~pcmselect.pcm.pcm_stage1_y_path` call reads every
+    dataset's fits off one path."""
     weights = [_pal1ma_weights(pilot, roles, eta) for pilot in pilots]
-    return on_successes(weights, lambda ok: [beta for ((beta,),) in pcm_stage1_y_path(
-        [(datasets[i], weights[i]) for i in ok], _without_mediators(roles), [lam], [(0.0, 0.0)])])
+    return on_successes(weights, lambda ok: [lane for (lane,) in pcm_stage1_y_path(
+        [(datasets[i], weights[i]) for i in ok], _without_mediators(roles), lams, [(0.0, 0.0)])])
 
 
 def pal1ma_estimates(datasets, roles: RolePartition, lam: float, *, eta: float,

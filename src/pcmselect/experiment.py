@@ -112,11 +112,12 @@ class Method:
     A penalized baseline also holds the stacked forms that CV calls on the
     training sets of all folds at once.  If it has a ridge pilot,
     ``pilot(datasets, roles, pilot_lams)`` fits it at each value of the pilot
-    grid: one list of fits per dataset.  ``fit(datasets, roles, pilots,
-    **params)`` is the coefficient vector of the outcome on ``[x] +
-    roles.covariates`` that CV scores, on each dataset with its entry of
-    ``pilots`` (None without a pilot).  Like ``estimate``, both return each
-    dataset's failure in place of its result.
+    grid: one list of fits per dataset.  ``fit(datasets, roles, pilots, lams,
+    **params)`` fits the coefficient vector of the outcome on ``[x] +
+    roles.covariates`` that CV scores at each of the descending ``lams``: one
+    list of ``len(lams)`` fits per dataset, with its entry of ``pilots`` (None
+    without a pilot).  Like ``estimate``, both return each dataset's failure
+    in place of its result, and each fit's failure in place of that fit.
     """
 
     estimate: Callable[[Sequence[Dataset], RolePartition, dict], list]
@@ -157,8 +158,9 @@ def _penalized_baseline(fit, pilot=None, estimate=None, **keys) -> Method:
         pilot_lam = params.pop("pilot_lam", None)
         pilots = None if pilot is None else [fits[0] for fits in pilot(datasets, roles,
                                                                        [pilot_lam])]
-        return [beta if isinstance(beta, PcmSelectError) else float(beta[0])
-                for beta in fit(datasets, roles, pilots, **params)]
+        betas = [fits if isinstance(fits, PcmSelectError) else fits[0]
+                 for fits in fit(datasets, roles, pilots, [params.pop("lam")], **params)]
+        return [beta if isinstance(beta, PcmSelectError) else float(beta[0]) for beta in betas]
 
     run = estimate or treatment
     return Method(lambda datasets, roles, params: run(datasets, roles, {**defaults, **params}),

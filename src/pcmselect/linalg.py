@@ -1,17 +1,15 @@
 """Sum-of-squares algebra shared by every estimator.
 
 All estimators in this package work on sums of squares and cross-products of
-standardized observation columns.  The helpers here compute those objects,
-their conditional (partialled) versions, and Moore-Penrose pseudoinverses.  Everything is a pure function of ndarray inputs.
+standardized observation columns (``data.Dataset.gram``, ``data.gram_stack``).
+The helpers here standardize the columns and compute Moore-Penrose
+pseudoinverses.  Everything is a pure function of ndarray inputs.
 
 Conventions
 -----------
 * Standardization uses the population (1/n) variance, so a standardized
   column of length n has sum of squares exactly n.  Penalty bookkeeping in
   the estimator modules relies on this.
-* Conditional cross-products use the partialling identity
-  ``S_ab.z = S_ab - S_az S_zz^+ S_zb`` with a pseudoinverse, so rank-deficient
-  conditioning sets are handled without raising.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ from .errors import ConstantColumn, DecompositionFailure
 __all__ = [
     "as_matrix",
     "standardize",
-    "cross_products",
-    "conditional_cross_products",
     "pseudo_inverse",
     "pseudo_inverse_batch",
     "batched",
@@ -69,35 +65,6 @@ def standardize(raw, names=None) -> np.ndarray:
         label = names[j] if names is not None else str(j)
         raise ConstantColumn(label)
     return (m - mean) / scale
-
-
-def cross_products(data: np.ndarray, a, b) -> np.ndarray:
-    """Sum-of-cross-products matrix between column sets ``a`` and ``b``.
-
-    Returns ``data[:, a].T @ data[:, b]``; symmetric when ``a == b``.
-    """
-    a = np.asarray(a, dtype=int)
-    b = np.asarray(b, dtype=int)
-    return data[:, a].T @ data[:, b]
-
-
-def conditional_cross_products(data: np.ndarray, a, b, given) -> np.ndarray:
-    """Cross-products of ``a`` and ``b`` after partialling out ``given``.
-
-    Equals the cross-products of the residuals from the least-squares
-    projection of the a-columns and b-columns on the given-columns.  A
-    pseudoinverse handles rank-deficient conditioning blocks.
-    """
-    a = np.asarray(a, dtype=int)
-    b = np.asarray(b, dtype=int)
-    given = np.asarray(given, dtype=int)
-    s_ab = cross_products(data, a, b)
-    if given.size == 0:
-        return s_ab
-    s_zz = cross_products(data, given, given)
-    s_az = cross_products(data, a, given)
-    s_zb = cross_products(data, given, b)
-    return s_ab - s_az @ pseudo_inverse(s_zz) @ s_zb
 
 
 def pseudo_inverse(m, tol: float | None = None) -> np.ndarray:

@@ -32,9 +32,12 @@ The protocol is two-phase and deterministic:
     it takes), after the ``pilot_lam`` of its ridge pilot (``Method.pilot``)
     when the entry holds one, and every candidate passes the registry's
     checks before any fit.  The pilot grid is one ``Method.pilot`` call on
-    every fold's training set, and each candidate's fits are one
-    ``Method.fit`` call on all of them, with the fits of the chosen pilot,
-    which every candidate reuses.
+    every fold's training set, and the fits at every distinct ``lam`` of one
+    value of the other keys are one ``Method.fit`` call on all of them, with
+    the fits of the chosen pilot, which every candidate reuses.  The call
+    reads its ``lam`` grid off one L1 path per fold wherever the quadratic
+    weight stays fixed: one path call per ``eta`` value, or per ``lam`` value
+    where ``phi`` is below 1.
 
 Folds come from a seeded permutation, so selection is reproducible; ties are
 broken toward stronger regularization.  A fit that fails on some fold (for
@@ -49,10 +52,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .baselines import _without_mediators
 from .data import Dataset, RolePartition
 from .errors import ConfigInvalid, EmptyGrid, FoldTooSmall, PcmSelectError
 from .experiment import METHODS, check_params
@@ -73,6 +78,10 @@ def default_log_grid() -> tuple[float, ...]:
 
 
 def _candidates(name: str, values) -> tuple[float, ...]:
+    # a list or tuple of numbers; a JSON string or a boolean is not one
+    if not isinstance(values, (list, tuple)) or any(
+            isinstance(v, bool) or not isinstance(v, numbers.Real) for v in values):
+        raise TypeError(f"{name} candidates must be a list of numbers, got {values!r}")
     vals = tuple(float(v) for v in values)
     if not all(0 <= v < math.inf for v in vals):
         raise ValueError(f"{name} candidates must be finite and nonnegative")
@@ -109,16 +118,17 @@ class ParamGrid:
     fold_seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.folds, int) or self.folds < 2:
-            raise ValueError(f"fold count must be an integer of at least 2, got {self.folds!r}")
-        if not isinstance(self.fold_seed, int) or self.fold_seed < 0:
+        # type(), not isinstance(): a boolean is an int to isinstance
+        if type(self.folds) is not int or self.folds < 2:
+            raise ValueError(f"folds must be an integer of at least 2, got {self.folds!r}")
+        if type(self.fold_seed) is not int or self.fold_seed < 0:
             raise ValueError(f"fold_seed must be a nonnegative integer, got {self.fold_seed!r}")
         for name in ("pilot_lambda", "pilot_rho", "lambda1", "rho1", "lam", "eta", "phi"):
             object.__setattr__(self, name, _candidates(name, getattr(self, name)))
-        pairs = tuple((float(z), float(x)) for z, x in self.zeta_xi)
-        for z, x in pairs:
-            if not (0 <= z < math.inf and 0 <= x < math.inf and z + x <= 1.0 + MIX_SLACK):
-                raise ValueError(f"invalid (zeta1, xi1) pair ({z}, {x})")
+        pairs = tuple(_candidates("zeta_xi", pair) for pair in self.zeta_xi)
+        for pair in pairs:
+            if len(pair) != 2 or not sum(pair) <= 1.0 + MIX_SLACK:
+                raise ValueError(f"zeta_xi holds an invalid (zeta1, xi1) pair {pair}")
         object.__setattr__(self, "zeta_xi", pairs)
 
     @staticmethod
@@ -289,8 +299,9 @@ def _stage1_scores(held, roles, weights, grid: ParamGrid) -> list[list[float]]:
 
 
 def _at(fits, values, value) -> list:
-    """Each fold's fit at ``value``, given its fits at each of ``values``."""
-    return [fold[values.index(value)] for fold in fits]
+    """Each fold's fit at ``value`` of its fits at ``values``, or the fold's failure."""
+    return [fold if isinstance(fold, PcmSelectError) else fold[values.index(value)]
+            for fold in fits]
 
 
 def _pilots(held, roles, grid: ParamGrid) -> tuple:
@@ -342,8 +353,7 @@ def _cross_validate_baseline(roles, name, grid: ParamGrid, splits) -> CvResult:
     # pilot_lam candidates are finite and nonnegative by ParamGrid, its whole range
     for cand in cands:
         check_params(name, cand, roles)
-    # every baseline regresses the outcome on [x, covariates], pal1ma's own roles
-    held = [_y_held(te, replace(roles, s=(), sbar=())) for _, te in splits]
+    held = [_y_held(te, _without_mediators(roles)) for _, te in splits]
     trains = [tr for tr, _ in splits]
     pilots, suffix = None, {}
     if method.pilot:
@@ -352,10 +362,13 @@ def _cross_validate_baseline(roles, name, grid: ParamGrid, splits) -> CvResult:
         _, pilot_lam = _search("pilot_lambda", grid.pilot_lambda, [
             _y_errors(*y_te, fold) for y_te, fold in zip(held, pilot_fits)])
         pilots, suffix = _at(pilot_fits, grid.pilot_lambda, pilot_lam), {"pilot_lam": pilot_lam}
-    # each candidate's fits on every fold in one call, failures in place
-    fits = [method.fit(trains, roles, pilots, **cand) for cand in cands]
+    # the lam grid of each value of the other keys in one call on every fold
+    lams = sorted(set(grid.lam), reverse=True)
+    fits = {rest: method.fit(trains, roles, pilots, lams, **dict(zip(keys[1:], rest)))
+            for rest in dict.fromkeys(itertools.product(*values[1:]))}
+    per_cand = [_at(fits[tuple(cand.values())[1:]], lams, cand["lam"]) for cand in cands]
     rows = _rows([{**cand, **suffix} for cand in cands],
-                 [_y_errors(*y_te, list(fold)) for y_te, fold in zip(held, zip(*fits))])
+                 [_y_errors(*y_te, list(fold)) for y_te, fold in zip(held, zip(*per_cand))])
     best = _select(rows, lambda p: (-p["lam"], -p.get("eta", 0.0), -p.get("phi", 0.0)))
     return CvResult(name, dict(best.params), best.mean_score, tuple(rows))
 

@@ -31,22 +31,6 @@ def brute_force_cross_products(data, a, b):
     return out
 
 
-def residualize(data, cols, given):
-    """Residuals of ``cols`` after least-squares projection on ``given``."""
-    target = data[:, cols]
-    if not len(given):
-        return target.copy()
-    z = data[:, given]
-    coef, *_ = np.linalg.lstsq(z, target, rcond=None)
-    return target - z @ coef
-
-
-def conditional_cross_products_by_residualization(data, a, b, given):
-    ra = residualize(data, a, given)
-    rb = residualize(data, b, given)
-    return ra.T @ rb
-
-
 def penrose_violation(m, pinv):
     """Largest violation of the four Moore-Penrose conditions."""
     return max(

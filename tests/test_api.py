@@ -102,9 +102,10 @@ def test_only_the_registry_names_the_penalized_baselines():
     assert not found, f"penalized baselines named outside the registry: {found}"
 
 
-# Runs one pcm fit, both benchmark settings with all their methods and one pcm
-# cross-validation on one worker, then prints which of the modules that the
-# package must not need were ever imported.
+# Runs one pcm fit, both benchmark settings with all their methods, one pcm
+# cross-validation and two baseline ones (an eta grid, and phi below 1, whose lam
+# grids go through the dedup and the path) on one worker, then prints which of
+# the modules that the package must not need were ever imported.
 MA_GUARD = """
 import sys
 
@@ -131,6 +132,9 @@ for setting in ("A", "B"):
 grid = ParamGrid(pilot_lambda=(1.0,), pilot_rho=(1.0,), lambda1=(0.05, 0.1),
                  rho1=(0.1,), zeta_xi=((0.3, 0.3), (0.0, 0.6)), folds=3)
 cross_validate(ds, roles, "pcm", grid)
+cross_validate(ds, roles, "adaptive-lasso", ParamGrid(lam=(0.01, 0.1, 0.01), eta=(0.5, 1.0),
+                                                      pilot_lambda=(1.0,), folds=3))
+cross_validate(ds, roles, "elastic-net", ParamGrid(lam=(0.1, 0.01), phi=(0.5, 1.0), folds=3))
 print(sorted({"numpy.ma", "scipy", "multiprocessing", "concurrent.futures"} & set(sys.modules)))
 """
 

@@ -114,8 +114,29 @@ class TestPenalizedBaselines:
             keys = {key: value for key, value in params.items() if key != "pilot_lam"}
             pilots = entry.pilot and [fits[0] for fits in entry.pilot([ds], BASE_ROLES,
                                                                       [params["pilot_lam"]])]
-            (beta,) = entry.fit([ds], BASE_ROLES, pilots, lam=0.03, **keys)
+            ((beta,),) = entry.fit([ds], BASE_ROLES, pilots, [0.03], **keys)
             assert beta[0] == estimate(method, ds, lam=0.03, **params), method
+
+    @pytest.mark.parametrize("method, keys", [
+        ("lasso", {}), ("adaptive-lasso", {"eta": 0.5}), ("elastic-net", {"phi": 0.7}),
+        ("elastic-net", {"phi": 1.0}), ("pal1ma", {"eta": 2.0})])
+    def test_a_lam_grid_equals_each_lam_fitted_alone(self, method, keys):
+        # the third dataset has fewer rows than regressors, so its least-squares
+        # pilot fails, and that failure is its result
+        datasets = [random_instance(51), random_instance(52, n=30), random_instance(53, n=3)]
+        entry = METHODS[method]
+        pilots = entry.pilot and [fits[0] for fits in entry.pilot(datasets, BASE_ROLES, [0.0])]
+        lams = [0.5, 0.1, 0.03, 0.01, 0.0]
+        grid = entry.fit(datasets, BASE_ROLES, pilots, lams, **keys)
+        alone = [entry.fit(datasets, BASE_ROLES, pilots, [lam], **keys) for lam in lams]
+        if pilots:
+            assert isinstance(pilots[2], PcmSelectError) and grid[2] is pilots[2]
+            assert all(fits[2] is pilots[2] for fits in alone)
+            datasets = datasets[:2]
+        for d in range(len(datasets)):
+            assert len(grid[d]) == len(lams)
+            for fit, (one,) in zip(grid[d], (fits[d] for fits in alone)):
+                assert fit.tobytes() == one.tobytes(), (method, d)
 
     def test_unknown_method(self):
         for method in ("ridge", "adaptive_lasso", "elastic_net"):

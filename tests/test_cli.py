@@ -275,6 +275,14 @@ class TestTuneCommand:
         ({"lam": [0.1], "fold_seed": -1}, "lasso"),
         ({"lam": [0.1], "folds": 2.5}, "lasso"),
         ({"phi": [2.0]}, "elastic-net"),
+        ({"lam": "12"}, "lasso"),
+        ({"lam": [0.1], "pilot_lambda": "5"}, "adaptive-lasso"),
+        ({"lam": [True]}, "lasso"),
+        ({"lam": [0.1], "fold_seed": True}, "lasso"),
+        ({"lam": [0.1], "folds": True}, "lasso"),
+        ({"zeta1": "5"}, "pcm"),
+        ({"zeta_xi": [["0.1", "0.2"]]}, "pcm"),
+        ({"zeta_xi": [[True, False]]}, "pcm"),
     ])
     def test_bad_grid_or_method_is_usage_error(self, linear_csv, roles_file, tmp_path,
                                                capsys, grid, method):

@@ -7,18 +7,9 @@ from hypothesis import strategies as st
 
 from pcmselect.data import Dataset, gram_stack
 from pcmselect.errors import ConstantColumn
-from pcmselect.linalg import (
-    conditional_cross_products,
-    cross_products,
-    pseudo_inverse,
-    standardize,
-)
+from pcmselect.linalg import pseudo_inverse, standardize
 
-from oracles import (
-    brute_force_cross_products,
-    conditional_cross_products_by_residualization,
-    penrose_violation,
-)
+from oracles import brute_force_cross_products, penrose_violation
 
 
 class TestStandardize:
@@ -45,82 +36,6 @@ class TestStandardize:
         np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-12)
         np.testing.assert_allclose(out * raw.std(axis=0) + raw.mean(axis=0), raw, atol=1e-12)
-
-
-class TestCrossProducts:
-    def test_standardized_column_self_product_is_n(self):
-        rng = np.random.default_rng(2)
-        data = standardize(rng.standard_normal((25, 1)))
-        assert cross_products(data, [0], [0])[0, 0] == pytest.approx(25.0)
-
-    def test_orthogonal_columns(self):
-        data = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        assert cross_products(data, [0], [1])[0, 0] == pytest.approx(0.0)
-
-    def test_matches_double_loop(self):
-        rng = np.random.default_rng(3)
-        data = rng.standard_normal((5, 3))
-        idx = [0, 1, 2]
-        np.testing.assert_allclose(
-            cross_products(data, idx, idx),
-            brute_force_cross_products(data, idx, idx),
-            atol=1e-12,
-        )
-
-
-class TestConditionalCrossProducts:
-    def test_empty_conditioning_set(self):
-        rng = np.random.default_rng(4)
-        data = rng.standard_normal((12, 3))
-        np.testing.assert_allclose(
-            conditional_cross_products(data, [0], [1], []),
-            cross_products(data, [0], [1]),
-        )
-
-    def test_self_conditioning_gives_zero(self):
-        rng = np.random.default_rng(5)
-        data = rng.standard_normal((12, 2))
-        out = conditional_cross_products(data, [0, 1], [0, 1], [0, 1])
-        np.testing.assert_allclose(out, 0.0, atol=1e-9)
-
-    def test_matches_residualization(self):
-        rng = np.random.default_rng(6)
-        data = rng.standard_normal((20, 3))
-        out = conditional_cross_products(data, [0], [1], [2])
-        oracle = conditional_cross_products_by_residualization(data, [0], [1], [2])
-        np.testing.assert_allclose(out, oracle, atol=1e-9)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_residualization_oracle_random(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(8, 30))
-        q = int(rng.integers(3, 6))
-        data = rng.standard_normal((n, q))
-        cols = rng.permutation(q)
-        a, b, z = [int(cols[0])], [int(cols[1])], [int(c) for c in cols[2:]]
-        out = conditional_cross_products(data, a, b, z)
-        oracle = conditional_cross_products_by_residualization(data, a, b, z)
-        np.testing.assert_allclose(out, oracle, atol=1e-9)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_transpose_symmetry_and_psd(self, seed):
-        rng = np.random.default_rng(seed)
-        data = rng.standard_normal((15, 5))
-        ab = conditional_cross_products(data, [0, 1], [2, 3], [4])
-        ba = conditional_cross_products(data, [2, 3], [0, 1], [4])
-        np.testing.assert_allclose(ab, ba.T, atol=1e-12)
-        aa = conditional_cross_products(data, [0, 1, 2], [0, 1, 2], [3, 4])
-        assert np.linalg.eigvalsh(aa).min() >= -1e-10
-
-    def test_rank_deficient_conditioning(self):
-        rng = np.random.default_rng(7)
-        base = rng.standard_normal((20, 2))
-        data = np.column_stack([rng.standard_normal((20, 2)), base, base[:, 0]])
-        out = conditional_cross_products(data, [0], [1], [2, 3, 4])
-        oracle = conditional_cross_products_by_residualization(data, [0], [1], [2, 3, 4])
-        np.testing.assert_allclose(out, oracle, atol=1e-9)
 
 
 class TestPseudoInverse:

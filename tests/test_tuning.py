@@ -6,8 +6,8 @@ import pytest
 
 from pcmselect import baselines, pcm, solvers
 from pcmselect.data import Dataset, RolePartition
-from pcmselect.errors import EmptyGrid, FoldTooSmall, PcmSelectError
-from pcmselect.experiment import experiment_roles
+from pcmselect.errors import ConfigInvalid, EmptyGrid, FoldTooSmall, PcmSelectError
+from pcmselect.experiment import METHODS, experiment_roles
 from pcmselect.pcm import (
     AdaptiveWeights,
     PilotEstimates,
@@ -20,7 +20,7 @@ from pcmselect.pcm import (
     ridge_pilot_y,
 )
 from pcmselect.scm import build_experiment_scm
-from pcmselect.solvers import coordinate_descent, ridge_solve
+from pcmselect.solvers import coordinate_descent, ols_solve, ridge_solve
 from pcmselect.tuning import (ParamGrid, _fold_indices, cross_validate, cv_table_csv,
                               default_log_grid)
 
@@ -59,6 +59,18 @@ class TestGridValidation:
     def test_fold_count(self):
         with pytest.raises(ValueError):
             ParamGrid(folds=1)
+
+    @pytest.mark.parametrize("key, value", [
+        ("lam", "12"), ("pilot_lambda", "5"), ("eta", [True]), ("zeta1", [0.1, False]),
+        ("zeta_xi", [["0.1", "0.2"]]), ("zeta_xi", [[True, False]]), ("zeta_xi", [[0.1]]),
+        ("folds", True), ("fold_seed", True)])
+    def test_strings_and_booleans_name_their_key(self, key, value):
+        with pytest.raises(ConfigInvalid, match=key):
+            ParamGrid.from_dict({key: value})
+
+    def test_number_lists_and_tuples_pass(self):
+        grid = ParamGrid.from_dict({"lam": list(np.logspace(-1, 0, 3)), "eta": (1, 2.5)})
+        assert grid.lam == tuple(np.logspace(-1, 0, 3).tolist()) and grid.eta == (1.0, 2.5)
 
 
 class TestCrossValidate:
@@ -376,9 +388,12 @@ def fold_by_fold_baseline_cv(data, roles, name, grid):
     def pilot(train, value):
         if name == "pal1ma":
             return ridge_pilot_y(train, bare, value).stacked()
+        if value == 0.0:  # least squares, with its rank guard
+            return ols_solve(*moments(train)[:2])
         return ridge_solve(*moments(train), np.full(len(cols), value))
 
     def fit(train, pilot_beta, lam, eta=1.0, phi=1.0):
+        _raise(pilot_beta)
         if name == "pal1ma":
             zbar, _ = reciprocal_power_weights(pilot_beta[1 + len(roles.z):], eta=eta)
             weights = AdaptiveWeights(np.zeros(0), zbar, np.zeros((len(roles.zbar), 0)))
@@ -397,6 +412,12 @@ def fold_by_fold_baseline_cv(data, roles, name, grid):
         except PcmSelectError:
             return np.inf
 
+    def or_error(fit):
+        try:
+            return fit()
+        except PcmSelectError as exc:
+            return exc
+
     def rows_of(params, per_fold):
         return [(p, float(np.mean(scores)), tuple(scores)) for p, scores in zip(params, per_fold)]
 
@@ -408,7 +429,7 @@ def fold_by_fold_baseline_cv(data, roles, name, grid):
             for v in grid.pilot_lambda])
         best = min(lam_rows, key=lambda r: (r[1], -r[0]["pilot_lambda"]))
         suffix = {"pilot_lam": best[0]["pilot_lambda"]}
-        pilots = [pilot(tr, suffix["pilot_lam"]) for tr, _ in splits]
+        pilots = [or_error(lambda: pilot(tr, suffix["pilot_lam"])) for tr, _ in splits]
     cands = [dict(zip(keys, combo)) for combo in itertools.product(*(getattr(grid, k)
                                                                        for k in keys))]
     rows = rows_of([{**cand, **suffix} for cand in cands], [
@@ -428,6 +449,11 @@ def baseline_case(name):
         ds, roles = setting_a_sample(1, n=14)
         return ds, roles, small_grid(lam=[0.0] + logs, eta=(0.5, 1.0, 2.0), phi=(0.5, 0.9, 1.0),
                                      pilot_lambda=logs[::3], folds=5, fold_seed=0)
+    if name == "setting A, n=14, failing pilots":
+        # the least-squares pilot fails on the four 11-row training sets
+        ds, roles = setting_a_sample(1, n=14)
+        return ds, roles, small_grid(lam=[0.0] + logs, eta=(0.5, 1.0, 2.0), phi=(0.5, 0.9, 1.0),
+                                     pilot_lambda=(0.0,), folds=5, fold_seed=0)
     if name == "mediators, unequal folds":
         return random_instance(76, n=17), ROLES, small_grid(
             lam=(1.0, 0.0, 0.05, 0.3, 0.05), eta=(2.0, 0.5), phi=(0.3, 1.0),
@@ -437,7 +463,8 @@ def baseline_case(name):
 
 
 class TestBaselineFolds:
-    @pytest.mark.parametrize("case", ["setting A, n=14", "mediators, unequal folds", "n > p"])
+    @pytest.mark.parametrize("case", ["setting A, n=14", "setting A, n=14, failing pilots",
+                                      "mediators, unequal folds", "n > p"])
     @pytest.mark.parametrize("name", ["lasso", "adaptive-lasso", "elastic-net", "pal1ma"])
     def test_equals_the_fold_by_fold_search(self, name, case):
         # the table, the chosen parameters and the score must be those of one fit
@@ -447,10 +474,17 @@ class TestBaselineFolds:
         table, chosen, score = fold_by_fold_baseline_cv(ds, roles, name, grid)
         assert [(r.params, r.mean_score, r.fold_scores) for r in result.table] == table
         assert result.chosen == chosen and result.score == score
-        assert np.isfinite(score)
-        if case == "setting A, n=14":
+        folds = list(zip(*(row.fold_scores for row in result.table)))
+        if case.endswith("failing pilots") and METHODS[name].pilot:
+            # a fold whose pilot failed scores inf on every candidate
+            failed = [all(np.isinf(s) for s in fold) for fold in folds]
+            assert failed == [True] * 4 + [False]
+            assert np.isfinite(folds[-1]).any()
+        else:
+            assert np.isfinite(score)
+        if case.startswith("setting A, n=14"):
             # some fold fits fail, and score inf there
-            assert any(np.isinf(s) for row in result.table for s in row.fold_scores)
+            assert any(np.isinf(s) for fold in folds for s in fold)
 
 
 def count_calls(monkeypatch, name, modules, size) -> list:
@@ -468,20 +502,25 @@ def count_calls(monkeypatch, name, modules, size) -> list:
 
 
 class TestCallCounts:
-    @pytest.mark.parametrize("name", ["adaptive-lasso", "pal1ma"])
+    @pytest.mark.parametrize("name", ["lasso", "adaptive-lasso", "elastic-net", "pal1ma"])
     def test_a_baseline_tune_fits_its_pilot_grid_once(self, name, monkeypatch):
-        # 5 folds, 3 pilot values, 13 x 3 = 39 (lam, eta) candidates: one ridge_grid
-        # call of 15 systems, and one L1 path call per candidate on all 5 folds
+        # 5 folds and 13 lam values: one ridge_grid call of 15 systems for 3 pilot
+        # values, and one L1 path call on all 5 folds per eta value, or per phi
+        # value and distinct quadratic weight lam * (1 - phi): 13 + 13 + 1 for phi
+        other, ridge_calls, path_calls = {
+            "lasso": ({}, [], 1), "adaptive-lasso": ({"eta": (0.5, 1.0, 2.0)}, [15], 3),
+            "elastic-net": ({"phi": (0.5, 0.9, 1.0)}, [], 27),
+            "pal1ma": ({"eta": (0.5, 1.0, 2.0)}, [15], 3)}[name]
         ds, roles = setting_a_sample(1, n=100)
-        grid = small_grid(lam=default_log_grid(), eta=(0.5, 1.0, 2.0),
-                          pilot_lambda=(0.1, 1.0, 10.0), folds=5)
+        grid = small_grid(lam=default_log_grid(), pilot_lambda=(0.1, 1.0, 10.0), folds=5,
+                          **other)
         ridges = count_calls(monkeypatch, "ridge_grid", (baselines, pcm),
                              lambda gram, cross, n, pen, scales: len(gram) * len(scales))
         paths = count_calls(monkeypatch, "l1_path", (baselines, pcm), lambda grams, *_: len(grams))
         solves = count_calls(monkeypatch, "ridge_solve", (solvers,), lambda *_: 1)
         result = cross_validate(ds, roles, name, grid)
-        assert len(result.table) == 39
-        assert ridges == [15] and paths == [5] * 39 and solves == []
+        assert len(result.table) == 13 * max(map(len, other.values()), default=1)
+        assert ridges == ridge_calls and paths == [5] * path_calls and solves == []
 
     def test_a_pcm_tune_fits_each_pilot_grid_once(self, monkeypatch):
         # one pilot-grid call per kind over every fold; stage 1 reuses the chosen fits
