@@ -14,7 +14,7 @@ Penalized baselines
 Both regress the outcome on treatment plus all covariates and return the
 treatment coefficient; the method registry
 (:data:`pcmselect.experiment.METHODS`) names their cases and holds their
-parameters.  :func:`penalized_coefficients` is the adaptive elastic net (Zou
+parameters.  :func:`penalized_estimates` is the adaptive elastic net (Zou
 & Zhang 2009) at fixed ``(phi, eta)``: L1 weights ``lam * phi * w`` and
 quadratic weights ``lam * (1 - phi)``, with ``w`` all ones, or the reciprocal
 magnitudes of a ridge pilot (:func:`pilot_coefficients`) raised to ``eta``.
@@ -57,6 +57,7 @@ __all__ = [
     "front_door_like_estimate",
     "front_door_like_estimates",
     "baseline_penalized",
+    "penalized_estimates",
     "penalized_coefficients",
     "pilot_coefficients",
     "pal1ma_coefficients",
@@ -129,12 +130,24 @@ def _least_squares(datasets, regressors: list, responses: list) -> list:
 
 def baseline_penalized(data: Dataset, roles: RolePartition, lam: float, *, phi: float = 1.0,
                        eta: float = 1.0, pilot_lam: float | None = None) -> float:
-    """Treatment coefficient of the adaptive elastic net on one dataset, with the
-    pilot at ``pilot_lam`` when given: the one-dataset, one-``lam`` case of
-    :func:`penalized_coefficients`, which raises its failure."""
-    pilots = None if pilot_lam is None else pilot_coefficients([data], roles, [pilot_lam])[0]
-    (fits,) = penalized_coefficients([data], roles, pilots, [lam], phi=phi, eta=eta)
-    return float(unwrap(unwrap(fits)[0])[0])
+    """Treatment coefficient of the adaptive elastic net on one dataset: the
+    one-dataset case of :func:`penalized_estimates`, which raises its failure."""
+    return unwrap(penalized_estimates([data], roles, lam, phi=phi, eta=eta,
+                                      pilot_lam=pilot_lam)[0])
+
+
+def penalized_estimates(datasets, roles: RolePartition, lam: float, *, phi: float = 1.0,
+                        eta: float = 1.0, pilot_lam: float | None = None) -> list:
+    """The treatment coefficient of the :func:`penalized_coefficients` fit at ``lam``
+    on each of ``datasets``, with the :func:`pilot_coefficients` fit at ``pilot_lam``
+    when given: its estimate or, if its pilot or its fit failed, its exception."""
+    if not datasets:
+        return []
+    pilots = None if pilot_lam is None else [
+        fits[0] for fits in pilot_coefficients(datasets, roles, [pilot_lam])]
+    return [fits if isinstance(fits, PcmSelectError) else
+            fits[0] if isinstance(fits[0], PcmSelectError) else float(fits[0][0])
+            for fits in penalized_coefficients(datasets, roles, pilots, [lam], phi=phi, eta=eta)]
 
 
 def penalized_coefficients(datasets, roles: RolePartition, pilots, lams, *,
@@ -216,7 +229,7 @@ def pal1ma_coefficients(datasets, roles: RolePartition, pilots, lams, *, eta: fl
 
 
 def pal1ma_estimates(datasets, roles: RolePartition, lam: float, *, eta: float,
-                     pilot_lam: float, lam2: float, xi2: float) -> list:
+                     pilot_lam: float) -> list:
     """Partially adaptive L1 fit with bias correction (no mediators) on each of
     ``datasets``: its estimate or, if that fit failed, its exception, in order.
 
@@ -226,18 +239,16 @@ def pal1ma_estimates(datasets, roles: RolePartition, lam: float, *, eta: float,
     pipeline: :func:`~pcmselect.pcm.fit_from_weights` on ``roles`` without
     its mediators, with these weights and zero treatment and mediator
     penalties.  So with ``eta == 1`` it equals
-    :func:`~pcmselect.pcm.pcm_total_effect` on those roles.  Every dataset's
-    pilot is one batched solve (:func:`pal1ma_pilot`), and one
+    :func:`~pcmselect.pcm.pcm_total_effect` on those roles.  The zero share
+    ``zeta1`` multiplies the treatment's debiasing refit by zero, so the
+    debiasing penalties stay at their defaults.  Every dataset's pilot is one
+    batched solve (:func:`pal1ma_pilot`), and one
     :func:`~pcmselect.pcm.fit_from_weights` call fits them all.
     """
     if not datasets:
         return []
-    params = PcmParams(
-        lambda1=lam, rho1=0.0, zeta1=0.0, xi1=0.0,
-        pilot_lambda=pilot_lam, pilot_rho=pilot_lam,
-        lambda2=lam2, xi2=xi2, rho2=0.0, rho2_prime=0.0,
-    )
     weights = [_pal1ma_weights(pilot, roles, eta)
                for (pilot,) in pal1ma_pilot(datasets, roles, [pilot_lam])]
+    params = PcmParams(lambda1=lam, rho1=0.0, zeta1=0.0, xi1=0.0)
     return [fit if isinstance(fit, PcmSelectError) else fit.total_effect
             for fit in fit_from_weights(datasets, _without_mediators(roles), params, weights)]

@@ -118,6 +118,8 @@ def _load_grid(path: str | None) -> ParamGrid:
 
 
 def _cmd_estimate(args) -> int:
+    if args.grid and not args.cv:
+        raise ConfigInvalid("--grid is read only with --cv")
     ds = pio.read_dataset_csv(args.data).standardized()
     roles = _load_roles(args.roles)
     params = pio.load_json(args.params) if args.params else {}
@@ -125,8 +127,10 @@ def _cmd_estimate(args) -> int:
     if args.cv:
         if not method.cv:
             raise ConfigInvalid(f"{args.method} has no parameters to cross-validate")
-        params = dict(cross_validate(ds, roles, args.method, _load_grid(args.grid)).chosen)
-        print(f"cross-validation selected: {json.dumps(params, sort_keys=True)}")
+        chosen = cross_validate(ds, roles, args.method, _load_grid(args.grid)).chosen
+        print(f"cross-validation selected: {json.dumps(chosen, sort_keys=True)}")
+        # the keys that CV does not tune keep their values; check_params rejects a non-object
+        params = {**params, **chosen} if isinstance(params, dict) else params
     check_params(args.method, params, roles)
     if args.method != "pcm":
         (estimate,) = method.estimate([ds], roles, params)

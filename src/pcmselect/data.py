@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, check_keys
 from .linalg import as_matrix, standardize
 
 __all__ = ["RolePartition", "Dataset", "gram_stack"]
@@ -69,6 +69,7 @@ class RolePartition:
     def from_dict(payload: dict) -> "RolePartition":
         if not isinstance(payload, dict):
             raise ConfigInvalid("roles config must be a JSON object")
+        check_keys(payload, ("x", "y", *_GROUPS), "roles config")
         for key in ("x", "y"):
             if key not in payload:
                 raise ConfigInvalid(f"roles config is missing field {key!r}")

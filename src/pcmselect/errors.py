@@ -97,6 +97,14 @@ class ConfigInvalid(PcmSelectError):
     """An experiment or roles configuration failed validation."""
 
 
+def check_keys(payload: dict, known, what: str, error: type[Exception] = ConfigInvalid) -> None:
+    """Raise ``error`` naming each key of the JSON object ``payload`` outside ``known``."""
+    unknown = sorted(map(str, set(payload) - set(known)))
+    if unknown:
+        raise error(f"unknown key(s) {', '.join(unknown)} in {what}; "
+                    f"allowed: {', '.join(known)}")
+
+
 class DataFormatError(PcmSelectError):
     """A data file could not be parsed; carries row/column context."""
 

@@ -36,9 +36,9 @@ import numpy as np
 
 from .baselines import (back_door_estimates, front_door_like_estimates, pal1ma_coefficients,
                         pal1ma_estimates, pal1ma_pilot, penalized_coefficients,
-                        pilot_coefficients)
+                        penalized_estimates, pilot_coefficients)
 from .data import Dataset, RolePartition
-from .errors import ConfigInvalid, EmptyInput, PcmSelectError
+from .errors import ConfigInvalid, EmptyInput, PcmSelectError, check_keys
 from .graphs import minimal_mediator_sets
 from .pcm import PcmParams, pcm_fits
 from .scm import (CovarianceSpec, LinearScm, build_experiment_scm, coupling_dag,
@@ -109,15 +109,15 @@ class Method:
     one-dataset case.  ``allowed`` and ``required`` are its parameter keys;
     ``check(roles, params)`` raises ``ValueError`` for a value out of range;
     ``cv`` says whether :func:`~pcmselect.tuning.cross_validate` tunes it.
-    A penalized baseline also holds the stacked forms that CV calls on the
-    training sets of all folds at once.  If it has a ridge pilot,
-    ``pilot(datasets, roles, pilot_lams)`` fits it at each value of the pilot
-    grid: one list of fits per dataset.  ``fit(datasets, roles, pilots, lams,
-    **params)`` fits the coefficient vector of the outcome on ``[x] +
-    roles.covariates`` that CV scores at each of the descending ``lams``: one
-    list of ``len(lams)`` fits per dataset, with its entry of ``pilots`` (None
-    without a pilot).  Like ``estimate``, both return each dataset's failure
-    in place of its result, and each fit's failure in place of that fit.
+    A penalized baseline's estimate is a chunk function of ``baselines``;
+    CV calls its stacked forms on all folds' training sets at once:
+    ``pilot(datasets, roles, pilot_lams)`` fits its ridge pilot, if any, at
+    each value of the grid, and ``fit(datasets, roles, pilots, lams,
+    **params)`` the coefficient vector of the outcome on ``[x] +
+    roles.covariates`` that CV scores at each of the descending ``lams``,
+    with its entry of ``pilots`` (None without a pilot): one list of fits
+    per dataset.  Like ``estimate``, both return each dataset's failure in
+    place of its result, and each fit's failure in place of that fit.
     """
 
     estimate: Callable[[Sequence[Dataset], RolePartition, dict], list]
@@ -138,12 +138,12 @@ def _pcm(datasets, roles: RolePartition, params: dict) -> list:
             for fit in pcm_fits(datasets, roles, PcmParams(**params))]
 
 
-def _penalized_baseline(fit, pilot=None, estimate=None, **keys) -> Method:
-    """A penalized baseline with its CV ``fit`` and ``pilot``.  Its keys are ``lam``
-    and those of ``keys``, each given as its (default, largest value); every value
-    is finite and nonnegative.  ``estimate`` takes the parameters with the
-    defaults filled in; without one, the estimate is the treatment coefficient of
-    ``fit`` with the ``pilot`` fit at ``pilot_lam``."""
+def _penalized_baseline(estimate, fit, pilot=None, **keys) -> Method:
+    """A penalized baseline whose estimates are ``estimate(datasets, roles, **params)``,
+    a chunk function of :mod:`pcmselect.baselines` that gets every key, with the
+    defaults filled in, and whose CV forms are ``fit`` and ``pilot``.  Its keys are
+    ``lam`` and those of ``keys``, each given as its (default, largest value); every
+    value is finite and nonnegative."""
     defaults = {key: default for key, (default, _) in keys.items()}
     highs = {"lam": math.inf, **{key: high for key, (_, high) in keys.items()}}
 
@@ -152,18 +152,7 @@ def _penalized_baseline(fit, pilot=None, estimate=None, **keys) -> Method:
             if not (0.0 <= value <= highs[key] and math.isfinite(value)):
                 raise ValueError(f"{key} must be finite in [0, {highs[key]:g}], got {value!r}")
 
-    def treatment(datasets, roles, params):
-        if not datasets:
-            return []
-        pilot_lam = params.pop("pilot_lam", None)
-        pilots = None if pilot is None else [fits[0] for fits in pilot(datasets, roles,
-                                                                       [pilot_lam])]
-        betas = [fits if isinstance(fits, PcmSelectError) else fits[0]
-                 for fits in fit(datasets, roles, pilots, [params.pop("lam")], **params)]
-        return [beta if isinstance(beta, PcmSelectError) else float(beta[0]) for beta in betas]
-
-    run = estimate or treatment
-    return Method(lambda datasets, roles, params: run(datasets, roles, {**defaults, **params}),
+    return Method(lambda datasets, roles, params: estimate(datasets, roles, **defaults | params),
                   frozenset(highs), frozenset({"lam"}), check, cv=True, fit=fit, pilot=pilot)
 
 
@@ -197,14 +186,14 @@ def _frontdoor(include_x: bool, adjusted: bool, required=frozenset()) -> Method:
 
 METHODS: dict[str, Method] = {
     # phi is 1 where it is not a key, and only a pilot_lam key gives a ridge pilot
-    "lasso": _penalized_baseline(penalized_coefficients),
-    "adaptive-lasso": _penalized_baseline(penalized_coefficients, pilot_coefficients,
-                                          eta=(1.0, math.inf), pilot_lam=(1.0, math.inf)),
-    "elastic-net": _penalized_baseline(penalized_coefficients, phi=(0.5, 1.0)),
-    "pal1ma": _penalized_baseline(
-        pal1ma_coefficients, pal1ma_pilot,
-        lambda datasets, roles, params: pal1ma_estimates(datasets, roles, **params),
-        eta=(1.0, math.inf), pilot_lam=(1.0, math.inf), lam2=(0.01, math.inf), xi2=(0.5, 1.0)),
+    "lasso": _penalized_baseline(penalized_estimates, penalized_coefficients),
+    "adaptive-lasso": _penalized_baseline(penalized_estimates, penalized_coefficients,
+                                          pilot_coefficients, eta=(1.0, math.inf),
+                                          pilot_lam=(1.0, math.inf)),
+    "elastic-net": _penalized_baseline(penalized_estimates, penalized_coefficients,
+                                       phi=(0.5, 1.0)),
+    "pal1ma": _penalized_baseline(pal1ma_estimates, pal1ma_coefficients, pal1ma_pilot,
+                                  eta=(1.0, math.inf), pilot_lam=(1.0, math.inf)),
     "pcm": Method(_pcm, frozenset(f.name for f in fields(PcmParams)),
                   frozenset(f.name for f in fields(PcmParams) if f.default is MISSING),
                   check=lambda roles, params: PcmParams(**params), cv=True),
@@ -320,6 +309,8 @@ class ExperimentConfig:
                 raise ConfigInvalid(f"roles name vertices missing from the model: {absent}")
         elif setting not in ("A", "B"):
             raise ConfigInvalid(f"unknown setting {self.setting!r}")
+        elif self.scm_payload is not None or self.roles is not None:
+            raise ConfigInvalid(f"scm and roles are for the custom setting, not setting {setting}")
         roles = self.roles if setting == "custom" else experiment_roles(setting)
         methods = []
         for m in self.methods:
@@ -353,9 +344,13 @@ class ExperimentConfig:
     def from_dict(payload: dict) -> "ExperimentConfig":
         if not isinstance(payload, dict):
             raise ConfigInvalid("experiment config must be a JSON object")
+        check_keys(payload, ("setting", "n", "replications", "seed", "methods", "workers", "scm",
+                             "roles"), "the experiment config")
         try:
             if not all(isinstance(m, dict) for m in payload["methods"]):
                 raise ConfigInvalid("each entry of 'methods' must be a JSON object")
+            for m in payload["methods"]:
+                check_keys(m, ("name", "params", "label"), "a method entry")
             methods = tuple(
                 MethodSpec(
                     name=m["name"],
@@ -373,7 +368,7 @@ class ExperimentConfig:
                 methods=methods,
                 workers=payload.get("workers", 1),
                 scm_payload=payload.get("scm"),
-                roles=RolePartition.from_dict(roles) if roles else None,
+                roles=None if roles is None else RolePartition.from_dict(roles),
             )
         except KeyError as exc:
             raise ConfigInvalid(f"experiment config is missing field {exc}") from exc

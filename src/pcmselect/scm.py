@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ExplainedVarianceExceedsOne, PcmSelectError, UnknownVertex
+from .errors import ExplainedVarianceExceedsOne, PcmSelectError, UnknownVertex, check_keys
 from .graphs import Dag
 
 __all__ = [
@@ -272,6 +272,8 @@ class LinearScm:
 
     @staticmethod
     def from_dict(payload: dict) -> tuple["LinearScm", CovarianceSpec | None]:
+        check_keys(payload, ("vertices", "edges", "error_variances", "correlated_block"),
+                   "the model", ValueError)
         dag = Dag(
             payload["vertices"],
             [(e["from"], e["to"]) for e in payload["edges"]],

@@ -114,7 +114,7 @@ def test_criterion_1_reduction_identities():
 
         lam1 = 0.05
         (direct_pal,) = METHODS["pal1ma"].estimate([ds], no_candidates, {
-            "lam": lam1, "eta": 1.0, "pilot_lam": 0.5, "lam2": 0.01, "xi2": 0.5})
+            "lam": lam1, "eta": 1.0, "pilot_lam": 0.5})
         fit = pcm_total_effect(ds, no_candidates, PcmParams(
             lambda1=lam1, rho1=0.0, zeta1=0.0, xi1=0.0,
             pilot_lambda=0.5, pilot_rho=0.5, lambda2=0.01, xi2=0.5,

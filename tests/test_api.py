@@ -1,9 +1,11 @@
-"""Every exported name and every benchmark-traced function resolves; only the method
-registry names the penalized baselines; numpy.ma, scipy and the process-pool modules
-stay unloaded; every module stays below the parser's token-array doubling."""
+"""Every exported name and every benchmark-traced function resolves; the benchmark's
+workloads run on the package's API; only the method registry names the penalized
+baselines; numpy.ma, scipy and the process-pool modules stay unloaded; every module
+stays below the parser's token-array doubling."""
 
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -78,6 +80,25 @@ def test_benchmark_methods_are_valid():
                          methods=tuple(MethodSpec(name, params=dict(params))
                                        for name, params in methods.items()))
     assert METHODS["pcm"].cv
+
+
+def test_benchmark_workloads_run(monkeypatch, tmp_path):
+    """One call of each workload of ``pcmbench/worker.py``, on the smallest inputs, finds
+    no problem.  The worker builds its models with ``build_experiment_scm`` and
+    ``LinearScm.to_dict``, runs a custom ``ExperimentConfig`` of ``MethodSpec``s on
+    ``RolePartition.from_dict`` roles, saves a model with ``io.save_scm`` and reads
+    the output lines of ``cli.main``'s ``simulate`` and ``tune``."""
+    spec = importlib.util.spec_from_file_location("_pcmbench_worker", BENCH / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    caches = set(BENCH.rglob("*.pyc"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(worker)
+    workloads = [worker.MonteCarlo(pcmselect, setting, 2, 0) for setting in ("A", "B")]
+    workloads.append(worker.Tune(pcmselect, 100, 0, tmp_path, smoke=True))
+    for workload in workloads:
+        summary = workload.summarize(workload.call(workload.prepare(0)))
+        assert summary["problems"] == [], (type(workload).__name__, summary)
+    assert set(BENCH.rglob("*.pyc")) == caches
 
 
 PENALIZED_NAMES = {"lasso", "adaptive-lasso", "elastic-net", "pal1ma"}

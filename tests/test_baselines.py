@@ -99,7 +99,7 @@ class TestPenalizedBaselines:
         ds = random_instance(49)
         defaults = {"lasso": {}, "adaptive-lasso": {"eta": 1.0, "pilot_lam": 1.0},
                     "elastic-net": {"phi": 0.5},
-                    "pal1ma": {"eta": 1.0, "pilot_lam": 1.0, "lam2": 0.01, "xi2": 0.5}}
+                    "pal1ma": {"eta": 1.0, "pilot_lam": 1.0}}
         for method in PENALIZED:
             assert METHODS[method].allowed == {"lam", *defaults[method]}
             assert estimate(method, ds, lam=0.03) == estimate(method, ds, lam=0.03,
@@ -149,14 +149,13 @@ class TestPal1maReduction:
     def test_equals_pipeline_with_no_mediators(self):
         for seed in range(6):
             ds = random_instance(50 + seed)
-            lam, pilot, lam2, xi2 = 0.05, 0.5, 0.01, 0.5
-            direct = estimate("pal1ma", ds, lam=lam, eta=1.0, pilot_lam=pilot,
-                              lam2=lam2, xi2=xi2)
+            lam, pilot = 0.05, 0.5
+            direct = estimate("pal1ma", ds, lam=lam, eta=1.0, pilot_lam=pilot)
             fit = pcm_total_effect(
                 ds, BASE_ROLES,
                 PcmParams(lambda1=lam, rho1=0.0, zeta1=0.0, xi1=0.0,
                           pilot_lambda=pilot, pilot_rho=pilot,
-                          lambda2=lam2, xi2=xi2, rho2=0.0, rho2_prime=0.0),
+                          lambda2=0.01, xi2=0.5, rho2=0.0, rho2_prime=0.0),
             )
             assert direct == fit.total_effect  # exact, same arithmetic path
 

@@ -218,6 +218,16 @@ class TestCliMatchesRegistry:
                      "--method", "lasso", "--params", str(params_file)]) == 1
         assert "lambda" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("lam2", 0.01), ("xi2", 0.5)])
+    def test_pal1ma_has_no_debiasing_ridge_keys(self, key, value, setting_csvs, tmp_path,
+                                                capsys):
+        # its zero treatment share leaves the treatment's debiasing ridge unread
+        data, roles = setting_csvs["A"]
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps({"lam": 0.294, key: value}))
+        assert main(["estimate", "--data", str(data), "--roles", str(roles),
+                     "--method", "pal1ma", "--params", str(params_file)]) == 1
+        assert f"unknown parameter(s) {key} for pal1ma" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name, params, roles", [
         ("lasso", {"lam": -1}, None),
@@ -240,9 +250,10 @@ class TestCliMatchesRegistry:
         ("lasso", {"lam": True}, None),
         ("elastic-net", {"lam": 0.1, "phi": None}, None),
         ("adaptive-lasso", {"lam": 0.407, "eta": [1.0]}, None),
-        ("pal1ma", {"lam": 0.294, "lam2": "0.01"}, None),
+        ("pal1ma", {"lam": 0.294, "pilot_lam": "1"}, None),
         ("pcm", {"lambda1": "0.1", "rho1": 0.1, "zeta1": 0.2, "xi1": 0.2}, None),
         ("pcm", {"lambda1": 0.1, "rho1": True, "zeta1": 0.2, "xi1": 0.2}, None),
+        ("backdoor", {}, {"x": "X", "y": "Y", "z_bar": ["Z"]}),
     ])
     def test_out_of_range_value_is_usage_error(self, name, params, roles, setting_csvs,
                                                tmp_path, capsys):
@@ -257,6 +268,61 @@ class TestCliMatchesRegistry:
                      "--method", name, "--params", str(params_file)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
+        assert "total effect estimate" not in captured.out
+
+
+class TestEstimateCrossValidation:
+    GRID = {"lambda1": [0.05, 0.2], "rho1": [0.1], "zeta1": [0.2], "xi1": [0.3],
+            "pilot_lambda": [1.0, 3.0], "pilot_rho": [1.0], "folds": 3}
+    # the debiasing ridges, which pcm's CV does not tune
+    UNTUNED = {"lambda2": 0.05, "xi2": 0.3, "rho2": 0.02, "rho2_prime": 0.03}
+
+    def estimate_line(self, capsys, argv, params, tmp_path) -> str:
+        """The estimate line of ``estimate`` with ``--params`` holding ``params``."""
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        capsys.readouterr()
+        assert main(["estimate", *argv, "--params", str(path)]) == 0
+        return capsys.readouterr().out.splitlines()[0]
+
+    def test_cv_prints_the_tuned_values_and_keeps_the_untuned_keys(self, setting_csvs,
+                                                                   tmp_path, capsys):
+        data, roles = setting_csvs["A"]
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(self.GRID))
+        common = ["--data", str(data), "--roles", str(roles), "--method", "pcm"]
+        capsys.readouterr()
+        assert main(["tune", *common, "--grid", str(grid)]) == 0
+        (line,) = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("chosen parameters:")]
+        chosen = json.loads(line.split(":", 1)[1])
+        params = tmp_path / "untuned.json"
+        params.write_text(json.dumps(self.UNTUNED))
+        assert main(["estimate", *common, "--cv", "--grid", str(grid),
+                     "--params", str(params)]) == 0
+        selected, estimate = capsys.readouterr().out.splitlines()[:2]
+        assert selected.startswith("cross-validation selected:")
+        assert json.loads(selected.split(":", 1)[1]) == chosen
+        assert estimate == self.estimate_line(capsys, common, {**self.UNTUNED, **chosen},
+                                              tmp_path)
+        # the untuned keys reach the estimate
+        assert estimate != self.estimate_line(capsys, common, chosen, tmp_path)
+
+    @pytest.mark.parametrize("method, params, flag, message", [
+        ("backdoor", {}, "--cv", "backdoor has no parameters to cross-validate"),
+        ("lasso", {"lam": 0.1}, "--grid", "--grid is read only with --cv"),
+    ], ids=["cv-of-untuned-method", "grid-without-cv"])
+    def test_cv_of_an_untuned_method_or_a_grid_without_cv_is_usage_error(
+            self, method, params, flag, message, linear_csv, roles_file, tmp_path, capsys):
+        paths = {key: tmp_path / f"{key}.json" for key in ("grid", "params")}
+        paths["grid"].write_text(json.dumps({"lam": [0.1]}))
+        paths["params"].write_text(json.dumps(params))
+        capsys.readouterr()
+        assert main(["estimate", "--data", str(linear_csv), "--roles", str(roles_file),
+                     "--method", method, "--params", str(paths["params"]),
+                     *([flag] if flag == "--cv" else [flag, str(paths["grid"])])]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
         assert "total effect estimate" not in captured.out
 
 
@@ -359,6 +425,20 @@ class TestSimulateCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+    def test_unknown_model_key_is_a_data_error(self, tmp_path, capsys):
+        from test_experiment import tiny_custom_config
+
+        model = tmp_path / "scm.json"
+        model.write_text(json.dumps({**tiny_custom_config().scm_payload, "correlated_blocks": {
+            "vertices": ["Z"], "correlation": [[1.0]]}}))
+        code = exit_code(["simulate", "--scm", str(model), "--n", "10", "--seed", "1",
+                          "--out", str(tmp_path / "sim.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "correlated_blocks" in err, err
+        with pytest.raises(DataFormatError, match="correlated_blocks"):
+            load_scm(model)
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -463,14 +543,30 @@ class TestExperimentCommand:
                 {"from": "X", "to": "Y", "coef": 0.2}]},
              "methods": [{"name": "frontdoor-minimal"}]},
         ]
+        # a key that nothing reads is named in the error
+        setting_b = {"setting": "B", "n": 15, "replications": 2, "seed": 1,
+                     "methods": [{"name": "pcm"}]}
+        unread = [
+            ({**valid, "roles": {**valid["roles"], "z_bar": ["Z"]}}, "z_bar"),
+            ({**valid, "methods": [{"name": "backdoor", "parmas": {"z": []}}]}, "parmas"),
+            ({**valid, "worker": 2}, "worker"),
+            ({**valid, "scm": {**valid["scm"], "correlated_blocks": {
+                **block, "correlation": [[1.0]]}}}, "correlated_blocks"),
+            ({**setting_b, "roles": valid["roles"]}, "roles"),
+            ({**setting_b, "setting": "A", "methods": [{"name": "backdoor"}],
+              "scm": valid["scm"]}, "scm"),
+            ({**setting_b, "methods": [{"name": "pal1ma", "params": {"lam": 0.3, "xi2": 0.5}}],
+              "setting": "A"}, "xi2"),
+        ]
         path = tmp_path / "bad.json"
-        for config in cases:
+        for config, key in [(config, "") for config in cases] + unread:
             path.write_text(json.dumps(config))
             capsys.readouterr()
             code = main(["experiment", "--config", str(path), "--out-dir", str(tmp_path)])
             assert code == 1, config
             err = capsys.readouterr().err
             assert err.startswith("error:") and err.count("\n") == 1, (config, err)
+            assert key in err, (config, err)
 
     def test_vertex_named_like_the_coupling_latent(self, tmp_path):
         """The latent that ``coupling_dag`` adds over the correlated block takes

@@ -87,6 +87,8 @@ class TestConfigValidation:
         ("lasso", {}),
         ("pcm", {"lambda1": 0.1, "rho1": 0.1, "zeta1": 0.2}),
         ("frontdoor-including-x", {"z": ["Z"]}),
+        ("pal1ma", {"lam": 0.294, "lam2": 0.01}),
+        ("pal1ma", {"lam": 0.294, "xi2": 0.5}),
     ])
     def test_unknown_or_missing_param_key_rejected(self, name, params):
         with pytest.raises(ConfigInvalid):
@@ -109,7 +111,7 @@ class TestConfigValidation:
         ("lasso", {"lam": True}),
         ("lasso", {"lam": None}),
         ("elastic-net", {"lam": 0.1, "phi": [0.5]}),
-        ("pal1ma", {"lam": 0.294, "xi2": "0.5"}),
+        ("pal1ma", {"lam": 0.294, "eta": "0.5"}),
         ("pcm", {"lambda1": 0.1, "rho1": "0.1", "zeta1": 0.2, "xi1": 0.2}),
         ("pcm", {"lambda1": False, "rho1": 0.1, "zeta1": 0.2, "xi1": 0.2}),
     ])

@@ -767,6 +767,33 @@ class TestChunkTail:
             else:
                 assert repr(fit.to_dict()) == repr(one.to_dict())
 
+    @pytest.mark.parametrize("case", ["setting-B chunk", "treatment inactive"])
+    def test_pcm_correct_on_debias_ridges_reproduces_the_fits(self, case, monkeypatch):
+        # the one-dataset halves of step 4, on each dataset's active design as the
+        # chunk tail received it, give the corrected blocks of the stacked fits
+        if case == "setting-B chunk":
+            datasets, roles = setting_b_chunk(), experiment_roles("B")
+            params = PcmParams(**PRESETS[("B", "pcm")])
+        else:
+            datasets, roles = [x_inactive_instance(28)], ROLES
+            params = default_params(lambda1=0.5, zeta1=0.6, xi1=0.2)
+        items, corrections = [], pcm.corrections
+        monkeypatch.setattr(pcm, "corrections",
+                            lambda batch, p: (items.extend(batch), corrections(batch, p))[1])
+        fits = pcm_fits(datasets, roles, params)
+        monkeypatch.undo()
+        assert len(items) == len(datasets)
+        assert any(fit.active_x for fit in fits) == (case == "setting-B chunk")
+        for (data, active, stage1_y, stage1_m, weights), fit in zip(items, fits):
+            assert repr(fit.to_dict()) == repr(pcm_total_effect(data, roles, params).to_dict())
+            blocks = debias_ridges(data, active, params.lambda2, params.xi2, params.rho2,
+                                   params.rho2_prime, include_x=fit.active_x)
+            corrected = pcm_correct(stage1_y, stage1_m, blocks, weights, params, data.n)
+            assert corrected.beta_x == fit.corrected.beta_x
+            for name in ("coef_s", "coef_sbar_active", "med_x", "y_on_mediators"):
+                mine, theirs = getattr(corrected, name), getattr(fit.corrected, name)
+                assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), name
+
     def test_lapack_calls_scale_with_the_shapes_not_the_datasets(self, monkeypatch):
         roles = experiment_roles("B")
         params = PcmParams(**PRESETS[("B", "pcm")])
