@@ -239,10 +239,12 @@ def pal1ma_estimates(datasets, roles: RolePartition, lam: float, *, eta: float,
     pipeline: :func:`~pcmselect.pcm.fit_from_weights` on ``roles`` without
     its mediators, with these weights and zero treatment and mediator
     penalties.  So with ``eta == 1`` it equals
-    :func:`~pcmselect.pcm.pcm_total_effect` on those roles.  The zero share
-    ``zeta1`` multiplies the treatment's debiasing refit by zero, so the
-    debiasing penalties stay at their defaults.  Every dataset's pilot is one
-    batched solve (:func:`pal1ma_pilot`), and one
+    :func:`~pcmselect.pcm.pcm_total_effect` on those roles.  With the zero
+    share ``zeta1`` and ``rho1 == 0``, step 4 makes no treatment refit and no
+    mediator correction; it refits the candidate covariates alone, whose
+    ridge falls on the absent candidate mediators, so the debiasing
+    penalties stay at their defaults.  Every dataset's pilot is one batched
+    solve (:func:`pal1ma_pilot`), and one
     :func:`~pcmselect.pcm.fit_from_weights` call fits them all.
     """
     if not datasets:

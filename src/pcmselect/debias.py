@@ -2,10 +2,12 @@
 
 Step 4 (:mod:`pcmselect.pcm`) corrects each penalized active column of the
 stage-1 outcome fit, and each mediator column's treatment coefficient, with
-active-set ridge refits: every penalized block of the active design is
+active-set ridge refits: every corrected block of the active design is
 ridge-refitted on the other columns, and the refit coefficients and the
 residual grams form one partial-regression matrix and its pseudoinverted
-blocks.  They read the data through its cross products only.
+blocks.  A block is corrected only when its L1 weight ``lambda1 * share`` is
+positive (a block of zero weight was never shrunk), and the mediator columns
+only when ``rho1`` is.  They read the data through its cross products only.
 
 :func:`corrections` runs the step on a sequence of datasets, such as the
 samples of a chunk of Monte Carlo replications.  It groups them by the shape
@@ -45,15 +47,15 @@ class DebiasBlocks:
 
     The frame is the active design [x, s, active sbar, z, active zbar], with
     x left out when the treatment is inactive.  ``coef`` has one column per
-    penalized active column (treatment, active candidate mediators, active
-    candidate covariates, in frame order): that column's refit coefficients
-    on the other columns of the frame, and -1 on its own row.
-    ``resid_grams`` holds the residual gram of each nonempty penalized block
-    in the same order.  ``zb_on_xz_coef``: unpenalized refit of the active
-    candidate covariates on [x, z], used by the mediator-equation
-    correction, with its residual gram; None without active candidate
-    covariates.  For a group of datasets, each array is a stack with one
-    entry per dataset.
+    column of each corrected block, in frame order (the treatment, active
+    candidate mediators and covariates whose L1 weight ``lambda1 * share`` is
+    positive): its refit coefficients on the other columns of the frame, and
+    -1 on its own row.  ``resid_grams`` holds the residual gram of each
+    corrected block in the same order.  ``zb_on_xz_coef``: unpenalized refit
+    of the active candidate covariates on [x, z], used by the
+    mediator-equation correction, with its residual gram; None without active
+    candidate covariates or when ``rho1`` is 0.  For a group of datasets,
+    each array is a stack with one entry per dataset.
     """
 
     coef: np.ndarray
@@ -95,25 +97,16 @@ def _apply(blocks: DebiasBlocks, part) -> DebiasBlocks:
                           for block in (blocks.zb_on_xz_coef, blocks.zb_on_xz_resid_gram)))
 
 
-def debias_ridges(
-    data,
-    roles,
-    lam2: float,
-    xi2: float,
-    rho2: float,
-    rho2_prime: float,
-    *,
-    include_x: bool = True,
-) -> DebiasBlocks:
-    """Ridge refits of the penalized active columns plus their residual grams.
+def debias_ridges(data, roles, params, *, include_x: bool = True) -> DebiasBlocks:
+    """Ridge refits of the corrected active columns plus their residual grams.
 
     The frame is [x, s, sbar, z, zbar] of the active design's ``roles``;
     ``include_x=False`` (treatment inactive in stage 1) leaves x out.  Each
-    penalized block is refitted on the other columns of the frame: the
-    treatment penalizing the candidate blocks by ``lam2*xi2`` /
-    ``lam2*(1-xi2)``, the candidate mediators penalizing candidate
-    covariates by ``rho2``, the candidate covariates penalizing candidate
-    mediators by ``rho2_prime``.  A quadratic penalty ``p`` adds
+    block that ``params`` give a positive L1 weight is refitted on the other
+    columns of the frame: the treatment penalizing the candidate blocks by
+    ``lambda2*xi2`` / ``lambda2*(1-xi2)``, the candidate mediators penalizing
+    candidate covariates by ``rho2``, the candidate covariates penalizing
+    candidate mediators by ``rho2_prime``.  A quadratic penalty ``p`` adds
     ``n*p`` to the gram diagonal, matching the pilot convention.  With all
     penalties zero the refits reduce to least squares and the residual grams
     to conditional cross-products.  The one-dataset case of a group's refits
@@ -121,29 +114,34 @@ def debias_ridges(
     """
     failed = {}
     blocks = _refits(gram_stack([data], [_frame(roles)]), np.array([data.n]), include_x,
-                     _shape(roles), (lam2, xi2, rho2, rho2_prime), failed)
+                     _shape(roles), params, failed)
     if failed:
         raise failed[0]
     return _apply(blocks, lambda block: block[0])
 
 
-def _refits(ext, n, include_x: bool, shape: tuple, penalties: tuple, failed: dict) -> DebiasBlocks:
+def _corrected(p, sizes) -> tuple:
+    """For params ``p`` and the ``sizes`` of a frame's treatment, candidate mediators and
+    covariates: the (frame block, L1 share, ridge penalty of its refit on each frame
+    block) of each corrected block, and whether the mediator columns are corrected."""
+    blocks = [(0, p.zeta1, [0.0, 0.0, p.lambda2 * p.xi2, 0.0, p.lambda2 * (1 - p.xi2)]),
+              (2, p.xi1, [0.0, 0.0, 0.0, 0.0, p.rho2]),
+              (4, zbar_share(p.zeta1, p.xi1), [0.0, 0.0, p.rho2_prime, 0.0, 0.0])]
+    return ([block for block, size in zip(blocks, sizes) if size and p.lambda1 * block[1] > 0],
+            bool(sizes[2]) and p.rho1 > 0)
+
+
+def _refits(ext, n, include_x: bool, shape: tuple, params, failed: dict) -> DebiasBlocks:
     """:func:`debias_ridges` on D datasets of one active-design ``shape``, from the
     (D, e, e) stack ``ext`` of their grams of [x, s, sbar, z, zbar] and their row
     counts ``n``: stacked blocks, each with zeros in place of a refit that failed.
     The first failure of each dataset goes into ``failed``, by index."""
-    lam2, xi2, rho2, rho2_prime = penalties
     block_of = np.repeat(np.arange(5), (1, *shape))
     frame = np.arange(0 if include_x else 1, block_of.size)
-    # ridge penalty of each penalized block's refit on the blocks of the frame
-    penalty_of = {0: [0.0, 0.0, lam2 * xi2, 0.0, lam2 * (1 - xi2)],
-                  2: [0.0, 0.0, 0.0, 0.0, rho2],
-                  4: [0.0, 0.0, rho2_prime, 0.0, 0.0]}
+    kept, mediators = _corrected(params, (include_x, shape[1], shape[3]))
     columns, resid_grams = [np.zeros((len(ext), frame.size, 0))], []
-    for block, penalty in penalty_of.items():
+    for block, _, penalty in kept:
         own = block_of[frame] == block
-        if not own.any():
-            continue
         rows, cols = frame[~own], frame[own]
         s_aa, s_ar = _blocks(ext, rows, rows, cols)
         fits = _ridge_batch(s_aa, s_ar, n[:, None, None] * np.take(penalty, block_of[rows]))
@@ -154,7 +152,7 @@ def _refits(ext, n, include_x: bool, shape: tuple, penalties: tuple, failed: dic
         column[:, own] = -np.eye(cols.size)
         columns.append(column)
     zb_on_xz = None, None
-    if shape[3]:
+    if mediators:
         xz, zbar = np.flatnonzero((block_of == 0) | (block_of == 3)), np.flatnonzero(block_of == 4)
         s_aa, s_ar = _blocks(ext, xz, xz, zbar)
         coef = _stacked(ols_batch(s_aa, s_ar), s_ar.shape[1:], failed)
@@ -204,7 +202,8 @@ def pcm_correct(stage1_y, stage1_m, debias: DebiasBlocks, weights, params,
     covariates] refit that the column's stage-1 fit (``stage1_m``) kept
     nonzero.  When the treatment is inactive its corrected coefficient is
     exactly zero and all treatment-dependent blocks drop out.  The
-    one-dataset case of a group's corrections in :func:`corrections`.
+    one-dataset case of a group's corrections in :func:`corrections`.  Raises
+    ``ValueError`` if ``debias`` holds other blocks than ``params`` correct.
     """
     failed = {}
     (corrected,) = _correct(_apply(debias, lambda block: block[None]), [stage1_y], [stage1_m],
@@ -217,18 +216,20 @@ def _correct(debias: DebiasBlocks, stage1_y, stage1_m, weights, params, n, faile
     ``debias`` blocks and D of each other input: D :class:`CorrectedBlocks`.  A
     pseudoinverse that fails gives zeros, and it goes into ``failed``, by index,
     unless its dataset failed before."""
-    lam1, zeta1, xi1, rho1 = params.lambda1, params.zeta1, params.xi1, params.rho1
+    lam1, rho1 = params.lambda1, params.rho1
     active_x = stage1_y[0].beta_x != 0.0
     x = np.array([[fit.beta_x] if active_x else [] for fit in stage1_y])
     coef_s = np.array([fit.coef_s for fit in stage1_y])
     coef_sbar = np.array([fit.coef_sbar for fit in stage1_y])
-    w_zbar = np.array([w.zbar for w in weights])
-    # (penalty share, adaptive weights, coefficients) of each penalized block
-    blocks = [(zeta1, np.ones(x.shape), x),
-              (xi1, np.array([w.sbar for w in weights]), coef_sbar),
-              (zbar_share(zeta1, xi1), w_zbar, np.array([fit.coef_zbar for fit in stage1_y]))]
+    # (adaptive weights, coefficients) of each penalized block of the frame
+    blocks = {0: (np.ones(x.shape), x), 2: (np.array([w.sbar for w in weights]), coef_sbar),
+              4: (np.array([w.zbar for w in weights]), np.array([f.coef_zbar for f in stage1_y]))}
+    kept, mediators = _corrected(params, [coef.shape[1] for _, coef in blocks.values()])
+    if (len(kept), mediators) != (len(debias.resid_grams), debias.zb_on_xz_coef is not None):
+        raise ValueError("debias holds the blocks of other L1 penalties than params")
     u = [np.zeros((len(x), 0))]
-    for (share, w, coef), gram in zip([b for b in blocks if b[2].size], debias.resid_grams):
+    for (block, share, _), gram in zip(kept, debias.resid_grams):
+        w, coef = blocks[block]
         inverse = _inverse(gram, range(len(x)), failed)
         u.append(((share * inverse) @ (w * np.sign(coef))[..., None])[..., 0])
     target = np.concatenate([x, coef_s, coef_sbar], axis=1)
@@ -236,7 +237,7 @@ def _correct(debias: DebiasBlocks, stage1_y, stage1_m, weights, params, n, faile
         debias.coef[:, : target.shape[1]] @ np.concatenate(u, axis=1)[..., None])[..., 0]
 
     med_x = np.array([fit.x_row for fit in stage1_m])
-    if w_zbar.size and rho1:
+    if debias.zb_on_xz_coef is not None:
         rows = np.array([fit.zbar_rows for fit in stage1_m])
         med = np.array([w.med for w in weights])
         # each mediator column's own candidate covariates, gathered by their count
@@ -292,8 +293,7 @@ def _group(items, include_x: bool, shape: tuple, params) -> list:
     ext = gram_stack([data for data, *_ in items], [_frame(roles) for _, roles, *_ in items])
     n = np.array([data.n for data, *_ in items])
     failed = {}
-    debias = _refits(ext, n, include_x, shape,
-                     (params.lambda2, params.xi2, params.rho2, params.rho2_prime), failed)
+    debias = _refits(ext, n, include_x, shape, params, failed)
     corrected = _correct(debias, *[[item[k] for item in items] for k in (2, 3, 4)], params, n,
                          failed)
     return [failed.get(i, blocks) for i, blocks in enumerate(corrected)]

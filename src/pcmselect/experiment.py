@@ -297,6 +297,11 @@ class ExperimentConfig:
         _check_count("workers", self.workers, 1)
         if not self.methods:
             raise ConfigInvalid("configure at least one method")
+        for label in [m.label for m in self.methods if m.label is not None]:
+            # labels are written unquoted into the output CSV files
+            if not isinstance(label, str) or set(label) & set(',"\r\n'):
+                raise ConfigInvalid(f"method label {label!r} must be a string without"
+                                    " commas, double quotes or line breaks")
         labels = [m.display for m in self.methods]
         if len(set(labels)) != len(labels):
             raise ConfigInvalid("method labels must be unique")

@@ -24,14 +24,16 @@ Pipeline (all on standardized data):
     [treatment, fixed covariates, active candidate covariates], penalizing
     the candidate covariates only.
 4.  Correction.  Each penalized active column of the outcome model (the
-    treatment when active, the active candidate mediators and covariates) is
-    ridge-refitted on the other columns of the active design [x, s, active
-    sbar, z, active zbar].  The refit coefficients, with -1 on each column's
-    own row, form one partial-regression matrix; applied to the
-    sign-and-weight subgradient through the pseudoinverted residual grams,
-    it removes the first-order shrinkage bias from the stage-1
-    coefficients.  Each mediator column's treatment coefficient gets the
-    same correction on that column's own active candidate covariates.
+    treatment when active, the active candidate mediators and covariates)
+    whose L1 weight ``lambda1 * share`` is positive is ridge-refitted on the
+    other columns of the active design [x, s, active sbar, z, active zbar];
+    a block of zero weight was never shrunk, so it is neither refitted nor
+    corrected.  The refit coefficients, with -1 on each column's own row,
+    form one partial-regression matrix; applied to the sign-and-weight
+    subgradient through the pseudoinverted residual grams, it removes the
+    first-order shrinkage bias from the stage-1 coefficients.  When ``rho1``
+    is positive, each mediator column's treatment coefficient gets the same
+    correction on that column's own active candidate covariates.
 5.  Total effect: corrected treatment coefficient plus the product of the
     corrected treatment-on-mediator and mediator-on-outcome blocks (the
     treatment coefficient is zero when stage 1 deactivated the treatment).

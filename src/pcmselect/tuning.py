@@ -136,6 +136,10 @@ class ParamGrid:
         """Grid from a JSON document; a malformed one raises :class:`ConfigInvalid`."""
         try:
             kwargs = dict(payload)
+            mix = [key for key in ("zeta_xi", "zeta1", "xi1") if key in kwargs]
+            if "zeta_xi" in mix and len(mix) > 1:
+                raise ValueError("give the (zeta1, xi1) pairs as zeta_xi or as zeta1 and xi1,"
+                                 f" not both: got {', '.join(mix)}")
             if "zeta1" in kwargs or "xi1" in kwargs:
                 kwargs["zeta_xi"] = _mix_pairs(_candidates("zeta1", kwargs.pop("zeta1", [0.0])),
                                                _candidates("xi1", kwargs.pop("xi1", [0.0])))

@@ -72,6 +72,8 @@ class TestDatasetCsv:
     @pytest.mark.parametrize("text", [
         "X,X,Y\n1.0,2.0,0.5\n2.0,1.0,1.5\n",  # a repeated column name
         "X,Y,Z\n1.0,2.0,0.5\n",  # one data row cannot be standardized
+        "",  # an empty file
+        "X,,Z\n1.0,2.0,0.5\n2.0,1.0,1.5\n",  # a blank column name
     ])
     def test_malformed_csv_is_a_data_error(self, tmp_path, roles_file, text, capsys):
         path = tmp_path / "bad.csv"
@@ -107,6 +109,21 @@ class TestCheckCommand:
         code = main(["check", "--graph", str(graph), "--x", "NOPE", "--y", "Y",
                      "--backdoor", "Z"])
         assert code == 2
+
+    @pytest.mark.parametrize("edges, flags, code, message", [
+        ("X -> Z\nZ -> Y\n", [], 1,
+         "error: choose one of --backdoor, --frontdoor-like, --minimal-mediators\n"),
+        ("X -> Z\nZ Y\n", ["--backdoor", ""], 2, "line 2: malformed line 'Z Y'"),
+        # the direct edge leaves no set that intercepts every directed path
+        ("X -> Y\n", ["--minimal-mediators"], 0, "minimal mediator sets: none\n"),
+    ], ids=["no-criterion", "malformed-graph-line", "no-minimal-mediator-set"])
+    def test_exit_code_and_message(self, edges, flags, code, message, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text(edges)
+        assert main(["check", "--graph", str(graph), "--x", "X", "--y", "Y", *flags]) == code
+        captured = capsys.readouterr()
+        assert message in (captured.out if code == 0 else captured.err)
+        assert "Traceback" not in captured.err
 
 
 class TestEstimateCommand:
@@ -254,6 +271,10 @@ class TestCliMatchesRegistry:
         ("pcm", {"lambda1": "0.1", "rho1": 0.1, "zeta1": 0.2, "xi1": 0.2}, None),
         ("pcm", {"lambda1": 0.1, "rho1": True, "zeta1": 0.2, "xi1": 0.2}, None),
         ("backdoor", {}, {"x": "X", "y": "Y", "z_bar": ["Z"]}),
+        ("backdoor", {}, {"x": "X", "y": "Y", "z": ["Z"], "zbar": ["Z"]}),
+        ("backdoor", {}, {"y": "Y", "z": ["Z"]}),
+        ("backdoor", {}, {"x": 5, "y": "Y", "z": ["Z"]}),
+        ("backdoor", "{not json", None),  # a --params file that is not JSON
     ])
     def test_out_of_range_value_is_usage_error(self, name, params, roles, setting_csvs,
                                                tmp_path, capsys):
@@ -262,7 +283,7 @@ class TestCliMatchesRegistry:
             roles_file = tmp_path / "roles.json"
             roles_file.write_text(json.dumps(roles))
         params_file = tmp_path / "params.json"
-        params_file.write_text(json.dumps(params))
+        params_file.write_text(params if isinstance(params, str) else json.dumps(params))
         capsys.readouterr()
         assert main(["estimate", "--data", str(data), "--roles", str(roles_file),
                      "--method", name, "--params", str(params_file)]) == 1
@@ -359,6 +380,13 @@ class TestTuneCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    def test_roles_naming_an_absent_column_is_usage_error(self, linear_csv, tmp_path, capsys):
+        roles = tmp_path / "r.json"
+        roles.write_text(json.dumps({"x": "X", "y": "Y", "z": ["ABSENT"]}))
+        assert main(["tune", "--data", str(linear_csv), "--roles", str(roles),
+                     "--method", "lasso"]) == 1
+        assert capsys.readouterr().err == "error: dataset lacks role columns: ['ABSENT']\n"
 
     def test_tune_grid_with_mix_summing_to_one(self, setting_csvs, tmp_path, capsys):
         data, roles = setting_csvs["A"]
@@ -542,6 +570,9 @@ class TestExperimentCommand:
             {**valid, "scm": {**valid["scm"], "edges": valid["scm"]["edges"] + [
                 {"from": "X", "to": "Y", "coef": 0.2}]},
              "methods": [{"name": "frontdoor-minimal"}]},
+            {k: v for k, v in valid.items() if k != "replications"},
+            {**valid, "methods": []},
+            {**valid, "setting": "Q", "scm": None, "roles": None},
         ]
         # a key that nothing reads is named in the error
         setting_b = {"setting": "B", "n": 15, "replications": 2, "seed": 1,
@@ -558,8 +589,11 @@ class TestExperimentCommand:
             ({**setting_b, "methods": [{"name": "pal1ma", "params": {"lam": 0.3, "xi2": 0.5}}],
               "setting": "A"}, "xi2"),
         ]
+        # a method label that is not a string, or that would break the CSV files
+        labels = [({**valid, "methods": [{"name": "backdoor", "label": label}]}, repr(label))
+                  for label in (5, "backdoor, preset", 'say "backdoor"', "back\ndoor", "back\r")]
         path = tmp_path / "bad.json"
-        for config, key in [(config, "") for config in cases] + unread:
+        for config, key in [(config, "") for config in cases] + unread + labels:
             path.write_text(json.dumps(config))
             capsys.readouterr()
             code = main(["experiment", "--config", str(path), "--out-dir", str(tmp_path)])

@@ -487,7 +487,7 @@ class TestDebiasRidges:
 
     def test_zero_penalties_reduce_to_least_squares(self):
         ds = random_instance(22)
-        blocks = debias_ridges(ds, ROLES, 0.0, 0.5, 0.0, 0.0)
+        blocks = debias_ridges(ds, ROLES, default_params(lambda2=0.0, rho2=0.0, rho2_prime=0.0))
         a = ds.values[:, ds.index_of(["S1", "Sb1", "Sb2", "Z1", "Zb1", "Zb2"])]
         oracle = np.linalg.solve(a.T @ a, a.T @ ds.column("X"))
         # frame [X, S1, Sb1, Sb2, Z1, Zb1, Zb2]; the treatment's column comes first
@@ -498,7 +498,8 @@ class TestDebiasRidges:
 
     def test_empty_active_sets(self):
         ds = random_instance(23)
-        blocks = debias_ridges(ds, replace(ROLES, sbar=(), zbar=()), 0.1, 0.5, 0.1, 0.1)
+        blocks = debias_ridges(ds, replace(ROLES, sbar=(), zbar=()),
+                               default_params(lambda2=0.1, rho2=0.1, rho2_prime=0.1))
         # only the treatment is penalized and active: frame [X, S1, Z1]
         assert blocks.coef.shape == (3, 1) and len(blocks.resid_grams) == 1
         # the treatment refit reduces to x on fixed covariates and mediators
@@ -510,7 +511,8 @@ class TestDebiasRidges:
     def test_objectives_beat_perturbations(self):
         ds = random_instance(24, n=80)
         lam2, xi2, rho2, rho2b = 0.2, 0.4, 0.15, 0.25
-        blocks = debias_ridges(ds, ROLES, lam2, xi2, rho2, rho2b)
+        blocks = debias_ridges(ds, ROLES, default_params(lambda2=lam2, xi2=xi2, rho2=rho2,
+                                                         rho2_prime=rho2b))
         rng = np.random.default_rng(25)
 
         a = ds.values[:, ds.index_of(["S1", "Sb1", "Sb2", "Z1", "Zb1", "Zb2"])]
@@ -529,6 +531,23 @@ class TestDebiasRidges:
         for _ in range(1000):
             delta = rng.standard_normal(coef_sb.shape) * rng.choice([1e-3, 0.05])
             assert base <= ridge_objective(a_sb, target, d_sb, coef_sb + delta) + 1e-12
+
+
+    @pytest.mark.parametrize("changes, columns, grams, mediators", [
+        ({"zeta1": 0.0, "xi1": 0.0, "rho1": 0.0}, 2, [(2, 2)], False),  # pal1ma's shares
+        ({"zeta1": 0.0}, 4, [(2, 2), (2, 2)], True),
+        ({"xi1": 0.0}, 3, [(1, 1), (2, 2)], True),
+        ({"lambda1": 0.0}, 0, [], True),
+    ])
+    def test_only_blocks_with_a_positive_l1_weight_are_refitted(self, changes, columns, grams,
+                                                                mediators):
+        # frame [X, S1, Sb1, Sb2, Z1, Zb1, Zb2]; a block of zero L1 weight was never
+        # shrunk, and the mediator columns are corrected only when rho1 > 0
+        blocks = debias_ridges(random_instance(22), ROLES, default_params(**changes))
+        assert blocks.coef.shape == (7, columns)
+        assert [gram.shape for gram in blocks.resid_grams] == grams
+        assert (blocks.zb_on_xz_coef is not None) == mediators
+        assert (blocks.zb_on_xz_resid_gram is not None) == mediators
 
 
 class TestCorrections:
@@ -693,7 +712,47 @@ def tail_shapes(monkeypatch) -> list:
     return seen
 
 
+def tail_items(datasets, roles, params, monkeypatch) -> list:
+    """The (data, active roles, stage1_y, stage1_m, weights) of each of ``datasets``
+    that reaches the chunk tail of :func:`pcm_fits`, in order."""
+    items, corrections = [], pcm.corrections
+    monkeypatch.setattr(pcm, "corrections",
+                        lambda batch, p: (items.extend(batch), corrections(batch, p))[1])
+    pcm_fits(datasets, roles, params)
+    monkeypatch.undo()
+    return items
+
+
 class TestChunkTail:
+    def test_setting_b_preset_corrects_the_candidate_mediators_only(self, monkeypatch):
+        # zeta1 = 0: the treatment is never shrunk, so it gets no refit, no residual
+        # gram and no pseudoinverse
+        params = PcmParams(**PRESETS[("B", "pcm")])
+        items = tail_items(setting_b_chunk(), experiment_roles("B"), params, monkeypatch)
+        assert any(item[2].beta_x != 0.0 and item[1].sbar for item in items)
+        for data, active, stage1_y, _, _ in items:
+            blocks = debias_ridges(data, active, params, include_x=stage1_y.beta_x != 0.0)
+            k = len(active.sbar)
+            # frame [X, S, active Sbar], with X left out when stage 1 dropped it
+            assert blocks.coef.shape == (1 + (stage1_y.beta_x != 0.0) + k, k)
+            assert [gram.shape for gram in blocks.resid_grams] == ([(k, k)] if k else [])
+        svd, inverted = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
+            inverted.extend([a.shape[1:]] * len(a)), svd(a, *args, **kwargs))[1])
+        pcm.corrections(items, params)
+        monkeypatch.undo()
+        assert sorted(inverted) == sorted((len(a.sbar),) * 2 for _, a, *_ in items if a.sbar)
+
+    def test_pcm_correct_rejects_blocks_built_for_other_shares(self, monkeypatch):
+        params = PcmParams(**PRESETS[("B", "pcm")])
+        items = tail_items(setting_b_chunk(), experiment_roles("B"), params, monkeypatch)
+        data, active, stage1_y, stage1_m, weights = next(
+            item for item in items if item[2].beta_x != 0.0)
+        # with zeta1 > 0 the blocks hold the treatment's residual gram as well
+        blocks = debias_ridges(data, active, replace(params, zeta1=0.1, xi1=0.9))
+        with pytest.raises(ValueError, match="other L1 penalties"):
+            pcm_correct(stage1_y, stage1_m, blocks, weights, params, data.n)
+
     def test_a_failure_stays_with_its_dataset_inside_a_shape_group(self, monkeypatch):
         # the copied dataset's treatment equals Z1, so stage 1 drops it and the rank
         # guard rejects the refit of its active candidate covariates on [X, Z1]; it
@@ -746,8 +805,7 @@ class TestChunkTail:
         shapes = [(fit.active_x, fit.active_sbar.size) for fit in alone]
         victim = next(i for i, shape in enumerate(shapes) if shapes.count(shape) > 1 and shape[1])
         act = replace(roles, sbar=tuple(roles.sbar[i] for i in alone[victim].active_sbar))
-        target = debias_ridges(datasets[victim], act, params.lambda2, params.xi2, params.rho2,
-                               params.rho2_prime).resid_grams[-1]
+        target = debias_ridges(datasets[victim], act, params).resid_grams[-1]
         svd, stacks = np.linalg.svd, []
 
         def failing(a, *args, **kwargs):
@@ -786,8 +844,7 @@ class TestChunkTail:
         assert any(fit.active_x for fit in fits) == (case == "setting-B chunk")
         for (data, active, stage1_y, stage1_m, weights), fit in zip(items, fits):
             assert repr(fit.to_dict()) == repr(pcm_total_effect(data, roles, params).to_dict())
-            blocks = debias_ridges(data, active, params.lambda2, params.xi2, params.rho2,
-                                   params.rho2_prime, include_x=fit.active_x)
+            blocks = debias_ridges(data, active, params, include_x=fit.active_x)
             corrected = pcm_correct(stage1_y, stage1_m, blocks, weights, params, data.n)
             assert corrected.beta_x == fit.corrected.beta_x
             for name in ("coef_s", "coef_sbar_active", "med_x", "y_on_mediators"):

@@ -52,6 +52,12 @@ class TestGridValidation:
         assert (0.6, 0.6) not in grid.zeta_xi
         assert (0.6, 0.0) in grid.zeta_xi
 
+    @pytest.mark.parametrize("keys", [("zeta1",), ("xi1",), ("zeta1", "xi1")])
+    def test_zeta_xi_with_zeta1_or_xi1_is_rejected(self, keys):
+        # either form of the (zeta1, xi1) pairs would be dropped without a message
+        with pytest.raises(ConfigInvalid, match=f"got {', '.join(('zeta_xi', *keys))}$"):
+            ParamGrid.from_dict({"zeta_xi": [[0.1, 0.2]], **{key: [0.5] for key in keys}})
+
     def test_negative_candidate_rejected(self):
         with pytest.raises(ValueError):
             ParamGrid(lam=(-0.1,))
