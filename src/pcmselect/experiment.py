@@ -5,14 +5,15 @@ benchmark models (or a user-supplied model), collecting per-replication
 estimates and per-method summary statistics (mean, standard deviation, bias,
 sign-coincidence rate, failure count).
 
-Replications run in chunks: a chunk samples and standardizes each of its
-replications, then calls each method once on all of them
-(:attr:`Method.estimate` takes a sequence of datasets).  pcm and pal1ma fit
-each ridge pilot of every replication of the chunk in one batched solve, the
-stage-1 outcome fits in one L1 solver call, the mediator fits in one per
-width of the active mediator design, and the debiasing and correction steps
-in stacked calls, one per shape of the active design.  lasso,
-adaptive-lasso and elastic-net fit every replication's ridge pilot in one
+Replications run in chunks: a chunk samples its replications in one stacked
+pass (:meth:`~pcmselect.scm.LinearScm.sample_stack`, each replication from
+its own generator), standardizes each of them, then calls each method once
+on all of them (:attr:`Method.estimate` takes a sequence of datasets).  pcm
+and pal1ma fit each ridge pilot of every replication of the chunk in one
+batched solve, the stage-1 outcome fits in one L1 solver call, the mediator
+fits in one per width of the active mediator design, and the debiasing and
+correction steps in stacked calls, one per shape of the active design.
+lasso, adaptive-lasso and elastic-net fit every replication's ridge pilot in one
 batched solve and every L1 fit in one L1 solver call.  The least-squares
 plug-ins (``backdoor``, ``frontdoor-*``) solve each regression of every
 replication in one stacked call.  A process pool gets one chunk per task.
@@ -87,15 +88,18 @@ SETTING_METHODS = {
 }
 
 # Sample values (rows times observed columns) that one chunk of replications
-# holds.  A chunk keeps every replication's sample, pilots, stage-1 lanes and
-# fits at once: about 7 KiB per replication at n=15 in setting B, 24 KiB in
-# setting A and 12 KiB at n=100 (tracemalloc peaks of single-worker calls; the
-# debiasing tail's stacks go once each shape group's corrections are known).
-# 2**10 values keeps a chunk within about 50 KiB of a one-replication chunk:
-# 8 replications at n=15 in setting B, 3 in setting A, one at n=100.  With
-# 2**16 a 1000-replication run at n=15 peaked 5 MiB higher than with chunks
-# of one replication.
-CHUNK_VALUES = 2**10
+# holds.  A chunk samples its replications in one stacked pass, then keeps
+# every replication's standardized sample, pilots, stage-1 lanes and fits at
+# once.  Its tracemalloc peak grows by about 7.7 KiB per replication at n=15
+# in setting B and 24 KiB in setting A, and at n=100 by 32 KiB in setting A and
+# 33 KiB in setting B, where the sampling pass's (R, n, q) stack and its
+# correlated-block product set the peak (one-chunk single-worker runs, slope
+# between two replication counts).
+# 2**12 values make the benchmark's 20-replication setting-B call one chunk,
+# which pays the fixed Python cost of a chunk (the L1 path lockstep, the
+# debiasing shape groups, the registry dispatch) once instead of three times:
+# 34 replications at n=15 in setting B, 14 in setting A, 5 and 2 at n=100.
+CHUNK_VALUES = 2**12
 
 
 @dataclass(frozen=True)
@@ -423,23 +427,29 @@ def summarize(estimates, true_tau: float) -> tuple[float, float, float, float]:
 
 def _chunk_worker(payload) -> list[tuple[int, list[tuple[str, float | None]]]]:
     """Each replication of one chunk, with each method's estimate (None where it failed)."""
-    reps, scm, spec, roles, n, methods = payload
+    seed, reps, scm, spec, roles, n, methods = payload
     observed = roles.required_columns()
     cols = [scm.dag.vertices.index(c) for c in observed]
     samples = {}  # the standardized sample of each replication that standardized
-    for rep, seed in reps:
-        raw = scm.sample(n, np.random.default_rng(seed), spec)
+    raw = scm.sample_stack(n, [np.random.default_rng(_child(seed, rep + 1)) for rep in reps], spec)
+    for r, rep in enumerate(reps):
         try:
-            samples[rep] = Dataset(raw[:, cols], observed).standardized()
+            samples[rep] = Dataset(raw[r][:, cols], observed).standardized()
         except PcmSelectError:
             continue
-    rows = {rep: [] for rep, _ in reps}
+    del raw  # the methods read the standardized samples only
+    rows = {rep: [] for rep in reps}
     datasets = list(samples.values())
     for label, name, params in methods if datasets else ():
         for rep, value in zip(samples, METHODS[name].estimate(datasets, roles, params)):
             rows[rep].append((label, None if isinstance(value, PcmSelectError) else value))
     return [(rep, row if rep in samples else [(label, None) for label, _, _ in methods])
             for rep, row in rows.items()]
+
+
+def _child(seed: int, i: int) -> np.random.SeedSequence:
+    """Child ``i`` of the seed sequence of ``seed``, as its ``spawn`` makes it."""
+    return np.random.SeedSequence(seed, spawn_key=(i,))
 
 
 def _build_model(config: ExperimentConfig, model_seed) -> tuple[LinearScm, CovarianceSpec | None, RolePartition, float]:
@@ -458,18 +468,15 @@ def run_monte_carlo(config: ExperimentConfig) -> McResult:
     Replications where an estimator raises a library error are excluded from
     that method's statistics and counted in its ``failures`` column.
     """
-    ss = np.random.SeedSequence(config.seed)
-    scm, spec, roles, tau = _build_model(config, ss.spawn(1)[0])
+    scm, spec, roles, tau = _build_model(config, _child(config.seed, 0))
     methods = [(m.display, m.name, m.params) for m in config.methods]
     size = max(1, CHUNK_VALUES // (config.n * len(roles.required_columns())))
     if config.workers > 1:
         # at least 8 tasks per worker, as a pool balances the slow replications
         size = min(size, max(1, config.replications // (config.workers * 8)))
     starts = range(0, config.replications, size)
-    # the next children of the seed sequence, spawned as each chunk is made, so that
-    # an in-process run holds one chunk's seeds at a time
-    payloads = ((list(enumerate(ss.spawn(min(size, config.replications - start)), start)),
-                 scm, spec, roles, config.n, methods) for start in starts)
+    payloads = ((config.seed, range(start, min(start + size, config.replications)), scm, spec,
+                 roles, config.n, methods) for start in starts)
     if config.workers == 1 or len(starts) == 1:
         chunks = map(_chunk_worker, payloads)
     else:

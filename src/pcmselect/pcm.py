@@ -525,28 +525,35 @@ def fit_from_weights(datasets, roles: RolePartition, params: PcmParams, weights)
     alone (front-door identification).
     """
     p = params
-    # each dataset's stage-1 outcome blocks, active sbar and zbar, active roles and
-    # weights, and outcome blocks on the active design (_activate), or its failure
+    # each dataset's stage-1 outcome blocks and active sbar and zbar, or its failure
     fits = on_successes(weights, lambda ok: [
-        beta if isinstance(beta, PcmSelectError) else _activate(beta, roles, weights[i])
-        for i, ((beta,),) in zip(ok, pcm_stage1_y_path([(datasets[i], weights[i]) for i in ok],
-                                                        roles, [p.lambda1], [(p.zeta1, p.xi1)]))])
+        beta if isinstance(beta, PcmSelectError) else _activate(beta, roles)
+        for ((beta,),) in pcm_stage1_y_path([(datasets[i], weights[i]) for i in ok], roles,
+                                            [p.lambda1], [(p.zeta1, p.xi1)])])
+    # each dataset's active design: its roles and weights
+    designs = on_successes(fits, lambda ok: [_restrict(roles, weights[i], *fits[i][1:])
+                                             for i in ok])
     # each dataset's mediator fit on its active design, or the first failure of its lanes
-    s1ms = on_successes(fits, lambda ok: [_m_coefs(lanes, fits[i][3]) for i, lanes in zip(
-        ok, pcm_stage1_m_path([(datasets[i], *fits[i][3:5]) for i in ok], [p.rho1]))])
+    s1ms = on_successes(designs, lambda ok: [_m_coefs(lanes, designs[i][0]) for i, lanes in zip(
+        ok, pcm_stage1_m_path([(datasets[i], *designs[i]) for i in ok], [p.rho1]))])
+    # the outcome blocks on the active design go to the corrections only
     corrected = on_successes(s1ms, lambda ok: corrections(
-        [(datasets[i], fits[i][3], fits[i][5], s1ms[i], fits[i][4]) for i in ok], p))
+        [(datasets[i], designs[i][0], _active_blocks(*fits[i]), s1ms[i], designs[i][1])
+         for i in ok], p))
+    del designs  # no later step reads the active designs
     return on_successes(corrected, lambda ok: [
-        _pcm_fit(roles, p, weights[i], *fits[i][:3], s1ms[i], corrected[i]) for i in ok])
+        _pcm_fit(roles, p, weights[i], *fits[i], s1ms[i], corrected[i]) for i in ok])
 
 
-def _activate(beta, roles, weights) -> tuple:
-    """A stage-1 outcome fit as blocks, its active sets, its active design's roles and
-    weights, and its blocks on the active design."""
+def _activate(beta, roles) -> tuple:
+    """A stage-1 outcome fit as blocks, and its active sbar and zbar."""
     s1y = _split_y_coefs(beta, roles)
-    active = np.nonzero(s1y.coef_sbar)[0], np.nonzero(s1y.coef_zbar)[0]
-    return (s1y, *active, *_restrict(roles, weights, *active),
-            replace(s1y, coef_sbar=s1y.coef_sbar[active[0]], coef_zbar=s1y.coef_zbar[active[1]]))
+    return s1y, np.nonzero(s1y.coef_sbar)[0], np.nonzero(s1y.coef_zbar)[0]
+
+
+def _active_blocks(s1y, active_sbar, active_zbar) -> YModelCoefs:
+    """The blocks of a stage-1 outcome fit on its active design."""
+    return replace(s1y, coef_sbar=s1y.coef_sbar[active_sbar], coef_zbar=s1y.coef_zbar[active_zbar])
 
 
 def _pcm_fit(roles, params, weights, s1y, active_sbar, active_zbar, s1m, corrected) -> PcmFit:

@@ -15,6 +15,7 @@ front-door mediator structure).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -223,32 +224,36 @@ class LinearScm:
 
         The correlated block is jointly Gaussian from its spec; all other
         disturbances are independent Gaussians with the model's variances.
-        Deterministic given the generator state.
+        Deterministic given the generator state.  The one-generator case of
+        :meth:`sample_stack`.
+        """
+        return self.sample_stack(n, [rng], exogenous_block)[0]
+
+    def sample_stack(self, n: int, rngs: Sequence[np.random.Generator],
+                     exogenous_block: CovarianceSpec | None = None) -> np.ndarray:
+        """:meth:`sample` with each of the generators ``rngs``: the (R, n, q) stack of
+        their samples.
+
+        Each generator draws its own noise, so each sample does not depend on
+        the others; the correlated block, the scaling and the structural
+        equations then run once on the stack, in one buffer that each
+        vertex's equation updates in place, in topological order.
         """
         if n < 1:
             raise ValueError("n must be >= 1")
         self._check_block(exogenous_block)
         idx = self._index()
-        q = len(self.dag.vertices)
-        noise = rng.standard_normal((n, q))
+        values = np.empty((len(rngs), n, len(idx)))
+        for rng, noise in zip(rngs, values):
+            rng.standard_normal(out=noise)
         if self.correlated:
-            chol = exogenous_block.cholesky_factor()
             cols = [idx[v] for v in self.correlated]
-            noise[:, cols] = noise[:, cols] @ chol.T
-        scales = np.array(
-            [
-                1.0 if v in self.correlated else math.sqrt(self.error_variances[v])
-                for v in self.dag.vertices
-            ]
-        )
-        noise *= scales
-        values = np.zeros((n, q))
+            values[..., cols] = values[..., cols] @ exogenous_block.cholesky_factor().T
+        values *= [1.0 if v in self.correlated else math.sqrt(self.error_variances[v])
+                   for v in self.dag.vertices]
         for v in self.dag.topological_order:
-            i = idx[v]
-            col = noise[:, i].copy()
             for p in self.dag.parents(v):
-                col += self.coefficients[(p, v)] * values[:, idx[p]]
-            values[:, i] = col
+                values[..., idx[v]] += self.coefficients[(p, v)] * values[..., idx[p]]
         return values
 
     # -- serialization -------------------------------------------------------------

@@ -134,6 +134,8 @@ class ParamGrid:
     @staticmethod
     def from_dict(payload: dict) -> "ParamGrid":
         """Grid from a JSON document; a malformed one raises :class:`ConfigInvalid`."""
+        if not isinstance(payload, dict):
+            raise ConfigInvalid("parameter grid must be a JSON object")
         try:
             kwargs = dict(payload)
             mix = [key for key in ("zeta_xi", "zeta1", "xi1") if key in kwargs]

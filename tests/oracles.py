@@ -136,6 +136,26 @@ def total_effect_by_path_enumeration(scm, x, y):
     return total
 
 
+def sample_vertex_by_vertex(scm, n, rng, spec=None):
+    """One sample of ``scm``, built a column at a time: the generator's (n, q) standard
+    normals, the correlated block times its Cholesky factor, each other column scaled
+    by its disturbance SD, then each vertex in topological order as its noise plus
+    each parent's coefficient times that parent's column."""
+    idx = {v: i for i, v in enumerate(scm.dag.vertices)}
+    noise = rng.standard_normal((n, len(idx)))
+    if scm.correlated:
+        cols = [idx[v] for v in scm.correlated]
+        noise[:, cols] = noise[:, cols] @ spec.cholesky_factor().T
+    values = np.zeros_like(noise)
+    for v in scm.dag.topological_order:
+        col = noise[:, idx[v]] * (1.0 if v in scm.correlated
+                                  else np.sqrt(scm.error_variances[v]))
+        for parent in scm.dag.parents(v):
+            col += scm.coefficients[(parent, v)] * values[:, idx[parent]]
+        values[:, idx[v]] = col
+    return values
+
+
 # -- objective values of the penalized solvers -----------------------------------
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -14,7 +15,7 @@ from pcmselect.io import (
 )
 from pcmselect.errors import DataFormatError
 from pcmselect.experiment import METHODS, PRESETS, SETTING_METHODS, experiment_roles
-from pcmselect.scm import experiment_criteria_dag
+from pcmselect.scm import build_experiment_scm, experiment_criteria_dag
 
 
 @pytest.fixture
@@ -370,6 +371,8 @@ class TestTuneCommand:
         ({"zeta1": "5"}, "pcm"),
         ({"zeta_xi": [["0.1", "0.2"]]}, "pcm"),
         ({"zeta_xi": [[True, False]]}, "pcm"),
+        ([["lam", [0.1]], ["folds", 3]], "lasso"),
+        ([], "pcm"),
     ])
     def test_bad_grid_or_method_is_usage_error(self, linear_csv, roles_file, tmp_path,
                                                capsys, grid, method):
@@ -467,6 +470,30 @@ class TestSimulateCommand:
         assert err.startswith("error:") and "correlated_blocks" in err, err
         with pytest.raises(DataFormatError, match="correlated_blocks"):
             load_scm(model)
+
+    def test_model_file_csv_bytes_are_fixed(self, tmp_path):
+        # a model without a correlated block samples without BLAS, so its CSV
+        # for a fixed seed has the same bytes on every platform
+        from test_experiment import tiny_custom_config
+
+        model, out = tmp_path / "scm.json", tmp_path / "sim.csv"
+        save_scm(model, load_scm_from_payload(tiny_custom_config().scm_payload)[0])
+        assert main(["simulate", "--scm", str(model), "--n", "15", "--seed", "7",
+                     "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "7800ea9e4d8a57fb2dee1d227a28a0d11e5d2f473a5329fc1dbc6a4626eda223")
+
+    def test_setting_csv_is_the_vertex_by_vertex_sample(self, tmp_path):
+        from oracles import sample_vertex_by_vertex
+
+        out, expected = tmp_path / "sim.csv", tmp_path / "expected.csv"
+        assert main(["simulate", "--scm", "A", "--n", "15", "--seed", "7",
+                     "--out", str(out)]) == 0
+        build_seed, sample_seed = np.random.SeedSequence(7).spawn(2)
+        scm, spec, _ = build_experiment_scm("A", np.random.default_rng(build_seed))
+        values = sample_vertex_by_vertex(scm, 15, np.random.default_rng(sample_seed), spec)
+        write_dataset_csv(expected, Dataset(values, scm.dag.vertices))
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

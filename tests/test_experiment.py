@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,28 +253,30 @@ def break_replications(monkeypatch, setting: str, constant: int, copied: int) ->
     """Replication ``constant`` samples a constant outcome, which fails
     standardization; replication ``copied`` samples X into its
     ``COPY_OF_X[setting]`` column, where pcm fails."""
-    original = LinearScm.sample
+    original = LinearScm.sample_stack
 
-    def sample(self, n, rng, exogenous_block=None):
-        raw = original(self, n, rng, exogenous_block)
-        # the run seeds replication r with child r + 1 of the master seed sequence
-        rep = rng.bit_generator.seed_seq.spawn_key[-1] - 1
+    def sample_stack(self, n, rngs, exogenous_block=None):
+        raw = original(self, n, rngs, exogenous_block)
         names = self.dag.vertices
-        if rep == constant:
-            raw[:, names.index("Y")] = 1.0
-        elif rep == copied:
-            raw[:, names.index(COPY_OF_X[setting])] = raw[:, names.index("X")]
+        for values, rng in zip(raw, rngs):
+            # the run seeds replication r with child r + 1 of the master seed sequence
+            rep = rng.bit_generator.seed_seq.spawn_key[-1] - 1
+            if rep == constant:
+                values[:, names.index("Y")] = 1.0
+            elif rep == copied:
+                values[:, names.index(COPY_OF_X[setting])] = values[:, names.index("X")]
         return raw
 
-    monkeypatch.setattr(LinearScm, "sample", sample)
+    monkeypatch.setattr(LinearScm, "sample_stack", sample_stack)
 
 
 class TestChunks:
     @pytest.mark.parametrize("setting", ["A", "B"])
     def test_estimates_do_not_depend_on_chunks_or_workers(self, setting, monkeypatch):
-        # 34 replications: in chunks of the module's size (8 at n=15 in setting
-        # B, 3 in setting A); two per task with two workers; all in one chunk;
-        # one per chunk
+        # 34 replications: in chunks of the module's size (all 34 at n=15 in
+        # setting B, 14 in setting A); in chunks of 2**10 values (8 in setting B,
+        # 3 in setting A); two per task with two workers; all in one chunk; one
+        # per chunk
         def config(workers=1):
             return ExperimentConfig(
                 setting=setting, n=15, replications=34, seed=11, workers=workers,
@@ -282,11 +286,13 @@ class TestChunks:
         break_replications(monkeypatch, setting, constant=3, copied=5)
         chunked = run_monte_carlo(config())
         pooled = run_monte_carlo(config(workers=2))
+        monkeypatch.setattr(experiment, "CHUNK_VALUES", 2**10)
+        several = run_monte_carlo(config())
         monkeypatch.setattr(experiment, "CHUNK_VALUES", 2**20)
         one_chunk = run_monte_carlo(config())
         monkeypatch.setattr(experiment, "CHUNK_VALUES", 1)
         single = run_monte_carlo(config())
-        for other in (pooled, one_chunk, single):
+        for other in (several, pooled, one_chunk, single):
             assert repr(other.estimates) == repr(chunked.estimates)
             assert repr(other.summaries) == repr(chunked.summaries)
         # each broken replication fails alone: every other one keeps its estimates,
@@ -302,6 +308,35 @@ class TestChunks:
         failures = {row.method: row.failures for row in clean.summaries}
         assert chunked.summaries[SETTING_METHODS[setting].index("pcm")].failures == \
             failures["pcm"] + 2
+
+
+# The traced peak of a one-chunk setting-B run at n=15 grows by 7.8 KiB per
+# replication (seed 5, all setting-B methods, the slope between 10 and 30
+# replications).  The limit is 25% above that: traced allocations repeat to a
+# few bytes per call for fixed seeds, so only a change to what a chunk keeps
+# per replication moves it.
+CHUNK_KIB_PER_REPLICATION = 9.7
+
+
+class TestChunkMemory:
+    def test_traced_peak_per_replication(self, monkeypatch):
+        monkeypatch.setattr(experiment, "CHUNK_VALUES", 2**20)  # one chunk per run
+
+        def peak(replications: int) -> int:
+            config = ExperimentConfig(
+                setting="B", n=15, replications=replications, seed=5,
+                methods=tuple(MethodSpec(name) for name in SETTING_METHODS["B"]))
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run_monte_carlo(config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # first calls fill caches
+        slope = (peak(30) - peak(10)) / 20 / 1024
+        assert slope < CHUNK_KIB_PER_REPLICATION, f"{slope:.2f} KiB per replication"
 
 
 def setting_sample(setting: str, seed: int) -> Dataset:

@@ -13,7 +13,7 @@ from pcmselect.scm import (
 )
 from pcmselect.scm import _experiment_edges, EXPERIMENT_VERTICES
 
-from oracles import total_effect_by_path_enumeration
+from oracles import sample_vertex_by_vertex, total_effect_by_path_enumeration
 
 
 def chain_scm(a_sx=0.8, a_ys=0.4):
@@ -144,6 +144,42 @@ class TestSampling:
         idx = {v: i for i, v in enumerate(scm.dag.vertices)}
         emp = np.cov(draws[:, idx["X"]], draws[:, idx["Y"]], bias=True)[0, 1]
         assert emp == pytest.approx(0.32, abs=0.005)
+
+
+def sampling_model(name: str):
+    """A model and its block spec: a benchmark setting's, or one without a correlated block."""
+    if name in ("A", "B"):
+        scm, spec, _ = build_experiment_scm(name, np.random.default_rng(0))
+        return scm, spec
+    names = ["W", "X", "M", "Y"]
+    edges = {("W", "X"): 0.6, ("W", "Y"): 0.3, ("X", "M"): 0.7, ("M", "Y"): 0.5,
+             ("X", "Y"): -0.2}
+    return LinearScm(Dag(names, list(edges)), edges,
+                     {"W": 1.0, "X": 0.5, "M": 2.0, "Y": 0.7}), None
+
+
+class TestSampleStack:
+    @pytest.mark.parametrize("model", ["A", "B", "custom"])
+    @pytest.mark.parametrize("size", [1, 3, 34])
+    def test_each_sample_is_its_generator_alone(self, model, size):
+        # bit for bit: the stacked pass changes no sample
+        scm, spec = sampling_model(model)
+        seeds = np.random.SeedSequence(size).spawn(size)
+        stack = scm.sample_stack(15, [np.random.default_rng(s) for s in seeds], spec)
+        assert stack.shape == (size, 15, len(scm.dag.vertices))
+        for values, seed in zip(stack, seeds):
+            np.testing.assert_array_equal(
+                values, sample_vertex_by_vertex(scm, 15, np.random.default_rng(seed), spec))
+            np.testing.assert_array_equal(values, scm.sample(15, np.random.default_rng(seed),
+                                                             spec))
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_fewer_than_one_row_is_rejected(self, n):
+        scm, spec = sampling_model("A")
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            scm.sample(n, np.random.default_rng(0), spec)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            scm.sample_stack(n, [np.random.default_rng(0)], spec)
 
 
 class TestExperimentScm:

@@ -74,6 +74,12 @@ class TestGridValidation:
         with pytest.raises(ConfigInvalid, match=key):
             ParamGrid.from_dict({key: value})
 
+    @pytest.mark.parametrize("payload", [[["lam", [0.1]], ["folds", 3]], [], "lam", None])
+    def test_a_grid_that_is_not_an_object_is_rejected(self, payload):
+        # dict() would take a list of pairs as a grid
+        with pytest.raises(ConfigInvalid, match="must be a JSON object"):
+            ParamGrid.from_dict(payload)
+
     def test_number_lists_and_tuples_pass(self):
         grid = ParamGrid.from_dict({"lam": list(np.logspace(-1, 0, 3)), "eta": (1, 2.5)})
         assert grid.lam == tuple(np.logspace(-1, 0, 3).tolist()) and grid.eta == (1.0, 2.5)
