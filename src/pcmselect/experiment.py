@@ -95,11 +95,14 @@ SETTING_METHODS = {
 # 33 KiB in setting B, where the sampling pass's (R, n, q) stack and its
 # correlated-block product set the peak (one-chunk single-worker runs, slope
 # between two replication counts).
-# 2**12 values make the benchmark's 20-replication setting-B call one chunk,
-# which pays the fixed Python cost of a chunk (the L1 path lockstep, the
-# debiasing shape groups, the registry dispatch) once instead of three times:
-# 34 replications at n=15 in setting B, 14 in setting A, 5 and 2 at n=100.
-CHUNK_VALUES = 2**12
+# 2**10 values: 8 replications at n=15 in setting B, 3 in setting A, one at
+# n=100.  Larger chunks pay the fixed Python cost of a chunk (the L1 path
+# lockstep, the debiasing shape groups, the registry dispatch) fewer times:
+# with 2**11 (chunks of 17) the benchmark's 20-replication setting-B call
+# takes about 18% less time and with 2**12 (one chunk) 32% less, but its
+# 10-second benchmark run then peaks about 0.1 and 0.2 MiB higher in resident
+# memory, in Python's small-object arenas rather than in the traced peak.
+CHUNK_VALUES = 2**10
 
 
 @dataclass(frozen=True)

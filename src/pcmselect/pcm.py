@@ -540,7 +540,6 @@ def fit_from_weights(datasets, roles: RolePartition, params: PcmParams, weights)
     corrected = on_successes(s1ms, lambda ok: corrections(
         [(datasets[i], designs[i][0], _active_blocks(*fits[i]), s1ms[i], designs[i][1])
          for i in ok], p))
-    del designs  # no later step reads the active designs
     return on_successes(corrected, lambda ok: [
         _pcm_fit(roles, p, weights[i], *fits[i], s1ms[i], corrected[i]) for i in ok])
 
