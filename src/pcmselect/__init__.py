@@ -48,9 +48,18 @@ from .scm import (
     coupling_dag,
     random_correlation,
 )
-from .tuning import ParamGrid, cross_validate
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # cross-validation loads on first use: a Monte Carlo run never needs it, and
+    # the module's code adds about 0.2 MiB to the resident memory of a process
+    if name in ("ParamGrid", "cross_validate"):
+        from . import tuning
+
+        return getattr(tuning, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AdaptiveWeights",

@@ -7,8 +7,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigInvalid, check_keys
-from .linalg import as_matrix, standardize
+from .errors import ConfigInvalid, ConstantColumn, check_keys
+from .linalg import as_matrix, standardize, standardize_stack
 
 __all__ = ["RolePartition", "Dataset", "gram_stack"]
 
@@ -137,6 +137,15 @@ class Dataset:
     def standardized(self) -> "Dataset":
         return Dataset(standardize(self.values, self.columns), self.columns)
 
+    @staticmethod
+    def standardized_stack(stack: np.ndarray, columns) -> list:
+        """:meth:`standardized` of the dataset of each (n, q) matrix of an (R, n, q)
+        stack with these columns, in one :func:`~pcmselect.linalg.standardize_stack`
+        pass: each dataset views its slice of one standardized stack, and a matrix
+        with a constant column gives its :class:`ConstantColumn` in its place."""
+        return [values if isinstance(values, ConstantColumn) else Dataset(values, columns)
+                for values in standardize_stack(stack, columns)]
+
     def check_roles(self, roles: RolePartition) -> None:
         missing = [c for c in roles.required_columns() if c not in self.columns]
         if missing:
@@ -146,8 +155,24 @@ class Dataset:
 def gram_stack(datasets, names) -> np.ndarray:
     """The (D, k, k) stack of the :attr:`Dataset.gram` blocks of ``datasets``, each
     between the k columns of its entry of ``names``, laid out as :meth:`Dataset.cross`
-    lays out one.  ``take`` along one axis at a time keeps each block C-contiguous:
-    index arrays on the last two axes of a stack would put the stack's axis innermost,
-    and BLAS would then not take the blocks."""
-    return np.array([data.gram.take(index, 0).take(index, 1)
-                     for data, index in zip(datasets, map(Dataset.index_of, datasets, names))])
+    lays out one (an empty input gives ``np.array([])``).
+
+    The datasets that share their columns and their names form one group, which
+    looks its names up once and gathers its blocks from the stack of its grams with
+    one ``take`` per axis; most callers pass every dataset the same names, so a call
+    is usually one group.  ``take`` along one axis at a time keeps each block
+    C-contiguous: index arrays on the last two axes of a stack would put the stack's
+    axis innermost, and BLAS would then not take the blocks."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (data, keys) in enumerate(zip(datasets, names)):
+        groups.setdefault((data.columns, tuple(keys)), []).append(i)
+    stack = np.array([])
+    for (_, keys), members in groups.items():
+        index = datasets[members[0]].index_of(keys)
+        blocks = np.array([datasets[i].gram for i in members]).take(index, 1).take(index, 2)
+        if len(members) == len(datasets):
+            return blocks
+        if stack.ndim == 1:
+            stack = np.empty((len(datasets), len(index), len(index)))
+        stack[members] = blocks
+    return stack

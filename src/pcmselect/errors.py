@@ -105,6 +105,12 @@ def check_keys(payload: dict, known, what: str, error: type[Exception] = ConfigI
                     f"allowed: {', '.join(known)}")
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Raise :class:`ConfigInvalid` unless ``value`` is an integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigInvalid(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 class DataFormatError(PcmSelectError):
     """A data file could not be parsed; carries row/column context."""
 

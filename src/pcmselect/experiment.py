@@ -7,7 +7,8 @@ sign-coincidence rate, failure count).
 
 Replications run in chunks: a chunk samples its replications in one stacked
 pass (:meth:`~pcmselect.scm.LinearScm.sample_stack`, each replication from
-its own generator), standardizes each of them, then calls each method once
+its own generator), standardizes them in another
+(:func:`~pcmselect.linalg.standardize_stack`), then calls each method once
 on all of them (:attr:`Method.estimate` takes a sequence of datasets).  pcm
 and pal1ma fit each ridge pilot of every replication of the chunk in one
 batched solve, the stage-1 outcome fits in one L1 solver call, the mediator
@@ -39,7 +40,7 @@ from .baselines import (back_door_estimates, front_door_like_estimates, pal1ma_c
                         pal1ma_estimates, pal1ma_pilot, penalized_coefficients,
                         penalized_estimates, pilot_coefficients)
 from .data import Dataset, RolePartition
-from .errors import ConfigInvalid, EmptyInput, PcmSelectError, check_keys
+from .errors import ConfigInvalid, EmptyInput, PcmSelectError, check_count, check_keys
 from .graphs import minimal_mediator_sets
 from .pcm import PcmParams, pcm_fits
 from .scm import (CovarianceSpec, LinearScm, build_experiment_scm, coupling_dag,
@@ -88,21 +89,23 @@ SETTING_METHODS = {
 }
 
 # Sample values (rows times observed columns) that one chunk of replications
-# holds.  A chunk samples its replications in one stacked pass, then keeps
-# every replication's standardized sample, pilots, stage-1 lanes and fits at
-# once.  Its tracemalloc peak grows by about 7.7 KiB per replication at n=15
-# in setting B and 24 KiB in setting A, and at n=100 by 32 KiB in setting A and
-# 33 KiB in setting B, where the sampling pass's (R, n, q) stack and its
-# correlated-block product set the peak (one-chunk single-worker runs, slope
-# between two replication counts).
-# 2**10 values: 8 replications at n=15 in setting B, 3 in setting A, one at
-# n=100.  Larger chunks pay the fixed Python cost of a chunk (the L1 path
-# lockstep, the debiasing shape groups, the registry dispatch) fewer times:
-# with 2**11 (chunks of 17) the benchmark's 20-replication setting-B call
-# takes about 18% less time and with 2**12 (one chunk) 32% less, but its
-# 10-second benchmark run then peaks about 0.1 and 0.2 MiB higher in resident
-# memory, in Python's small-object arenas rather than in the traced peak.
-CHUNK_VALUES = 2**10
+# holds at most; a run is cut into ceil(R / size) chunks, in order, whose sizes
+# differ by at most one.  A chunk samples its replications in one stacked pass
+# and standardizes them in another, then keeps every replication's standardized
+# sample, pilots, stage-1 lanes and fits at once.  Its tracemalloc peak grows by
+# about 7.8 KiB per replication at n=15 in setting B and 23 KiB in setting A, and
+# at n=100 by 38 KiB in setting A and 33 KiB in setting B (one-chunk
+# single-worker runs, slope between two replication counts).
+# 2**11 values: up to 17 replications at n=15 in setting B, 7 in setting A, 2 at
+# n=100 in setting B and one in setting A.  Larger chunks pay the fixed Python
+# cost of a chunk (the L1 path lockstep, the debiasing shape groups, the
+# registry dispatch) fewer times: the benchmark's 20-replication setting-B call
+# runs as two chunks of 10 in about 0.017 s, against 0.021 s as chunks of 8, 8
+# and 4 (2**10; one BLAS thread on a 2-vCPU VM), and a benchmark worker's
+# resident peak after 200 or 800 equal calls reads the same with both, within
+# 0.02 MiB.  One chunk of 20 (2**12) is faster still, but the resident peak
+# after 200 equal calls read 0.25 MiB higher with it than with chunks of 10 to 17.
+CHUNK_VALUES = 2**11
 
 
 @dataclass(frozen=True)
@@ -277,12 +280,6 @@ class MethodSpec:
         return self.label or self.name
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Raise :class:`ConfigInvalid` unless ``value`` is an integer (not a bool) >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ConfigInvalid(f"{name} must be an integer of at least {least}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     setting: str  # "A", "B", or "custom"
@@ -298,10 +295,10 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", tuple(self.methods))
         setting = self.setting.upper() if self.setting.lower() != "custom" else "custom"
         object.__setattr__(self, "setting", setting)
-        _check_count("n", self.n, 3)
-        _check_count("replications", self.replications, 1)
-        _check_count("seed", self.seed, 0)
-        _check_count("workers", self.workers, 1)
+        check_count("n", self.n, 3)
+        check_count("replications", self.replications, 1)
+        check_count("seed", self.seed, 0)
+        check_count("workers", self.workers, 1)
         if not self.methods:
             raise ConfigInvalid("configure at least one method")
         for label in [m.label for m in self.methods if m.label is not None]:
@@ -429,17 +426,20 @@ def summarize(estimates, true_tau: float) -> tuple[float, float, float, float]:
 
 
 def _chunk_worker(payload) -> list[tuple[int, list[tuple[str, float | None]]]]:
-    """Each replication of one chunk, with each method's estimate (None where it failed)."""
+    """Each replication of one chunk, with each method's estimate (None where it failed).
+
+    The chunk is sampled in one :meth:`~pcmselect.scm.LinearScm.sample_stack` pass
+    and standardized in one :meth:`~pcmselect.data.Dataset.standardized_stack` pass;
+    each replication's dataset views its slice of the standardized stack, and one
+    whose sample has a constant column fails alone.  Each method then runs once on
+    the datasets of the chunk."""
     seed, reps, scm, spec, roles, n, methods = payload
     observed = roles.required_columns()
     cols = [scm.dag.vertices.index(c) for c in observed]
-    samples = {}  # the standardized sample of each replication that standardized
-    raw = scm.sample_stack(n, [np.random.default_rng(_child(seed, rep + 1)) for rep in reps], spec)
-    for r, rep in enumerate(reps):
-        try:
-            samples[rep] = Dataset(raw[r][:, cols], observed).standardized()
-        except PcmSelectError:
-            continue
+    raw = scm.sample_stack(n, [np.random.default_rng(_child(seed, rep + 1)) for rep in reps],
+                           spec)[:, :, cols]
+    samples = {rep: data for rep, data in zip(reps, Dataset.standardized_stack(raw, observed))
+               if not isinstance(data, PcmSelectError)}
     del raw  # the methods read the standardized samples only
     rows = {rep: [] for rep in reps}
     datasets = list(samples.values())
@@ -477,10 +477,12 @@ def run_monte_carlo(config: ExperimentConfig) -> McResult:
     if config.workers > 1:
         # at least 8 tasks per worker, as a pool balances the slow replications
         size = min(size, max(1, config.replications // (config.workers * 8)))
-    starts = range(0, config.replications, size)
-    payloads = ((config.seed, range(start, min(start + size, config.replications)), scm, spec,
-                 roles, config.n, methods) for start in starts)
-    if config.workers == 1 or len(starts) == 1:
+    # ceil(replications / size) chunks in order, whose sizes differ by at most one
+    count = -(-config.replications // size)
+    bounds = [config.replications * i // count for i in range(count + 1)]
+    payloads = ((config.seed, range(start, stop), scm, spec, roles, config.n, methods)
+                for start, stop in zip(bounds, bounds[1:]))
+    if config.workers == 1 or count == 1:
         chunks = map(_chunk_worker, payloads)
     else:
         # Imported here: importing multiprocessing adds about 1.3 MiB of

@@ -21,6 +21,7 @@ from .errors import ConstantColumn, DecompositionFailure
 __all__ = [
     "as_matrix",
     "standardize",
+    "standardize_stack",
     "pseudo_inverse",
     "pseudo_inverse_batch",
     "batched",
@@ -42,6 +43,8 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def standardize(raw, names=None) -> np.ndarray:
     """Center and scale each column to mean 0 and population variance 1.
 
+    The one-matrix case of :func:`standardize_stack`.
+
     Parameters
     ----------
     raw : array_like, shape (n, q)
@@ -54,17 +57,33 @@ def standardize(raw, names=None) -> np.ndarray:
     ConstantColumn
         If any column has zero variance.
     """
-    m = as_matrix(raw, "raw data")
-    if m.shape[0] < 2:
+    (result,) = standardize_stack(as_matrix(raw, "raw data")[None], names)
+    if isinstance(result, ConstantColumn):
+        raise result
+    return result
+
+
+def standardize_stack(stack: np.ndarray, names=None) -> list:
+    """:func:`standardize` of each matrix of an (R, n, q) stack, over its rows, in one
+    pass: for each matrix in order, its standardized (n, q) slice of one (R, n, q)
+    result, or the :class:`ConstantColumn` naming its first column of zero variance.
+
+    Each matrix is standardized as it would be alone, bit for bit.  A constant
+    column fails only its own matrix, and its zero scale is never divided by.
+
+    Raises ValueError for fewer than 2 rows or a NaN or an Inf entry.
+    """
+    if stack.shape[1] < 2:
         raise ValueError("standardize needs at least 2 rows")
-    mean = m.mean(axis=0)
-    scale = m.std(axis=0)  # population convention (ddof=0)
-    bad = np.nonzero(scale == 0.0)[0]
-    if bad.size:
-        j = int(bad[0])
-        label = names[j] if names is not None else str(j)
-        raise ConstantColumn(label)
-    return (m - mean) / scale
+    if not np.isfinite(stack).all():
+        raise ValueError("raw data contains NaN or Inf entries")
+    scale = stack.std(axis=1)  # population convention (ddof=0)
+    constant = scale == 0.0
+    out = stack - stack.mean(axis=1)[:, None]
+    out /= np.where(constant, 1.0, scale)[:, None]
+    return [values if not failed else ConstantColumn(str(j) if names is None else names[j])
+            for values, failed, j in zip(out, constant.any(axis=1).tolist(),
+                                         constant.argmax(axis=1).tolist())]
 
 
 def pseudo_inverse(m, tol: float | None = None) -> np.ndarray:

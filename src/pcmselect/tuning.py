@@ -380,15 +380,23 @@ def _cross_validate_baseline(roles, name, grid: ParamGrid, splits) -> CvResult:
 
 
 def cv_table_csv(result: CvResult) -> str:
-    """Render a CV score table as CSV (params, mean score, per-fold scores)."""
+    """Render a CV score table as CSV (params, mean score, per-fold scores).
+
+    A row without a parameter key leaves its cell empty.  A grid's values recur in
+    many rows, so each value is rendered once; they are told apart by identity, as
+    equal values such as 0.0 and -0.0 render apart."""
     keys = sorted({k for row in result.table for k in row.params})
     n_folds = max((len(row.fold_scores) for row in result.table), default=0)
     header = keys + ["mean_score"] + [f"fold_{i + 1}" for i in range(n_folds)]
+    text = {id(None): ""}  # the cell of a missing key: params.get gives None
+    for row in result.table:
+        for value in row.params.values():
+            if id(value) not in text:
+                text[id(value)] = repr(value)
     lines = [",".join(header)]
     for row in result.table:
-        cells = [repr(row.params[k]) if k in row.params else "" for k in keys]
-        cells.append(repr(row.mean_score))
-        cells.extend(repr(s) for s in row.fold_scores)
-        cells.extend([""] * (n_folds - len(row.fold_scores)))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        lines.append(",".join([*[text[id(row.params.get(k))] for k in keys],
+                               *map(repr, (row.mean_score, *row.fold_scores)),
+                               *[""] * (n_folds - len(row.fold_scores))]))
+    lines.append("")  # the final line break, without a second copy of the text
+    return "\n".join(lines)

@@ -1,7 +1,7 @@
 """Every exported name and every benchmark-traced function resolves; the benchmark's
 workloads run on the package's API; only the method registry names the penalized
-baselines; numpy.ma, scipy and the process-pool modules stay unloaded; every module
-stays below the parser's token-array doubling."""
+baselines; numpy.ma, scipy and the process-pool modules stay unloaded, and the tuning
+module until first use; every module stays below the parser's token-array doubling."""
 
 import ast
 import importlib
@@ -166,13 +166,39 @@ def test_numpy_ma_stays_unloaded():
     benchmark's gated peak memory; the package uses boolean masks instead.
     numpy is the only runtime dependency, so scipy stays unloaded, and a
     single-worker run never imports the process pool."""
+    assert run_alone(MA_GUARD) == "[]"
+
+
+def run_alone(code: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter on this checkout's src."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
-    run = subprocess.run([sys.executable, "-c", MA_GUARD], env=env, capture_output=True,
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]", f"imported: {run.stdout.strip()}"
+    return run.stdout.strip()
+
+
+def test_tuning_loads_on_first_use():
+    """A Monte Carlo run leaves ``pcmselect.tuning`` unloaded, as its code adds
+    to the resident memory of every process; the package still exports its names."""
+    out = run_alone("""
+import sys
+
+import pcmselect
+
+pcmselect.run_monte_carlo(pcmselect.ExperimentConfig(
+    setting="B", n=15, replications=3, seed=0,
+    methods=(pcmselect.MethodSpec("pcm"), pcmselect.MethodSpec("frontdoor-whole"))))
+print("pcmselect.tuning" in sys.modules)
+from pcmselect import ParamGrid, cross_validate
+from pcmselect import tuning
+print(ParamGrid is tuning.ParamGrid and cross_validate is tuning.cross_validate)
+""")
+    assert out.split() == ["False", "True"]
+    with pytest.raises(AttributeError):
+        pcmselect.no_such_name
 
 
 # CPython 3.11's parser keeps a module's tokens in an array that doubles when it

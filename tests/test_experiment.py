@@ -1,13 +1,15 @@
+import concurrent.futures
 import gc
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from pcmselect import experiment
 from pcmselect.data import Dataset, RolePartition
-from pcmselect.errors import ConfigInvalid, EmptyInput, PcmSelectError
+from pcmselect.errors import ConfigInvalid, ConstantColumn, EmptyInput, PcmSelectError
 from pcmselect.experiment import (
     METHODS,
     PRESETS,
@@ -19,6 +21,7 @@ from pcmselect.experiment import (
     summarize,
 )
 from pcmselect.graphs import Dag
+from pcmselect.linalg import standardize
 from pcmselect.scm import LinearScm, build_experiment_scm
 
 
@@ -273,9 +276,9 @@ def break_replications(monkeypatch, setting: str, constant: int, copied: int) ->
 class TestChunks:
     @pytest.mark.parametrize("setting", ["A", "B"])
     def test_estimates_do_not_depend_on_chunks_or_workers(self, setting, monkeypatch):
-        # 34 replications: in chunks of the module's size (8 at n=15 in setting
-        # B, 3 in setting A); two per task with two workers; all in one chunk;
-        # one per chunk
+        # 34 replications: in chunks of the module's size (2 chunks of 17 at n=15
+        # in setting B, chunks of 6, 7, 7, 7 and 7 in setting A); two per task
+        # with two workers; all in one chunk; one per chunk
         def config(workers=1):
             return ExperimentConfig(
                 setting=setting, n=15, replications=34, seed=11, workers=workers,
@@ -305,6 +308,74 @@ class TestChunks:
         failures = {row.method: row.failures for row in clean.summaries}
         assert chunked.summaries[SETTING_METHODS[setting].index("pcm")].failures == \
             failures["pcm"] + 2
+
+
+    @pytest.mark.parametrize("replications, chunk_values, workers, setting, n, size", [
+        (20, 2**11, 1, "B", 15, 17),  # the benchmark's setting-B call: 10 and 10
+        (34, 2**11, 1, "B", 15, 17),
+        (34, 2**11, 1, "A", 15, 7),  # 6, 7, 7, 7 and 7
+        (1000, 2**11, 1, "B", 15, 17),
+        (1000, 2**11, 2, "A", 15, 7),
+        (100, 2**11, 2, "B", 15, 6),  # at least 8 tasks per worker
+        (5, 2**11, 2, "B", 15, 1),
+        (1, 2**11, 1, "B", 15, 17),
+        (60, 2**11, 1, "A", 100, 1),
+        (61, 2**11, 1, "B", 100, 2),
+        (7, 1, 1, "B", 15, 1),
+        (34, 2**20, 1, "B", 15, 8738),
+    ])
+    def test_split(self, monkeypatch, replications, chunk_values, workers, setting, n, size):
+        chunks = []
+        monkeypatch.setattr(experiment, "CHUNK_VALUES", chunk_values)
+        monkeypatch.setattr(experiment, "_chunk_worker", lambda payload: chunks.append(payload[1]) or [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool, raising=False)
+        run_monte_carlo(ExperimentConfig(setting=setting, n=n, replications=replications, seed=0,
+                                         workers=workers, methods=(MethodSpec("pcm"),)))
+        assert [rep for chunk in chunks for rep in chunk] == list(range(replications))
+        sizes = [len(chunk) for chunk in chunks]
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= size
+        assert len(chunks) == math.ceil(replications / size)
+
+    @pytest.mark.parametrize("setting", ["A", "B"])
+    @pytest.mark.parametrize("count", [1, 3, 17])
+    def test_stacked_standardization_equals_each_alone(self, setting, count):
+        columns = experiment_roles(setting).required_columns()
+        scm, spec, _ = build_experiment_scm(setting, np.random.default_rng(0))
+        rngs = [np.random.default_rng(seed) for seed in range(count)]
+        raw = scm.sample_stack(15, rngs, spec)[:, :, [scm.dag.vertices.index(c) for c in columns]]
+        stacked = Dataset.standardized_stack(raw, columns)
+        assert len(stacked) == count
+        for data, alone in zip(stacked, raw):
+            assert data.columns == columns
+            assert np.array_equal(data.values, Dataset(alone, columns).standardized().values)
+
+    @pytest.mark.parametrize("setting", ["A", "B"])
+    def test_constant_column_fails_its_replication_alone(self, setting):
+        columns = experiment_roles(setting).required_columns()
+        raw = np.random.default_rng(4).standard_normal((3, 15, len(columns)))
+        raw[1, :, columns.index("S")] = 2.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first, failed, last = Dataset.standardized_stack(raw, columns)
+        assert isinstance(failed, ConstantColumn) and failed.name == "S"
+        for data, alone in ((first, raw[0]), (last, raw[2])):
+            assert np.array_equal(data.values, standardize(alone))
+
+
+class InlinePool:
+    """Stands in for a process pool: maps in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return list(map(fn, items))
 
 
 # The traced peak of a one-chunk setting-B run at n=15 grows by 7.8 KiB per

@@ -97,6 +97,8 @@ class TestGramStack:
         expected = np.array([data.cross(cols, cols) for data, cols in zip(datasets, names)])
         assert stack.flags["C_CONTIGUOUS"] and stack.shape == expected.shape
         assert stack.tobytes() == expected.tobytes()
+        for block, data, cols in zip(stack, datasets, names):
+            assert block.flags["C_CONTIGUOUS"] and np.array_equal(block, data.cross(cols, cols))
 
     def test_shared_names_equal_a_stack_of_cross_blocks(self):
         datasets = self.datasets(4)
@@ -106,3 +108,21 @@ class TestGramStack:
     def test_names_per_dataset_equal_a_stack_of_cross_blocks(self):
         datasets = self.datasets(3)
         self.assert_cross_stack(datasets, [["c1", "c2"], ["c6", "c0"], ["c4", "c4"]])
+
+    def test_groups_of_columns_and_names_equal_a_stack_of_cross_blocks(self):
+        # two column orders, each shared by some datasets
+        rng = np.random.default_rng(11)
+        order = ("c4", "c2", "c6", "c0", "c1", "c3", "c5")
+        reordered = [Dataset(rng.standard_normal((9, 7)), order).standardized()
+                     for _ in range(2)]
+        first = self.datasets(3)
+        datasets = [first[0], reordered[0], first[1], reordered[1], first[2]]
+        shared = ["c3", "c0", "c6"]
+        self.assert_cross_stack(datasets, [shared] * 5)
+        self.assert_cross_stack(datasets, [shared, shared, ["c1", "c2", "c2"], shared, shared])
+        self.assert_cross_stack(reordered, [shared] * 2)
+        self.assert_cross_stack(datasets, [[]] * 5)
+
+    def test_empty_input(self):
+        stack = gram_stack([], [])
+        assert stack.shape == (0,) and stack.dtype == np.float64

@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -21,8 +22,8 @@ from pcmselect.pcm import (
 )
 from pcmselect.scm import build_experiment_scm
 from pcmselect.solvers import coordinate_descent, ols_solve, ridge_solve
-from pcmselect.tuning import (ParamGrid, _fold_indices, cross_validate, cv_table_csv,
-                              default_log_grid)
+from pcmselect.tuning import (CvResult, CvRow, ParamGrid, _fold_indices, cross_validate,
+                              cv_table_csv, default_log_grid)
 
 from oracles import brute_force_pcm_cv
 from test_pcm import ROLES, random_instance
@@ -550,6 +551,26 @@ class TestCallCounts:
 
 
 class TestTableExport:
+    def test_hand_written_table(self):
+        lam, zero = 0.25, -0.0
+        rows = (
+            CvRow({"pilot_lambda": 3.5}, 0.5, (0.25, 0.75)),  # a pilot row: other keys empty
+            CvRow({"pilot_lambda": 3.5}, math.inf, (math.inf, 1.0)),
+            CvRow({"lambda1": lam, "rho1": zero}, 0.125, (0.1, 0.15, 1e-05)),
+            CvRow({"lambda1": lam, "rho1": 0.0}, 0.125, (0.1, 0.15, 1e-05)),
+            CvRow({"lambda1": 1, "rho1": 1.0}, -math.inf, (-math.inf,)),
+        )
+        text = cv_table_csv(CvResult("pcm", {}, 0.125, rows))
+        assert text == (
+            "lambda1,pilot_lambda,rho1,mean_score,fold_1,fold_2,fold_3\n"
+            ",3.5,,0.5,0.25,0.75,\n"
+            ",3.5,,inf,inf,1.0,\n"
+            "0.25,,-0.0,0.125,0.1,0.15,1e-05\n"
+            "0.25,,0.0,0.125,0.1,0.15,1e-05\n"
+            "1,,1.0,-inf,-inf,,\n"
+        )
+        assert cv_table_csv(CvResult("pcm", {}, math.nan, ())) == "mean_score\n"
+
     def test_csv_shape(self):
         ds = random_instance(69, n=40)
         result = cross_validate(ds, BASE_ROLES, "lasso", small_grid(lam=(0.01, 0.1)))
