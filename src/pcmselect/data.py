@@ -99,14 +99,8 @@ class Dataset:
 
     def __post_init__(self):
         values = as_matrix(self.values, "dataset")
-        if values.shape[1] != len(self.columns):
-            raise ValueError(
-                f"{values.shape[1]} columns of data vs {len(self.columns)} names"
-            )
-        if len(set(self.columns)) != len(self.columns):
-            raise ValueError("duplicate column names")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "columns", tuple(self.columns))
+        object.__setattr__(self, "columns", _checked(values.shape[1], self.columns))
 
     @property
     def n(self) -> int:
@@ -142,14 +136,32 @@ class Dataset:
         """:meth:`standardized` of the dataset of each (n, q) matrix of an (R, n, q)
         stack with these columns, in one :func:`~pcmselect.linalg.standardize_stack`
         pass: each dataset views its slice of one standardized stack, and a matrix
-        with a constant column gives its :class:`ConstantColumn` in its place."""
-        return [values if isinstance(values, ConstantColumn) else Dataset(values, columns)
-                for values in standardize_stack(stack, columns)]
+        with a constant column gives its :class:`ConstantColumn` in its place.
+
+        The stack and the names are checked once, so each dataset is built
+        without the checks of a direct construction."""
+        columns = _checked(stack.shape[-1], columns)
+        out = standardize_stack(stack, columns)
+        for i, values in enumerate(out):
+            if not isinstance(values, ConstantColumn):
+                out[i] = object.__new__(Dataset)
+                out[i].__dict__.update(values=values, columns=columns)
+        return out
 
     def check_roles(self, roles: RolePartition) -> None:
         missing = [c for c in roles.required_columns() if c not in self.columns]
         if missing:
             raise ConfigInvalid(f"dataset lacks role columns: {missing}")
+
+
+def _checked(width: int, columns) -> tuple:
+    """``columns`` as a tuple of ``width`` distinct names; raise ValueError otherwise."""
+    columns = tuple(columns)
+    if width != len(columns):
+        raise ValueError(f"{width} columns of data vs {len(columns)} names")
+    if len(set(columns)) != len(columns):
+        raise ValueError("duplicate column names")
+    return columns
 
 
 def gram_stack(datasets, names) -> np.ndarray:

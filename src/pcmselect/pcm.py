@@ -54,31 +54,35 @@ cross-validation scores its :func:`pcm_stage1_y_path` fits and
 
 Both take a sequence of datasets, such as the samples of a chunk of Monte
 Carlo replications, and return one fit or one failure per dataset.  Steps
-1, 3 and 4 run over all of them at once: each ridge pilot of every dataset
-is one batched solve, every dataset's stage-1 outcome fit is a lane of one
-L1 path call, and its mediator fits are lanes of one more per width of the
-active mediator design.  Each of these calls reads the grams of all its
+1-4 run over all of them at once: each ridge pilot of every dataset is one
+batched solve, and step 2 (:mod:`pcmselect.weights`) is one pass over the
+stacks of the pilots.  Every dataset's stage-1 outcome fit is a lane of one
+L1 path call, whose candidate weights are one broadcast of the stacked
+adaptive weights, and its mediator fits are lanes of one more per shape of
+the active mediator design.  Each of these calls reads the grams of all its
 datasets in one :func:`~pcmselect.data.gram_stack`.  Step 4
 (:mod:`pcmselect.debias`) groups the datasets by the shape of their active
 design and runs each group's debiasing ridges, residual grams,
-pseudoinverses and corrections as stacked calls.  The adaptive weights, the
-restriction to the active design and step 5 run per dataset.  Every system
-is its own LAPACK call, so no fit depends on the other datasets of its call,
-and a failure stays with its dataset.
+pseudoinverses and corrections as stacked calls.  The restriction to the
+active design (whose roles are built once per distinct active set) and step
+5 run per dataset.  Every system is its own LAPACK call, so no fit depends
+on the other datasets of its call, and a failure stays with its dataset.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .data import Dataset, RolePartition, gram_stack
-from .debias import (CorrectedBlocks, DebiasBlocks, corrections, debias_ridges, pcm_correct,
-                     zbar_share)
+from .debias import CorrectedBlocks, DebiasBlocks, corrections, debias_ridges, pcm_correct
 from .errors import PcmSelectError, on_successes, unwrap
 from .solvers import l1_path, ols_solve, ridge_grid
+from .weights import (AdaptiveWeights, _m_l1_weights, _y_l1_weights, adaptive_weights,
+                      pilot_weights, reciprocal_power_weights)
 
 __all__ = [
     "PcmParams",
@@ -108,8 +112,6 @@ __all__ = [
     "pcm_fits",
     "verify_active_set_relation",
 ]
-
-WEIGHT_FLOOR = 1e-8
 
 # How far zeta1 + xi1 may exceed 1: decimal inputs such as 0.7 + 0.3 carry
 # rounding error in their sum.
@@ -191,21 +193,6 @@ class MediatorCoefs:
 class PilotEstimates:
     y: YModelCoefs
     m: MediatorCoefs
-
-
-@dataclass(frozen=True)
-class AdaptiveWeights:
-    """Standardized reciprocal-magnitude weights.
-
-    ``sbar`` and ``zbar`` each sum to one (when nonempty); ``med`` is a
-    (q_zbar, q_m) matrix summing to one overall.  ``floored`` reports whether
-    any pilot magnitude hit the reciprocal floor.
-    """
-
-    sbar: np.ndarray
-    zbar: np.ndarray
-    med: np.ndarray
-    floored: bool = False
 
 
 @dataclass(frozen=True)
@@ -324,86 +311,8 @@ def ridge_pilot_m_grid(datasets, roles: RolePartition, rhos) -> list:
 
 
 # ---------------------------------------------------------------------------
-# adaptive weights
-# ---------------------------------------------------------------------------
-
-
-def reciprocal_power_weights(values: np.ndarray, eta: float = 1.0,
-                             normalize: bool = True) -> tuple[np.ndarray, bool]:
-    """``|v|**-eta`` weights, magnitudes floored at ``WEIGHT_FLOOR``, summing to one.
-
-    Returns the weights and whether any magnitude was floored.
-    ``normalize=False`` skips the sum-one standardization (the classical
-    adaptive-weight form).
-    """
-    mags = np.abs(np.asarray(values, dtype=float)).ravel()
-    if mags.size == 0:
-        return mags.reshape(np.asarray(values).shape), False
-    floored = bool(np.any(mags < WEIGHT_FLOOR))
-    mags = np.maximum(mags, WEIGHT_FLOOR)
-    raw = np.power(mags, -eta)
-    out = raw / raw.sum() if normalize else raw
-    return out.reshape(np.asarray(values).shape), floored
-
-
-def adaptive_weights(pilots: PilotEstimates) -> AdaptiveWeights:
-    """Standardized weights from the pilot coefficient magnitudes.
-
-    Candidate-mediator weights use the treatment coefficients of the
-    mediator-model pilot (a mediator whose treatment pilot vanishes carries
-    no treatment effect, so its outcome coefficient should be free to drop);
-    candidate-covariate weights use the outcome-model pilot; the mediator
-    weight matrix uses the mediator-model candidate-covariate pilots.
-    """
-    q_m = pilots.m.x_row.shape[0]
-    q_sb = pilots.y.coef_sbar.shape[0]
-    q_s = q_m - q_sb
-    w_sbar, f1 = reciprocal_power_weights(pilots.m.x_row[q_s:])
-    w_zbar, f2 = reciprocal_power_weights(pilots.y.coef_zbar)
-    w_med, f3 = reciprocal_power_weights(pilots.m.zbar_rows)
-    return AdaptiveWeights(
-        sbar=w_sbar, zbar=w_zbar, med=w_med, floored=bool(f1 or f2 or f3)
-    )
-
-
-def pilot_weights(y_pilots, m_pilots, roles: RolePartition) -> list:
-    """Step 2 on each dataset: the :func:`adaptive_weights` of its outcome and mediator
-    pilots, entries of :func:`ridge_pilot_y_grid` and :func:`ridge_pilot_m_grid`, or
-    the failure of the first pilot that failed."""
-    return [y if isinstance(y, PcmSelectError) else m if isinstance(m, PcmSelectError) else
-            adaptive_weights(PilotEstimates(_split_y_coefs(y, roles),
-                                            _split_m_coefs(m, len(roles.z))))
-            for y, m in zip(y_pilots, m_pilots)]
-
-
-# ---------------------------------------------------------------------------
 # stage 1 (weighted L1)
 # ---------------------------------------------------------------------------
-
-
-def _y_l1_weights(roles: RolePartition, w: AdaptiveWeights,
-                  lams, zeta1: float, xi1: float) -> np.ndarray:
-    """The outcome model's L1 weights at each of ``lams``, one row each."""
-    lams = np.asarray(lams, dtype=float)[:, None]
-    return np.concatenate([lams * zeta1, np.zeros((len(lams), len(roles.s) + len(roles.z))),
-                           lams * xi1 * w.sbar, lams * zbar_share(zeta1, xi1) * w.zbar], 1)
-
-
-def _restrict(roles: RolePartition, weights: AdaptiveWeights, active_sbar: np.ndarray,
-              active_zbar: np.ndarray) -> tuple[RolePartition, AdaptiveWeights]:
-    """Roles and weights of the active design: the fixed blocks plus the given candidates.
-
-    ``med`` keeps the rows of the given candidate covariates and the columns
-    of the fixed mediators followed by the given candidate mediators.
-    """
-    q_s = len(roles.s)
-    med_cols = np.concatenate([np.arange(q_s), q_s + active_sbar])
-    active_roles = replace(roles, sbar=[roles.sbar[i] for i in active_sbar],
-                           zbar=[roles.zbar[i] for i in active_zbar])
-    return active_roles, AdaptiveWeights(
-        sbar=weights.sbar[active_sbar], zbar=weights.zbar[active_zbar],
-        med=weights.med[np.ix_(active_zbar, med_cols)], floored=weights.floored,
-    )
 
 
 def pcm_stage1_y(
@@ -431,19 +340,14 @@ def pcm_stage1_y_path(folds, roles: RolePartition, lams, pairs) -> list:
     One :func:`solvers.l1_path` call with one lane per fold and pair:
     ``fits[f][i][k]`` is the coefficient vector (:meth:`YModelCoefs.stacked`)
     on ``folds[f]`` at ``pairs[i]`` and ``lams[k]`` or, if that fit failed,
-    its exception.
+    its exception.  The (folds, pairs, lams, regressors) candidate weights
+    are one broadcast of the folds' stacked sbar and zbar weights, and
+    ``l1_path`` takes that stack as it is, so the call holds one copy of them.
     """
     grams, crosses, ns = _y_moments([data for data, _ in folds], roles)
-    # the candidates as a generator, so that l1_path holds one copy of them
-    return l1_path(grams, [np.array([cross] * len(pairs)) for cross in crosses], ns,
-                   (np.array([_y_l1_weights(roles, w, lams, *pair) for pair in pairs])
-                    for _, w in folds))
-
-
-def _m_l1_weights(roles, w, rhos) -> np.ndarray:
-    """Each mediator's L1 weights at each of ``rhos``: (mediators, rhos, regressors)."""
-    return np.multiply.outer(rhos, np.vstack([np.zeros((1 + len(roles.z), w.med.shape[1])),
-                                              w.med])).transpose(2, 0, 1)
+    return l1_path(grams, np.repeat(crosses[:, None], len(pairs), axis=1), ns, _y_l1_weights(
+        roles, *[np.array([getattr(w, key) for _, w in folds]) for key in ("sbar", "zbar")],
+        lams, pairs))
 
 
 def pcm_stage1_m(
@@ -462,40 +366,51 @@ def pcm_stage1_m(
     """
     if rho1 < 0:
         raise ValueError("rho1 must be nonnegative")
-    return unwrap(_m_coefs(pcm_stage1_m_path([(data, roles, weights)], [rho1])[0], roles))
+    return unwrap(_m_coefs(pcm_stage1_m_path([(data, roles, weights)], [rho1]), [roles])[0])
 
 
-def _m_coefs(lanes, roles: RolePartition):
-    """A one-candidate mediator fit's coefficients, or the first failure of its lanes."""
-    fits = [beta for (beta,) in lanes]
-    failed = [fit for fit in fits if isinstance(fit, PcmSelectError)]
-    # the empty leading block keeps the shape when there are no mediators
-    return failed[0] if failed else _split_m_coefs(
-        np.column_stack([np.zeros((len(roles.m_regressors), 0)), *fits]), len(roles.z))
+def _m_coefs(fits, roles) -> list:
+    """Each one-candidate mediator fit of ``fits``, entries of :func:`pcm_stage1_m_path`
+    on designs with ``roles``, as blocks, or the first failure of its lanes."""
+    out = []
+    for lanes, r in zip(fits, roles):
+        columns = [beta for (beta,) in lanes]
+        failed = [fit for fit in columns if isinstance(fit, PcmSelectError)]
+        # the reshape keeps the shape when there are no mediators
+        out.append(failed[0] if failed else _split_m_coefs(
+            np.array(columns).reshape(-1, len(r.m_regressors)).T, len(r.z)))
+    return out
+
+
+def _spans(sizes) -> list:
+    """The slices of consecutive parts of the given sizes."""
+    return [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
 
 
 def pcm_stage1_m_path(folds, rhos) -> list:
     """:func:`pcm_stage1_m` at each of ``rhos`` (descending), on each (data, roles,
     weights) triple of ``folds``.
 
-    One :func:`solvers.l1_path` call per width of the mediator design, with
-    one lane per fold and mediator: ``fits[f][j][k]`` is mediator j's
-    coefficient column on ``folds[f]`` at ``rhos[k]`` or, if that fit
-    failed, its exception.  A fold without mediators has no lanes and takes
-    no part in a call.
+    One :func:`solvers.l1_path` call per shape of the mediator design (its
+    fixed and candidate covariates), with one lane per fold and mediator:
+    ``fits[f][j][k]`` is mediator j's coefficient column on ``folds[f]`` at
+    ``rhos[k]`` or, if that fit failed, its exception.  A call's candidate
+    weights are one broadcast of its folds' med weights.  A fold without
+    mediators has no lanes and takes no part in a call.
     """
     fits = [[] for _ in folds]
-    widths = {}  # the folds with mediators, by the width of their mediator design
+    shapes = {}  # the folds with mediators, by the shape of their mediator design
     for f, (_, roles, _) in enumerate(folds):
         if roles.mediators:
-            widths.setdefault(len(roles.m_regressors), []).append(f)
-    for group in widths.values():
-        datasets, roles = zip(*[folds[f][:2] for f in group])
+            shapes.setdefault((len(roles.z), len(roles.zbar)), []).append(f)
+    for (q_z, _), group in shapes.items():
+        datasets, roles, weights = zip(*[folds[f] for f in group])
+        l1 = _m_l1_weights(q_z, [w.med for w in weights], rhos)
         # the regressor grams in one gather; the mediator counts differ between folds
         lanes = l1_path(gram_stack(datasets, [r.m_regressors for r in roles]),
                         [d.cross(r.m_regressors, r.mediators).T for d, r in zip(datasets, roles)],
                         [d.n for d in datasets],
-                        [_m_l1_weights(*folds[f][1:], rhos) for f in group])
+                        [l1[span] for span in _spans([len(r.mediators) for r in roles])])
         for f, lane in zip(group, lanes):
             fits[f] = lane
     return fits
@@ -517,12 +432,12 @@ def fit_from_weights(datasets, roles: RolePartition, params: PcmParams, weights)
     outcome fit is a lane of one :func:`pcm_stage1_y_path` call, its
     mediator fit lanes of one :func:`pcm_stage1_m_path` call, and its
     debiasing ridges and corrections part of one :func:`debias.corrections`
-    call.  The total effect is the corrected treatment coefficient plus the
-    inner product of the corrected treatment-on-mediator and
-    mediator-on-outcome blocks over the fixed and active candidate
-    mediators; without mediators it is the corrected treatment coefficient
-    alone, and without covariates but with mediators the inner product
-    alone (front-door identification).
+    call; the datasets with one active set share its roles.  The total
+    effect is the corrected treatment coefficient plus the inner product of
+    the corrected treatment-on-mediator and mediator-on-outcome blocks over
+    the fixed and active candidate mediators; without mediators it is the
+    corrected treatment coefficient alone, and without covariates but with
+    mediators the inner product alone (front-door identification).
     """
     p = params
     # each dataset's stage-1 outcome blocks and active sbar and zbar, or its failure
@@ -530,12 +445,14 @@ def fit_from_weights(datasets, roles: RolePartition, params: PcmParams, weights)
         beta if isinstance(beta, PcmSelectError) else _activate(beta, roles)
         for ((beta,),) in pcm_stage1_y_path([(datasets[i], weights[i]) for i in ok], roles,
                                             [p.lambda1], [(p.zeta1, p.xi1)])])
-    # each dataset's active design: its roles and weights
-    designs = on_successes(fits, lambda ok: [_restrict(roles, weights[i], *fits[i][1:])
+    # each dataset's active design: its roles and weights; one roles object per active set
+    shared = {}
+    designs = on_successes(fits, lambda ok: [_restrict(roles, weights[i], *fits[i][1:], shared)
                                              for i in ok])
     # each dataset's mediator fit on its active design, or the first failure of its lanes
-    s1ms = on_successes(designs, lambda ok: [_m_coefs(lanes, designs[i][0]) for i, lanes in zip(
-        ok, pcm_stage1_m_path([(datasets[i], *designs[i]) for i in ok], [p.rho1]))])
+    s1ms = on_successes(designs, lambda ok: _m_coefs(
+        pcm_stage1_m_path([(datasets[i], *designs[i]) for i in ok], [p.rho1]),
+        [designs[i][0] for i in ok]))
     # the outcome blocks on the active design go to the corrections only
     corrected = on_successes(s1ms, lambda ok: corrections(
         [(datasets[i], designs[i][0], _active_blocks(*fits[i]), s1ms[i], designs[i][1])
@@ -548,6 +465,27 @@ def _activate(beta, roles) -> tuple:
     """A stage-1 outcome fit as blocks, and its active sbar and zbar."""
     s1y = _split_y_coefs(beta, roles)
     return s1y, np.nonzero(s1y.coef_sbar)[0], np.nonzero(s1y.coef_zbar)[0]
+
+
+def _restrict(roles: RolePartition, weights: AdaptiveWeights, active_sbar: np.ndarray,
+              active_zbar: np.ndarray, shared: dict) -> tuple[RolePartition, AdaptiveWeights]:
+    """Roles and weights of the active design: the fixed blocks plus the given candidates.
+
+    ``med`` keeps the rows of the given candidate covariates and the columns
+    of the fixed mediators followed by the given candidate mediators.  The
+    roles of each distinct pair of candidate sets are built once and kept in
+    ``shared``, so the datasets of a call with one active set share them.
+    """
+    q_s = len(roles.s)
+    med_cols = np.concatenate([np.arange(q_s), q_s + active_sbar])
+    key = active_sbar.tobytes(), active_zbar.tobytes()
+    if key not in shared:
+        shared[key] = replace(roles, sbar=[roles.sbar[i] for i in active_sbar],
+                              zbar=[roles.zbar[i] for i in active_zbar])
+    return shared[key], AdaptiveWeights(
+        sbar=weights.sbar[active_sbar], zbar=weights.zbar[active_zbar],
+        med=weights.med[np.ix_(active_zbar, med_cols)], floored=weights.floored,
+    )
 
 
 def _active_blocks(s1y, active_sbar, active_zbar) -> YModelCoefs:
@@ -635,12 +573,12 @@ def verify_active_set_relation(fit: PcmFit, data: Dataset, roles: RolePartition)
     p = fit.params
     worst = _stationarity_gap(
         data, roles.y, roles.y_regressors,
-        _y_l1_weights(roles, fit.weights, [p.lambda1], p.zeta1, p.xi1)[0],
+        _y_l1_weights(roles, fit.weights.sbar[None], fit.weights.zbar[None], [p.lambda1],
+                      [(p.zeta1, p.xi1)])[0, 0, 0],
         fit.stage1_y.stacked(),
     )
-    act_roles, act_weights = _restrict(roles, fit.weights, fit.active_sbar, fit.active_zbar)
-    for mediator, l1, coef in zip(act_roles.mediators,
-                                  _m_l1_weights(act_roles, act_weights, [p.rho1])[:, 0],
-                                  fit.stage1_m.stacked().T):
+    act_roles, act_weights = _restrict(roles, fit.weights, fit.active_sbar, fit.active_zbar, {})
+    m_l1 = _m_l1_weights(len(act_roles.z), [act_weights.med], [p.rho1])[:, 0]
+    for mediator, l1, coef in zip(act_roles.mediators, m_l1, fit.stage1_m.stacked().T):
         worst = max(worst, _stationarity_gap(data, mediator, act_roles.m_regressors, l1, coef))
     return worst

@@ -153,8 +153,12 @@ def l1_path(grams, crosses, ns, l1_weights, l2_weights: np.ndarray | None = None
     if not stacks:
         return []
     # the per-problem arrays go once joined, so a caller that passes them as a
-    # generator holds one copy of its candidates, not two
-    crosses, weights = np.concatenate(stacks), np.concatenate(groups)
+    # generator holds one copy of its candidates, not two; a stack of them, as
+    # one array, is taken as it is
+    crosses = np.concatenate(stacks)
+    weights = (np.asarray(l1_weights, dtype=float).reshape(-1, k, p)
+               if isinstance(l1_weights, np.ndarray)
+               else np.concatenate(groups))
     del groups
     if (weights < 0).any() or (l2 is not None and (l2 < 0).any()):
         raise ValueError("penalty weights must be nonnegative")

@@ -42,10 +42,18 @@ The protocol is two-phase and deterministic:
 Folds come from a seeded permutation, so selection is reproducible; ties are
 broken toward stronger regularization.  A fit that fails on some fold (for
 example an unpenalized pilot on a singular design) scores infinity there,
-for every candidate that uses it, rather than aborting the search.  On a
-stage-1 path, a singular active block or the event cap fails every candidate
-of that path at or below the penalty where it happens, and no other lane's;
-a fit whose endpoint misses the stationarity conditions fails alone.
+for every candidate that uses it, rather than aborting the search.  So does
+a pcm candidate whose unpenalized outcome-model columns are at least as many
+as the fold's training rows: the treatment when ``lambda1 * zeta1`` is 0,
+the fixed mediators and covariates, the candidate mediators when
+``lambda1 * xi1`` is 0, and the candidate covariates when
+``lambda1 * (1 - zeta1 - xi1)`` is 0.  Those columns alone span the training
+rows, so the fit interpolates the training outcome and its held-out error
+measures rounding, not the candidate; the count is exact, so no score
+depends on rounding.  On a stage-1 path, a singular active block or the
+event cap fails every candidate of that path at or below the penalty where
+it happens, and no other lane's; a fit whose endpoint misses the
+stationarity conditions fails alone.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ import numpy as np
 
 from .baselines import _without_mediators
 from .data import Dataset, RolePartition
+from .debias import zbar_share
 from .errors import ConfigInvalid, EmptyGrid, FoldTooSmall, PcmSelectError
 from .experiment import METHODS, check_params
 from .pcm import (
@@ -283,7 +292,9 @@ def _stage1_scores(held, roles, weights, grid: ParamGrid) -> list[list[float]]:
     per fold and distinct (zeta1, xi1) pair over the distinct lambda1 values,
     and one more with one lane per fold and mediator column over the distinct
     rho1 values.  A failed fit scores infinity, and a fold whose pilots
-    failed scores infinity on every row.
+    failed scores infinity on every row.  So does a row whose (lambda1, zeta1,
+    xi1) leaves as many unpenalized outcome-model columns as the fold has
+    training rows, or more.
     """
     rows = list(itertools.product(grid.lambda1, grid.rho1, grid.zeta_xi))
     per_fold = [[math.inf] * len(rows) for _ in held]
@@ -293,6 +304,11 @@ def _stage1_scores(held, roles, weights, grid: ParamGrid) -> list[list[float]]:
     lams, rhos = sorted(set(grid.lambda1), reverse=True), sorted(set(grid.rho1), reverse=True)
     pairs = list(dict.fromkeys(grid.zeta_xi))
     folds = [(held[i][0], weights[i]) for i in fitted]
+    # the outcome-model columns that each (pair, lambda1) leaves unpenalized
+    free = {(pair, lam1): (lam1 * pair[0] == 0.0) + len(roles.s) + len(roles.z)
+            + len(roles.sbar) * (lam1 * pair[1] == 0.0)
+            + len(roles.zbar) * (lam1 * zbar_share(*pair) == 0.0)
+            for pair in pairs for lam1 in lams}
     for i, y_lanes, m_lanes in zip(fitted, pcm_stage1_y_path(folds, roles, lams, pairs),
                                    pcm_stage1_m_path([(tr, roles, w) for tr, w in folds], rhos)):
         _, y_held, m_held = held[i]
@@ -300,7 +316,9 @@ def _stage1_scores(held, roles, weights, grid: ParamGrid) -> list[list[float]]:
                           _y_errors(*y_held, [fit for lane in y_lanes for fit in lane])))
         m_errs = dict(zip(rhos, _m_errors(*m_held, [[lane[k] for lane in m_lanes]
                                                     for k in range(len(rhos))])))
-        per_fold[i] = [y_errs[pair, lam1] + m_errs[rho1] for lam1, rho1, pair in rows]
+        n_train = held[i][0].n
+        per_fold[i] = [math.inf if free[pair, lam1] >= n_train else
+                       y_errs[pair, lam1] + m_errs[rho1] for lam1, rho1, pair in rows]
     return per_fold
 
 

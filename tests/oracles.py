@@ -342,6 +342,16 @@ def feature_sign_polish(gram, cross, n, l1, l2, beta0):
 DEBIAS_AXES = {"lambda2": 0.01, "xi2": 0.5, "rho2": 0.01, "rho2_prime": 0.01}
 
 
+def spans_training_rows(train, roles, weights, lam1, zeta1, xi1) -> bool:
+    """Whether the outcome-model columns that (lam1, zeta1, xi1) leave with a zero L1
+    weight are at least as many as the rows of ``train``: such a candidate
+    interpolates its training outcome, and cross-validation scores it infinity."""
+    l1 = np.concatenate([[lam1 * zeta1], np.zeros(len(roles.s) + len(roles.z)),
+                         lam1 * xi1 * weights.sbar,
+                         lam1 * max(0.0, 1.0 - zeta1 - xi1) * weights.zbar])
+    return np.count_nonzero(l1 == 0.0) >= train.n
+
+
 def brute_force_pcm_cv(data, roles, grid):
     """pcm cross-validation that refits the pilots, the weights and both
     stage-1 models for every candidate on every fold.
@@ -380,6 +390,9 @@ def brute_force_pcm_cv(data, roles, grid):
     def stage1_score(train, test, cand):
         weights = adaptive_weights(PilotEstimates(ridge_pilot_y(train, roles, pilot_lam),
                                                   ridge_pilot_m(train, roles, pilot_rho)))
+        if spans_training_rows(train, roles, weights, cand["lambda1"], cand["zeta1"],
+                               cand["xi1"]):
+            return float("inf")
         score = y_error(test, pcm_stage1_y(train, roles, weights, cand["lambda1"],
                                            cand["zeta1"], cand["xi1"]))
         if roles.mediators:

@@ -349,6 +349,36 @@ class TestChunks:
             assert data.columns == columns
             assert np.array_equal(data.values, Dataset(alone, columns).standardized().values)
 
+    def test_stacked_datasets_equal_direct_construction(self):
+        # each dataset of a stack views its slice of the one checked stack, and equals
+        # the dataset built directly from that slice
+        columns = experiment_roles("A").required_columns()
+        raw = np.random.default_rng(5).standard_normal((4, 15, len(columns)))
+        for data in Dataset.standardized_stack(raw, list(columns)):
+            direct = Dataset(data.values, columns)
+            assert type(data.columns) is tuple and data.columns == direct.columns
+            assert np.array_equal(data.values, direct.values)
+            assert np.array_equal(data.gram, direct.gram)
+            assert data.index_of(["Y", "X"]).tolist() == direct.index_of(["Y", "X"]).tolist()
+
+    def test_the_stack_and_direct_construction_are_checked(self):
+        columns = ("X", "Y", "S")
+        raw = np.random.default_rng(6).standard_normal((2, 5, 3))
+        with pytest.raises(ValueError, match="duplicate column names"):
+            Dataset.standardized_stack(raw, ("X", "Y", "X"))
+        with pytest.raises(ValueError, match="3 columns of data vs 2 names"):
+            Dataset.standardized_stack(raw, ("X", "Y"))
+        bad = raw.copy()
+        bad[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            Dataset.standardized_stack(bad, columns)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            Dataset(bad[1], columns)
+        with pytest.raises(ValueError, match="duplicate column names"):
+            Dataset(raw[0], ("X", "Y", "Y"))
+        with pytest.raises(ValueError, match="3 columns of data vs 4 names"):
+            Dataset(raw[0], columns + ("Z",))
+
     @pytest.mark.parametrize("setting", ["A", "B"])
     def test_constant_column_fails_its_replication_alone(self, setting):
         columns = experiment_roles(setting).required_columns()

@@ -32,7 +32,9 @@ from pcmselect.pcm import (
 from pcmselect.experiment import METHODS, PRESETS, experiment_roles
 from pcmselect.scm import LinearScm, build_experiment_scm
 from pcmselect.graphs import Dag
-from pcmselect import pcm, solvers
+from pcmselect import baselines, pcm, solvers
+from pcmselect import weights as pcm_weights
+from pcmselect.weights import WEIGHT_FLOOR, reciprocal_power_weights_stack
 from pcmselect.solvers import kkt_residual, ols_batch, ols_solve
 
 from oracles import l1_objective, ridge_objective
@@ -339,6 +341,139 @@ class TestAdaptiveWeights:
         vals = np.array([0.0, 0.5])
         w, floored = reciprocal_power_weights(vals)
         assert floored and w[0] > w[1]
+
+
+def weights_one_at_a_time(values, eta=1.0, normalize=True):
+    """Reciprocal-power weights of one array, as they were computed before the stacked
+    pass: floor, power and sum over the raveled array alone."""
+    mags = np.abs(np.asarray(values, dtype=float)).ravel()
+    if mags.size == 0:
+        return mags.reshape(np.shape(values)), False
+    raw = np.power(np.maximum(mags, WEIGHT_FLOOR), -eta)
+    out = raw / raw.sum() if normalize else raw
+    return out.reshape(np.shape(values)), bool(np.any(mags < WEIGHT_FLOOR))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def setting_chunk(setting, count, n=15):
+    """``count`` standardized samples of the seed-0 model of ``setting``, and its roles."""
+    roles = experiment_roles(setting)
+    scm, spec, _ = build_experiment_scm(setting, np.random.default_rng(0))
+    cols = [scm.dag.vertices.index(c) for c in roles.required_columns()]
+    raw = scm.sample_stack(n, [np.random.default_rng(s) for s in range(1, count + 1)], spec)
+    return Dataset.standardized_stack(raw[:, :, cols], roles.required_columns()), roles
+
+
+class TestStackedWeights:
+    """The weights of a chunk come from stacks in one pass, and each dataset's equal,
+    bit for bit, those of its pilots alone."""
+
+    @pytest.mark.parametrize("setting", ["A", "B"])
+    def test_pilot_weights_equal_each_dataset_alone(self, setting):
+        datasets, roles = setting_chunk(setting, 7)
+        y_pilots = [y for (y,) in ridge_pilot_y_grid(datasets, roles, [3.157])]
+        m_pilots = [m for (m,) in ridge_pilot_m_grid(datasets, roles, [3.726])]
+        # a zero pilot magnitude hits the floor; a failed pilot sits mid-chunk
+        y_pilots[1] = y_pilots[1].copy()
+        y_pilots[1][-1] = 0.0
+        m_pilots[2] = m_pilots[2].copy()
+        m_pilots[2][0, -1] = 0.0
+        failure = SingularDesign("a failed pilot")
+        y_pilots[3] = failure
+        weights = pcm.pilot_weights(y_pilots, m_pilots, roles)
+        assert weights[3] is failure
+        if setting == "A":
+            assert weights[1].floored and weights[2].floored
+        else:
+            # no candidate covariates: the zero outcome pilot is a fixed block's
+            assert not weights[1].floored and weights[2].floored
+            assert all(w.zbar.shape == (0,) and w.med.shape == (0, 6)
+                       for w in weights if w is not failure)
+        q_s = len(roles.s)
+        for y, m, w in zip(y_pilots, m_pilots, weights):
+            if w is failure:
+                continue
+            alone = adaptive_weights(PilotEstimates(pcm._split_y_coefs(y, roles),
+                                                    pcm._split_m_coefs(m, len(roles.z))))
+            blocks = [weights_one_at_a_time(block) for block in (
+                m[0, q_s:], y[len(roles.y_regressors) - len(roles.zbar):], m[1 + len(roles.z):])]
+            for key, (old, _) in zip(("sbar", "zbar", "med"), blocks):
+                assert same_bits(getattr(w, key), getattr(alone, key)), key
+                assert same_bits(getattr(w, key), old), key
+            assert w.floored is alone.floored is any(f for _, f in blocks)
+
+    @pytest.mark.parametrize("eta", [0.1, 1.2])
+    def test_baseline_weights_equal_each_pilot_alone(self, eta):
+        # pal1ma's standardized candidate-covariate weights and the adaptive lasso's
+        # unstandardized weights of every coefficient, from a stack of pilots with a
+        # floored magnitude, equal those of each pilot alone and of the one-array form
+        datasets, roles = setting_chunk("A", 6)
+        pilots = np.array([p for (p,) in baselines.pal1ma_pilot(datasets, roles, [3.157])])
+        pilots[0, -2] = 0.0
+        q = 1 + len(roles.z)
+        for stack, normalize in ((pilots[:, q:], True), (pilots, False)):
+            weights, floored = reciprocal_power_weights_stack(stack, eta, normalize)
+            assert floored.tolist() == [True] + [False] * 5
+            for row, w, f in zip(stack, weights, floored.tolist()):
+                alone, alone_floored = reciprocal_power_weights(row, eta, normalize)
+                old, old_floored = weights_one_at_a_time(row, eta, normalize)
+                assert same_bits(w, alone) and same_bits(w, old)
+                assert f is alone_floored is old_floored
+        # pal1ma's weights of each pilot, a failed one in place
+        failure = SingularDesign("a failed pilot")
+        for pilot in [failure, *pilots]:
+            w = baselines._pal1ma_weights(pilot, roles, eta)
+            if pilot is failure:
+                assert w is failure
+                continue
+            old, floored = weights_one_at_a_time(pilot[q:], eta)
+            assert same_bits(w.zbar, old) and w.floored is floored
+        # the adaptive lasso's fits of a chunk equal each dataset's fit alone
+        chunk = baselines.penalized_coefficients(datasets, roles, list(pilots), [0.407, 0.1],
+                                                 eta=eta)
+        for data, pilot, fits in zip(datasets, pilots, chunk):
+            (alone,) = baselines.penalized_coefficients([data], roles, [pilot], [0.407, 0.1],
+                                                        eta=eta)
+            assert repr(alone) == repr(fits)
+
+    def test_outcome_candidate_weights_equal_each_fold_and_pair(self):
+        # (0.8, 0.2) and (0.9, 0.1): 1 - zeta1 - xi1 is -5.6e-17 and -2.8e-17, clipped to 0
+        assert 1.0 - 0.8 - 0.2 < 0.0 and 1.0 - 0.9 - 0.1 < 0.0
+        pairs = [(0.8, 0.2), (0.9, 0.1), (0.27, 0.19), (0.0, 1.0), (0.0, 0.0), (0.3, 0.7)]
+        lams = np.logspace(2, -3, 13).tolist() + [0.0]
+        datasets, roles = setting_chunk("A", 5)
+        weights = pcm.pilot_weights([y for (y,) in ridge_pilot_y_grid(datasets, roles, [3.1])],
+                                    [m for (m,) in ridge_pilot_m_grid(datasets, roles, [69.5])],
+                                    roles)
+        sbar, zbar = (np.array([getattr(w, key) for w in weights]) for key in ("sbar", "zbar"))
+        stack = pcm_weights._y_l1_weights(roles, sbar, zbar, lams, pairs)
+        assert stack.shape == (5, len(pairs), len(lams), len(roles.y_regressors))
+        for f, w in enumerate(weights):
+            for i, (zeta1, xi1) in enumerate(pairs):
+                column = np.asarray(lams)[:, None]
+                old = np.concatenate([
+                    column * zeta1, np.zeros((len(lams), len(roles.s) + len(roles.z))),
+                    column * xi1 * w.sbar, column * max(0.0, 1.0 - zeta1 - xi1) * w.zbar], 1)
+                one = pcm_weights._y_l1_weights(roles, sbar[f:f + 1], zbar[f:f + 1], lams,
+                                                [(zeta1, xi1)])[0, 0]
+                assert same_bits(stack[f, i], old) and same_bits(stack[f, i], one)
+
+    def test_mediator_candidate_weights_equal_each_design(self):
+        rng = np.random.default_rng(3)
+        meds = [rng.uniform(0.01, 1.0, (3, q)) for q in (2, 0, 4, 1)]
+        rhos = [0.5, 0.2, 0.0]
+        stack = pcm_weights._m_l1_weights(1, meds, rhos)
+        start = 0
+        for med in meds:
+            old = np.multiply.outer(rhos, np.vstack([np.zeros((2, med.shape[1])), med]))
+            lanes = stack[start:start + med.shape[1]]
+            assert same_bits(lanes, old.transpose(2, 0, 1))
+            start += med.shape[1]
+        assert start == len(stack)
 
 
 class TestStage1:

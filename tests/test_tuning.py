@@ -25,7 +25,7 @@ from pcmselect.solvers import coordinate_descent, ols_solve, ridge_solve
 from pcmselect.tuning import (CvResult, CvRow, ParamGrid, _fold_indices, cross_validate,
                               cv_table_csv, default_log_grid)
 
-from oracles import brute_force_pcm_cv
+from oracles import brute_force_pcm_cv, spans_training_rows
 from test_pcm import ROLES, random_instance
 
 BASE_ROLES = RolePartition(x="X", y="Y", z=("Z1",), zbar=("Zb1", "Zb2"))
@@ -318,7 +318,8 @@ def fold_by_fold_pcm_cv(data, roles, grid):
         y_errs = {(lam1, pair): or_inf(lambda: y_error(te, _raise(fit)))
                   for pair, lane in zip(pairs, y_lanes) for lam1, fit in zip(lams, lane)}
         m_errs = {rho1: m_error(te, [lane[k] for lane in m_lanes]) for k, rho1 in enumerate(rhos)}
-        per_fold.append([y_errs[lam1, pair] + m_errs[rho1] for lam1, rho1, pair in cands])
+        per_fold.append([np.inf if spans_training_rows(tr, roles, weights, lam1, *pair) else
+                         y_errs[lam1, pair] + m_errs[rho1] for lam1, rho1, pair in cands])
     rows = rows_of([{"lambda1": l, "rho1": r, "zeta1": z, "xi1": x} for l, r, (z, x) in cands],
                    list(zip(*per_fold)))
     chosen = best(rows, ["lambda1", "rho1", "zeta1", "xi1"])
@@ -578,3 +579,43 @@ class TestTableExport:
         lines = text.strip().splitlines()
         assert lines[0].startswith("lam,mean_score,fold_1")
         assert len(lines) == 3
+
+
+class TestInterpolatingCandidates:
+    """A pcm candidate whose unpenalized outcome-model columns are at least as many
+    as a fold's training rows scores infinity on that fold."""
+
+    GRID = dict(pilot_lambda=(1.0,), pilot_rho=(1.0,), lambda1=(0.05,), rho1=(0.1,),
+                zeta_xi=((0.3, 0.7), (0.6, 0.4), (0.3, 0.3)), folds=5, fold_seed=0)
+
+    def scores(self, roles):
+        ds, _ = setting_a_sample(4)
+        result = cross_validate(ds, roles, "pcm", ParamGrid(**self.GRID))
+        return {(row.params["zeta1"], row.params["xi1"]): row.fold_scores
+                for row in result.table if "lambda1" in row.params}
+
+    def test_a_block_as_wide_as_the_training_rows_scores_inf_on_every_fold(self):
+        # n=15 in 5 folds trains on 12 rows; with zeta1 + xi1 = 1 the candidate
+        # covariates are unpenalized, and with S and Z they are 12 columns
+        roles = experiment_roles("A")
+        assert len(roles.s) + len(roles.z) + len(roles.zbar) == 12
+        scores = self.scores(roles)
+        assert scores[0.3, 0.7] == scores[0.6, 0.4] == (math.inf,) * 5
+        assert all(math.isfinite(s) for s in scores[0.3, 0.3])
+
+    def test_one_fewer_unpenalized_column_keeps_a_finite_score(self):
+        roles = experiment_roles("A")
+        roles = replace(roles, zbar=roles.zbar[:-1])
+        scores = self.scores(roles)
+        assert all(math.isfinite(s) for pair in scores for s in scores[pair])
+
+    def test_the_wide_rows_are_those_that_leave_their_block_unpenalized(self):
+        # lambda1 = 0 leaves all 18 columns unpenalized; zeta1 = 0 adds the treatment
+        # and xi1 = 0 the 5 candidate mediators to the fixed S and Z
+        ds, roles = setting_a_sample(4)
+        grid = ParamGrid(**{**self.GRID, "lambda1": (0.0, 0.05),
+                            "zeta_xi": ((0.0, 0.0), (0.0, 0.5), (0.5, 0.0))})
+        for row in cross_validate(ds, roles, "pcm", grid).table:
+            if "lambda1" in row.params:
+                wide = row.params["lambda1"] == 0.0
+                assert (row.fold_scores == (math.inf,) * 5) == wide, row.params
