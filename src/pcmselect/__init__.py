@@ -21,18 +21,13 @@ from .experiment import (
     summarize,
 )
 from .graphs import Dag, minimal_mediator_sets
-from .linalg import (
-    pseudo_inverse,
-    standardize,
-)
+from .linalg import pseudo_inverse
 from .pcm import (
     AdaptiveWeights,
     PcmFit,
     PcmParams,
-    PilotEstimates,
     adaptive_weights,
     debias_ridges,
-    ols_joint,
     pcm_correct,
     pcm_stage1_m,
     pcm_stage1_y,
@@ -74,7 +69,6 @@ __all__ = [
     "PcmFit",
     "PcmParams",
     "PcmSelectError",
-    "PilotEstimates",
     "RolePartition",
     "SummaryRow",
     "adaptive_weights",
@@ -86,7 +80,6 @@ __all__ = [
     "debias_ridges",
     "front_door_like_estimate",
     "minimal_mediator_sets",
-    "ols_joint",
     "pcm_correct",
     "pcm_stage1_m",
     "pcm_stage1_y",
@@ -96,7 +89,6 @@ __all__ = [
     "ridge_pilot_m",
     "ridge_pilot_y",
     "run_monte_carlo",
-    "standardize",
     "summarize",
     "verify_active_set_relation",
 ]

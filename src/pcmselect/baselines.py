@@ -46,10 +46,10 @@ from .pcm import (
     _y_moments,
     fit_from_weights,
     pcm_stage1_y_path,
-    reciprocal_power_weights,
     ridge_pilot_y_grid,
 )
 from .solvers import l1_path, ols_batch, ridge_grid
+from .weights import reciprocal_power_weights_stack
 
 __all__ = [
     "back_door_estimate",
@@ -167,17 +167,19 @@ def penalized_coefficients(datasets, roles: RolePartition, pilots, lams, *,
     # [x] + roles.covariates is the outcome design of roles without mediators
     grams, crosses, ns = _y_moments(datasets, _without_mediators(roles))
     p = grams.shape[-1]
+    # one pilot at a time: a stack of them raised the resident peak (BENCH_24.json)
     weights = [np.ones(p)] * len(datasets) if pilots is None else [
         pilot if isinstance(pilot, PcmSelectError) else
-        reciprocal_power_weights(pilot, eta=eta, normalize=False)[0] for pilot in pilots]
+        reciprocal_power_weights_stack(pilot[None], eta=eta, normalize=False)[0][0]
+        for pilot in pilots]
 
     def fit(ok):
         fits = [[] for _ in ok]
         for l2, group in itertools.groupby(lams, lambda lam: lam * (1.0 - phi)):
             group = list(group)
             for out, (lane,) in zip(fits, l1_path(
-                    grams[ok], [crosses[i, None] for i in ok], [ns[i] for i in ok],
-                    [np.array([[lam * phi * weights[i] for lam in group]]) for i in ok],
+                    grams[ok], [ns[i] for i in ok], [1] * len(ok), crosses[ok],
+                    np.array([[lam * phi * weights[i] for lam in group] for i in ok]),
                     np.full(p, l2))):
                 out.extend(lane)
         return fits
@@ -205,9 +207,9 @@ def _pal1ma_weights(pilot, roles, eta) -> AdaptiveWeights:
     ``eta``, or the pilot's failure."""
     if isinstance(pilot, PcmSelectError):
         return pilot
-    zbar, floored = reciprocal_power_weights(pilot[1 + len(roles.z):], eta=eta)
+    (zbar,), (floored,) = reciprocal_power_weights_stack(pilot[None, 1 + len(roles.z):], eta=eta)
     return AdaptiveWeights(sbar=np.zeros(0), zbar=zbar, med=np.zeros((len(roles.zbar), 0)),
-                           floored=floored)
+                           floored=bool(floored))
 
 
 def pal1ma_pilot(datasets, roles: RolePartition, pilot_lams) -> list:

@@ -38,7 +38,7 @@ from .experiment import METHODS, ExperimentConfig, check_params, run_monte_carlo
 from .graphs import minimal_mediator_sets
 from .pcm import PcmParams, pcm_total_effect
 from .scm import build_experiment_scm
-from .tuning import ParamGrid, cross_validate, cv_table_csv
+from .tuning import ParamGrid, cross_validate, cv_table_csv, searched_keys
 
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR = 1, 2, 3
 
@@ -113,8 +113,20 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _load_grid(path: str | None) -> ParamGrid:
-    return ParamGrid.from_dict(pio.load_json(path)) if path else ParamGrid()
+def _load_grid(path: str | None, method: str) -> ParamGrid:
+    """The grid in the JSON file at ``path``, or the default grid; a key that the
+    search of ``method`` does not read is an error."""
+    if not path:
+        return ParamGrid()
+    payload = pio.load_json(path)
+    grid = ParamGrid.from_dict(payload)
+    read = {"folds", "fold_seed", *searched_keys(method)}
+    if "zeta_xi" in read:  # the pairs may come as lists of zeta1 and xi1
+        read |= {"zeta1", "xi1"}
+    unread = sorted(set(payload) - read)
+    if unread:
+        raise ConfigInvalid(f"{method} does not search the grid key(s) {', '.join(unread)}")
+    return grid
 
 
 def _cmd_estimate(args) -> int:
@@ -127,7 +139,7 @@ def _cmd_estimate(args) -> int:
     if args.cv:
         if not method.cv:
             raise ConfigInvalid(f"{args.method} has no parameters to cross-validate")
-        chosen = cross_validate(ds, roles, args.method, _load_grid(args.grid)).chosen
+        chosen = cross_validate(ds, roles, args.method, _load_grid(args.grid, args.method)).chosen
         print(f"cross-validation selected: {json.dumps(chosen, sort_keys=True)}")
         # the keys that CV does not tune keep their values; check_params rejects a non-object
         params = {**params, **chosen} if isinstance(params, dict) else params
@@ -147,7 +159,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_tune(args) -> int:
     ds = pio.read_dataset_csv(args.data).standardized()
     roles = _load_roles(args.roles)
-    result = cross_validate(ds, roles, args.method, _load_grid(args.grid))
+    result = cross_validate(ds, roles, args.method, _load_grid(args.grid, args.method))
     print(f"chosen parameters: {json.dumps(result.chosen, sort_keys=True)}")
     print(f"cv score: {result.score!r}")
     table = cv_table_csv(result)

@@ -7,8 +7,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigInvalid, ConstantColumn, check_keys
-from .linalg import as_matrix, standardize, standardize_stack
+from .errors import ConfigInvalid, ConstantColumn, check_keys, unwrap
+from .linalg import as_matrix, standardize_stack
 
 __all__ = ["RolePartition", "Dataset", "gram_stack"]
 
@@ -129,7 +129,9 @@ class Dataset:
         return self.values[:, self.index_of([name])[0]]
 
     def standardized(self) -> "Dataset":
-        return Dataset(standardize(self.values, self.columns), self.columns)
+        """Each column centred and scaled to mean 0 and population variance 1: the
+        one-dataset case of :meth:`standardized_stack`, which raises its failure."""
+        return unwrap(Dataset.standardized_stack(self.values[None], self.columns)[0])
 
     @staticmethod
     def standardized_stack(stack: np.ndarray, columns) -> list:

@@ -233,7 +233,8 @@ def _correct(debias: DebiasBlocks, stage1_y, stage1_m, weights, params, n, faile
         inverse = _inverse(gram, range(len(x)), failed)
         u.append(((share * inverse) @ (w * np.sign(coef))[..., None])[..., 0])
     target = np.concatenate([x, coef_s, coef_sbar], axis=1)
-    corrected = target - (n * lam1)[:, None] * (
+    # without a corrected block the blocks are stage 1's; n * lam1 may overflow
+    corrected = target if not kept else target - (n * lam1)[:, None] * (
         debias.coef[:, : target.shape[1]] @ np.concatenate(u, axis=1)[..., None])[..., 0]
 
     med_x = np.array([fit.x_row for fit in stage1_m])

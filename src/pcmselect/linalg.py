@@ -2,7 +2,7 @@
 
 All estimators in this package work on sums of squares and cross-products of
 standardized observation columns (``data.Dataset.gram``, ``data.gram_stack``).
-The helpers here standardize the columns and compute Moore-Penrose
+The helpers here standardize stacks of columns and compute Moore-Penrose
 pseudoinverses.  Everything is a pure function of ndarray inputs.
 
 Conventions
@@ -20,7 +20,6 @@ from .errors import ConstantColumn, DecompositionFailure
 
 __all__ = [
     "as_matrix",
-    "standardize",
     "standardize_stack",
     "pseudo_inverse",
     "pseudo_inverse_batch",
@@ -40,36 +39,16 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def standardize(raw, names=None) -> np.ndarray:
-    """Center and scale each column to mean 0 and population variance 1.
-
-    The one-matrix case of :func:`standardize_stack`.
-
-    Parameters
-    ----------
-    raw : array_like, shape (n, q)
-        Observation matrix, n >= 2 rows.
-    names : sequence of str, optional
-        Column names used in error messages.
-
-    Raises
-    ------
-    ConstantColumn
-        If any column has zero variance.
-    """
-    (result,) = standardize_stack(as_matrix(raw, "raw data")[None], names)
-    if isinstance(result, ConstantColumn):
-        raise result
-    return result
-
-
 def standardize_stack(stack: np.ndarray, names=None) -> list:
-    """:func:`standardize` of each matrix of an (R, n, q) stack, over its rows, in one
-    pass: for each matrix in order, its standardized (n, q) slice of one (R, n, q)
-    result, or the :class:`ConstantColumn` naming its first column of zero variance.
+    """Center and scale each column of each matrix of an (R, n, q) stack, over its
+    rows, to mean 0 and population variance 1, in one pass.
 
-    Each matrix is standardized as it would be alone, bit for bit.  A constant
-    column fails only its own matrix, and its zero scale is never divided by.
+    Returns, for each matrix in order, its standardized (n, q) slice of one
+    (R, n, q) result, or the :class:`ConstantColumn` naming its first column
+    of zero variance (by ``names``, a sequence of the q column names, or
+    else by index).  Each matrix is standardized as it would be alone, bit
+    for bit.  A constant column fails only its own matrix, and its zero
+    scale is never divided by.
 
     Raises ValueError for fewer than 2 rows or a NaN or an Inf entry.
     """

@@ -71,7 +71,6 @@ on the other datasets of its call, and a failure stays with its dataset.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -82,25 +81,22 @@ from .debias import CorrectedBlocks, DebiasBlocks, corrections, debias_ridges, p
 from .errors import PcmSelectError, on_successes, unwrap
 from .solvers import l1_path, ols_solve, ridge_grid
 from .weights import (AdaptiveWeights, _m_l1_weights, _y_l1_weights, adaptive_weights,
-                      pilot_weights, reciprocal_power_weights)
+                      pilot_weights)
 
 __all__ = [
     "PcmParams",
     "YModelCoefs",
     "MediatorCoefs",
-    "PilotEstimates",
     "AdaptiveWeights",
     "DebiasBlocks",
     "CorrectedBlocks",
     "PcmFit",
-    "ols_joint",
     "ridge_pilot_y",
     "ridge_pilot_y_grid",
     "ridge_pilot_m",
     "ridge_pilot_m_grid",
     "adaptive_weights",
     "pilot_weights",
-    "reciprocal_power_weights",
     "pcm_stage1_y",
     "pcm_stage1_y_path",
     "pcm_stage1_m",
@@ -190,12 +186,6 @@ class MediatorCoefs:
 
 
 @dataclass(frozen=True)
-class PilotEstimates:
-    y: YModelCoefs
-    m: MediatorCoefs
-
-
-@dataclass(frozen=True)
 class PcmFit:
     """Everything produced by one run of the pipeline.
 
@@ -259,25 +249,13 @@ def _y_moments(datasets, roles: RolePartition) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def ols_joint(data: Dataset, roles: RolePartition) -> YModelCoefs:
-    """Joint least-squares fit of the outcome on treatment, covariates, mediators.
-
-    Raises
-    ------
-    SingularDesign
-        When the design gram matrix is numerically singular; that is the
-        regime where only the penalized estimators apply.
-    """
-    (gram,), (cross,), _ = _y_moments([data], roles)
-    return _split_y_coefs(ols_solve(gram, cross), roles)
-
-
 def ridge_pilot_y(data: Dataset, roles: RolePartition, lam: float) -> YModelCoefs:
     """Outcome-model pilot: ``n*lam`` on the treatment/candidate diagonal blocks.
 
     Fixed covariates and mediators carry no penalty, so at ``lam == 0`` this
-    is exactly the joint least-squares fit (and requires an invertible
-    design).  The one-dataset, one-value case of :func:`ridge_pilot_y_grid`.
+    is exactly the joint least-squares fit, with ``ols_batch``'s rank guard
+    (a singular design raises).  The one-dataset, one-value case of
+    :func:`ridge_pilot_y_grid`.
     """
     return _split_y_coefs(unwrap(ridge_pilot_y_grid([data], roles, [lam])[0][0]), roles)
 
@@ -342,12 +320,13 @@ def pcm_stage1_y_path(folds, roles: RolePartition, lams, pairs) -> list:
     on ``folds[f]`` at ``pairs[i]`` and ``lams[k]`` or, if that fit failed,
     its exception.  The (folds, pairs, lams, regressors) candidate weights
     are one broadcast of the folds' stacked sbar and zbar weights, and
-    ``l1_path`` takes that stack as it is, so the call holds one copy of them.
+    ``l1_path`` takes a view of that stack, so the call holds one copy of them.
     """
     grams, crosses, ns = _y_moments([data for data, _ in folds], roles)
-    return l1_path(grams, np.repeat(crosses[:, None], len(pairs), axis=1), ns, _y_l1_weights(
-        roles, *[np.array([getattr(w, key) for _, w in folds]) for key in ("sbar", "zbar")],
-        lams, pairs))
+    l1 = _y_l1_weights(roles, *[np.array([getattr(w, key) for _, w in folds])
+                                for key in ("sbar", "zbar")], lams, pairs)
+    return l1_path(grams, ns, [len(pairs)] * len(folds), crosses.repeat(len(pairs), axis=0),
+                   l1.reshape(len(folds) * len(pairs), *l1.shape[2:]))
 
 
 def pcm_stage1_m(
@@ -382,11 +361,6 @@ def _m_coefs(fits, roles) -> list:
     return out
 
 
-def _spans(sizes) -> list:
-    """The slices of consecutive parts of the given sizes."""
-    return [slice(end - size, end) for size, end in zip(sizes, itertools.accumulate(sizes))]
-
-
 def pcm_stage1_m_path(folds, rhos) -> list:
     """:func:`pcm_stage1_m` at each of ``rhos`` (descending), on each (data, roles,
     weights) triple of ``folds``.
@@ -405,12 +379,12 @@ def pcm_stage1_m_path(folds, rhos) -> list:
             shapes.setdefault((len(roles.z), len(roles.zbar)), []).append(f)
     for (q_z, _), group in shapes.items():
         datasets, roles, weights = zip(*[folds[f] for f in group])
-        l1 = _m_l1_weights(q_z, [w.med for w in weights], rhos)
         # the regressor grams in one gather; the mediator counts differ between folds
         lanes = l1_path(gram_stack(datasets, [r.m_regressors for r in roles]),
-                        [d.cross(r.m_regressors, r.mediators).T for d, r in zip(datasets, roles)],
-                        [d.n for d in datasets],
-                        [l1[span] for span in _spans([len(r.mediators) for r in roles])])
+                        [d.n for d in datasets], [len(r.mediators) for r in roles],
+                        np.concatenate([d.cross(r.m_regressors, r.mediators).T
+                                        for d, r in zip(datasets, roles)]),
+                        _m_l1_weights(q_z, [w.med for w in weights], rhos))
         for f, lane in zip(group, lanes):
             fits[f] = lane
     return fits

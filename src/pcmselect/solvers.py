@@ -19,9 +19,10 @@ multiples of one weight vector (a penalty grid) are points on one such path:
 candidate on the segment where its scale falls, with that segment's active
 set and signs and its own weight vector.
 
-:func:`l1_path` takes a stack of problems, each a gram and a row count with
-its lanes: independent L1 problems on that gram, each with its own
-cross-product vector and its own candidates.  The problems may be the
+:func:`l1_path` takes one input form: a stack of problems, each a gram and a
+row count with a count of lanes, and the lanes of all of them as two stacked
+arrays, their cross-product vectors and their candidates.  A lane is an
+independent L1 problem on its problem's gram.  The problems may be the
 training sets of the folds of a cross-validation, whose row counts differ by
 one when the folds are unequal, or the samples of a chunk of Monte Carlo
 replications, and they may hold different numbers of lanes.  All paths go
@@ -31,8 +32,8 @@ coordinates, plus one more of every candidate of every lane that ends on
 that step's segment.  A stack of one problem broadcasts its gram over the
 paths; with several, each step stacks every live path's own.  The
 stationarity of all the returned candidates is checked in one stacked
-:func:`kkt_residual` pass per lane count of the groups, each row against its
-own gram.  Every system is its own LAPACK call, so a lane's numbers do not
+:func:`kkt_residual` pass per lane count of the problems, each row against
+its own gram.  Every system is its own LAPACK call, so a lane's numbers do not
 depend on the lanes it shares a call with.  Failures stay in their lane: a
 singular active block or the event cap ends that lane's path and fails its
 candidates not yet reached, and an endpoint off the stationarity conditions
@@ -96,25 +97,26 @@ def coordinate_descent(
     MaxIterationsExceeded
         If the path takes more than ``10 p + 10`` events.
     """
-    (((beta,),),) = l1_path(np.asarray(gram, dtype=float)[None],
-                            [np.asarray(cross, dtype=float)[None]], [n],
-                            [np.asarray(l1_weights, dtype=float)[None, None]], l2_weights)
+    (((beta,),),) = l1_path(np.asarray(gram, dtype=float)[None], [n], [1],
+                            np.asarray(cross, dtype=float)[None],
+                            np.asarray(l1_weights, dtype=float)[None, None], l2_weights)
     return unwrap(beta)
 
 
-def l1_path(grams, crosses, ns, l1_weights, l2_weights: np.ndarray | None = None) -> list:
+def l1_path(grams, ns, lanes, crosses, l1_weights, l2_weights: np.ndarray | None = None) -> list:
     """The minimizers at several L1 weight vectors, read off one path per lane.
 
     The input is a stack of F problems, such as the training sets of the
     folds of a cross-validation or the samples of a chunk of Monte Carlo
     replications: ``grams`` is their (F, p, p) stack of grams and ``ns``
-    their F row counts.  Each problem has B_f lanes, independent L1 problems
-    on its gram: ``crosses`` holds each problem's (B_f, p) array of their
-    cross-product vectors, and ``l1_weights`` holds or yields its (B_f, K, p)
-    array of their K candidate vectors each, in descending order, each a
-    nonnegative multiple of the last.  Every problem has the same K; a
-    problem may have no lanes.  The quadratic weights ``l2_weights`` (p,)
-    are shared.  Returns F lists of B_f lane results, each a list of K.
+    their F row counts.  Problem f has ``lanes[f]`` lanes, independent L1
+    problems on its gram, and B = sum(lanes): ``crosses`` is the (B, p)
+    stack of their cross-product vectors and ``l1_weights`` the (B, K, p)
+    stack of their K candidate vectors each, both in problem order.  A
+    lane's candidates are in descending order, each a nonnegative multiple
+    of the last; a problem may have no lanes.  The quadratic weights
+    ``l2_weights`` (p,) are shared.  Returns F lists of ``lanes[f]`` lane
+    results, each a list of K.
 
     With ``H = G/n + diag(l2)`` and a lane's last positive candidate ``w``
     scaled by ``t``, the active coefficients on a segment of its path are
@@ -138,28 +140,16 @@ def l1_path(grams, crosses, ns, l1_weights, l2_weights: np.ndarray | None = None
     on.  Other lanes are not affected by either.
     """
     grams = np.asarray(grams, dtype=float)
-    stacks = [np.asarray(c, dtype=float) for c in crosses]
-    groups = [np.asarray(w, dtype=float) for w in l1_weights]
     n_rows = np.asarray(ns, dtype=float)
+    sizes = [int(b) for b in lanes]
+    crosses = np.asarray(crosses, dtype=float)
+    weights = np.asarray(l1_weights, dtype=float)
     l2 = None if l2_weights is None else np.asarray(l2_weights, dtype=float)
-    p = grams.shape[-1]
-    k = groups[0].shape[1] if groups and groups[0].ndim == 3 else -1
-    sizes = [len(stack) for stack in stacks]
-    if (grams.shape != (len(stacks), p, p) or n_rows.shape != (len(stacks),)
-            or len(groups) != len(stacks) or (l2 is not None and l2.shape != (p,))
-            or any(stack.shape != (b, p) or ws.shape != (b, k, p)
-                   for stack, ws, b in zip(stacks, groups, sizes))):
-        raise ValueError("grams, cross products, row counts and penalty weights must match")
-    if not stacks:
-        return []
-    # the per-problem arrays go once joined, so a caller that passes them as a
-    # generator holds one copy of its candidates, not two; a stack of them, as
-    # one array, is taken as it is
-    crosses = np.concatenate(stacks)
-    weights = (np.asarray(l1_weights, dtype=float).reshape(-1, k, p)
-               if isinstance(l1_weights, np.ndarray)
-               else np.concatenate(groups))
-    del groups
+    p, k = grams.shape[-1], weights.shape[1] if weights.ndim == 3 else -1
+    if (grams.shape != (len(sizes), p, p) or n_rows.shape != (len(sizes),)
+            or min(sizes, default=0) < 0 or crosses.shape != (sum(sizes), p)
+            or weights.shape != (sum(sizes), k, p) or (l2 is not None and l2.shape != (p,))):
+        raise ValueError("grams, row counts, lanes, cross products and penalty weights must match")
     if (weights < 0).any() or (l2 is not None and (l2 < 0).any()):
         raise ValueError("penalty weights must be nonnegative")
     # each problem's first lane
@@ -189,9 +179,9 @@ def l1_path(grams, crosses, ns, l1_weights, l2_weights: np.ndarray | None = None
         # at each step made the benchmark's setting-A call 2-4% slower in alternating
         # runs, and holding each path's H in the lockstep state raised a tune
         # worker's resident peak by about 0.16 MiB.
-        if len(stacks) > 1:
+        if len(sizes) > 1:
             # each lane's problem
-            problem = np.repeat(np.arange(len(stacks)), sizes)
+            problem = np.repeat(np.arange(len(sizes)), sizes)
             _lockstep(hess, problem[[path[0][0] for path in paths]],
                       crosses / n_rows[problem, 0], weights, paths, betas, fits)
         else:

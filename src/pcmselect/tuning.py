@@ -79,7 +79,8 @@ from .pcm import (
     ridge_pilot_y_grid,
 )
 
-__all__ = ["ParamGrid", "CvRow", "CvResult", "cross_validate", "default_log_grid"]
+__all__ = ["ParamGrid", "CvRow", "CvResult", "cross_validate", "searched_keys",
+           "default_log_grid"]
 
 
 def default_log_grid() -> tuple[float, ...]:
@@ -269,6 +270,18 @@ def cross_validate(data: Dataset, roles: RolePartition, method: str, grid: Param
     return _cross_validate_baseline(roles, method, grid, splits)
 
 
+def searched_keys(method: str) -> tuple[str, ...]:
+    """The :class:`ParamGrid` fields that the search of ``method`` reads besides
+    ``folds`` and ``fold_seed``: pcm's pilot and stage-1 keys; a baseline's ``lam``
+    and the ``eta`` or ``phi`` that its registry entry allows, then ``pilot_lambda``
+    when it has a pilot."""
+    if method == "pcm":
+        return "pilot_lambda", "pilot_rho", "lambda1", "rho1", "zeta_xi"
+    spec = METHODS[method]
+    return (*[key for key in ("lam", "eta", "phi") if key in spec.allowed],
+            *["pilot_lambda"] * (spec.pilot is not None))
+
+
 def _select(rows: list[CvRow], tie_key) -> CvRow:
     return min(rows, key=lambda r: (r.mean_score,) + tie_key(r.params))
 
@@ -369,7 +382,7 @@ def _cross_validate_pcm(roles, grid: ParamGrid, splits) -> CvResult:
 
 def _cross_validate_baseline(roles, name, grid: ParamGrid, splits) -> CvResult:
     method = METHODS[name]
-    keys = [key for key in ("lam", "eta", "phi") if key in method.allowed]
+    keys = [key for key in searched_keys(name) if key != "pilot_lambda"]
     values = [getattr(grid, key) for key in keys]
     if not all(values) or (method.pilot and not grid.pilot_lambda):
         raise EmptyGrid(f"{name} grid has an empty parameter list")

@@ -2,7 +2,7 @@
 from them.
 
 The adaptive weights are reciprocal pilot magnitudes, standardized to sum
-one (:func:`reciprocal_power_weights`): candidate-mediator weights from the
+one (:func:`reciprocal_power_weights_stack`): candidate-mediator weights from the
 mediator-model treatment coefficients, candidate-covariate weights from the
 outcome-model pilot, and a matrix of weights for the mediator model from its
 own candidate-covariate pilots.  :func:`pilot_weights` computes them for a
@@ -29,7 +29,6 @@ from .errors import PcmSelectError, on_successes
 __all__ = [
     "WEIGHT_FLOOR",
     "AdaptiveWeights",
-    "reciprocal_power_weights",
     "reciprocal_power_weights_stack",
     "adaptive_weights",
     "pilot_weights",
@@ -54,24 +53,15 @@ class AdaptiveWeights:
     floored: bool = False
 
 
-def reciprocal_power_weights(values: np.ndarray, eta: float = 1.0,
-                             normalize: bool = True) -> tuple[np.ndarray, bool]:
-    """``|v|**-eta`` weights, magnitudes floored at ``WEIGHT_FLOOR``, summing to one.
-
-    Returns the weights and whether any magnitude was floored.
-    ``normalize=False`` skips the sum-one standardization (the classical
-    adaptive-weight form).  The one-array case of
-    :func:`reciprocal_power_weights_stack`.
-    """
-    weights, floored = reciprocal_power_weights_stack(np.asarray(values, dtype=float)[None], eta,
-                                                      normalize)
-    return weights[0], bool(floored[0])
-
-
 def reciprocal_power_weights_stack(stack, eta: float = 1.0, normalize: bool = True) -> tuple:
-    """:func:`reciprocal_power_weights` of each array of a (D, ...) stack, over all of its
-    entries, in one pass: the stack of weights, and a (D,) bool array of whether each
-    array had a magnitude floored.  The floor, the power and the sum go row by row."""
+    """``|v|**-eta`` weights of each array of a (D, ...) stack, over all of its entries,
+    magnitudes floored at ``WEIGHT_FLOOR``, each array's summing to one, in one pass.
+
+    Returns the stack of weights, and a (D,) bool array of whether each array
+    had a magnitude floored.  The floor, the power and the sum go row by row,
+    so each array's weights do not depend on the others.  ``normalize=False``
+    skips the sum-one standardization (the classical adaptive-weight form).
+    """
     mags = np.abs(np.asarray(stack, dtype=float))
     flat = mags.reshape(len(mags), math.prod(mags.shape[1:]))
     raw = np.power(np.maximum(flat, WEIGHT_FLOOR), -eta)
@@ -91,9 +81,10 @@ def _adaptive_stack(m_sbar, y_zbar, m_zbar) -> list:
             for *w, f in zip(sbar, zbar, med, (f1 | f2 | f3).tolist())]
 
 
-def adaptive_weights(pilots) -> AdaptiveWeights:
-    """Standardized weights from the pilot coefficient magnitudes of ``pilots``, a
-    :class:`~pcmselect.pcm.PilotEstimates`.
+def adaptive_weights(y, m) -> AdaptiveWeights:
+    """Standardized weights from the pilot coefficient magnitudes of the outcome-model
+    pilot ``y`` (:class:`~pcmselect.pcm.YModelCoefs`) and the mediator-model pilot
+    ``m`` (:class:`~pcmselect.pcm.MediatorCoefs`).
 
     Candidate-mediator weights use the treatment coefficients of the
     mediator-model pilot (a mediator whose treatment pilot vanishes carries
@@ -102,9 +93,8 @@ def adaptive_weights(pilots) -> AdaptiveWeights:
     weight matrix uses the mediator-model candidate-covariate pilots.  The
     one-dataset case of :func:`pilot_weights`.
     """
-    q_s = pilots.m.x_row.shape[0] - pilots.y.coef_sbar.shape[0]
-    return _adaptive_stack(pilots.m.x_row[None, q_s:], pilots.y.coef_zbar[None],
-                           pilots.m.zbar_rows[None])[0]
+    q_s = m.x_row.shape[0] - y.coef_sbar.shape[0]
+    return _adaptive_stack(m.x_row[None, q_s:], y.coef_zbar[None], m.zbar_rows[None])[0]
 
 
 def pilot_weights(y_pilots, m_pilots, roles: RolePartition) -> list:

@@ -10,7 +10,6 @@ from pcmselect import solvers
 from pcmselect.data import Dataset
 from pcmselect.errors import PcmSelectError
 from pcmselect.pcm import (
-    PilotEstimates,
     adaptive_weights,
     pcm_stage1_m,
     pcm_stage1_y,
@@ -388,8 +387,8 @@ def brute_force_pcm_cv(data, roles, grid):
         return float(np.sum(resid * resid)) / (test.n * q_m)
 
     def stage1_score(train, test, cand):
-        weights = adaptive_weights(PilotEstimates(ridge_pilot_y(train, roles, pilot_lam),
-                                                  ridge_pilot_m(train, roles, pilot_rho)))
+        weights = adaptive_weights(ridge_pilot_y(train, roles, pilot_lam),
+                                   ridge_pilot_m(train, roles, pilot_rho))
         if spans_training_rows(train, roles, weights, cand["lambda1"], cand["zeta1"],
                                cand["xi1"]):
             return float("inf")

@@ -16,9 +16,7 @@ from pcmselect.experiment import METHODS, ExperimentConfig, MethodSpec, run_mont
 from pcmselect.graphs import Dag
 from pcmselect.pcm import (
     PcmParams,
-    PilotEstimates,
     adaptive_weights,
-    ols_joint,
     pcm_stage1_m,
     pcm_stage1_y,
     pcm_total_effect,
@@ -81,14 +79,12 @@ def test_criterion_1_reduction_identities():
     no_candidates = RolePartition(x="X", y="Y", z=("Z1",), zbar=("Zb1", "Zb2"))
     for seed in range(200):
         ds = random_instance(seed)
-        ols = ols_joint(ds, ROLES)
+        design = y_design(ds)
+        ols = np.linalg.solve(design.T @ design, design.T @ ds.column("Y"))
 
-        pilots = PilotEstimates(
-            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5))
-        weights = adaptive_weights(pilots)
+        weights = adaptive_weights(ridge_pilot_y(ds, ROLES, 0.5), ridge_pilot_m(ds, ROLES, 0.5))
         s1 = pcm_stage1_y(ds, ROLES, weights, 0.0, 0.0, 0.0)
-        worst_stage1 = max(worst_stage1,
-                           float(np.max(np.abs(s1.stacked() - ols.stacked()))))
+        worst_stage1 = max(worst_stage1, float(np.max(np.abs(s1.stacked() - ols))))
         m1 = pcm_stage1_m(ds, ROLES, weights, 0.0)
         a = ds.values[:, ds.index_of(["X", "Z1", "Zb1", "Zb2"])]
         m = ds.values[:, ds.index_of(["S1", "Sb1", "Sb2"])]
@@ -98,11 +94,10 @@ def test_criterion_1_reduction_identities():
 
         pilot0 = ridge_pilot_y(ds, ROLES, 0.0)
         worst_pilot = max(worst_pilot,
-                          float(np.max(np.abs(pilot0.stacked() - ols.stacked()))))
+                          float(np.max(np.abs(pilot0.stacked() - ols))))
 
         # quadratic loss with lambda2 = 3*lam, equal thirds, unit weights
         lam = 0.7
-        design = y_design(ds)
         diag = np.concatenate([[lam], np.zeros(2), np.full(4, lam)])
         direct = np.linalg.solve(design.T @ design + ds.n * np.diag(diag),
                                  design.T @ ds.column("Y"))

@@ -373,6 +373,10 @@ class TestTuneCommand:
         ({"zeta_xi": [[True, False]]}, "pcm"),
         ([["lam", [0.1]], ["folds", 3]], "lasso"),
         ([], "pcm"),
+        # keys that the method does not search
+        ({"lambda1": [0.5], "folds": 3}, "lasso"),
+        ({"lam": [0.5], "eta": [3.0]}, "elastic-net"),
+        ({"lambda1": [0.1], "lam": [0.5], "eta": [1.0]}, "pcm"),
     ])
     def test_bad_grid_or_method_is_usage_error(self, linear_csv, roles_file, tmp_path,
                                                capsys, grid, method):

@@ -21,7 +21,6 @@ from pcmselect.experiment import (
     summarize,
 )
 from pcmselect.graphs import Dag
-from pcmselect.linalg import standardize
 from pcmselect.scm import LinearScm, build_experiment_scm
 
 
@@ -389,7 +388,7 @@ class TestChunks:
             first, failed, last = Dataset.standardized_stack(raw, columns)
         assert isinstance(failed, ConstantColumn) and failed.name == "S"
         for data, alone in ((first, raw[0]), (last, raw[2])):
-            assert np.array_equal(data.values, standardize(alone))
+            assert np.array_equal(data.values, Dataset(alone, columns).standardized().values)
 
 
 class InlinePool:

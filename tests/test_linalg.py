@@ -6,10 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmselect.data import Dataset, gram_stack
-from pcmselect.errors import ConstantColumn
-from pcmselect.linalg import pseudo_inverse, standardize
+from pcmselect.errors import ConstantColumn, unwrap
+from pcmselect.linalg import pseudo_inverse, pseudo_inverse_batch, standardize_stack
 
 from oracles import brute_force_cross_products, penrose_violation
+
+
+def standardize(raw, names=None):
+    """One matrix standardized as a stack of one."""
+    return unwrap(standardize_stack(np.asarray(raw, dtype=float)[None], names)[0])
 
 
 class TestStandardize:
@@ -28,6 +33,12 @@ class TestStandardize:
     def test_constant_column_rejected(self):
         with pytest.raises(ConstantColumn):
             standardize(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]), names=["c", "ok"])
+
+    def test_fewer_than_two_rows_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            standardize(np.array([[1.0, 2.0]]))
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            Dataset(np.array([[1.0, 2.0]]), ("a", "b")).standardized()
 
     def test_moments_and_round_trip(self):
         rng = np.random.default_rng(1)
@@ -50,6 +61,18 @@ class TestPseudoInverse:
         out = pseudo_inverse(m)
         np.testing.assert_allclose(out, np.full((2, 2), 0.25), atol=1e-12)
         assert penrose_violation(m, out) < 1e-12
+
+    def test_batch_rejects_a_nan(self):
+        stack = np.ones((2, 3, 3))
+        stack[1, 0, 2] = np.nan
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            pseudo_inverse_batch(stack)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 3), (2, 3, 0)])
+    def test_batch_of_empty_stacks(self, shape):
+        inverse, failed = pseudo_inverse_batch(np.zeros(shape))
+        assert inverse.shape == (shape[0], shape[2], shape[1]) and not inverse.any()
+        assert failed == {}
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))

@@ -1,3 +1,5 @@
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,19 +12,16 @@ from pcmselect.errors import DecompositionFailure, PcmSelectError, SingularDesig
 from pcmselect.pcm import (
     AdaptiveWeights,
     PcmParams,
-    PilotEstimates,
     MediatorCoefs,
     YModelCoefs,
     adaptive_weights,
     debias_ridges,
-    ols_joint,
     pcm_correct,
     pcm_stage1_m,
     pcm_stage1_m_path,
     pcm_fits,
     pcm_stage1_y,
     pcm_total_effect,
-    reciprocal_power_weights,
     ridge_pilot_m,
     ridge_pilot_m_grid,
     ridge_pilot_y,
@@ -89,7 +88,7 @@ class TestOlsJoint:
         raw = np.column_stack([base[:, 0], y, base[:, 1], base[:, 2], base[:, 3],
                                base[:, 4], base[:, 5], base[:, 6]])
         ds = Dataset(raw, COLS)
-        fit = ols_joint(ds, ROLES)
+        fit = ridge_pilot_y(ds, ROLES, 0.0)
         assert fit.beta_x == pytest.approx(coefs[0], abs=1e-10)
         np.testing.assert_allclose(fit.coef_s, coefs[1:2], atol=1e-10)
 
@@ -99,13 +98,13 @@ class TestOlsJoint:
         y = q @ rng.uniform(-1, 1, 7) + 0.0
         raw = np.column_stack([q[:, 0], y] + [q[:, j] for j in range(1, 7)])
         ds = Dataset(raw, COLS)
-        fit = ols_joint(ds, ROLES)
+        fit = ridge_pilot_y(ds, ROLES, 0.0)
         x = ds.column("X")
         assert fit.beta_x == pytest.approx(float(x @ y) / float(x @ x), abs=1e-10)
 
     def test_matches_normal_equations_oracle(self):
         ds = random_instance(2)
-        fit = ols_joint(ds, ROLES)
+        fit = ridge_pilot_y(ds, ROLES, 0.0)
         a = y_design(ds)
         oracle = np.linalg.inv(a.T @ a) @ (a.T @ ds.column("Y"))
         np.testing.assert_allclose(fit.stacked(), oracle, atol=1e-9)
@@ -115,16 +114,10 @@ class TestOlsJoint:
         raw = rng.standard_normal((5, 8))  # fewer rows than regressors
         ds = Dataset(raw, COLS)
         with pytest.raises(SingularDesign):
-            ols_joint(ds, ROLES)
+            ridge_pilot_y(ds, ROLES, 0.0)
 
 
 class TestRidgePilots:
-    def test_lambda_zero_equals_ols(self):
-        ds = random_instance(4)
-        np.testing.assert_allclose(
-            ridge_pilot_y(ds, ROLES, 0.0).stacked(), ols_joint(ds, ROLES).stacked()
-        )
-
     def test_huge_lambda_shrinks_penalized_blocks(self):
         ds = random_instance(5)
         fit = ridge_pilot_y(ds, ROLES, 1e8)
@@ -312,18 +305,18 @@ class TestAdaptiveWeights:
             z_rows=np.zeros((1, 3)),
             zbar_rows=np.asarray(m_zbar, dtype=float),
         )
-        return PilotEstimates(y=y, m=m)
+        return y, m
 
     def test_equal_pilots_give_uniform_weights(self):
         pilots = self.make_pilots([0.3, 0.3], [0.2, 0.2], np.full((2, 3), 0.5))
-        w = adaptive_weights(pilots)
+        w = adaptive_weights(*pilots)
         np.testing.assert_allclose(w.sbar, [0.5, 0.5])
         np.testing.assert_allclose(w.zbar, [0.5, 0.5])
         np.testing.assert_allclose(w.med, np.full((2, 3), 1.0 / 6.0))
 
     def test_hand_computed_reciprocals(self):
         pilots = self.make_pilots([0.1, 0.4], [0.1, 0.4], np.full((2, 3), 0.5))
-        w = adaptive_weights(pilots)
+        w = adaptive_weights(*pilots)
         np.testing.assert_allclose(w.sbar, [0.8, 0.2])
         np.testing.assert_allclose(w.zbar, [0.8, 0.2])
 
@@ -331,7 +324,7 @@ class TestAdaptiveWeights:
         rng = np.random.default_rng(10)
         pilots = self.make_pilots(rng.uniform(0.05, 1, 2), rng.uniform(0.05, 1, 2),
                                   rng.uniform(0.05, 1, (2, 3)))
-        w = adaptive_weights(pilots)
+        w = adaptive_weights(*pilots)
         assert w.sbar.sum() == pytest.approx(1.0, abs=1e-12)
         assert w.zbar.sum() == pytest.approx(1.0, abs=1e-12)
         assert w.med.sum() == pytest.approx(1.0, abs=1e-12)
@@ -339,7 +332,7 @@ class TestAdaptiveWeights:
 
     def test_zero_pilot_is_floored(self):
         vals = np.array([0.0, 0.5])
-        w, floored = reciprocal_power_weights(vals)
+        (w,), (floored,) = reciprocal_power_weights_stack(vals[None])
         assert floored and w[0] > w[1]
 
 
@@ -397,8 +390,8 @@ class TestStackedWeights:
         for y, m, w in zip(y_pilots, m_pilots, weights):
             if w is failure:
                 continue
-            alone = adaptive_weights(PilotEstimates(pcm._split_y_coefs(y, roles),
-                                                    pcm._split_m_coefs(m, len(roles.z))))
+            alone = adaptive_weights(pcm._split_y_coefs(y, roles),
+                                     pcm._split_m_coefs(m, len(roles.z)))
             blocks = [weights_one_at_a_time(block) for block in (
                 m[0, q_s:], y[len(roles.y_regressors) - len(roles.zbar):], m[1 + len(roles.z):])]
             for key, (old, _) in zip(("sbar", "zbar", "med"), blocks):
@@ -419,10 +412,11 @@ class TestStackedWeights:
             weights, floored = reciprocal_power_weights_stack(stack, eta, normalize)
             assert floored.tolist() == [True] + [False] * 5
             for row, w, f in zip(stack, weights, floored.tolist()):
-                alone, alone_floored = reciprocal_power_weights(row, eta, normalize)
+                (alone,), (alone_floored,) = reciprocal_power_weights_stack(row[None], eta,
+                                                                             normalize)
                 old, old_floored = weights_one_at_a_time(row, eta, normalize)
                 assert same_bits(w, alone) and same_bits(w, old)
-                assert f is alone_floored is old_floored
+                assert f is bool(alone_floored) is old_floored
         # pal1ma's weights of each pilot, a failed one in place
         failure = SingularDesign("a failed pilot")
         for pilot in [failure, *pilots]:
@@ -496,17 +490,15 @@ class TestStage1:
 
     def test_lambda_zero_equals_ols(self):
         ds = random_instance(11)
-        w = adaptive_weights(PilotEstimates(
-            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5)))
+        w = adaptive_weights(ridge_pilot_y(ds, ROLES, 0.5), ridge_pilot_m(ds, ROLES, 0.5))
         fit = pcm_stage1_y(ds, ROLES, w, 0.0, 0.0, 0.0)
         np.testing.assert_allclose(
-            fit.stacked(), ols_joint(ds, ROLES).stacked(), atol=1e-8
+            fit.stacked(), ridge_pilot_y(ds, ROLES, 0.0).stacked(), atol=1e-8
         )
 
     def test_total_shrinkage_leaves_reduced_ols(self):
         ds = random_instance(12)
-        w = adaptive_weights(PilotEstimates(
-            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5)))
+        w = adaptive_weights(ridge_pilot_y(ds, ROLES, 0.5), ridge_pilot_m(ds, ROLES, 0.5))
         fit = pcm_stage1_y(ds, ROLES, w, 1e4, 1.0 / 3, 1.0 / 3)
         assert fit.beta_x == 0.0
         assert np.all(fit.coef_sbar == 0.0) and np.all(fit.coef_zbar == 0.0)
@@ -516,8 +508,7 @@ class TestStage1:
 
     def test_objective_beats_perturbations_and_kkt(self):
         ds = random_instance(13, n=50)
-        w = adaptive_weights(PilotEstimates(
-            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5)))
+        w = adaptive_weights(ridge_pilot_y(ds, ROLES, 0.5), ridge_pilot_m(ds, ROLES, 0.5))
         lam1, zeta1, xi1 = 0.08, 0.25, 0.25
         fit = pcm_stage1_y(ds, ROLES, w, lam1, zeta1, xi1)
         a = y_design(ds)
@@ -542,8 +533,7 @@ class TestStage1:
 
     def test_mediator_model_objective_is_columnwise_optimal(self):
         ds = random_instance(15, n=60)
-        w = adaptive_weights(PilotEstimates(
-            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5)))
+        w = adaptive_weights(ridge_pilot_y(ds, ROLES, 0.5), ridge_pilot_m(ds, ROLES, 0.5))
         rho1 = 0.08
         fit = pcm_stage1_m(ds, ROLES, w, rho1)
         a = ds.values[:, ds.index_of(["X", "Z1", "Zb1", "Zb2"])]
@@ -563,8 +553,7 @@ class TestStage1:
 
     def test_rho_zero_is_per_column_ols(self):
         ds = random_instance(17)
-        w = adaptive_weights(PilotEstimates(
-            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5)))
+        w = adaptive_weights(ridge_pilot_y(ds, ROLES, 0.5), ridge_pilot_m(ds, ROLES, 0.5))
         fit = pcm_stage1_m(ds, ROLES, w, 0.0)
         a = ds.values[:, ds.index_of(["X", "Z1", "Zb1", "Zb2"])]
         m = ds.values[:, ds.index_of(["S1", "Sb1", "Sb2"])]
@@ -617,8 +606,7 @@ def x_inactive_instance(seed, n=200):
 
 class TestDebiasRidges:
     def fit_weights(self, ds):
-        return adaptive_weights(PilotEstimates(
-            y=ridge_pilot_y(ds, ROLES, 0.5), m=ridge_pilot_m(ds, ROLES, 0.5)))
+        return adaptive_weights(ridge_pilot_y(ds, ROLES, 0.5), ridge_pilot_m(ds, ROLES, 0.5))
 
     def test_zero_penalties_reduce_to_least_squares(self):
         ds = random_instance(22)
@@ -642,6 +630,20 @@ class TestDebiasRidges:
         oracle = np.linalg.solve(a.T @ a, a.T @ ds.column("X"))
         resid = ds.column("X") - a @ oracle
         assert blocks.resid_grams[0][0, 0] == pytest.approx(float(resid @ resid), abs=1e-8)
+
+    def test_a_treatment_only_frame_refits_on_no_columns(self):
+        # roles without mediators or covariates: the treatment's refit has no
+        # regressor, its residual gram is its own, and the correction undoes the
+        # stage-1 shrinkage exactly
+        ds = random_instance(28)
+        roles = RolePartition(x="X", y="Y")
+        blocks = debias_ridges(ds, roles, default_params())
+        x = ds.column("X")
+        assert blocks.coef.tolist() == [[-1.0]]
+        assert blocks.resid_grams[0][0, 0] == pytest.approx(float(x @ x), rel=1e-12)
+        fit = pcm_total_effect(ds, roles, default_params())
+        assert fit.active_x and fit.stage1_y.beta_x != fit.corrected.beta_x
+        assert fit.total_effect == pytest.approx(float(x @ ds.column("Y") / (x @ x)), rel=1e-12)
 
     def test_objectives_beat_perturbations(self):
         ds = random_instance(24, n=80)
@@ -690,7 +692,7 @@ class TestCorrections:
         ds = random_instance(26)
         fit = pcm_total_effect(ds, ROLES, default_params(
             lambda1=0.0, rho1=0.0, lambda2=0.0, rho2=0.0, rho2_prime=0.0))
-        ols = ols_joint(ds, ROLES)
+        ols = ridge_pilot_y(ds, ROLES, 0.0)
         np.testing.assert_allclose(fit.stage1_y.stacked(), ols.stacked(), atol=1e-8)
         assert fit.corrected.beta_x == pytest.approx(ols.beta_x, abs=1e-8)
         np.testing.assert_allclose(fit.corrected.coef_s, ols.coef_s, atol=1e-8)
@@ -757,6 +759,19 @@ class TestCorrections:
 
 
 class TestTotalEffect:
+    @pytest.mark.parametrize("name, key", [("pcm", "lambda1"), ("pal1ma", "lam")])
+    def test_an_overflowing_penalty_gives_the_stage1_blocks(self, name, key):
+        # at n=100, n * 1e307 overflows; stage 1 zeroes every penalized block, so no
+        # block is corrected, as at a penalty that zeroes them without overflowing
+        datasets, roles = setting_chunk("A", 4, n=100)
+        huge, large = ({**PRESETS[("A", name)], key: value} for value in (1e307, 1e6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = METHODS[name].estimate(datasets, roles, huge)
+            want = METHODS[name].estimate(datasets, roles, large)
+        assert all(math.isfinite(value) for value in got)
+        assert [repr(value) for value in got] == [repr(value) for value in want]
+
     def test_pure_chain_consistency(self):
         rng = np.random.default_rng(31)
         n = 10_000

@@ -122,6 +122,14 @@ class TestRandomCorrelation:
         f = spec.cholesky_factor()
         np.testing.assert_allclose(f @ f.T, spec.matrix, atol=1e-12)
 
+    def test_semidefinite_matrix_takes_the_eigen_factor(self):
+        # Cholesky rejects the singular matrix; the eigen factor reproduces it
+        spec = CovarianceSpec(np.ones((2, 2)))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(spec.matrix)
+        f = spec.cholesky_factor()
+        np.testing.assert_allclose(f @ f.T, spec.matrix, atol=1e-12)
+
 
 class TestSampling:
     def test_same_seed_is_bitwise_identical(self):

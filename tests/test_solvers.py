@@ -132,8 +132,8 @@ def solve_alone(gram, cross, n, l1):
 
 def one_lane(gram, cross, n, cands):
     """The fits of one lane: ``l1_path`` on a stack of one problem with one lane."""
-    (((lane),),) = l1_path(np.asarray(gram)[None], [np.asarray(cross)[None]], [n],
-                           [np.asarray(cands)[None]])
+    (((lane),),) = l1_path(np.asarray(gram)[None], [n], [1], np.asarray(cross)[None],
+                           np.asarray(cands)[None])
     return lane
 
 
@@ -174,7 +174,7 @@ class TestL1Path:
         for scales in lane_scales:
             l1 = 0.1 * rng.uniform(0.0, 1.0, p) * (rng.random(p) < 0.8)
             lists.append([s * l1 for s in sorted(scales, reverse=True)])
-        (fits,) = l1_path(gram[None], [np.array(crosses)], [n], [np.array(lists)])
+        (fits,) = l1_path(gram[None], [n], [len(lists)], np.array(crosses), np.array(lists))
         assert [len(lane) for lane in fits] == [len(cands) for cands in lists]
         for cross, cands, lane in zip(crosses, lists, fits):
             for fit, alone in zip(lane, one_lane(gram, cross, n, cands)):
@@ -191,7 +191,7 @@ class TestL1Path:
         kept[0], kept[1] = 0.0, 1e3
         crosses = np.array([a.T @ y, a.T @ y, a.T @ (y + a[:, 2])])
         lists = [[3 * kept, kept], [3 * singular, singular], [2 * kept, kept]]
-        (fits,) = l1_path(gram[None], [crosses], [n], [np.array(lists)])
+        (fits,) = l1_path(gram[None], [n], [3], crosses, np.array(lists))
         # the batched solve raised; the lane's own solve named it singular
         assert all(isinstance(fit, SingularDesign) and "singular" in str(fit)
                    for fit in fits[1])
@@ -237,7 +237,8 @@ class TestL1Path:
         lists.append([[s * w for s in (1.75, 1.5, 1.25, 1.0)]] * 2)
         grams, crosses, ns = np.array(grams), np.array(crosses), [60, 5, 37]
         monkeypatch.setattr(np.linalg, "solve", solve_flipped)
-        fits = l1_path(grams, list(crosses), ns, [np.array(ws) for ws in lists])
+        fits = l1_path(grams, ns, [2, 2, 2], crosses.reshape(-1, p),
+                       np.array(lists).reshape(6, 4, p))
         assert [len(problem) for problem in fits] == [2, 2, 2]
         for f, problem in enumerate(fits):
             for b, lane in enumerate(problem):
@@ -249,21 +250,40 @@ class TestL1Path:
         assert all(isinstance(fit, MaxIterationsExceeded) for lane in fits[2] for fit in lane)
         # a one-problem stack, whose gram is broadcast over its lanes, gives the
         # fits of that problem in the stack of three
-        for lane, stacked in zip(l1_path(grams[:1], crosses[:1], ns[:1], [np.array(lists[0])])[0],
-                                 fits[0]):
+        for lane, stacked in zip(l1_path(grams[:1], ns[:1], [2], crosses[0],
+                                         np.array(lists[0]))[0], fits[0]):
             for fit, same in zip(lane, stacked):
                 assert_same_fit(fit, same)
 
     def test_no_lanes(self):
         a, y, l1 = make_problem(14)
         gram, cross = a.T @ a, a.T @ y
-        assert l1_path(np.zeros((0, 6, 6)), [], [], []) == []
+        assert l1_path(np.zeros((0, 6, 6)), [], [], np.zeros((0, 6)), np.zeros((0, 2, 6))) == []
         # a problem without lanes takes no part beside one with a lane
-        fits = l1_path(np.array([gram, gram]), [np.zeros((0, 6)), cross[None]], [60, 60],
-                       [np.zeros((0, 2, 6)), np.array([[2 * l1, l1]])])
+        fits = l1_path(np.array([gram, gram]), [60, 60], [0, 1], cross[None],
+                       np.array([[2 * l1, l1]]))
         assert fits[0] == [] and len(fits[1]) == 1
         for fit, alone in zip(fits[1][0], one_lane(gram, cross, 60, [2 * l1, l1])):
             assert_same_fit(fit, alone)
+
+    def test_nothing_to_follow_gives_zero_fits(self):
+        # problems whose lanes are all empty, and problems without coordinates
+        a, y, l1 = make_problem(19)
+        gram = a.T @ a
+        assert l1_path(np.array([gram, gram]), [60, 60], [0, 0], np.zeros((0, 6)),
+                       np.zeros((0, 2, 6))) == [[], []]
+        (lanes,) = l1_path(np.zeros((1, 0, 0)), [5], [2], np.zeros((2, 0)), np.zeros((2, 3, 0)))
+        assert [[fit.shape for fit in lane] for lane in lanes] == [[(0,)] * 3] * 2
+
+    def test_rejects_negative_penalty_weights(self):
+        a, y, l1 = make_problem(18)
+        gram, cross = a.T @ a, a.T @ y
+        negative = l1.copy()
+        negative[2] = -0.1
+        with pytest.raises(ValueError, match="nonnegative"):
+            one_lane(gram, cross, 60, [negative])
+        with pytest.raises(ValueError, match="nonnegative"):
+            l1_path(gram[None], [60], [1], cross[None], np.array([[l1]]), np.full(6, -0.1))
 
     def test_rejects_ascending_candidates(self):
         a, y, l1 = make_problem(10)
@@ -274,15 +294,21 @@ class TestL1Path:
 
     def test_rejects_mismatched_shapes(self):
         a, y, l1 = make_problem(16)
-        grams, crosses = np.array([a.T @ a] * 2), [(a.T @ y)[None]] * 2
-        for ns, weights in [([60, 60], [np.array([[l1]]), np.array([[2 * l1, l1]])]),
-                            ([60, 60], [np.array([[l1]]), np.array([[l1[:5]]])]),
-                            ([60], [np.array([[l1]])] * 2)]:
-            with pytest.raises(ValueError):
-                l1_path(grams, crosses, ns, weights)
+        grams, crosses = np.array([a.T @ a] * 2), np.array([a.T @ y] * 2)
+        for ns, lanes, cross, weights in [
+                ([60, 60], [1, 1], crosses, np.array([[l1]] * 3)),
+                ([60, 60], [1, 1], crosses, np.array([[l1[:5]]] * 2)),
+                ([60], [1, 1], crosses, np.array([[l1]] * 2)),
+                ([60, 60], [1], crosses, np.array([[l1]] * 2)),
+                ([60, 60], [2, 1], crosses, np.array([[l1]] * 2)),
+                ([60, 60], [1, 1], crosses[:, :5], np.array([[l1]] * 2)),
+                ([60, 60], [1, 1], crosses, np.array([l1] * 2)),
+                ([60, 60], [3, -1], crosses, np.array([[l1]] * 2))]:
+            with pytest.raises(ValueError, match="must match"):
+                l1_path(grams, ns, lanes, cross, weights)
         # two grams with no problems' lanes
-        with pytest.raises(ValueError):
-            l1_path(grams, [], [], [])
+        with pytest.raises(ValueError, match="must match"):
+            l1_path(grams, [], [], np.zeros((0, 6)), np.zeros((0, 1, 6)))
 
     def test_a_singular_block_fails_every_candidate_below_it(self, monkeypatch):
         # a stand-in for a singular active block: every system with 3 or more
@@ -351,7 +377,8 @@ class TestL1Path:
             return np.where((np.asarray(l1_weights) == target).all(axis=-1), np.inf, worst)
 
         monkeypatch.setattr(solvers, "kkt_residual", kkt_failing_chosen)
-        fits = l1_path(np.array(grams), crosses, ns, lists)
+        fits = l1_path(np.array(grams), ns, [1, 2, 3], np.concatenate(crosses),
+                       np.concatenate(lists))
         assert [len(problem) for problem in fits] == [1, 2, 3]
         for f, problem in enumerate(fits):
             for b, lane in enumerate(problem):
@@ -371,7 +398,7 @@ class TestKktResidual:
         gram, n = a.T @ a, a.shape[0]
         crosses = np.array([a.T @ (y + rng.standard_normal(n)) for _ in range(3)])
         lists = [[s * l1 for s in (5.0, 1.0, 0.2, 0.0)]] * 3
-        (lanes,) = l1_path(gram[None], [crosses], [n], [np.array(lists)])
+        (lanes,) = l1_path(gram[None], [n], [3], crosses, np.array(lists))
         betas = np.array([fit for lane in lanes for fit in lane])
         betas[::2] += 1e-3 * rng.standard_normal((6, 6))
         betas[1::4, :2] = 0.0
@@ -514,3 +541,11 @@ class TestRidgeGrid:
         assert fits[0][1].tobytes() == ols_solve(grams[0], crosses[0]).tobytes()
         assert "penalized system is singular" in str(fits[1][0])
         assert "condition number" in str(fits[1][1])
+
+    def test_a_non_finite_solution_fails_alone(self):
+        # a tiny gram and a huge cross product overflow the first problem's solution
+        grams, crosses = np.array([[[1e-10]], [[1.0]]]), np.array([[1e308], [1.0]])
+        fits = ridge_grid(grams, crosses, [1, 1], np.ones(1), [1e-10])
+        assert isinstance(fits[0][0], SingularDesign) and "non-finite" in str(fits[0][0])
+        assert fits[1][0].tobytes() == ridge_solve(grams[1], crosses[1], 1,
+                                                   np.full(1, 1e-10)).tobytes()

@@ -11,12 +11,10 @@ from pcmselect.errors import ConfigInvalid, EmptyGrid, FoldTooSmall, PcmSelectEr
 from pcmselect.experiment import METHODS, experiment_roles
 from pcmselect.pcm import (
     AdaptiveWeights,
-    PilotEstimates,
     adaptive_weights,
     pcm_stage1_m_path,
     pcm_stage1_y,
     pcm_stage1_y_path,
-    reciprocal_power_weights,
     ridge_pilot_m,
     ridge_pilot_y,
 )
@@ -24,6 +22,7 @@ from pcmselect.scm import build_experiment_scm
 from pcmselect.solvers import coordinate_descent, ols_solve, ridge_solve
 from pcmselect.tuning import (CvResult, CvRow, ParamGrid, _fold_indices, cross_validate,
                               cv_table_csv, default_log_grid)
+from pcmselect.weights import reciprocal_power_weights_stack
 
 from oracles import brute_force_pcm_cv, spans_training_rows
 from test_pcm import ROLES, random_instance
@@ -175,8 +174,8 @@ class TestCrossValidate:
         for i, test_rows in enumerate(folds):
             train_rows = np.concatenate([f for j, f in enumerate(folds) if j != i])
             train = Dataset(ds.values[train_rows], ds.columns)
-            weights = adaptive_weights(PilotEstimates(
-                y=ridge_pilot_y(train, base, pilot), m=ridge_pilot_m(train, base, pilot)))
+            weights = adaptive_weights(ridge_pilot_y(train, base, pilot),
+                                       ridge_pilot_m(train, base, pilot))
             beta = pcm_stage1_y(train, base, weights, lam, 0.0, 0.0).stacked()
             test = ds.values[test_rows]
             resid = test[:, ds.index_of(["Y"])[0]] - test[:, ds.index_of(cols)] @ beta
@@ -308,8 +307,8 @@ def fold_by_fold_pcm_cv(data, roles, grid):
     per_fold = []
     for tr, te in splits:
         try:
-            weights = adaptive_weights(PilotEstimates(ridge_pilot_y(tr, roles, pilot_lam),
-                                                      ridge_pilot_m(tr, roles, pilot_rho)))
+            weights = adaptive_weights(ridge_pilot_y(tr, roles, pilot_lam),
+                                       ridge_pilot_m(tr, roles, pilot_rho))
         except PcmSelectError:
             per_fold.append([np.inf] * len(cands))
             continue
@@ -409,11 +408,13 @@ def fold_by_fold_baseline_cv(data, roles, name, grid):
     def fit(train, pilot_beta, lam, eta=1.0, phi=1.0):
         _raise(pilot_beta)
         if name == "pal1ma":
-            zbar, _ = reciprocal_power_weights(pilot_beta[1 + len(roles.z):], eta=eta)
+            (zbar,), _ = reciprocal_power_weights_stack(pilot_beta[None, 1 + len(roles.z):],
+                                                        eta=eta)
             weights = AdaptiveWeights(np.zeros(0), zbar, np.zeros((len(roles.zbar), 0)))
             return pcm_stage1_y(train, bare, weights, lam, 0.0, 0.0).stacked()
         w = (np.ones(len(cols)) if pilot_beta is None
-             else reciprocal_power_weights(pilot_beta, eta=eta, normalize=False)[0])
+             else reciprocal_power_weights_stack(pilot_beta[None], eta=eta,
+                                                 normalize=False)[0][0])
         return coordinate_descent(*moments(train), lam * phi * w, np.full(len(cols), lam * (1 - phi)))
 
     def error(test, beta):
