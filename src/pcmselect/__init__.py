@@ -34,7 +34,6 @@ from .pcm import (
     pcm_total_effect,
     ridge_pilot_m,
     ridge_pilot_y,
-    verify_active_set_relation,
 )
 from .scm import (
     CovarianceSpec,
@@ -90,5 +89,4 @@ __all__ = [
     "ridge_pilot_y",
     "run_monte_carlo",
     "summarize",
-    "verify_active_set_relation",
 ]

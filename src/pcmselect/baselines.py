@@ -24,8 +24,11 @@ The lasso is its ``phi = 1`` case without a pilot, the adaptive lasso its
 candidate covariates (treatment and fixed covariates stay unpenalized), with
 pilot weights standardized to sum one, and applies the active-set bias
 correction: it runs the pipeline's :func:`~pcmselect.pcm.fit_from_weights`
-on roles without mediators.  Each form takes a sequence of datasets and
-returns one result or one failure per dataset.  The fits that
+on roles without mediators.  Both pilots are
+:func:`~pcmselect.pcm.ridge_pilot_y_grid` fits, and both weight forms are
+pcm's step 2 (:func:`~pcmselect.pcm.reciprocal_power_weights_stack`), one
+pass over the stack of a chunk's pilots.  Each form takes a sequence of
+datasets and returns one result or one failure per dataset.  The fits that
 cross-validation scores, :func:`penalized_coefficients` and
 :func:`pal1ma_coefficients`, take a descending grid of ``lam`` values and
 read the values that share one quadratic weight off one L1 path.
@@ -46,10 +49,10 @@ from .pcm import (
     _y_moments,
     fit_from_weights,
     pcm_stage1_y_path,
+    reciprocal_power_weights_stack,
     ridge_pilot_y_grid,
 )
-from .solvers import l1_path, ols_batch, ridge_grid
-from .weights import reciprocal_power_weights_stack
+from .solvers import l1_path, ols_batch
 
 __all__ = [
     "back_door_estimate",
@@ -159,19 +162,18 @@ def penalized_coefficients(datasets, roles: RolePartition, pilots, lams, *,
     The L1 weights are ``lam * phi * w`` and the quadratic weights
     ``lam * (1 - phi)``.  ``w`` is all ones without ``pilots``, and else the
     reciprocal magnitudes of the dataset's :func:`pilot_coefficients` fit in
-    ``pilots`` raised to ``eta``; a failed pilot is its dataset's result.  The
-    values of ``lams`` that share one quadratic weight are the candidates of
-    one :func:`~pcmselect.solvers.l1_path` call with one lane per dataset: all
-    of them when ``phi`` is 1, one per call when it is below 1.
+    ``pilots`` raised to ``eta``, in one pass over the stack of the pilots that
+    did not fail; a failed pilot is its dataset's result.  The values of
+    ``lams`` that share one quadratic weight are the candidates of one
+    :func:`~pcmselect.solvers.l1_path` call with one lane per dataset: all of
+    them when ``phi`` is 1, one per call when it is below 1.
     """
     # [x] + roles.covariates is the outcome design of roles without mediators
     grams, crosses, ns = _y_moments(datasets, _without_mediators(roles))
     p = grams.shape[-1]
-    # one pilot at a time: a stack of them raised the resident peak (BENCH_24.json)
-    weights = [np.ones(p)] * len(datasets) if pilots is None else [
-        pilot if isinstance(pilot, PcmSelectError) else
-        reciprocal_power_weights_stack(pilot[None], eta=eta, normalize=False)[0][0]
-        for pilot in pilots]
+    weights = [np.ones(p)] * len(datasets) if pilots is None else on_successes(
+        pilots, lambda ok: reciprocal_power_weights_stack(
+            np.array([pilots[i] for i in ok]), eta=eta, normalize=False)[0])
 
     def fit(ok):
         fits = [[] for _ in ok]
@@ -189,12 +191,12 @@ def penalized_coefficients(datasets, roles: RolePartition, pilots, lams, *,
 
 def pilot_coefficients(datasets, roles: RolePartition, pilot_lams) -> list:
     """Ridge pilots of the outcome on ``[x] + roles.covariates``, every coefficient
-    penalized, at each of ``pilot_lams`` on each of ``datasets``, in one
-    :func:`~pcmselect.solvers.ridge_grid` call: ``fits[d][k]`` is the fit on
-    ``datasets[d]`` at ``pilot_lams[k]`` or, if it failed, its exception.  A zero
-    value is least squares with :func:`~pcmselect.solvers.ols_batch`'s rank guard."""
-    grams, crosses, ns = _y_moments(datasets, _without_mediators(roles))
-    return ridge_grid(grams, crosses, ns, np.ones(grams.shape[-1]), pilot_lams)
+    penalized, at each of ``pilot_lams`` on each of ``datasets``: ``fits[d][k]`` is
+    the fit on ``datasets[d]`` at ``pilot_lams[k]`` or, if it failed, its exception.
+    :func:`~pcmselect.pcm.ridge_pilot_y_grid` on roles whose covariates are all
+    candidates; a zero value is least squares with its rank guard."""
+    return ridge_pilot_y_grid(datasets, RolePartition(roles.x, roles.y, zbar=roles.covariates),
+                              pilot_lams)
 
 
 def _without_mediators(roles: RolePartition) -> RolePartition:
@@ -202,14 +204,17 @@ def _without_mediators(roles: RolePartition) -> RolePartition:
     return replace(roles, s=(), sbar=())
 
 
-def _pal1ma_weights(pilot, roles, eta) -> AdaptiveWeights:
-    """pal1ma's weights: its pilot's reciprocal candidate-covariate magnitudes to the
-    ``eta``, or the pilot's failure."""
-    if isinstance(pilot, PcmSelectError):
-        return pilot
-    (zbar,), (floored,) = reciprocal_power_weights_stack(pilot[None, 1 + len(roles.z):], eta=eta)
-    return AdaptiveWeights(sbar=np.zeros(0), zbar=zbar, med=np.zeros((len(roles.zbar), 0)),
-                           floored=bool(floored))
+def _pal1ma_weights(pilots, roles, eta) -> list:
+    """pal1ma's weights from each of ``pilots``: its reciprocal candidate-covariate
+    magnitudes to the ``eta``, standardized to sum one, or the pilot's failure, in
+    one pass over the stack of the pilots that did not fail."""
+    def stacked(ok):
+        zbar, floored = reciprocal_power_weights_stack(
+            np.array([pilots[i][1 + len(roles.z):] for i in ok]), eta=eta)
+        return [AdaptiveWeights(sbar=np.zeros(0), zbar=w, med=np.zeros((len(roles.zbar), 0)),
+                                floored=f) for w, f in zip(zbar, floored.tolist())]
+
+    return on_successes(pilots, stacked)
 
 
 def pal1ma_pilot(datasets, roles: RolePartition, pilot_lams) -> list:
@@ -225,7 +230,7 @@ def pal1ma_coefficients(datasets, roles: RolePartition, pilots, lams, *, eta: fl
     per dataset, each its coefficient vector or its failure, or the dataset's
     pilot failure.  One :func:`~pcmselect.pcm.pcm_stage1_y_path` call reads every
     dataset's fits off one path."""
-    weights = [_pal1ma_weights(pilot, roles, eta) for pilot in pilots]
+    weights = _pal1ma_weights(pilots, roles, eta)
     return on_successes(weights, lambda ok: [lane for (lane,) in pcm_stage1_y_path(
         [(datasets[i], weights[i]) for i in ok], _without_mediators(roles), lams, [(0.0, 0.0)])])
 
@@ -251,8 +256,8 @@ def pal1ma_estimates(datasets, roles: RolePartition, lam: float, *, eta: float,
     """
     if not datasets:
         return []
-    weights = [_pal1ma_weights(pilot, roles, eta)
-               for (pilot,) in pal1ma_pilot(datasets, roles, [pilot_lam])]
+    weights = _pal1ma_weights([pilot for (pilot,) in pal1ma_pilot(datasets, roles, [pilot_lam])],
+                              roles, eta)
     params = PcmParams(lambda1=lam, rho1=0.0, zeta1=0.0, xi1=0.0)
     return [fit if isinstance(fit, PcmSelectError) else fit.total_effect
             for fit in fit_from_weights(datasets, _without_mediators(roles), params, weights)]

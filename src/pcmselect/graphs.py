@@ -21,7 +21,6 @@ from .errors import OverlappingSets, SearchBudgetExceeded, UnknownVertex
 __all__ = [
     "Dag",
     "parse_edge_list",
-    "format_edge_list",
     "minimal_mediator_sets",
 ]
 
@@ -350,11 +349,3 @@ def parse_edge_list(text: str) -> Dag:
                 raise ValueError(f"line {lineno}: malformed line {raw!r}")
             _add(line)
     return Dag(vertices, edges)
-
-
-def format_edge_list(g: Dag) -> str:
-    """Serialize a graph to the ``tail -> head`` line format."""
-    lines = [f"{t} -> {h}" for t, h in sorted(g.edges)]
-    linked = {v for e in g.edges for v in e}
-    lines.extend(v for v in g.vertices if v not in linked)
-    return "\n".join(lines) + "\n"

@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigInvalid, DataFormatError
 from .experiment import McResult
-from .graphs import Dag, format_edge_list, parse_edge_list
+from .graphs import Dag, parse_edge_list
 from .scm import CovarianceSpec, LinearScm, parse_scm
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "load_json",
     "save_json",
     "load_graph",
-    "save_graph",
     "load_scm",
     "save_scm",
     "write_summary_csv",
@@ -70,6 +69,16 @@ def read_dataset_csv(path) -> Dataset:
 
 
 def write_dataset_csv(path, dataset: Dataset) -> None:
+    """Write a dataset that :func:`read_dataset_csv` reads back bit-exactly.
+
+    Raises :class:`DataFormatError`, before anything is written, for a column
+    name that the reader would split or misread: one that holds a comma, a
+    double quote or a line break.
+    """
+    for name in dataset.columns:
+        if set(name) & set(',"\r\n'):
+            raise DataFormatError(f"{path}: column name {name!r} must not hold commas,"
+                                  " double quotes or line breaks")
     lines = [",".join(dataset.columns)]
     for row in dataset.values:
         lines.append(",".join(repr(float(v)) for v in row))
@@ -92,10 +101,6 @@ def load_graph(path) -> Dag:
         return parse_edge_list(Path(path).read_text())
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-
-
-def save_graph(path, dag: Dag) -> None:
-    Path(path).write_text(format_edge_list(dag))
 
 
 def load_scm(path) -> tuple[LinearScm, CovarianceSpec | None]:

@@ -44,6 +44,7 @@ Pipeline (all on standardized data):
     assumes that the mediators intercept every directed path from the
     treatment to the outcome.
 
+This module holds steps 1-3 and 5; step 4 is :mod:`pcmselect.debias`.
 Steps 3-5 are one function, :func:`fit_from_weights`.  :func:`pcm_fits`
 runs it on the weights of steps 1-2, and :func:`pcm_total_effect` is its
 one-dataset case.  The partially adaptive baseline
@@ -55,7 +56,7 @@ cross-validation scores its :func:`pcm_stage1_y_path` fits and
 Both take a sequence of datasets, such as the samples of a chunk of Monte
 Carlo replications, and return one fit or one failure per dataset.  Steps
 1-4 run over all of them at once: each ridge pilot of every dataset is one
-batched solve, and step 2 (:mod:`pcmselect.weights`) is one pass over the
+batched solve, and step 2 (:func:`pilot_weights`) is one pass over the
 stacks of the pilots.  Every dataset's stage-1 outcome fit is a lane of one
 L1 path call, whose candidate weights are one broadcast of the stacked
 adaptive weights, and its mediator fits are lanes of one more per shape of
@@ -77,11 +78,10 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .data import Dataset, RolePartition, gram_stack
-from .debias import CorrectedBlocks, DebiasBlocks, corrections, debias_ridges, pcm_correct
+from .debias import (CorrectedBlocks, DebiasBlocks, corrections, debias_ridges, pcm_correct,
+                     zbar_share)
 from .errors import PcmSelectError, on_successes, unwrap
-from .solvers import l1_path, ols_solve, ridge_grid
-from .weights import (AdaptiveWeights, _m_l1_weights, _y_l1_weights, adaptive_weights,
-                      pilot_weights)
+from .solvers import l1_path, ridge_grid
 
 __all__ = [
     "PcmParams",
@@ -106,12 +106,14 @@ __all__ = [
     "fit_from_weights",
     "pcm_total_effect",
     "pcm_fits",
-    "verify_active_set_relation",
 ]
 
 # How far zeta1 + xi1 may exceed 1: decimal inputs such as 0.7 + 0.3 carry
 # rounding error in their sum.
 MIX_SLACK = 1e-12
+
+# Magnitudes below this are raised to it before their reciprocal powers are taken.
+WEIGHT_FLOOR = 1e-8
 
 # ---------------------------------------------------------------------------
 # parameters and result containers
@@ -183,6 +185,21 @@ class MediatorCoefs:
 
     def stacked(self) -> np.ndarray:
         return np.vstack([self.x_row[None, :], self.z_rows, self.zbar_rows])
+
+
+@dataclass(frozen=True)
+class AdaptiveWeights:
+    """Standardized reciprocal-magnitude weights.
+
+    ``sbar`` and ``zbar`` each sum to one (when nonempty); ``med`` is a
+    (q_zbar, q_m) matrix summing to one overall.  ``floored`` reports whether
+    any pilot magnitude hit the reciprocal floor.
+    """
+
+    sbar: np.ndarray
+    zbar: np.ndarray
+    med: np.ndarray
+    floored: bool = False
 
 
 @dataclass(frozen=True)
@@ -286,6 +303,99 @@ def ridge_pilot_m_grid(datasets, roles: RolePartition, rhos) -> list:
     pen = np.concatenate([np.zeros(1 + len(roles.z)), np.ones(len(roles.zbar))])
     return ridge_grid(grams[:, :k, :k], grams[:, :k, k:], [data.n for data in datasets], pen,
                       rhos)
+
+
+# ---------------------------------------------------------------------------
+# adaptive weights, and the stage-1 L1 weights built from them
+# ---------------------------------------------------------------------------
+
+
+def reciprocal_power_weights_stack(stack, eta: float = 1.0, normalize: bool = True) -> tuple:
+    """``|v|**-eta`` weights of each array of a (D, ...) stack, over all of its entries,
+    magnitudes floored at ``WEIGHT_FLOOR``, each array's summing to one, in one pass.
+
+    Returns the stack of weights, and a (D,) bool array of whether each array
+    had a magnitude floored.  The floor, the power and the sum go row by row,
+    so each array's weights do not depend on the others.  ``normalize=False``
+    skips the sum-one standardization (the classical adaptive-weight form).
+    """
+    mags = np.abs(np.asarray(stack, dtype=float))
+    flat = mags.reshape(len(mags), math.prod(mags.shape[1:]))
+    raw = np.power(np.maximum(flat, WEIGHT_FLOOR), -eta)
+    if normalize:
+        raw = raw / raw.sum(axis=1, keepdims=True)
+    return raw.reshape(mags.shape), (flat < WEIGHT_FLOOR).any(axis=1)
+
+
+def _adaptive_stack(m_sbar, y_zbar, m_zbar) -> list:
+    """The :class:`AdaptiveWeights` of D datasets from the (D, ...) stacks of their pilot
+    blocks: mediator-model treatment rows of the candidate mediators, outcome-model
+    candidate covariates and mediator-model candidate-covariate rows.  Each views its
+    rows of the three stacks of weights."""
+    (sbar, f1), (zbar, f2), (med, f3) = map(reciprocal_power_weights_stack,
+                                            (m_sbar, y_zbar, m_zbar))
+    return [AdaptiveWeights(*w, floored=f)
+            for *w, f in zip(sbar, zbar, med, (f1 | f2 | f3).tolist())]
+
+
+def adaptive_weights(y, m) -> AdaptiveWeights:
+    """Standardized weights from the pilot coefficient magnitudes of the outcome-model
+    pilot ``y`` (:class:`YModelCoefs`) and the mediator-model pilot ``m``
+    (:class:`MediatorCoefs`).
+
+    Candidate-mediator weights use the treatment coefficients of the
+    mediator-model pilot (a mediator whose treatment pilot vanishes carries
+    no treatment effect, so its outcome coefficient should be free to drop);
+    candidate-covariate weights use the outcome-model pilot; the mediator
+    weight matrix uses the mediator-model candidate-covariate pilots.  The
+    one-dataset case of :func:`pilot_weights`.
+    """
+    q_s = m.x_row.shape[0] - y.coef_sbar.shape[0]
+    return _adaptive_stack(m.x_row[None, q_s:], y.coef_zbar[None], m.zbar_rows[None])[0]
+
+
+def pilot_weights(y_pilots, m_pilots, roles: RolePartition) -> list:
+    """Step 2 on each dataset: the :func:`adaptive_weights` of its outcome and mediator
+    pilots, entries of :func:`ridge_pilot_y_grid` and :func:`ridge_pilot_m_grid`, or
+    the failure of the first pilot that failed, in its place.
+
+    One pass: the pilots of the datasets without a failure are stacked, and
+    their sbar, zbar and med weights are (D, ...) arrays, floored, raised and
+    summed row by row; each dataset's weights view its rows, and ``floored``
+    is its own."""
+    def stacked(ok):
+        ys, ms = np.array([y_pilots[i] for i in ok]), np.array([m_pilots[i] for i in ok])
+        return _adaptive_stack(ms[:, 0, len(roles.s):],
+                               ys[:, len(roles.y_regressors) - len(roles.zbar):],
+                               ms[:, 1 + len(roles.z):])
+
+    return on_successes([y if isinstance(y, PcmSelectError) else m
+                         for y, m in zip(y_pilots, m_pilots)], stacked)
+
+
+def _y_l1_weights(roles: RolePartition, sbar, zbar, lams, pairs) -> np.ndarray:
+    """The outcome model's L1 weights on F datasets at each (zeta1, xi1) of ``pairs`` and
+    each of ``lams``: an (F, pairs, lams, regressors) stack, one broadcast of the
+    (F, q) stacks of their ``sbar`` and ``zbar`` weights."""
+    # each pair's treatment, candidate-mediator and candidate-covariate share times each lam
+    scales = (np.array([(z, x, zbar_share(z, x)) for z, x in pairs])[:, None]
+              * np.asarray(lams, dtype=float)[:, None])
+    q = 1 + len(roles.s) + len(roles.z)
+    k = q + sbar.shape[1]
+    out = np.zeros((len(sbar), *scales.shape[:2], k + zbar.shape[1]))
+    out[..., 0] = scales[..., 0]
+    out[..., q:k] = scales[..., 1:2] * sbar[:, None, None]
+    out[..., k:] = scales[..., 2:] * zbar[:, None, None]
+    return out
+
+
+def _m_l1_weights(q_z: int, meds, rhos) -> np.ndarray:
+    """The L1 weights of the mediator columns of each (candidate covariates, mediators)
+    weight matrix of ``meds``, in order, at each of ``rhos``: one (mediators, rhos,
+    regressors) broadcast over the designs [x, z, zbar] with ``q_z`` fixed covariates."""
+    med = np.concatenate(meds, axis=1)
+    return np.multiply.outer(rhos, np.vstack([np.zeros((1 + q_z, med.shape[1])), med])
+                             ).transpose(2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -505,54 +615,3 @@ def pcm_fits(datasets, roles: RolePartition, params: PcmParams) -> list:
     return fit_from_weights(datasets, roles, params, pilot_weights(
         [y for (y,) in ridge_pilot_y_grid(datasets, roles, [params.pilot_lambda])],
         [m for (m,) in ridge_pilot_m_grid(datasets, roles, [params.pilot_rho])], roles))
-
-
-# ---------------------------------------------------------------------------
-# structural verification of the stage-1 solutions
-# ---------------------------------------------------------------------------
-
-
-def _stationarity_gap(data: Dataset, response: str, regressors, l1: np.ndarray,
-                      beta: np.ndarray) -> float:
-    """Largest gap between an L1 fit and its closed form on its active rows.
-
-    The active rows are the nonzero or unpenalized coefficients, A their
-    design columns.  The closed form is the least-squares fit of the
-    response on A minus ``n * (A.T A)^-1 (l1 * sign(beta))``.
-    """
-    keep = (beta != 0.0) | (l1 == 0.0)
-    a = data.values[:, data.index_of(regressors)[keep]]
-    rhs = np.column_stack([a.T @ data.column(response), l1[keep] * np.sign(beta[keep])])
-    ols, shrink = ols_solve(a.T @ a, rhs).T
-    return float(np.max(np.abs(beta[keep] - (ols - data.n * shrink)))) if keep.any() else 0.0
-
-
-def verify_active_set_relation(fit: PcmFit, data: Dataset, roles: RolePartition) -> float:
-    """Max discrepancy of the closed-form stationarity relations at the fit.
-
-    On every active row (the treatment when active, the fixed blocks, the
-    active candidate blocks) the stage-1 outcome coefficients must equal the
-    restricted least-squares fit minus ``n*(A.T A)^-1 (l1 * sign)``, with A
-    the active design and l1 the stage-1 L1 weights.  Each column of the
-    mediator fit satisfies the same relation on [treatment, fixed
-    covariates] and that column's own active candidate covariates.
-    Returns the largest absolute violation; small values certify that the
-    stage-1 solver reached a stationary point.
-
-    Raises
-    ------
-    SingularDesign
-        If a restricted design needed by the relation is singular.
-    """
-    p = fit.params
-    worst = _stationarity_gap(
-        data, roles.y, roles.y_regressors,
-        _y_l1_weights(roles, fit.weights.sbar[None], fit.weights.zbar[None], [p.lambda1],
-                      [(p.zeta1, p.xi1)])[0, 0, 0],
-        fit.stage1_y.stacked(),
-    )
-    act_roles, act_weights = _restrict(roles, fit.weights, fit.active_sbar, fit.active_zbar, {})
-    m_l1 = _m_l1_weights(len(act_roles.z), [act_weights.med], [p.rho1])[:, 0]
-    for mediator, l1, coef in zip(act_roles.mediators, m_l1, fit.stage1_m.stacked().T):
-        worst = max(worst, _stationarity_gap(data, mediator, act_roles.m_regressors, l1, coef))
-    return worst

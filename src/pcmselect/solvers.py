@@ -319,8 +319,8 @@ def kkt_residual(gram, cross, n, l1_weights, beta, l2_weights=None):
 
     For nonzero coordinates the smooth gradient must equal minus the penalty
     times the sign; for zero coordinates its magnitude may not exceed the
-    penalty weight.  ``beta`` of shape (p,) gives a float, and a stack of
-    rows, such as (K, p), gives the row maxima as an array.  ``cross``,
+    penalty weight.  Returns the maximum of each row of ``beta``: an array of
+    its leading shape, such as (K,) for a (K, p) stack of rows.  ``cross``,
     ``l1_weights`` and ``n`` broadcast against ``beta``, and ``gram`` is one
     (p, p) matrix or a stack that ``beta @ gram`` broadcasts against it: a
     (K, p, p) stack with a (K, 1, p) ``beta`` is a gram per row.
@@ -333,8 +333,7 @@ def kkt_residual(gram, cross, n, l1_weights, beta, l2_weights=None):
     # |grad + l1 sign| where beta is nonzero, |grad| - l1 where it is zero; the
     # maximum starts from zero, so a zero coordinate inside its bound counts 0
     violation = np.abs(grad + l1 * np.sign(beta)) - l1 * (beta == 0.0)
-    worst = violation.max(axis=-1, initial=0.0)
-    return float(worst) if beta.ndim == 1 else worst
+    return violation.max(axis=-1, initial=0.0)
 
 
 def ridge_solve(gram, cross, n, diag_weights) -> np.ndarray:

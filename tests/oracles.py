@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 
-from pcmselect import solvers
-from pcmselect.data import Dataset
+from pcmselect import pcm, solvers
+from pcmselect.data import Dataset, RolePartition
 from pcmselect.errors import PcmSelectError
 from pcmselect.pcm import (
+    PcmFit,
     adaptive_weights,
     pcm_stage1_m,
     pcm_stage1_y,
@@ -121,6 +123,19 @@ def all_upper_triangular_dags(n_vertices):
         yield Dag(names, edges)
 
 
+def format_edge_list(g) -> str:
+    """A graph in the ``tail -> head`` line format of ``graphs.parse_edge_list``."""
+    lines = [f"{t} -> {h}" for t, h in sorted(g.edges)]
+    linked = {v for e in g.edges for v in e}
+    lines.extend(v for v in g.vertices if v not in linked)
+    return "\n".join(lines) + "\n"
+
+
+def save_graph(path, dag) -> None:
+    """Write ``dag`` as an edge-list file that ``io.load_graph`` reads."""
+    Path(path).write_text(format_edge_list(dag))
+
+
 def total_effect_by_path_enumeration(scm, x, y):
     """Sum of coefficient products over explicitly enumerated directed paths."""
     total = 0.0
@@ -176,6 +191,52 @@ def ridge_objective(design, response, diag_weights, beta) -> float:
     d = np.asarray(diag_weights, dtype=float)
     value += 0.5 * float(np.sum(d[:, None] * np.asarray(beta).reshape(len(d), -1) ** 2))
     return value
+
+
+# -- closed-form stationarity of pcm's stage-1 fits ------------------------------
+
+
+def _stationarity_gap(data: Dataset, response: str, regressors, l1: np.ndarray,
+                      beta: np.ndarray) -> float:
+    """Largest gap between an L1 fit and its closed form on its active rows.
+
+    The active rows are the nonzero or unpenalized coefficients, A their
+    design columns.  The closed form is the least-squares fit of the
+    response on A minus ``n * (A.T A)^-1 (l1 * sign(beta))``.
+    """
+    keep = (beta != 0.0) | (l1 == 0.0)
+    a = data.values[:, data.index_of(regressors)[keep]]
+    rhs = np.column_stack([a.T @ data.column(response), l1[keep] * np.sign(beta[keep])])
+    ols, shrink = solvers.ols_solve(a.T @ a, rhs).T
+    return float(np.max(np.abs(beta[keep] - (ols - data.n * shrink)))) if keep.any() else 0.0
+
+
+def verify_active_set_relation(fit: PcmFit, data: Dataset, roles: RolePartition) -> float:
+    """Max discrepancy of the closed-form stationarity relations at the fit.
+
+    On every active row (the treatment when active, the fixed blocks, the
+    active candidate blocks) the stage-1 outcome coefficients must equal the
+    restricted least-squares fit minus ``n*(A.T A)^-1 (l1 * sign)``, with A
+    the active design and l1 the stage-1 L1 weights.  Each column of the
+    mediator fit satisfies the same relation on [treatment, fixed
+    covariates] and that column's own active candidate covariates.
+    Returns the largest absolute violation; small values certify that the
+    stage-1 solver reached a stationary point.  Raises ``SingularDesign`` if
+    a restricted design needed by the relation is singular.
+    """
+    p = fit.params
+    worst = _stationarity_gap(
+        data, roles.y, roles.y_regressors,
+        pcm._y_l1_weights(roles, fit.weights.sbar[None], fit.weights.zbar[None], [p.lambda1],
+                          [(p.zeta1, p.xi1)])[0, 0, 0],
+        fit.stage1_y.stacked(),
+    )
+    act_roles, act_weights = pcm._restrict(roles, fit.weights, fit.active_sbar,
+                                           fit.active_zbar, {})
+    m_l1 = pcm._m_l1_weights(len(act_roles.z), [act_weights.med], [p.rho1])[:, 0]
+    for mediator, l1, coef in zip(act_roles.mediators, m_l1, fit.stage1_m.stacked().T):
+        worst = max(worst, _stationarity_gap(data, mediator, act_roles.m_regressors, l1, coef))
+    return worst
 
 
 # -- cyclic coordinate descent with a feature-sign polish ----------------------

@@ -22,7 +22,6 @@ from pcmselect.pcm import (
     pcm_total_effect,
     ridge_pilot_m,
     ridge_pilot_y,
-    verify_active_set_relation,
 )
 from pcmselect.scm import (
     EXPERIMENT_VERTICES,
@@ -38,6 +37,7 @@ from oracles import (
     d_separated_by_paths,
     random_dag,
     total_effect_by_path_enumeration,
+    verify_active_set_relation,
 )
 
 ROLES = RolePartition(

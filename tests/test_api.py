@@ -1,7 +1,8 @@
 """Every exported name and every benchmark-traced function resolves; the benchmark's
 workloads run on the package's API; only the method registry names the penalized
 baselines; numpy.ma, scipy and the process-pool modules stay unloaded, and the tuning
-module until first use; every module stays below the parser's token-array doubling."""
+module until first use; every module stays below the parser's token-array doubling;
+no public code in src is there for tests alone."""
 
 import ast
 import importlib
@@ -226,17 +227,21 @@ def _top_level_names(node) -> list[str]:
     return [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
 
 
+def _reads(trees) -> list:
+    """The (node, name) pairs of every name and attribute read in ``trees``."""
+    return ([(node, node.id) for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+            + [(node, node.attr) for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)])
+
+
 def test_every_private_name_is_used():
     """Every private top-level name of a ``src/pcmselect`` module is read somewhere
     in ``src`` outside its own definition, so no helper outlives its last caller."""
     trees = [ast.parse(path.read_text()) for path in
              sorted(Path(pcmselect.__file__).parent.glob("*.py"))]
-    reads = [(node, node.id) for tree in trees for node in ast.walk(tree)
-             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
-    reads += [(node, node.attr) for tree in trees for node in ast.walk(tree)
-              if isinstance(node, ast.Attribute)]
-    reads += [(node, node.name) for tree in trees for node in ast.walk(tree)
-              if isinstance(node, ast.alias)]
+    reads = _reads(trees) + [(node, node.name) for tree in trees for node in ast.walk(tree)
+                             if isinstance(node, ast.alias)]
     unused = []
     for tree in trees:
         for statement in tree.body:
@@ -246,3 +251,33 @@ def test_every_private_name_is_used():
                         and not any(n == name and id(node) not in inside for node, n in reads)):
                     unused.append(name)
     assert not unused, f"private names that nothing in src reads: {unused}"
+
+
+def test_no_public_function_or_class_is_test_only():
+    """Every public top-level function and class of a ``src/pcmselect`` module is
+    read by ``src`` or by the benchmark's own code, or is hooked by the tracer's
+    ``ENTRY_POINTS + LAYERS``; what only tests call belongs in ``tests/oracles.py``.
+    An import (such as a re-export in ``__init__``) is not a read, nor is a read
+    inside the definition itself or inside another definition that fails this
+    check, so a chain of helpers that only tests reach fails link by link."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in
+             sorted(Path(pcmselect.__file__).parent.glob("*.py"))}
+    bench = [ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py"))
+             if not path.name.startswith("test_")]
+    # the tracer hooks a function at every module that imports it, so by name
+    hooked = {qualname.split(".")[0] for _, qualname in traced_functions()}
+    definitions = {(module, statement.name): {id(node) for node in ast.walk(statement)}
+                   for module, tree in trees.items() for statement in tree.body
+                   if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+                   and not statement.name.startswith("_") and statement.name not in hooked}
+    reads = _reads([*trees.values(), *bench])
+    unused: set = set()
+    while True:
+        dead = set().union(*(definitions[key] for key in unused))
+        found = {key for key, inside in definitions.items()
+                 if not any(name == key[1] and id(node) not in inside and id(node) not in dead
+                            for node, name in reads)}
+        if found == unused:
+            break
+        unused = found
+    assert not unused, f"public code that only tests read: {sorted(unused)}"

@@ -6,16 +6,12 @@ import pytest
 
 from pcmselect.cli import main
 from pcmselect.data import Dataset
-from pcmselect.io import (
-    load_scm,
-    read_dataset_csv,
-    save_graph,
-    save_scm,
-    write_dataset_csv,
-)
+from pcmselect.io import load_scm, read_dataset_csv, save_scm, write_dataset_csv
 from pcmselect.errors import DataFormatError
 from pcmselect.experiment import METHODS, PRESETS, SETTING_METHODS, experiment_roles
 from pcmselect.scm import build_experiment_scm, experiment_criteria_dag
+
+from oracles import save_graph
 
 
 @pytest.fixture
@@ -474,6 +470,23 @@ class TestSimulateCommand:
         assert err.startswith("error:") and "correlated_blocks" in err, err
         with pytest.raises(DataFormatError, match="correlated_blocks"):
             load_scm(model)
+
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb"])
+    def test_a_vertex_name_that_the_reader_would_split_is_a_data_error(self, tmp_path, name,
+                                                                       capsys):
+        # the header would not match the rows, and estimate would reject the file
+        from pcmselect.graphs import Dag
+        from pcmselect.scm import LinearScm
+
+        dag = Dag(["X", name, "Y"], [("X", name), (name, "Y")])
+        model, out = tmp_path / "scm.json", tmp_path / "sim.csv"
+        save_scm(model, LinearScm(dag, {("X", name): 0.5, (name, "Y"): 0.5},
+                                  {v: 1.0 for v in dag.vertices}))
+        code = main(["simulate", "--scm", str(model), "--n", "10", "--seed", "1",
+                     "--out", str(out)])
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(name) in err, err
 
     def test_model_file_csv_bytes_are_fixed(self, tmp_path):
         # a model without a correlated block samples without BLAS, so its CSV

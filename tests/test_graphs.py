@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from pcmselect.errors import OverlappingSets, SearchBudgetExceeded, UnknownVertex
 from pcmselect import graphs
-from pcmselect.graphs import Dag, format_edge_list, minimal_mediator_sets, parse_edge_list
+from pcmselect.graphs import Dag, minimal_mediator_sets, parse_edge_list
 from pcmselect.scm import experiment_criteria_dag
 
-from oracles import d_separated_by_paths, random_dag
+from oracles import d_separated_by_paths, format_edge_list, random_dag
 
 
 @pytest.fixture

@@ -26,17 +26,15 @@ from pcmselect.pcm import (
     ridge_pilot_m_grid,
     ridge_pilot_y,
     ridge_pilot_y_grid,
-    verify_active_set_relation,
 )
 from pcmselect.experiment import METHODS, PRESETS, experiment_roles
 from pcmselect.scm import LinearScm, build_experiment_scm
 from pcmselect.graphs import Dag
 from pcmselect import baselines, pcm, solvers
-from pcmselect import weights as pcm_weights
-from pcmselect.weights import WEIGHT_FLOOR, reciprocal_power_weights_stack
+from pcmselect.pcm import WEIGHT_FLOOR, reciprocal_power_weights_stack
 from pcmselect.solvers import kkt_residual, ols_batch, ols_solve
 
-from oracles import l1_objective, ridge_objective
+from oracles import l1_objective, ridge_objective, verify_active_set_relation
 
 ROLES = RolePartition(
     x="X", y="Y", z=("Z1",), zbar=("Zb1", "Zb2"), s=("S1",), sbar=("Sb1", "Sb2")
@@ -400,39 +398,55 @@ class TestStackedWeights:
             assert w.floored is alone.floored is any(f for _, f in blocks)
 
     @pytest.mark.parametrize("eta", [0.1, 1.2])
-    def test_baseline_weights_equal_each_pilot_alone(self, eta):
+    def test_baseline_weights_equal_each_pilot_alone(self, eta, monkeypatch):
         # pal1ma's standardized candidate-covariate weights and the adaptive lasso's
-        # unstandardized weights of every coefficient, from a stack of pilots with a
-        # floored magnitude, equal those of each pilot alone and of the one-array form
+        # unstandardized weights of every coefficient come from one stack of a chunk's
+        # pilots, here with a floored magnitude and a failed pilot mid-chunk, and equal
+        # those of each pilot alone and of the one-array form
         datasets, roles = setting_chunk("A", 6)
-        pilots = np.array([p for (p,) in baselines.pal1ma_pilot(datasets, roles, [3.157])])
-        pilots[0, -2] = 0.0
-        q = 1 + len(roles.z)
-        for stack, normalize in ((pilots[:, q:], True), (pilots, False)):
-            weights, floored = reciprocal_power_weights_stack(stack, eta, normalize)
-            assert floored.tolist() == [True] + [False] * 5
-            for row, w, f in zip(stack, weights, floored.tolist()):
-                (alone,), (alone_floored,) = reciprocal_power_weights_stack(row[None], eta,
-                                                                             normalize)
-                old, old_floored = weights_one_at_a_time(row, eta, normalize)
-                assert same_bits(w, alone) and same_bits(w, old)
-                assert f is bool(alone_floored) is old_floored
-        # pal1ma's weights of each pilot, a failed one in place
         failure = SingularDesign("a failed pilot")
-        for pilot in [failure, *pilots]:
-            w = baselines._pal1ma_weights(pilot, roles, eta)
+        lams = [0.407, 0.1]
+
+        def chunk_pilots(pilot_fit):
+            pilots = [p for (p,) in pilot_fit(datasets, roles, [3.157])]
+            pilots[0] = pilots[0].copy()
+            pilots[0][-2] = 0.0
+            pilots[3] = failure
+            return pilots
+
+        pilots = chunk_pilots(baselines.pal1ma_pilot)
+        weights = baselines._pal1ma_weights(pilots, roles, eta)
+        assert weights[3] is failure
+        assert [w.floored for w in weights if w is not failure] == [True] + [False] * 4
+        for pilot, w in zip(pilots, weights):
             if pilot is failure:
-                assert w is failure
                 continue
-            old, floored = weights_one_at_a_time(pilot[q:], eta)
-            assert same_bits(w.zbar, old) and w.floored is floored
-        # the adaptive lasso's fits of a chunk equal each dataset's fit alone
-        chunk = baselines.penalized_coefficients(datasets, roles, list(pilots), [0.407, 0.1],
-                                                 eta=eta)
-        for data, pilot, fits in zip(datasets, pilots, chunk):
-            (alone,) = baselines.penalized_coefficients([data], roles, [pilot], [0.407, 0.1],
+            (alone,) = baselines._pal1ma_weights([pilot], roles, eta)
+            old, floored = weights_one_at_a_time(pilot[1 + len(roles.z):], eta)
+            assert same_bits(w.zbar, alone.zbar) and same_bits(w.zbar, old)
+            assert w.floored is alone.floored is floored
+        # the adaptive lasso's candidate weights, as they reach the L1 path
+        seen, l1_path = [], baselines.l1_path
+
+        def recording(grams, ns, lanes, crosses, l1_weights, *rest):
+            seen.append(l1_weights)
+            return l1_path(grams, ns, lanes, crosses, l1_weights, *rest)
+
+        monkeypatch.setattr(baselines, "l1_path", recording)
+        pilots = chunk_pilots(baselines.pilot_coefficients)
+        fits = baselines.penalized_coefficients(datasets, roles, pilots, lams, eta=eta)
+        assert fits[3] is failure
+        (stack,) = seen  # phi = 1: one path call on every dataset whose pilot did not fail
+        ok = [i for i, pilot in enumerate(pilots) if pilot is not failure]
+        assert len(stack) == len(ok)
+        for i, lane in zip(ok, stack):
+            old, floored = weights_one_at_a_time(pilots[i], eta, normalize=False)
+            assert floored is (i == 0)
+            (alone,) = baselines.penalized_coefficients([datasets[i]], roles, [pilots[i]], lams,
                                                         eta=eta)
-            assert repr(alone) == repr(fits)
+            assert same_bits(lane, np.array([lam * 1.0 * old for lam in lams]))
+            assert same_bits(lane, seen[-1][0])
+            assert repr(alone) == repr(fits[i])
 
     def test_outcome_candidate_weights_equal_each_fold_and_pair(self):
         # (0.8, 0.2) and (0.9, 0.1): 1 - zeta1 - xi1 is -5.6e-17 and -2.8e-17, clipped to 0
@@ -444,7 +458,7 @@ class TestStackedWeights:
                                     [m for (m,) in ridge_pilot_m_grid(datasets, roles, [69.5])],
                                     roles)
         sbar, zbar = (np.array([getattr(w, key) for w in weights]) for key in ("sbar", "zbar"))
-        stack = pcm_weights._y_l1_weights(roles, sbar, zbar, lams, pairs)
+        stack = pcm._y_l1_weights(roles, sbar, zbar, lams, pairs)
         assert stack.shape == (5, len(pairs), len(lams), len(roles.y_regressors))
         for f, w in enumerate(weights):
             for i, (zeta1, xi1) in enumerate(pairs):
@@ -452,7 +466,7 @@ class TestStackedWeights:
                 old = np.concatenate([
                     column * zeta1, np.zeros((len(lams), len(roles.s) + len(roles.z))),
                     column * xi1 * w.sbar, column * max(0.0, 1.0 - zeta1 - xi1) * w.zbar], 1)
-                one = pcm_weights._y_l1_weights(roles, sbar[f:f + 1], zbar[f:f + 1], lams,
+                one = pcm._y_l1_weights(roles, sbar[f:f + 1], zbar[f:f + 1], lams,
                                                 [(zeta1, xi1)])[0, 0]
                 assert same_bits(stack[f, i], old) and same_bits(stack[f, i], one)
 
@@ -460,7 +474,7 @@ class TestStackedWeights:
         rng = np.random.default_rng(3)
         meds = [rng.uniform(0.01, 1.0, (3, q)) for q in (2, 0, 4, 1)]
         rhos = [0.5, 0.2, 0.0]
-        stack = pcm_weights._m_l1_weights(1, meds, rhos)
+        stack = pcm._m_l1_weights(1, meds, rhos)
         start = 0
         for med in meds:
             old = np.multiply.outer(rhos, np.vstack([np.zeros((2, med.shape[1])), med]))

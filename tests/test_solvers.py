@@ -406,8 +406,9 @@ class TestKktResidual:
         weights = np.array([w for ws in lists for w in ws])
         for l2 in (None, rng.uniform(0.0, 0.1, 6)):
             stacked = kkt_residual(gram, rows, n, weights, betas, l2)
-            alone = [kkt_residual(gram, c, n, w, b, l2) for c, w, b in zip(rows, weights, betas)]
-            assert stacked.shape == (12,) and all(type(r) is float for r in alone)
+            alone = np.concatenate([kkt_residual(gram, c[None], n, w[None], b[None], l2)
+                                    for c, w, b in zip(rows, weights, betas)])
+            assert stacked.shape == alone.shape == (12,)
             assert max(alone) > 1e-6
             np.testing.assert_allclose(stacked, alone, rtol=0.0, atol=1e-15)
 

@@ -15,6 +15,7 @@ from pcmselect.pcm import (
     pcm_stage1_m_path,
     pcm_stage1_y,
     pcm_stage1_y_path,
+    reciprocal_power_weights_stack,
     ridge_pilot_m,
     ridge_pilot_y,
 )
@@ -22,7 +23,6 @@ from pcmselect.scm import build_experiment_scm
 from pcmselect.solvers import coordinate_descent, ols_solve, ridge_solve
 from pcmselect.tuning import (CvResult, CvRow, ParamGrid, _fold_indices, cross_validate,
                               cv_table_csv, default_log_grid)
-from pcmselect.weights import reciprocal_power_weights_stack
 
 from oracles import brute_force_pcm_cv, spans_training_rows
 from test_pcm import ROLES, random_instance
@@ -529,7 +529,7 @@ class TestCallCounts:
         ds, roles = setting_a_sample(1, n=100)
         grid = small_grid(lam=default_log_grid(), pilot_lambda=(0.1, 1.0, 10.0), folds=5,
                           **other)
-        ridges = count_calls(monkeypatch, "ridge_grid", (baselines, pcm),
+        ridges = count_calls(monkeypatch, "ridge_grid", (pcm,),
                              lambda gram, cross, n, pen, scales: len(gram) * len(scales))
         paths = count_calls(monkeypatch, "l1_path", (baselines, pcm), lambda grams, *_: len(grams))
         solves = count_calls(monkeypatch, "ridge_solve", (solvers,), lambda *_: 1)
