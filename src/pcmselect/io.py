@@ -73,12 +73,14 @@ def write_dataset_csv(path, dataset: Dataset) -> None:
 
     Raises :class:`DataFormatError`, before anything is written, for a column
     name that the reader would split or misread: one that holds a comma, a
-    double quote or a line break.
+    double quote or a line break, or that is empty or has leading or trailing
+    whitespace (the reader strips each header cell).
     """
     for name in dataset.columns:
-        if set(name) & set(',"\r\n'):
-            raise DataFormatError(f"{path}: column name {name!r} must not hold commas,"
-                                  " double quotes or line breaks")
+        if set(name) & set(',"\r\n') or name != name.strip() or not name:
+            raise DataFormatError(f"{path}: column name {name!r} must be nonempty, hold no"
+                                  " commas, double quotes or line breaks, and not begin or"
+                                  " end with whitespace")
     lines = [",".join(dataset.columns)]
     for row in dataset.values:
         lines.append(",".join(repr(float(v)) for v in row))

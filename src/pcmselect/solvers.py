@@ -193,18 +193,14 @@ def l1_path(grams, ns, lanes, crosses, l1_weights, l2_weights: np.ndarray | None
         if done:
             worst = np.empty(weights.shape[:2])
             for size in set(sizes) - {0}:
+                # this lane count's problems and lanes (`take` gathers 3x faster than [list])
                 at = [f for f, s in enumerate(sizes) if s == size]
-                # the lanes of the problems with this many; all of them (every tune
-                # call's paths) as slices, since a gather copies the (lanes, K, p)
-                # weights and betas and raised a tune worker's peak by about 0.14 MiB
-                if len(at) == len(sizes):
-                    at = lanes = slice(None)
-                else:
-                    lanes = [first[f] + b for f in at for b in range(size)]
+                lanes = [first[f] + b for f in at for b in range(size)]
                 rows = (-1, size * k, p)
                 worst[lanes] = kkt_residual(
-                    grams[at], crosses[lanes].repeat(k, axis=0).reshape(rows), n_rows[at],
-                    weights[lanes].reshape(rows), betas[lanes].reshape(rows), l2).reshape(-1, k)
+                    grams.take(at, 0), crosses.take(lanes, 0).repeat(k, axis=0).reshape(rows),
+                    n_rows.take(at, 0), weights.take(lanes, 0).reshape(rows),
+                    betas.take(lanes, 0).reshape(rows), l2).reshape(-1, k)
             for (b, c), r in zip(done, worst[tuple(zip(*done))].tolist()):
                 fits[b][c] = betas[b, c] if r <= KKT_LIMIT else SingularDesign(
                     "the L1 path ended off the optimum (degenerate active set)")

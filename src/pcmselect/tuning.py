@@ -67,7 +67,6 @@ import numpy as np
 
 from .baselines import _without_mediators
 from .data import Dataset, RolePartition
-from .debias import zbar_share
 from .errors import ConfigInvalid, EmptyGrid, FoldTooSmall, PcmSelectError
 from .experiment import METHODS, check_params
 from .pcm import (
@@ -77,6 +76,7 @@ from .pcm import (
     pilot_weights,
     ridge_pilot_m_grid,
     ridge_pilot_y_grid,
+    zbar_share,
 )
 
 __all__ = ["ParamGrid", "CvRow", "CvResult", "cross_validate", "searched_keys",

@@ -1,8 +1,7 @@
 """Every exported name and every benchmark-traced function resolves; the benchmark's
 workloads run on the package's API; only the method registry names the penalized
 baselines; numpy.ma, scipy and the process-pool modules stay unloaded, and the tuning
-module until first use; every module stays below the parser's token-array doubling;
-no public code in src is there for tests alone."""
+module until first use; no public code in src is there for tests alone."""
 
 import ast
 import importlib
@@ -11,7 +10,6 @@ import os
 import pkgutil
 import subprocess
 import sys
-import tokenize
 from pathlib import Path
 
 import pytest
@@ -182,8 +180,10 @@ def run_alone(code: str) -> str:
 
 
 def test_tuning_loads_on_first_use():
-    """A Monte Carlo run leaves ``pcmselect.tuning`` unloaded, as its code adds
-    to the resident memory of every process; the package still exports its names."""
+    """A Monte Carlo run leaves ``pcmselect.tuning`` unloaded: importing it with the
+    package made a benchmark worker of either Monte Carlo workload start 8-20 ms (3-6%)
+    slower, with a resident peak 0.07-0.16 MiB higher.  The package still exports its
+    names."""
     out = run_alone("""
 import sys
 
@@ -200,22 +200,6 @@ print(ParamGrid is tuning.ParamGrid and cross_validate is tuning.cross_validate)
     assert out.split() == ["False", "True"]
     with pytest.raises(AttributeError):
         pcmselect.no_such_name
-
-
-# CPython 3.11's parser keeps a module's tokens in an array that doubles when it
-# reaches 4,096 entries.  The benchmark's workers compile src without bytecode
-# caches, so a module at that size raised the gated peak_rss_mb: pcm.py's compile
-# peak went from 1,373 to 1,603 KiB (CHANGES.md FOUND, pcmbench/run.py).
-PARSER_TOKEN_LIMIT = 4096
-
-
-@pytest.mark.parametrize("name", MODULES + ["__init__"])
-def test_module_stays_below_the_parser_token_doubling(name):
-    path = Path(pcmselect.__file__).parent / f"{name}.py"
-    with open(path, "rb") as source:
-        count = sum(1 for token in tokenize.tokenize(source.readline)
-                    if token.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING))
-    assert count < PARSER_TOKEN_LIMIT, f"{path.name} has {count} parser tokens"
 
 
 def _top_level_names(node) -> list[str]:

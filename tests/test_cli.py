@@ -471,10 +471,11 @@ class TestSimulateCommand:
         with pytest.raises(DataFormatError, match="correlated_blocks"):
             load_scm(model)
 
-    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb"])
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", " M", "M ", "\tM", ""])
     def test_a_vertex_name_that_the_reader_would_split_is_a_data_error(self, tmp_path, name,
                                                                        capsys):
-        # the header would not match the rows, and estimate would reject the file
+        # the header would not match the rows, or the reader would strip a name or
+        # find a blank header cell, and estimate would reject the file
         from pcmselect.graphs import Dag
         from pcmselect.scm import LinearScm
 

@@ -352,14 +352,15 @@ class TestL1Path:
         for k in (0, 1, 3):
             assert_same_fit(fits[k], alone[k])
 
-    def test_a_stationarity_failure_lands_on_its_lane_among_unequal_lane_counts(self,
-                                                                               monkeypatch):
-        # problems with 1, 2 and 3 lanes on their own grams and row counts: the
-        # stationarity pass gathers each lane count's lanes, and the failing
-        # candidate must come back at its own problem, lane and index
+    @pytest.mark.parametrize("counts", [(1, 2, 3), (2, 2, 2)], ids=["unequal", "equal"])
+    def test_a_stationarity_failure_lands_on_its_lane(self, counts, monkeypatch):
+        # problems with these lane counts on their own grams and row counts: the
+        # stationarity pass gathers each lane count's lanes, whether some problems
+        # or all of them have it, and the failing candidate must come back at its
+        # own problem, lane and index
         rng = np.random.default_rng(17)
         grams, crosses, ns, lists = [], [], [], []
-        for f, (n, lanes) in enumerate([(40, 1), (15, 2), (60, 3)]):
+        for f, (n, lanes) in enumerate(zip((40, 15, 60), counts)):
             a, y, _ = make_problem(20 + f, n=n, p=6)
             grams.append(a.T @ a)
             crosses.append(np.array([a.T @ (y + rng.standard_normal(n)) for _ in range(lanes)]))
@@ -377,9 +378,9 @@ class TestL1Path:
             return np.where((np.asarray(l1_weights) == target).all(axis=-1), np.inf, worst)
 
         monkeypatch.setattr(solvers, "kkt_residual", kkt_failing_chosen)
-        fits = l1_path(np.array(grams), ns, [1, 2, 3], np.concatenate(crosses),
+        fits = l1_path(np.array(grams), ns, list(counts), np.concatenate(crosses),
                        np.concatenate(lists))
-        assert [len(problem) for problem in fits] == [1, 2, 3]
+        assert [len(problem) for problem in fits] == list(counts)
         for f, problem in enumerate(fits):
             for b, lane in enumerate(problem):
                 for c, fit in enumerate(lane):
