@@ -72,12 +72,12 @@ def write_dataset_csv(path, dataset: Dataset) -> None:
     """Write a dataset that :func:`read_dataset_csv` reads back bit-exactly.
 
     Raises :class:`DataFormatError`, before anything is written, for a column
-    name that the reader would split or misread: one that holds a comma, a
-    double quote or a line break, or that is empty or has leading or trailing
-    whitespace (the reader strips each header cell).
+    name that the reader would split or misread: one that holds a comma, a double
+    quote or a line break of :meth:`str.splitlines`, or that is empty or has
+    leading or trailing whitespace (the reader strips each header cell).
     """
     for name in dataset.columns:
-        if set(name) & set(',"\r\n') or name != name.strip() or not name:
+        if set(name) & set(',"') or name.splitlines() != [name] or name != name.strip():
             raise DataFormatError(f"{path}: column name {name!r} must be nonempty, hold no"
                                   " commas, double quotes or line breaks, and not begin or"
                                   " end with whitespace")

@@ -471,11 +471,14 @@ class TestSimulateCommand:
         with pytest.raises(DataFormatError, match="correlated_blocks"):
             load_scm(model)
 
-    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", " M", "M ", "\tM", ""])
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", " M", "M ", "\tM", "",
+                                      "a\vb", "a\fb", "a\x1cb", "a\x1db", "a\x1eb",
+                                      "a\x85b", "a\u2028b", "a\u2029b"])
     def test_a_vertex_name_that_the_reader_would_split_is_a_data_error(self, tmp_path, name,
                                                                        capsys):
-        # the header would not match the rows, or the reader would strip a name or
-        # find a blank header cell, and estimate would reject the file
+        # the header would not match the rows (the reader breaks lines at every
+        # str.splitlines boundary, not only at "\n"), or the reader would strip a
+        # name or find a blank header cell, and estimate would reject the file
         from pcmselect.graphs import Dag
         from pcmselect.scm import LinearScm
 
@@ -488,6 +491,25 @@ class TestSimulateCommand:
         assert code == 2 and not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(name) in err, err
+
+    @pytest.mark.parametrize("name", ["M 1", "m\tx", "Ünï"])
+    def test_a_vertex_name_with_inner_whitespace_or_non_ascii_round_trips(self, tmp_path,
+                                                                         name, capsys):
+        # the writer's check rejects only what the reader would misread: these
+        # names simulate, and estimate finds the column under its own name
+        from pcmselect.graphs import Dag
+        from pcmselect.scm import LinearScm
+
+        dag = Dag(["X", name, "Y"], [("X", name), (name, "Y")])
+        model, out, roles = tmp_path / "scm.json", tmp_path / "sim.csv", tmp_path / "r.json"
+        save_scm(model, LinearScm(dag, {("X", name): 0.5, (name, "Y"): 0.5},
+                                  {v: 1.0 for v in dag.vertices}))
+        assert main(["simulate", "--scm", str(model), "--n", "10", "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert read_dataset_csv(out).columns == ("X", name, "Y")
+        roles.write_text(json.dumps({"x": "X", "y": "Y", "s": [name]}))
+        assert main(["estimate", "--data", str(out), "--roles", str(roles),
+                     "--method", "frontdoor-whole"]) == 0
 
     def test_model_file_csv_bytes_are_fixed(self, tmp_path):
         # a model without a correlated block samples without BLAS, so its CSV
