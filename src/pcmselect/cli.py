@@ -33,6 +33,7 @@ from .errors import (
     OverlappingSets,
     PcmSelectError,
     UnknownVertex,
+    check_count,
 )
 from .experiment import METHODS, ExperimentConfig, check_params, run_monte_carlo
 from .graphs import minimal_mediator_sets
@@ -72,6 +73,7 @@ def _load_roles(path: str) -> RolePartition:
 def _cmd_simulate(args) -> int:
     if args.n < 1:
         raise ConfigInvalid(f"--n must be at least 1, got {args.n}")
+    check_count("--seed", args.seed, 0)
     seq = np.random.SeedSequence(args.seed)
     build_seed, sample_seed = seq.spawn(2)
     if args.scm.upper() in ("A", "B", "SETTINGA", "SETTINGB"):

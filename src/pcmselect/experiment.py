@@ -92,20 +92,18 @@ SETTING_METHODS = {
 # holds at most; a run is cut into ceil(R / size) chunks, in order, whose sizes
 # differ by at most one.  A chunk samples its replications in one stacked pass
 # and standardizes them in another, then keeps every replication's standardized
-# sample, pilots, stage-1 lanes and fits at once.  Its tracemalloc peak grows by
-# about 7.8 KiB per replication at n=15 in setting B and 23 KiB in setting A, and
-# at n=100 by 38 KiB in setting A and 33 KiB in setting B (one-chunk
-# single-worker runs, slope between two replication counts).
-# 2**11 values: up to 17 replications at n=15 in setting B, 7 in setting A, 2 at
-# n=100 in setting B and one in setting A.  Larger chunks pay the fixed Python
-# cost of a chunk (the L1 path lockstep, the debiasing shape groups, the
-# registry dispatch) fewer times: the benchmark's 20-replication setting-B call
-# runs as two chunks of 10 in about 0.017 s, against 0.021 s as chunks of 8, 8
-# and 4 (2**10; one BLAS thread on a 2-vCPU VM), and a benchmark worker's
-# resident peak after 200 or 800 equal calls reads the same with both, within
-# 0.02 MiB.  One chunk of 20 (2**12) is faster still, but the resident peak
-# after 200 equal calls read 0.25 MiB higher with it than with chunks of 10 to 17.
-CHUNK_VALUES = 2**11
+# sample, pilots, stage-1 lanes and fits at once.  2**12 values: up to 34
+# replications at n=15 in setting B, 14 in setting A, 5 at n=100 in setting B
+# and 2 in setting A.  Such a full chunk's tracemalloc peak is about 280 KiB at
+# n=15 in setting B, 370 KiB in setting A, 190 KiB at n=100 in setting B and
+# 120 KiB in setting A, and grows by about 7.5, 24, 33 and 41 KiB per
+# replication (one-chunk single-worker runs of every method of the setting,
+# seed 5).  Larger chunks pay the fixed Python cost of a chunk (the L1 path
+# lockstep, the debiasing shape groups, the registry dispatch), about 1.5 ms,
+# fewer times: the benchmark's 20-replication setting-B call runs as one chunk
+# in about 5.2 ms, against 7.1 ms as two chunks of 10 (2**11; one BLAS thread
+# on a 2-vCPU VM).
+CHUNK_VALUES = 2**12
 
 
 @dataclass(frozen=True)

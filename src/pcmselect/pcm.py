@@ -63,10 +63,12 @@ the active mediator design.  Each of these calls reads the grams of all its
 datasets in one :func:`~pcmselect.data.gram_stack`.  Step 4
 (:func:`corrections`) groups the datasets by the shape of their active
 design and runs each group's debiasing ridges, residual grams,
-pseudoinverses and corrections as stacked calls.  The restriction to the
-active design (whose roles are built once per distinct active set) and step
-5 run per dataset.  Every system is its own LAPACK call, so no fit depends
-on the other datasets of its call, and a failure stays with its dataset.
+pseudoinverses and corrections as stacked calls.  The active sets of all
+stage-1 fits come from their stack in one pass, and the datasets with one
+active set share its roles and index arrays, built once; each dataset
+gathers its active weights and blocks with them, and step 5 runs per
+dataset.  Every system is its own LAPACK call, so no fit depends on the
+other datasets of its call, and a failure stays with its dataset.
 """
 
 from __future__ import annotations
@@ -793,57 +795,52 @@ def fit_from_weights(datasets, roles: RolePartition, params: PcmParams, weights)
     mediators the inner product alone (front-door identification).
     """
     p = params
-    # each dataset's stage-1 outcome blocks and active sbar and zbar, or its failure
-    fits = on_successes(weights, lambda ok: [
-        beta if isinstance(beta, PcmSelectError) else _activate(beta, roles)
-        for ((beta,),) in pcm_stage1_y_path([(datasets[i], weights[i]) for i in ok], roles,
-                                            [p.lambda1], [(p.zeta1, p.xi1)])])
-    # each dataset's active design: its roles and weights; one roles object per active set
-    shared = {}
-    designs = on_successes(fits, lambda ok: [_restrict(roles, weights[i], *fits[i][1:], shared)
-                                             for i in ok])
+    # each dataset's stage-1 outcome fit, or its failure
+    betas = on_successes(weights, lambda ok: [beta for ((beta,),) in pcm_stage1_y_path(
+        [(datasets[i], weights[i]) for i in ok], roles, [p.lambda1], [(p.zeta1, p.xi1)])])
+    # each dataset's active design: (roles, weights, outcome blocks, active sbar, active zbar)
+    designs = on_successes(betas, lambda ok: _active_designs(
+        roles, [betas[i] for i in ok], [weights[i] for i in ok]))
     # each dataset's mediator fit on its active design, or the first failure of its lanes
     s1ms = on_successes(designs, lambda ok: _m_coefs(
-        pcm_stage1_m_path([(datasets[i], *designs[i]) for i in ok], [p.rho1]),
+        pcm_stage1_m_path([(datasets[i], *designs[i][:2]) for i in ok], [p.rho1]),
         [designs[i][0] for i in ok]))
     # the outcome blocks on the active design go to the corrections only
     corrected = on_successes(s1ms, lambda ok: corrections(
-        [(datasets[i], designs[i][0], _active_blocks(*fits[i]), s1ms[i], designs[i][1])
-         for i in ok], p))
+        [(datasets[i], designs[i][0], designs[i][2], s1ms[i], designs[i][1]) for i in ok], p))
     return on_successes(corrected, lambda ok: [
-        _pcm_fit(roles, p, weights[i], *fits[i], s1ms[i], corrected[i]) for i in ok])
+        _pcm_fit(roles, p, weights[i], _split_y_coefs(betas[i], roles), *designs[i][3:], s1ms[i],
+                 corrected[i]) for i in ok])
 
 
-def _activate(beta, roles) -> tuple:
-    """A stage-1 outcome fit as blocks, and its active sbar and zbar."""
-    s1y = _split_y_coefs(beta, roles)
-    return s1y, np.nonzero(s1y.coef_sbar)[0], np.nonzero(s1y.coef_zbar)[0]
+def _active_designs(roles: RolePartition, betas, weights) -> list:
+    """The active design of each stage-1 outcome fit of ``betas`` (:meth:`YModelCoefs.stacked`
+    vectors) with its :class:`AdaptiveWeights`: its roles, weights and outcome blocks on
+    the fixed blocks plus the active candidates, and its active sbar and zbar.
 
-
-def _restrict(roles: RolePartition, weights: AdaptiveWeights, active_sbar: np.ndarray,
-              active_zbar: np.ndarray, shared: dict) -> tuple[RolePartition, AdaptiveWeights]:
-    """Roles and weights of the active design: the fixed blocks plus the given candidates.
-
-    ``med`` keeps the rows of the given candidate covariates and the columns
-    of the fixed mediators followed by the given candidate mediators.  The
-    roles of each distinct pair of candidate sets are built once and kept in
-    ``shared``, so the datasets of a call with one active set share them.
+    The active masks come from the stack of the fits in one pass.  The datasets with
+    one active set share its roles and index arrays, built once, and each gathers its
+    weights and blocks with them.  ``med`` keeps the rows of the active candidate
+    covariates and the columns of the fixed mediators followed by the active
+    candidate mediators.
     """
-    q_s = len(roles.s)
-    med_cols = np.concatenate([np.arange(q_s), q_s + active_sbar])
-    key = active_sbar.tobytes(), active_zbar.tobytes()
-    if key not in shared:
-        shared[key] = replace(roles, sbar=[roles.sbar[i] for i in active_sbar],
-                              zbar=[roles.zbar[i] for i in active_zbar])
-    return shared[key], AdaptiveWeights(
-        sbar=weights.sbar[active_sbar], zbar=weights.zbar[active_zbar],
-        med=weights.med[np.ix_(active_zbar, med_cols)], floored=weights.floored,
-    )
-
-
-def _active_blocks(s1y, active_sbar, active_zbar) -> YModelCoefs:
-    """The blocks of a stage-1 outcome fit on its active design."""
-    return replace(s1y, coef_sbar=s1y.coef_sbar[active_sbar], coef_zbar=s1y.coef_zbar[active_zbar])
+    q, q_s, q_sbar = 1 + len(roles.s) + len(roles.z), len(roles.s), len(roles.sbar)
+    active = np.array(betas)[:, q:] != 0.0
+    designs, out = {}, []
+    for beta, w, mask in zip(betas, weights, active):
+        key = mask.tobytes()
+        if key not in designs:
+            sbar, zbar = np.flatnonzero(mask[:q_sbar]), np.flatnonzero(mask[q_sbar:])
+            designs[key] = (replace(roles, sbar=[roles.sbar[i] for i in sbar],
+                                    zbar=[roles.zbar[i] for i in zbar]),
+                            sbar, zbar, np.concatenate([np.arange(q_s), q_s + sbar]))
+        r, sbar, zbar, med_cols = designs[key]
+        candidates = beta[q:][mask]
+        out.append((r, AdaptiveWeights(w.sbar[sbar], w.zbar[zbar], w.med[zbar][:, med_cols],
+                                       w.floored),
+                    YModelCoefs(float(beta[0]), beta[1 : 1 + q_s], beta[1 + q_s : q],
+                                candidates[: len(sbar)], candidates[len(sbar) :]), sbar, zbar))
+    return out
 
 
 def _pcm_fit(roles, params, weights, s1y, active_sbar, active_zbar, s1m, corrected) -> PcmFit:

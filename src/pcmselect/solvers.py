@@ -357,7 +357,8 @@ def ridge_grid(gram, cross, n, pen, scales) -> list:
     :func:`ridge_solve`'s.  A zero scale, or a zero ``pen``, is least
     squares by :func:`ols_batch`, with its rank guard, solved once per
     problem and shared by every such scale of it.  Without right-hand-side
-    columns every fit is empty.
+    columns every fit is empty.  A shift that overflows is infinite, and
+    :func:`_ridge_batch` takes it at its limit.
     """
     if any(s < 0 for s in scales):
         raise ValueError("penalty scales must be nonnegative")
@@ -366,7 +367,9 @@ def ridge_grid(gram, cross, n, pen, scales) -> list:
     diags = np.asarray(scales, dtype=float)[:, None] * pen
     positive = diags.any(axis=1).tolist()
     # every problem at every positive scale, in one batched solve
-    shifts = np.reshape(n, (-1, 1, 1)) * diags[positive]
+    with np.errstate(over="ignore"):
+        shifts = np.array(n, dtype=float)[:, None, None] * (diags if all(positive) else
+                                                             diags[positive])
     if cross.size and shifts.shape[1]:
         rows = _ridge_batch(gram, cross, shifts)
     else:
@@ -382,21 +385,30 @@ def _ridge_batch(gram, cross, shifts) -> list:
     """The solution of (G + diag(shift)) beta = cross on each of a (D, p, p) stack of
     grams with its D cross products, for each of its K rows of the (D, K, p)
     ``shifts`` (``n * d`` for the ridge weights d), or its :class:`SingularDesign`,
-    all in one batched solve: D lists of K fits."""
-    d, k, p = shifts.shape
+    all in one batched solve: D lists of K fits.  An infinite shift is the limit of
+    a growing penalty: its coefficient is zero, and the others solve the system
+    without its row and column."""
+    _, k, p = shifts.shape
     if p == 0:
         fits = [np.zeros_like(rhs) for rhs in cross for _ in range(k)]
     else:
         # copies of each gram with its shifts on their diagonals, as gram + n diag(d)
         # gives them; each cross product goes with each of its shifts
-        systems = np.empty((d, k, p, p))
-        systems[:] = gram[:, None]
-        systems.reshape(-1, p * p)[:, :: p + 1] += shifts.reshape(-1, p)
-        fits, failed = _solve(systems.reshape(-1, p, p),
-                              np.repeat(cross, k, axis=0) if k > 1 else cross, "penalized system")
-        fits = [failed.get(i, fit) if np.isfinite(fit).all() else
+        systems = np.repeat(gram, k, axis=0) if k > 1 else gram.copy()
+        shifts = shifts.reshape(-1, p)
+        systems.reshape(-1, p * p)[:, :: p + 1] += shifts
+        rhs = np.repeat(cross, k, axis=0) if k > 1 else cross
+        infinite = np.isinf(shifts)
+        if infinite.any():
+            # each infinite shift's row and column become those of the identity
+            free = ~infinite
+            systems = np.where(free[:, :, None] & free[:, None, :], systems, np.eye(p))
+            rhs = rhs * (free if rhs.ndim == 2 else free[:, :, None])
+        fits, failed = _solve(systems, rhs, "penalized system")
+        finite = np.isfinite(fits.reshape(len(fits), -1)).all(axis=1).tolist()
+        fits = [failed.get(i, fit) if ok else
                 SingularDesign("penalized system produced non-finite coefficients")
-                for i, fit in enumerate(fits)]
+                for i, (fit, ok) in enumerate(zip(fits, finite))]
     return [fits[i : i + k] for i in range(0, len(fits), k)]
 
 

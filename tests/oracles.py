@@ -231,8 +231,8 @@ def verify_active_set_relation(fit: PcmFit, data: Dataset, roles: RolePartition)
                           [(p.zeta1, p.xi1)])[0, 0, 0],
         fit.stage1_y.stacked(),
     )
-    act_roles, act_weights = pcm._restrict(roles, fit.weights, fit.active_sbar,
-                                           fit.active_zbar, {})
+    ((act_roles, act_weights, *_),) = pcm._active_designs(roles, [fit.stage1_y.stacked()],
+                                                          [fit.weights])
     m_l1 = pcm._m_l1_weights(len(act_roles.z), [act_weights.med], [p.rho1])[:, 0]
     for mediator, l1, coef in zip(act_roles.mediators, m_l1, fit.stage1_m.stacked().T):
         worst = max(worst, _stationarity_gap(data, mediator, act_roles.m_regressors, l1, coef))

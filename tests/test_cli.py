@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,26 @@ class TestCliMatchesRegistry:
                                              experiment_roles(setting), params)
         assert printed == expected
 
+    @pytest.mark.parametrize("key", ["pilot_lambda", "pilot_rho"])
+    def test_an_overflowing_pilot_penalty_takes_its_limit(self, key, setting_csvs, tmp_path,
+                                                           capsys):
+        # n * 1e308 overflows in either pilot: both exit 0 without a warning, with the
+        # estimate of a penalty that floors every penalized pilot weight
+        data, roles = setting_csvs["A"]
+        params = {**PRESETS[("A", "pcm")], key: 1e308}
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps(params))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--data", str(data), "--roles", str(roles),
+                         "--method", "pcm", "--params", str(params_file)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        (large,) = METHODS["pcm"].estimate([read_dataset_csv(data).standardized()],
+                                           experiment_roles("A"), {**params, key: 1e300})
+        assert float(out.splitlines()[0].split(":")[1]) == pytest.approx(large, rel=1e-9)
+
     def test_unknown_param_key_is_usage_error(self, setting_csvs, tmp_path, capsys):
         data, roles = setting_csvs["A"]
         params_file = tmp_path / "params.json"
@@ -439,6 +460,16 @@ class TestSimulateCommand:
                           "--out", str(tmp_path / "sim.csv")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("seed", ["-1", "-12345"])
+    def test_negative_seed_is_usage_error(self, tmp_path, seed, capsys):
+        out = tmp_path / "sim.csv"
+        code = exit_code(["simulate", "--scm", "A", "--n", "20", "--seed", seed,
+                          "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--seed" in err and "Traceback" not in err, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("block", [
         {"vertices": ["Z"]},

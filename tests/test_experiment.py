@@ -275,9 +275,10 @@ def break_replications(monkeypatch, setting: str, constant: int, copied: int) ->
 class TestChunks:
     @pytest.mark.parametrize("setting", ["A", "B"])
     def test_estimates_do_not_depend_on_chunks_or_workers(self, setting, monkeypatch):
-        # 34 replications: in chunks of the module's size (2 chunks of 17 at n=15
-        # in setting B, chunks of 6, 7, 7, 7 and 7 in setting A); two per task
-        # with two workers; all in one chunk; one per chunk
+        # 34 replications: in chunks of the module's size (one chunk of 34 at n=15
+        # in setting B, chunks of 11, 11 and 12 in setting A); in several chunks of
+        # 2**10 values (6, 7, 7, 7 and 7 in setting B, 2 and 3 in setting A); two per
+        # task with two workers; all in one chunk; one per chunk
         def config(workers=1):
             return ExperimentConfig(
                 setting=setting, n=15, replications=34, seed=11, workers=workers,
@@ -287,11 +288,13 @@ class TestChunks:
         break_replications(monkeypatch, setting, constant=3, copied=5)
         chunked = run_monte_carlo(config())
         pooled = run_monte_carlo(config(workers=2))
+        monkeypatch.setattr(experiment, "CHUNK_VALUES", 2**10)
+        several = run_monte_carlo(config())
         monkeypatch.setattr(experiment, "CHUNK_VALUES", 2**20)
         one_chunk = run_monte_carlo(config())
         monkeypatch.setattr(experiment, "CHUNK_VALUES", 1)
         single = run_monte_carlo(config())
-        for other in (pooled, one_chunk, single):
+        for other in (pooled, several, one_chunk, single):
             assert repr(other.estimates) == repr(chunked.estimates)
             assert repr(other.summaries) == repr(chunked.summaries)
         # each broken replication fails alone: every other one keeps its estimates,
@@ -310,7 +313,13 @@ class TestChunks:
 
 
     @pytest.mark.parametrize("replications, chunk_values, workers, setting, n, size", [
-        (20, 2**11, 1, "B", 15, 17),  # the benchmark's setting-B call: 10 and 10
+        (20, 2**12, 1, "B", 15, 34),  # the benchmark's setting-B call: one chunk
+        (34, 2**12, 1, "B", 15, 34),
+        (34, 2**12, 1, "A", 15, 14),  # 11, 11 and 12
+        (1000, 2**12, 2, "A", 15, 14),
+        (61, 2**12, 1, "B", 100, 5),
+        (60, 2**12, 1, "A", 100, 2),
+        (20, 2**11, 1, "B", 15, 17),  # 10 and 10
         (34, 2**11, 1, "B", 15, 17),
         (34, 2**11, 1, "A", 15, 7),  # 6, 7, 7, 7 and 7
         (1000, 2**11, 1, "B", 15, 17),
@@ -324,16 +333,16 @@ class TestChunks:
         (34, 2**20, 1, "B", 15, 8738),
     ])
     def test_split(self, monkeypatch, replications, chunk_values, workers, setting, n, size):
-        chunks = []
         monkeypatch.setattr(experiment, "CHUNK_VALUES", chunk_values)
-        monkeypatch.setattr(experiment, "_chunk_worker", lambda payload: chunks.append(payload[1]) or [])
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool, raising=False)
-        run_monte_carlo(ExperimentConfig(setting=setting, n=n, replications=replications, seed=0,
-                                         workers=workers, methods=(MethodSpec("pcm"),)))
+        chunks = split_of(monkeypatch, setting, n, replications, workers)
         assert [rep for chunk in chunks for rep in chunk] == list(range(replications))
         sizes = [len(chunk) for chunk in chunks]
         assert max(sizes) - min(sizes) <= 1 and max(sizes) <= size
         assert len(chunks) == math.ceil(replications / size)
+
+    def test_the_benchmark_setting_b_call_is_one_chunk(self, monkeypatch):
+        # 20 replications at n=15 in setting B with one worker, at the module's own size
+        assert split_of(monkeypatch, "B", 15, 20, 1) == [range(20)]
 
     @pytest.mark.parametrize("setting", ["A", "B"])
     @pytest.mark.parametrize("count", [1, 3, 17])
@@ -389,6 +398,17 @@ class TestChunks:
         assert isinstance(failed, ConstantColumn) and failed.name == "S"
         for data, alone in ((first, raw[0]), (last, raw[2])):
             assert np.array_equal(data.values, Dataset(alone, columns).standardized().values)
+
+
+def split_of(monkeypatch, setting, n, replications, workers) -> list:
+    """The replications of each chunk of a pcm run, in order, without fitting any."""
+    chunks = []
+    monkeypatch.setattr(experiment, "_chunk_worker",
+                        lambda payload: chunks.append(payload[1]) or [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool, raising=False)
+    run_monte_carlo(ExperimentConfig(setting=setting, n=n, replications=replications, seed=0,
+                                     workers=workers, methods=(MethodSpec("pcm"),)))
+    return chunks
 
 
 class InlinePool:

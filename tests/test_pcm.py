@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -786,6 +786,20 @@ class TestTotalEffect:
         assert all(math.isfinite(value) for value in got)
         assert [repr(value) for value in got] == [repr(value) for value in want]
 
+    @pytest.mark.parametrize("key", ["pilot_lambda", "pilot_rho"])
+    def test_an_overflowing_pilot_penalty_takes_its_limit(self, key):
+        # at n=40, n * 1e308 overflows: the pilot's penalized coefficients are zero, so
+        # its weights are floored as at 1e300, and no warning is raised
+        datasets, roles = setting_chunk("A", 4, n=40)
+        huge, large = (PcmParams(**{**PRESETS[("A", "pcm")], key: value})
+                       for value in (1e308, 1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = pcm_fits(datasets, roles, huge), pcm_fits(datasets, roles, large)
+        for fit, other in zip(got, want):
+            assert fit.weights.floored and other.weights.floored
+            assert fit.total_effect == pytest.approx(other.total_effect, rel=1e-9)
+
     def test_pure_chain_consistency(self):
         rng = np.random.default_rng(31)
         n = 10_000
@@ -887,7 +901,76 @@ def tail_items(datasets, roles, params, monkeypatch) -> list:
     return items
 
 
+def chunk_with_a_failing_pilot(setting, count=10, failing=4):
+    """``count`` standardized n=15 samples of the seed-0 model of ``setting`` and its
+    roles, where sample ``failing`` copies S into a column that makes its outcome
+    pilot singular: Z in setting A, whose outcome pilot leaves S and Z unpenalized,
+    and Sbar1 in setting B, singular where the pilot is least squares."""
+    roles = experiment_roles(setting)
+    scm, spec, _ = build_experiment_scm(setting, np.random.default_rng(0))
+    names = roles.required_columns()
+    raw = scm.sample_stack(15, [np.random.default_rng(s) for s in range(1, count + 1)], spec)
+    raw = raw[:, :, [scm.dag.vertices.index(c) for c in names]]
+    raw[failing, :, names.index("Z" if setting == "A" else "Sbar1")] = raw[failing, :,
+                                                                          names.index("S")]
+    return Dataset.standardized_stack(raw, names), roles
+
+
+def assert_same_fit(fit, alone):
+    """Every field of the two fits is equal, arrays bit for bit."""
+    assert fit.params == alone.params and fit.active_x == alone.active_x
+    assert repr(fit.total_effect) == repr(alone.total_effect)
+    assert same_bits(fit.active_sbar, alone.active_sbar)
+    assert same_bits(fit.active_zbar, alone.active_zbar)
+    for block in ("weights", "stage1_y", "stage1_m", "corrected"):
+        mine, theirs = getattr(fit, block), getattr(alone, block)
+        assert type(mine) is type(theirs), block
+        for f in fields(mine):
+            assert same_bits(getattr(mine, f.name), getattr(theirs, f.name)), (block, f.name)
+
+
 class TestChunkTail:
+    @pytest.mark.parametrize("setting", ["A", "B"])
+    def test_each_fit_of_a_chunk_equals_its_dataset_alone(self, setting):
+        # the active designs come from the stack of the chunk's stage-1 fits, and the
+        # datasets with one active set share its roles and index arrays; a pilot
+        # fails mid-chunk (setting B's at pilot_lambda = 0, least squares)
+        datasets, roles = chunk_with_a_failing_pilot(setting)
+        params = PcmParams(**{**PRESETS[(setting, "pcm")],
+                              **({"pilot_lambda": 0.0} if setting == "B" else {})})
+        fits = pcm_fits(datasets, roles, params)
+        assert isinstance(fits[4], SingularDesign)
+        sets = [(fit.active_sbar.tobytes(), fit.active_zbar.tobytes())
+                for fit in fits if not isinstance(fit, PcmSelectError)]
+        assert len(set(sets)) >= 3
+        if setting == "B":
+            assert len(set(sets)) < len(sets)  # some datasets share an active set
+        for ds, fit in zip(datasets, fits):
+            alone = alone_or_failure(pcm_total_effect, ds, roles, params)
+            if isinstance(fit, PcmSelectError):
+                assert type(alone) is type(fit) and str(alone) == str(fit)
+            else:
+                assert_same_fit(fit, alone)
+
+    def test_each_pal1ma_fit_of_a_chunk_equals_its_dataset_alone(self):
+        # pal1ma's route: roles without mediators, its own weights, a failure in place
+        # of one dataset's weights
+        datasets, roles = setting_chunk("A", 10)
+        preset = PRESETS[("A", "pal1ma")]
+        pilots = [p for (p,) in baselines.pal1ma_pilot(datasets, roles, [preset["pilot_lam"]])]
+        weights = baselines._pal1ma_weights(pilots, roles, preset["eta"])
+        weights[4] = failure = SingularDesign("a failed pilot")
+        bare = baselines._without_mediators(roles)
+        params = PcmParams(lambda1=preset["lam"], rho1=0.0, zeta1=0.0, xi1=0.0)
+        fits = pcm.fit_from_weights(datasets, bare, params, weights)
+        assert fits[4] is failure
+        assert len({fit.active_zbar.tobytes() for fit in fits if fit is not failure}) >= 3
+        for ds, w, fit in zip(datasets, weights, fits):
+            if fit is not failure:
+                (alone,) = pcm.fit_from_weights([ds], bare, params, [w])
+                assert fit.stage1_m.x_row.shape == (0,)
+                assert_same_fit(fit, alone)
+
     def test_setting_b_preset_corrects_the_candidate_mediators_only(self, monkeypatch):
         # zeta1 = 0: the treatment is never shrunk, so it gets no refit, no residual
         # gram and no pseudoinverse

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -543,6 +545,26 @@ class TestRidgeGrid:
         assert fits[0][1].tobytes() == ols_solve(grams[0], crosses[0]).tobytes()
         assert "penalized system is singular" in str(fits[1][0])
         assert "condition number" in str(fits[1][1])
+
+    def test_an_overflowing_shift_is_the_limit_of_its_penalty(self):
+        # n * scale overflows for the second problem at the first scale only: its
+        # penalized coefficients are zero and the others the least-squares fit on their
+        # own columns, without a warning; every finite shift keeps its one-problem fit
+        rng = np.random.default_rng(3)
+        a, y = rng.standard_normal((40, 4)), rng.standard_normal((40, 2))
+        grams, crosses = np.array([a.T @ a] * 2), np.array([a.T @ y] * 2)
+        pen, free = np.array([0.0, 1.0, 0.0, 1.0]), [0, 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fits = ridge_grid(grams, crosses, [1, 40], pen, [1e307, 1.0])
+        limit = fits[1][0]
+        assert limit.shape == (4, 2) and not limit[[1, 3]].any()
+        np.testing.assert_allclose(limit[free], ols_solve(grams[0][np.ix_(free, free)],
+                                                          crosses[0][free]), rtol=1e-12)
+        for (i, j), (n, scale) in {(0, 0): (1, 1e307), (0, 1): (1, 1.0),
+                                   (1, 1): (40, 1.0)}.items():
+            assert fits[i][j].tobytes() == ridge_solve(grams[i], crosses[i], n,
+                                                       scale * pen).tobytes()
 
     def test_a_non_finite_solution_fails_alone(self):
         # a tiny gram and a huge cross product overflow the first problem's solution
