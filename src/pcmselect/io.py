@@ -34,7 +34,14 @@ __all__ = [
 
 
 def read_dataset_csv(path) -> Dataset:
-    """Read a comma-separated dataset with a header row of column names."""
+    """Read a comma-separated dataset with a header row of column names.
+
+    Blank lines are skipped; a row number counts the others, header included.
+    Each row is parsed with one ``map(float, ...)``, and the whole table gets one
+    shape check and one finiteness check; only when one of those fails is the
+    table walked cell by cell, to name the first row with the wrong cell count or
+    the first cell that is not a finite number.
+    """
     text = Path(path).read_text()
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -44,14 +51,27 @@ def read_dataset_csv(path) -> Dataset:
         raise DataFormatError(f"{path}: blank column name in header", row=1)
     if len(set(header)) != len(header):
         raise DataFormatError(f"{path}: duplicate column name in header", row=1)
-    rows = []
-    for i, line in enumerate(lines[1:], start=2):
+    body = lines[1:]
+    try:
+        values = np.array([list(map(float, line.split(","))) for line in body])
+    except ValueError:  # a cell that is not a number, or rows of unequal length
+        values = None
+    if (values is None or values.shape != (len(body), len(header))
+            or not np.isfinite(values).all()):
+        _raise_first_bad_cell(path, body, len(header))
+    if len(body) < 2:
+        raise DataFormatError(f"{path}: needs at least 2 data rows, found {len(body)}")
+    return Dataset(values, header)
+
+
+def _raise_first_bad_cell(path, body, width: int) -> None:
+    """Raise :class:`DataFormatError` at the first data row of ``body`` (row 2 on) that
+    has other than ``width`` cells or a cell that is not a finite number; return
+    if there is none (an empty ``body``)."""
+    for i, line in enumerate(body, start=2):
         cells = line.split(",")
-        if len(cells) != len(header):
-            raise DataFormatError(
-                f"{path}: expected {len(header)} cells, found {len(cells)}", row=i
-            )
-        parsed = []
+        if len(cells) != width:
+            raise DataFormatError(f"{path}: expected {width} cells, found {len(cells)}", row=i)
         for j, cell in enumerate(cells, start=1):
             try:
                 value = float(cell)
@@ -61,11 +81,6 @@ def read_dataset_csv(path) -> Dataset:
                 raise DataFormatError(
                     f"{path}: not a finite number: {cell.strip()!r}", row=i, column=j
                 )
-            parsed.append(value)
-        rows.append(parsed)
-    if len(rows) < 2:
-        raise DataFormatError(f"{path}: needs at least 2 data rows, found {len(rows)}")
-    return Dataset(np.asarray(rows, dtype=float), header)
 
 
 def write_dataset_csv(path, dataset: Dataset) -> None:

@@ -615,7 +615,10 @@ def _refits(ext, n, include_x: bool, shape: tuple, params, failed: dict) -> Debi
         own = block_of[frame] == block
         rows, cols = frame[~own], frame[own]
         s_aa, s_ar = _blocks(ext, rows, rows, cols)
-        fits = _ridge_batch(s_aa, s_ar, n[:, None, None] * np.take(penalty, block_of[rows]))
+        # a shift that overflows is taken at its limit by _ridge_batch
+        with np.errstate(over="ignore"):
+            shifts = n[:, None, None] * np.take(penalty, block_of[rows])
+        fits = _ridge_batch(s_aa, s_ar, shifts)
         coef = _stacked([fit for (fit,) in fits], s_ar.shape[1:], failed)
         resid_grams.append(_resid_gram(*_blocks(ext, cols, cols), s_ar, s_aa, coef))
         column = np.zeros((len(ext), frame.size, cols.size))

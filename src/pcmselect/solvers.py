@@ -238,7 +238,8 @@ def _lockstep(hess: np.ndarray, problem, lin: np.ndarray, weights: np.ndarray, p
     eye, cap, steps = np.eye(p), 10 * p + 10, 0
     failure = [None] * len(paths)
     live = np.arange(len(paths))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # the event times below may divide by zero, overflow or be 0/0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while live.size and steps < cap:
             active, penalized, base, lin, theta, t = state
             # the last step's blocks go first, so no more than two stacks are held

@@ -24,7 +24,10 @@ The protocol is two-phase and deterministic:
     gram and row count, and one more that of every mediator column on every
     fold, so a cross-validation makes two solver calls; a fit equals the one
     fitted alone wherever the two paths take the same events.  Each fold's
-    held-out errors of all its candidates are stacked products.
+    held-out errors of all its candidates are stacked products, and its
+    scores of all rows are one broadcast sum of its outcome errors by
+    (lambda1, (zeta1, xi1)) and its mediator errors by rho1, so the scores are
+    one (folds x rows) array from the fits until the rows are built.
     The debiasing ridges are not scored; they keep ``PcmParams``' defaults.
     A penalized baseline scores the held-out error of the coefficient fit
     that its registry entry holds (``Method.fit``).  It searches the keys
@@ -81,6 +84,10 @@ from .pcm import (
 
 __all__ = ["ParamGrid", "CvRow", "CvResult", "cross_validate", "searched_keys",
            "default_log_grid"]
+
+
+# rows per block of cv_table_csv: each block's cells are held until it is joined
+CSV_BLOCK = 128
 
 
 def default_log_grid() -> tuple[float, ...]:
@@ -191,14 +198,16 @@ def _splits(data: Dataset, folds) -> list[tuple[Dataset, Dataset]]:
     ]
 
 
-def _rows(params, per_fold) -> list[CvRow]:
-    """One row per parameter set; ``per_fold`` holds each fold's scores in that order.
+def _rows(params, scores: np.ndarray) -> list[CvRow]:
+    """One row per parameter set; ``scores`` is the (folds x rows) array of each
+    fold's scores in that order.
 
-    The means are one reduction over the (rows x folds) table, whose rows are
-    contiguous, so each is summed as ``np.mean`` sums that row alone.
+    The means are one reduction over a copy of its transpose, whose rows are
+    contiguous, so each is summed as ``np.mean`` sums that row alone.  Each
+    row's fold scores are zipped from the per-fold lists.
     """
-    means = np.column_stack(per_fold).mean(axis=1).tolist()
-    return [CvRow(p, mean, scores) for p, mean, scores in zip(params, means, zip(*per_fold))]
+    means = np.ascontiguousarray(scores.T).mean(axis=1).tolist()
+    return [CvRow(p, mean, row) for p, mean, row in zip(params, means, zip(*scores.tolist()))]
 
 
 def _y_held(test: Dataset, roles: RolePartition) -> tuple[np.ndarray, np.ndarray]:
@@ -212,7 +221,7 @@ def _m_held(test: Dataset, roles: RolePartition) -> tuple[np.ndarray, np.ndarray
             test.values[:, test.index_of(roles.m_regressors)])
 
 
-def _y_errors(y: np.ndarray, a: np.ndarray, fits) -> list[float]:
+def _y_errors(y: np.ndarray, a: np.ndarray, fits) -> np.ndarray:
     """Held-out mean squared error of the outcome ``y`` on the design ``a`` at each
     coefficient vector of ``fits``; infinity where a fit failed (the entry is its
     exception).
@@ -222,33 +231,31 @@ def _y_errors(y: np.ndarray, a: np.ndarray, fits) -> list[float]:
     ``(y - a @ beta) @ (y - a @ beta) / len(y)`` to the bit.
     """
     ok = [i for i, beta in enumerate(fits) if not isinstance(beta, PcmSelectError)]
-    errors = [math.inf] * len(fits)
+    errors = np.full(len(fits), math.inf)
     if ok:
         resid = y[:, None] - np.matmul(a[None], np.array([fits[i] for i in ok])[:, :, None])
-        for i, sq in zip(ok, np.matmul(resid.transpose(0, 2, 1), resid).ravel().tolist()):
-            errors[i] = sq / len(y)
+        errors[ok] = np.matmul(resid.transpose(0, 2, 1), resid).ravel() / len(y)
     return errors
 
 
-def _m_errors(m: np.ndarray, a: np.ndarray, fits) -> list[float]:
+def _m_errors(m: np.ndarray, a: np.ndarray, fits) -> np.ndarray:
     """Held-out mean squared error of the mediators ``m``, per mediator column, at
-    each entry of ``fits``: one coefficient column on the design ``a`` per
-    mediator.  Infinity where a column's fit failed (the column is its exception).
+    each entry of ``fits``: a (regressors x mediators) coefficient matrix on the
+    design ``a``, or the exception of a failed fit, which scores infinity.  Zero
+    for every entry when there are no mediators.
 
     Each error is ``np.sum(resid * resid) / resid.size`` of
-    ``resid = m - a @ np.column_stack(columns)`` to the bit, with the
-    products and the sums stacked over the entries.
+    ``resid = m - a @ coef`` to the bit, with the products and the sums
+    stacked over the entries.
     """
     n, q_m = m.shape
     if q_m == 0:
-        return [0.0] * len(fits)
-    ok = [i for i, columns in enumerate(fits)
-          if not any(isinstance(c, PcmSelectError) for c in columns)]
-    errors = [math.inf] * len(fits)
+        return np.zeros(len(fits))
+    ok = [i for i, coef in enumerate(fits) if not isinstance(coef, PcmSelectError)]
+    errors = np.full(len(fits), math.inf)
     if ok:
-        resid = m - np.matmul(a[None], np.array([np.column_stack(fits[i]) for i in ok]))
-        for i, sq in zip(ok, (resid * resid).reshape(len(ok), -1).sum(axis=1).tolist()):
-            errors[i] = sq / (n * q_m)
+        resid = m - np.matmul(a[None], np.array([fits[i] for i in ok]))
+        errors[ok] = (resid * resid).reshape(len(ok), -1).sum(axis=1) / (n * q_m)
     return errors
 
 
@@ -287,52 +294,70 @@ def _select(rows: list[CvRow], tie_key) -> CvRow:
 
 
 def _search(key: str, values, per_fold) -> tuple[list[CvRow], float]:
-    """The rows of one key's values, given each fold's scores of them, and the value
-    of the best mean score, ties toward the larger value."""
-    rows = _rows([{key: v} for v in values], per_fold)
+    """The rows of one key's values, given each fold's array of scores of them, and
+    the value of the best mean score, ties toward the larger value."""
+    rows = _rows([{key: v} for v in values], np.array(per_fold))
     return rows, _select(rows, lambda p: (-p[key],)).params[key]
 
 
 # -- pcm ------------------------------------------------------------------------
 
 
-def _stage1_scores(held, roles, weights, grid: ParamGrid) -> list[list[float]]:
-    """Each fold's score of every (lambda1, rho1, (zeta1, xi1)) row, in product order.
+def _stage1_scores(held, roles, weights, grid: ParamGrid) -> np.ndarray:
+    """Each fold's score of every (lambda1, rho1, (zeta1, xi1)) row, in product order:
+    one (folds x rows) array.
 
     ``held`` holds each fold's training set and held-out responses and
     designs, and ``weights`` each fold's adaptive weights or its pilots'
     failure.  The folds with weights go into one L1 path call with one lane
     per fold and distinct (zeta1, xi1) pair over the distinct lambda1 values,
     and one more with one lane per fold and mediator column over the distinct
-    rho1 values.  A failed fit scores infinity, and a fold whose pilots
+    rho1 values.  A fold's scores of the product of the distinct values are
+    one broadcast sum of its outcome errors by (lambda1, pair) and its
+    mediator errors by rho1, and each row takes the score of its values'
+    distinct ones, found once by a dict lookup, which matches equal values
+    such as -0.0 and 0.0.  A failed fit scores infinity, and a fold whose pilots
     failed scores infinity on every row.  So does a row whose (lambda1, zeta1,
     xi1) leaves as many unpenalized outcome-model columns as the fold has
     training rows, or more.
     """
-    rows = list(itertools.product(grid.lambda1, grid.rho1, grid.zeta_xi))
-    per_fold = [[math.inf] * len(rows) for _ in held]
+    scores = np.full((len(held), len(grid.lambda1) * len(grid.rho1) * len(grid.zeta_xi)),
+                     math.inf)
     fitted = [i for i, w in enumerate(weights) if not isinstance(w, PcmSelectError)]
     if not fitted:
-        return per_fold
+        return scores
     lams, rhos = sorted(set(grid.lambda1), reverse=True), sorted(set(grid.rho1), reverse=True)
     pairs = list(dict.fromkeys(grid.zeta_xi))
+    # each row's flat index in the (lambda1, rho1, pair) product of the distinct values
+    positions = [list(map({v: k for k, v in enumerate(distinct)}.get, values))
+                 for distinct, values in ((lams, grid.lambda1), (rhos, grid.rho1),
+                                          (pairs, grid.zeta_xi))]
+    at = np.ravel_multi_index(np.ix_(*positions), (len(lams), len(rhos), len(pairs))).ravel()
+    # the outcome-model columns that each (lambda1, pair) leaves unpenalized
+    shares = np.multiply.outer(lams, [(z, x, zbar_share(z, x)) for z, x in pairs])
+    free = ((shares[..., 0] == 0.0) + len(roles.s) + len(roles.z)
+            + len(roles.sbar) * (shares[..., 1] == 0.0)
+            + len(roles.zbar) * (shares[..., 2] == 0.0))
     folds = [(held[i][0], weights[i]) for i in fitted]
-    # the outcome-model columns that each (pair, lambda1) leaves unpenalized
-    free = {(pair, lam1): (lam1 * pair[0] == 0.0) + len(roles.s) + len(roles.z)
-            + len(roles.sbar) * (lam1 * pair[1] == 0.0)
-            + len(roles.zbar) * (lam1 * zbar_share(*pair) == 0.0)
-            for pair in pairs for lam1 in lams}
     for i, y_lanes, m_lanes in zip(fitted, pcm_stage1_y_path(folds, roles, lams, pairs),
                                    pcm_stage1_m_path([(tr, roles, w) for tr, w in folds], rhos)):
-        _, y_held, m_held = held[i]
-        y_errs = dict(zip(itertools.product(pairs, lams),
-                          _y_errors(*y_held, [fit for lane in y_lanes for fit in lane])))
-        m_errs = dict(zip(rhos, _m_errors(*m_held, [[lane[k] for lane in m_lanes]
-                                                    for k in range(len(rhos))])))
-        n_train = held[i][0].n
-        per_fold[i] = [math.inf if free[pair, lam1] >= n_train else
-                       y_errs[pair, lam1] + m_errs[rho1] for lam1, rho1, pair in rows]
-    return per_fold
+        train, y_held, m_held = held[i]
+        # the lanes hold (pair, lambda1) fits; the product is (lambda1, rho1, pair)
+        y_errs = _y_errors(*y_held, [fit for lane in y_lanes for fit in lane]).reshape(
+            len(pairs), len(lams)).T
+        m_errs = _m_errors(*m_held, [_m_coef([lane[k] for lane in m_lanes])
+                                     for k in range(len(rhos))])
+        scores[i] = np.where((free >= train.n)[:, None, :], math.inf,
+                             y_errs[:, None, :] + m_errs[None, :, None]).ravel()[at]
+    return scores
+
+
+def _m_coef(columns) -> np.ndarray | PcmSelectError:
+    """One mediator fit's coefficient matrix from its columns, or the first failure
+    among them; without mediators, an empty array that :func:`_m_errors` does not
+    read."""
+    failed = [c for c in columns if isinstance(c, PcmSelectError)]
+    return failed[0] if failed else np.array(columns).T
 
 
 def _at(fits, values, value) -> list:
@@ -354,9 +379,7 @@ def _pilots(held, roles, grid: ParamGrid) -> tuple:
     lam_rows, pilot_lam = _search("pilot_lambda", grid.pilot_lambda, [
         _y_errors(*y_te, fits) for (_, y_te, _), fits in zip(held, y_fits)])
     rho_rows, pilot_rho = _search("pilot_rho", grid.pilot_rho, [
-        _m_errors(*m_te, [[fit] if isinstance(fit, PcmSelectError) else list(fit.T)
-                          for fit in fits])
-        for (_, _, m_te), fits in zip(held, m_fits)])
+        _m_errors(*m_te, fits) for (_, _, m_te), fits in zip(held, m_fits)])
     return lam_rows + rho_rows, pilot_lam, pilot_rho, pilot_weights(
         _at(y_fits, grid.pilot_lambda, pilot_lam), _at(m_fits, grid.pilot_rho, pilot_rho), roles)
 
@@ -368,10 +391,11 @@ def _cross_validate_pcm(roles, grid: ParamGrid, splits) -> CvResult:
     # each fold's training set and held-out data
     held = [(tr, _y_held(te, roles), _m_held(te, roles)) for tr, te in splits]
     pilot_rows, pilot_lam, pilot_rho, weights = _pilots(held, roles, grid)
-    per_fold = _stage1_scores(held, roles, weights, grid)
+    # the scores first: the stage-1 paths' peak is then not stacked on the row dicts
+    scores = _stage1_scores(held, roles, weights, grid)
     rows = _rows([{"lambda1": lam1, "rho1": rho1, "zeta1": zeta1, "xi1": xi1}
                   for lam1, rho1, (zeta1, xi1)
-                  in itertools.product(grid.lambda1, grid.rho1, grid.zeta_xi)], per_fold)
+                  in itertools.product(grid.lambda1, grid.rho1, grid.zeta_xi)], scores)
     best = _select(rows, lambda p: (-p["lambda1"], -p["rho1"], -p["zeta1"], -p["xi1"]))
     chosen = {"pilot_lambda": pilot_lam, "pilot_rho": pilot_rho, **best.params}
     return CvResult("pcm", chosen, best.mean_score, tuple(pilot_rows + rows))
@@ -405,7 +429,7 @@ def _cross_validate_baseline(roles, name, grid: ParamGrid, splits) -> CvResult:
             for rest in dict.fromkeys(itertools.product(*values[1:]))}
     per_cand = [_at(fits[tuple(cand.values())[1:]], lams, cand["lam"]) for cand in cands]
     rows = _rows([{**cand, **suffix} for cand in cands],
-                 [_y_errors(*y_te, list(fold)) for y_te, fold in zip(held, zip(*per_cand))])
+                 np.array([_y_errors(*y_te, fold) for y_te, fold in zip(held, zip(*per_cand))]))
     best = _select(rows, lambda p: (-p["lam"], -p.get("eta", 0.0), -p.get("phi", 0.0)))
     return CvResult(name, dict(best.params), best.mean_score, tuple(rows))
 
@@ -413,9 +437,13 @@ def _cross_validate_baseline(roles, name, grid: ParamGrid, splits) -> CvResult:
 def cv_table_csv(result: CvResult) -> str:
     """Render a CV score table as CSV (params, mean score, per-fold scores).
 
-    A row without a parameter key leaves its cell empty.  A grid's values recur in
-    many rows, so each value is rendered once; they are told apart by identity, as
-    equal values such as 0.0 and -0.0 render apart."""
+    A row without a parameter key leaves its cell empty, and so does a row with
+    fewer fold scores than the longest.  A grid's values recur in many rows, so
+    each value is rendered once; they are told apart by identity, as equal values
+    such as 0.0 and -0.0 render apart.  The rows are rendered in blocks of
+    ``CSV_BLOCK``, column by column, and each block's lines are joined in one
+    pass, so the text is held about twice at most: once in blocks, once joined.
+    """
     keys = sorted({k for row in result.table for k in row.params})
     n_folds = max((len(row.fold_scores) for row in result.table), default=0)
     header = keys + ["mean_score"] + [f"fold_{i + 1}" for i in range(n_folds)]
@@ -424,10 +452,15 @@ def cv_table_csv(result: CvResult) -> str:
         for value in row.params.values():
             if id(value) not in text:
                 text[id(value)] = repr(value)
-    lines = [",".join(header)]
-    for row in result.table:
-        lines.append(",".join([*[text[id(row.params.get(k))] for k in keys],
-                               *map(repr, (row.mean_score, *row.fold_scores)),
-                               *[""] * (n_folds - len(row.fold_scores))]))
-    lines.append("")  # the final line break, without a second copy of the text
-    return "\n".join(lines)
+    blocks = [",".join(header)]
+    for start in range(0, len(result.table), CSV_BLOCK):
+        rows = result.table[start:start + CSV_BLOCK]
+        # each fold's scores across the block, None past a row's last fold
+        folds = list(itertools.zip_longest(*[row.fold_scores for row in rows]))
+        columns = ([[text[id(row.params.get(k))] for row in rows] for k in keys]
+                   + [list(map(repr, [row.mean_score for row in rows]))]
+                   + [["" if s is None else repr(s) for s in fold] for fold in folds]
+                   + [[""] * len(rows)] * (n_folds - len(folds)))
+        blocks.append("\n".join(map(",".join, zip(*columns))))
+    blocks.append("")  # the final line break, without a second copy of the text
+    return "\n".join(blocks)

@@ -483,3 +483,16 @@ def brute_force_pcm_cv(data, roles, grid):
     table = lam_rows + rho_rows + [(scored(p), mean, fs) for p, mean, fs in rows]
     chosen = {"pilot_lambda": pilot_lam, "pilot_rho": pilot_rho, **scored(best[0])}
     return table, chosen, best[1]
+
+
+def row_by_row_table_csv(result) -> str:
+    """A CV score table as CSV, one row and one cell at a time."""
+    keys = sorted({k for row in result.table for k in row.params})
+    n_folds = max((len(row.fold_scores) for row in result.table), default=0)
+    lines = [",".join(keys + ["mean_score"] + [f"fold_{i + 1}" for i in range(n_folds)])]
+    for row in result.table:
+        cells = [repr(row.params[k]) if k in row.params else "" for k in keys]
+        cells += [repr(score) for score in (row.mean_score, *row.fold_scores)]
+        cells += [""] * (n_folds - len(row.fold_scores))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pcmselect.cli import main
-from pcmselect.data import Dataset
+from pcmselect.data import Dataset, RolePartition
 from pcmselect.io import load_scm, read_dataset_csv, save_scm, write_dataset_csv
 from pcmselect.errors import DataFormatError
 from pcmselect.experiment import METHODS, PRESETS, SETTING_METHODS, experiment_roles
@@ -66,6 +66,24 @@ class TestDatasetCsv:
         path.write_text("a,b\n1.0\n")
         with pytest.raises(DataFormatError):
             read_dataset_csv(path)
+
+    @pytest.mark.parametrize("body, message, row, column", [
+        # the first bad row is named, whether it is ragged or holds a bad cell
+        ("1.0\n1.0,x\n", "expected 2 cells, found 1", 2, None),
+        ("1.0,x\n1.0\n", "not a finite number: 'x'", 2, 2),
+        ("1.0,2.0,\n3.0,4.0\n", "expected 2 cells, found 3", 2, None),  # a trailing comma
+        ("1.0,2.0\n3.0, \n", "not a finite number: ''", 3, 2),  # a whitespace-only cell
+        ("1,2,3\n4,5,6\n", "expected 2 cells, found 3", 2, None),  # every row too wide
+        ("1,2\n\n3,4\n5,inf\n", "not a finite number: 'inf'", 4, 2),  # blank lines skipped
+    ])
+    def test_first_bad_row_or_cell_is_named(self, tmp_path, body, message, row, column):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n" + body)
+        with pytest.raises(DataFormatError) as err:
+            read_dataset_csv(path)
+        where = f" (row {row}" + (f", column {column})" if column else ")")
+        assert str(err.value) == f"{path}: {message}{where}"
+        assert (err.value.row, err.value.column) == (row, column)
 
     @pytest.mark.parametrize("text", [
         "X,X,Y\n1.0,2.0,0.5\n2.0,1.0,1.5\n",  # a repeated column name
@@ -244,6 +262,35 @@ class TestCliMatchesRegistry:
         (large,) = METHODS["pcm"].estimate([read_dataset_csv(data).standardized()],
                                            experiment_roles("A"), {**params, key: 1e300})
         assert float(out.splitlines()[0].split(":")[1]) == pytest.approx(large, rel=1e-9)
+
+    @pytest.mark.parametrize("method, roles, params", [
+        *[("pcm", None, {**PRESETS[("A", "pcm")], key: 1e308})
+          for key in ("lambda2", "rho2", "rho2_prime")],
+        ("lasso", {"x": "X", "y": "Y", "z": ["Z"]}, {"lam": 1e-320}),
+    ], ids=["lambda2", "rho2", "rho2_prime", "lasso"])
+    def test_an_overflow_in_a_solve_prints_no_warning(self, method, roles, params, tmp_path,
+                                                      capsys):
+        # n * 1e308 overflows in a debiasing ridge's shift, and a penalty of 1e-320
+        # overflows an L1 path's event times; both estimates stand, without a warning
+        data, roles_file = tmp_path / "a.csv", tmp_path / "roles.json"
+        assert main(["simulate", "--scm", "A", "--n", "40", "--seed", "3",
+                     "--out", str(data)]) == 0
+        roles = RolePartition.from_dict(roles) if roles else experiment_roles("A")
+        roles_file.write_text(json.dumps(roles.to_dict()))
+        params_file = tmp_path / "params.json"
+        params_file.write_text(json.dumps(params))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--data", str(data), "--roles", str(roles_file),
+                         "--method", method, "--params", str(params_file)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            (expected,) = METHODS[method].estimate([read_dataset_csv(data).standardized()],
+                                                   roles, params)
+        assert out.splitlines()[0] == f"total effect estimate: {expected!r}"
 
     def test_unknown_param_key_is_usage_error(self, setting_csvs, tmp_path, capsys):
         data, roles = setting_csvs["A"]

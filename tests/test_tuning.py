@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from pcmselect.solvers import coordinate_descent, ols_solve, ridge_solve
 from pcmselect.tuning import (CvResult, CvRow, ParamGrid, _fold_indices, cross_validate,
                               cv_table_csv, default_log_grid)
 
-from oracles import brute_force_pcm_cv, spans_training_rows
+from oracles import brute_force_pcm_cv, row_by_row_table_csv, spans_training_rows
 from test_pcm import ROLES, random_instance
 
 BASE_ROLES = RolePartition(x="X", y="Y", z=("Z1",), zbar=("Zb1", "Zb2"))
@@ -220,12 +221,14 @@ def search_case(name):
             rho1=(0.001, 1.0), zeta_xi=((0.2, 0.3), (0.0, 0.0), (0.8, 0.2)), folds=5,
             fold_seed=0)
     if name.startswith("unsorted, zero and repeated candidates"):
-        # a zero penalty is solved on its own; the paths run to the smallest positive one
+        # a zero penalty is solved on its own; the paths run to the smallest positive one.
+        # -0.0 and 0.0 are equal candidates: their rows share the fits of the one kept
+        # as distinct, tie, and the first in grid order is chosen (rho1 = -0.0)
         ds, roles = (random_instance(72, n=60), ROLES) if name.endswith("n > p") \
             else setting_a_sample(6)
         return ds, roles, small_grid(
-            pilot_lambda=(0.1, 1.0), pilot_rho=(0.1, 1.0), lambda1=(0.1, 0.0, 1.0, 0.1),
-            rho1=(0.5, 0.0), zeta_xi=((0.2, 0.3), (0.0, 0.0), (0.8, 0.2)), folds=5,
+            pilot_lambda=(0.1, 1.0), pilot_rho=(0.1, 1.0), lambda1=(0.1, 0.0, -0.0, 1.0, 0.1),
+            rho1=(0.5, -0.0, 0.0), zeta_xi=((0.2, 0.3), (0.0, 0.0), (0.8, 0.2)), folds=5,
             fold_seed=0)
     if name == "p >= n, failing pilots":
         # every row scores inf, so the tie key alone picks the row
@@ -247,7 +250,8 @@ class TestSeparatedSearch:
         result = cross_validate(ds, roles, "pcm", grid)
         table, chosen, score = brute_force_pcm_cv(ds, roles, grid)
         assert [(r.params, r.mean_score, r.fold_scores) for r in result.table] == table
-        assert result.chosen == chosen
+        # repr tells -0.0 from 0.0
+        assert repr(result.chosen) == repr(chosen)
         assert result.score == score
         stage = [s for r in result.table if "lambda1" in r.params for s in r.fold_scores]
         if name.startswith("p >= n"):
@@ -572,6 +576,30 @@ class TestTableExport:
             "1,,1.0,-inf,-inf,,\n"
         )
         assert cv_table_csv(CvResult("pcm", {}, math.nan, ())) == "mean_score\n"
+
+    def test_blocks_match_a_row_by_row_rendering(self):
+        # rows past several blocks, with missing keys, ragged fold counts, the widest
+        # rows in one stretch only, and grid values shared between rows
+        rng = np.random.default_rng(5)
+        values = [0.0, -0.0, 0.1, 1e-05, 3.0, 123456.789, math.inf]
+        keys = ["lambda1", "rho1", "zeta1", "pilot_lambda"]
+        rows = []
+        for i in range(3000):
+            present = [k for k in keys if rng.random() < 0.7]
+            folds = 7 if 1000 <= i < 1100 else int(rng.integers(0, 6))
+            rows.append(CvRow({k: values[rng.integers(len(values))] for k in present},
+                              float(rng.standard_normal()),
+                              tuple(rng.standard_normal(folds).tolist())))
+        result = CvResult("pcm", {}, 0.0, tuple(rows))
+        text = cv_table_csv(result)
+        assert text == row_by_row_table_csv(result)
+        tracemalloc.start()
+        try:
+            cv_table_csv(result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text)
 
     def test_csv_shape(self):
         ds = random_instance(69, n=40)
