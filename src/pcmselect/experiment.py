@@ -42,7 +42,7 @@ from .baselines import (back_door_estimates, front_door_like_estimates, pal1ma_c
 from .data import Dataset, RolePartition
 from .errors import ConfigInvalid, EmptyInput, PcmSelectError, check_count, check_keys
 from .graphs import minimal_mediator_sets
-from .pcm import PcmParams, pcm_fits
+from .pcm import ETA_MAX, PcmParams, pcm_fits
 from .scm import (CovarianceSpec, LinearScm, build_experiment_scm, coupling_dag,
                   experiment_criteria_dag, parse_scm)
 
@@ -196,12 +196,12 @@ METHODS: dict[str, Method] = {
     # phi is 1 where it is not a key, and only a pilot_lam key gives a ridge pilot
     "lasso": _penalized_baseline(penalized_estimates, penalized_coefficients),
     "adaptive-lasso": _penalized_baseline(penalized_estimates, penalized_coefficients,
-                                          pilot_coefficients, eta=(1.0, math.inf),
+                                          pilot_coefficients, eta=(1.0, ETA_MAX),
                                           pilot_lam=(1.0, math.inf)),
     "elastic-net": _penalized_baseline(penalized_estimates, penalized_coefficients,
                                        phi=(0.5, 1.0)),
     "pal1ma": _penalized_baseline(pal1ma_estimates, pal1ma_coefficients, pal1ma_pilot,
-                                  eta=(1.0, math.inf), pilot_lam=(1.0, math.inf)),
+                                  eta=(1.0, ETA_MAX), pilot_lam=(1.0, math.inf)),
     "pcm": Method(_pcm, frozenset(f.name for f in fields(PcmParams)),
                   frozenset(f.name for f in fields(PcmParams) if f.default is MISSING),
                   check=lambda roles, params: PcmParams(**params), cv=True),

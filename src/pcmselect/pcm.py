@@ -116,6 +116,10 @@ MIX_SLACK = 1e-12
 # Magnitudes below this are raised to it before their reciprocal powers are taken.
 WEIGHT_FLOOR = 1e-8
 
+# The largest exponent of those powers: WEIGHT_FLOOR ** -ETA_MAX is 1e256, so no
+# weight and no sum of fewer than 1e50 of them overflows.  A larger one is rejected.
+ETA_MAX = 32.0
+
 # Relative singular-value cutoff for the residual-gram pseudoinverses in the
 # bias correction.  These grams are singular to machine precision whenever the
 # active design nearly saturates the sample, and directions below sampling
@@ -359,7 +363,11 @@ def reciprocal_power_weights_stack(stack, eta: float = 1.0, normalize: bool = Tr
     had a magnitude floored.  The floor, the power and the sum go row by row,
     so each array's weights do not depend on the others.  ``normalize=False``
     skips the sum-one standardization (the classical adaptive-weight form).
+    An ``eta`` above ``ETA_MAX``, where the power of a floored magnitude may
+    overflow, raises ``ValueError``.
     """
+    if not eta <= ETA_MAX:
+        raise ValueError(f"eta must be at most {ETA_MAX:g}, got {eta!r}")
     mags = np.abs(np.asarray(stack, dtype=float))
     flat = mags.reshape(len(mags), math.prod(mags.shape[1:]))
     raw = np.power(np.maximum(flat, WEIGHT_FLOOR), -eta)

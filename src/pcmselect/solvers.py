@@ -15,9 +15,12 @@ Presnell & Turlach 2000; Efron et al. 2004): the minimizer with L1 weights
 ``t = inf``, where every penalized coordinate is zero, down to ``t = 1``,
 one linear solve per change of the active set.  Candidates that are
 multiples of one weight vector (a penalty grid) are points on one such path:
-:func:`l1_path` follows it once, to the smallest candidate, and solves each
-candidate on the segment where its scale falls, with that segment's active
-set and signs and its own weight vector.
+:func:`l1_path` follows it once, to the smallest positive candidate, and
+solves each candidate on the segment where its scale falls, with that
+segment's active set and signs and its own weight vector.  A zero candidate
+has no penalized coordinate and so no event: it is the least-squares (or
+ridge) fit on its lane's usable coordinates, and the zero candidates of a
+call are one batched solve, apart from the paths.
 
 :func:`l1_path` takes one input form: a stack of problems, each a gram and a
 row count with a count of lanes, and the lanes of all of them as two stacked
@@ -128,13 +131,19 @@ def l1_path(grams, ns, lanes, crosses, l1_weights, l2_weights: np.ndarray | None
     segment's active set and signs and is solved there with its own vector,
     as the path to it alone would solve its last segment, so it equals
     :func:`coordinate_descent` at that vector wherever the two paths take the
-    same events.  Zero candidates are one segment of their own.  A lane's
-    numbers do not depend on the other lanes of the call.
+    same events.  Zero candidates, which come last, are not on a path: a
+    lane's path ends at its last positive candidate, and each zero candidate
+    is the least-squares (or ridge) fit on the lane's usable coordinates,
+    the one system that such a path's first step would pose, solved for all
+    zero candidates of the call in one batched solve; a lane of zero
+    candidates only has no path.  A lane's numbers do not depend on the
+    other lanes of the call.
 
     Returns one solution or one failure per candidate, in the given order.
     A singular active block or the ``10 p + 10`` event cap ends that lane's
     path: each of its candidates at or below that scale gets the failure
-    (:class:`SingularDesign` or :class:`MaxIterationsExceeded`).  An
+    (:class:`SingularDesign` or :class:`MaxIterationsExceeded`); a zero
+    candidate whose block is singular gets that :class:`SingularDesign`.  An
     endpoint that violates the stationarity conditions by more than
     ``KKT_LIMIT`` fails alone (:class:`SingularDesign`), and the path goes
     on.  Other lanes are not affected by either.
@@ -150,25 +159,17 @@ def l1_path(grams, ns, lanes, crosses, l1_weights, l2_weights: np.ndarray | None
             or min(sizes, default=0) < 0 or crosses.shape != (sum(sizes), p)
             or weights.shape != (sum(sizes), k, p) or (l2 is not None and l2.shape != (p,))):
         raise ValueError("grams, row counts, lanes, cross products and penalty weights must match")
-    if (weights < 0).any() or (l2 is not None and (l2 < 0).any()):
+    # not >= 0 rather than < 0, so NaN fails too
+    if not (weights >= 0.0).all() or (l2 is not None and not (l2 >= 0.0).all()):
         raise ValueError("penalty weights must be nonnegative")
     # each problem's first lane
     first = [0, *itertools.accumulate(sizes)]
-    # each candidate's solution goes into its row of betas, a failure into fits
+    # each candidate's solution goes into its row of betas, a failure that ends a
+    # path or fails a system into failures by (lane, candidate)
     betas = np.zeros(weights.shape)
-    fits = [[None] * k for _ in betas]
+    failures = {}
     if p > 0 and weights.size:
-        # a lane's positive and its zero candidates are two paths, each a list of
-        # (lane, index, scale) in descending order
-        paths = []
-        for b, peaks in enumerate(weights.max(axis=2).tolist()):
-            # each candidate's scale relative to the last positive one; zero ones come last
-            positive = [peak for peak in peaks if peak > 0.0]
-            scales = [peak / positive[-1] for peak in peaks] if positive else peaks
-            if any(s < s_next for s, s_next in zip(scales, scales[1:])):
-                raise ValueError("L1 candidates must be in descending order")
-            cands = [(b, c, s) for c, s in enumerate(scales)]
-            paths += [part for part in (cands[: len(positive)], cands[len(positive):]) if part]
+        peaks = weights.max(axis=2)
         # each problem's H, and its row count shaped to divide its gram and cross rows
         n_rows = n_rows.reshape(-1, 1, 1)
         hess = grams / n_rows
@@ -179,50 +180,107 @@ def l1_path(grams, ns, lanes, crosses, l1_weights, l2_weights: np.ndarray | None
         # at each step made the benchmark's setting-A call 2-4% slower in alternating
         # runs, and holding each path's H in the lockstep state raised a tune
         # worker's resident peak by about 0.16 MiB.
-        if len(sizes) > 1:
-            # each lane's problem
-            problem = np.repeat(np.arange(len(sizes)), sizes)
-            _lockstep(hess, problem[[path[0][0] for path in paths]],
-                      crosses / n_rows[problem, 0], weights, paths, betas, fits)
+        problem = np.repeat(np.arange(len(sizes)), sizes) if len(sizes) > 1 else None
+        lin = crosses / (n_rows[0, 0] if problem is None else n_rows[problem, 0])
+        # A lane's zero candidates come last, and peaks are nonnegative, so all() says
+        # whether every lane's last candidate is positive: then there are none.
+        # Each lane with a positive candidate is one path; the zero candidates
+        # (lane, index) are solved apart, and a lane of zero candidates only has no path.
+        # (A list's all() costs a quarter of an array's on a one-lane call.)
+        zero = None
+        if all(peaks[:, -1].tolist()):
+            moving = enumerate(peaks.tolist())
         else:
-            _lockstep(hess, 0, crosses / n_rows[0, 0], weights, paths, betas, fits)
-        # the stationarity of every solved candidate of every lane: one stacked pass
-        # per lane count, a (problems, lanes x candidates, p) stack with one product
+            penalized = peaks > 0.0
+            zero, rows = np.nonzero(~penalized), peaks.tolist()
+            moving = [(b, rows[b]) for b in np.flatnonzero(penalized.any(axis=1)).tolist()]
+        # a path is a list of (lane, index, scale) of its positive candidates, in
+        # descending order
+        paths = []
+        for b, row in moving:
+            # each candidate's scale relative to the last positive one
+            positive = [peak for peak in row if peak > 0.0]
+            scales = [peak / positive[-1] for peak in row]
+            if any(s < s_next for s, s_next in zip(scales, scales[1:])):
+                raise ValueError("L1 candidates must be in descending order")
+            paths.append([(b, c, s) for c, s in enumerate(scales[: len(positive)])])
+        if zero is not None:
+            _zero_candidates(hess, problem, lin, weights, zero, betas, failures)
+        if paths:
+            _lockstep(hess, 0 if problem is None else problem[[path[0][0] for path in paths]],
+                      lin, weights, paths, betas, failures)
+        # the stationarity of every candidate of every lane: one stacked pass per
+        # lane count, a (problems, lanes x candidates, p) stack with one product
         # with each problem's gram
-        done = [(b, c) for b, lane in enumerate(fits) for c, fit in enumerate(lane) if fit is None]
-        if done:
-            worst = np.empty(weights.shape[:2])
-            for size in set(sizes) - {0}:
-                # this lane count's problems and lanes (`take` gathers 3x faster than [list])
-                at = [f for f, s in enumerate(sizes) if s == size]
-                lanes = [first[f] + b for f in at for b in range(size)]
-                rows = (-1, size * k, p)
-                worst[lanes] = kkt_residual(
-                    grams.take(at, 0), crosses.take(lanes, 0).repeat(k, axis=0).reshape(rows),
-                    n_rows.take(at, 0), weights.take(lanes, 0).reshape(rows),
-                    betas.take(lanes, 0).reshape(rows), l2).reshape(-1, k)
-            for (b, c), r in zip(done, worst[tuple(zip(*done))].tolist()):
-                fits[b][c] = betas[b, c] if r <= KKT_LIMIT else SingularDesign(
-                    "the L1 path ended off the optimum (degenerate active set)")
+        worst = np.empty(weights.shape[:2])
+        for size in set(sizes) - {0}:
+            # this lane count's problems and lanes (`take` gathers 3x faster than [list])
+            at = [f for f, s in enumerate(sizes) if s == size]
+            lanes = [first[f] + b for f in at for b in range(size)]
+            rows = (-1, size * k, p)
+            worst[lanes] = kkt_residual(
+                grams.take(at, 0), crosses.take(lanes, 0).repeat(k, axis=0).reshape(rows),
+                n_rows.take(at, 0), weights.take(lanes, 0).reshape(rows),
+                betas.take(lanes, 0).reshape(rows), l2).reshape(-1, k)
+        # each candidate's fit, at b * k + c: its row of betas or its failure
+        fits = list(betas.reshape(-1, p))
+        ok = (worst <= KKT_LIMIT).ravel().tolist()
+        if not all(ok):
+            for i, good in enumerate(ok):
+                if not good:
+                    fits[i] = SingularDesign("the L1 path ended off the optimum "
+                                             "(degenerate active set)")
+        for (b, c), failed in failures.items():
+            fits[b * k + c] = failed
     else:
         # nothing to follow: every fit is its row of zeros
-        fits = [list(lane) for lane in betas]
-    return [fits[start : start + size] for start, size in zip(first, sizes)]
+        fits = list(betas.reshape(len(betas) * k, p))
+    by_lane = [fits[b * k : b * k + k] for b in range(len(betas))]
+    return [by_lane[start : start + size] for start, size in zip(first, sizes)]
+
+
+def _zero_candidates(hess: np.ndarray, problem, lin: np.ndarray, weights: np.ndarray, zero,
+                     betas, failures) -> None:
+    """Solve each zero candidate ``(b, c)`` of the index arrays ``zero`` into
+    ``betas[b, c]``, all in one batched solve.
+
+    A zero candidate penalizes nothing, so its fit is lane ``b``'s least-squares
+    (or ridge) fit on ``hess[problem[b]]``'s usable coordinates, those with a
+    positive diagonal, and has no event: the system that a path's first step
+    poses, p x p with the identity on the other coordinates and the right-hand
+    side ``[lin_b, 0 * w]`` on the usable ones, zero elsewhere.  The zero column
+    keeps the signs of the candidate's weights ``w``, as that step's does, since
+    a -0.0 there can change the signs of zero coefficients.  A singular system
+    fails its candidate alone, with the message of a singular active block.
+    """
+    lanes, cands = zero
+    p = hess.shape[-1]
+    h = hess[0] if problem is None else hess[problem[lanes]]
+    usable = h.diagonal(axis1=-2, axis2=-1) > 0.0
+    blocks = np.where(usable[..., :, None] & usable[..., None, :], h, np.eye(p))
+    rhs = np.empty((len(lanes), p, 2))
+    rhs[..., 0], rhs[..., 1] = np.where(usable, lin[lanes], 0.0), 0.0 * weights[lanes, cands]
+    ab, singular = _solve(np.broadcast_to(blocks, rhs.shape[:2] + (p,)), rhs,
+                          "active block of the L1 path")
+    betas[lanes, cands] = ab[..., 0] - ab[..., 1]
+    for i, exc in singular.items():
+        failures[int(lanes[i]), int(cands[i])] = exc
 
 
 def _lockstep(hess: np.ndarray, problem, lin: np.ndarray, weights: np.ndarray, paths, betas,
-              fits) -> None:
+              failures) -> None:
     """Follow all paths together, with one batched solve of their active blocks per event.
 
     A path has the weights ``t * weights[b, k]`` of its last candidate
-    ``(b, k, s)`` and solves each of its candidates ``(b, c, s)`` at
-    ``t = s`` into ``betas[b, c]``, on lane ``b``'s row of ``lin`` and on
-    ``hess[problem[i]]`` for path i.  Each path's active block is solved as
-    a p x p system with the identity on its inactive coordinates and a zero
-    right-hand side there, one LAPACK call per path, so no path's numbers
-    depend on the others.  Row i of the state arrays belongs to path
-    ``live[i]``; a path's row is dropped when it ends.  A path that ends
-    early puts its failure in ``fits`` for every candidate it did not reach.
+    ``(b, k, s)``, which has a positive weight, and solves each of its
+    candidates ``(b, c, s)`` at ``t = s`` into ``betas[b, c]``, on lane
+    ``b``'s row of ``lin`` and on ``hess[problem[i]]`` for path i.  Each
+    path's active block is solved as a p x p system with the identity on its
+    inactive coordinates and a zero right-hand side there, one LAPACK call
+    per path, so no path's numbers depend on the others.  Row i of the state
+    arrays belongs to path ``live[i]``; a path's row is dropped when it ends.
+    A path that ends early puts its failure in ``failures[b, c]`` for every
+    candidate ``(b, c)`` it did not reach.
     """
     p = hess.shape[-1]
     base = np.array([weights[b, k] for b, k, _ in (path[-1] for path in paths)])
@@ -232,7 +290,7 @@ def _lockstep(hess: np.ndarray, problem, lin: np.ndarray, weights: np.ndarray, p
     problem = np.array(problem) if stacked else 0
     usable = hess.diagonal(axis1=1, axis2=2)[problem] > 0.0
     hess = hess if stacked else hess[0]
-    # a least-squares or ridge path has no penalized coordinate and so no event
+    # the unpenalized usable coordinates are active from t = inf on
     state = [usable & (base == 0.0), usable & (base > 0.0), base, lin, np.zeros_like(base),
              np.full(len(paths), np.inf)]
     eye, cap, steps = np.eye(p), 10 * p + 10, 0
@@ -308,7 +366,7 @@ def _lockstep(hess: np.ndarray, problem, lin: np.ndarray, weights: np.ndarray, p
     # a path that ended early fails every candidate it did not reach
     for path, failed in zip(paths, failure):
         for b, c, _ in path:
-            fits[b][c] = failed or MaxIterationsExceeded(cap)
+            failures[b, c] = failed or MaxIterationsExceeded(cap)
 
 
 def kkt_residual(gram, cross, n, l1_weights, beta, l2_weights=None):

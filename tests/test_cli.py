@@ -292,6 +292,30 @@ class TestCliMatchesRegistry:
                                                    roles, params)
         assert out.splitlines()[0] == f"total effect estimate: {expected!r}"
 
+    @pytest.mark.parametrize("method", ["pal1ma", "adaptive-lasso"])
+    def test_an_overflowing_eta_is_rejected_by_estimate_and_tune(self, method, tmp_path,
+                                                                  capsys):
+        # eta 1e308 overflows the reciprocal power of a floored pilot magnitude:
+        # both commands reject it as a value out of range, without a warning
+        data, roles_file = tmp_path / "a.csv", tmp_path / "roles.json"
+        assert main(["simulate", "--scm", "A", "--n", "40", "--seed", "3",
+                     "--out", str(data)]) == 0
+        roles_file.write_text(json.dumps(experiment_roles("A").to_dict()))
+        params_file, grid_file = tmp_path / "params.json", tmp_path / "grid.json"
+        params_file.write_text(json.dumps({**PRESETS[("A", method)], "eta": 1e308}))
+        grid_file.write_text(json.dumps({"eta": [1e308]}))
+        capsys.readouterr()
+        for command, option in (("estimate", ["--params", str(params_file)]),
+                                ("tune", ["--grid", str(grid_file)])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main([command, "--data", str(data), "--roles", str(roles_file),
+                             "--method", method, *option])
+            out, err = capsys.readouterr()
+            assert (code, out) == (1, "")
+            assert err == (f"error: bad parameters for {method}: "
+                           "eta must be finite in [0, 32], got 1e+308\n")
+
     def test_unknown_param_key_is_usage_error(self, setting_csvs, tmp_path, capsys):
         data, roles = setting_csvs["A"]
         params_file = tmp_path / "params.json"

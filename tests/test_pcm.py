@@ -31,7 +31,7 @@ from pcmselect.experiment import METHODS, PRESETS, experiment_roles
 from pcmselect.scm import LinearScm, build_experiment_scm
 from pcmselect.graphs import Dag
 from pcmselect import baselines, pcm, solvers
-from pcmselect.pcm import WEIGHT_FLOOR, reciprocal_power_weights_stack
+from pcmselect.pcm import ETA_MAX, WEIGHT_FLOOR, reciprocal_power_weights_stack
 from pcmselect.solvers import kkt_residual, ols_batch, ols_solve
 
 from oracles import l1_objective, ridge_objective, verify_active_set_relation
@@ -332,6 +332,20 @@ class TestAdaptiveWeights:
         vals = np.array([0.0, 0.5])
         (w,), (floored,) = reciprocal_power_weights_stack(vals[None])
         assert floored and w[0] > w[1]
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_eta_max_is_finite_on_floored_magnitudes(self, normalize):
+        # every magnitude floored, in a row of 10,000: the largest eta leaves the
+        # weights and their sum finite, and a larger one is rejected
+        vals = np.zeros((2, 10_000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (w, _), floored = reciprocal_power_weights_stack(vals, eta=ETA_MAX,
+                                                             normalize=normalize)
+        assert np.isfinite(w).all() and floored.all()
+        for eta in (np.nextafter(ETA_MAX, np.inf), 1e308, np.nan):
+            with pytest.raises(ValueError, match="eta must be at most 32"):
+                reciprocal_power_weights_stack(vals, eta=eta, normalize=normalize)
 
 
 def weights_one_at_a_time(values, eta=1.0, normalize=True):

@@ -257,6 +257,56 @@ class TestL1Path:
             for fit, same in zip(lane, stacked):
                 assert_same_fit(fit, same)
 
+    @pytest.mark.parametrize("p", [1, 7])
+    @pytest.mark.parametrize("ridge", [False, True], ids=["lasso", "ridge"])
+    def test_a_wide_call_with_zero_candidates_equals_each_lane_alone(self, p, ridge):
+        # 24 problems of 3-6 lanes with their own grams and row counts.  Lanes have
+        # only zero candidates, trailing or repeated zero ones (-0.0 included), or
+        # none; a zero column leaves one coordinate of one problem unusable.  With
+        # p = 7, problem 11 repeats a column, and neither the L1 nor the quadratic
+        # weights penalize either copy, so its usable block is singular and each of
+        # its zero candidates fails
+        rng = np.random.default_rng(31 + p)
+        kinds = [[0.0] * 4, [3.0, 1.0, 0.0, 0.0], [2.0, 1.0, 1.0, 0.0],
+                 [5.0, 2.0, 1.0, 0.5], [1.0, 0.3, 0.0, -0.0], [0.0, 0.0, -0.0, 0.0]]
+        l2 = np.where(np.arange(p) < 2, 0.0, 0.3) if ridge else None
+        grams, ns, sizes, crosses, lists = [], [], [], [], []
+        for f in range(24):
+            n = int(rng.integers(12, 40))
+            a, y, _ = make_problem(int(rng.integers(10_000)), n=n, p=p)
+            if f == 5:
+                a[:, -1] = 0.0
+            if f == 11 and p > 1:
+                a[:, 1] = a[:, 0]
+            grams.append(a.T @ a)
+            ns.append(n)
+            sizes.append(int(rng.integers(3, 7)))
+            for b in range(sizes[-1]):
+                crosses.append(a.T @ (y + rng.standard_normal(n)))
+                l1 = 0.1 * rng.uniform(0.0, 1.0, p) * (rng.random(p) < 0.8)
+                if f == 11:
+                    l1[:2] = 0.0
+                lists.append([s * l1 for s in kinds[(f + b) % len(kinds)]])
+        grams, crosses, lists = np.array(grams), np.array(crosses), np.array(lists)
+        fits = l1_path(grams, ns, sizes, crosses, lists, l2)
+        assert [len(problem) for problem in fits] == sizes
+        lane, zeros = 0, []  # each zero candidate's problem, and whether it failed
+        for f, problem in enumerate(fits):
+            for fitted in problem:
+                (((*alone,),),) = l1_path(grams[f][None], [ns[f]], [1], crosses[lane][None],
+                                          lists[lane][None], l2)
+                for fit, same, w in zip(fitted, alone, lists[lane]):
+                    if isinstance(same, PcmSelectError):
+                        assert (type(fit), str(fit)) == (type(same), str(same))
+                    else:
+                        assert fit.tobytes() == same.tobytes()
+                    if not w.any():
+                        zeros.append((f, isinstance(fit, SingularDesign)
+                                      and "active block of the L1 path is singular" in str(fit)))
+                lane += 1
+        assert len(zeros) > 100
+        assert all(failed == (f == 11 and p > 1) for f, failed in zeros)
+
     def test_no_lanes(self):
         a, y, l1 = make_problem(14)
         gram, cross = a.T @ a, a.T @ y
@@ -286,6 +336,13 @@ class TestL1Path:
             one_lane(gram, cross, 60, [negative])
         with pytest.raises(ValueError, match="nonnegative"):
             l1_path(gram[None], [60], [1], cross[None], np.array([[l1]]), np.full(6, -0.1))
+        # NaN is not nonnegative either, as an L1 or a quadratic weight
+        nan = l1.copy()
+        nan[3] = np.nan
+        with pytest.raises(ValueError, match="nonnegative"):
+            one_lane(gram, cross, 60, [nan])
+        with pytest.raises(ValueError, match="nonnegative"):
+            l1_path(gram[None], [60], [1], cross[None], np.array([[l1]]), nan)
 
     def test_rejects_ascending_candidates(self):
         a, y, l1 = make_problem(10)
