@@ -39,7 +39,7 @@ from .experiment import METHODS, ExperimentConfig, check_params, run_monte_carlo
 from .graphs import minimal_mediator_sets
 from .pcm import PcmParams, pcm_total_effect
 from .scm import build_experiment_scm
-from .tuning import ParamGrid, cross_validate, cv_table_csv, searched_keys
+from .tuning import ParamGrid, cross_validate, cv_table_csv
 
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR = 1, 2, 3
 
@@ -89,6 +89,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    criteria = [flag for flag, given in (("--backdoor", args.backdoor is not None),
+                                         ("--frontdoor-like", args.frontdoor_like is not None),
+                                         ("--minimal-mediators", args.minimal_mediators))
+                if given]
+    if not criteria:
+        raise ConfigInvalid("choose one of --backdoor, --frontdoor-like, --minimal-mediators")
+    if len(criteria) > 1:
+        raise ConfigInvalid(f"choose only one criterion, got {', '.join(criteria)}")
+    if (args.z1 is not None or args.z2 is not None) and args.frontdoor_like is None:
+        raise ConfigInvalid("--z1 and --z2 are read only with --frontdoor-like")
+    if args.candidates is not None and not args.minimal_mediators:
+        raise ConfigInvalid("--candidates is read only with --minimal-mediators")
     dag = pio.load_graph(args.graph)
     if args.backdoor is not None:
         ok = dag.satisfies_back_door(args.x, args.y, _split_names(args.backdoor))
@@ -101,34 +113,19 @@ def _cmd_check(args) -> int:
             _split_names(args.z2),
         )
         print(f"front-door-like: {'satisfied' if ok else 'not satisfied'}")
-    elif args.minimal_mediators:
+    else:
         sets = minimal_mediator_sets(dag, args.x, args.y, _split_names(args.candidates))
         if not sets:
             print("minimal mediator sets: none")
         else:
             for s in sets:
                 print("minimal mediator set: {" + ", ".join(sorted(s)) + "}")
-    else:
-        raise ConfigInvalid(
-            "choose one of --backdoor, --frontdoor-like, --minimal-mediators"
-        )
     return 0
 
 
 def _load_grid(path: str | None, method: str) -> ParamGrid:
-    """The grid in the JSON file at ``path``, or the default grid; a key that the
-    search of ``method`` does not read is an error."""
-    if not path:
-        return ParamGrid()
-    payload = pio.load_json(path)
-    grid = ParamGrid.from_dict(payload)
-    read = {"folds", "fold_seed", *searched_keys(method)}
-    if "zeta_xi" in read:  # the pairs may come as lists of zeta1 and xi1
-        read |= {"zeta1", "xi1"}
-    unread = sorted(set(payload) - read)
-    if unread:
-        raise ConfigInvalid(f"{method} does not search the grid key(s) {', '.join(unread)}")
-    return grid
+    """The grid in the JSON file at ``path`` for ``method``, or the default grid."""
+    return ParamGrid.from_dict(pio.load_json(path), method) if path else ParamGrid()
 
 
 def _cmd_estimate(args) -> int:

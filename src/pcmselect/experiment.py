@@ -24,8 +24,10 @@ the model (fixing the random coefficients, the covariate correlation matrix,
 and hence the true effect for the whole run) and whose remaining children
 seed the replications, one each.  A batched call solves every replication's
 systems as LAPACK calls of their own, so no estimate depends on the other
-replications of its chunk, and results are keyed by replication index; the
-output is byte-identical whatever the chunk size and the worker count.
+replications of its chunk.  A chunk returns one row of estimates per
+replication, in order, and the chunks come back in order, so their rows
+concatenate in replication order; the output is byte-identical whatever the
+chunk size and the worker count.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from .baselines import (back_door_estimates, front_door_like_estimates, pal1ma_c
                         pal1ma_estimates, pal1ma_pilot, penalized_coefficients,
                         penalized_estimates, pilot_coefficients)
 from .data import Dataset, RolePartition
-from .errors import ConfigInvalid, EmptyInput, PcmSelectError, check_count, check_keys
+from .errors import (ConfigInvalid, EmptyInput, PcmSelectError, check_count, check_keys,
+                     on_successes)
 from .graphs import minimal_mediator_sets
 from .pcm import ETA_MAX, PcmParams, pcm_fits
 from .scm import (CovarianceSpec, LinearScm, build_experiment_scm, coupling_dag,
@@ -423,8 +426,9 @@ def summarize(estimates, true_tau: float) -> tuple[float, float, float, float]:
 # -- chunked execution -------------------------------------------------------------
 
 
-def _chunk_worker(payload) -> list[tuple[int, list[tuple[str, float | None]]]]:
-    """Each replication of one chunk, with each method's estimate (None where it failed).
+def _chunk_worker(payload) -> list[list[float | None]]:
+    """Each replication of one chunk, in order, as its row of the methods' estimates
+    (None where one failed).
 
     The chunk is sampled in one :meth:`~pcmselect.scm.LinearScm.sample_stack` pass
     and standardized in one :meth:`~pcmselect.data.Dataset.standardized_stack` pass;
@@ -436,16 +440,12 @@ def _chunk_worker(payload) -> list[tuple[int, list[tuple[str, float | None]]]]:
     cols = [scm.dag.vertices.index(c) for c in observed]
     raw = scm.sample_stack(n, [np.random.default_rng(_child(seed, rep + 1)) for rep in reps],
                            spec)[:, :, cols]
-    samples = {rep: data for rep, data in zip(reps, Dataset.standardized_stack(raw, observed))
-               if not isinstance(data, PcmSelectError)}
+    samples = Dataset.standardized_stack(raw, observed)
     del raw  # the methods read the standardized samples only
-    rows = {rep: [] for rep in reps}
-    datasets = list(samples.values())
-    for label, name, params in methods if datasets else ():
-        for rep, value in zip(samples, METHODS[name].estimate(datasets, roles, params)):
-            rows[rep].append((label, None if isinstance(value, PcmSelectError) else value))
-    return [(rep, row if rep in samples else [(label, None) for label, _, _ in methods])
-            for rep, row in rows.items()]
+    columns = [on_successes(samples, lambda ok: METHODS[name].estimate(
+        [samples[i] for i in ok], roles, params)) for _, name, params in methods]
+    return [[None if isinstance(value, PcmSelectError) else value for value in row]
+            for row in zip(*columns)]
 
 
 def _child(seed: int, i: int) -> np.random.SeedSequence:
@@ -489,29 +489,13 @@ def run_monte_carlo(config: ExperimentConfig) -> McResult:
 
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             chunks = list(pool.map(_chunk_worker, payloads))
-    raw_results = sorted((item for chunk in chunks for item in chunk), key=lambda item: item[0])
-
-    estimates: list[tuple[int, str, float]] = []
-    per_method: dict[str, list[float]] = {label: [] for label, _, _ in methods}
-    fail_count: dict[str, int] = {label: 0 for label, _, _ in methods}
-    for rep, row in raw_results:
-        for label, value in row:
-            if value is None:
-                fail_count[label] += 1
-            else:
-                estimates.append((rep, label, float(value)))
-                per_method[label].append(float(value))
+    # map and pool.map return the chunks in order, so the rows are in replication order
+    rows = [row for chunk in chunks for row in chunk]
+    estimates = tuple((rep, label, float(value)) for rep, row in enumerate(rows)
+                      for (label, _, _), value in zip(methods, row) if value is not None)
     summaries = []
-    for label, name, params in methods:
-        values = per_method[label]
-        if values:
-            mean, sd, bias, sign = summarize(values, tau)
-        else:
-            mean = sd = bias = sign = float("nan")
-        summaries.append(
-            SummaryRow(
-                method=label, mean=mean, sd=sd, bias=bias, sign=sign,
-                failures=fail_count[label], params=params,
-            )
-        )
-    return McResult(true_tau=tau, summaries=tuple(summaries), estimates=tuple(estimates))
+    for j, (label, _, params) in enumerate(methods):
+        values = [float(row[j]) for row in rows if row[j] is not None]
+        stats = summarize(values, tau) if values else (math.nan,) * 4
+        summaries.append(SummaryRow(label, *stats, len(rows) - len(values), params))
+    return McResult(true_tau=tau, summaries=tuple(summaries), estimates=estimates)

@@ -321,31 +321,21 @@ def parse_edge_list(text: str) -> Dag:
 
     Vertices appear in first-mention order; lines starting with ``#`` and
     blank lines are ignored.  Isolated vertices can be declared by writing
-    the bare vertex name on its own line.
+    the bare vertex name on its own line.  Each name is one token without
+    whitespace or ``->``; any other line raises :class:`ValueError` naming
+    its line number.
     """
-    vertices: list[str] = []
-    seen: set[str] = set()
+    vertices: dict[str, None] = {}  # in first-mention order
     edges: list[tuple[str, str]] = []
-
-    def _add(v: str) -> None:
-        if v not in seen:
-            seen.add(v)
-            vertices.append(v)
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "->" in line:
-            tail, _, head = line.partition("->")
-            tail, head = tail.strip(), head.strip()
-            if not tail or not head:
-                raise ValueError(f"line {lineno}: malformed edge {raw!r}")
-            _add(tail)
-            _add(head)
-            edges.append((tail, head))
-        else:
-            if " " in line:
-                raise ValueError(f"line {lineno}: malformed line {raw!r}")
-            _add(line)
+        names = [name.strip() for name in line.split("->")]
+        if len(names) > 2 or any(name.split() != [name] for name in names):
+            raise ValueError(f"line {lineno}: malformed {'edge' if len(names) > 1 else 'line'}"
+                             f" {raw!r}")
+        vertices.update(dict.fromkeys(names))
+        if len(names) == 2:
+            edges.append((names[0], names[1]))
     return Dag(vertices, edges)

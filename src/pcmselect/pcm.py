@@ -59,7 +59,8 @@ batched solve, and step 2 (:func:`pilot_weights`) is one pass over the
 stacks of the pilots.  Every dataset's stage-1 outcome fit is a lane of one
 L1 path call, whose candidate weights are one broadcast of the stacked
 adaptive weights, and its mediator fits are lanes of one more per shape of
-the active mediator design.  Each of these calls reads the grams of all its
+the active mediator design, which come back as one (regressors x mediators)
+matrix per dataset.  Each of these calls reads the grams of all its
 datasets in one :func:`~pcmselect.data.gram_stack`.  Step 4
 (:func:`corrections`) groups the datasets by the shape of their active
 design and runs each group's debiasing ridges, residual grams,
@@ -509,20 +510,8 @@ def pcm_stage1_m(
     """
     if rho1 < 0:
         raise ValueError("rho1 must be nonnegative")
-    return unwrap(_m_coefs(pcm_stage1_m_path([(data, roles, weights)], [rho1]), [roles])[0])
-
-
-def _m_coefs(fits, roles) -> list:
-    """Each one-candidate mediator fit of ``fits``, entries of :func:`pcm_stage1_m_path`
-    on designs with ``roles``, as blocks, or the first failure of its lanes."""
-    out = []
-    for lanes, r in zip(fits, roles):
-        columns = [beta for (beta,) in lanes]
-        failed = [fit for fit in columns if isinstance(fit, PcmSelectError)]
-        # the reshape keeps the shape when there are no mediators
-        out.append(failed[0] if failed else _split_m_coefs(
-            np.array(columns).reshape(-1, len(r.m_regressors)).T, len(r.z)))
-    return out
+    ((coef,),) = pcm_stage1_m_path([(data, roles, weights)], [rho1])
+    return _split_m_coefs(unwrap(coef), len(roles.z))
 
 
 def pcm_stage1_m_path(folds, rhos) -> list:
@@ -531,12 +520,13 @@ def pcm_stage1_m_path(folds, rhos) -> list:
 
     One :func:`solvers.l1_path` call per shape of the mediator design (its
     fixed and candidate covariates), with one lane per fold and mediator:
-    ``fits[f][j][k]`` is mediator j's coefficient column on ``folds[f]`` at
-    ``rhos[k]`` or, if that fit failed, its exception.  A call's candidate
-    weights are one broadcast of its folds' med weights.  A fold without
-    mediators has no lanes and takes no part in a call.
+    ``fits[f][k]`` is the (regressors x mediators) coefficient matrix on
+    ``folds[f]`` at ``rhos[k]``, its columns the mediators' fits, or the
+    first failure among them.  A call's candidate weights are one broadcast
+    of its folds' med weights.  A fold without mediators takes no part in a
+    call, and each of its fits is an empty (regressors x 0) matrix.
     """
-    fits = [[] for _ in folds]
+    fits = [[np.zeros((len(roles.m_regressors), 0))] * len(rhos) for _, roles, _ in folds]
     shapes = {}  # the folds with mediators, by the shape of their mediator design
     for f, (_, roles, _) in enumerate(folds):
         if roles.mediators:
@@ -549,8 +539,10 @@ def pcm_stage1_m_path(folds, rhos) -> list:
                         np.concatenate([d.cross(r.m_regressors, r.mediators).T
                                         for d, r in zip(datasets, roles)]),
                         _m_l1_weights(q_z, [w.med for w in weights], rhos))
-        for f, lane in zip(group, lanes):
-            fits[f] = lane
+        for f, columns in zip(group, lanes):
+            # each rho's columns, the fits of its mediators, side by side
+            fits[f] = [next((c for c in at if isinstance(c, PcmSelectError)), None)
+                       or np.array(at).T for at in zip(*columns)]
     return fits
 
 
@@ -796,7 +788,7 @@ def fit_from_weights(datasets, roles: RolePartition, params: PcmParams, weights)
     Stage-1 outcome fit -> active sets -> mediator fit on the active sets ->
     debiasing ridges -> corrections -> total effect.  Every dataset's
     outcome fit is a lane of one :func:`pcm_stage1_y_path` call, its
-    mediator fit lanes of one :func:`pcm_stage1_m_path` call, and its
+    mediator fit a matrix of one :func:`pcm_stage1_m_path` call, and its
     debiasing ridges and corrections part of one :func:`corrections` call;
     the datasets with one active set share its roles.  The total effect is
     the corrected treatment coefficient plus the inner product of the
@@ -812,10 +804,11 @@ def fit_from_weights(datasets, roles: RolePartition, params: PcmParams, weights)
     # each dataset's active design: (roles, weights, outcome blocks, active sbar, active zbar)
     designs = on_successes(betas, lambda ok: _active_designs(
         roles, [betas[i] for i in ok], [weights[i] for i in ok]))
-    # each dataset's mediator fit on its active design, or the first failure of its lanes
-    s1ms = on_successes(designs, lambda ok: _m_coefs(
-        pcm_stage1_m_path([(datasets[i], *designs[i][:2]) for i in ok], [p.rho1]),
-        [designs[i][0] for i in ok]))
+    # each dataset's mediator fit on its active design, or the first failure of its columns
+    s1ms = on_successes(designs, lambda ok: [
+        coef if isinstance(coef, PcmSelectError) else _split_m_coefs(coef, len(roles.z))
+        for (coef,) in pcm_stage1_m_path([(datasets[i], *designs[i][:2]) for i in ok],
+                                         [p.rho1])])
     # the outcome blocks on the active design go to the corrections only
     corrected = on_successes(s1ms, lambda ok: corrections(
         [(datasets[i], designs[i][0], designs[i][2], s1ms[i], designs[i][1]) for i in ok], p))

@@ -35,8 +35,8 @@ coordinates, plus one more of every candidate of every lane that ends on
 that step's segment.  A stack of one problem broadcasts its gram over the
 paths; with several, each step stacks every live path's own.  The
 stationarity of all the returned candidates is checked in one stacked
-:func:`kkt_residual` pass per lane count of the problems, each row against
-its own gram.  Every system is its own LAPACK call, so a lane's numbers do not
+:func:`kkt_residual` pass, each lane's candidates against its problem's
+gram.  Every system is its own LAPACK call, so a lane's numbers do not
 depend on the lanes it shares a call with.  Failures stay in their lane: a
 singular active block or the event cap ends that lane's path and fails its
 candidates not yet reached, and an endpoint off the stationarity conditions
@@ -209,19 +209,11 @@ def l1_path(grams, ns, lanes, crosses, l1_weights, l2_weights: np.ndarray | None
         if paths:
             _lockstep(hess, 0 if problem is None else problem[[path[0][0] for path in paths]],
                       lin, weights, paths, betas, failures)
-        # the stationarity of every candidate of every lane: one stacked pass per
-        # lane count, a (problems, lanes x candidates, p) stack with one product
-        # with each problem's gram
-        worst = np.empty(weights.shape[:2])
-        for size in set(sizes) - {0}:
-            # this lane count's problems and lanes (`take` gathers 3x faster than [list])
-            at = [f for f, s in enumerate(sizes) if s == size]
-            lanes = [first[f] + b for f in at for b in range(size)]
-            rows = (-1, size * k, p)
-            worst[lanes] = kkt_residual(
-                grams.take(at, 0), crosses.take(lanes, 0).repeat(k, axis=0).reshape(rows),
-                n_rows.take(at, 0), weights.take(lanes, 0).reshape(rows),
-                betas.take(lanes, 0).reshape(rows), l2).reshape(-1, k)
+        # the stationarity of every candidate of every lane in one pass, each lane's
+        # (K, p) rows against its problem's gram
+        worst = kkt_residual(grams[0] if problem is None else grams[problem], crosses[:, None],
+                             n_rows[0] if problem is None else n_rows[problem], weights, betas,
+                             l2)
         # each candidate's fit, at b * k + c: its row of betas or its failure
         fits = list(betas.reshape(-1, p))
         ok = (worst <= KKT_LIMIT).ravel().tolist()

@@ -149,8 +149,10 @@ class ParamGrid:
         object.__setattr__(self, "zeta_xi", pairs)
 
     @staticmethod
-    def from_dict(payload: dict) -> "ParamGrid":
-        """Grid from a JSON document; a malformed one raises :class:`ConfigInvalid`."""
+    def from_dict(payload: dict, method: str) -> "ParamGrid":
+        """The grid of ``method`` from a JSON document; a malformed one raises
+        :class:`ConfigInvalid`, and so does a key that the search of ``method`` does
+        not read (:func:`searched_keys`; ``zeta1`` and ``xi1`` spell ``zeta_xi``)."""
         if not isinstance(payload, dict):
             raise ConfigInvalid("parameter grid must be a JSON object")
         try:
@@ -162,9 +164,16 @@ class ParamGrid:
             if "zeta1" in kwargs or "xi1" in kwargs:
                 kwargs["zeta_xi"] = _mix_pairs(_candidates("zeta1", kwargs.pop("zeta1", [0.0])),
                                                _candidates("xi1", kwargs.pop("xi1", [0.0])))
-            return ParamGrid(**kwargs)
+            grid = ParamGrid(**kwargs)
         except (TypeError, ValueError) as exc:
             raise ConfigInvalid(f"bad parameter grid: {exc}") from exc
+        read = {"folds", "fold_seed", *searched_keys(method)}
+        if "zeta_xi" in read:
+            read |= {"zeta1", "xi1"}
+        unread = sorted(set(payload) - read)
+        if unread:
+            raise ConfigInvalid(f"{method} does not search the grid key(s) {', '.join(unread)}")
+        return grid
 
 
 @dataclass(frozen=True)
@@ -176,7 +185,6 @@ class CvRow:
 
 @dataclass(frozen=True)
 class CvResult:
-    method: str
     chosen: dict
     score: float
     table: tuple[CvRow, ...]
@@ -312,7 +320,8 @@ def _stage1_scores(held, roles, weights, grid: ParamGrid) -> np.ndarray:
     failure.  The folds with weights go into one L1 path call with one lane
     per fold and distinct (zeta1, xi1) pair over the distinct lambda1 values,
     and one more with one lane per fold and mediator column over the distinct
-    rho1 values.  A fold's scores of the product of the distinct values are
+    rho1 values, whose fits come back as one coefficient matrix per fold and
+    rho1 value (``pcm.pcm_stage1_m_path``).  A fold's scores of the product of the distinct values are
     one broadcast sum of its outcome errors by (lambda1, pair) and its
     mediator errors by rho1, and each row takes the score of its values'
     distinct ones, found once by a dict lookup, which matches equal values
@@ -339,25 +348,16 @@ def _stage1_scores(held, roles, weights, grid: ParamGrid) -> np.ndarray:
             + len(roles.sbar) * (shares[..., 1] == 0.0)
             + len(roles.zbar) * (shares[..., 2] == 0.0))
     folds = [(held[i][0], weights[i]) for i in fitted]
-    for i, y_lanes, m_lanes in zip(fitted, pcm_stage1_y_path(folds, roles, lams, pairs),
+    for i, y_lanes, m_coefs in zip(fitted, pcm_stage1_y_path(folds, roles, lams, pairs),
                                    pcm_stage1_m_path([(tr, roles, w) for tr, w in folds], rhos)):
         train, y_held, m_held = held[i]
         # the lanes hold (pair, lambda1) fits; the product is (lambda1, rho1, pair)
         y_errs = _y_errors(*y_held, [fit for lane in y_lanes for fit in lane]).reshape(
             len(pairs), len(lams)).T
-        m_errs = _m_errors(*m_held, [_m_coef([lane[k] for lane in m_lanes])
-                                     for k in range(len(rhos))])
+        m_errs = _m_errors(*m_held, m_coefs)
         scores[i] = np.where((free >= train.n)[:, None, :], math.inf,
                              y_errs[:, None, :] + m_errs[None, :, None]).ravel()[at]
     return scores
-
-
-def _m_coef(columns) -> np.ndarray | PcmSelectError:
-    """One mediator fit's coefficient matrix from its columns, or the first failure
-    among them; without mediators, an empty array that :func:`_m_errors` does not
-    read."""
-    failed = [c for c in columns if isinstance(c, PcmSelectError)]
-    return failed[0] if failed else np.array(columns).T
 
 
 def _at(fits, values, value) -> list:
@@ -398,7 +398,7 @@ def _cross_validate_pcm(roles, grid: ParamGrid, splits) -> CvResult:
                   in itertools.product(grid.lambda1, grid.rho1, grid.zeta_xi)], scores)
     best = _select(rows, lambda p: (-p["lambda1"], -p["rho1"], -p["zeta1"], -p["xi1"]))
     chosen = {"pilot_lambda": pilot_lam, "pilot_rho": pilot_rho, **best.params}
-    return CvResult("pcm", chosen, best.mean_score, tuple(pilot_rows + rows))
+    return CvResult(chosen, best.mean_score, tuple(pilot_rows + rows))
 
 
 # -- baselines -------------------------------------------------------------------
@@ -431,7 +431,7 @@ def _cross_validate_baseline(roles, name, grid: ParamGrid, splits) -> CvResult:
     rows = _rows([{**cand, **suffix} for cand in cands],
                  np.array([_y_errors(*y_te, fold) for y_te, fold in zip(held, zip(*per_cand))]))
     best = _select(rows, lambda p: (-p["lam"], -p.get("eta", 0.0), -p.get("phi", 0.0)))
-    return CvResult(name, dict(best.params), best.mean_score, tuple(rows))
+    return CvResult(dict(best.params), best.mean_score, tuple(rows))
 
 
 def cv_table_csv(result: CvResult) -> str:

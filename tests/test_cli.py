@@ -130,9 +130,22 @@ class TestCheckCommand:
         ("X -> Z\nZ -> Y\n", [], 1,
          "error: choose one of --backdoor, --frontdoor-like, --minimal-mediators\n"),
         ("X -> Z\nZ Y\n", ["--backdoor", ""], 2, "line 2: malformed line 'Z Y'"),
+        ("X -> S -> Y\n", ["--backdoor", ""], 2, "line 1: malformed edge 'X -> S -> Y'"),
+        ("X -> Z\nZ -> Y\n", ["--backdoor", "Z", "--minimal-mediators"], 1,
+         "error: choose only one criterion, got --backdoor, --minimal-mediators\n"),
+        ("X -> Z\nZ -> Y\n", ["--backdoor", "", "--frontdoor-like", "Z"], 1,
+         "error: choose only one criterion, got --backdoor, --frontdoor-like\n"),
+        ("X -> Z\nZ -> Y\n", ["--backdoor", "", "--z1", "Z"], 1,
+         "error: --z1 and --z2 are read only with --frontdoor-like\n"),
+        ("X -> Z\nZ -> Y\n", ["--minimal-mediators", "--z2", ""], 1,
+         "error: --z1 and --z2 are read only with --frontdoor-like\n"),
+        ("X -> Z\nZ -> Y\n", ["--frontdoor-like", "Z", "--candidates", ""], 1,
+         "error: --candidates is read only with --minimal-mediators\n"),
         # the direct edge leaves no set that intercepts every directed path
         ("X -> Y\n", ["--minimal-mediators"], 0, "minimal mediator sets: none\n"),
-    ], ids=["no-criterion", "malformed-graph-line", "no-minimal-mediator-set"])
+    ], ids=["no-criterion", "malformed-graph-line", "chained-edge", "backdoor-and-minimal",
+            "backdoor-and-frontdoor", "z1-without-frontdoor", "z2-without-frontdoor",
+            "candidates-without-minimal", "no-minimal-mediator-set"])
     def test_exit_code_and_message(self, edges, flags, code, message, tmp_path, capsys):
         graph = tmp_path / "g.txt"
         graph.write_text(edges)
@@ -140,6 +153,8 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert message in (captured.out if code == 0 else captured.err)
         assert "Traceback" not in captured.err
+        if code == 1:  # a usage error is one line, and nothing is answered
+            assert captured.err == message and captured.out == ""
 
 
 class TestEstimateCommand:

@@ -192,3 +192,23 @@ class TestEdgeListFormat:
     def test_malformed_line(self):
         with pytest.raises(ValueError):
             parse_edge_list("a -> \n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("a -> b\nX -> S -> Y\n", "line 2: malformed edge 'X -> S -> Y'"),
+        ("a b -> c\n", "line 1: malformed edge 'a b -> c'"),
+        ("a -> b c\n", "line 1: malformed edge 'a -> b c'"),
+        ("a ->\n", "line 1: malformed edge 'a ->'"),
+        ("-> b\n", "line 1: malformed edge '-> b'"),
+        ("a\n\na b\n", "line 3: malformed line 'a b'"),
+        ("a\tb\n", "line 1: malformed line 'a\\tb'"),
+    ])
+    def test_each_name_is_one_token(self, text, message):
+        # a name with whitespace or an arrow in it is a malformed line, not a vertex
+        with pytest.raises(ValueError) as caught:
+            parse_edge_list(text)
+        assert str(caught.value) == message
+
+    def test_arrows_without_spaces_and_trailing_comments(self):
+        g = parse_edge_list("a->b  # first\nb ->c\nd\n")
+        assert g.vertices == ("a", "b", "c", "d")
+        assert g.edges == frozenset({("a", "b"), ("b", "c")})

@@ -514,7 +514,52 @@ class TestStage1:
         fit = pcm_stage1_m(ds, roles, w, 0.3)
         assert fit.x_row.shape == (0,) and fit.z_rows.shape == (1, 0)
         assert fit.zbar_rows.shape == (2, 0)
-        assert pcm_stage1_m_path([(ds, roles, w), (ds, roles, w)], [0.3, 0.1]) == [[], []]
+        # each fold's fit at each rho is an empty (regressors x 0) matrix
+        fits = pcm_stage1_m_path([(ds, roles, w), (ds, roles, w)], [0.3, 0.1])
+        assert [[coef.shape for coef in fold] for fold in fits] == [[(4, 0)] * 2] * 2
+
+    def test_mediator_path_matrices_equal_each_fit_alone(self, monkeypatch):
+        # folds of two design widths (two solver calls), one without mediators, and
+        # one failing column: each fold's matrix at each rho is pcm_stage1_m's
+        # stacked [x; z; zbar] blocks on that fold alone, bit for bit, and the
+        # failure fails only its own fold and rho
+        rng = np.random.default_rng(41)
+        narrow = replace(ROLES, zbar=("Zb1",), sbar=("Sb1",))
+        folds = [(random_instance(31 + f, n=n), roles) for f, (n, roles) in enumerate(
+            [(40, ROLES), (37, narrow), (45, replace(ROLES, s=(), sbar=())), (50, ROLES),
+             (38, narrow)])]
+        folds = [(ds, roles, AdaptiveWeights(np.zeros(len(roles.sbar)), np.zeros(len(roles.zbar)),
+                                             rng.uniform(0.1, 1.0, (len(roles.zbar),
+                                                                    len(roles.mediators)))))
+                 for ds, roles in folds]
+        rhos = [0.3, 0.05, 0.0]
+        failing = 3, 1, 1  # fold, mediator, rho
+        _, roles, w = folds[failing[0]]
+        target = rhos[failing[2]] * np.concatenate([np.zeros(1 + len(roles.z)),
+                                                    w.med[:, failing[1]]])
+        kkt = solvers.kkt_residual
+
+        def kkt_failing_target(gram, cross, n, l1_weights, beta, l2_weights=None):
+            worst = kkt(gram, cross, n, l1_weights, beta, l2_weights)
+            l1_weights = np.asarray(l1_weights)
+            if l1_weights.shape[-1] != target.size:  # the other design width's call
+                return worst
+            return np.where((l1_weights == target).all(axis=-1), np.inf, worst)
+
+        monkeypatch.setattr(solvers, "kkt_residual", kkt_failing_target)
+        fits = pcm_stage1_m_path(folds, rhos)
+        assert [len(fold) for fold in fits] == [len(rhos)] * len(folds)
+        for f, (ds, roles, w) in enumerate(folds):
+            for k, rho in enumerate(rhos):
+                try:
+                    alone = stack_m(pcm_stage1_m(ds, roles, w, rho))
+                except PcmSelectError as exc:
+                    assert (f, k) == (failing[0], failing[2])
+                    assert type(fits[f][k]) is type(exc) and str(fits[f][k]) == str(exc)
+                    continue
+                assert (f, k) != (failing[0], failing[2])
+                assert same_bits(fits[f][k], alone)
+                assert fits[f][k].shape == (len(roles.m_regressors), len(roles.mediators))
 
     def test_lambda_zero_equals_ols(self):
         ds = random_instance(11)

@@ -411,12 +411,14 @@ class TestL1Path:
         for k in (0, 1, 3):
             assert_same_fit(fits[k], alone[k])
 
-    @pytest.mark.parametrize("counts", [(1, 2, 3), (2, 2, 2)], ids=["unequal", "equal"])
-    def test_a_stationarity_failure_lands_on_its_lane(self, counts, monkeypatch):
+    @pytest.mark.parametrize("counts, chosen", [((1, 2, 3), (2, 1, 1)), ((2, 2, 2), (2, 1, 1)),
+                                                ((3,), (0, 1, 1))],
+                             ids=["unequal", "equal", "one-problem"])
+    def test_a_stationarity_failure_lands_on_its_lane(self, counts, chosen, monkeypatch):
         # problems with these lane counts on their own grams and row counts: the
-        # stationarity pass gathers each lane count's lanes, whether some problems
-        # or all of them have it, and the failing candidate must come back at its
-        # own problem, lane and index
+        # stationarity pass checks every lane against its problem's gram in one
+        # call (one problem's gram is broadcast over its lanes), and the failing
+        # candidate (problem, lane, index) must come back at its own place
         rng = np.random.default_rng(17)
         grams, crosses, ns, lists = [], [], [], []
         for f, (n, lanes) in enumerate(zip((40, 15, 60), counts)):
@@ -428,7 +430,6 @@ class TestL1Path:
                                            [5.0, 1.0, 0.3]).transpose(0, 2, 1))
         alone = [[one_lane(grams[f], crosses[f][b], ns[f], lists[f][b]) for b in range(len(c))]
                  for f, c in enumerate(crosses)]
-        chosen = 2, 1, 1  # problem, lane, candidate
         kkt = solvers.kkt_residual
 
         def kkt_failing_chosen(gram, cross, n, l1_weights, beta, l2_weights=None):

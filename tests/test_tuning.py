@@ -49,7 +49,7 @@ class TestGridValidation:
 
     def test_from_dict_filters_product(self):
         grid = ParamGrid.from_dict({"zeta1": [0.0, 0.6], "xi1": [0.0, 0.6],
-                                    "lambda1": [0.1], "folds": 3})
+                                    "lambda1": [0.1], "folds": 3}, "pcm")
         assert (0.6, 0.6) not in grid.zeta_xi
         assert (0.6, 0.0) in grid.zeta_xi
 
@@ -57,7 +57,7 @@ class TestGridValidation:
     def test_zeta_xi_with_zeta1_or_xi1_is_rejected(self, keys):
         # either form of the (zeta1, xi1) pairs would be dropped without a message
         with pytest.raises(ConfigInvalid, match=f"got {', '.join(('zeta_xi', *keys))}$"):
-            ParamGrid.from_dict({"zeta_xi": [[0.1, 0.2]], **{key: [0.5] for key in keys}})
+            ParamGrid.from_dict({"zeta_xi": [[0.1, 0.2]], **{key: [0.5] for key in keys}}, "pcm")
 
     def test_negative_candidate_rejected(self):
         with pytest.raises(ValueError):
@@ -73,16 +73,43 @@ class TestGridValidation:
         ("folds", True), ("fold_seed", True)])
     def test_strings_and_booleans_name_their_key(self, key, value):
         with pytest.raises(ConfigInvalid, match=key):
-            ParamGrid.from_dict({key: value})
+            ParamGrid.from_dict({key: value}, "pcm")
 
     @pytest.mark.parametrize("payload", [[["lam", [0.1]], ["folds", 3]], [], "lam", None])
     def test_a_grid_that_is_not_an_object_is_rejected(self, payload):
         # dict() would take a list of pairs as a grid
         with pytest.raises(ConfigInvalid, match="must be a JSON object"):
-            ParamGrid.from_dict(payload)
+            ParamGrid.from_dict(payload, "lasso")
+
+    @pytest.mark.parametrize("payload, method, unread", [
+        ({"lambda1": [0.5], "folds": 3}, "lasso", "lambda1"),
+        ({"lam": [0.5], "eta": [3.0]}, "elastic-net", "eta"),
+        ({"lam": [0.5], "pilot_lambda": [1.0]}, "elastic-net", "pilot_lambda"),
+        ({"lambda1": [0.1], "lam": [0.5], "eta": [1.0]}, "pcm", "eta, lam"),
+        ({"lam": [0.5], "zeta1": [0.2], "xi1": [0.3]}, "pal1ma", "xi1, zeta1"),
+    ])
+    def test_keys_the_method_does_not_search_are_rejected(self, payload, method, unread):
+        with pytest.raises(ConfigInvalid, match=f"^{method} does not search the grid key"
+                                                f"\\(s\\) {unread}$"):
+            ParamGrid.from_dict(payload, method)
+
+    @pytest.mark.parametrize("payload, method, grid", [
+        ({"zeta1": [0.0, 0.6], "xi1": [0.3], "folds": 3, "fold_seed": 2}, "pcm",
+         ParamGrid(zeta_xi=((0.0, 0.3), (0.6, 0.3)), folds=3, fold_seed=2)),
+        ({"zeta_xi": [[0.1, 0.2]], "lambda1": [0.1], "rho1": [0.2]}, "pcm",
+         ParamGrid(zeta_xi=((0.1, 0.2),), lambda1=(0.1,), rho1=(0.2,))),
+        ({"lam": [0.5], "phi": [0.5]}, "elastic-net", ParamGrid(lam=(0.5,), phi=(0.5,))),
+        ({"lam": [0.5], "eta": [2.0], "pilot_lambda": [0.1]}, "adaptive-lasso",
+         ParamGrid(lam=(0.5,), eta=(2.0,), pilot_lambda=(0.1,))),
+        ({"lam": [0.5], "eta": [2.0], "pilot_lambda": [0.1]}, "pal1ma",
+         ParamGrid(lam=(0.5,), eta=(2.0,), pilot_lambda=(0.1,))),
+    ])
+    def test_searched_keys_pass(self, payload, method, grid):
+        assert ParamGrid.from_dict(payload, method) == grid
 
     def test_number_lists_and_tuples_pass(self):
-        grid = ParamGrid.from_dict({"lam": list(np.logspace(-1, 0, 3)), "eta": (1, 2.5)})
+        grid = ParamGrid.from_dict({"lam": list(np.logspace(-1, 0, 3)), "eta": (1, 2.5)},
+                                   "adaptive-lasso")
         assert grid.lam == tuple(np.logspace(-1, 0, 3).tolist()) and grid.eta == (1.0, 2.5)
 
 
@@ -276,13 +303,13 @@ def fold_by_fold_pcm_cv(data, roles, grid):
         resid = test.column(roles.y) - a @ beta
         return float(resid @ resid) / test.n
 
-    def m_error(test, columns):
+    def m_error(test, coef):
         if not roles.mediators:
             return 0.0
-        if any(isinstance(c, PcmSelectError) for c in columns):
+        if isinstance(coef, PcmSelectError):
             return np.inf
         a = test.values[:, test.index_of(roles.m_regressors)]
-        resid = test.values[:, test.index_of(roles.mediators)] - a @ np.column_stack(columns)
+        resid = test.values[:, test.index_of(roles.mediators)] - a @ coef
         return float(np.sum(resid * resid)) / resid.size
 
     def or_inf(score):
@@ -301,7 +328,7 @@ def fold_by_fold_pcm_cv(data, roles, grid):
         [or_inf(lambda: y_error(te, ridge_pilot_y(tr, roles, v).stacked())) for tr, te in splits]
         for v in grid.pilot_lambda])
     rho_rows = rows_of([{"pilot_rho": v} for v in grid.pilot_rho], [
-        [or_inf(lambda: m_error(te, list(ridge_pilot_m(tr, roles, v).stacked().T)))
+        [or_inf(lambda: m_error(te, ridge_pilot_m(tr, roles, v).stacked()))
          for tr, te in splits] for v in grid.pilot_rho])
     pilot_lam = best(lam_rows, ["pilot_lambda"])[0]["pilot_lambda"]
     pilot_rho = best(rho_rows, ["pilot_rho"])[0]["pilot_rho"]
@@ -317,10 +344,10 @@ def fold_by_fold_pcm_cv(data, roles, grid):
             per_fold.append([np.inf] * len(cands))
             continue
         (y_lanes,) = pcm_stage1_y_path([(tr, weights)], roles, lams, pairs)
-        (m_lanes,) = pcm_stage1_m_path([(tr, roles, weights)], rhos)
+        (m_coefs,) = pcm_stage1_m_path([(tr, roles, weights)], rhos)
         y_errs = {(lam1, pair): or_inf(lambda: y_error(te, _raise(fit)))
                   for pair, lane in zip(pairs, y_lanes) for lam1, fit in zip(lams, lane)}
-        m_errs = {rho1: m_error(te, [lane[k] for lane in m_lanes]) for k, rho1 in enumerate(rhos)}
+        m_errs = {rho1: m_error(te, coef) for rho1, coef in zip(rhos, m_coefs)}
         per_fold.append([np.inf if spans_training_rows(tr, roles, weights, lam1, *pair) else
                          y_errs[lam1, pair] + m_errs[rho1] for lam1, rho1, pair in cands])
     rows = rows_of([{"lambda1": l, "rho1": r, "zeta1": z, "xi1": x} for l, r, (z, x) in cands],
@@ -566,7 +593,7 @@ class TestTableExport:
             CvRow({"lambda1": lam, "rho1": 0.0}, 0.125, (0.1, 0.15, 1e-05)),
             CvRow({"lambda1": 1, "rho1": 1.0}, -math.inf, (-math.inf,)),
         )
-        text = cv_table_csv(CvResult("pcm", {}, 0.125, rows))
+        text = cv_table_csv(CvResult({}, 0.125, rows))
         assert text == (
             "lambda1,pilot_lambda,rho1,mean_score,fold_1,fold_2,fold_3\n"
             ",3.5,,0.5,0.25,0.75,\n"
@@ -575,7 +602,7 @@ class TestTableExport:
             "0.25,,0.0,0.125,0.1,0.15,1e-05\n"
             "1,,1.0,-inf,-inf,,\n"
         )
-        assert cv_table_csv(CvResult("pcm", {}, math.nan, ())) == "mean_score\n"
+        assert cv_table_csv(CvResult({}, math.nan, ())) == "mean_score\n"
 
     def test_blocks_match_a_row_by_row_rendering(self):
         # rows past several blocks, with missing keys, ragged fold counts, the widest
@@ -590,7 +617,7 @@ class TestTableExport:
             rows.append(CvRow({k: values[rng.integers(len(values))] for k in present},
                               float(rng.standard_normal()),
                               tuple(rng.standard_normal(folds).tolist())))
-        result = CvResult("pcm", {}, 0.0, tuple(rows))
+        result = CvResult({}, 0.0, tuple(rows))
         text = cv_table_csv(result)
         assert text == row_by_row_table_csv(result)
         tracemalloc.start()
