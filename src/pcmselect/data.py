@@ -81,9 +81,6 @@ class RolePartition:
                 raise ConfigInvalid(f"roles field {key!r} must be a list of column names")
         return RolePartition(x=payload["x"], y=payload["y"], **groups)
 
-    def to_dict(self) -> dict:
-        return {"x": self.x, "y": self.y, **{key: list(getattr(self, key)) for key in _GROUPS}}
-
 
 @dataclass(frozen=True)
 class Dataset:

@@ -24,7 +24,6 @@ __all__ = [
     "read_dataset_csv",
     "write_dataset_csv",
     "load_json",
-    "save_json",
     "load_graph",
     "load_scm",
     "save_scm",
@@ -109,10 +108,6 @@ def load_json(path) -> dict:
         raise ConfigInvalid(f"{path}: invalid JSON ({exc})") from exc
 
 
-def save_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def load_graph(path) -> Dag:
     try:
         return parse_edge_list(Path(path).read_text())
@@ -125,7 +120,7 @@ def load_scm(path) -> tuple[LinearScm, CovarianceSpec | None]:
 
 
 def save_scm(path, scm: LinearScm, spec: CovarianceSpec | None = None) -> None:
-    save_json(path, scm.to_dict(spec))
+    Path(path).write_text(json.dumps(scm.to_dict(spec), indent=2, sort_keys=True) + "\n")
 
 
 def write_summary_csv(path, result: McResult) -> None:

@@ -177,11 +177,6 @@ class YModelCoefs:
     coef_sbar: np.ndarray
     coef_zbar: np.ndarray
 
-    def stacked(self) -> np.ndarray:
-        return np.concatenate(
-            [[self.beta_x], self.coef_s, self.coef_z, self.coef_sbar, self.coef_zbar]
-        )
-
 
 @dataclass(frozen=True)
 class MediatorCoefs:
@@ -194,9 +189,6 @@ class MediatorCoefs:
     x_row: np.ndarray
     z_rows: np.ndarray
     zbar_rows: np.ndarray
-
-    def stacked(self) -> np.ndarray:
-        return np.vstack([self.x_row[None, :], self.z_rows, self.zbar_rows])
 
 
 @dataclass(frozen=True)
@@ -325,8 +317,9 @@ def ridge_pilot_y(data: Dataset, roles: RolePartition, lam: float) -> YModelCoef
 
 def ridge_pilot_y_grid(datasets, roles: RolePartition, lams) -> list:
     """:func:`ridge_pilot_y` at each of ``lams`` on each of ``datasets``, in one
-    :func:`solvers.ridge_grid` call: ``fits[d][k]`` is the :meth:`YModelCoefs.stacked`
-    vector on ``datasets[d]`` at ``lams[k]`` or, if that fit failed, its exception."""
+    :func:`solvers.ridge_grid` call: ``fits[d][k]`` is the coefficient vector, in the
+    :attr:`RolePartition.y_regressors` order, on ``datasets[d]`` at ``lams[k]`` or, if
+    that fit failed, its exception."""
     pen = np.concatenate([[1.0], np.zeros(len(roles.s) + len(roles.z)),
                           np.ones(len(roles.sbar) + len(roles.zbar))])
     return ridge_grid(*_y_moments(datasets, roles), pen, lams)
@@ -342,8 +335,9 @@ def ridge_pilot_m(data: Dataset, roles: RolePartition, rho: float) -> MediatorCo
 
 def ridge_pilot_m_grid(datasets, roles: RolePartition, rhos) -> list:
     """:func:`ridge_pilot_m` at each of ``rhos`` on each of ``datasets``, in one
-    :func:`solvers.ridge_grid` call: ``fits[d][k]`` is the :meth:`MediatorCoefs.stacked`
-    matrix on ``datasets[d]`` at ``rhos[k]`` or, if that fit failed, its exception."""
+    :func:`solvers.ridge_grid` call: ``fits[d][k]`` is the coefficient matrix, rows in
+    the :attr:`RolePartition.m_regressors` order and one column per mediator, on
+    ``datasets[d]`` at ``rhos[k]`` or, if that fit failed, its exception."""
     k = len(roles.m_regressors)
     grams = gram_stack(datasets, [roles.m_regressors + roles.mediators] * len(datasets))
     pen = np.concatenate([np.zeros(1 + len(roles.z)), np.ones(len(roles.zbar))])
@@ -481,11 +475,12 @@ def pcm_stage1_y_path(folds, roles: RolePartition, lams, pairs) -> list:
     ``pairs``, on each (data, weights) pair of ``folds``.
 
     One :func:`solvers.l1_path` call with one lane per fold and pair:
-    ``fits[f][i][k]`` is the coefficient vector (:meth:`YModelCoefs.stacked`)
-    on ``folds[f]`` at ``pairs[i]`` and ``lams[k]`` or, if that fit failed,
-    its exception.  The (folds, pairs, lams, regressors) candidate weights
-    are one broadcast of the folds' stacked sbar and zbar weights, and
-    ``l1_path`` takes a view of that stack, so the call holds one copy of them.
+    ``fits[f][i][k]`` is the coefficient vector, in the
+    :attr:`RolePartition.y_regressors` order, on ``folds[f]`` at ``pairs[i]`` and
+    ``lams[k]`` or, if that fit failed, its exception.  The (folds, pairs, lams,
+    regressors) candidate weights are one broadcast of the folds' stacked sbar and
+    zbar weights, and ``l1_path`` takes a view of that stack, so the call holds one
+    copy of them.
     """
     grams, crosses, ns = _y_moments([data for data, _ in folds], roles)
     l1 = _y_l1_weights(roles, *[np.array([getattr(w, key) for _, w in folds])
@@ -818,9 +813,10 @@ def fit_from_weights(datasets, roles: RolePartition, params: PcmParams, weights)
 
 
 def _active_designs(roles: RolePartition, betas, weights) -> list:
-    """The active design of each stage-1 outcome fit of ``betas`` (:meth:`YModelCoefs.stacked`
-    vectors) with its :class:`AdaptiveWeights`: its roles, weights and outcome blocks on
-    the fixed blocks plus the active candidates, and its active sbar and zbar.
+    """The active design of each stage-1 outcome fit of ``betas`` (coefficient vectors in
+    the :attr:`RolePartition.y_regressors` order) with its :class:`AdaptiveWeights`: its
+    roles, weights and outcome blocks on the fixed blocks plus the active candidates, and
+    its active sbar and zbar.
 
     The active masks come from the stack of the fits in one pass.  The datasets with
     one active set share its roles and index arrays, built once, and each gathers its

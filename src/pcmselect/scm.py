@@ -1,4 +1,4 @@
-"""Linear structural causal models: covariance, sampling, and ground truth.
+"""Linear structural causal models: calibration, sampling, and ground truth.
 
 A :class:`LinearScm` assigns each vertex of a DAG a linear equation in its
 parents plus an independent disturbance.  A designated block of exogenous
@@ -107,19 +107,6 @@ class LinearScm:
             if self.dag.parents(v):
                 raise ValueError(f"correlated vertex {v!r} must be exogenous")
 
-    # -- structural matrices -------------------------------------------------
-
-    def _index(self) -> dict[str, int]:
-        return {v: i for i, v in enumerate(self.dag.vertices)}
-
-    def _weight_matrix(self) -> np.ndarray:
-        idx = self._index()
-        q = len(self.dag.vertices)
-        w = np.zeros((q, q))
-        for (tail, head), coef in self.coefficients.items():
-            w[idx[head], idx[tail]] = coef
-        return w
-
     def _check_block(self, spec: CovarianceSpec | None) -> None:
         """Raise ``ValueError`` unless ``spec`` fits the correlated block, if there is one."""
         if not self.correlated:
@@ -131,28 +118,7 @@ class LinearScm:
                 f"covariance spec has dim {spec.dim}, expected {len(self.correlated)}"
             )
 
-    def _noise_covariance(self, block: CovarianceSpec | None) -> np.ndarray:
-        self._check_block(block)
-        idx = self._index()
-        omega = np.diag([self.error_variances[v] for v in self.dag.vertices])
-        if self.correlated:
-            cols = [idx[v] for v in self.correlated]
-            omega[np.ix_(cols, cols)] = block.matrix
-        return omega
-
     # -- population quantities -------------------------------------------------
-
-    def population_covariance(self, exogenous_block: CovarianceSpec | None = None) -> np.ndarray:
-        """Exact covariance of all variables, ordered like ``dag.vertices``.
-
-        Solves the structural composition v = W v + e in closed form.  For a
-        DAG the system matrix I - W is unipotent, so it is never singular.
-        """
-        w = self._weight_matrix()
-        omega = self._noise_covariance(exogenous_block)
-        q = w.shape[0]
-        inv = np.linalg.solve(np.eye(q) - w, np.eye(q))
-        return inv @ omega @ inv.T
 
     def true_total_effect(self, x: str, y: str) -> float:
         """Sum over all directed x-to-y paths of the edge-coefficient products."""
@@ -242,7 +208,7 @@ class LinearScm:
         if n < 1:
             raise ValueError("n must be >= 1")
         self._check_block(exogenous_block)
-        idx = self._index()
+        idx = {v: i for i, v in enumerate(self.dag.vertices)}
         values = np.empty((len(rngs), n, len(idx)))
         for rng, noise in zip(rngs, values):
             rng.standard_normal(out=noise)

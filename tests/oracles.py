@@ -1,4 +1,6 @@
-"""Deliberately slow reference implementations used to cross-check the fast paths."""
+"""Deliberately slow reference implementations used to cross-check the fast paths, and
+the helpers that only tests need: a model's population covariance, the stacked layout
+of pcm's coefficient blocks, a roles file's JSON object and an edge-list file."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ from pcmselect import pcm, solvers
 from pcmselect.data import Dataset, RolePartition
 from pcmselect.errors import PcmSelectError
 from pcmselect.pcm import (
+    MediatorCoefs,
     PcmFit,
     adaptive_weights,
     pcm_stage1_m,
@@ -136,6 +139,12 @@ def save_graph(path, dag) -> None:
     Path(path).write_text(format_edge_list(dag))
 
 
+def roles_dict(roles: RolePartition) -> dict:
+    """The roles JSON object that ``RolePartition.from_dict`` reads back as ``roles``."""
+    return {"x": roles.x, "y": roles.y,
+            **{key: list(getattr(roles, key)) for key in ("z", "zbar", "s", "sbar")}}
+
+
 def total_effect_by_path_enumeration(scm, x, y):
     """Sum of coefficient products over explicitly enumerated directed paths."""
     total = 0.0
@@ -148,6 +157,26 @@ def total_effect_by_path_enumeration(scm, x, y):
         for child in scm.dag.children(vertex):
             stack.append((child, prod * scm.coefficients[(vertex, child)]))
     return total
+
+
+def population_covariance(scm, exogenous_block=None) -> np.ndarray:
+    """Exact covariance of all the variables of ``scm``, ordered like ``dag.vertices``.
+
+    Solves the structural composition v = W v + e in closed form.  For a DAG the
+    system matrix I - W is unipotent, so it is never singular.
+    """
+    scm._check_block(exogenous_block)
+    idx = {v: i for i, v in enumerate(scm.dag.vertices)}
+    q = len(idx)
+    w = np.zeros((q, q))
+    for (tail, head), coef in scm.coefficients.items():
+        w[idx[head], idx[tail]] = coef
+    omega = np.diag([scm.error_variances[v] for v in scm.dag.vertices])
+    if scm.correlated:
+        cols = [idx[v] for v in scm.correlated]
+        omega[np.ix_(cols, cols)] = exogenous_block.matrix
+    inv = np.linalg.solve(np.eye(q) - w, np.eye(q))
+    return inv @ omega @ inv.T
 
 
 def sample_vertex_by_vertex(scm, n, rng, spec=None):
@@ -196,6 +225,16 @@ def ridge_objective(design, response, diag_weights, beta) -> float:
 # -- closed-form stationarity of pcm's stage-1 fits ------------------------------
 
 
+def stacked(coefs) -> np.ndarray:
+    """The blocks of a ``YModelCoefs`` as one vector in the ``RolePartition.y_regressors``
+    order, or those of a ``MediatorCoefs`` as one matrix with its rows in the
+    ``m_regressors`` order: the layout of the pilot grids and the stage-1 paths."""
+    if isinstance(coefs, MediatorCoefs):
+        return np.vstack([coefs.x_row[None, :], coefs.z_rows, coefs.zbar_rows])
+    return np.concatenate([[coefs.beta_x], coefs.coef_s, coefs.coef_z, coefs.coef_sbar,
+                           coefs.coef_zbar])
+
+
 def _stationarity_gap(data: Dataset, response: str, regressors, l1: np.ndarray,
                       beta: np.ndarray) -> float:
     """Largest gap between an L1 fit and its closed form on its active rows.
@@ -229,12 +268,12 @@ def verify_active_set_relation(fit: PcmFit, data: Dataset, roles: RolePartition)
         data, roles.y, roles.y_regressors,
         pcm._y_l1_weights(roles, fit.weights.sbar[None], fit.weights.zbar[None], [p.lambda1],
                           [(p.zeta1, p.xi1)])[0, 0, 0],
-        fit.stage1_y.stacked(),
+        stacked(fit.stage1_y),
     )
-    ((act_roles, act_weights, *_),) = pcm._active_designs(roles, [fit.stage1_y.stacked()],
+    ((act_roles, act_weights, *_),) = pcm._active_designs(roles, [stacked(fit.stage1_y)],
                                                           [fit.weights])
     m_l1 = pcm._m_l1_weights(len(act_roles.z), [act_weights.med], [p.rho1])[:, 0]
-    for mediator, l1, coef in zip(act_roles.mediators, m_l1, fit.stage1_m.stacked().T):
+    for mediator, l1, coef in zip(act_roles.mediators, m_l1, stacked(fit.stage1_m).T):
         worst = max(worst, _stationarity_gap(data, mediator, act_roles.m_regressors, l1, coef))
     return worst
 
@@ -435,16 +474,15 @@ def brute_force_pcm_cv(data, roles, grid):
 
     def y_error(test, coef):
         a = test.values[:, test.index_of(roles.y_regressors)]
-        resid = test.column(roles.y) - a @ coef.stacked()
+        resid = test.column(roles.y) - a @ stacked(coef)
         return float(resid @ resid) / test.n
 
     def m_error(test, coef):
         q_m = len(roles.mediators)
         if q_m == 0:
             return 0.0
-        stacked = np.vstack([coef.x_row[None, :], coef.z_rows, coef.zbar_rows])
         a = test.values[:, test.index_of(roles.m_regressors)]
-        resid = test.values[:, test.index_of(roles.mediators)] - a @ stacked
+        resid = test.values[:, test.index_of(roles.mediators)] - a @ stacked(coef)
         return float(np.sum(resid * resid)) / (test.n * q_m)
 
     def stage1_score(train, test, cand):

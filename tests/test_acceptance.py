@@ -35,7 +35,9 @@ from pcmselect.solvers import kkt_residual, ols_solve
 from oracles import (
     all_upper_triangular_dags,
     d_separated_by_paths,
+    population_covariance,
     random_dag,
+    stacked,
     total_effect_by_path_enumeration,
     verify_active_set_relation,
 )
@@ -84,17 +86,16 @@ def test_criterion_1_reduction_identities():
 
         weights = adaptive_weights(ridge_pilot_y(ds, ROLES, 0.5), ridge_pilot_m(ds, ROLES, 0.5))
         s1 = pcm_stage1_y(ds, ROLES, weights, 0.0, 0.0, 0.0)
-        worst_stage1 = max(worst_stage1, float(np.max(np.abs(s1.stacked() - ols))))
+        worst_stage1 = max(worst_stage1, float(np.max(np.abs(stacked(s1) - ols))))
         m1 = pcm_stage1_m(ds, ROLES, weights, 0.0)
         a = ds.values[:, ds.index_of(["X", "Z1", "Zb1", "Zb2"])]
         m = ds.values[:, ds.index_of(["S1", "Sb1", "Sb2"])]
         m_ols = np.linalg.solve(a.T @ a, a.T @ m)
-        stacked = np.vstack([m1.x_row[None, :], m1.z_rows, m1.zbar_rows])
-        worst_stage1 = max(worst_stage1, float(np.max(np.abs(stacked - m_ols))))
+        worst_stage1 = max(worst_stage1, float(np.max(np.abs(stacked(m1) - m_ols))))
 
         pilot0 = ridge_pilot_y(ds, ROLES, 0.0)
         worst_pilot = max(worst_pilot,
-                          float(np.max(np.abs(pilot0.stacked() - ols))))
+                          float(np.max(np.abs(stacked(pilot0) - ols))))
 
         # quadratic loss with lambda2 = 3*lam, equal thirds, unit weights
         lam = 0.7
@@ -143,15 +144,15 @@ def test_criterion_2_stationarity_and_closed_form():
             [lam1 * 0.3], np.zeros(2), lam1 * 0.3 * weights.sbar,
             lam1 * 0.4 * weights.zbar])
         worst_kkt = max(worst_kkt, kkt_residual(
-            a.T @ a, a.T @ ds.column("Y"), ds.n, l1, fit.stage1_y.stacked()))
+            a.T @ a, a.T @ ds.column("Y"), ds.n, l1, stacked(fit.stage1_y)))
         am = ds.values[:, ds.index_of(["X", "Z1", "Zb1", "Zb2"])]
         med = ds.values[:, ds.index_of(["S1", "Sb1", "Sb2"])]
         m1 = pcm_stage1_m(ds, ROLES, weights, rho1)
-        stacked = np.vstack([m1.x_row[None, :], m1.z_rows, m1.zbar_rows])
+        m_coefs = stacked(m1)
         for j in range(3):
             l1_m = np.concatenate([np.zeros(2), rho1 * weights.med[:, j]])
             worst_kkt = max(worst_kkt, kkt_residual(
-                am.T @ am, am.T @ med[:, j], ds.n, l1_m, stacked[:, j]))
+                am.T @ am, am.T @ med[:, j], ds.n, l1_m, m_coefs[:, j]))
 
         act_cols = (["X"] if fit.active_x else []) + ["S1", "Z1"] \
             + [ROLES.sbar[i] for i in fit.active_sbar] \
@@ -220,7 +221,7 @@ def test_criterion_4_scm_correctness():
     worst_diag = 0.0
     for setting, seed in (("A", 0), ("B", 0)):
         scm, spec, _ = build_experiment_scm(setting, np.random.default_rng(seed))
-        sigma = scm.population_covariance(spec)
+        sigma = population_covariance(scm, spec)
         worst_diag = max(worst_diag, float(np.max(np.abs(np.diag(sigma) - 1.0))))
 
     worst_path = 0.0
@@ -244,7 +245,7 @@ def test_criterion_4_scm_correctness():
     tau_skeleton = skeleton.true_total_effect("X", "Y")
 
     scm, spec, _ = build_experiment_scm("A", np.random.default_rng(0))
-    sigma = scm.population_covariance(spec)
+    sigma = population_covariance(scm, spec)
     draws = scm.sample(1_000_000, np.random.default_rng(123), spec)
     emp = np.cov(draws.T, bias=True)
     worst_cov = float(np.max(np.abs(emp - sigma)))

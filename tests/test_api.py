@@ -219,9 +219,22 @@ def _reads(trees) -> list:
                if isinstance(node, ast.Attribute)])
 
 
+def _methods(tree) -> list:
+    """The (class, function) pairs of the methods and properties of ``tree``'s
+    top-level classes."""
+    return [(statement, node) for statement in tree.body if isinstance(statement, ast.ClassDef)
+            for node in statement.body if isinstance(node, ast.FunctionDef)]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def test_every_private_name_is_used():
     """Every private top-level name of a ``src/pcmselect`` module is read somewhere
-    in ``src`` outside its own definition, so no helper outlives its last caller."""
+    in ``src`` outside its own definition, and every private method of one of its
+    classes is reached by an attribute read of its name there, so no helper outlives
+    its last caller."""
     trees = [ast.parse(path.read_text()) for path in
              sorted(Path(pcmselect.__file__).parent.glob("*.py"))]
     reads = _reads(trees) + [(node, node.name) for tree in trees for node in ast.walk(tree)
@@ -231,37 +244,76 @@ def test_every_private_name_is_used():
         for statement in tree.body:
             inside = {id(node) for node in ast.walk(statement)}
             for name in _top_level_names(statement):
-                if (name.startswith("_") and not name.startswith("__")
+                if (_private(name)
                         and not any(n == name and id(node) not in inside for node, n in reads)):
                     unused.append(name)
+        for cls, method in _methods(tree):
+            inside = {id(node) for node in ast.walk(method)}
+            if _private(method.name) and not any(
+                    isinstance(node, ast.Attribute) and n == method.name
+                    and id(node) not in inside for node, n in reads):
+                unused.append(f"{cls.name}.{method.name}")
     assert not unused, f"private names that nothing in src reads: {unused}"
 
 
-def test_no_public_function_or_class_is_test_only():
-    """Every public top-level function and class of a ``src/pcmselect`` module is
-    read by ``src`` or by the benchmark's own code, or is hooked by the tracer's
-    ``ENTRY_POINTS + LAYERS``; what only tests call belongs in ``tests/oracles.py``.
-    An import (such as a re-export in ``__init__``) is not a read, nor is a read
-    inside the definition itself or inside another definition that fails this
-    check, so a chain of helpers that only tests reach fails link by link."""
+def _test_only_code():
+    """The public code of ``src/pcmselect`` that only tests read, as (module, name)
+    pairs: the top-level functions and classes, and the methods and properties of the
+    public classes as ``Class.method``, that neither ``src`` nor the benchmark's own
+    code reads and that the tracer's ``ENTRY_POINTS + LAYERS`` do not hook.
+
+    A top-level name is read by a name or an attribute read, a method only by an
+    attribute read of its name.  An import (such as a re-export in ``__init__``) is
+    not a read, nor is a read inside the definition itself or inside other code that
+    this finds, so a chain of helpers that only tests reach is found link by link."""
     trees = {path.stem: ast.parse(path.read_text()) for path in
              sorted(Path(pcmselect.__file__).parent.glob("*.py"))}
     bench = [ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py"))
              if not path.name.startswith("test_")]
+    traced = {qualname for _, qualname in traced_functions()}
     # the tracer hooks a function at every module that imports it, so by name
-    hooked = {qualname.split(".")[0] for _, qualname in traced_functions()}
-    definitions = {(module, statement.name): {id(node) for node in ast.walk(statement)}
-                   for module, tree in trees.items() for statement in tree.body
-                   if isinstance(statement, (ast.FunctionDef, ast.ClassDef))
-                   and not statement.name.startswith("_") and statement.name not in hooked}
+    hooked = {qualname.split(".")[0] for qualname in traced}
+    definitions = {}
+    for module, tree in trees.items():
+        for statement in tree.body:
+            if (isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+                    and not statement.name.startswith("_") and statement.name not in hooked):
+                definitions[module, statement.name] = {id(node) for node in ast.walk(statement)}
+        for cls, method in _methods(tree):
+            qualname = f"{cls.name}.{method.name}"
+            if not (cls.name.startswith("_") or method.name.startswith("_") or qualname in traced):
+                definitions[module, qualname] = {id(node) for node in ast.walk(method)}
     reads = _reads([*trees.values(), *bench])
     unused: set = set()
     while True:
         dead = set().union(*(definitions[key] for key in unused))
         found = {key for key, inside in definitions.items()
-                 if not any(name == key[1] and id(node) not in inside and id(node) not in dead
+                 if not any(name == key[1].split(".")[-1] and id(node) not in inside
+                            and id(node) not in dead
+                            and ("." not in key[1] or isinstance(node, ast.Attribute))
                             for node, name in reads)}
         if found == unused:
-            break
+            return unused
         unused = found
-    assert not unused, f"public code that only tests read: {sorted(unused)}"
+
+
+def test_no_public_function_or_class_is_test_only():
+    """Every public top-level function and class of a ``src/pcmselect`` module is
+    read by ``src`` or by the benchmark's own code, or is hooked by the tracer
+    (:func:`_test_only_code`); what only tests call belongs in ``tests/oracles.py``."""
+    unused = sorted(key for key in _test_only_code() if "." not in key[1])
+    assert not unused, f"public code that only tests read: {unused}"
+
+
+def test_no_public_method_is_test_only():
+    """Every public method and property of a public class of ``src/pcmselect`` is
+    reached by an attribute read of its name from ``src`` or from the benchmark's own
+    code, or is hooked by the tracer (:func:`_test_only_code`); what only tests call
+    belongs in ``tests/oracles.py`` as a plain function.
+
+    A method is matched by its name alone, so this cannot see a test-only method that
+    shares its name with one that ``src`` reads: ``RolePartition.to_dict``, beside the
+    ``to_dict`` of ``LinearScm``, ``PcmParams`` and ``PcmFit``, was one, and it moved to
+    ``tests/oracles.py`` (``roles_dict``) by hand."""
+    unused = sorted(key for key in _test_only_code() if "." in key[1])
+    assert not unused, f"public methods that only tests read: {unused}"

@@ -12,6 +12,7 @@ from pcmselect.experiment import METHODS, check_params
 from pcmselect.pcm import PcmParams, pcm_total_effect
 from pcmselect.solvers import ols_solve
 
+from oracles import roles_dict
 from test_pcm import random_instance  # shared generator
 
 
@@ -196,7 +197,7 @@ class TestZeroPilot:
         assert isinstance(ridge, float)
         # the CLI reports the same failure as a numerical error
         paths = {key: tmp_path / f"{key}.json" for key in ("roles", "params")}
-        paths["roles"].write_text(json.dumps(roles.to_dict()))
+        paths["roles"].write_text(json.dumps(roles_dict(roles)))
         paths["params"].write_text(json.dumps(params))
         write_dataset_csv(tmp_path / "data.csv", raw)
         capsys.readouterr()

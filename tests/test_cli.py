@@ -12,7 +12,7 @@ from pcmselect.errors import DataFormatError
 from pcmselect.experiment import METHODS, PRESETS, SETTING_METHODS, experiment_roles
 from pcmselect.scm import build_experiment_scm, experiment_criteria_dag
 
-from oracles import save_graph
+from oracles import roles_dict, save_graph
 
 
 @pytest.fixture
@@ -233,7 +233,7 @@ def setting_csvs(tmp_path_factory):
         data, roles = root / f"{setting}.csv", root / f"{setting}.json"
         assert main(["simulate", "--scm", setting, "--n", "60", "--seed", "11",
                      "--out", str(data)]) == 0
-        roles.write_text(json.dumps(experiment_roles(setting).to_dict()))
+        roles.write_text(json.dumps(roles_dict(experiment_roles(setting))))
         files[setting] = (data, roles)
     return files
 
@@ -291,7 +291,7 @@ class TestCliMatchesRegistry:
         assert main(["simulate", "--scm", "A", "--n", "40", "--seed", "3",
                      "--out", str(data)]) == 0
         roles = RolePartition.from_dict(roles) if roles else experiment_roles("A")
-        roles_file.write_text(json.dumps(roles.to_dict()))
+        roles_file.write_text(json.dumps(roles_dict(roles)))
         params_file = tmp_path / "params.json"
         params_file.write_text(json.dumps(params))
         capsys.readouterr()
@@ -315,7 +315,7 @@ class TestCliMatchesRegistry:
         data, roles_file = tmp_path / "a.csv", tmp_path / "roles.json"
         assert main(["simulate", "--scm", "A", "--n", "40", "--seed", "3",
                      "--out", str(data)]) == 0
-        roles_file.write_text(json.dumps(experiment_roles("A").to_dict()))
+        roles_file.write_text(json.dumps(roles_dict(experiment_roles("A"))))
         params_file, grid_file = tmp_path / "params.json", tmp_path / "grid.json"
         params_file.write_text(json.dumps({**PRESETS[("A", method)], "eta": 1e308}))
         grid_file.write_text(json.dumps({"eta": [1e308]}))
@@ -673,7 +673,7 @@ class TestExperimentCommand:
         payload = {
             "setting": "custom", "n": 40, "replications": 5, "seed": seed,
             "workers": workers,
-            "scm": cfg.scm_payload, "roles": cfg.roles.to_dict(),
+            "scm": cfg.scm_payload, "roles": roles_dict(cfg.roles),
             "methods": [
                 {"name": "backdoor"},
                 {"name": "frontdoor-including-x",

@@ -34,7 +34,7 @@ from pcmselect import baselines, pcm, solvers
 from pcmselect.pcm import ETA_MAX, WEIGHT_FLOOR, reciprocal_power_weights_stack
 from pcmselect.solvers import kkt_residual, ols_batch, ols_solve
 
-from oracles import l1_objective, ridge_objective, verify_active_set_relation
+from oracles import l1_objective, ridge_objective, stacked, verify_active_set_relation
 
 ROLES = RolePartition(
     x="X", y="Y", z=("Z1",), zbar=("Zb1", "Zb2"), s=("S1",), sbar=("Sb1", "Sb2")
@@ -105,7 +105,7 @@ class TestOlsJoint:
         fit = ridge_pilot_y(ds, ROLES, 0.0)
         a = y_design(ds)
         oracle = np.linalg.inv(a.T @ a) @ (a.T @ ds.column("Y"))
-        np.testing.assert_allclose(fit.stacked(), oracle, atol=1e-9)
+        np.testing.assert_allclose(stacked(fit), oracle, atol=1e-9)
 
     def test_singular_design_raises(self):
         rng = np.random.default_rng(3)
@@ -183,7 +183,7 @@ class TestRidgePilots:
 def pilot_alone(pilot, ds, roles, value):
     """One pilot's stacked coefficients, or the exception it raises."""
     try:
-        return pilot(ds, roles, value).stacked()
+        return stacked(pilot(ds, roles, value))
     except PcmSelectError as exc:
         return exc
 
@@ -566,7 +566,7 @@ class TestStage1:
         w = adaptive_weights(ridge_pilot_y(ds, ROLES, 0.5), ridge_pilot_m(ds, ROLES, 0.5))
         fit = pcm_stage1_y(ds, ROLES, w, 0.0, 0.0, 0.0)
         np.testing.assert_allclose(
-            fit.stacked(), ridge_pilot_y(ds, ROLES, 0.0).stacked(), atol=1e-8
+            stacked(fit), stacked(ridge_pilot_y(ds, ROLES, 0.0)), atol=1e-8
         )
 
     def test_total_shrinkage_leaves_reduced_ols(self):
@@ -589,7 +589,7 @@ class TestStage1:
             [lam1 * zeta1], [0.0], [0.0], lam1 * xi1 * w.sbar,
             lam1 * (1 - zeta1 - xi1) * w.zbar,
         ])
-        beta = fit.stacked()
+        beta = stacked(fit)
         base = l1_objective(a, ds.column("Y"), l1, beta)
         rng = np.random.default_rng(14)
         for scale in (1e-3, 1e-2, 0.2):
@@ -766,7 +766,7 @@ class TestCorrections:
         fit = pcm_total_effect(ds, ROLES, default_params(
             lambda1=0.0, rho1=0.0, lambda2=0.0, rho2=0.0, rho2_prime=0.0))
         ols = ridge_pilot_y(ds, ROLES, 0.0)
-        np.testing.assert_allclose(fit.stage1_y.stacked(), ols.stacked(), atol=1e-8)
+        np.testing.assert_allclose(stacked(fit.stage1_y), stacked(ols), atol=1e-8)
         assert fit.corrected.beta_x == pytest.approx(ols.beta_x, abs=1e-8)
         np.testing.assert_allclose(fit.corrected.coef_s, ols.coef_s, atol=1e-8)
         np.testing.assert_allclose(fit.corrected.coef_sbar_active, ols.coef_sbar, atol=1e-8)
@@ -818,7 +818,7 @@ class TestCorrections:
         flipped = Dataset(flipped_values, ds.columns)
         fit2 = pcm_total_effect(flipped, ROLES, params)
         assert fit2.total_effect == pytest.approx(-fit.total_effect, abs=1e-12)
-        np.testing.assert_allclose(fit2.stage1_y.stacked(), -fit.stage1_y.stacked(), atol=1e-12)
+        np.testing.assert_allclose(stacked(fit2.stage1_y), -stacked(fit.stage1_y), atol=1e-12)
         assert fit2.corrected.beta_x == pytest.approx(-fit.corrected.beta_x, abs=1e-12)
 
     def test_active_sets_index_candidate_blocks_only(self):
@@ -900,7 +900,7 @@ class TestTotalEffect:
                              lam * (1.0 - zeta - xi) * fit.weights.zbar])
         cols = roles.y_regressors
         assert kkt_residual(ds.cross(cols, cols), ds.cross(cols, [roles.y])[:, 0], ds.n,
-                            l1, fit.stage1_y.stacked()) <= 1e-9
+                            l1, stacked(fit.stage1_y)) <= 1e-9
 
 
 # roles without mediators: stage 1 on [X, Z1, Zb1, Zb2]

@@ -13,7 +13,8 @@ from pcmselect.scm import (
 )
 from pcmselect.scm import _experiment_edges, EXPERIMENT_VERTICES
 
-from oracles import sample_vertex_by_vertex, total_effect_by_path_enumeration
+from oracles import (population_covariance, sample_vertex_by_vertex,
+                     total_effect_by_path_enumeration)
 
 
 def chain_scm(a_sx=0.8, a_ys=0.4):
@@ -26,19 +27,19 @@ def chain_scm(a_sx=0.8, a_ys=0.4):
 class TestPopulationCovariance:
     def test_chain_cross_covariance_is_path_product(self):
         scm = chain_scm()
-        sigma = scm.population_covariance()
+        sigma = population_covariance(scm)
         idx = {v: i for i, v in enumerate(scm.dag.vertices)}
         assert sigma[idx["X"], idx["Y"]] == pytest.approx(0.8 * 0.4)
 
     def test_no_edges_gives_diagonal(self):
         dag = Dag(["a", "b"], [])
         scm = LinearScm(dag, {}, {"a": 2.0, "b": 3.0})
-        np.testing.assert_allclose(scm.population_covariance(), np.diag([2.0, 3.0]))
+        np.testing.assert_allclose(population_covariance(scm), np.diag([2.0, 3.0]))
 
     def test_sampling_matches_analytic_covariance(self):
         rng = np.random.default_rng(7)
         scm, spec, _ = build_experiment_scm("A", rng)
-        sigma = scm.population_covariance(spec)
+        sigma = population_covariance(scm, spec)
         draws = scm.sample(200_000, np.random.default_rng(8), spec)
         np.testing.assert_allclose(np.cov(draws.T, bias=True), sigma, atol=0.02)
 
@@ -86,7 +87,7 @@ class TestCalibration:
     def test_experiment_scm_has_unit_diagonal(self):
         for setting in ("A", "B"):
             scm, spec, _ = build_experiment_scm(setting, np.random.default_rng(3))
-            sigma = scm.population_covariance(spec)
+            sigma = population_covariance(scm, spec)
             np.testing.assert_allclose(np.diag(sigma), 1.0, atol=1e-10)
 
     def test_impossible_calibration_raises(self):

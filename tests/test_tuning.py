@@ -25,7 +25,7 @@ from pcmselect.solvers import coordinate_descent, ols_solve, ridge_solve
 from pcmselect.tuning import (CvResult, CvRow, ParamGrid, _fold_indices, cross_validate,
                               cv_table_csv, default_log_grid)
 
-from oracles import brute_force_pcm_cv, row_by_row_table_csv, spans_training_rows
+from oracles import brute_force_pcm_cv, row_by_row_table_csv, spans_training_rows, stacked
 from test_pcm import ROLES, random_instance
 
 BASE_ROLES = RolePartition(x="X", y="Y", z=("Z1",), zbar=("Zb1", "Zb2"))
@@ -204,7 +204,7 @@ class TestCrossValidate:
             train = Dataset(ds.values[train_rows], ds.columns)
             weights = adaptive_weights(ridge_pilot_y(train, base, pilot),
                                        ridge_pilot_m(train, base, pilot))
-            beta = pcm_stage1_y(train, base, weights, lam, 0.0, 0.0).stacked()
+            beta = stacked(pcm_stage1_y(train, base, weights, lam, 0.0, 0.0))
             test = ds.values[test_rows]
             resid = test[:, ds.index_of(["Y"])[0]] - test[:, ds.index_of(cols)] @ beta
             expected.append(float(resid @ resid) / len(test_rows))
@@ -325,10 +325,10 @@ def fold_by_fold_pcm_cv(data, roles, grid):
         return min(rows, key=lambda r: (r[1],) + tuple(-r[0][k] for k in keys))
 
     lam_rows = rows_of([{"pilot_lambda": v} for v in grid.pilot_lambda], [
-        [or_inf(lambda: y_error(te, ridge_pilot_y(tr, roles, v).stacked())) for tr, te in splits]
+        [or_inf(lambda: y_error(te, stacked(ridge_pilot_y(tr, roles, v)))) for tr, te in splits]
         for v in grid.pilot_lambda])
     rho_rows = rows_of([{"pilot_rho": v} for v in grid.pilot_rho], [
-        [or_inf(lambda: m_error(te, ridge_pilot_m(tr, roles, v).stacked()))
+        [or_inf(lambda: m_error(te, stacked(ridge_pilot_m(tr, roles, v))))
          for tr, te in splits] for v in grid.pilot_rho])
     pilot_lam = best(lam_rows, ["pilot_lambda"])[0]["pilot_lambda"]
     pilot_rho = best(rho_rows, ["pilot_rho"])[0]["pilot_rho"]
@@ -431,7 +431,7 @@ def fold_by_fold_baseline_cv(data, roles, name, grid):
 
     def pilot(train, value):
         if name == "pal1ma":
-            return ridge_pilot_y(train, bare, value).stacked()
+            return stacked(ridge_pilot_y(train, bare, value))
         if value == 0.0:  # least squares, with its rank guard
             return ols_solve(*moments(train)[:2])
         return ridge_solve(*moments(train), np.full(len(cols), value))
@@ -442,7 +442,7 @@ def fold_by_fold_baseline_cv(data, roles, name, grid):
             (zbar,), _ = reciprocal_power_weights_stack(pilot_beta[None, 1 + len(roles.z):],
                                                         eta=eta)
             weights = AdaptiveWeights(np.zeros(0), zbar, np.zeros((len(roles.zbar), 0)))
-            return pcm_stage1_y(train, bare, weights, lam, 0.0, 0.0).stacked()
+            return stacked(pcm_stage1_y(train, bare, weights, lam, 0.0, 0.0))
         w = (np.ones(len(cols)) if pilot_beta is None
              else reciprocal_power_weights_stack(pilot_beta[None], eta=eta,
                                                  normalize=False)[0][0])
